@@ -321,9 +321,22 @@ def _report_exit(report: vf.VerificationReport, out: Optional[str]) -> int:
     return EXIT_INCONCLUSIVE
 
 
+# parameters a construction cannot run without (dest names of the flags)
+_VERIFY_REQUIRES = {
+    "power-identity": ("mu",),
+    "bump-train": ("p",),
+    "singular": ("p",),
+    "transform": ("p", "q"),
+}
+
+
 def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     tol = cfg.tolerance
     construction = args.construction
+    missing = [f"--{name}" for name in _VERIFY_REQUIRES.get(construction, ())
+               if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"verify {construction} requires {' and '.join(missing)}")
     if construction == "power-identity":
         report = vf.verify_power_identity(args.mu, args.s, tol=tol)
     elif construction == "bump-train":
@@ -492,8 +505,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "seed": args.seed, "abs_tol": args.abs_tol,
             "rel_tol": args.rel_tol})
         return args.func(args, cfg)
-    except (cn.DomainError, vf.GeometryViolation, vf.NotFound,
-            ValueError, FileNotFoundError) as exc:
+    except (cn.DomainError, cn.NoRootError, cn.BracketFailure,
+            vf.GeometryViolation, vf.NotFound, ValueError,
+            FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -281,9 +281,15 @@ def directional(section: LineSection, s: float, tol: Tolerance = _DEFAULT_TOL,
 #   breakpoints(x, xi) -> list[float]       tau of every non-C^2 crossing
 #   growth_alpha: float                     (H2)-type growth exponent
 # optional:
+#   line(x, xi) -> Callable[[float], float] the section tau -> u(x + tau*xi)
 #   growth_const: float
 #   extra_abs_error(x) -> float             evaluation-truncation error
 #   d2_along(x, xi) -> float                analytic second derivative
+#
+# ``line`` exists because the quadrature calls the section once per node,
+# millions of times per verification: a field that has it does its vector
+# work once per direction and evaluates each node in float arithmetic.
+# Without it each node builds ``x + tau*xi`` as a new array for __call__.
 
 def make_section(u, x: np.ndarray, xi: np.ndarray) -> LineSection:
     """Build the line section of a field through ``x`` along unit ``xi``."""
@@ -293,8 +299,12 @@ def make_section(u, x: np.ndarray, xi: np.ndarray) -> LineSection:
     if abs(nrm - 1.0) > 1e-12:
         xi = xi / nrm
 
-    def ev(t: float) -> float:
-        return float(u(x + t * xi))
+    line = getattr(u, "line", None)
+    if line is not None:
+        ev = line(x, xi)
+    else:
+        def ev(t: float) -> float:
+            return float(u(x + t * xi))
 
     bps = sorted(float(t) for t in u.breakpoints(x, xi))
     delta0 = float(u.c2_radius(x))

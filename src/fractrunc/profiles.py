@@ -1,10 +1,13 @@
 """Explicit barrier and supersolution profiles on R^N and the half-space.
 
-Every constructed function is an *evaluable field*: callable on points,
-carrying the metadata the operator module needs (C^2 window radius,
-non-smooth crossing locations along a line, growth exponent).  Radial
-profiles are cap/tail constructions: a power of |x| beyond a junction
-radius, glued C^3 to the third-order Taylor cubic of the same power inside.
+Every constructed function is an *evaluable field*: restrictable to lines
+(``line(x, xi)`` returns the scalar function ``t -> u(x + t*xi)``, which the
+operator module integrates in plain float arithmetic), callable on points
+(the line through the point at ``t = 0``), and carrying the metadata the
+operator module needs (C^2 window radius, non-smooth crossing locations
+along a line, growth exponent).  Radial profiles are cap/tail
+constructions: a power of |x| beyond a junction radius, glued C^3 to the
+third-order Taylor cubic of the same power inside.
 """
 
 from __future__ import annotations
@@ -91,6 +94,23 @@ class Sphere:
         return [-b - root, -b + root]
 
 
+def _components(x: np.ndarray, xi: np.ndarray) -> list[tuple[float, float]]:
+    """The pairs (x_i, xi_i) as Python floats."""
+    return list(zip(np.asarray(x, float).reshape(-1).tolist(),
+                    np.asarray(xi, float).reshape(-1).tolist()))
+
+
+def _squared_norm(pairs: Sequence[tuple[float, float]]) -> Callable[[float], float]:
+    """t -> |x + t*xi|^2 over the given component pairs, summed in order."""
+    def r2(t: float) -> float:
+        acc = 0.0
+        for a, b in pairs:
+            v = a + t * b
+            acc += v * v
+        return acc
+    return r2
+
+
 def _surface_breakpoints(surfaces: Sequence, x: np.ndarray,
                          xi: np.ndarray) -> list[float]:
     out: list[float] = []
@@ -172,8 +192,13 @@ class Field:
     growth_const: Optional[float] = None
     is_radial: bool = False
 
-    def __call__(self, y: np.ndarray) -> float:  # pragma: no cover - abstract
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        """The restriction t -> u(x + t*xi), in float arithmetic."""
         raise NotImplementedError
+
+    def __call__(self, y: np.ndarray) -> float:
+        y = np.asarray(y, float)
+        return self.line(y, np.zeros_like(y))(0.0)
 
     def c2_radius(self, x: np.ndarray) -> float:
         return 1.0
@@ -196,8 +221,9 @@ class _ScaledField(Field):
             self.growth_const = abs(factor) * base.growth_const
         self.is_radial = base.is_radial
 
-    def __call__(self, y: np.ndarray) -> float:
-        return self.factor * self.base(y)
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        base, factor = self.base.line(x, xi), float(self.factor)
+        return lambda t: factor * base(t)
 
     def c2_radius(self, x: np.ndarray) -> float:
         return self.base.c2_radius(x)
@@ -216,8 +242,15 @@ class _SumField(Field):
         self.parts = list(parts)
         self.growth_alpha = max(p.growth_alpha for p in self.parts)
 
-    def __call__(self, y: np.ndarray) -> float:
-        return sum(p(y) for p in self.parts)
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        lines = [p.line(x, xi) for p in self.parts]
+
+        def at(t: float) -> float:
+            acc = 0.0
+            for f in lines:
+                acc += f(t)
+            return acc
+        return at
 
     def c2_radius(self, x: np.ndarray) -> float:
         return min(p.c2_radius(x) for p in self.parts)
@@ -257,8 +290,9 @@ class RadialProfile(Field):
         self._validate()
 
     # -- evaluation ---------------------------------------------------------
-    def __call__(self, y: np.ndarray) -> float:
-        return self.g.value(float(np.dot(y, y)))
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        r2, value = _squared_norm(_components(x, xi)), self.g.value
+        return lambda t: value(r2(t))
 
     def radial_value(self, r2: float, order: int = 0) -> float:
         return self.g.value(r2, order)
@@ -321,9 +355,18 @@ class RadialDerivativeField(Field):
         # decay: derivative decays; growth (gamma <= 2s-1 < 1): |Dv| ~ |y|^{gamma-1} bounded
         self.growth_alpha = 0.0
 
-    def __call__(self, y: np.ndarray) -> float:
-        r2 = float(np.dot(y, y))
-        return 2.0 * float(np.dot(y, self.e)) * self.base.g.value(r2, 1)
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        rows = [(a, b, c) for (a, b), c in zip(_components(x, xi), self.e.tolist())]
+        value = self.base.g.value
+
+        def at(t: float) -> float:
+            r2 = ye = 0.0
+            for a, b, c in rows:
+                v = a + t * b
+                r2 += v * v
+                ye += v * c
+            return 2.0 * ye * value(r2, 1)
+        return at
 
     def c2_radius(self, x: np.ndarray) -> float:
         # Dv is C^2 away from the junction sphere (v is only C^3 there)
@@ -401,9 +444,11 @@ class _PartialN(RadialDerivativeField):
         self.base = base
         self.growth_alpha = 0.0
 
-    def __call__(self, y: np.ndarray) -> float:
-        r2 = float(np.dot(y, y))
-        return 2.0 * float(y[-1]) * self.base.g.value(r2, 1)
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        pairs = _components(x, xi)
+        r2, value = _squared_norm(pairs), self.base.g.value
+        a, b = pairs[-1]
+        return lambda t: 2.0 * (a + t * b) * value(r2(t), 1)
 
     def c2_radius(self, x: np.ndarray) -> float:
         r = float(np.linalg.norm(x))
@@ -470,16 +515,19 @@ class BumpTrain(Field):
         self.growth_alpha = 0.0
         self.growth_const = eps ** (2.0 * s)
 
-    def _bump(self, t: float, n: int) -> float:
-        arg = self.eps**2 - (t - n - self.eps) ** 2
-        return arg**self.s if arg > 0.0 else 0.0
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        a, b = _components(x, xi)[-1]
+        eps, s, window = float(self.eps), float(self.s), self.window
+        eps2 = eps**2
 
-    def __call__(self, y: np.ndarray) -> float:
-        t = float(np.asarray(y, float).reshape(-1)[-1])
-        n = math.floor(t)
-        if n < 0 or n >= self.window:
-            return 0.0
-        return self._bump(t, n)
+        def at(t: float) -> float:
+            y = a + t * b
+            n = math.floor(y)
+            if n < 0 or n >= window:
+                return 0.0
+            arg = eps2 - (y - n - eps) ** 2
+            return arg**s if arg > 0.0 else 0.0
+        return at
 
     def c2_radius(self, x: np.ndarray) -> float:
         t = float(np.asarray(x, float).reshape(-1)[-1])
@@ -533,13 +581,18 @@ class HalfSpacePowerTail(Field):
         self.growth_alpha = 0.0
         self.growth_const = float(self.radial.g.value(0.0))
 
-    def __call__(self, y: np.ndarray) -> float:
-        y = np.asarray(y, float)
-        if y[-1] <= 0.0:
-            return 0.0
-        z = y.copy()
-        z[-1] += self.shift
-        return self.radial(z)
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        pairs = _components(x, xi)
+        head, value = _squared_norm(pairs[:-1]), self.radial.g.value
+        (a, b), shift = pairs[-1], float(self.shift)
+
+        def at(t: float) -> float:
+            y = a + t * b
+            if y <= 0.0:
+                return 0.0
+            z = y + shift
+            return value(head(t) + z * z)
+        return at
 
     def c2_radius(self, x: np.ndarray) -> float:
         x = np.asarray(x, float)
@@ -579,9 +632,14 @@ class PowerProfile(Field):
         self.coefficient = coefficient
         self.growth_alpha = mu
 
-    def __call__(self, y: np.ndarray) -> float:
-        t = float(np.asarray(y, float).reshape(-1)[-1])
-        return self.coefficient * t**self.mu if t > 0.0 else 0.0
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        a, b = _components(x, xi)[-1]
+        coefficient, mu = float(self.coefficient), float(self.mu)
+
+        def at(t: float) -> float:
+            y = a + t * b
+            return coefficient * y**mu if y > 0.0 else 0.0
+        return at
 
     def c2_radius(self, x: np.ndarray) -> float:
         t = float(np.asarray(x, float).reshape(-1)[-1])
@@ -621,8 +679,10 @@ class MinField(Field):
         self.scale = scale
         self.growth_alpha = 0.0  # min of a bounded and a growing profile is bounded
 
-    def __call__(self, y: np.ndarray) -> float:
-        return self.scale * min(self.first(y), self.second(y))
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        first, second = self.first.line(x, xi), self.second.line(x, xi)
+        scale = float(self.scale)
+        return lambda t: scale * min(first(t), second(t))
 
     def c2_radius(self, x: np.ndarray) -> float:
         base = min(self.first.c2_radius(x), self.second.c2_radius(x))
@@ -642,9 +702,10 @@ class MinField(Field):
         if radius > 0.0:
             span = radius
 
+        first, second = self.first.line(x, xi), self.second.line(x, xi)
+
         def diff(t: float) -> float:
-            p = x + t * xi
-            return self.first(p) - self.second(p)
+            return first(t) - second(t)
 
         grid = np.linspace(-span, span, 801)
         vals = np.array([diff(t) for t in grid])
@@ -764,11 +825,16 @@ class PowerTransformField(Field):
         self.tp = tp
         self.growth_alpha = base.growth_alpha * tp.beta_exp
 
-    def __call__(self, y: np.ndarray) -> float:
-        v = self.base(y)
-        if v < 0.0:
-            raise ValueError("power transform requires a nonnegative base")
-        return self.tp.alpha_coef * v**self.tp.beta_exp
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        base = self.base.line(x, xi)
+        alpha, beta = float(self.tp.alpha_coef), float(self.tp.beta_exp)
+
+        def at(t: float) -> float:
+            v = base(t)
+            if v < 0.0:
+                raise ValueError("power transform requires a nonnegative base")
+            return alpha * v**beta
+        return at
 
     def c2_radius(self, x: np.ndarray) -> float:
         return self.base.c2_radius(x)

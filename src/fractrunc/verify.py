@@ -440,6 +440,8 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
                                       r.abs_error_estimate, "le"))
     else:
         rng = np.random.default_rng(seed)
+        # closed-form directional values: each section is a power of x_N
+        c_val = cn.normalizing_constant(s) * cn.c_s_mu(mu, s)
         for t in points:
             x = np.zeros(N)
             x[-1] = t
@@ -449,9 +451,6 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
                 claims.append(ClaimResult([float(t)], "pigeonhole_direction",
                                           1.0 / math.sqrt(N) - pigeon - 1e-12,
                                           0.0, "le"))
-                # closed-form directional values: each section is a power of x_N
-                Cs = cn.normalizing_constant(s)
-                c_val = Cs * cn.c_s_mu(mu, s)
                 fs = sum(abs(float(xi[-1])) ** (2.0 * s) for xi in frame.vectors)
                 total = fs * M * c_val * t ** (mu - 2.0 * s)
                 claims.append(ClaimResult([float(t)], "frame_supersolution",
@@ -478,9 +477,19 @@ class _BallBump(pr.Field):
         self.growth_alpha = 0.0
         self.growth_const = r ** (2.0 * s)
 
-    def __call__(self, x: np.ndarray) -> float:
-        arg = self.r**2 - float(np.sum((np.asarray(x, float) - self.y) ** 2))
-        return arg**self.s if arg > 0.0 else 0.0
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+        rows = list(zip(np.asarray(x, float).tolist(), np.asarray(xi, float).tolist(),
+                        self.y.tolist()))
+        r2, s = float(self.r) ** 2, float(self.s)
+
+        def at(t: float) -> float:
+            d2 = 0.0
+            for a, b, c in rows:
+                v = a + t * b - c
+                d2 += v * v
+            arg = r2 - d2
+            return arg**s if arg > 0.0 else 0.0
+        return at
 
     def c2_radius(self, x: np.ndarray) -> float:
         d = float(np.linalg.norm(np.asarray(x, float) - self.y))

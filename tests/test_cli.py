@@ -71,6 +71,36 @@ def test_verify_exit_codes_and_report(tmp_path, capsys):
     assert doc["schema"] == 1 and doc["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["verify", "bump-train", "--s", "0.3"], "--p"),
+    (["verify", "transform", "--s", "0.3"], "--p and --q"),
+    (["verify", "transform", "--s", "0.3", "--p", "-3"], "--q"),
+    (["verify", "singular", "--s", "0.5"], "--p"),
+    (["verify", "power-identity", "--s", "0.5"], "--mu"),
+])
+def test_verify_missing_parameters_exit_2(capsys, argv, flags):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: verify {argv[1]} requires {flags}\n"
+
+
+def test_verify_no_root_exit_2(capsys):
+    code, out, err = run(capsys, ["verify", "psi", "--kind", "decay",
+                                  "--k", "1", "--s", "0.75"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: no bounded exponent root") and err.count("\n") == 1
+
+
+def test_verify_bracket_failure_exit_2(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise cli.cn.BracketFailure("no sign change found up to gamma = 1e3")
+
+    monkeypatch.setattr(cli.vf, "verify_T49_2", fail)
+    code, out, err = run(capsys, ["verify", "t49-2", "--N", "3", "--s", "0.5"])
+    assert code == 2 and out == ""
+    assert err == "error: no sign change found up to gamma = 1e3\n"
+
+
 def test_sweep_emits_csv_and_svg(tmp_path, capsys):
     prefix = str(tmp_path / "sw")
     code, out, _ = run(capsys, ["sweep", "--targets", "roots", "--N", "3",

@@ -7,6 +7,7 @@ import pytest
 
 from fractrunc import constants as cn
 from fractrunc import profiles as pr
+from fractrunc import verify as vf
 
 
 def test_w_gamma_junction_smooth():
@@ -166,3 +167,69 @@ def test_json_round_trip(make):
     for t in (0.3, 1.7, 4.2):
         x = np.array([0.1, t])
         assert g(x) == pytest.approx(f(x), rel=1e-12, abs=1e-300)
+
+
+def test_pointwise_values_match_closed_forms():
+    y = np.array([0.3, -0.4, 1.1])
+    tail = pr.HalfSpacePowerTail(0.7, shift=0.8)
+    shifted = float(np.linalg.norm(y + np.array([0.0, 0.0, 0.8])))  # beyond the cap
+    assert tail(y) == pytest.approx(shifted ** -0.7, rel=1e-14)
+    m = pr.MinField(tail, pr.PowerProfile(0.25, 0.5), 0.3)
+    assert m(y) == pytest.approx(0.3 * min(shifted ** -0.7, 0.5 * 1.1 ** 0.25),
+                                 rel=1e-14)
+    ball = vf._BallBump(np.array([0.0, 0.0, 0.5]), 1.0, 0.5)
+    assert ball(y) == pytest.approx((1.0 - 0.61) ** 0.5, rel=1e-14)
+    assert ball(np.array([0.0, 0.0, -1.0])) == 0.0
+
+
+def _unit(rng, N):
+    v = rng.standard_normal(N)
+    return v / np.linalg.norm(v)
+
+
+# every field kind of the package, as a function of the dimension N
+LINE_FIELDS = {
+    "radial_decay": lambda N, rng: pr.make_w_gamma(0.5),
+    "radial_growth": lambda N, rng: pr.make_v_minus_gamma(0.3, 0.75),
+    "radial_derivative": lambda N, rng: pr.make_v_gamma(0.6).partial(_unit(rng, N)),
+    "partial_n": lambda N, rng: pr._PartialN(pr.make_v_gamma(0.4)),
+    "scaled_sum": lambda N, rng: pr._ScaledField(
+        pr._SumField([pr.make_w_gamma(0.5), pr.PowerProfile(0.3, 2.0)]), -1.5),
+    "psi_decay": lambda N, rng: pr.make_psi("decay", 2, 0.5),
+    "psi_halfint": lambda N, rng: pr.make_psi("halfint", 1, 0.5),
+    "psi_growth": lambda N, rng: pr.make_psi("growth", 1, 0.75),
+    "bump_train": lambda N, rng: pr.BumpTrain(0.2, 0.5, window=6),
+    "halfspace_power_tail": lambda N, rng: pr.HalfSpacePowerTail(0.7, shift=0.8),
+    "singular_power": lambda N, rng: pr.PowerProfile(0.25, 3.0),
+    "min_composition": lambda N, rng: pr.MinField(
+        pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5), 0.3),
+    "power_transform": lambda N, rng: pr.PowerTransformField(
+        pr.PowerProfile(0.4, 2.5), pr.TransformParams(-3.0, -5.0)),
+    "ball_bump": lambda N, rng: vf._BallBump(
+        np.r_[np.zeros(N - 1), -0.5], 1.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("kind", sorted(LINE_FIELDS))
+def test_line_matches_pointwise_evaluation(kind, N):
+    rng = np.random.default_rng(N)
+    u = LINE_FIELDS[kind](N, rng)
+    for _ in range(4):
+        x = rng.uniform(-1.0, 3.0, N)
+        xi = _unit(rng, N)
+        line = u.line(x, xi)
+        ts = [0.0, *rng.uniform(-4.0, 4.0, 6)]
+        for b in u.breakpoints(x, xi):
+            h = 1e-7 * max(1.0, abs(b))
+            ts += [b - h, b + h]
+        for t in ts:
+            assert line(t) == pytest.approx(u(x + t * xi), rel=1e-15, abs=1e-300)
+
+
+def test_power_transform_line_rejects_negative_base():
+    u = pr.PowerTransformField(pr.make_v_minus_gamma(0.3, 0.75),
+                               pr.TransformParams(-3.0, -5.0))
+    line = u.line(np.array([0.0, 2.0]), np.array([0.6, 0.8]))
+    with pytest.raises(ValueError, match="nonnegative base"):
+        line(0.5)
