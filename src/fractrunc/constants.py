@@ -12,7 +12,15 @@ center.  Each constant therefore ships a series-stabilized regular-part
 evaluator to the quadrature engine (binomial series for power pairs,
 Gegenbauer series for the shifted isotropic kernel, expm1/log1p forms
 elsewhere), so accuracy is uniform across the whole parameter range,
-including s close to 1.
+including s close to 1.  A series' coefficients depend only on its
+exponent, so each constant tables them once per integrand
+(``_pow_pair_series`` / ``_iso_pair_series``) and the evaluator sums them in
+plain floats.
+
+The kernels multiply by the negative power ``t**(-1-2s)`` instead of
+dividing by ``t**(1+2s)``: far out in the tail the weight underflows to 0
+rather than overflowing, so no kernel needs an asymptotic overflow branch and
+every term of the integrand is kept out to the quadrature's truncation point.
 """
 
 from __future__ import annotations
@@ -120,40 +128,51 @@ def beta_1ms_s(s: float) -> float:
 # series-stabilized kernel pieces
 # ---------------------------------------------------------------------------
 
-def _pow_pair_over_d2(alpha: float, d: float) -> float:
-    """((1+d)^alpha + (1-d)^alpha - 2) / d^2, stable for any d in [0, 1).
+def _even_series(coeffs: list[float], d: float) -> float:
+    """sum_j coeffs[j] * d^(2j), stopped once a term is negligible."""
+    total = 0.0
+    term_pow = 1.0  # d^(2j)
+    for c in coeffs:
+        term = c * term_pow
+        total += term
+        term_pow *= d * d
+        if abs(term) < 1e-18 * max(abs(total), 1e-300):
+            break
+    return total
+
+
+def _pow_pair_series(alpha: float) -> Callable[[float], float]:
+    """d -> ((1+d)^alpha + (1-d)^alpha - 2) / d^2, stable for any d in [0, 1).
 
     Uses the even binomial series for small d where direct evaluation loses
-    all significant digits.
+    all significant digits; its coefficients 2*binom(alpha, 2j) are tabled
+    once here, not per evaluation.
     """
-    if d < 0.25:
-        total = 0.0
-        term_pow = 1.0  # d^(2j-2)
-        for j in range(1, 80):
-            term = 2.0 * binom(alpha, 2 * j) * term_pow
-            total += term
-            term_pow *= d * d
-            if abs(term) < 1e-18 * max(abs(total), 1e-300):
-                break
-        return total
-    return ((1.0 + d) ** alpha + (1.0 - d) ** alpha - 2.0) / (d * d)
+    coeffs = (2.0 * binom(alpha, 2 * np.arange(1, 80))).tolist()
+
+    def pair(d: float) -> float:
+        if d < 0.25:
+            return _even_series(coeffs, d)
+        return ((1.0 + d) ** alpha + (1.0 - d) ** alpha - 2.0) / (d * d)
+
+    return pair
 
 
-def _iso_pair_over_d2(gam: float, a: float, d: float) -> float:
-    """((1+d^2+2ad)^{-g/2} + (1+d^2-2ad)^{-g/2} - 2)/d^2 via Gegenbauer series."""
-    if d < 0.25:
-        total = 0.0
-        term_pow = 1.0
-        for j in range(1, 120):
-            term = 2.0 * eval_gegenbauer(2 * j, gam / 2.0, a) * term_pow
-            total += term
-            term_pow *= d * d
-            if abs(term) < 1e-18 * max(abs(total), 1e-300):
-                break
-        return total
-    plus = (1.0 + d * d + 2.0 * a * d) ** (-gam / 2.0)
-    minus = (1.0 + d * d - 2.0 * a * d) ** (-gam / 2.0)
-    return (plus + minus - 2.0) / (d * d)
+def _iso_pair_series(gam: float, a: float) -> Callable[[float], float]:
+    """d -> ((1+d^2+2ad)^{-g/2} + (1+d^2-2ad)^{-g/2} - 2)/d^2 via Gegenbauer series.
+
+    The coefficients 2*C_{2j}^{(g/2)}(a) are tabled once here.
+    """
+    coeffs = (2.0 * eval_gegenbauer(2 * np.arange(1, 120), gam / 2.0, a)).tolist()
+
+    def pair(d: float) -> float:
+        if d < 0.25:
+            return _even_series(coeffs, d)
+        plus = (1.0 + d * d + 2.0 * a * d) ** (-gam / 2.0)
+        minus = (1.0 + d * d - 2.0 * a * d) ** (-gam / 2.0)
+        return (plus + minus - 2.0) / (d * d)
+
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +191,14 @@ def hat_c_dec(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
         raise DomainError("s must lie in (0,1)")
 
     def f(t: float) -> float:
-        if abs(t) > 1e30:  # asymptotic form; avoids overflow of |t|^{1+2s}
-            return -abs(t) ** (-1.0 - 2.0 * s)
-        return (abs(1.0 + t) ** (-gam) - 1.0) / abs(t) ** (1.0 + 2.0 * s)
+        return (abs(1.0 + t) ** (-gam) - 1.0) * abs(t) ** (-1.0 - 2.0 * s)
 
     def near_minus_one(side: int, d: float) -> float:
         # f(-1 + side*d) * d^gamma, stable down to d = 0
         return (1.0 - d**gam) / abs(1.0 - side * d) ** (1.0 + 2.0 * s)
 
-    def fold0(h: float) -> float:
-        # (f(h) + f(-h)) * h^{2s-1}; the even part of the pair
-        return _pow_pair_over_d2(-gam, h)
+    # (f(h) + f(-h)) * h^{2s-1}; the even part of the pair
+    fold0 = _pow_pair_series(-gam)
 
     integrand = Integrand(
         eval=f,
@@ -206,9 +222,7 @@ def c_perp(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
         raise DomainError("s must lie in (0,1)")
 
     def f(t: float) -> float:
-        if t > 1e30:
-            return -2.0 * t ** (-1.0 - 2.0 * s)
-        return 2.0 * math.expm1(-(gam / 2.0) * math.log1p(t * t)) / t ** (1.0 + 2.0 * s)
+        return 2.0 * math.expm1(-(gam / 2.0) * math.log1p(t * t)) * t ** (-1.0 - 2.0 * s)
 
     def regular0(side: int, d: float) -> float:
         # f(d) * d^{2s-1} = 2*((1+d^2)^{-g/2}-1)/d^2, stable at 0
@@ -244,15 +258,15 @@ def hat_c_gro(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
         raise DomainError("gamma must lie in (0, 2s-1]; the tail diverges beyond")
 
     def f(t: float) -> float:
-        if abs(t) > 1e30:
-            return -abs(t) ** (gam - 1.0 - 2.0 * s)
-        return (1.0 - abs(1.0 + t) ** gam) / abs(t) ** (1.0 + 2.0 * s)
+        return (1.0 - abs(1.0 + t) ** gam) * abs(t) ** (-1.0 - 2.0 * s)
 
     def near_minus_one(side: int, d: float) -> float:
         return (1.0 - d**gam) / abs(1.0 - side * d) ** (1.0 + 2.0 * s)
 
+    pair = _pow_pair_series(gam)
+
     def fold0(h: float) -> float:
-        return -_pow_pair_over_d2(gam, h)
+        return -pair(h)
 
     integrand = Integrand(
         eval=f,
@@ -281,14 +295,14 @@ def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     a = 1.0 / math.sqrt(N)
 
     def f(t: float) -> float:
-        if t > 1e30:
-            return -2.0 * t ** (-1.0 - 2.0 * s)
         plus = (1.0 + t * t + 2.0 * a * t) ** (-gam / 2.0)
         minus = (1.0 + t * t - 2.0 * a * t) ** (-gam / 2.0)
-        return (plus + minus - 2.0) / t ** (1.0 + 2.0 * s)
+        return (plus + minus - 2.0) * t ** (-1.0 - 2.0 * s)
+
+    pair = _iso_pair_series(gam, a)
 
     def regular0(side: int, d: float) -> float:
-        return _iso_pair_over_d2(gam, a, d)
+        return pair(d)
 
     integrand = Integrand(
         eval=f,
@@ -304,9 +318,7 @@ def c_n_plus(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> flo
     a = 1.0 / math.sqrt(N)
 
     def f2(t: float) -> float:
-        if t > 1e30:
-            return t ** (-gam - 1.0 - 2.0 * s)
-        return (1.0 + t * t - 2.0 * a * t) ** (-gam / 2.0) / t ** (1.0 + 2.0 * s)
+        return (1.0 + t * t - 2.0 * a * t) ** (-gam / 2.0) * t ** (-1.0 - 2.0 * s)
 
     correction = integrate(
         Integrand(eval=f2, tail_decay=1.0 + 2.0 * s + gam),
@@ -329,14 +341,16 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
         raise DomainError("mu must lie in (0, 2s)")
     if form == "primary":
         def f(t: float) -> float:
-            if t > 1e30:  # asymptotic form; avoids overflow of t^{1+2s}
-                return t ** (mu - 1.0 - 2.0 * s)
-            up = (1.0 + t) ** mu
+            # (1+t)^mu t^{-1-2s} as (1+1/t)^mu t^{mu-1-2s}: (1+t)^mu alone
+            # overflows far out in the tail once mu > 1
             down = (1.0 - t) ** mu if t < 1.0 else 0.0
-            return (up + down - 2.0) / t ** (1.0 + 2.0 * s)
+            return ((1.0 + 1.0 / t) ** mu * t ** (mu - 1.0 - 2.0 * s)
+                    + (down - 2.0) * t ** (-1.0 - 2.0 * s))
+
+        pair = _pow_pair_series(mu)
 
         def regular0(side: int, d: float) -> float:
-            return _pow_pair_over_d2(mu, d)
+            return pair(d)
 
         integrand = Integrand(
             eval=f,

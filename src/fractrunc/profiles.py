@@ -707,14 +707,20 @@ class MinField(Field):
         def diff(t: float) -> float:
             return first(t) - second(t)
 
-        grid = np.linspace(-span, span, 801)
-        vals = np.array([diff(t) for t in grid])
+        grid = np.linspace(-span, span, 801).tolist()
+        vals = [diff(t) for t in grid]
         out = []
-        for lo, hi, vlo, vhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-            if vlo == 0.0:
-                out.append(float(lo))
-            elif vlo * vhi < 0.0:
-                out.append(float(brentq(diff, lo, hi)))
+        last = None  # index of the last node with a nonzero difference
+        for i, v in enumerate(vals):
+            if v == 0.0:
+                continue
+            if last is not None and vals[last] * v < 0.0:
+                if last == i - 1:
+                    out.append(brentq(diff, grid[last], grid[i]))
+                else:
+                    # the sign changes across a run of exact zeros: keep its ends
+                    out.extend(sorted({grid[last + 1], grid[i - 1]}))
+            last = i
         return [t for t in out if abs(t) > 1e-9]
 
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:

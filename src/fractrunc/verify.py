@@ -4,7 +4,7 @@ Every verifier samples points, computes residuals with error estimates, and
 issues a verdict: ``pass`` when every claim holds even under the pessimistic
 reading of its error bar, ``fail`` when some claim is violated even under
 the optimistic reading, and ``inconclusive`` when an error bar straddles the
-boundary (after one automatic tolerance refinement).
+boundary.
 
 All inequality checks are one-sided frame bounds: no verdict ever asserts a
 value *for* an extremal operator, only a bound certified through one chosen
@@ -144,11 +144,8 @@ class VerificationReport:
 
 
 def _finish(construction: str, params: dict, claims: list[ClaimResult],
-            refine: Optional[Callable[[ClaimResult], ClaimResult]] = None,
             extra: Optional[dict] = None) -> VerificationReport:
-    """Aggregate claims into a report, refining straddling claims once."""
-    if refine is not None:
-        claims = [refine(c) if c.status() == "inconclusive" else c for c in claims]
+    """Aggregate claims into a report."""
     statuses = [c.status() for c in claims]
     if any(s == "fail" for s in statuses):
         verdict = "fail"

@@ -71,6 +71,13 @@ def test_verify_exit_codes_and_report(tmp_path, capsys):
     assert doc["schema"] == 1 and doc["verdict"] == "pass"
 
 
+def test_verify_singular_small_s_passes(capsys):
+    # a valid construction at small s; the kernel constant must not drop terms
+    code, out, _ = run(capsys, ["verify", "singular", "--s", "0.05", "--p", "-3"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("argv,flags", [
     (["verify", "bump-train", "--s", "0.3"], "--p"),
     (["verify", "transform", "--s", "0.3"], "--p and --q"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fractrunc import constants as cn
+from fractrunc import operators as op
 from fractrunc import profiles as pr
 from fractrunc import verify as vf
 
@@ -149,6 +150,18 @@ def test_min_field_crossings():
     assert m(np.array([0.0, 5.0])) == pytest.approx(20.0)
     bps = m.breakpoints(x, np.array([0.0, 1.0]))
     assert any(abs(t - 3.0) < 1e-6 for t in bps)  # min switches at x_N = 4
+
+
+def test_min_field_crossings_ignore_common_zeros():
+    # both fields vanish for x_N <= 0: their difference is zero there, but
+    # changes sign only once along this section
+    m = pr.MinField(pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5), 0.3)
+    x, xi = np.array([0.3, 0.2, 1.5]), np.array([0.48, 0.6, 0.64])
+    assert len(m._crossings(x, xi)) <= 3
+    r = op.directional_at(m, x, xi, 0.5)
+    # value and error bar computed with every zero node as a breakpoint
+    old_value, old_error = -0.15797872399512658, 1.248418382275979e-11
+    assert abs(r.value - old_value) <= r.abs_error_estimate + old_error
 
 
 @pytest.mark.parametrize("make", [
