@@ -9,21 +9,23 @@ and the extremal operators of order ``k`` are the inf/sup of frame sums
 module evaluates the directional operator on one-dimensional line sections,
 assembles frame sums, provides exact closed-form frames for radial profiles,
 and runs a heuristic (explicitly one-sided) frame search.
+
+The directional integral goes through ``quad.integrate_batch``, the batched
+adaptive G10/K21 engine: the sections are array-valued, so each round of
+bisection evaluates every open panel of every piece in one call.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
-from scipy.integrate import quad as _scipy_quad
 
 from .constants import normalizing_constant
-from .quad import QuadResult, Tolerance
+from .quad import QuadResult, Tolerance, integrate_batch
 
 __all__ = [
     "LineSection",
@@ -59,6 +61,7 @@ class HypothesisViolation(ValueError):
 class LineSection:
     """One-dimensional restriction ``tau -> u(x + tau*xi)`` with metadata.
 
+    ``eval`` maps an ndarray of tau elementwise to the section's values.
     ``c2_delta0`` is a radius within which the section is twice continuously
     differentiable and ``d2`` its second derivative at 0.  ``discontinuities``
     lists every tau where the section is not C^2 (jumps and kinks alike);
@@ -68,7 +71,7 @@ class LineSection:
     the evaluations (e.g. a truncated bump window) into the result.
     """
 
-    eval: Callable[[float], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     c2_delta0: float
     d2: float
     discontinuities: list[float] = field(default_factory=list)
@@ -129,39 +132,6 @@ class OperatorSpec:
             raise ValueError("k must lie in 1..N")
 
 
-def _qpanel(f: Callable[[float], float], a: float, b: float, abs_tol: float,
-            rel_tol: float) -> tuple[float, float, int]:
-    if b <= a:
-        return 0.0, 0.0, 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err, info = _scipy_quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol,
-                                       limit=250, full_output=True)[:3]
-    return value, err, int(info["neval"])
-
-
-def _smooth_panel(f: Callable[[float], float], a: float, b: float,
-                  abs_tol: float, rel_tol: float) -> tuple[float, float, int]:
-    """Panel with a quintic smoothstep map regularizing both endpoints.
-
-    Algebraic kinks |t - endpoint|^kappa become C^2-or-better after the
-    substitution, so adaptive quadrature converges at full rate even for
-    small kappa (Hoelder-rough sections at their breakpoints).
-    """
-    if b <= a:
-        return 0.0, 0.0, 0
-    L = b - a
-
-    def g(z: float) -> float:
-        w = z * z * z * (10.0 + z * (-15.0 + 6.0 * z))
-        dw = 30.0 * z * z * (1.0 - z) * (1.0 - z)
-        if dw == 0.0:
-            return 0.0
-        return f(a + L * w) * L * dw
-
-    return _qpanel(g, 0.0, 1.0, abs_tol, rel_tol)
-
-
 # ---------------------------------------------------------------------------
 # directional operator on a line section
 # ---------------------------------------------------------------------------
@@ -174,7 +144,9 @@ def directional(section: LineSection, s: float, tol: Tolerance = _DEFAULT_TOL,
     ``(0, delta)`` using the section's second derivative, with the remainder
     self-estimated by comparing against the half-radius evaluation, (ii)
     panels between discontinuities, (iii) a log-substituted far panel, and
-    (iv) an analytic tail remainder from the declared growth bound.
+    (iv) an analytic tail remainder from the declared growth bound.  The
+    quadrature in (i) and in (ii) with (iii) is one ``integrate_batch`` call
+    each (rungs of (i) four at a time).
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0,1)")
@@ -182,11 +154,17 @@ def directional(section: LineSection, s: float, tol: Tolerance = _DEFAULT_TOL,
     if alpha >= 2.0 * s:
         raise GrowthViolation(f"growth exponent {alpha} >= 2s = {2*s}")
 
-    u0 = section.eval(0.0)
+    ev = section.eval
+    u0 = float(ev(0.0))
     n_evals = 1
+    p = 1.0 + 2.0 * s
 
-    def pair(t: float) -> float:
-        return section.eval(t) + section.eval(-t) - 2.0 * u0
+    def pair(t: np.ndarray) -> np.ndarray:
+        both = ev(np.stack((t, -t)))
+        return both[0] + both[1] - 2.0 * u0
+
+    def kernel(t: np.ndarray, _group: np.ndarray) -> np.ndarray:
+        return pair(t) / t**p
 
     m = 2.0 - 2.0 * s
     d2 = section.d2
@@ -197,44 +175,50 @@ def directional(section: LineSection, s: float, tol: Tolerance = _DEFAULT_TOL,
     def taylor(dl: float) -> float:
         return d2 * dl**m / m
 
-    # Shrink delta until the self-estimated Taylor remainder is in budget.
-    taylor_err = math.inf
-    small_val = 0.0
-    for _ in range(60):
-        half = delta / 2.0
-        vq, eq, nq = _qpanel(lambda t: pair(t) / t ** (1.0 + 2.0 * s), half, delta,
-                             tol.abs_tol / 8.0, tol.rel_tol)
-        n_evals += nq + 2 * nq  # pair makes two section evals per kernel eval
-        taylor_err = abs(taylor(delta) - (taylor(half) + vq))
-        small_val = taylor(half) + vq
-        if taylor_err <= tol.abs_tol / 4.0 or half <= delta_cancel:
+    # The Taylor ladder: rung k compares the analytic piece on (0, delta_k)
+    # with the one on (0, delta_k/2) plus quadrature over (delta_k/2, delta_k),
+    # delta_k = delta/2^k, down to delta_cancel.  It stops at the first rung
+    # whose self-estimate is within budget or below the rung's own quadrature
+    # error: deeper rungs only trade Taylor remainder for rounding noise.
+    # Rungs are integrated four to a batched call, since rungs past the stop
+    # are wasted work and the deep ones are the noisy, expensive ones.
+    rungs = [delta]
+    while len(rungs) < 60 and rungs[-1] / 2.0 > delta_cancel:
+        rungs.append(rungs[-1] / 2.0)
+    vq: list[float] = []
+    eq: list[float] = []
+    for k, delta in enumerate(rungs):
+        if k == len(vq):
+            tops = np.array(rungs[k:k + 4])
+            v, e, n = integrate_batch(kernel, tops / 2.0, tops, tol.abs_tol / 8.0,
+                                      tol.rel_tol)
+            vq += v.tolist()
+            eq += e.tolist()
+            n_evals += 3 * int(n.sum())  # pair makes two section evals per kernel eval
+        small_val = taylor(delta / 2.0) + vq[k]
+        taylor_err = abs(taylor(delta) - small_val)
+        if taylor_err <= tol.abs_tol / 4.0 or taylor_err <= eq[k]:
             break
-        delta = half
-    small_err = taylor_err + eq
+    small_err = taylor_err + eq[k]
 
-    # panels between discontinuity radii
+    # pieces between discontinuity radii, each on a quintic smoothstep map of
+    # (0, 1): algebraic kinks |t - endpoint|^kappa become C^2-or-better, so
+    # the rule converges at full rate even for Hoelder-rough sections
     bps = sorted({abs(t) for t in section.discontinuities if abs(t) > delta})
     core_end = max(1.0, 2.0 * delta, (bps[-1] + 1.0) if bps else 1.0)
     cuts = [delta] + [b for b in bps if b < core_end] + [core_end]
-    core_val = 0.0
-    core_err = 0.0
     n_pieces = len(cuts)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        v, e, n = _smooth_panel(lambda t: pair(t) / t ** (1.0 + 2.0 * s), lo, hi,
-                                tol.abs_tol / (4.0 * n_pieces), tol.rel_tol)
-        core_val += v
-        core_err += e
-        n_evals += 3 * n
+    starts = np.array(cuts[:-1])
+    lengths = np.diff(cuts)
+    n_core = starts.size
 
     # growth coefficient estimate for tail truncation
     if section.growth_const is not None:
         c_grow = section.growth_const
     else:
-        probes = [core_end, 3.0 * core_end, 9.0 * core_end]
-        c_grow = max(
-            max(abs(section.eval(t)), abs(section.eval(-t))) / (1.0 + t) ** alpha
-            for t in probes
-        )
+        probes = np.array([core_end, 3.0 * core_end, 9.0 * core_end])
+        c_grow = float(np.max(np.max(np.abs(ev(np.stack((probes, -probes)))), axis=0)
+                              / (1.0 + probes) ** alpha))
         n_evals += 6
 
     # Beyond T the -2*u0 part of the pair integrates exactly to
@@ -250,18 +234,34 @@ def directional(section: LineSection, s: float, tol: Tolerance = _DEFAULT_TOL,
     while growth_remainder(T) > target and math.log(T) < 550.0:
         T *= 8.0
 
-    tail_val = -u0 * T ** (-2.0 * s) / s
-    tail_err = growth_remainder(T)
-    if T > core_end:
-        def g(w: float) -> float:
-            t = math.exp(w)
-            return pair(t) * t ** (-2.0 * s)
+    # Integral g < n_core is core piece g in the smoothstep variable z; the
+    # last one, if T > core_end, is the far panel in w = log t.
+    def pieces(z: np.ndarray, group: np.ndarray) -> np.ndarray:
+        core = group < n_core
+        g = np.minimum(group, n_core - 1)
+        w = z * z * z * (10.0 + z * (-15.0 + 6.0 * z))
+        dw = 30.0 * z * z * (1.0 - z) * (1.0 - z)
+        t = np.where(core, starts[g] + lengths[g] * w, np.exp(z))
+        # far out (|t| > 1e154) squared norms overflow to inf, where the
+        # sections take their limits
+        with np.errstate(over="ignore"):
+            k = pair(t)
+        # t**p overflows on the far panel; there each branch gets safe input
+        return np.where(core, k / np.where(core, t, 1.0) ** p * lengths[g] * dw,
+                        k * t ** (-2.0 * s))
 
-        v, e, n = _qpanel(g, math.log(core_end), math.log(T),
-                          tol.abs_tol / 4.0, tol.rel_tol)
-        tail_val += v
-        tail_err += e
-        n_evals += 3 * n
+    lo, hi = np.zeros(n_core), np.ones(n_core)
+    abs_tols = np.full(n_core, tol.abs_tol / (4.0 * n_pieces))
+    if T > core_end:
+        lo = np.append(lo, math.log(core_end))
+        hi = np.append(hi, math.log(T))
+        abs_tols = np.append(abs_tols, tol.abs_tol / 4.0)
+    v, e, n = integrate_batch(pieces, lo, hi, abs_tols, tol.rel_tol)
+    n_evals += 3 * int(n.sum())
+    core_val = sum(v[:n_core].tolist())
+    core_err = sum(e[:n_core].tolist())
+    tail_val = -u0 * T ** (-2.0 * s) / s + sum(v[n_core:].tolist())
+    tail_err = growth_remainder(T) + sum(e[n_core:].tolist())
 
     value = small_val + core_val + tail_val
     err = small_err + core_err + tail_err + section.extra_abs_error
@@ -281,15 +281,17 @@ def directional(section: LineSection, s: float, tol: Tolerance = _DEFAULT_TOL,
 #   breakpoints(x, xi) -> list[float]       tau of every non-C^2 crossing
 #   growth_alpha: float                     (H2)-type growth exponent
 # optional:
-#   line(x, xi) -> Callable[[float], float] the section tau -> u(x + tau*xi)
+#   line(x, xi) -> Callable[[ndarray], ndarray]
+#                                           the section tau -> u(x + tau*xi),
+#                                           elementwise on an array of tau
 #   growth_const: float
 #   extra_abs_error(x) -> float             evaluation-truncation error
 #   d2_along(x, xi) -> float                analytic second derivative
 #
-# ``line`` exists because the quadrature calls the section once per node,
-# millions of times per verification: a field that has it does its vector
-# work once per direction and evaluates each node in float arithmetic.
-# Without it each node builds ``x + tau*xi`` as a new array for __call__.
+# ``line`` exists because the quadrature evaluates the section at millions of
+# nodes per verification: a field that has it does its vector work once per
+# direction and evaluates a whole batch of nodes in one numpy pass.  Without
+# it each node builds ``x + tau*xi`` as a new array for __call__.
 
 def make_section(u, x: np.ndarray, xi: np.ndarray) -> LineSection:
     """Build the line section of a field through ``x`` along unit ``xi``."""
@@ -303,8 +305,9 @@ def make_section(u, x: np.ndarray, xi: np.ndarray) -> LineSection:
     if line is not None:
         ev = line(x, xi)
     else:
-        def ev(t: float) -> float:
-            return float(u(x + t * xi))
+        def ev(t: np.ndarray) -> np.ndarray:
+            t = np.asarray(t, float)
+            return np.array([float(u(x + ti * xi)) for ti in t.ravel()]).reshape(t.shape)
 
     bps = sorted(float(t) for t in u.breakpoints(x, xi))
     delta0 = float(u.c2_radius(x))
@@ -317,10 +320,10 @@ def make_section(u, x: np.ndarray, xi: np.ndarray) -> LineSection:
         d2 = float(d2_fn(x, xi))
     else:
         h = delta0 / 8.0
-        u0 = ev(0.0)
-        coarse = (ev(h) + ev(-h) - 2.0 * u0) / (h * h)
         h2 = h / 2.0
-        fine = (ev(h2) + ev(-h2) - 2.0 * u0) / (h2 * h2)
+        u0, up, um, up2, um2 = ev(np.array([0.0, h, -h, h2, -h2])).tolist()
+        coarse = (up + um - 2.0 * u0) / (h * h)
+        fine = (up2 + um2 - 2.0 * u0) / (h2 * h2)
         d2 = (4.0 * fine - coarse) / 3.0
 
     extra_fn = getattr(u, "extra_abs_error", None)
@@ -445,9 +448,8 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
 # heuristic frame search (one-sided)
 # ---------------------------------------------------------------------------
 
-def _radial_cache(u, x: np.ndarray, s: float, include_Cs: bool,
-                  tol: Tolerance) -> Callable[[float], float]:
-    """Interpolated directional value as a function of |<xhat, xi>|.
+def _radial_spline(u, x: np.ndarray, s: float, include_Cs: bool, tol: Tolerance):
+    """Cubic spline of the directional value in |<xhat, xi>| on [0, 1].
 
     For radial fields the section through x along xi depends only on |x| and
     the absolute cosine with the radial direction, so one 1-D table serves
@@ -466,12 +468,30 @@ def _radial_cache(u, x: np.ndarray, s: float, include_Cs: bool,
         xi = th * xhat + math.sqrt(max(0.0, 1.0 - th * th)) * perp
         xi = xi / np.linalg.norm(xi)
         vals.append(directional_at(u, x, xi, s, tol, include_Cs).value)
-    spline = CubicSpline(thetas, np.asarray(vals))
+    return CubicSpline(thetas, np.asarray(vals))
 
-    def cached(theta: float) -> float:
-        return float(spline(min(abs(theta), 1.0)))
 
-    return cached
+def _spline_at(spline) -> Callable[[float], float]:
+    """theta -> spline(min(|theta|, 1)) in plain floats.
+
+    The interval's power-form coefficients are summed in scipy's order,
+    ``c3 + c2*dx + c1*dx^2 + c0*dx^3`` with the powers built by successive
+    multiplication, so the value equals ``spline(theta)`` bit for bit
+    (Horner's order would not) without a scipy call per angle.
+    """
+    knots = spline.x.tolist()
+    coeffs = spline.c.T.tolist()
+    last = len(coeffs) - 1
+
+    def at(theta: float) -> float:
+        th = min(abs(theta), 1.0)
+        i = min(max(bisect.bisect_right(knots, th) - 1, 0), last)
+        c0, c1, c2, c3 = coeffs[i]
+        dx = th - knots[i]
+        dx2 = dx * dx
+        return c3 + c2 * dx + c1 * dx2 + c0 * (dx2 * dx)
+
+    return at
 
 
 def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
@@ -497,7 +517,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     is_radial = getattr(u, "is_radial", False)
     if is_radial:
         xhat = x / np.linalg.norm(x)
-        cache = _radial_cache(u, x, s, include_Cs, search_tol)
+        cache = _spline_at(_radial_spline(u, x, s, include_Cs, search_tol))
 
         def objective(vectors: np.ndarray) -> float:
             return sum(cache(float(vectors[i] @ xhat)) for i in range(vectors.shape[0]))

@@ -1,9 +1,10 @@
 """Explicit barrier and supersolution profiles on R^N and the half-space.
 
 Every constructed function is an *evaluable field*: restrictable to lines
-(``line(x, xi)`` returns the scalar function ``t -> u(x + t*xi)``, which the
-operator module integrates in plain float arithmetic), callable on points
-(the line through the point at ``t = 0``), and carrying the metadata the
+(``line(x, xi)`` returns the array-valued function ``t -> u(x + t*xi)``,
+evaluated elementwise on an ndarray of any shape, which the operator module
+calls once per batch of quadrature nodes), callable on points (the line
+through the point at ``t = 0``), and carrying the metadata the
 operator module needs (C^2 window radius, non-smooth crossing locations
 along a line, growth exponent).  Radial profiles are cap/tail
 constructions: a power of |x| beyond a junction radius, glued C^3 to the
@@ -40,10 +41,6 @@ __all__ = [
     "make_v_gamma",
     "make_v_minus_gamma",
     "make_psi",
-    "make_bump_train",
-    "make_halfspace_power_tail",
-    "make_power_profile",
-    "make_singular_power",
     "build_thIN_supersolution",
     "build_singular_supersolution",
     "power_transform",
@@ -100,9 +97,9 @@ def _components(x: np.ndarray, xi: np.ndarray) -> list[tuple[float, float]]:
                     np.asarray(xi, float).reshape(-1).tolist()))
 
 
-def _squared_norm(pairs: Sequence[tuple[float, float]]) -> Callable[[float], float]:
+def _squared_norm(pairs: Sequence[tuple[float, float]]) -> Callable[[np.ndarray], np.ndarray]:
     """t -> |x + t*xi|^2 over the given component pairs, summed in order."""
-    def r2(t: float) -> float:
+    def r2(t: np.ndarray) -> np.ndarray:
         acc = 0.0
         for a, b in pairs:
             v = a + t * b
@@ -159,25 +156,26 @@ class _PiecewiseG:
         self.p = -sign * gamma / 2.0
         self.cap = make_cap(gamma, junction_r2, sign)
 
-    def value(self, r: float, order: int = 0) -> float:
-        if r <= self.junction_r2:
-            a = self.cap
-            d = r - self.junction_r2
-            if order == 0:
-                return a[0] + d * (a[1] + d * (a[2] + d * a[3]))
-            if order == 1:
-                return a[1] + d * (2.0 * a[2] + 3.0 * d * a[3])
-            if order == 2:
-                return 2.0 * a[2] + 6.0 * d * a[3]
-            if order == 3:
-                return 6.0 * a[3]
-            return 0.0
+    def value(self, r: np.ndarray, order: int = 0) -> np.ndarray:
+        """g^(order) at every element of ``r``; the branches are taken with
+        np.where, each on arguments where it is finite."""
+        j = self.junction_r2
+        a = self.cap
+        d = np.minimum(r, j) - j
+        if order == 0:
+            cap = a[0] + d * (a[1] + d * (a[2] + d * a[3]))
+        elif order == 1:
+            cap = a[1] + d * (2.0 * a[2] + 3.0 * d * a[3])
+        elif order == 2:
+            cap = 2.0 * a[2] + 6.0 * d * a[3]
+        else:
+            cap = 6.0 * a[3] if order == 3 else 0.0
         coeff = self.sign
         e = self.p
         for _ in range(order):
             coeff *= e
             e -= 1.0
-        return coeff * r**e
+        return np.where(r <= j, cap, coeff * np.maximum(r, j) ** e)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +190,13 @@ class Field:
     growth_const: Optional[float] = None
     is_radial: bool = False
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
-        """The restriction t -> u(x + t*xi), in float arithmetic."""
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The restriction t -> u(x + t*xi), elementwise on an array of t."""
         raise NotImplementedError
 
     def __call__(self, y: np.ndarray) -> float:
         y = np.asarray(y, float)
-        return self.line(y, np.zeros_like(y))(0.0)
+        return float(self.line(y, np.zeros_like(y))(0.0))
 
     def c2_radius(self, x: np.ndarray) -> float:
         return 1.0
@@ -221,7 +219,7 @@ class _ScaledField(Field):
             self.growth_const = abs(factor) * base.growth_const
         self.is_radial = base.is_radial
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         base, factor = self.base.line(x, xi), float(self.factor)
         return lambda t: factor * base(t)
 
@@ -242,10 +240,10 @@ class _SumField(Field):
         self.parts = list(parts)
         self.growth_alpha = max(p.growth_alpha for p in self.parts)
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         lines = [p.line(x, xi) for p in self.parts]
 
-        def at(t: float) -> float:
+        def at(t: np.ndarray) -> np.ndarray:
             acc = 0.0
             for f in lines:
                 acc += f(t)
@@ -290,12 +288,12 @@ class RadialProfile(Field):
         self._validate()
 
     # -- evaluation ---------------------------------------------------------
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         r2, value = _squared_norm(_components(x, xi)), self.g.value
         return lambda t: value(r2(t))
 
     def radial_value(self, r2: float, order: int = 0) -> float:
-        return self.g.value(r2, order)
+        return float(self.g.value(r2, order))
 
     def c2_radius(self, x: np.ndarray) -> float:
         # C^3 everywhere; a unit window keeps Taylor pieces local
@@ -309,7 +307,7 @@ class RadialProfile(Field):
     def d2_along(self, x: np.ndarray, xi: np.ndarray) -> float:
         r2 = float(np.dot(x, x))
         b = float(np.dot(x, xi))
-        return self.g.value(r2, 2) * 4.0 * b * b + self.g.value(r2, 1) * 2.0
+        return float(self.g.value(r2, 2) * 4.0 * b * b + self.g.value(r2, 1) * 2.0)
 
     def partial(self, e: np.ndarray) -> "RadialDerivativeField":
         return RadialDerivativeField(self, np.asarray(e, float))
@@ -325,7 +323,7 @@ class RadialProfile(Field):
                     f"C3 junction mismatch at order {order}: {cap} vs {tail}")
         grid = np.linspace(1e-6, 4.0 * j, 1000)
         for order in (0, 2):
-            vals = np.array([self.g.value(r, order) for r in grid])
+            vals = self.g.value(grid, order)
             second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
             if np.min(second) < -1e-9 * max(1.0, float(np.max(np.abs(vals)))):
                 raise InvariantViolation(
@@ -355,11 +353,11 @@ class RadialDerivativeField(Field):
         # decay: derivative decays; growth (gamma <= 2s-1 < 1): |Dv| ~ |y|^{gamma-1} bounded
         self.growth_alpha = 0.0
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         rows = [(a, b, c) for (a, b), c in zip(_components(x, xi), self.e.tolist())]
         value = self.base.g.value
 
-        def at(t: float) -> float:
+        def at(t: np.ndarray) -> np.ndarray:
             r2 = ye = 0.0
             for a, b, c in rows:
                 v = a + t * b
@@ -444,7 +442,7 @@ class _PartialN(RadialDerivativeField):
         self.base = base
         self.growth_alpha = 0.0
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         pairs = _components(x, xi)
         r2, value = _squared_norm(pairs), self.base.g.value
         a, b = pairs[-1]
@@ -515,18 +513,17 @@ class BumpTrain(Field):
         self.growth_alpha = 0.0
         self.growth_const = eps ** (2.0 * s)
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         a, b = _components(x, xi)[-1]
         eps, s, window = float(self.eps), float(self.s), self.window
         eps2 = eps**2
 
-        def at(t: float) -> float:
+        def at(t: np.ndarray) -> np.ndarray:
             y = a + t * b
-            n = math.floor(y)
-            if n < 0 or n >= window:
-                return 0.0
+            n = np.floor(y)
             arg = eps2 - (y - n - eps) ** 2
-            return arg**s if arg > 0.0 else 0.0
+            inside = (n >= 0.0) & (n < window) & (arg > 0.0)
+            return np.where(inside, np.maximum(arg, 0.0) ** s, 0.0)
         return at
 
     def c2_radius(self, x: np.ndarray) -> float:
@@ -559,10 +556,6 @@ class BumpTrain(Field):
         return {"eps": self.eps, "s": self.s, "window": self.window}
 
 
-def make_bump_train(eps: float, s: float, window: int = 400) -> BumpTrain:
-    return BumpTrain(eps, s, window)
-
-
 class HalfSpacePowerTail(Field):
     """Cap/tail radial profile restricted to the open half-space, 0 elsewhere.
 
@@ -581,17 +574,15 @@ class HalfSpacePowerTail(Field):
         self.growth_alpha = 0.0
         self.growth_const = float(self.radial.g.value(0.0))
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         pairs = _components(x, xi)
         head, value = _squared_norm(pairs[:-1]), self.radial.g.value
         (a, b), shift = pairs[-1], float(self.shift)
 
-        def at(t: float) -> float:
+        def at(t: np.ndarray) -> np.ndarray:
             y = a + t * b
-            if y <= 0.0:
-                return 0.0
             z = y + shift
-            return value(head(t) + z * z)
+            return np.where(y > 0.0, value(head(t) + z * z), 0.0)
         return at
 
     def c2_radius(self, x: np.ndarray) -> float:
@@ -616,10 +607,6 @@ class HalfSpacePowerTail(Field):
         return {"gamma": self.gamma, "shift": self.shift}
 
 
-def make_halfspace_power_tail(gamma: float, shift: float = 0.0) -> HalfSpacePowerTail:
-    return HalfSpacePowerTail(gamma, shift)
-
-
 class PowerProfile(Field):
     """z(x) = coefficient * (x_N)_+^mu."""
 
@@ -632,13 +619,13 @@ class PowerProfile(Field):
         self.coefficient = coefficient
         self.growth_alpha = mu
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         a, b = _components(x, xi)[-1]
         coefficient, mu = float(self.coefficient), float(self.mu)
 
-        def at(t: float) -> float:
+        def at(t: np.ndarray) -> np.ndarray:
             y = a + t * b
-            return coefficient * y**mu if y > 0.0 else 0.0
+            return np.where(y > 0.0, coefficient * np.maximum(y, 0.0) ** mu, 0.0)
         return at
 
     def c2_radius(self, x: np.ndarray) -> float:
@@ -660,14 +647,6 @@ class PowerProfile(Field):
         return {"mu": self.mu, "coefficient": self.coefficient}
 
 
-def make_power_profile(mu: float) -> PowerProfile:
-    return PowerProfile(mu, 1.0)
-
-
-def make_singular_power(mu: float, coefficient: float) -> PowerProfile:
-    return PowerProfile(mu, coefficient)
-
-
 class MinField(Field):
     """Pointwise minimum of two fields (the min composition w = min{phi, z})."""
 
@@ -679,10 +658,10 @@ class MinField(Field):
         self.scale = scale
         self.growth_alpha = 0.0  # min of a bounded and a growing profile is bounded
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         first, second = self.first.line(x, xi), self.second.line(x, xi)
         scale = float(self.scale)
-        return lambda t: scale * min(first(t), second(t))
+        return lambda t: scale * np.minimum(first(t), second(t))
 
     def c2_radius(self, x: np.ndarray) -> float:
         base = min(self.first.c2_radius(x), self.second.c2_radius(x))
@@ -705,10 +684,11 @@ class MinField(Field):
         first, second = self.first.line(x, xi), self.second.line(x, xi)
 
         def diff(t: float) -> float:
-            return first(t) - second(t)
+            return float(first(t) - second(t))
 
-        grid = np.linspace(-span, span, 801).tolist()
-        vals = [diff(t) for t in grid]
+        grid = np.linspace(-span, span, 801)
+        vals = (first(grid) - second(grid)).tolist()
+        grid = grid.tolist()
         out = []
         last = None  # index of the last node with a nonzero difference
         for i, v in enumerate(vals):
@@ -831,13 +811,13 @@ class PowerTransformField(Field):
         self.tp = tp
         self.growth_alpha = base.growth_alpha * tp.beta_exp
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         base = self.base.line(x, xi)
         alpha, beta = float(self.tp.alpha_coef), float(self.tp.beta_exp)
 
-        def at(t: float) -> float:
+        def at(t: np.ndarray) -> np.ndarray:
             v = base(t)
-            if v < 0.0:
+            if np.any(v < 0.0):
                 raise ValueError("power transform requires a nonnegative base")
             return alpha * v**beta
         return at

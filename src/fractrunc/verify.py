@@ -168,7 +168,7 @@ def verify_power_identity(mu: float, s: float, xi: Optional[np.ndarray] = None,
                           N: int = 3,
                           tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
     """Directional operator of (x_N)_+^mu equals C_s xi_N^{2s} c_{s,mu} x_N^{mu-2s}."""
-    z = pr.make_power_profile(mu)
+    z = pr.PowerProfile(mu, 1.0)
     if xi is None:
         xi = np.zeros(N)
         xi[-1] = 1.0
@@ -229,7 +229,7 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
         raise ValueError("the construction requires k < N")
     if eps is None:
         eps = epsilon_threshold(s, p)
-    u = pr.make_bump_train(eps, s, window)
+    u = pr.BumpTrain(eps, s, window)
     Cs = cn.normalizing_constant(s)
     bound = (-Cs * cn.beta_1ms_s(s)
              + Cs * (1.0 - 2.0 * eps) ** (-2.0 * s) * eps ** (2.0 * s) / s)
@@ -287,7 +287,7 @@ def verify_T49_2(N: int, s: float, gamma: Optional[float] = None,
             p = 1.0 + 2.0 * s / gamma_plus + 0.2
         gamma = 2.0 * s / (p - 1.0)
     R = math.sqrt(N / (N - 1.0))
-    u = pr.make_halfspace_power_tail(gamma)
+    u = pr.HalfSpacePowerTail(gamma)
     Cs = cn.normalizing_constant(s)
     rhs_const = Cs * cn.c_n_plus(gamma, s, N)
     if points is None:
@@ -474,18 +474,18 @@ class _BallBump(pr.Field):
         self.growth_alpha = 0.0
         self.growth_const = r ** (2.0 * s)
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[float], float]:
+    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         rows = list(zip(np.asarray(x, float).tolist(), np.asarray(xi, float).tolist(),
                         self.y.tolist()))
         r2, s = float(self.r) ** 2, float(self.s)
 
-        def at(t: float) -> float:
+        def at(t: np.ndarray) -> np.ndarray:
             d2 = 0.0
             for a, b, c in rows:
                 v = a + t * b - c
                 d2 += v * v
             arg = r2 - d2
-            return arg**s if arg > 0.0 else 0.0
+            return np.where(arg > 0.0, np.maximum(arg, 0.0) ** s, 0.0)
         return at
 
     def c2_radius(self, x: np.ndarray) -> float:

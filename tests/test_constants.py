@@ -142,20 +142,18 @@ def test_tighter_quadrature_stability():
 CALIBRATION_S = [0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
 CALIBRATION_GAMMA = [0.05, 0.5, 0.95]
 
-# Integrals with an algebraic tail t^{-1-e} are truncated at t = e^690 (the
-# float range); the dropped remainder, about e^{-690 e}/e, exceeds 1e-10 once
-# e = 2s or e = 2s - mu falls below ~0.025.
-_SLOW_TAIL = "tail t^(-1-e) with e < 0.025 is truncated at e^690 (remainder > 1e-10)"
-
-
-def _slow_tail(e):
-    return pytest.mark.xfail(e < 0.025, reason=_SLOW_TAIL, strict=True)
+# Integrals with an algebraic tail are truncated at t = e^690 (the float
+# range) and the remainder past it is taken from the leading exponent alone.
+# The primary c_s_mu integrand mixes t^(-1-2s+mu) and t^(-1-2s); for 2s below
+# ~0.025 the second term's share of the remainder, about
+# e^(-690*2s) * (1/(2s-mu) - 1/(2s)), still exceeds 1e-10.
+_MIXED_TAIL = ("tail mixes the exponents 1+2s-mu and 1+2s; the remainder past "
+               "e^690 uses the leading one")
 
 
 @pytest.mark.parametrize("s", CALIBRATION_S)
 @pytest.mark.parametrize("gamma", CALIBRATION_GAMMA)
-def test_decay_constants_calibrated(gamma, s, request):
-    request.applymarker(_slow_tail(2.0 * s))
+def test_decay_constants_calibrated(gamma, s):
     dec = oc.hat_c_dec_oracle(gamma, s)
     perp = oc.c_perp_oracle(gamma, s)
     assert cn.c_perp(gamma, s) == pytest.approx(perp, rel=1e-8, abs=1e-10)
@@ -178,7 +176,8 @@ def test_growth_constant_calibrated(gamma, s):
 def test_c_s_mu_calibrated(form, half, s, request):
     mu = s / 2.0 if half else s
     if form == "primary":
-        request.applymarker(_slow_tail(2.0 * s - mu))
+        request.applymarker(pytest.mark.xfail(2.0 * s < 0.025, reason=_MIXED_TAIL,
+                                              strict=True))
     else:
         # the alternate form's endpoint exponent is min(2s-mu, mu) - 1; its
         # substitution u = -log d runs out of float range (d underflows at

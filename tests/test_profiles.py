@@ -9,6 +9,7 @@ from fractrunc import constants as cn
 from fractrunc import operators as op
 from fractrunc import profiles as pr
 from fractrunc import verify as vf
+from fractrunc.quad import Tolerance
 
 
 def test_w_gamma_junction_smooth():
@@ -89,6 +90,15 @@ def test_bump_train_values():
     assert u.extra_abs_error(np.array([0.0, 1.0])) < 1e-2
 
 
+def test_bump_train_window():
+    # only bumps 0 .. window-1 are kept, on the whole line and on arrays
+    eps, s = 0.2, 0.5
+    u = pr.BumpTrain(eps, s, window=3)
+    line = u.line(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
+    values = line(np.array([-1.0 + eps, eps, 2.0 + eps, 3.0 + eps, 7.0 + eps]))
+    assert values.tolist() == [0.0, eps ** (2.0 * s), eps ** (2.0 * s), 0.0, 0.0]
+
+
 def test_bump_train_breakpoints():
     u = pr.BumpTrain(0.2, 0.5, window=10)
     bps = u.breakpoints(np.array([0.0, 0.2]), np.array([0.0, 1.0]))
@@ -97,7 +107,7 @@ def test_bump_train_breakpoints():
 
 
 def test_halfspace_power_tail_vanishes_below_wall():
-    u = pr.make_halfspace_power_tail(0.7)
+    u = pr.HalfSpacePowerTail(0.7)
     assert u(np.array([1.0, -0.5])) == 0.0
     assert u(np.array([0.0, 2.0])) > 0.0
 
@@ -169,9 +179,9 @@ def test_min_field_crossings_ignore_common_zeros():
     lambda: pr.make_v_gamma(0.6),
     lambda: pr.make_v_minus_gamma(0.3, 0.75),
     lambda: pr.make_psi("decay", 2, 0.5),
-    lambda: pr.make_bump_train(0.2, 0.5, window=50),
-    lambda: pr.make_halfspace_power_tail(0.7),
-    lambda: pr.make_singular_power(0.25, 3.0),
+    lambda: pr.BumpTrain(0.2, 0.5, window=50),
+    lambda: pr.HalfSpacePowerTail(0.7),
+    lambda: pr.PowerProfile(0.25, 3.0),
 ])
 def test_json_round_trip(make):
     f = make()
@@ -233,11 +243,23 @@ def test_line_matches_pointwise_evaluation(kind, N):
         xi = _unit(rng, N)
         line = u.line(x, xi)
         ts = [0.0, *rng.uniform(-4.0, 4.0, 6)]
-        for b in u.breakpoints(x, xi):
+        bps = u.breakpoints(x, xi)
+        for b in bps:
             h = 1e-7 * max(1.0, abs(b))
             ts += [b - h, b + h]
         for t in ts:
             assert line(t) == pytest.approx(u(x + t * xi), rel=1e-15, abs=1e-300)
+        # the same nodes and every breakpoint as one 2-D array: one value per
+        # node, each the node's value alone (numpy's vector pow may differ
+        # from its scalar pow in the last bit)
+        nodes = np.array(ts + bps)
+        values = line(nodes.reshape(-1, 1))
+        assert values.shape == (nodes.size, 1)
+        assert np.all(np.isfinite(values))
+        assert values[:len(ts), 0] == pytest.approx([u(x + t * xi) for t in ts],
+                                                    rel=1e-15, abs=1e-300)
+        assert values[:, 0] == pytest.approx([float(line(t)) for t in nodes],
+                                             rel=1e-15, abs=1e-300)
 
 
 def test_power_transform_line_rejects_negative_base():
@@ -246,3 +268,17 @@ def test_power_transform_line_rejects_negative_base():
     line = u.line(np.array([0.0, 2.0]), np.array([0.6, 0.8]))
     with pytest.raises(ValueError, match="nonnegative base"):
         line(0.5)
+
+
+@pytest.mark.parametrize("u,x,s", [
+    (pr.make_w_gamma(0.5), np.array([0.3, 1.2, 0.8]), 0.4),
+    (pr.make_v_minus_gamma(0.3, 0.75), np.array([1.5, 0.5]), 0.75),
+    (pr.make_v_gamma(0.6), np.array([0.2, 0.3, 0.4, 2.0]), 0.3),
+])
+def test_radial_search_spline_in_floats(u, x, s):
+    spline = op._radial_spline(u, x, s, True, Tolerance(1e-7, 1e-6))
+    at = op._spline_at(spline)
+    rng = np.random.default_rng(5)
+    thetas = np.concatenate([rng.uniform(-1.2, 1.2, 20000), spline.x, -spline.x])
+    expected = spline(np.minimum(np.abs(thetas), 1.0)).tolist()
+    assert [at(float(t)) for t in thetas] == expected

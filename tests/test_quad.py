@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractrunc import quad
 from fractrunc.quad import (Integrand, NonIntegrable, Tolerance, integrate,
                             integrate_pv)
 
@@ -107,3 +108,55 @@ def test_tolerance_scaling():
     assert s.rel_tol == pytest.approx(1e-6)
     with pytest.raises(ValueError):
         Tolerance(abs_tol=-1.0)
+
+
+# --- batched G10/K21 engine -------------------------------------------------
+
+def test_gk21_rule_exactness():
+    from scipy.special import roots_legendre
+
+    x = quad.GK21_NODES
+    gauss = quad.G10_WEIGHTS > 0.0
+    nodes, weights = roots_legendre(10)
+    assert np.allclose(x[gauss], nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose(quad.G10_WEIGHTS[gauss], weights, rtol=0.0, atol=1e-15)
+    for d in range(32):
+        exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+        assert x**d @ quad.GK21_WEIGHTS == pytest.approx(exact, abs=1e-15)
+        if d < 20:
+            assert x**d @ quad.G10_WEIGHTS == pytest.approx(exact, abs=1e-15)
+    assert abs(x**32 @ quad.GK21_WEIGHTS - 2.0 / 33.0) > 1e-12
+
+
+# (integrand, a, b, abs_tol): smooth, kinked, endpoint cusp, and one whose
+# rounding-level noise keeps the tolerance out of reach
+BATCH_CASES = [
+    (lambda x: np.cos(3.0 * x) * np.exp(x), 0.0, 2.0, 1e-10),
+    (lambda x: np.abs(x - 0.3), 0.0, 1.0, 1e-10),
+    (lambda x: x**0.1, 0.0, 1.0, 1e-10),
+    (lambda x: np.sin(x) * (1.0 + 1e-9 * np.sin(1e9 * x)), 0.0, 1.0, 1e-14),
+]
+
+
+def test_integrate_batch_matches_scipy_quad():
+    from scipy import integrate as si
+
+    def f(x, group):
+        out = np.empty_like(x)
+        for g, (fn, _, _, _) in enumerate(BATCH_CASES):
+            rows = group[:, 0] == g
+            out[rows] = fn(x[rows])
+        return out
+
+    a, b, tols = (np.array([c[i] for c in BATCH_CASES]) for i in (1, 2, 3))
+    values, errors, evals = quad.integrate_batch(f, a, b, tols, 1e-9)
+    for g, (fn, lo, hi, tol) in enumerate(BATCH_CASES):
+        ref, ref_err = si.quad(fn, lo, hi, epsabs=tol, epsrel=1e-9, limit=250)[:2]
+        assert abs(values[g] - ref) <= errors[g] + ref_err
+        # each integral refines on its own: alone it takes the same panels
+        alone = quad.integrate_batch(lambda x, _: fn(x), [lo], [hi], tol, 1e-9)
+        assert alone[2][0] == evals[g]
+        assert alone[0][0] == pytest.approx(values[g], rel=1e-14, abs=1e-300)
+    # the first three reach their tolerance; the noise-bound one cannot
+    assert np.all(errors[:3] <= np.maximum(tols, 1e-9 * np.abs(values))[:3])
+    assert errors[3] > tols[3]
