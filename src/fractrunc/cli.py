@@ -38,11 +38,7 @@ _ENV_PREFIX = "FRACTRUNC_"
 _CONFIG_KEYS = {
     "abs_tol": float,
     "rel_tol": float,
-    "root_residual_tol": float,
-    "search_budget": int,
-    "grid_size": int,
     "seed": int,
-    "format": str,
 }
 
 
@@ -50,17 +46,10 @@ _CONFIG_KEYS = {
 class Config:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    root_residual_tol: float = 1e-9
-    search_budget: int = 10
-    grid_size: int = 32
     seed: int = 42
-    format: str = "json"
 
     def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol", "root_residual_tol",
-                     "search_budget", "grid_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config value {name} must be positive")
+        Tolerance(self.abs_tol, self.rel_tol)  # raises on non-finite or non-positive values
 
     @property
     def tolerance(self) -> Tolerance:
@@ -353,7 +342,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
             args.s, args.p, args.op_kind, args.N, seed=cfg.seed, tol=tol)
     elif construction == "avoidance":
         y = np.zeros(args.N)
-        y[-1] = args.y_N
+        y[-1:] = args.y_N  # a no-op for N < 1, which the verifier rejects
         report = vf.verify_avoidance_example(args.N, args.s, args.r, y, tol=tol)
     elif construction == "transform":
         report = vf.verify_transform(args.s, args.p, args.q, seed=cfg.seed,

@@ -33,11 +33,10 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import binom, eval_gegenbauer, gamma
 
-from .quad import Integrand, QuadResult, Tolerance, integrate, integrate_pv
+from .quad import Integrand, Tolerance, integrate, integrate_pv
 
 __all__ = [
     "ProblemParams",
-    "ConstantsBundle",
     "RootResult",
     "ExponentTable",
     "DomainError",
@@ -179,6 +178,37 @@ def _iso_pair_series(gam: float, a: float) -> Callable[[float], float]:
 # the kernel constants (all without the C_s factor)
 # ---------------------------------------------------------------------------
 
+def _pow_kernel(g: float, s: float, tol: Tolerance) -> float:
+    """PV integral of (|1+tau|^{-g} - 1)/|tau|^{1+2s} over the real line.
+
+    ``hat_c_dec(gamma)`` is this kernel at g = gamma and ``hat_c_gro(gamma)``
+    minus it at g = -gamma.  PV point at 0; singularity of exponent
+    e = min(-g, 0) at tau = -1; tail decay 1 + 2s + min(g, 0).
+    """
+    e = min(-g, 0.0)
+
+    def f(t: float) -> float:
+        return (abs(1.0 + t) ** (-g) - 1.0) * abs(t) ** (-1.0 - 2.0 * s)
+
+    def near_minus_one(side: int, d: float) -> float:
+        # f(-1 + side*d) * d^{-e}, stable down to d = 0
+        return (d ** (-g - e) - d ** (-e)) / abs(1.0 - side * d) ** (1.0 + 2.0 * s)
+
+    integrand = Integrand(
+        eval=f,
+        singular_points=[(-1.0, e)],
+        pv_points=[0.0],
+        tail_decay=1.0 + 2.0 * s + min(g, 0.0),
+        regular_eval={-1.0: near_minus_one},
+        # (f(h) + f(-h)) * h^{2s-1}; the even part of the pair
+        pv_fold={0.0: (1.0 - 2.0 * s, _pow_pair_series(-g))},
+    )
+    res = integrate_pv(integrand, 0.0, 0.5, tol)
+    res = res + integrate(integrand, 0.5, math.inf, tol)
+    res = res + integrate(integrand, -math.inf, -0.5, tol)
+    return res.value
+
+
 def hat_c_dec(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
     """PV integral of (|1+tau|^{-gamma} - 1)/|tau|^{1+2s} over the real line.
 
@@ -189,29 +219,7 @@ def hat_c_dec(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
         raise DomainError("gamma must lie in (0,1)")
     if not 0.0 < s < 1.0:
         raise DomainError("s must lie in (0,1)")
-
-    def f(t: float) -> float:
-        return (abs(1.0 + t) ** (-gam) - 1.0) * abs(t) ** (-1.0 - 2.0 * s)
-
-    def near_minus_one(side: int, d: float) -> float:
-        # f(-1 + side*d) * d^gamma, stable down to d = 0
-        return (1.0 - d**gam) / abs(1.0 - side * d) ** (1.0 + 2.0 * s)
-
-    # (f(h) + f(-h)) * h^{2s-1}; the even part of the pair
-    fold0 = _pow_pair_series(-gam)
-
-    integrand = Integrand(
-        eval=f,
-        singular_points=[(-1.0, -gam)],
-        pv_points=[0.0],
-        tail_decay=1.0 + 2.0 * s,
-        regular_eval={-1.0: near_minus_one},
-        pv_fold={0.0: (1.0 - 2.0 * s, fold0)},
-    )
-    res = integrate_pv(integrand, 0.0, 0.5, tol)
-    res = res + integrate(integrand, 0.5, math.inf, tol)
-    res = res + integrate(integrand, -math.inf, -0.5, tol)
-    return res.value
+    return _pow_kernel(gam, s, tol)
 
 
 def c_perp(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
@@ -256,30 +264,7 @@ def hat_c_gro(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
         raise DomainError("s must lie in (1/2,1) for the growth-case constant")
     if not 0.0 < gam <= 2.0 * s - 1.0 + 1e-12:
         raise DomainError("gamma must lie in (0, 2s-1]; the tail diverges beyond")
-
-    def f(t: float) -> float:
-        return (1.0 - abs(1.0 + t) ** gam) * abs(t) ** (-1.0 - 2.0 * s)
-
-    def near_minus_one(side: int, d: float) -> float:
-        return (1.0 - d**gam) / abs(1.0 - side * d) ** (1.0 + 2.0 * s)
-
-    pair = _pow_pair_series(gam)
-
-    def fold0(h: float) -> float:
-        return -pair(h)
-
-    integrand = Integrand(
-        eval=f,
-        singular_points=[(-1.0, 0.0)],
-        pv_points=[0.0],
-        tail_decay=1.0 + 2.0 * s - gam,
-        regular_eval={-1.0: near_minus_one},
-        pv_fold={0.0: (1.0 - 2.0 * s, fold0)},
-    )
-    res = integrate_pv(integrand, 0.0, 0.5, tol)
-    res = res + integrate(integrand, 0.5, math.inf, tol)
-    res = res + integrate(integrand, -math.inf, -0.5, tol)
-    return res.value
+    return -_pow_kernel(-gam, s, tol)
 
 
 def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
@@ -300,21 +285,18 @@ def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
         return (plus + minus - 2.0) * t ** (-1.0 - 2.0 * s)
 
     pair = _iso_pair_series(gam, a)
-
-    def regular0(side: int, d: float) -> float:
-        return pair(d)
-
     integrand = Integrand(
         eval=f,
         singular_points=[(0.0, 1.0 - 2.0 * s)],
         tail_decay=1.0 + 2.0 * s,
-        regular_eval={0.0: regular0},
+        regular_eval={0.0: lambda side, d: pair(d)},
     )
     return integrate(integrand, 0.0, math.inf, tol).value
 
 
 def c_n_plus(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     """N*c_iso(gamma) minus the one-sided correction integral from sqrt(N)."""
+    iso = c_iso(gam, s, N, tol)  # checks gamma > 0 and N >= 2 first
     a = 1.0 / math.sqrt(N)
 
     def f2(t: float) -> float:
@@ -324,7 +306,7 @@ def c_n_plus(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> flo
         Integrand(eval=f2, tail_decay=1.0 + 2.0 * s + gam),
         math.sqrt(N), math.inf, tol,
     ).value
-    return N * c_iso(gam, s, N, tol) - correction
+    return N * iso - correction
 
 
 def c_s_mu(mu: float, s: float, form: str = "primary",
@@ -348,15 +330,11 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
                     + (down - 2.0) * t ** (-1.0 - 2.0 * s))
 
         pair = _pow_pair_series(mu)
-
-        def regular0(side: int, d: float) -> float:
-            return pair(d)
-
         integrand = Integrand(
             eval=f,
             singular_points=[(0.0, 1.0 - 2.0 * s), (1.0, 0.0)],
             tail_decay=1.0 + 2.0 * s - mu,
-            regular_eval={0.0: regular0},
+            regular_eval={0.0: lambda side, d: pair(d)},
         )
         return integrate(integrand, 0.0, math.inf, tol).value
     if form == "alternate":
@@ -448,35 +426,6 @@ def find_gamma_plus(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> RootResu
     return result
 
 
-@dataclass(frozen=True)
-class ConstantsBundle:
-    """All critical quantities for a single (s, N, k) triple."""
-
-    s: float
-    N: int
-    k: int
-    C_s: float
-    gamma_bar: Optional[float]
-    gamma_tilde: float
-    gamma_plus: float
-    beta_val: float
-
-    @classmethod
-    def compute(cls, params: ProblemParams,
-                tol: Tolerance = _DEFAULT_TOL) -> "ConstantsBundle":
-        bar = find_gamma_bar(params.k, params.s, tol)
-        tilde = find_gamma_tilde(params.N, params.s, tol)
-        plus = find_gamma_plus(params.N, params.s, tol)
-        return cls(
-            s=params.s, N=params.N, k=params.k,
-            C_s=normalizing_constant(params.s),
-            gamma_bar=None if bar is None else bar.root,
-            gamma_tilde=tilde.root,
-            gamma_plus=plus.root,
-            beta_val=beta_1ms_s(params.s),
-        )
-
-
 # ---------------------------------------------------------------------------
 # exponent table
 # ---------------------------------------------------------------------------
@@ -495,9 +444,6 @@ class ExponentTable:
     N: int
     s: float
     rows: tuple[dict, ...]
-
-    def to_rows(self) -> list[dict]:
-        return [dict(r) for r in self.rows]
 
 
 def exponent_table(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> ExponentTable:

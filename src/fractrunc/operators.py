@@ -30,7 +30,6 @@ from .quad import QuadResult, Tolerance, integrate_batch
 __all__ = [
     "LineSection",
     "Frame",
-    "OperatorSpec",
     "GrowthViolation",
     "HypothesisViolation",
     "directional",
@@ -114,30 +113,12 @@ class Frame:
         return float(np.max(np.abs(g - np.eye(self.k))))
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Which operator to evaluate: a fixed direction or an extremal one."""
-
-    kind: str  # "directional" | "ik_plus" | "ik_minus"
-    s: float
-    N: int
-    k: int = 1
-    xi: Optional[np.ndarray] = None
-    include_Cs: bool = True
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("directional", "ik_plus", "ik_minus"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if not 1 <= self.k <= self.N:
-            raise ValueError("k must lie in 1..N")
-
-
 # ---------------------------------------------------------------------------
 # directional operator on a line section
 # ---------------------------------------------------------------------------
 
-def directional(section: LineSection, s: float, tol: Tolerance = _DEFAULT_TOL,
-                include_Cs: bool = True) -> QuadResult:
+def directional(section: LineSection, s: float,
+                tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
     """Evaluate the directional operator integral on a prepared line section.
 
     Splits the kernel integral into (i) an analytic Taylor piece on
@@ -265,10 +246,7 @@ def directional(section: LineSection, s: float, tol: Tolerance = _DEFAULT_TOL,
 
     value = small_val + core_val + tail_val
     err = small_err + core_err + tail_err + section.extra_abs_error
-    result = QuadResult(value, err, n_evals)
-    if include_Cs:
-        result = result.scale(normalizing_constant(s))
-    return result
+    return QuadResult(value, err, n_evals).scale(normalizing_constant(s))
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +254,19 @@ def directional(section: LineSection, s: float, tol: Tolerance = _DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 #
 # A *field* is any object with:
-#   __call__(y: ndarray) -> float
+#   line(x, xi) -> Callable[[ndarray], ndarray]
+#                                           the section tau -> u(x + tau*xi),
+#                                           elementwise on an array of tau
 #   c2_radius(x: ndarray) -> float          radius of C^2 ball around x
 #   breakpoints(x, xi) -> list[float]       tau of every non-C^2 crossing
 #   growth_alpha: float                     (H2)-type growth exponent
 # optional:
-#   line(x, xi) -> Callable[[ndarray], ndarray]
-#                                           the section tau -> u(x + tau*xi),
-#                                           elementwise on an array of tau
 #   growth_const: float
 #   extra_abs_error(x) -> float             evaluation-truncation error
 #   d2_along(x, xi) -> float                analytic second derivative
 #
-# ``line`` exists because the quadrature evaluates the section at millions of
-# nodes per verification: a field that has it does its vector work once per
-# direction and evaluates a whole batch of nodes in one numpy pass.  Without
-# it each node builds ``x + tau*xi`` as a new array for __call__.
+# ``line`` does the field's vector work once per direction, so the
+# quadrature evaluates a whole batch of nodes in one numpy pass.
 
 def make_section(u, x: np.ndarray, xi: np.ndarray) -> LineSection:
     """Build the line section of a field through ``x`` along unit ``xi``."""
@@ -301,14 +276,7 @@ def make_section(u, x: np.ndarray, xi: np.ndarray) -> LineSection:
     if abs(nrm - 1.0) > 1e-12:
         xi = xi / nrm
 
-    line = getattr(u, "line", None)
-    if line is not None:
-        ev = line(x, xi)
-    else:
-        def ev(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, float)
-            return np.array([float(u(x + ti * xi)) for ti in t.ravel()]).reshape(t.shape)
-
+    ev = u.line(x, xi)
     bps = sorted(float(t) for t in u.breakpoints(x, xi))
     delta0 = float(u.c2_radius(x))
     if bps:
@@ -340,19 +308,17 @@ def make_section(u, x: np.ndarray, xi: np.ndarray) -> LineSection:
 
 
 def directional_at(u, x: np.ndarray, xi: np.ndarray, s: float,
-                   tol: Tolerance = _DEFAULT_TOL,
-                   include_Cs: bool = True) -> QuadResult:
+                   tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
     """Directional operator of a field at a point along a unit vector."""
-    return directional(make_section(u, x, xi), s, tol, include_Cs)
+    return directional(make_section(u, x, xi), s, tol)
 
 
 def frame_sum(u, x: np.ndarray, frame: Frame, s: float,
-              tol: Tolerance = _DEFAULT_TOL,
-              include_Cs: bool = True) -> QuadResult:
+              tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
     """Sum of directional operators over the vectors of a frame."""
     total = QuadResult(0.0, 0.0, 0)
     for xi in frame.vectors:
-        total = total + directional_at(u, x, xi, s, tol, include_Cs)
+        total = total + directional_at(u, x, xi, s, tol)
     return total
 
 
@@ -412,8 +378,7 @@ def random_frame(N: int, k: int, rng: np.random.Generator) -> Frame:
 # ---------------------------------------------------------------------------
 
 def extremal_radial(profile, x: np.ndarray, s: float, k: int,
-                    variant: str, tol: Tolerance = _DEFAULT_TOL,
-                    include_Cs: bool = True) -> QuadResult:
+                    variant: str, tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
     """Closed-form extremal value for a radial profile.
 
     ``plus``: the maximizing frame is {xhat} plus k-1 orthogonal directions.
@@ -431,16 +396,16 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
     xhat = x / np.linalg.norm(x)
     if variant == "plus":
         fr = completion_frame(xhat, k)
-        radial = directional_at(profile, x, fr.vectors[0], s, tol, include_Cs)
+        radial = directional_at(profile, x, fr.vectors[0], s, tol)
         if k == 1:
             return radial
-        perp = directional_at(profile, x, fr.vectors[1], s, tol, include_Cs)
+        perp = directional_at(profile, x, fr.vectors[1], s, tol)
         return radial + perp.scale(float(k - 1))
     if variant == "minus_full":
         if k != N:
             raise HypothesisViolation("variant minus_full requires k = N")
         xi_star = householder_frame(xhat).vectors[0]
-        return directional_at(profile, x, xi_star, s, tol, include_Cs).scale(float(N))
+        return directional_at(profile, x, xi_star, s, tol).scale(float(N))
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -448,7 +413,7 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
 # heuristic frame search (one-sided)
 # ---------------------------------------------------------------------------
 
-def _radial_spline(u, x: np.ndarray, s: float, include_Cs: bool, tol: Tolerance):
+def _radial_spline(u, x: np.ndarray, s: float, tol: Tolerance):
     """Cubic spline of the directional value in |<xhat, xi>| on [0, 1].
 
     For radial fields the section through x along xi depends only on |x| and
@@ -467,7 +432,7 @@ def _radial_spline(u, x: np.ndarray, s: float, include_Cs: bool, tol: Tolerance)
     for th in thetas:
         xi = th * xhat + math.sqrt(max(0.0, 1.0 - th * th)) * perp
         xi = xi / np.linalg.norm(xi)
-        vals.append(directional_at(u, x, xi, s, tol, include_Cs).value)
+        vals.append(directional_at(u, x, xi, s, tol).value)
     return CubicSpline(thetas, np.asarray(vals))
 
 
@@ -497,7 +462,6 @@ def _spline_at(spline) -> Callable[[float], float]:
 def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
                     budget: int = 10, seed: int = 42,
                     tol: Tolerance = _DEFAULT_TOL,
-                    include_Cs: bool = True,
                     sweeps: int = 3, angle_grid: int = 32) -> tuple[QuadResult, Frame]:
     """Heuristic frame optimization for the extremal operators.
 
@@ -517,7 +481,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     is_radial = getattr(u, "is_radial", False)
     if is_radial:
         xhat = x / np.linalg.norm(x)
-        cache = _spline_at(_radial_spline(u, x, s, include_Cs, search_tol))
+        cache = _spline_at(_radial_spline(u, x, s, search_tol))
 
         def objective(vectors: np.ndarray) -> float:
             return sum(cache(float(vectors[i] @ xhat)) for i in range(vectors.shape[0]))
@@ -525,7 +489,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
         def objective(vectors: np.ndarray) -> float:
             total = 0.0
             for xi in vectors:
-                total += directional_at(u, x, xi, s, search_tol, include_Cs).value
+                total += directional_at(u, x, xi, s, search_tol).value
             return total
 
     angles = np.linspace(0.0, math.pi, angle_grid, endpoint=False)
@@ -596,7 +560,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     q, r = np.linalg.qr(best_vecs.T)
     q = q * np.sign(np.diag(r))
     best_frame = Frame(q.T)
-    final = frame_sum(u, x, best_frame, s, tol, include_Cs)
+    final = frame_sum(u, x, best_frame, s, tol)
     return final, best_frame
 
 

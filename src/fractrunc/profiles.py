@@ -22,6 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .constants import (
+    DomainError,
     NoRootError,
     c_s_mu,
     find_gamma_bar,
@@ -281,9 +282,7 @@ class RadialProfile(Field):
         self.gamma = gamma
         self.junction_r2 = junction_r2
         self.orientation = orientation
-        self.tail_exponent = -gamma if orientation == "decay" else gamma
         self.g = _PiecewiseG(gamma, junction_r2, sign)
-        self.cap_coeffs = self.g.cap
         self.growth_alpha = 0.0 if orientation == "decay" else max(0.0, gamma)
         self._validate()
 
@@ -291,9 +290,6 @@ class RadialProfile(Field):
     def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         r2, value = _squared_norm(_components(x, xi)), self.g.value
         return lambda t: value(r2(t))
-
-    def radial_value(self, r2: float, order: int = 0) -> float:
-        return float(self.g.value(r2, order))
 
     def c2_radius(self, x: np.ndarray) -> float:
         # C^3 everywhere; a unit window keeps Taylor pieces local
@@ -420,7 +416,6 @@ class PsiField(_ScaledField):
             lead = make_v_gamma(gamma_lead)
         else:
             lead = make_v_minus_gamma(gamma_lead, s)
-        self._lead_profile = lead
         pieces: list[Field] = [_PartialN(lead)]
         if variant == "decay":
             pieces.append(_PartialN(make_v_gamma(gamma_second)))
@@ -466,6 +461,8 @@ def make_psi(kind: str, k: int, s: float,
     ``halfint``: k = 1, s = 1/2, single-profile variant; default gamma 0.5.
     ``growth``: s > 1/2 with lead exponent 2s-1; default second gamma (2s-1)/2.
     """
+    if k < 1:
+        raise DomainError("k must be >= 1")
     if kind == "decay":
         bar = find_gamma_bar(k, s)
         if bar is None:

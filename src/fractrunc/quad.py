@@ -1,12 +1,13 @@
 """One-dimensional quadrature engine for improper integrals.
 
 Handles endpoint and interior algebraic singularities, Cauchy principal
-values, and algebraically decaying infinite tails.  Integrands declare their
-singular structure up front; the engine subdivides at the declared points,
-maps algebraic singularities to exponentially decaying smooth integrands via
-the substitution ``tau = c +/- exp(-u)``, and truncates infinite tails at an
-adaptively chosen point with the analytic remainder folded into the error
-estimate.
+values and algebraically decaying infinite tails.  Integrands declare their
+singular structure up front; ``integrate`` subdivides at the declared
+points, maps algebraic singularities to exponentially decaying smooth
+integrands via the substitution ``tau = c +/- exp(-u)``, and truncates
+infinite tails at an adaptively chosen point with the analytic remainder
+folded into the error estimate.  ``integrate_pv`` takes a principal value
+around a PV point through the fold the integrand declares there.
 
 ``integrate_batch`` is the batched engine: adaptive bisection with
 QUADPACK's G10/K21 rule over many integrals at once, each round evaluating
@@ -38,7 +39,6 @@ __all__ = [
     "QuadResult",
     "Tolerance",
     "QuadError",
-    "BudgetExceeded",
     "NonIntegrable",
     "NonCancelling",
     "integrate",
@@ -52,12 +52,8 @@ class QuadError(Exception):
     """Base class for quadrature failures."""
 
 
-class BudgetExceeded(QuadError):
-    """Evaluation budget hit before reaching the requested tolerance."""
-
-
 class NonIntegrable(QuadError):
-    """A declared singular exponent <= -1 without a principal-value flag."""
+    """The declared structure does not make the integral converge."""
 
 
 class NonCancelling(QuadError):
@@ -70,14 +66,14 @@ class Tolerance:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_evals: int = 10**7
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.max_evals <= 0:
-            raise ValueError("tolerances and budget must be positive")
+        # chained comparisons are false for NaN, so NaN is rejected too
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
 
     def scaled(self, factor: float) -> "Tolerance":
-        return Tolerance(self.abs_tol * factor, self.rel_tol * factor, self.max_evals)
+        return Tolerance(self.abs_tol * factor, self.rel_tol * factor)
 
 
 @dataclass
@@ -114,9 +110,11 @@ class Integrand:
     ``tau``; it must exceed 1 when integration extends to +inf.
 
     ``regular_eval`` optionally maps a singular location to a stable
-    regular-part evaluator ``r(side, d)``; ``pv_fold`` optionally maps a PV
+    regular-part evaluator ``r(side, d)``.  ``pv_fold`` maps every PV
     location ``c`` to ``(fold_exponent, g)`` where
-    ``f(c+h) + f(c-h) = g(h) * h**fold_exponent`` with ``g`` bounded near 0.
+    ``f(c+h) + f(c-h) = g(h) * h**fold_exponent`` with ``g`` bounded near 0;
+    ``integrate_pv`` integrates that fold, and ``integrate`` accepts no PV
+    point in its closed interval.
     """
 
     eval: Callable[[float], float]
@@ -126,30 +124,36 @@ class Integrand:
     regular_eval: dict[float, Callable[[int, float], float]] = field(default_factory=dict)
     pv_fold: dict[float, tuple[float, Callable[[float], float]]] = field(default_factory=dict)
 
-    def validate(self, to_infinity: bool) -> None:
+    def validate(self, a: float, b: float) -> None:
+        """Raise ``NonIntegrable`` if the declarations rule out ``integrate`` on ``(a, b)``."""
         for loc, expo in self.singular_points:
             if expo <= -1.0 and loc not in self.pv_points:
                 raise NonIntegrable(
                     f"singular point {loc} has exponent {expo} <= -1 and no PV flag"
                 )
-        if to_infinity and not self.tail_decay > 1.0:
+        for c in self.pv_points:
+            if c not in self.pv_fold:
+                raise NonIntegrable(f"PV point {c} has no declared fold")
+            if a <= c <= b:  # at an endpoint there is nothing to cancel against
+                raise NonIntegrable(
+                    f"PV point {c} lies in [{a}, {b}]; integrate around it "
+                    "with integrate_pv"
+                )
+        if math.isinf(b) and not self.tail_decay > 1.0:
             raise NonIntegrable(
                 f"tail_decay {self.tail_decay} <= 1 on an infinite interval"
             )
 
 
-class _Budget:
-    """Shared evaluation counter enforcing Tolerance.max_evals."""
+class _Counter:
+    """Counts the integrand evaluations of one call, probes included."""
 
-    def __init__(self, max_evals: int) -> None:
-        self.max_evals = max_evals
+    def __init__(self) -> None:
         self.count = 0
 
     def wrap(self, f: Callable[[float], float]) -> Callable[[float], float]:
         def counted(t: float) -> float:
             self.count += 1
-            if self.count > self.max_evals:
-                raise BudgetExceeded(f"exceeded {self.max_evals} integrand evaluations")
             return f(t)
 
         return counted
@@ -276,17 +280,25 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.nda
 
 
 def _singular_piece(r: Callable[[float], float], exponent: float, length: float,
-                    abs_tol: float, rel_tol: float) -> tuple[float, float]:
+                    abs_tol: float, rel_tol: float,
+                    floor: Optional[float] = None) -> tuple[float, float]:
     """integral_0^length r(d) * d**exponent dd  via d = exp(-u).
 
-    ``r`` must be bounded near 0; the transformed integrand
-    ``r(exp(-u)) * exp(-(1+exponent)*u)`` decays exponentially, so the finite
-    truncation remainder is bounded analytically and added to the error.
+    The transformed integrand ``r(exp(-u)) * exp(-(1+exponent)*u)`` decays
+    exponentially; it is integrated up to ``u1`` and the truncation
+    remainder is bounded analytically and added to the error.  Without
+    ``floor``, ``r`` is a stable regular part bounded near 0 and ``u1`` is
+    set from a probe of ``r`` there.  A ``floor`` marks ``r`` as recovered
+    from direct evaluation, which loses accuracy once ``c + side*d`` rounds
+    to ``c``, so ``u1`` is capped at ``-log(floor)``.
     """
     om = 1.0 + exponent
     u0 = -math.log(length)
-    probe = abs(r(min(length / 2.0, 1e-30))) + 1.0
-    u1 = max(u0 + 1.0, math.log(8.0 * probe / (abs_tol * om)) / om)
+    if floor is None:
+        probe = abs(r(min(length / 2.0, 1e-30))) + 1.0
+        u1 = max(u0 + 1.0, math.log(8.0 * probe / (abs_tol * om)) / om)
+    else:
+        u1 = min(-math.log(floor), max(u0 + 1.0, math.log(8.0 / (abs_tol * om)) / om))
 
     def g(u: float) -> float:
         return r(math.exp(-u)) * math.exp(-om * u)
@@ -294,44 +306,20 @@ def _singular_piece(r: Callable[[float], float], exponent: float, length: float,
     value, err = _panel(g, u0, u1, abs_tol, rel_tol)
     remainder = abs(r(math.exp(-u1))) * math.exp(-om * u1) / om
     return value, err + remainder
-
-
-def _default_regular(f: Integrand, loc: float, expo: float) -> Callable[[int, float], float]:
-    """Regular part recovered from direct evaluation.
-
-    Loses accuracy once ``loc + side*d`` rounds to ``loc``; the substitution
-    range is capped accordingly and the cap's remainder lands in the error
-    estimate.
-    """
-
-    def r(side: int, d: float) -> float:
-        return f.eval(loc + side * d) * d ** (-expo)
-
-    return r
 
 
 def _sing_adjacent(f: Integrand, loc: float, expo: float, side: int, length: float,
                    abs_tol: float, rel_tol: float,
-                   budget: _Budget) -> tuple[float, float]:
+                   counter: _Counter) -> tuple[float, float]:
     """Integrate the panel of given length touching ``loc`` from one side."""
     custom = f.regular_eval.get(loc)
     if custom is not None:
-        r = budget.wrap(lambda d: custom(side, d))
+        r = counter.wrap(lambda d: custom(side, d))
         return _singular_piece(r, expo, length, abs_tol, rel_tol)
     # Direct evaluation: keep distances above the rounding floor of loc.
+    r = counter.wrap(lambda d: f.eval(loc + side * d) * d ** (-expo))
     floor = max(1e-15, 4.0 * abs(loc) * 2.3e-16)
-    raw = _default_regular(f, loc, expo)
-    r = budget.wrap(lambda d: raw(side, d))
-    om = 1.0 + expo
-    u0 = -math.log(length)
-    u1 = min(-math.log(floor), max(u0 + 1.0, math.log(8.0 / (abs_tol * om)) / om))
-
-    def g(u: float) -> float:
-        return r(math.exp(-u)) * math.exp(-om * u)
-
-    value, err = _panel(g, u0, u1, abs_tol, rel_tol)
-    remainder = abs(r(math.exp(-u1))) * math.exp(-om * u1) / om
-    return value, err + remainder
+    return _singular_piece(r, expo, length, abs_tol, rel_tol, floor)
 
 
 def _tail(f_counted: Callable[[float], float], start: float, beta: float,
@@ -382,10 +370,11 @@ def _reflected(f: Integrand) -> Integrand:
 def integrate(f: Integrand, a: float, b: float, tol: Tolerance = Tolerance()) -> QuadResult:
     """Integrate ``f`` over ``(a, b)``; ``b`` may be +inf, ``a`` may be -inf.
 
-    Subdivides at declared singular and PV points, applies the exponential
-    substitution next to singularities, folds interior PV points
-    symmetrically, and truncates the infinite tail with an analytic remainder
-    bound included in the error estimate.
+    Subdivides at declared singular points, applies the exponential
+    substitution next to them, and truncates the infinite tail with an
+    analytic remainder bound included in the error estimate.  A PV point
+    in ``[a, b]`` raises ``NonIntegrable``: integrate around it with
+    ``integrate_pv``.
     """
     if a > b:
         raise ValueError("interval endpoints must be ordered")
@@ -395,72 +384,43 @@ def integrate(f: Integrand, a: float, b: float, tol: Tolerance = Tolerance()) ->
     if math.isinf(a):
         return integrate(_reflected(f), -b, math.inf, tol)
 
-    f.validate(to_infinity=math.isinf(b))
-    budget = _Budget(tol.max_evals)
-    counted = budget.wrap(f.eval)
-
-    interior_pv = [c for c in f.pv_points if a < c < (b if not math.isinf(b) else math.inf)]
+    f.validate(a, b)
+    counter = _Counter()
+    counted = counter.wrap(f.eval)
     sing = {loc: expo for loc, expo in f.singular_points}
 
     # breakpoints partition the finite part of the interval
     finite_end = b
     if math.isinf(b):
-        candidates = [abs(a) + 1.0, 2.0]
-        candidates += [abs(loc) + 1.0 for loc in sing]
-        candidates += [abs(c) + 1.0 for c in interior_pv]
-        finite_end = max(candidates)
-
-    cuts = {a, finite_end}
-    pv_windows: list[tuple[float, float]] = []  # (center, halfwidth)
-    for c in interior_pv:
-        others = [p for p in (set(sing) | set(interior_pv) | {a, finite_end}) if p != c]
-        gap = min(abs(c - p) for p in others) if others else 1.0
-        hw = min(0.5, gap / 2.0)
-        pv_windows.append((c, hw))
-        cuts.add(c - hw)
-        cuts.add(c + hw)
-    for loc in sing:
-        if a < loc < finite_end:
-            cuts.add(loc)
-        elif loc in (a, finite_end):
-            cuts.add(loc)
-    grid = sorted(p for p in cuts if a <= p <= finite_end)
+        finite_end = max([abs(a) + 1.0, 2.0] + [abs(loc) + 1.0 for loc in sing])
+    grid = sorted({a, finite_end} | {loc for loc in sing if a <= loc <= finite_end})
 
     n_pieces = max(len(grid) + 1, 3)
     piece_abs = tol.abs_tol / n_pieces
 
     total = 0.0
     total_err = 0.0
-    pv_spans = [(c - hw, c + hw) for c, hw in pv_windows]
-
-    def in_pv_window(lo: float, hi: float) -> bool:
-        mid = 0.5 * (lo + hi)
-        return any(lo >= wlo - 1e-300 and hi <= whi + 1e-300 and wlo <= mid <= whi
-                   for wlo, whi in pv_spans)
-
     for lo, hi in zip(grid[:-1], grid[1:]):
-        if hi - lo <= 0 or in_pv_window(lo, hi):
-            continue
         lo_sing = sing.get(lo)
         hi_sing = sing.get(hi)
         width = hi - lo
         if lo_sing is not None and hi_sing is not None:
             third = width / 3.0
-            v1, e1 = _sing_adjacent(f, lo, lo_sing, +1, third, piece_abs, tol.rel_tol, budget)
+            v1, e1 = _sing_adjacent(f, lo, lo_sing, +1, third, piece_abs, tol.rel_tol, counter)
             v2, e2 = _panel(counted, lo + third, hi - third, piece_abs, tol.rel_tol)
-            v3, e3 = _sing_adjacent(f, hi, hi_sing, -1, third, piece_abs, tol.rel_tol, budget)
+            v3, e3 = _sing_adjacent(f, hi, hi_sing, -1, third, piece_abs, tol.rel_tol, counter)
             total += v1 + v2 + v3
             total_err += e1 + e2 + e3
         elif lo_sing is not None:
             half = width / 2.0
-            v1, e1 = _sing_adjacent(f, lo, lo_sing, +1, half, piece_abs, tol.rel_tol, budget)
+            v1, e1 = _sing_adjacent(f, lo, lo_sing, +1, half, piece_abs, tol.rel_tol, counter)
             v2, e2 = _panel(counted, lo + half, hi, piece_abs, tol.rel_tol)
             total += v1 + v2
             total_err += e1 + e2
         elif hi_sing is not None:
             half = width / 2.0
             v1, e1 = _panel(counted, lo, hi - half, piece_abs, tol.rel_tol)
-            v2, e2 = _sing_adjacent(f, hi, hi_sing, -1, half, piece_abs, tol.rel_tol, budget)
+            v2, e2 = _sing_adjacent(f, hi, hi_sing, -1, half, piece_abs, tol.rel_tol, counter)
             total += v1 + v2
             total_err += e1 + e2
         else:
@@ -468,65 +428,31 @@ def integrate(f: Integrand, a: float, b: float, tol: Tolerance = Tolerance()) ->
             total += v
             total_err += e
 
-    for c, hw in pv_windows:
-        r = integrate_pv(f, c, hw, tol.scaled(1.0 / n_pieces))
-        total += r.value
-        total_err += r.abs_error_estimate
-
     if math.isinf(b):
         v, e = _tail(counted, finite_end, f.tail_decay, tol.abs_tol / 4.0, tol.rel_tol)
         total += v
         total_err += e
 
-    return QuadResult(total, total_err, budget.count)
+    return QuadResult(total, total_err, counter.count)
 
 
 def integrate_pv(f: Integrand, c: float, halfwidth: float,
                  tol: Tolerance = Tolerance()) -> QuadResult:
     """Symmetric principal value around ``c`` over ``(c-halfwidth, c+halfwidth)``.
 
-    Computed as the integral of the even pairing ``f(c+h) + f(c-h)`` over
-    ``h in (0, halfwidth)``, which cancels the odd singular part exactly.
+    Computed as the integral of the declared fold ``g(h) * h**fold_exponent``
+    of ``f(c+h) + f(c-h)`` over ``h in (0, halfwidth)``, which cancels the odd
+    singular part exactly.  Without a fold at ``c`` it raises
+    ``NonIntegrable``.
     """
     if c not in f.pv_points:
         raise ValueError(f"{c} is not a declared PV point of the integrand")
-    budget = _Budget(tol.max_evals)
-
     fold = f.pv_fold.get(c)
-    if fold is not None:
-        expo, g = fold
-        if expo <= -1.0:
-            raise NonCancelling(f"declared fold exponent {expo} <= -1 at PV point {c}")
-        r = budget.wrap(g)
-        value, err = _singular_piece(r, expo, halfwidth, tol.abs_tol, tol.rel_tol)
-        return QuadResult(value, err, budget.count)
-
-    counted = budget.wrap(f.eval)
-
-    def folded(h: float) -> float:
-        return counted(c + h) + counted(c - h)
-
-    # Probe the fold to estimate its exponent and catch non-cancellation.
-    h1, h2 = 1e-3 * halfwidth, 1e-5 * halfwidth
-    g1, g2 = abs(folded(h1)), abs(folded(h2))
-    if g1 > 0 and g2 > 0:
-        slope = math.log(g2 / g1) / math.log(h2 / h1)
-    else:
-        slope = 0.0
-    if slope <= -1.0:
-        raise NonCancelling(
-            f"symmetric pairing around {c} still behaves like h^{slope:.3f}"
-        )
-    expo = min(slope, 0.0)
-    floor = max(1e-12, 4.0 * abs(c) * 2.3e-16)
-    om = 1.0 + expo
-    u0 = -math.log(halfwidth)
-    u1 = min(-math.log(floor), max(u0 + 1.0, math.log(8.0 / (tol.abs_tol * om)) / om))
-
-    def g(u: float) -> float:
-        h = math.exp(-u)
-        return folded(h) * h
-
-    value, err = _panel(g, u0, u1, tol.abs_tol, tol.rel_tol)
-    remainder = abs(folded(math.exp(-u1))) * math.exp(-u1) / om
-    return QuadResult(value, err + remainder, budget.count)
+    if fold is None:
+        raise NonIntegrable(f"PV point {c} has no declared fold")
+    expo, g = fold
+    if expo <= -1.0:
+        raise NonCancelling(f"declared fold exponent {expo} <= -1 at PV point {c}")
+    counter = _Counter()
+    value, err = _singular_piece(counter.wrap(g), expo, halfwidth, tol.abs_tol, tol.rel_tol)
+    return QuadResult(value, err, counter.count)

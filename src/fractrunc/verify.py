@@ -26,7 +26,6 @@ from . import profiles as pr
 from .quad import QuadResult, Tolerance
 
 __all__ = [
-    "Region",
     "VerificationReport",
     "NotFound",
     "GeometryViolation",
@@ -49,48 +48,6 @@ class NotFound(RuntimeError):
 
 class GeometryViolation(ValueError):
     """Geometric preconditions (e.g. ball position) fail."""
-
-
-# ---------------------------------------------------------------------------
-# sampling regions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Region:
-    """Point sampler over a region of the open half-space.
-
-    Kinds: ``halfspace_annulus`` (r_min <= |x| <= r_max), ``slab``
-    (x_N in [lo, hi]), ``exterior_ball`` (|x| >= R).  Samples are log-spaced
-    radii crossed with an angular grid, all with positive last coordinate.
-    """
-
-    kind: str
-    r_min: float = 1.0
-    r_max: float = 10.0
-    n_radii: int = 8
-    n_angles: int = 8
-
-    def sample(self, N: int, seed: int = 42) -> list[np.ndarray]:
-        rng = np.random.default_rng(seed)
-        if self.kind == "slab":
-            points = []
-            for t in np.linspace(self.r_min, self.r_max, self.n_radii):
-                x = np.zeros(N)
-                x[-1] = t
-                points.append(x)
-            return points
-        if self.kind not in ("halfspace_annulus", "exterior_ball"):
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        r_hi = self.r_max if self.kind == "halfspace_annulus" else self.r_min * 100.0
-        radii = np.geomspace(self.r_min, r_hi, self.n_radii)
-        points = []
-        for r in radii:
-            for _ in range(self.n_angles):
-                v = rng.standard_normal(N)
-                v[-1] = abs(v[-1]) + 0.1
-                v /= np.linalg.norm(v)
-                points.append(r * v)
-        return points
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +377,8 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
     construction cancels exactly).  ``in_plus``: for random full frames, the
     frame sum plus u^p stays nonpositive via the pigeonhole direction.
     """
+    if N < 2:
+        raise cn.DomainError("N must be >= 2")
     u, M, mu = pr.build_singular_supersolution(s, p, op_kind, N)
     if points is None:
         points = [0.5, 1.0, 2.0]
@@ -506,6 +465,8 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     from the ball center, which exceeds the radius whenever y_N <= -sqrt(2)r,
     so the frame sum is exactly zero and the minimal operator is nonpositive.
     """
+    if N < 2:
+        raise cn.DomainError("N must be >= 2")
     y = np.asarray(y, float)
     if y[-1] > -math.sqrt(2.0) * r:
         raise GeometryViolation("ball center must satisfy y_N <= -sqrt(2) r")

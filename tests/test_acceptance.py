@@ -25,9 +25,9 @@ def test_01_bump_identity(s, t):
         growth_alpha = 0.0
         growth_const = 1.0
 
-        def __call__(self, y):
-            arg = 1.0 - float(y[-1]) ** 2
-            return arg**s if arg > 0.0 else 0.0
+        def line(self, x, xi):
+            x_n, xi_n = float(x[-1]), float(xi[-1])
+            return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
 
         def c2_radius(self, x):
             return max(abs(1.0 - abs(float(x[-1]))) / 2.0, 1e-6)
@@ -39,8 +39,9 @@ def test_01_bump_identity(s, t):
                           for b in (-1.0, 1.0))
 
     r = op.directional_at(Bump(), np.array([0.0, t]), np.array([0.0, 1.0]),
-                          s, TOL, include_Cs=False)
-    assert r.value == pytest.approx(oc.BUMP_IDENTITY[s], rel=1e-6)
+                          s, TOL)
+    expected = cn.normalizing_constant(s) * oc.BUMP_IDENTITY[s]
+    assert r.value == pytest.approx(expected, rel=1e-6)
 
 
 # -- 2. c_{s,mu} dual representation ----------------------------------------

@@ -91,6 +91,31 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     assert err == f"error: verify {argv[1]} requires {flags}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--abs-tol", "nan", "verify", "power-identity", "--s", "0.5", "--mu", "0.3"],
+     "tolerances must be finite and positive"),
+    (["--abs-tol", "inf", "verify", "power-identity", "--s", "0.5", "--mu", "0.3"],
+     "tolerances must be finite and positive"),
+    (["verify", "singular", "--s", "0.5", "--p", "-3", "--N", "0"], "N must be >= 2"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "0"], "N must be >= 2"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "1"], "N must be >= 2"),
+    (["verify", "psi", "--kind", "growth", "--k", "0", "--s", "0.75"], "k must be >= 1"),
+], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
+        "psi-growth-k0"])
+def test_bad_input_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_constants_negative_gamma_is_null(capsys):
+    code, out, err = run(capsys, ["constants", "--s", "0.5", "--gamma", "-1"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["c_N_plus"] is None
+    assert "c_N_plus: gamma must be positive" in doc["notes"]
+
+
 def test_verify_no_root_exit_2(capsys):
     code, out, err = run(capsys, ["verify", "psi", "--kind", "decay",
                                   "--k", "1", "--s", "0.75"])

@@ -28,9 +28,9 @@ class CompactBump:
         self.growth_const = 1.0
         self.is_radial = False
 
-    def __call__(self, y):
-        arg = 1.0 - float(y[-1]) ** 2
-        return arg**self.s if arg > 0.0 else 0.0
+    def line(self, x, xi):
+        x_n, xi_n, s = float(x[-1]), float(xi[-1]), self.s
+        return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
 
     def c2_radius(self, x):
         return max(abs(1.0 - abs(float(x[-1]))) / 2.0, 1e-6)
@@ -46,8 +46,9 @@ class CompactBump:
 def test_bump_raw_identity(s, t):
     u = CompactBump(s)
     x = np.array([0.0, t])
-    r = op.directional_at(u, x, np.array([0.0, 1.0]), s, TOL, include_Cs=False)
-    assert r.value == pytest.approx(oc.BUMP_IDENTITY[s], rel=1e-8)
+    r = op.directional_at(u, x, np.array([0.0, 1.0]), s, TOL)
+    expected = cn.normalizing_constant(s) * oc.BUMP_IDENTITY[s]
+    assert r.value == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize("s,mu", [(0.25, 0.1), (0.5, 0.7), (0.75, 1.2)])

@@ -276,7 +276,7 @@ def test_power_transform_line_rejects_negative_base():
     (pr.make_v_gamma(0.6), np.array([0.2, 0.3, 0.4, 2.0]), 0.3),
 ])
 def test_radial_search_spline_in_floats(u, x, s):
-    spline = op._radial_spline(u, x, s, True, Tolerance(1e-7, 1e-6))
+    spline = op._radial_spline(u, x, s, Tolerance(1e-7, 1e-6))
     at = op._spline_at(spline)
     rng = np.random.default_rng(5)
     thetas = np.concatenate([rng.uniform(-1.2, 1.2, 20000), spline.x, -spline.x])

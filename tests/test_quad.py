@@ -1,6 +1,7 @@
 """Quadrature engine: singular pieces, principal values, infinite tails."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -72,6 +73,48 @@ def test_nonintegrable_rejected():
     f = Integrand(eval=lambda t: t**-1.5, singular_points=[(0.0, -1.5)])
     with pytest.raises(NonIntegrable):
         integrate(f, 0.0, 1.0, TOL)
+    # a PV point inside the interval or at an end needs integrate_pv, and
+    # that a fold
+    folded = Integrand(eval=lambda t: 1.0 / t, pv_points=[0.0],
+                       pv_fold={0.0: (0.0, lambda h: 0.0)})
+    for a, b in ((-1.0, 1.0), (0.0, 1.0)):
+        with pytest.raises(NonIntegrable):
+            integrate(folded, a, b, TOL)
+    bare = Integrand(eval=lambda t: 1.0 / t, pv_points=[0.0])
+    with pytest.raises(NonIntegrable):
+        integrate_pv(bare, 0.0, 1.0, TOL)
+
+
+def test_n_evals_counts_every_call():
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def f(t):
+        return abs(t - 1.0) ** -0.5 * abs(t - 3.0) ** 0.5 / (t * (1.0 + t * t) ** 2)
+
+    def near_one(side, d):  # f(1 + side*d) * d^{1/2}
+        t = 1.0 + side * d
+        return abs(t - 3.0) ** 0.5 / (t * (1.0 + t * t) ** 2)
+
+    # singular endpoint with a regular part, a directly evaluated kink at 3,
+    # an infinite tail, and a PV point at 0 with its fold
+    f_int = Integrand(eval=counted("eval", f),
+                      singular_points=[(1.0, -0.5), (3.0, 0.5)],
+                      pv_points=[0.0], tail_decay=5.0,
+                      regular_eval={1.0: counted("regular", near_one)},
+                      pv_fold={0.0: (0.0, counted("fold", lambda h: (f(h) + f(-h)) * h))})
+    r = integrate(f_int, 1.0, math.inf, TOL)
+    assert calls["eval"] > 0 and calls["regular"] > 0 and calls["fold"] == 0
+    assert r.n_evals == calls["eval"] + calls["regular"]
+    calls.clear()
+    r = integrate_pv(f_int, 0.0, 0.5, TOL)
+    assert calls["fold"] > 0 and calls["eval"] == calls["regular"] == 0
+    assert r.n_evals == calls["fold"]
 
 
 def test_error_estimate_honest():
@@ -106,8 +149,11 @@ def test_tolerance_scaling():
     s = t.scaled(0.1)
     assert s.abs_tol == pytest.approx(1e-7)
     assert s.rel_tol == pytest.approx(1e-6)
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=-1.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Tolerance(abs_tol=bad)
+        with pytest.raises(ValueError):
+            Tolerance(rel_tol=bad)
 
 
 # --- batched G10/K21 engine -------------------------------------------------

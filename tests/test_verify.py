@@ -9,21 +9,6 @@ from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
 
-def test_region_samplers():
-    ann = vf.Region("halfspace_annulus", r_min=1.0, r_max=8.0,
-                    n_radii=4, n_angles=3)
-    pts = ann.sample(3, seed=1)
-    assert len(pts) == 12
-    for x in pts:
-        assert x[-1] > 0.0
-        assert 1.0 - 1e-12 <= np.linalg.norm(x) <= 8.0 + 1e-12
-    slab = vf.Region("slab", r_min=0.5, r_max=2.0, n_radii=4)
-    for x in slab.sample(2):
-        assert 0.5 <= x[-1] <= 2.0
-    with pytest.raises(ValueError):
-        vf.Region("wedge").sample(2)
-
-
 def test_claim_verdicts():
     c = vf.ClaimResult([0.0], "t", -1.0, 0.5, "le")
     assert c.status() == "pass"
