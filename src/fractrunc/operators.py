@@ -10,14 +10,18 @@ module evaluates the directional operator on one-dimensional line sections,
 assembles frame sums, provides exact closed-form frames for radial profiles,
 and runs a heuristic (explicitly one-sided) frame search.
 
-The directional integral goes through ``quad.integrate_batch``, the batched
-adaptive G10/K21 engine: the sections are array-valued, so each round of
-bisection evaluates every open panel of every piece in one call.
+The unit of work is a *fan*: the line sections of one field through one
+point along many directions.  One engine integrates a whole fan through
+``quad.integrate_batch``, the batched adaptive G10/K21 engine: field lines
+accept a stack of directions, so each round of bisection evaluates every
+open panel of every piece of every section in one field call.
+``directional`` on a single prepared section is the fan of one;
+``directional_fan``, ``frame_sum``, the ``plus`` closed form and the
+search's objective evaluate their directions as one fan each.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -34,6 +38,7 @@ __all__ = [
     "HypothesisViolation",
     "directional",
     "directional_at",
+    "directional_fan",
     "frame_sum",
     "extremal_radial",
     "extremal_search",
@@ -45,6 +50,9 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_LOG8 = math.log(8.0)
+# finite-difference nodes 0, +-h, +-h/2 with h = delta0/8, in units of delta0
+_FD_NODES = np.array([0.0, 0.125, -0.125, 0.0625, -0.0625])
 _DEFAULT_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-9)
 
 
@@ -114,47 +122,47 @@ class Frame:
 
 
 # ---------------------------------------------------------------------------
-# directional operator on a line section
+# directional operator on a fan of line sections
 # ---------------------------------------------------------------------------
 
-def directional(section: LineSection, s: float,
-                tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
-    """Evaluate the directional operator integral on a prepared line section.
+def _integrate_fan(ev: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   sections: list[LineSection], s: float,
+                   tol: Tolerance) -> list[QuadResult]:
+    """The directional operator integral of every section of a fan.
 
-    Splits the kernel integral into (i) an analytic Taylor piece on
-    ``(0, delta)`` using the section's second derivative, with the remainder
-    self-estimated by comparing against the half-radius evaluation, (ii)
-    panels between discontinuities, (iii) a log-substituted far panel, and
-    (iv) an analytic tail remainder from the declared growth bound.  The
-    quadrature in (i) and in (ii) with (iii) is one ``integrate_batch`` call
-    each (rungs of (i) four at a time).
+    A fan is a list of line sections through one point; ``ev(t, rows)``
+    evaluates section ``rows`` at ``t``, the two broadcasting against each
+    other, so one call serves nodes of many sections.  The sections share
+    their value at 0.  Each integral splits into (i) an analytic Taylor
+    piece on ``(0, delta)`` using the section's second derivative, with the
+    remainder self-estimated by comparing against the half-radius
+    evaluation, (ii) panels between discontinuities, (iii) a log-substituted
+    far panel, and (iv) an analytic tail remainder from the declared growth
+    bound.  The Taylor ladders of all sections run in lockstep, four rungs
+    per open section to an ``integrate_batch`` call; then every piece of
+    (ii) and (iii) of every section goes into one call.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0,1)")
-    alpha = section.growth_alpha
-    if alpha >= 2.0 * s:
-        raise GrowthViolation(f"growth exponent {alpha} >= 2s = {2*s}")
+    for sec in sections:
+        if sec.growth_alpha >= 2.0 * s:
+            raise GrowthViolation(f"growth exponent {sec.growth_alpha} >= 2s = {2*s}")
 
-    ev = section.eval
-    u0 = float(ev(0.0))
-    n_evals = 1
+    m = len(sections)
+    all_rows = np.arange(m)
+    u0 = float(ev(0.0, 0))
+    n_evals = np.ones(m, int)
     p = 1.0 + 2.0 * s
+    expo = 2.0 - 2.0 * s
+    d2 = np.array([sec.d2 for sec in sections])
 
-    def pair(t: np.ndarray) -> np.ndarray:
-        both = ev(np.stack((t, -t)))
+    def pair(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        both = ev(np.stack((t, -t)), rows)
         return both[0] + both[1] - 2.0 * u0
 
-    def kernel(t: np.ndarray, _group: np.ndarray) -> np.ndarray:
-        return pair(t) / t**p
-
-    m = 2.0 - 2.0 * s
-    d2 = section.d2
-    # Below delta_cancel the pair loses all significant digits to rounding.
-    delta_cancel = 32.0 * math.sqrt(_EPS * (abs(u0) + 1.0) / (abs(d2) + 1e-3))
-    delta = min(section.c2_delta0 / 2.0, 1.0)
-
-    def taylor(dl: float) -> float:
-        return d2 * dl**m / m
+    def count_evals(rows: np.ndarray, n: np.ndarray) -> None:
+        # pair makes two section evals per kernel eval
+        n_evals[:] += 3 * np.bincount(rows, n, m).astype(int)
 
     # The Taylor ladder: rung k compares the analytic piece on (0, delta_k)
     # with the one on (0, delta_k/2) plus quadrature over (delta_k/2, delta_k),
@@ -163,90 +171,123 @@ def directional(section: LineSection, s: float,
     # error: deeper rungs only trade Taylor remainder for rounding noise.
     # Rungs are integrated four to a batched call, since rungs past the stop
     # are wasted work and the deep ones are the noisy, expensive ones.
-    rungs = [delta]
-    while len(rungs) < 60 and rungs[-1] / 2.0 > delta_cancel:
-        rungs.append(rungs[-1] / 2.0)
-    vq: list[float] = []
-    eq: list[float] = []
-    for k, delta in enumerate(rungs):
-        if k == len(vq):
-            tops = np.array(rungs[k:k + 4])
-            v, e, n = integrate_batch(kernel, tops / 2.0, tops, tol.abs_tol / 8.0,
-                                      tol.rel_tol)
-            vq += v.tolist()
-            eq += e.tolist()
-            n_evals += 3 * int(n.sum())  # pair makes two section evals per kernel eval
-        small_val = taylor(delta / 2.0) + vq[k]
-        taylor_err = abs(taylor(delta) - small_val)
-        if taylor_err <= tol.abs_tol / 4.0 or taylor_err <= eq[k]:
-            break
-    small_err = taylor_err + eq[k]
+    # Below delta_cancel the pair loses all significant digits to rounding.
+    delta_cancel = 32.0 * np.sqrt(_EPS * (abs(u0) + 1.0) / (np.abs(d2) + 1e-3))
+    top = np.minimum([sec.c2_delta0 / 2.0 for sec in sections], 1.0)
+    n_rungs = 1 + np.count_nonzero(
+        np.ldexp(top[:, None], -np.arange(1, 60)) > delta_cancel[:, None], axis=1)
+    next_rung = np.zeros(m, int)
+    delta, small_val, small_err = np.empty(m), np.empty(m), np.empty(m)
+    ladder_open = all_rows
+    while ladder_open.size:
+        count = np.minimum(n_rungs[ladder_open] - next_rung[ladder_open], 4)
+        rows = np.repeat(ladder_open, count)
+        offsets = np.cumsum(count) - count  # each open section's first rung in the batch
+        k = next_rung[rows] + np.arange(rows.size) - np.repeat(offsets, count)
+        tops = np.ldexp(top[rows], -k)
+        v, e, n = integrate_batch(lambda t, g: pair(t, rows[g]) / t**p, tops / 2.0, tops,
+                                  tol.abs_tol / 8.0, tol.rel_tol)
+        count_evals(rows, n)
+        val = d2[rows] * (tops / 2.0) ** expo / expo + v
+        err = np.abs(d2[rows] * tops**expo / expo - val)
+        stop = (err <= tol.abs_tol / 4.0) | (err <= e) | (k == n_rungs[rows] - 1)
+        first = np.minimum.reduceat(np.where(stop, np.arange(rows.size), rows.size), offsets)
+        done = first < rows.size
+        pick = first[done]
+        rung_done = ladder_open[done]
+        delta[rung_done], small_val[rung_done] = tops[pick], val[pick]
+        small_err[rung_done] = err[pick] + e[pick]
+        next_rung[ladder_open] += count
+        ladder_open = ladder_open[~done]
 
     # pieces between discontinuity radii, each on a quintic smoothstep map of
     # (0, 1): algebraic kinks |t - endpoint|^kappa become C^2-or-better, so
     # the rule converges at full rate even for Hoelder-rough sections
-    bps = sorted({abs(t) for t in section.discontinuities if abs(t) > delta})
-    core_end = max(1.0, 2.0 * delta, (bps[-1] + 1.0) if bps else 1.0)
-    cuts = [delta] + [b for b in bps if b < core_end] + [core_end]
-    n_pieces = len(cuts)
-    starts = np.array(cuts[:-1])
-    lengths = np.diff(cuts)
-    n_core = starts.size
+    cuts = []
+    for sec, dl in zip(sections, delta.tolist()):
+        bps = sorted({abs(t) for t in sec.discontinuities if abs(t) > dl})
+        end = max(1.0, 2.0 * dl, (bps[-1] + 1.0) if bps else 1.0)
+        cuts.append([dl] + [b for b in bps if b < end] + [end])
+    sizes = np.array([len(c) for c in cuts])
+    flat = np.array([c for cut in cuts for c in cut])
+    last = np.cumsum(sizes) - 1
+    core_end = flat[last]
+    firsts = np.delete(np.arange(flat.size), last)
+    core_rows = np.repeat(all_rows, sizes - 1)
 
-    # growth coefficient estimate for tail truncation
-    if section.growth_const is not None:
-        c_grow = section.growth_const
-    else:
-        probes = np.array([core_end, 3.0 * core_end, 9.0 * core_end])
-        c_grow = float(np.max(np.max(np.abs(ev(np.stack((probes, -probes)))), axis=0)
-                              / (1.0 + probes) ** alpha))
-        n_evals += 6
+    # growth coefficients for tail truncation: declared, or probed in one call
+    alpha = np.array([sec.growth_alpha for sec in sections])
+    c_grow = np.array([sec.growth_const or 0.0 for sec in sections])
+    probed = np.flatnonzero([sec.growth_const is None for sec in sections])
+    if probed.size:
+        probes = core_end[probed, None] * np.array([1.0, 3.0, 9.0])
+        vals = np.abs(ev(np.stack((probes, -probes)), probed[:, None]))
+        c_grow[probed] = np.max(np.max(vals, axis=0) / (1.0 + probes) ** alpha[probed, None],
+                                axis=1)
+        n_evals[probed] += 6
 
     # Beyond T the -2*u0 part of the pair integrates exactly to
     # -u0 * T^{-2s} / s; only the growth-bounded part of the sections
-    # remains unknown and lands in the error estimate.
-    def growth_remainder(T: float) -> float:
-        if c_grow <= 0.0:
-            return 0.0
-        return 2.0 ** (1.0 + alpha) * c_grow * T ** (alpha - 2.0 * s) / (2.0 * s - alpha)
+    # remains unknown and lands in the error estimate: at most
+    # coeff * T^-decay.  T = core_end * 8^n for the least n that brings it
+    # within budget, or that reaches log T >= 550.
+    decay = 2.0 * s - alpha
+    coeff = np.where(c_grow > 0.0, 2.0 ** (1.0 + alpha) * c_grow / decay, 0.0)
+    with np.errstate(divide="ignore"):
+        n_budget = np.log(coeff * core_end**-decay / (tol.abs_tol / 4.0)) / (decay * _LOG8)
+    n_range = (550.0 - np.log(core_end)) / _LOG8
+    T = core_end * 8.0 ** np.maximum(np.ceil(np.minimum(n_budget, n_range)), 0.0)
+    far = np.flatnonzero(T > core_end)
 
-    target = tol.abs_tol / 4.0
-    T = core_end
-    while growth_remainder(T) > target and math.log(T) < 550.0:
-        T *= 8.0
+    # Integral g < n_core is a core piece of section rows[g] in the
+    # smoothstep variable z; the rest are far panels in w = log t.
+    n_core = core_rows.size
+    rows = np.concatenate((core_rows, far))
+    start = flat[firsts]
+    length = flat[firsts + 1] - start
 
-    # Integral g < n_core is core piece g in the smoothstep variable z; the
-    # last one, if T > core_end, is the far panel in w = log t.
     def pieces(z: np.ndarray, group: np.ndarray) -> np.ndarray:
         core = group < n_core
         g = np.minimum(group, n_core - 1)
         w = z * z * z * (10.0 + z * (-15.0 + 6.0 * z))
         dw = 30.0 * z * z * (1.0 - z) * (1.0 - z)
-        t = np.where(core, starts[g] + lengths[g] * w, np.exp(z))
+        t = np.where(core, start[g] + length[g] * w, np.exp(z))
         # far out (|t| > 1e154) squared norms overflow to inf, where the
         # sections take their limits
         with np.errstate(over="ignore"):
-            k = pair(t)
+            k = pair(t, rows[group])
         # t**p overflows on the far panel; there each branch gets safe input
-        return np.where(core, k / np.where(core, t, 1.0) ** p * lengths[g] * dw,
+        return np.where(core, k / np.where(core, t, 1.0) ** p * length[g] * dw,
                         k * t ** (-2.0 * s))
 
-    lo, hi = np.zeros(n_core), np.ones(n_core)
-    abs_tols = np.full(n_core, tol.abs_tol / (4.0 * n_pieces))
-    if T > core_end:
-        lo = np.append(lo, math.log(core_end))
-        hi = np.append(hi, math.log(T))
-        abs_tols = np.append(abs_tols, tol.abs_tol / 4.0)
-    v, e, n = integrate_batch(pieces, lo, hi, abs_tols, tol.rel_tol)
-    n_evals += 3 * int(n.sum())
-    core_val = sum(v[:n_core].tolist())
-    core_err = sum(e[:n_core].tolist())
-    tail_val = -u0 * T ** (-2.0 * s) / s + sum(v[n_core:].tolist())
-    tail_err = growth_remainder(T) + sum(e[n_core:].tolist())
+    abs_tols = np.concatenate((tol.abs_tol / (4.0 * sizes[core_rows]),
+                               np.full(far.size, tol.abs_tol / 4.0)))
+    v, e, n = integrate_batch(pieces, np.concatenate((np.zeros(n_core), np.log(core_end[far]))),
+                              np.concatenate((np.ones(n_core), np.log(T[far]))), abs_tols,
+                              tol.rel_tol)
+    count_evals(rows, n)
+    far_val, far_err = np.zeros(m), np.zeros(m)
+    far_val[far], far_err[far] = v[n_core:], e[n_core:]
+    # bincount adds up each section's core pieces in their order
+    value = (small_val + np.bincount(core_rows, v[:n_core], m)
+             + (-u0 * T ** (-2.0 * s) / s + far_val))
+    err = (small_err + np.bincount(core_rows, e[:n_core], m)
+           + (coeff * T**-decay + far_err)
+           + np.array([sec.extra_abs_error for sec in sections]))
+    Cs = normalizing_constant(s)
+    return [QuadResult(a, b, c).scale(Cs)
+            for a, b, c in zip(value.tolist(), err.tolist(), n_evals.tolist())]
 
-    value = small_val + core_val + tail_val
-    err = small_err + core_err + tail_err + section.extra_abs_error
-    return QuadResult(value, err, n_evals).scale(normalizing_constant(s))
+
+def directional(section: LineSection, s: float,
+                tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
+    """Evaluate the directional operator integral on a prepared line section.
+
+    The fan of one: the engine of ``directional_fan`` on a single section,
+    with a Taylor piece near 0, core panels between discontinuities, a far
+    panel and an analytic tail remainder.
+    """
+    return _integrate_fan(lambda t, rows: section.eval(t), [section], s, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +297,9 @@ def directional(section: LineSection, s: float,
 # A *field* is any object with:
 #   line(x, xi) -> Callable[[ndarray], ndarray]
 #                                           the section tau -> u(x + tau*xi),
-#                                           elementwise on an array of tau
+#                                           elementwise on an array of tau;
+#                                           xi of shape (..., N) is a fan of
+#                                           directions, broadcasting against tau
 #   c2_radius(x: ndarray) -> float          radius of C^2 ball around x
 #   breakpoints(x, xi) -> list[float]       tau of every non-C^2 crossing
 #   growth_alpha: float                     (H2)-type growth exponent
@@ -265,46 +308,65 @@ def directional(section: LineSection, s: float,
 #   extra_abs_error(x) -> float             evaluation-truncation error
 #   d2_along(x, xi) -> float                analytic second derivative
 #
-# ``line`` does the field's vector work once per direction, so the
-# quadrature evaluates a whole batch of nodes in one numpy pass.
+# ``breakpoints`` and ``d2_along`` take one direction of shape (N,).
+# ``line`` does the field's vector work once per call, so the quadrature
+# evaluates a whole batch of nodes, of one section or of a whole fan, in
+# one numpy pass.
+
+def _unit(xi: np.ndarray) -> np.ndarray:
+    """``xi`` scaled to unit length, unchanged when it already is unit."""
+    xi = np.asarray(xi, float)
+    nrm = float(np.linalg.norm(xi))
+    return xi / nrm if abs(nrm - 1.0) > 1e-12 else xi
+
+
+def _fan_sections(u, x: np.ndarray, dirs: np.ndarray,
+                  ev: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[LineSection]:
+    """The line sections of a field through ``x`` along each unit row of ``dirs``.
+
+    ``ev(t, rows)`` evaluates them as ``_integrate_fan`` does.  The C^2
+    radius and the truncation error depend on ``x`` alone and are read once;
+    without ``d2_along`` the second derivatives of all sections come from
+    one call of finite differences.
+    """
+    c2 = float(u.c2_radius(x))
+    bps = [sorted(float(t) for t in u.breakpoints(x, xi)) for xi in dirs]
+    delta0 = [min([c2] + [abs(t) for t in b]) for b in bps]
+
+    d2_fn = getattr(u, "d2_along", None)
+    if d2_fn is not None:
+        d2 = [float(d2_fn(x, xi)) for xi in dirs]
+    else:
+        nodes = np.multiply.outer(delta0, _FD_NODES)
+        d2 = []
+        for (_, h, _, h2, _), (u0, up, um, up2, um2) in zip(
+                nodes.tolist(), ev(nodes, np.arange(len(dirs))[:, None]).tolist()):
+            coarse = (up + um - 2.0 * u0) / (h * h)
+            fine = (up2 + um2 - 2.0 * u0) / (h2 * h2)
+            d2.append((4.0 * fine - coarse) / 3.0)
+
+    extra_fn = getattr(u, "extra_abs_error", None)
+    extra = float(extra_fn(x)) if extra_fn is not None else 0.0
+    return [
+        LineSection(
+            eval=lambda t, j=j: ev(t, j),
+            c2_delta0=delta0[j],
+            d2=d2[j],
+            discontinuities=bps[j],
+            growth_alpha=float(u.growth_alpha),
+            growth_const=getattr(u, "growth_const", None),
+            extra_abs_error=extra,
+        )
+        for j in range(len(dirs))
+    ]
+
 
 def make_section(u, x: np.ndarray, xi: np.ndarray) -> LineSection:
     """Build the line section of a field through ``x`` along unit ``xi``."""
     x = np.asarray(x, float)
-    xi = np.asarray(xi, float)
-    nrm = float(np.linalg.norm(xi))
-    if abs(nrm - 1.0) > 1e-12:
-        xi = xi / nrm
-
-    ev = u.line(x, xi)
-    bps = sorted(float(t) for t in u.breakpoints(x, xi))
-    delta0 = float(u.c2_radius(x))
-    if bps:
-        nearest = min(abs(t) for t in bps)
-        delta0 = min(delta0, nearest)
-
-    d2_fn = getattr(u, "d2_along", None)
-    if d2_fn is not None:
-        d2 = float(d2_fn(x, xi))
-    else:
-        h = delta0 / 8.0
-        h2 = h / 2.0
-        u0, up, um, up2, um2 = ev(np.array([0.0, h, -h, h2, -h2])).tolist()
-        coarse = (up + um - 2.0 * u0) / (h * h)
-        fine = (up2 + um2 - 2.0 * u0) / (h2 * h2)
-        d2 = (4.0 * fine - coarse) / 3.0
-
-    extra_fn = getattr(u, "extra_abs_error", None)
-    extra = float(extra_fn(x)) if extra_fn is not None else 0.0
-    return LineSection(
-        eval=ev,
-        c2_delta0=delta0,
-        d2=d2,
-        discontinuities=bps,
-        growth_alpha=float(u.growth_alpha),
-        growth_const=getattr(u, "growth_const", None),
-        extra_abs_error=extra,
-    )
+    xi = _unit(xi)
+    line = u.line(x, xi)
+    return _fan_sections(u, x, xi[None], lambda t, rows: line(t))[0]
 
 
 def directional_at(u, x: np.ndarray, xi: np.ndarray, s: float,
@@ -313,12 +375,28 @@ def directional_at(u, x: np.ndarray, xi: np.ndarray, s: float,
     return directional(make_section(u, x, xi), s, tol)
 
 
+def directional_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
+                    tol: Tolerance = _DEFAULT_TOL) -> list[QuadResult]:
+    """Directional operator of a field at one point along each row of ``directions``.
+
+    The whole fan is one batched quadrature: each round evaluates the nodes
+    of every section in one field call.  Direction by direction the result
+    is that of ``directional_at``.
+    """
+    x = np.asarray(x, float)
+    dirs = np.array([_unit(xi) for xi in np.asarray(directions, float).reshape(-1, x.size)])
+
+    def ev(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return u.line(x, dirs[rows])(t)
+    return _integrate_fan(ev, _fan_sections(u, x, dirs, ev), s, tol)
+
+
 def frame_sum(u, x: np.ndarray, frame: Frame, s: float,
               tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
     """Sum of directional operators over the vectors of a frame."""
     total = QuadResult(0.0, 0.0, 0)
-    for xi in frame.vectors:
-        total = total + directional_at(u, x, xi, s, tol)
+    for r in directional_fan(u, x, frame.vectors, s, tol):
+        total = total + r
     return total
 
 
@@ -396,11 +474,8 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
     xhat = x / np.linalg.norm(x)
     if variant == "plus":
         fr = completion_frame(xhat, k)
-        radial = directional_at(profile, x, fr.vectors[0], s, tol)
-        if k == 1:
-            return radial
-        perp = directional_at(profile, x, fr.vectors[1], s, tol)
-        return radial + perp.scale(float(k - 1))
+        radial, *perp = directional_fan(profile, x, fr.vectors[:2], s, tol)
+        return radial + perp[0].scale(float(k - 1)) if perp else radial
     if variant == "minus_full":
         if k != N:
             raise HypothesisViolation("variant minus_full requires k = N")
@@ -417,8 +492,8 @@ def _radial_spline(u, x: np.ndarray, s: float, tol: Tolerance):
     """Cubic spline of the directional value in |<xhat, xi>| on [0, 1].
 
     For radial fields the section through x along xi depends only on |x| and
-    the absolute cosine with the radial direction, so one 1-D table serves
-    every frame during the search.
+    the absolute cosine with the radial direction, so one 1-D table, built
+    from one fan of 65 directions, serves every frame during the search.
     """
     from scipy.interpolate import CubicSpline
 
@@ -428,35 +503,36 @@ def _radial_spline(u, x: np.ndarray, s: float, tol: Tolerance):
     # any unit vector orthogonal to xhat
     perp = completion_frame(xhat, min(2, N)).vectors[-1] if N > 1 else xhat
     thetas = np.linspace(0.0, 1.0, 65)
-    vals = []
-    for th in thetas:
-        xi = th * xhat + math.sqrt(max(0.0, 1.0 - th * th)) * perp
-        xi = xi / np.linalg.norm(xi)
-        vals.append(directional_at(u, x, xi, s, tol).value)
-    return CubicSpline(thetas, np.asarray(vals))
+    xis = thetas[:, None] * xhat + np.sqrt(np.maximum(0.0, 1.0 - thetas**2))[:, None] * perp
+    xis /= np.linalg.norm(xis, axis=1, keepdims=True)
+    return CubicSpline(thetas, [r.value for r in directional_fan(u, x, xis, s, tol)])
 
 
-def _spline_at(spline) -> Callable[[float], float]:
-    """theta -> spline(min(|theta|, 1)) in plain floats.
+def _search_objective(u, x: np.ndarray, s: float, k: int,
+                      tol: Tolerance) -> Callable[[np.ndarray], np.ndarray]:
+    """The search objective: a stack of frames ``(m, k, N)`` -> their frame sums ``(m,)``.
 
-    The interval's power-form coefficients are summed in scipy's order,
-    ``c3 + c2*dx + c1*dx^2 + c0*dx^3`` with the powers built by successive
-    multiplication, so the value equals ``spline(theta)`` bit for bit
-    (Horner's order would not) without a scipy call per angle.
+    Radial fields read the sums off the ``_radial_spline`` table; other
+    fields evaluate all ``m*k`` directions as one fan.
     """
-    knots = spline.x.tolist()
-    coeffs = spline.c.T.tolist()
-    last = len(coeffs) - 1
+    N = x.size
+    if getattr(u, "is_radial", False):
+        xhat = x / np.linalg.norm(x)
+        spline = _radial_spline(u, x, s, tol)
+        return lambda frames: spline(np.minimum(np.abs(frames @ xhat), 1.0)).sum(axis=1)
 
-    def at(theta: float) -> float:
-        th = min(abs(theta), 1.0)
-        i = min(max(bisect.bisect_right(knots, th) - 1, 0), last)
-        c0, c1, c2, c3 = coeffs[i]
-        dx = th - knots[i]
-        dx2 = dx * dx
-        return c3 + c2 * dx + c1 * dx2 + c0 * (dx2 * dx)
+    def objective(frames: np.ndarray) -> np.ndarray:
+        fan = directional_fan(u, x, frames.reshape(-1, N), s, tol)
+        return np.array([r.value for r in fan]).reshape(-1, k).sum(axis=1)
+    return objective
 
-    return at
+
+# Each zoom level evaluates _ZOOM_POINTS points across its bracket and keeps
+# two spacings around the best.  The last level's bracket is at most
+# 2*step*_ZOOM_WIDTH wide, the final bracket of 24 golden-section steps from a
+# bracket of two grid steps, so the angle is found at least that precisely.
+_ZOOM_POINTS = 9
+_ZOOM_WIDTH = ((math.sqrt(5.0) - 1.0) / 2.0) ** 24
 
 
 def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
@@ -467,94 +543,92 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
 
     Random orthonormal restarts followed by coordinate descent over Givens
     rotation angles (within the frame's span and against its orthogonal
-    complement).  The result is one-sided by construction: an upper bound
-    for the inf (``minus``) and a lower bound for the sup (``plus``).
+    complement).  Each rotation first tries ``angle_grid`` angles over
+    [0, pi), then zooms in on the best: every level evaluates a grid across
+    the bracket and keeps two spacings around its best point.  The restarts
+    descend in lockstep, so each grid of all of them is one batched
+    objective call over a stack of frames.  The result is one-sided by
+    construction: an upper bound for the inf (``minus``) and a lower bound
+    for the sup (``plus``).
     """
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown variant {variant!r}")
     x = np.asarray(x, float)
     N = x.size
+    if not 1 <= k <= N:
+        raise ValueError(f"k must lie in 1..N = {N}")
+    if budget < 1 or sweeps < 1:
+        raise ValueError("budget and sweeps must be >= 1")
+    if angle_grid < 2:
+        raise ValueError("angle_grid must be >= 2")
     sign = 1.0 if variant == "plus" else -1.0
     rng = np.random.default_rng(seed)
     search_tol = Tolerance(max(tol.abs_tol, 1e-7), max(tol.rel_tol, 1e-6))
 
-    is_radial = getattr(u, "is_radial", False)
-    if is_radial:
-        xhat = x / np.linalg.norm(x)
-        cache = _spline_at(_radial_spline(u, x, s, search_tol))
-
-        def objective(vectors: np.ndarray) -> float:
-            return sum(cache(float(vectors[i] @ xhat)) for i in range(vectors.shape[0]))
-    else:
-        def objective(vectors: np.ndarray) -> float:
-            total = 0.0
-            for xi in vectors:
-                total += directional_at(u, x, xi, s, search_tol).value
-            return total
-
+    objective = _search_objective(u, x, s, k, search_tol)
     angles = np.linspace(0.0, math.pi, angle_grid, endpoint=False)
+    step = float(angles[1])
+    # the zoom grid without its center, whose value is known
+    offsets = np.delete(np.linspace(-0.5, 0.5, _ZOOM_POINTS), _ZOOM_POINTS // 2)
 
-    def descend(vectors: np.ndarray) -> tuple[float, np.ndarray]:
-        # full basis: frame rows first, complement after
+    def score(frames: np.ndarray) -> np.ndarray:
+        return sign * objective(frames)
+
+    # Every restart descends at once, so one objective call serves the grid
+    # of all restarts still improving.  Full bases: frame rows first, then
+    # the complement.
+    bases = np.empty((budget, N, N))
+    for r in range(budget):
+        vectors = random_frame(N, k, rng).vectors
         qfull, _ = np.linalg.qr(np.column_stack([vectors.T, np.eye(N)]))
-        basis = qfull.T.copy()
-        for i in range(k):
-            basis[i] = vectors[i]
-        best = objective(basis[:k])
-        for _ in range(sweeps):
-            improved = False
-            pairs = [(i, j) for i in range(k) for j in range(i + 1, N)]
-            for i, j in pairs:
-                vi, vj = basis[i].copy(), basis[j].copy()
+        bases[r] = qfull.T
+        bases[r, :k] = vectors
+    best = score(bases[:, :k])
+    live = np.arange(budget)
+    for _ in range(sweeps):
+        improved = np.zeros(live.size, bool)
+        for i, j in [(i, j) for i in range(k) for j in range(i + 1, N)]:
+            vi, vj = bases[live, i], bases[live, j]
+            cur = best[live]
 
-                def rotated_value(ang: float) -> float:
-                    c, sn = math.cos(ang), math.sin(ang)
-                    basis[i] = c * vi + sn * vj
-                    basis[j] = -sn * vi + c * vj
-                    return objective(basis[:k])
+            def rotated(angs: np.ndarray) -> np.ndarray:
+                """Scores of the live frames with rows i and j turned by angs[r]."""
+                c, sn = np.cos(angs)[..., None], np.sin(angs)[..., None]
+                frames = np.repeat(bases[live, None, :k], angs.shape[1], axis=1)
+                frames[:, :, i] = c * vi[:, None] + sn * vj[:, None]
+                if j < k:
+                    frames[:, :, j] = -sn * vi[:, None] + c * vj[:, None]
+                return score(frames.reshape(-1, k, N)).reshape(angs.shape)
 
-                best_angle = 0.0
-                for ang in angles[1:]:
-                    val = rotated_value(ang)
-                    if sign * (val - best) > 1e-14:
-                        best = val
-                        best_angle = ang
-                        improved = True
-                # golden-section refinement around the best grid angle
-                step = angles[1]
-                lo, hi = best_angle - step, best_angle + step
-                phi = (math.sqrt(5.0) - 1.0) / 2.0
-                a1, b1 = hi - phi * (hi - lo), lo + phi * (hi - lo)
-                f1, f2 = sign * rotated_value(a1), sign * rotated_value(b1)
-                for _ in range(24):
-                    if f1 > f2:
-                        hi, b1, f2 = b1, a1, f1
-                        a1 = hi - phi * (hi - lo)
-                        f1 = sign * rotated_value(a1)
-                    else:
-                        lo, a1, f1 = a1, b1, f2
-                        b1 = lo + phi * (hi - lo)
-                        f2 = sign * rotated_value(b1)
-                cand = 0.5 * (lo + hi)
-                val = rotated_value(cand)
-                if sign * (val - best) > 0.0:
-                    best = val
-                    best_angle = cand
-                    improved = True
-                c, sn = math.cos(best_angle), math.sin(best_angle)
-                basis[i] = c * vi + sn * vj
-                basis[j] = -sn * vi + c * vj
-            if not improved:
-                break
-        return best, basis[:k]
-
-    best_val = -sign * math.inf
-    best_vecs: Optional[np.ndarray] = None
-    for restart in range(budget):
-        start = random_frame(N, k, rng).vectors
-        val, vecs = descend(start)
-        if sign * (val - best_val) > 0.0:
-            best_val, best_vecs = val, vecs
+            best_angle = np.zeros(live.size)
+            grid_vals = rotated(np.broadcast_to(angles[1:], (live.size, angles.size - 1)))
+            for r, row in enumerate(grid_vals.tolist()):
+                for ang, val in zip(angles[1:].tolist(), row):
+                    if val - cur[r] > 1e-14:
+                        cur[r], best_angle[r], improved[r] = val, ang, True
+            # zoom around the best grid angle
+            center, center_val, width = best_angle.copy(), cur.copy(), 2.0 * step
+            every = np.arange(live.size)
+            while True:
+                grid = center[:, None] + width * offsets
+                vals = rotated(grid)
+                b = np.argmax(vals, axis=1)
+                better = vals[every, b] > center_val
+                center[better], center_val[better] = grid[every, b][better], vals[every, b][better]
+                if width <= 2.0 * step * _ZOOM_WIDTH:
+                    break
+                width *= 2.0 / (_ZOOM_POINTS - 1)
+            better = center_val - cur > 0.0
+            cur[better], best_angle[better] = center_val[better], center[better]
+            improved |= better
+            c, sn = np.cos(best_angle)[:, None], np.sin(best_angle)[:, None]
+            bases[live, i] = c * vi + sn * vj
+            bases[live, j] = -sn * vi + c * vj
+            best[live] = cur
+        live = live[improved]
+        if not live.size:
+            break
+    best_vecs = bases[int(np.argmax(best)), :k]
 
     # re-orthonormalize (Givens updates are orthogonal, this scrubs roundoff)
     q, r = np.linalg.qr(best_vecs.T)

@@ -3,8 +3,9 @@
 Every constructed function is an *evaluable field*: restrictable to lines
 (``line(x, xi)`` returns the array-valued function ``t -> u(x + t*xi)``,
 evaluated elementwise on an ndarray of any shape, which the operator module
-calls once per batch of quadrature nodes), callable on points (the line
-through the point at ``t = 0``), and carrying the metadata the
+calls once per batch of quadrature nodes; ``xi`` of shape ``(..., N)`` is a
+fan of directions through ``x``, broadcasting against ``t``), callable on
+points (the line through the point at ``t = 0``), and carrying the metadata the
 operator module needs (C^2 window radius, non-smooth crossing locations
 along a line, growth exponent).  Radial profiles are cap/tail
 constructions: a power of |x| beyond a junction radius, glued C^3 to the
@@ -92,13 +93,15 @@ class Sphere:
         return [-b - root, -b + root]
 
 
-def _components(x: np.ndarray, xi: np.ndarray) -> list[tuple[float, float]]:
-    """The pairs (x_i, xi_i) as Python floats."""
+def _components(x: np.ndarray, xi: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """The pairs (x_i, xi[..., i]): x_i a Python float, xi[..., i] an array
+    over the fan of directions (0-d for a single direction of shape (N,))."""
+    xi = np.asarray(xi, float)
     return list(zip(np.asarray(x, float).reshape(-1).tolist(),
-                    np.asarray(xi, float).reshape(-1).tolist()))
+                    (xi[..., i] for i in range(xi.shape[-1]))))
 
 
-def _squared_norm(pairs: Sequence[tuple[float, float]]) -> Callable[[np.ndarray], np.ndarray]:
+def _squared_norm(pairs: Sequence[tuple[float, np.ndarray]]) -> Callable[[np.ndarray], np.ndarray]:
     """t -> |x + t*xi|^2 over the given component pairs, summed in order."""
     def r2(t: np.ndarray) -> np.ndarray:
         acc = 0.0

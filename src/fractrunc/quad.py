@@ -200,11 +200,21 @@ _EPS = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 _ROUNDOFF_LIMIT = 6  # QUADPACK qage: six stalled bisections end an integral
 _PANEL_LIMIT = 250  # panels per integral, scipy quad's ``limit``
+_PANELS_PER_CALL = 4096  # 86k nodes: a few MB per array the integrand builds
 
 
 def _gk21(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
           hi: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """qk21 on every panel at once: values, error estimates and ``resasc``."""
+    """qk21 on every panel: values, error estimates and ``resasc``.
+
+    The integrand sees at most ``_PANELS_PER_CALL`` panels per call, which
+    bounds the memory of one call however many integrals are in the batch.
+    """
+    if lo.size > _PANELS_PER_CALL:
+        parts = [_gk21(f, lo[i:i + _PANELS_PER_CALL], hi[i:i + _PANELS_PER_CALL],
+                       group[i:i + _PANELS_PER_CALL])
+                 for i in range(0, lo.size, _PANELS_PER_CALL)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fv = f(center[:, None] + half[:, None] * GK21_NODES, group[:, None])
@@ -228,7 +238,8 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.nda
     Integral ``g`` runs over ``(a[g], b[g])``.  ``f(x, group)`` is called with
     an array of nodes of shape ``(panels, 21)`` and the integral index of each
     panel, shape ``(panels, 1)``, and returns the integrand at every node.
-    Each round evaluates every open panel in one call.  An integral is done
+    Each round evaluates every open panel in one call, or in calls of 4096
+    panels when there are more.  An integral is done
     once its summed error estimate is at most ``max(abs_tol[g],
     rel_tol*|value|)``; until then each of its panels whose error exceeds its
     width's share of that tolerance is bisected.  As in QUADPACK's QAG, an

@@ -434,8 +434,7 @@ class _BallBump(pr.Field):
         self.growth_const = r ** (2.0 * s)
 
     def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        rows = list(zip(np.asarray(x, float).tolist(), np.asarray(xi, float).tolist(),
-                        self.y.tolist()))
+        rows = [(a, b, c) for (a, b), c in zip(pr._components(x, xi), self.y.tolist())]
         r2, s = float(self.r) ** 2, float(self.s)
 
         def at(t: np.ndarray) -> np.ndarray:
@@ -467,6 +466,8 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     """
     if N < 2:
         raise cn.DomainError("N must be >= 2")
+    if not 0.0 < r < math.inf:
+        raise cn.DomainError("r must be finite and positive")
     y = np.asarray(y, float)
     if y[-1] > -math.sqrt(2.0) * r:
         raise GeometryViolation("ball center must satisfy y_N <= -sqrt(2) r")

@@ -100,8 +100,17 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     (["verify", "avoidance", "--s", "0.5", "--N", "0"], "N must be >= 2"),
     (["verify", "avoidance", "--s", "0.5", "--N", "1"], "N must be >= 2"),
     (["verify", "psi", "--kind", "growth", "--k", "0", "--s", "0.75"], "k must be >= 1"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "2", "--r", "-1"],
+     "r must be finite and positive"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "2", "--r", "0"],
+     "r must be finite and positive"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "2", "--r", "inf"],
+     "r must be finite and positive"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "2", "--r", "nan"],
+     "r must be finite and positive"),
 ], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
-        "psi-growth-k0"])
+        "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
+        "avoidance-r-nan"])
 def test_bad_input_exit_2(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""

@@ -169,6 +169,36 @@ def test_search_requires_known_variant():
         op.extremal_search(w, np.array([2.0, 0.0]), 0.5, 1, "sideways")
 
 
+@pytest.mark.parametrize("k,settings,message", [
+    (1, {"budget": 0}, "budget and sweeps"),
+    (1, {"budget": -2}, "budget and sweeps"),
+    (0, {}, "k must lie in 1..N"),
+    (3, {}, "k must lie in 1..N"),
+    (1, {"sweeps": 0}, "budget and sweeps"),
+    (1, {"angle_grid": 1}, "angle_grid"),
+])
+def test_search_rejects_bad_settings(k, settings, message):
+    w = pr.make_w_gamma(0.5)
+    with pytest.raises(ValueError, match=message):
+        op.extremal_search(w, np.array([2.0, 0.0]), 0.5, k, "plus", **settings)
+
+
+def test_search_finds_kinked_optimum():
+    # on this min-field the plus objective peaks at a kink, at xi = e_1,
+    # with slope ~7.5e-2 per radian on either side: the search must land
+    # within both error bars of the value there
+    s = 0.391
+    u, _ = pr.build_thIN_supersolution(2, s, 3.82)
+    x = np.array([-0.0469, 1.3451])
+    search_tol = Tolerance(1e-7, 1e-6)
+    kink = op.directional_at(u, x, np.array([1.0, 0.0]), s, search_tol)
+    for seed in range(4):
+        found, _ = op.extremal_search(u, x, s, 1, "plus", budget=1, seed=seed,
+                                      tol=search_tol, sweeps=1)
+        bars = found.abs_error_estimate + kink.abs_error_estimate
+        assert found.value >= kink.value - bars
+
+
 def test_commutation_residual_small():
     v = pr.make_v_gamma(0.5)
     res = op.derivative_commutation_residual(v, np.array([0.0, 2.0]),
@@ -275,3 +305,23 @@ def test_directional_matches_scipy_reference(kind, s, N):
     r = op.directional(section, s, TOL)
     ref_value, ref_err = _reference_directional(section, s, TOL)
     assert abs(r.value - ref_value) <= r.abs_error_estimate + ref_err
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("kind", sorted(PARITY_FIELDS))
+def test_fan_matches_one_call_per_direction(kind, s, N):
+    rng = np.random.default_rng(round(1000 * s) + 10 * N)
+    u = PARITY_FIELDS[kind](N)
+    x = np.r_[rng.uniform(-1.0, 1.0, N - 1), rng.uniform(0.2, 2.0)]
+    # axis directions, then directions of any length: the fan scales them
+    # to unit length as make_section does
+    directions = np.concatenate((np.eye(N), 3.0 * rng.standard_normal((4, N))))
+    fan = op.directional_fan(u, x, directions, s, TOL)
+    assert len(fan) == len(directions)
+    for xi, r in zip(directions, fan):
+        one = op.directional(op.make_section(u, x, xi), s, TOL)
+        assert r.n_evals == one.n_evals
+        bars = r.abs_error_estimate + one.abs_error_estimate
+        assert abs(r.value - one.value) <= max(1e-13 * abs(one.value), bars)
+        assert r.abs_error_estimate == pytest.approx(one.abs_error_estimate, rel=1e-13)

@@ -237,6 +237,7 @@ LINE_FIELDS = {
 @pytest.mark.parametrize("kind", sorted(LINE_FIELDS))
 def test_line_matches_pointwise_evaluation(kind, N):
     rng = np.random.default_rng(N)
+    fan_rng = np.random.default_rng(100 + N)
     u = LINE_FIELDS[kind](N, rng)
     for _ in range(4):
         x = rng.uniform(-1.0, 3.0, N)
@@ -260,6 +261,14 @@ def test_line_matches_pointwise_evaluation(kind, N):
                                                     rel=1e-15, abs=1e-300)
         assert values[:, 0] == pytest.approx([float(line(t)) for t in nodes],
                                              rel=1e-15, abs=1e-300)
+        # a fan of directions through x, one row of nodes per direction:
+        # each row equals that direction's own line
+        fan = np.array([xi] + [_unit(fan_rng, N) for _ in range(3)])
+        rows = fan_rng.uniform(-4.0, 4.0, (fan.size // N, 9))
+        fan_values = u.line(x, fan[:, None, :])(rows)
+        assert fan_values.shape == rows.shape
+        for xi_row, t_row, got in zip(fan, rows, fan_values):
+            assert got == pytest.approx(u.line(x, xi_row)(t_row), rel=1e-15, abs=1e-300)
 
 
 def test_power_transform_line_rejects_negative_base():
@@ -275,10 +284,16 @@ def test_power_transform_line_rejects_negative_base():
     (pr.make_v_minus_gamma(0.3, 0.75), np.array([1.5, 0.5]), 0.75),
     (pr.make_v_gamma(0.6), np.array([0.2, 0.3, 0.4, 2.0]), 0.3),
 ])
-def test_radial_search_spline_in_floats(u, x, s):
-    spline = op._radial_spline(u, x, s, Tolerance(1e-7, 1e-6))
-    at = op._spline_at(spline)
+def test_radial_search_objective_on_arrays(u, x, s):
+    # the objective on a stack of frames equals, frame by frame, the sum of
+    # the radial spline over the frame's vectors
+    tol = Tolerance(1e-7, 1e-6)
+    spline = op._radial_spline(u, x, s, tol)
+    xhat = x / np.linalg.norm(x)
     rng = np.random.default_rng(5)
-    thetas = np.concatenate([rng.uniform(-1.2, 1.2, 20000), spline.x, -spline.x])
-    expected = spline(np.minimum(np.abs(thetas), 1.0)).tolist()
-    assert [at(float(t)) for t in thetas] == expected
+    for k in range(1, x.size + 1):
+        objective = op._search_objective(u, x, s, k, tol)
+        frames = np.array([op.random_frame(x.size, k, rng).vectors for _ in range(50)])
+        expected = [sum(float(spline(min(abs(float(v @ xhat)), 1.0))) for v in f)
+                    for f in frames]
+        assert objective(frames).tolist() == pytest.approx(expected, rel=1e-14, abs=1e-300)

@@ -206,3 +206,26 @@ def test_integrate_batch_matches_scipy_quad():
     # the first three reach their tolerance; the noise-bound one cannot
     assert np.all(errors[:3] <= np.maximum(tols, 1e-9 * np.abs(values))[:3])
     assert errors[3] > tols[3]
+
+
+def test_integrate_batch_splits_large_rounds():
+    # more panels than one integrand call takes: every call stays within the
+    # cap, and each integral still comes out as it does alone
+    cases = BATCH_CASES[:3] * 1400
+    widest = []
+
+    def f(x, group):
+        widest.append(x.shape[0])
+        out = np.empty_like(x)
+        for g in range(3):
+            rows = group[:, 0] % 3 == g
+            out[rows] = cases[g][0](x[rows])
+        return out
+
+    a, b, tols = (np.array([c[i] for c in cases]) for i in (1, 2, 3))
+    values, errors, evals = quad.integrate_batch(f, a, b, tols, 1e-9)
+    assert max(widest) == quad._PANELS_PER_CALL < len(cases)
+    for g, (fn, lo, hi, tol) in enumerate(cases[:3]):
+        alone = quad.integrate_batch(lambda x, _: fn(x), [lo], [hi], tol, 1e-9)
+        assert np.all(evals[g::3] == alone[2][0])
+        assert values[g::3] == pytest.approx(alone[0][0], rel=1e-14, abs=1e-300)
