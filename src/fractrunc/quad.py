@@ -239,10 +239,10 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.nda
     an array of nodes of shape ``(panels, 21)`` and the integral index of each
     panel, shape ``(panels, 1)``, and returns the integrand at every node.
     Each round evaluates every open panel in one call, or in calls of 4096
-    panels when there are more.  An integral is done
-    once its summed error estimate is at most ``max(abs_tol[g],
-    rel_tol*|value|)``; until then each of its panels whose error exceeds its
-    width's share of that tolerance is bisected.  As in QUADPACK's QAG, an
+    panels when there are more.  An integral is done once its summed error
+    estimate is at most ``max(abs_tol[g], rel_tol*|value|)``; until then
+    each of its panels whose error exceeds its width's share of that
+    tolerance is bisected.  As in QUADPACK's QAG, an
     integral also closes after six bisections that leave the value unchanged
     to 1e-5 without lowering the error below 0.99 of the parent's (roundoff),
     or once it holds 250 panels.  Returns the values, error estimates

@@ -185,8 +185,8 @@ def test_search_rejects_bad_settings(k, settings, message):
 
 def test_search_finds_kinked_optimum():
     # on this min-field the plus objective peaks at a kink, at xi = e_1,
-    # with slope ~7.5e-2 per radian on either side: the search must land
-    # within both error bars of the value there
+    # falling ~5e-2 per radian on either side: the search must land within
+    # both error bars of the value there
     s = 0.391
     u, _ = pr.build_thIN_supersolution(2, s, 3.82)
     x = np.array([-0.0469, 1.3451])

@@ -264,7 +264,7 @@ def test_line_matches_pointwise_evaluation(kind, N):
         # a fan of directions through x, one row of nodes per direction:
         # each row equals that direction's own line
         fan = np.array([xi] + [_unit(fan_rng, N) for _ in range(3)])
-        rows = fan_rng.uniform(-4.0, 4.0, (fan.size // N, 9))
+        rows = fan_rng.uniform(-4.0, 4.0, (len(fan), 9))
         fan_values = u.line(x, fan[:, None, :])(rows)
         assert fan_values.shape == rows.shape
         for xi_row, t_row, got in zip(fan, rows, fan_values):
