@@ -14,8 +14,10 @@ Gegenbauer series for the shifted isotropic kernel, expm1/log1p forms
 elsewhere), so accuracy is uniform across the whole parameter range,
 including s close to 1.  A series' coefficients depend only on its
 exponent, so each constant tables them once per integrand
-(``_pow_pair_series`` / ``_iso_pair_series``) and the evaluator sums them in
-plain floats.
+(``_pow_pair_series`` / ``_iso_pair_series``) and the evaluator sums them for
+a whole array of nodes at once, with the scalar loop's term order and stop.
+Every integrand is array-valued, and each constant is one ``integrate`` or
+``integrate_pv`` call, so one batched quadrature.
 
 The kernels multiply by the negative power ``t**(-1-2s)`` instead of
 dividing by ``t**(1+2s)``: far out in the tail the weight underflows to 0
@@ -127,49 +129,81 @@ def beta_1ms_s(s: float) -> float:
 # series-stabilized kernel pieces
 # ---------------------------------------------------------------------------
 
-def _even_series(coeffs: list[float], d: float) -> float:
-    """sum_j coeffs[j] * d^(2j), stopped once a term is negligible."""
-    total = 0.0
-    term_pow = 1.0  # d^(2j)
-    for c in coeffs:
-        term = c * term_pow
-        total += term
-        term_pow *= d * d
-        if abs(term) < 1e-18 * max(abs(total), 1e-300):
-            break
-    return total
+def _even_series(coeffs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] * d^(2j) for each element of ``d``, stopped once a term is negligible.
 
-
-def _pow_pair_series(alpha: float) -> Callable[[float], float]:
-    """d -> ((1+d)^alpha + (1-d)^alpha - 2) / d^2, stable for any d in [0, 1).
-
-    Uses the even binomial series for small d where direct evaluation loses
-    all significant digits; its coefficients 2*binom(alpha, 2j) are tabled
-    once here, not per evaluation.
+    Powers and partial sums accumulate term by term in the order of the
+    scalar loop ``term_pow *= d*d; total += c*term_pow``, and each element
+    takes its partial sum at its own stop, so every value is that loop's.
+    The first 32 terms usually stop every element; only if they do not are
+    all terms summed.  Terms past an element's stop may overflow to inf or
+    nan (huge Gegenbauer coefficients times a vanishing power); they are
+    never read.
     """
-    coeffs = (2.0 * binom(alpha, 2 * np.arange(1, 80))).tolist()
+    for n in (32, coeffs.size):
+        steps = np.empty((d.size, n))
+        steps[:, 0] = 1.0
+        steps[:, 1:] = (d * d)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = coeffs[:n] * np.multiply.accumulate(steps, axis=1)
+            totals = np.add.accumulate(terms, axis=1)
+            small = np.abs(terms) < 1e-18 * np.maximum(np.abs(totals), 1e-300)
+        stopped = small.any(axis=1)
+        if stopped.all():
+            break
+    stop = np.where(stopped, small.argmax(axis=1), n - 1)
+    return totals[np.arange(d.size), stop]
 
-    def pair(d: float) -> float:
-        if d < 0.25:
-            return _even_series(coeffs, d)
-        return ((1.0 + d) ** alpha + (1.0 - d) ** alpha - 2.0) / (d * d)
+
+def _series_pair(coeffs: np.ndarray,
+                 direct: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """d -> the even series below d = 0.25, where ``direct`` loses all digits, else ``direct``.
+
+    ``direct`` runs on Python floats, one element at a time: numpy's vector
+    ``pow`` can differ from the scalar one in the last bit.
+    """
+    def pair(d: np.ndarray) -> np.ndarray:
+        d = np.asarray(d, float)
+        flat = d.ravel()
+        small = flat < 0.25
+        out = np.empty_like(flat)
+        out[small] = _even_series(coeffs, flat[small])
+        out[~small] = [direct(x) for x in flat[~small].tolist()]
+        return out.reshape(d.shape)
 
     return pair
 
 
-def _iso_pair_series(gam: float, a: float) -> Callable[[float], float]:
+def _pow_pair_series(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """d -> ((1+d)^alpha + (1-d)^alpha - 2) / d^2, stable for any d in [0, 1).
+
+    Uses the even binomial series for small d; its coefficients
+    2*binom(alpha, 2j) are tabled once here, not per evaluation.
+    """
+    return _series_pair(2.0 * binom(alpha, 2 * np.arange(1, 80)),
+                        lambda d: ((1.0 + d) ** alpha + (1.0 - d) ** alpha - 2.0) / (d * d))
+
+
+def _iso_pair_series(gam: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
     """d -> ((1+d^2+2ad)^{-g/2} + (1+d^2-2ad)^{-g/2} - 2)/d^2 via Gegenbauer series.
 
     The coefficients 2*C_{2j}^{(g/2)}(a) are tabled once here.
     """
-    coeffs = (2.0 * eval_gegenbauer(2 * np.arange(1, 120), gam / 2.0, a)).tolist()
-
-    def pair(d: float) -> float:
-        if d < 0.25:
-            return _even_series(coeffs, d)
+    def direct(d: float) -> float:
         plus = (1.0 + d * d + 2.0 * a * d) ** (-gam / 2.0)
         minus = (1.0 + d * d - 2.0 * a * d) ** (-gam / 2.0)
         return (plus + minus - 2.0) / (d * d)
+
+    return _series_pair(2.0 * eval_gegenbauer(2 * np.arange(1, 120), gam / 2.0, a), direct)
+
+
+def _perp_pair(gam: float) -> Callable[[np.ndarray], np.ndarray]:
+    """d -> 2*((1+d^2)^{-g/2} - 1)/d^2, stable at d = 0."""
+    def pair(d: np.ndarray) -> np.ndarray:
+        tiny = d < 1e-7
+        safe = np.where(tiny, 1.0, d)
+        return np.where(tiny, -gam + gam * (gam + 2.0) / 4.0 * d * d,
+                        2.0 * np.expm1(-(gam / 2.0) * np.log1p(safe * safe)) / (safe * safe))
 
     return pair
 
@@ -178,21 +212,35 @@ def _iso_pair_series(gam: float, a: float) -> Callable[[float], float]:
 # the kernel constants (all without the C_s factor)
 # ---------------------------------------------------------------------------
 
-def _pow_kernel(g: float, s: float, tol: Tolerance) -> float:
-    """PV integral of (|1+tau|^{-g} - 1)/|tau|^{1+2s} over the real line.
+def _pow_kernel(g: float, s: float, tol: Tolerance, perp: float = 0.0) -> float:
+    """PV integral over the real line of
+    (|1+tau|^{-g} - 1 + perp*((1+tau^2)^{-g/2} - 1)) / |tau|^{1+2s}.
 
-    ``hat_c_dec(gamma)`` is this kernel at g = gamma and ``hat_c_gro(gamma)``
-    minus it at g = -gamma.  PV point at 0; singularity of exponent
-    e = min(-g, 0) at tau = -1; tail decay 1 + 2s + min(g, 0).
+    ``hat_c_dec(gamma)`` is this kernel at g = gamma, ``hat_c_gro(gamma)``
+    minus it at g = -gamma, and ``c_k(gamma)`` it at g = gamma with
+    perp = k-1: the second term alone integrates to ``c_perp(gamma)``.  PV
+    point at 0, where both terms fold with exponent 1-2s; singularity of
+    exponent e = min(-g, 0) at tau = -1; tail decay 1 + 2s + min(g, 0).
     """
     e = min(-g, 0.0)
 
-    def f(t: float) -> float:
-        return (abs(1.0 + t) ** (-g) - 1.0) * abs(t) ** (-1.0 - 2.0 * s)
+    def excess(t: np.ndarray) -> np.ndarray:
+        # perp times the c_perp numerator (1+t^2)^{-g/2} - 1
+        return perp * np.expm1(-(g / 2.0) * np.log1p(t * t)) if perp else 0.0
 
-    def near_minus_one(side: int, d: float) -> float:
+    def f(t: np.ndarray) -> np.ndarray:
+        return (np.abs(1.0 + t) ** (-g) - 1.0 + excess(t)) * np.abs(t) ** (-1.0 - 2.0 * s)
+
+    def near_minus_one(side: int, d: np.ndarray) -> np.ndarray:
         # f(-1 + side*d) * d^{-e}, stable down to d = 0
-        return (d ** (-g - e) - d ** (-e)) / abs(1.0 - side * d) ** (1.0 + 2.0 * s)
+        return ((d ** (-g - e) - d ** (-e) + excess(side * d - 1.0) * d ** (-e))
+                / np.abs(1.0 - side * d) ** (1.0 + 2.0 * s))
+
+    pair, perp_pair = _pow_pair_series(-g), _perp_pair(g)
+
+    def fold(h: np.ndarray) -> np.ndarray:
+        # (f(h) + f(-h)) * h^{2s-1}; the even part of the pair
+        return pair(h) + perp * perp_pair(h) if perp else pair(h)
 
     integrand = Integrand(
         eval=f,
@@ -200,13 +248,16 @@ def _pow_kernel(g: float, s: float, tol: Tolerance) -> float:
         pv_points=[0.0],
         tail_decay=1.0 + 2.0 * s + min(g, 0.0),
         regular_eval={-1.0: near_minus_one},
-        # (f(h) + f(-h)) * h^{2s-1}; the even part of the pair
-        pv_fold={0.0: (1.0 - 2.0 * s, _pow_pair_series(-g))},
+        pv_fold={0.0: (1.0 - 2.0 * s, fold)},
     )
-    res = integrate_pv(integrand, 0.0, 0.5, tol)
-    res = res + integrate(integrand, 0.5, math.inf, tol)
-    res = res + integrate(integrand, -math.inf, -0.5, tol)
-    return res.value
+    return integrate_pv(integrand, 0.0, math.inf, tol).value
+
+
+def _check_decay(gam: float, s: float) -> None:
+    if not 0.0 < gam < 1.0:
+        raise DomainError("gamma must lie in (0,1)")
+    if not 0.0 < s < 1.0:
+        raise DomainError("s must lie in (0,1)")
 
 
 def hat_c_dec(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
@@ -215,10 +266,7 @@ def hat_c_dec(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
     Decay-case constant; gamma in (0,1).  PV point at 0, absolutely
     integrable singularity of exponent -gamma at tau = -1.
     """
-    if not 0.0 < gam < 1.0:
-        raise DomainError("gamma must lie in (0,1)")
-    if not 0.0 < s < 1.0:
-        raise DomainError("s must lie in (0,1)")
+    _check_decay(gam, s)
     return _pow_kernel(gam, s, tol)
 
 
@@ -229,30 +277,23 @@ def c_perp(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
     if not 0.0 < s < 1.0:
         raise DomainError("s must lie in (0,1)")
 
-    def f(t: float) -> float:
-        return 2.0 * math.expm1(-(gam / 2.0) * math.log1p(t * t)) * t ** (-1.0 - 2.0 * s)
+    def f(t: np.ndarray) -> np.ndarray:
+        return 2.0 * np.expm1(-(gam / 2.0) * np.log1p(t * t)) * t ** (-1.0 - 2.0 * s)
 
-    def regular0(side: int, d: float) -> float:
-        # f(d) * d^{2s-1} = 2*((1+d^2)^{-g/2}-1)/d^2, stable at 0
-        if d < 1e-7:
-            return -gam + gam * (gam + 2.0) / 4.0 * d * d
-        return 2.0 * math.expm1(-(gam / 2.0) * math.log1p(d * d)) / (d * d)
-
+    pair = _perp_pair(gam)  # f(d) * d^{2s-1}
     integrand = Integrand(
         eval=f,
         singular_points=[(0.0, 1.0 - 2.0 * s)],
         tail_decay=1.0 + 2.0 * s,
-        regular_eval={0.0: regular0},
+        regular_eval={0.0: lambda side, d: pair(d)},
     )
     return integrate(integrand, 0.0, math.inf, tol).value
 
 
 def c_k_fn(gam: float, s: float, k: int, tol: Tolerance = _DEFAULT_TOL) -> float:
-    """c_k(gamma) = hat_c_dec(gamma) + (k-1) * c_perp(gamma)."""
-    value = hat_c_dec(gam, s, tol)
-    if k > 1:
-        value += (k - 1) * c_perp(gam, s, tol)
-    return value
+    """c_k(gamma) = hat_c_dec(gamma) + (k-1) * c_perp(gamma), as one integral."""
+    _check_decay(gam, s)
+    return _pow_kernel(gam, s, tol, k - 1.0)
 
 
 def hat_c_gro(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
@@ -267,26 +308,33 @@ def hat_c_gro(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
     return -_pow_kernel(-gam, s, tol)
 
 
-def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
-    """Isotropic half-space kernel constant.
-
-    integral_0^inf ((1+t^2+2t/sqrt(N))^{-g/2} + (1+t^2-2t/sqrt(N))^{-g/2} - 2)
-    / t^{1+2s} dt.
-    """
+def _iso_parts(gam: float, s: float, N: int) -> tuple[Callable, Callable, Callable]:
+    """c_iso's kernel, its (1+t^2-2t/sqrt(N))^{-g/2} half, and its pair series."""
     if gam <= 0.0:
         raise DomainError("gamma must be positive")
     if N < 2:
         raise DomainError("N must be >= 2")
     a = 1.0 / math.sqrt(N)
 
-    def f(t: float) -> float:
-        plus = (1.0 + t * t + 2.0 * a * t) ** (-gam / 2.0)
-        minus = (1.0 + t * t - 2.0 * a * t) ** (-gam / 2.0)
-        return (plus + minus - 2.0) * t ** (-1.0 - 2.0 * s)
+    def minus(t: np.ndarray) -> np.ndarray:
+        return (1.0 + t * t - 2.0 * a * t) ** (-gam / 2.0)
 
-    pair = _iso_pair_series(gam, a)
+    def kernel(t: np.ndarray) -> np.ndarray:
+        plus = (1.0 + t * t + 2.0 * a * t) ** (-gam / 2.0)
+        return (plus + minus(t) - 2.0) * t ** (-1.0 - 2.0 * s)
+
+    return kernel, minus, _iso_pair_series(gam, a)
+
+
+def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
+    """Isotropic half-space kernel constant.
+
+    integral_0^inf ((1+t^2+2t/sqrt(N))^{-g/2} + (1+t^2-2t/sqrt(N))^{-g/2} - 2)
+    / t^{1+2s} dt.
+    """
+    kernel, _, pair = _iso_parts(gam, s, N)
     integrand = Integrand(
-        eval=f,
+        eval=kernel,
         singular_points=[(0.0, 1.0 - 2.0 * s)],
         tail_decay=1.0 + 2.0 * s,
         regular_eval={0.0: lambda side, d: pair(d)},
@@ -295,18 +343,25 @@ def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
 
 
 def c_n_plus(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
-    """N*c_iso(gamma) minus the one-sided correction integral from sqrt(N)."""
-    iso = c_iso(gam, s, N, tol)  # checks gamma > 0 and N >= 2 first
-    a = 1.0 / math.sqrt(N)
+    """N*c_iso(gamma) minus the one-sided correction integral from sqrt(N).
 
-    def f2(t: float) -> float:
-        return (1.0 + t * t - 2.0 * a * t) ** (-gam / 2.0) * t ** (-1.0 - 2.0 * s)
+    One integral over (0, inf): N times the c_iso kernel, less
+    (1+t^2-2t/sqrt(N))^{-gamma/2} / t^{1+2s} past t = sqrt(N), where the
+    integrand jumps (declared as a breakpoint).
+    """
+    kernel, minus, pair = _iso_parts(gam, s, N)
+    root = math.sqrt(N)
 
-    correction = integrate(
-        Integrand(eval=f2, tail_decay=1.0 + 2.0 * s + gam),
-        math.sqrt(N), math.inf, tol,
-    ).value
-    return N * iso - correction
+    def f(t: np.ndarray) -> np.ndarray:
+        return N * kernel(t) - np.where(t > root, minus(t) * t ** (-1.0 - 2.0 * s), 0.0)
+
+    integrand = Integrand(
+        eval=f,
+        singular_points=[(0.0, 1.0 - 2.0 * s), (root, 0.0)],
+        tail_decay=1.0 + 2.0 * s,
+        regular_eval={0.0: lambda side, d: N * pair(d)},
+    )
+    return integrate(integrand, 0.0, math.inf, tol).value
 
 
 def c_s_mu(mu: float, s: float, form: str = "primary",
@@ -322,12 +377,11 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
     if not 0.0 < mu < 2.0 * s:
         raise DomainError("mu must lie in (0, 2s)")
     if form == "primary":
-        def f(t: float) -> float:
+        def f(t: np.ndarray) -> np.ndarray:
             # (1+t)^mu t^{-1-2s} as (1+1/t)^mu t^{mu-1-2s}: (1+t)^mu alone
             # overflows far out in the tail once mu > 1
-            down = (1.0 - t) ** mu if t < 1.0 else 0.0
             return ((1.0 + 1.0 / t) ** mu * t ** (mu - 1.0 - 2.0 * s)
-                    + (down - 2.0) * t ** (-1.0 - 2.0 * s))
+                    + (np.maximum(1.0 - t, 0.0) ** mu - 2.0) * t ** (-1.0 - 2.0 * s))
 
         pair = _pow_pair_series(mu)
         integrand = Integrand(
@@ -345,19 +399,20 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
         # tail of the original representation.
         e0 = min(2.0 * s - mu, mu) - 1.0
 
-        def g(u: float) -> float:
+        def g(u: np.ndarray) -> np.ndarray:
             return (u ** (2.0 * s - mu - 1.0) - u ** (mu - 1.0)) * (1.0 - u) ** (-2.0 * s)
 
-        def regular0(side: int, d: float) -> float:
+        def regular0(side: int, d: np.ndarray) -> np.ndarray:
             return ((d ** (2.0 * s - mu - 1.0 - e0) - d ** (mu - 1.0 - e0))
                     * (1.0 - d) ** (-2.0 * s))
 
-        def regular1(side: int, d: float) -> float:
-            # g(1-d) * d^{2s-1}; numerator via expm1 keeps the cancellation exact
-            if d == 0.0:
-                return 2.0 * mu - 2.0 * s
-            return ((1.0 - d) ** (mu - 1.0)
-                    * math.expm1((2.0 * s - 2.0 * mu) * math.log1p(-d)) / d)
+        def regular1(side: int, d: np.ndarray) -> np.ndarray:
+            # g(1-d) * d^{2s-1}; numerator via expm1 keeps the cancellation
+            # exact, and its limit at d = 0 is 2mu - 2s
+            safe = np.where(d > 0.0, d, 0.5)
+            return np.where(d > 0.0, (1.0 - d) ** (mu - 1.0)
+                            * np.expm1((2.0 * s - 2.0 * mu) * np.log1p(-safe)) / safe,
+                            2.0 * mu - 2.0 * s)
 
         integrand = Integrand(
             eval=g,

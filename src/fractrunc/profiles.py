@@ -14,7 +14,6 @@ third-order Taylor cubic of the same power inside.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -46,8 +45,6 @@ __all__ = [
     "build_thIN_supersolution",
     "build_singular_supersolution",
     "power_transform",
-    "profile_to_json",
-    "profile_from_json",
 ]
 
 
@@ -189,7 +186,6 @@ class _PiecewiseG:
 class Field:
     """Base evaluable field; subclasses fill in metadata hooks."""
 
-    kind: str = "field"
     growth_alpha: float = 0.0
     growth_const: Optional[float] = None
     is_radial: bool = False
@@ -208,13 +204,8 @@ class Field:
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
         return []
 
-    def params(self) -> dict:
-        return {}
-
 
 class _ScaledField(Field):
-    kind = "scaled"
-
     def __init__(self, base: Field, factor: float) -> None:
         self.base = base
         self.factor = factor
@@ -233,13 +224,8 @@ class _ScaledField(Field):
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
         return self.base.breakpoints(x, xi)
 
-    def params(self) -> dict:
-        return {"factor": self.factor, "base": profile_to_json(self.base)}
-
 
 class _SumField(Field):
-    kind = "sum"
-
     def __init__(self, parts: Sequence[Field]) -> None:
         self.parts = list(parts)
         self.growth_alpha = max(p.growth_alpha for p in self.parts)
@@ -263,9 +249,6 @@ class _SumField(Field):
             out.extend(p.breakpoints(x, xi))
         return sorted(set(out))
 
-    def params(self) -> dict:
-        return {"parts": [profile_to_json(p) for p in self.parts]}
-
 
 # ---------------------------------------------------------------------------
 # radial profiles
@@ -274,7 +257,6 @@ class _SumField(Field):
 class RadialProfile(Field):
     """Cap/tail radial profile v(x) = g(|x|^2) with C^3 junction."""
 
-    kind = "radial"
     is_radial = True
 
     def __init__(self, gamma: float, junction_r2: float,
@@ -336,15 +318,9 @@ class RadialProfile(Field):
     def check_representation_hypotheses(self) -> None:
         self._validate()
 
-    def params(self) -> dict:
-        return {"gamma": self.gamma, "junction_r2": self.junction_r2,
-                "orientation": self.orientation}
-
 
 class RadialDerivativeField(Field):
     """Directional derivative 2<y,e> g'(|y|^2) of a radial profile."""
-
-    kind = "radial_derivative"
 
     def __init__(self, base: RadialProfile, e: np.ndarray) -> None:
         self.base = base
@@ -373,9 +349,6 @@ class RadialDerivativeField(Field):
 
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
         return self.base.breakpoints(x, xi)
-
-    def params(self) -> dict:
-        return {"base": profile_to_json(self.base), "e": list(self.e)}
 
 
 def make_w_gamma(gamma: float) -> RadialProfile:
@@ -406,13 +379,8 @@ def make_v_minus_gamma(gamma: float, s: float) -> RadialProfile:
 class PsiField(_ScaledField):
     """Subsolution candidate: -(1/gamma_lead)(D_N v_a + D_N v_b)."""
 
-    kind = "psi"
-
     def __init__(self, variant: str, k: int, s: float,
                  gamma_lead: float, gamma_second: float) -> None:
-        self.variant = variant
-        self.k = k
-        self.s = s
         self.gamma_lead = gamma_lead
         self.gamma_second = gamma_second
         if variant in ("decay", "halfint"):
@@ -426,15 +394,9 @@ class PsiField(_ScaledField):
             pieces.append(_PartialN(make_v_minus_gamma(gamma_second, s)))
         super().__init__(_SumField(pieces), -1.0 / gamma_lead)
 
-    def params(self) -> dict:
-        return {"variant": self.variant, "k": self.k, "s": self.s,
-                "gamma_lead": self.gamma_lead, "gamma_second": self.gamma_second}
-
 
 class _PartialN(RadialDerivativeField):
     """D_{x_N} of a radial profile (derivative along the last axis)."""
-
-    kind = "partial_n"
 
     def __init__(self, base: RadialProfile) -> None:
         self.base = base
@@ -450,9 +412,6 @@ class _PartialN(RadialDerivativeField):
         r = float(np.linalg.norm(x))
         rj = math.sqrt(self.base.junction_r2)
         return float(np.clip(abs(r - rj), 0.02, 1.0))
-
-    def params(self) -> dict:
-        return {"base": profile_to_json(self.base)}
 
 
 def make_psi(kind: str, k: int, s: float,
@@ -502,8 +461,6 @@ class BumpTrain(Field):
     surfaced through ``extra_abs_error``.
     """
 
-    kind = "bump_train"
-
     def __init__(self, eps: float, s: float, window: int = 400) -> None:
         if not 0.0 < eps < 0.5:
             raise ExponentOutOfRange("eps must lie in (0, 1/2)")
@@ -552,9 +509,6 @@ class BumpTrain(Field):
         dist = max(self.window - t, 1.0)
         return self.eps ** (2.0 * self.s) * dist ** (-2.0 * self.s) / self.s
 
-    def params(self) -> dict:
-        return {"eps": self.eps, "s": self.s, "window": self.window}
-
 
 class HalfSpacePowerTail(Field):
     """Cap/tail radial profile restricted to the open half-space, 0 elsewhere.
@@ -562,8 +516,6 @@ class HalfSpacePowerTail(Field):
     ``shift`` evaluates the profile at ``x + shift*e_N`` (used by the min
     composition); the vanishing region stays {x_N <= 0} of the *argument*.
     """
-
-    kind = "halfspace_power_tail"
 
     def __init__(self, gamma: float, shift: float = 0.0) -> None:
         if gamma <= 0.0:
@@ -603,14 +555,9 @@ class HalfSpacePowerTail(Field):
         out.extend(_surface_breakpoints([Sphere(1.0)], z, xi))
         return sorted(set(out))
 
-    def params(self) -> dict:
-        return {"gamma": self.gamma, "shift": self.shift}
-
 
 class PowerProfile(Field):
     """z(x) = coefficient * (x_N)_+^mu."""
-
-    kind = "singular_power"
 
     def __init__(self, mu: float, coefficient: float = 1.0) -> None:
         if mu <= 0.0:
@@ -643,14 +590,9 @@ class PowerProfile(Field):
         return (self.coefficient * self.mu * (self.mu - 1.0)
                 * float(xi[-1]) ** 2 * t ** (self.mu - 2.0))
 
-    def params(self) -> dict:
-        return {"mu": self.mu, "coefficient": self.coefficient}
-
 
 class MinField(Field):
     """Pointwise minimum of two fields (the min composition w = min{phi, z})."""
-
-    kind = "min_composition"
 
     def __init__(self, first: Field, second: Field, scale: float = 1.0) -> None:
         self.first = first
@@ -709,10 +651,6 @@ class MinField(Field):
         out.extend(self.second.breakpoints(x, xi))
         out.extend(self._crossings(np.asarray(x, float), xi))
         return sorted(set(out))
-
-    def params(self) -> dict:
-        return {"first": profile_to_json(self.first),
-                "second": profile_to_json(self.second), "scale": self.scale}
 
 
 def build_thIN_supersolution(N: int, s: float, p: float,
@@ -803,8 +741,6 @@ class TransformParams:
 class PowerTransformField(Field):
     """alpha * base^beta for a nonnegative base field."""
 
-    kind = "power_transform"
-
     def __init__(self, base: Field, tp: TransformParams) -> None:
         tp.validate()
         self.base = base
@@ -828,9 +764,6 @@ class PowerTransformField(Field):
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
         return self.base.breakpoints(x, xi)
 
-    def params(self) -> dict:
-        return {"base": profile_to_json(self.base), "p": self.tp.p, "q": self.tp.q}
-
 
 def power_transform(u: Field, p: float, q: float) -> Field:
     """v = ((p-1)/(q-1))^{1/(q-1)} * u^{(p-1)/(q-1)}.
@@ -845,43 +778,3 @@ def power_transform(u: Field, p: float, q: float) -> Field:
         return PowerProfile(u.mu * tp.beta_exp,
                             tp.alpha_coef * u.coefficient**tp.beta_exp)
     return PowerTransformField(u, tp)
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip
-# ---------------------------------------------------------------------------
-
-def profile_to_json(f: Field) -> dict:
-    return {"kind": f.kind, "params": f.params()}
-
-
-def profile_from_json(doc: dict) -> Field:
-    kind = doc["kind"]
-    p = doc.get("params", {})
-    if kind == "radial":
-        return RadialProfile(p["gamma"], p["junction_r2"], p["orientation"])
-    if kind == "partial_n":
-        return _PartialN(profile_from_json(p["base"]))
-    if kind == "radial_derivative":
-        return RadialDerivativeField(profile_from_json(p["base"]),
-                                     np.asarray(p["e"], float))
-    if kind == "sum":
-        return _SumField([profile_from_json(d) for d in p["parts"]])
-    if kind == "scaled":
-        return _ScaledField(profile_from_json(p["base"]), p["factor"])
-    if kind == "psi":
-        return PsiField(p["variant"], p["k"], p["s"], p["gamma_lead"],
-                        p["gamma_second"])
-    if kind == "bump_train":
-        return BumpTrain(p["eps"], p["s"], p["window"])
-    if kind == "halfspace_power_tail":
-        return HalfSpacePowerTail(p["gamma"], p.get("shift", 0.0))
-    if kind == "singular_power":
-        return PowerProfile(p["mu"], p.get("coefficient", 1.0))
-    if kind == "min_composition":
-        return MinField(profile_from_json(p["first"]),
-                        profile_from_json(p["second"]), p.get("scale", 1.0))
-    if kind == "power_transform":
-        return PowerTransformField(profile_from_json(p["base"]),
-                                   TransformParams(p["p"], p["q"]))
-    raise ValueError(f"unknown profile kind {kind!r}")

@@ -6,14 +6,16 @@ singular structure up front; ``integrate`` subdivides at the declared
 points, maps algebraic singularities to exponentially decaying smooth
 integrands via the substitution ``tau = c +/- exp(-u)``, and truncates
 infinite tails at an adaptively chosen point with the analytic remainder
-folded into the error estimate.  ``integrate_pv`` takes a principal value
-around a PV point through the fold the integrand declares there.
+folded into the value and the error estimate.  ``integrate_pv`` takes a
+principal value around a PV point through the fold the integrand declares
+there.
 
-``integrate_batch`` is the batched engine: adaptive bisection with
+``integrate_batch`` is the engine underneath: adaptive bisection with
 QUADPACK's G10/K21 rule over many integrals at once, each round evaluating
-every open panel in one call of a vectorised integrand.  The directional
-operator runs on it; the scalar ``integrate`` above still goes through
-scipy's ``quad``.
+every open panel in one call of a vectorised integrand.  ``integrate`` and
+``integrate_pv`` plan their pieces (plain panels, singular pieces, the tail)
+and integrate them all in one ``integrate_batch`` call; the directional
+operator calls it directly.
 
 Accuracy near a singular point ``c`` with exponent ``e`` (``f ~ C*d**e`` with
 ``d = |tau - c|``) is limited by floating-point rounding of ``c + d`` once
@@ -26,13 +28,10 @@ is exact down to arbitrarily small distances.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
-from scipy.integrate import quad as _scipy_quad
 
 __all__ = [
     "Integrand",
@@ -101,11 +100,12 @@ class QuadResult:
 
 @dataclass
 class Integrand:
-    """A scalar integrand with declared singular structure.
+    """An array-valued integrand with declared singular structure.
 
     ``singular_points`` lists ``(location, exponent)`` pairs where
     ``f(location + side*d) ~ C * d**exponent`` as ``d -> 0``; exponents must be
-    > -1 unless the location is also listed in ``pv_points``.  ``tail_decay``
+    > -1 unless the location is also listed in ``pv_points``, and exponent 0
+    declares a jump or kink as a breakpoint.  ``tail_decay``
     is an exponent ``beta`` with ``|f(tau)| <= C*tau**-beta`` for large
     ``tau``; it must exceed 1 when integration extends to +inf.
 
@@ -115,14 +115,19 @@ class Integrand:
     ``f(c+h) + f(c-h) = g(h) * h**fold_exponent`` with ``g`` bounded near 0;
     ``integrate_pv`` integrates that fold, and ``integrate`` accepts no PV
     point in its closed interval.
+
+    ``eval(t)``, each ``r(side, d)`` and each fold ``g(h)`` take an ndarray
+    and return their values elementwise.
     """
 
-    eval: Callable[[float], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     singular_points: list[tuple[float, float]] = field(default_factory=list)
     pv_points: list[float] = field(default_factory=list)
     tail_decay: float = math.inf
-    regular_eval: dict[float, Callable[[int, float], float]] = field(default_factory=dict)
-    pv_fold: dict[float, tuple[float, Callable[[float], float]]] = field(default_factory=dict)
+    regular_eval: dict[float, Callable[[int, np.ndarray], np.ndarray]] = field(
+        default_factory=dict)
+    pv_fold: dict[float, tuple[float, Callable[[np.ndarray], np.ndarray]]] = field(
+        default_factory=dict)
 
     def validate(self, a: float, b: float) -> None:
         """Raise ``NonIntegrable`` if the declarations rule out ``integrate`` on ``(a, b)``."""
@@ -143,31 +148,6 @@ class Integrand:
             raise NonIntegrable(
                 f"tail_decay {self.tail_decay} <= 1 on an infinite interval"
             )
-
-
-class _Counter:
-    """Counts the integrand evaluations of one call, probes included."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def wrap(self, f: Callable[[float], float]) -> Callable[[float], float]:
-        def counted(t: float) -> float:
-            self.count += 1
-            return f(t)
-
-        return counted
-
-
-def _panel(f: Callable[[float], float], a: float, b: float, abs_tol: float,
-           rel_tol: float) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod on a finite panel with a nested-rule error."""
-    if b <= a:
-        return 0.0, 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = _scipy_quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=250)
-    return value, err
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the 21-point Kronrod
@@ -290,10 +270,82 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.nda
     return np.bincount(group, val, n), np.bincount(group, err, n), evals
 
 
-def _singular_piece(r: Callable[[float], float], exponent: float, length: float,
-                    abs_tol: float, rel_tol: float,
-                    floor: Optional[float] = None) -> tuple[float, float]:
-    """integral_0^length r(d) * d**exponent dd  via d = exp(-u).
+_DECAY_EDGES = (1.5 ** np.arange(9) - 1.0) / (1.5**8 - 1.0)
+
+
+def _decaying(lo: float, hi: float) -> np.ndarray:
+    """Panel edges for a piece that decays exponentially from ``lo`` on.
+
+    A singular piece or a log-substituted tail spans ~30 e-folds.  From one
+    panel the batch bisected its start for four rounds; 8 panels whose
+    widths grow by half from ``lo`` usually resolve it in one round.
+    """
+    edges = lo + (hi - lo) * _DECAY_EDGES
+    edges[-1] = hi
+    return edges
+
+
+class _Plan:
+    """The pieces of one ``integrate`` or ``integrate_pv`` call.
+
+    A piece is the integral of an array-valued function over the panels
+    between its ``edges``, each panel an integral of the batch with its
+    share of the piece's absolute tolerance; ``run`` integrates every panel
+    of every piece in one ``integrate_batch`` call.  Analytic remainders go
+    to ``shift`` (added to the value) and ``slack`` (added to the error).
+    ``probe`` evaluates a function outside the batch, for a cut-off or a
+    remainder, and counts the nodes it evaluates.
+    """
+
+    def __init__(self) -> None:
+        self.fns: list[Callable[[np.ndarray], np.ndarray]] = []
+        self.starts: list[int] = []  # index of each piece's first integral
+        self.edges: list[np.ndarray] = []
+        self.tols: list[float] = []
+        self.shift = 0.0
+        self.slack = 0.0
+        self.probes = 0
+
+    def probe(self, fn: Callable[[np.ndarray], np.ndarray], t: list[float]) -> np.ndarray:
+        self.probes += len(t)
+        return fn(np.array(t))
+
+    def add(self, fn: Callable[[np.ndarray], np.ndarray], edges: list[float] | np.ndarray,
+            abs_tol: float) -> None:
+        if edges[-1] > edges[0]:
+            self.fns.append(fn)
+            self.starts.append(len(self.tols))
+            self.edges.append(np.asarray(edges, float))
+            self.tols += [abs_tol / (len(edges) - 1)] * (len(edges) - 1)
+
+    def run(self, rel_tol: float) -> QuadResult:
+        fns = self.fns
+        starts = np.array(self.starts + [len(self.tols)])
+
+        def f(x: np.ndarray, group: np.ndarray) -> np.ndarray:
+            # each piece's function on the rows of its panels, sorted together
+            order = np.argsort(group[:, 0], kind="stable")
+            bounds = np.searchsorted(group[order, 0], starts).tolist()
+            rows = x[order]
+            values = np.empty_like(rows)
+            for fn, lo, hi in zip(fns, bounds[:-1], bounds[1:]):
+                if hi > lo:
+                    values[lo:hi] = fn(rows[lo:hi])
+            out = np.empty_like(x)
+            out[order] = values
+            return out
+
+        lo = np.concatenate([e[:-1] for e in self.edges])
+        hi = np.concatenate([e[1:] for e in self.edges])
+        values, errors, evals = integrate_batch(f, lo, hi, np.array(self.tols), rel_tol)
+        return QuadResult(float(values.sum()) + self.shift,
+                          float(errors.sum()) + self.slack,
+                          int(evals.sum()) + self.probes)
+
+
+def _singular_piece(plan: _Plan, r: Callable[[np.ndarray], np.ndarray], exponent: float,
+                    length: float, abs_tol: float, floor: Optional[float] = None) -> None:
+    """Plan integral_0^length r(d) * d**exponent dd  via d = exp(-u).
 
     The transformed integrand ``r(exp(-u)) * exp(-(1+exponent)*u)`` decays
     exponentially; it is integrated up to ``u1`` and the truncation
@@ -306,60 +358,60 @@ def _singular_piece(r: Callable[[float], float], exponent: float, length: float,
     om = 1.0 + exponent
     u0 = -math.log(length)
     if floor is None:
-        probe = abs(r(min(length / 2.0, 1e-30))) + 1.0
+        probe = abs(float(plan.probe(r, [min(length / 2.0, 1e-30)])[0])) + 1.0
         u1 = max(u0 + 1.0, math.log(8.0 * probe / (abs_tol * om)) / om)
     else:
         u1 = min(-math.log(floor), max(u0 + 1.0, math.log(8.0 / (abs_tol * om)) / om))
-
-    def g(u: float) -> float:
-        return r(math.exp(-u)) * math.exp(-om * u)
-
-    value, err = _panel(g, u0, u1, abs_tol, rel_tol)
-    remainder = abs(r(math.exp(-u1))) * math.exp(-om * u1) / om
-    return value, err + remainder
+    plan.add(lambda u: r(np.exp(-u)) * np.exp(-om * u), _decaying(u0, u1), abs_tol)
+    plan.slack += abs(float(plan.probe(r, [math.exp(-u1)])[0])) * math.exp(-om * u1) / om
 
 
-def _sing_adjacent(f: Integrand, loc: float, expo: float, side: int, length: float,
-                   abs_tol: float, rel_tol: float,
-                   counter: _Counter) -> tuple[float, float]:
-    """Integrate the panel of given length touching ``loc`` from one side."""
+def _sing_adjacent(plan: _Plan, f: Integrand, loc: float, expo: float, side: int,
+                   length: float, abs_tol: float) -> None:
+    """Plan the panel of given length touching ``loc`` from one side."""
     custom = f.regular_eval.get(loc)
     if custom is not None:
-        r = counter.wrap(lambda d: custom(side, d))
-        return _singular_piece(r, expo, length, abs_tol, rel_tol)
+        _singular_piece(plan, lambda d: custom(side, d), expo, length, abs_tol)
+        return
     # Direct evaluation: keep distances above the rounding floor of loc.
-    r = counter.wrap(lambda d: f.eval(loc + side * d) * d ** (-expo))
     floor = max(1e-15, 4.0 * abs(loc) * 2.3e-16)
-    return _singular_piece(r, expo, length, abs_tol, rel_tol, floor)
+    _singular_piece(plan, lambda d: f.eval(loc + side * d) * d ** (-expo), expo, length,
+                    abs_tol, floor)
 
 
-def _tail(f_counted: Callable[[float], float], start: float, beta: float,
-          abs_tol: float, rel_tol: float) -> tuple[float, float]:
-    """integral_start^inf with |f| <= C*tau**-beta, beta > 1.
+def _tail(plan: _Plan, f: Callable[[np.ndarray], np.ndarray], start: float, beta: float,
+          abs_tol: float) -> None:
+    """Plan integral_start^inf with |f| <= C*tau**-beta, beta > 1.
 
     The truncation point is chosen so the analytic remainder
     ``C*T**(1-beta)/(beta-1)`` is at most abs_tol/4.  Past T the integrand is
     taken as ``f(T)*(tau/T)**-beta`` (beta is the exact leading exponent), so
     the signed remainder ``f(T)*T/(beta-1)`` is added to the value and its
     magnitude to the error; this matters when the floating-point range caps
-    T before the remainder is small.
+    T before the remainder is small.  Between ``start`` and T the integral
+    runs in ``u = log(tau)``.
     """
     # Probe several points: a single sample can land on a zero of f.
-    coeff = max(abs(f_counted(start * m)) * (start * m) ** beta
-                for m in (1.0, 1.7, 2.9, 5.3))
+    t = [start * m for m in (1.0, 1.7, 2.9, 5.3)]
+    coeff = float(np.max(np.abs(plan.probe(f, t)) * np.array(t) ** beta))
     if coeff == 0.0:
         coeff = abs_tol
     log_T = (math.log(4.0 * coeff / (abs_tol * (beta - 1.0)))) / (beta - 1.0)
     log_T = min(max(log_T, math.log(start) + 1.0), _LOG_HUGE)
 
-    def g(u: float) -> float:
-        t = math.exp(u)
-        return f_counted(t) * t
+    def g(u: np.ndarray) -> np.ndarray:
+        tau = np.exp(u)
+        return f(tau) * tau
 
-    value, err = _panel(g, math.log(start), log_T, abs_tol, rel_tol)
+    # the first unit of u is a panel of its own: a term decaying like
+    # tau**-30 hides inside a wider first panel (c_iso at gamma ~ 28)
+    u = math.log(start)
+    edges = np.concatenate(([u], _decaying(u + 1.0, log_T))) if log_T > u + 1.0 else [u, log_T]
+    plan.add(g, edges, abs_tol)
     T = math.exp(log_T)
-    remainder = f_counted(T) * T / (beta - 1.0)
-    return value + remainder, err + abs(remainder)
+    remainder = float(plan.probe(f, [T])[0]) * T / (beta - 1.0)
+    plan.shift += remainder
+    plan.slack += abs(remainder)
 
 
 def _reflected(f: Integrand) -> Integrand:
@@ -378,83 +430,74 @@ def _reflected(f: Integrand) -> Integrand:
     )
 
 
+def _plan_interval(plan: _Plan, f: Integrand, a: float, b: float, abs_tol: float) -> None:
+    """Plan integral_a^b f for finite ``a`` and ``b`` finite or +inf.
+
+    Breakpoints at the declared singular points split the finite part into
+    panels, each piece of which gets ``abs_tol / max(panels + 2, 3)``; a
+    singular end takes half of its panel (a third when both ends are
+    singular) through ``d = exp(-u)``, and an infinite tail gets
+    ``abs_tol / 4``.
+    """
+    f.validate(a, b)
+    sing = {loc: expo for loc, expo in f.singular_points}
+    finite_end = b
+    if math.isinf(b):
+        finite_end = max([abs(a) + 1.0, 2.0] + [abs(loc) + 1.0 for loc in sing])
+    grid = sorted({a, finite_end} | {loc for loc in sing if a <= loc <= finite_end})
+    piece_abs = abs_tol / max(len(grid) + 1, 3)
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        lo_sing, hi_sing = sing.get(lo), sing.get(hi)
+        cut = (hi - lo) / (3.0 if lo_sing is not None and hi_sing is not None else 2.0)
+        if lo_sing is not None:
+            _sing_adjacent(plan, f, lo, lo_sing, +1, cut, piece_abs)
+            lo += cut
+        if hi_sing is not None:
+            _sing_adjacent(plan, f, hi, hi_sing, -1, cut, piece_abs)
+            hi -= cut
+        plan.add(f.eval, [lo, hi], piece_abs)
+    if math.isinf(b):
+        _tail(plan, f.eval, finite_end, f.tail_decay, abs_tol / 4.0)
+
+
 def integrate(f: Integrand, a: float, b: float, tol: Tolerance = Tolerance()) -> QuadResult:
     """Integrate ``f`` over ``(a, b)``; ``b`` may be +inf, ``a`` may be -inf.
 
     Subdivides at declared singular points, applies the exponential
     substitution next to them, and truncates the infinite tail with an
-    analytic remainder bound included in the error estimate.  A PV point
-    in ``[a, b]`` raises ``NonIntegrable``: integrate around it with
-    ``integrate_pv``.
+    analytic remainder bound included in the error estimate; every piece
+    goes into one ``integrate_batch`` call.  Over the whole line each half
+    gets half of ``tol.abs_tol``.  A PV point in ``[a, b]`` raises
+    ``NonIntegrable``: integrate around it with ``integrate_pv``.
     """
     if a > b:
         raise ValueError("interval endpoints must be ordered")
-    if math.isinf(a) and math.isinf(b):
-        mid = 0.0
-        return integrate(f, a, mid, tol.scaled(0.5)) + integrate(f, mid, b, tol.scaled(0.5))
-    if math.isinf(a):
-        return integrate(_reflected(f), -b, math.inf, tol)
-
-    f.validate(a, b)
-    counter = _Counter()
-    counted = counter.wrap(f.eval)
-    sing = {loc: expo for loc, expo in f.singular_points}
-
-    # breakpoints partition the finite part of the interval
-    finite_end = b
-    if math.isinf(b):
-        finite_end = max([abs(a) + 1.0, 2.0] + [abs(loc) + 1.0 for loc in sing])
-    grid = sorted({a, finite_end} | {loc for loc in sing if a <= loc <= finite_end})
-
-    n_pieces = max(len(grid) + 1, 3)
-    piece_abs = tol.abs_tol / n_pieces
-
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        lo_sing = sing.get(lo)
-        hi_sing = sing.get(hi)
-        width = hi - lo
-        if lo_sing is not None and hi_sing is not None:
-            third = width / 3.0
-            v1, e1 = _sing_adjacent(f, lo, lo_sing, +1, third, piece_abs, tol.rel_tol, counter)
-            v2, e2 = _panel(counted, lo + third, hi - third, piece_abs, tol.rel_tol)
-            v3, e3 = _sing_adjacent(f, hi, hi_sing, -1, third, piece_abs, tol.rel_tol, counter)
-            total += v1 + v2 + v3
-            total_err += e1 + e2 + e3
-        elif lo_sing is not None:
-            half = width / 2.0
-            v1, e1 = _sing_adjacent(f, lo, lo_sing, +1, half, piece_abs, tol.rel_tol, counter)
-            v2, e2 = _panel(counted, lo + half, hi, piece_abs, tol.rel_tol)
-            total += v1 + v2
-            total_err += e1 + e2
-        elif hi_sing is not None:
-            half = width / 2.0
-            v1, e1 = _panel(counted, lo, hi - half, piece_abs, tol.rel_tol)
-            v2, e2 = _sing_adjacent(f, hi, hi_sing, -1, half, piece_abs, tol.rel_tol, counter)
-            total += v1 + v2
-            total_err += e1 + e2
+    plan = _Plan()
+    # tails run out to tau ~ e^690, where squares overflow to inf
+    with np.errstate(over="ignore"):
+        if math.isinf(a) and math.isinf(b):
+            _plan_interval(plan, _reflected(f), 0.0, math.inf, tol.abs_tol / 2.0)
+            _plan_interval(plan, f, 0.0, math.inf, tol.abs_tol / 2.0)
+        elif math.isinf(a):
+            _plan_interval(plan, _reflected(f), -b, math.inf, tol.abs_tol)
         else:
-            v, e = _panel(counted, lo, hi, piece_abs, tol.rel_tol)
-            total += v
-            total_err += e
-
-    if math.isinf(b):
-        v, e = _tail(counted, finite_end, f.tail_decay, tol.abs_tol / 4.0, tol.rel_tol)
-        total += v
-        total_err += e
-
-    return QuadResult(total, total_err, counter.count)
+            _plan_interval(plan, f, a, b, tol.abs_tol)
+        return plan.run(tol.rel_tol)
 
 
 def integrate_pv(f: Integrand, c: float, halfwidth: float,
                  tol: Tolerance = Tolerance()) -> QuadResult:
     """Symmetric principal value around ``c`` over ``(c-halfwidth, c+halfwidth)``.
 
-    Computed as the integral of the declared fold ``g(h) * h**fold_exponent``
-    of ``f(c+h) + f(c-h)`` over ``h in (0, halfwidth)``, which cancels the odd
-    singular part exactly.  Without a fold at ``c`` it raises
-    ``NonIntegrable``.
+    The declared fold ``g(h) * h**fold_exponent`` of ``f(c+h) + f(c-h)``,
+    which cancels the odd singular part exactly, is integrated over
+    ``h in (0, w)``: ``w`` is ``halfwidth`` or, if that is less, half the
+    distance from ``c`` to the nearest other declared singular or PV point
+    (1 when there is none).  Beyond ``w`` the two outer sides
+    ``(c+w, c+halfwidth)`` and ``(c-halfwidth, c-w)`` are integrated as
+    ``integrate`` integrates them, in the same ``integrate_batch`` call;
+    ``halfwidth = inf`` gives the principal value over the whole line.
+    Without a fold at ``c`` it raises ``NonIntegrable``.
     """
     if c not in f.pv_points:
         raise ValueError(f"{c} is not a declared PV point of the integrand")
@@ -464,6 +507,13 @@ def integrate_pv(f: Integrand, c: float, halfwidth: float,
     expo, g = fold
     if expo <= -1.0:
         raise NonCancelling(f"declared fold exponent {expo} <= -1 at PV point {c}")
-    counter = _Counter()
-    value, err = _singular_piece(counter.wrap(g), expo, halfwidth, tol.abs_tol, tol.rel_tol)
-    return QuadResult(value, err, counter.count)
+    others = [abs(loc - c) for loc in [loc for loc, _ in f.singular_points] + f.pv_points
+              if loc != c]
+    w = min(halfwidth, min(others, default=2.0) / 2.0)
+    plan = _Plan()
+    with np.errstate(over="ignore"):
+        _singular_piece(plan, g, expo, w, tol.abs_tol)
+        if halfwidth > w:
+            _plan_interval(plan, f, c + w, c + halfwidth, tol.abs_tol)
+            _plan_interval(plan, _reflected(f), w - c, halfwidth - c, tol.abs_tol)
+        return plan.run(tol.rel_tol)

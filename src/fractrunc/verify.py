@@ -13,7 +13,6 @@ frame, which is exactly what the underlying constructions provide.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -196,7 +195,8 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
 
     if slab_points is None:
         case1 = [eps, 1.0 + eps, 3.0 + eps / 2.0, 5.0 + 1.5 * eps]
-        case2 = [2.0 * eps + (1.0 - 2.0 * eps) / 2.0, 4.0 + 2.0 * eps + 0.3]
+        # gap midpoints n + eps + 1/2: bump n covers [n, n + 2*eps]
+        case2 = [eps + 0.5, 4.0 + eps + 0.5]
     else:
         case1 = [t for t in slab_points if u(np.array([0.0] * (N - 1) + [t])) > 0.0]
         case2 = [t for t in slab_points if u(np.array([0.0] * (N - 1) + [t])) == 0.0]
@@ -347,15 +347,16 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
             break
     # verdict counts only claims at radii >= onset
     if onset is None:
-        effective = claims
-        verdict_claims = [ClaimResult([max(sorted_r)], "onset_exists", 1.0, 0.0, "le")]
+        # no sampled radius starts a passing run: the onset, if there is one,
+        # lies beyond the samples, where nothing was checked, so the claim
+        # (and the far-field sign with it) is undecided, not violated
+        verdict_claims = [ClaimResult([max(sorted_r)], "onset_exists", 0.0, 1.0, "le")]
     else:
-        effective = [c for c in claims
-                     if float(np.linalg.norm(np.asarray(c.point))) >= onset - 1e-9]
-        verdict_claims = effective
-    if not far_positive:
-        verdict_claims = verdict_claims + [
-            ClaimResult([max(sorted_r)], "far_field_positive", 1.0, 0.0, "le")]
+        verdict_claims = [c for c in claims
+                          if float(np.linalg.norm(np.asarray(c.point))) >= onset - 1e-9]
+        if not far_positive:
+            verdict_claims.append(
+                ClaimResult([max(sorted_r)], "far_field_positive", 1.0, 0.0, "le"))
     report = _finish("psi_subsolution",
                      {"kind": kind, "k": k, "s": s, "gamma_lead": gb,
                       "gamma_second": g2, "bound_constant": const},
@@ -423,8 +424,6 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
 
 class _BallBump(pr.Field):
     """Compactly supported bump (r^2 - |x-y|^2)_+^s inside the ball B_r(y)."""
-
-    kind = "ball_bump"
 
     def __init__(self, y: np.ndarray, r: float, s: float) -> None:
         self.y = np.asarray(y, float)

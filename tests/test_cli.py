@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import xml.dom.minidom
 
 import pytest
@@ -76,6 +78,13 @@ def test_verify_singular_small_s_passes(capsys):
     code, out, _ = run(capsys, ["verify", "singular", "--s", "0.05", "--p", "-3"])
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_verify_psi_without_onset_exit_3(capsys):
+    code, out, _ = run(capsys, ["verify", "psi", "--kind", "decay", "--k", "2",
+                                "--s", "0.06"])
+    assert code == 3
+    assert json.loads(out)["verdict"] == "inconclusive"
 
 
 @pytest.mark.parametrize("argv,flags", [
@@ -177,6 +186,17 @@ def test_config_rejects_unknown_key(tmp_path):
         cli.load_config(str(bad))
     with pytest.raises(ValueError):
         cli.Config(abs_tol=-1.0)
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # the quadrature is the package's own; scipy.integrate alone took most
+    # of the CLI's import time
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, fractrunc.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_write_atomic(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import binom, eval_gegenbauer
 
 from fractrunc import constants as cn
+from fractrunc import quad
 from fractrunc.quad import Tolerance
 
 import oracles as oc
@@ -128,6 +129,29 @@ def test_exponent_table_structure():
     plus1 = table.rows[3]
     # k=1, s=1/2: no bounded-exponent root; threshold 1/(1-s)
     assert plus1["p_star_lower"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("hat_c_dec", lambda: cn.hat_c_dec(0.4, 0.3)),
+    ("c_perp", lambda: cn.c_perp(0.4, 0.3)),
+    ("c_k_fn", lambda: cn.c_k_fn(0.4, 0.3, 3)),
+    ("hat_c_gro", lambda: cn.hat_c_gro(0.2, 0.8)),
+    ("c_iso", lambda: cn.c_iso(1.2, 0.5, 3)),
+    ("c_n_plus", lambda: cn.c_n_plus(1.5, 0.5, 3)),
+    ("c_s_mu primary", lambda: cn.c_s_mu(0.3, 0.5)),
+    ("c_s_mu alternate", lambda: cn.c_s_mu(0.3, 0.5, "alternate")),
+])
+def test_one_batched_quadrature_per_constant(name, call, monkeypatch):
+    batches = []
+    engine = quad.integrate_batch
+
+    def spy(*args):
+        batches.append(args[1].size)
+        return engine(*args)
+
+    monkeypatch.setattr(quad, "integrate_batch", spy)
+    assert math.isfinite(call())
+    assert len(batches) == 1
 
 
 def test_tighter_quadrature_stability():

@@ -174,24 +174,6 @@ def test_min_field_crossings_ignore_common_zeros():
     assert abs(r.value - old_value) <= r.abs_error_estimate + old_error
 
 
-@pytest.mark.parametrize("make", [
-    lambda: pr.make_w_gamma(0.5),
-    lambda: pr.make_v_gamma(0.6),
-    lambda: pr.make_v_minus_gamma(0.3, 0.75),
-    lambda: pr.make_psi("decay", 2, 0.5),
-    lambda: pr.BumpTrain(0.2, 0.5, window=50),
-    lambda: pr.HalfSpacePowerTail(0.7),
-    lambda: pr.PowerProfile(0.25, 3.0),
-])
-def test_json_round_trip(make):
-    f = make()
-    doc = f.to_json() if hasattr(f, "to_json") else pr.profile_to_json(f)
-    g = pr.profile_from_json(doc)
-    for t in (0.3, 1.7, 4.2):
-        x = np.array([0.1, t])
-        assert g(x) == pytest.approx(f(x), rel=1e-12, abs=1e-300)
-
-
 def test_pointwise_values_match_closed_forms():
     y = np.array([0.3, -0.4, 1.1])
     tail = pr.HalfSpacePowerTail(0.7, shift=0.8)

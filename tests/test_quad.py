@@ -16,7 +16,7 @@ TOL = Tolerance(1e-10, 1e-9)
 
 
 def test_smooth_finite():
-    f = Integrand(eval=lambda t: math.sin(t))
+    f = Integrand(eval=np.sin)
     r = integrate(f, 0.0, math.pi, TOL)
     assert abs(r.value - 2.0) <= 1e-9
     assert r.abs_error_estimate <= 1e-7
@@ -46,7 +46,7 @@ def test_infinite_tail():
 
 
 def test_gaussian_both_tails():
-    f = Integrand(eval=lambda t: math.exp(-t * t), tail_decay=8.0)
+    f = Integrand(eval=lambda t: np.exp(-t * t), tail_decay=8.0)
     r = integrate(f, -math.inf, math.inf, TOL)
     assert abs(r.value - math.sqrt(math.pi)) <= 1e-8
 
@@ -54,7 +54,7 @@ def test_gaussian_both_tails():
 def test_pv_odd_kernel_cancels():
     # PV integral of 1/t over (-1, 1) is 0
     f = Integrand(eval=lambda t: 1.0 / t, pv_points=[0.0],
-                  pv_fold={0.0: (0.0, lambda h: 0.0)})
+                  pv_fold={0.0: (0.0, np.zeros_like)})
     r = integrate_pv(f, 0.0, 1.0, TOL)
     assert abs(r.value) <= 1e-10
 
@@ -63,10 +63,49 @@ def test_pv_with_regular_part():
     # PV integral of e^t / t over (-1, 1) = 2 * sum t^{2k+1}/((2k+1)(2k+1)!)
     exact = 2.0 * sum(1.0 / ((2 * k + 1) * math.factorial(2 * k + 1))
                       for k in range(12))
-    f = Integrand(eval=lambda t: math.exp(t) / t, pv_points=[0.0],
-                  pv_fold={0.0: (0.0, lambda h: (math.exp(h) - math.exp(-h)) / h)})
+    f = Integrand(eval=lambda t: np.exp(t) / t, pv_points=[0.0],
+                  pv_fold={0.0: (0.0, lambda h: (np.exp(h) - np.exp(-h)) / h)})
     r = integrate_pv(f, 0.0, 1.0, TOL)
     assert abs(r.value - exact) <= 1e-9
+
+
+def _pv_resolvent(c):
+    """1/((t-c)(1+t^2)), PV over the whole line -pi*c/(1+c^2), with its fold at c."""
+    def fold(h):
+        return -4.0 * c / ((1.0 + (c + h) ** 2) * (1.0 + (c - h) ** 2))
+
+    return Integrand(eval=lambda t: 1.0 / ((t - c) * (1.0 + t * t)), pv_points=[c],
+                     tail_decay=3.0, pv_fold={c: (0.0, fold)})
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, -2.0])
+def test_pv_over_whole_line(c):
+    r = integrate_pv(_pv_resolvent(c), c, math.inf, TOL)
+    exact = -math.pi * c / (1.0 + c * c)
+    assert abs(r.value - exact) <= r.abs_error_estimate + 1e-10
+    assert r.abs_error_estimate <= 1e-8
+
+
+def test_one_batch_per_call(monkeypatch):
+    batches = []
+    engine = quad.integrate_batch
+
+    def spy(*args):
+        batches.append(args[1].size)
+        return engine(*args)
+
+    monkeypatch.setattr(quad, "integrate_batch", spy)
+    f = Integrand(eval=lambda t: np.abs(t - 1.0) ** -0.5 * np.exp(-t * t),
+                  singular_points=[(1.0, -0.5)], tail_decay=8.0)
+    calls = [lambda: integrate(f, 0.0, 2.0, TOL), lambda: integrate(f, 0.0, math.inf, TOL),
+             lambda: integrate(f, -math.inf, 0.5, TOL),
+             lambda: integrate(f, -math.inf, math.inf, TOL),
+             lambda: integrate_pv(_pv_resolvent(0.5), 0.5, 0.2, TOL),
+             lambda: integrate_pv(_pv_resolvent(0.5), 0.5, math.inf, TOL)]
+    for call in calls:
+        batches.clear()
+        call()
+        assert len(batches) == 1 and batches[0] > 1
 
 
 def test_nonintegrable_rejected():
@@ -86,11 +125,11 @@ def test_nonintegrable_rejected():
 
 
 def test_n_evals_counts_every_call():
-    calls = Counter()
+    nodes = Counter()
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name] += 1
+            nodes[name] += np.size(args[-1])
             return fn(*args)
         return wrapper
 
@@ -109,26 +148,26 @@ def test_n_evals_counts_every_call():
                       regular_eval={1.0: counted("regular", near_one)},
                       pv_fold={0.0: (0.0, counted("fold", lambda h: (f(h) + f(-h)) * h))})
     r = integrate(f_int, 1.0, math.inf, TOL)
-    assert calls["eval"] > 0 and calls["regular"] > 0 and calls["fold"] == 0
-    assert r.n_evals == calls["eval"] + calls["regular"]
-    calls.clear()
+    assert nodes["eval"] > 0 and nodes["regular"] > 0 and nodes["fold"] == 0
+    assert r.n_evals == nodes["eval"] + nodes["regular"]
+    nodes.clear()
     r = integrate_pv(f_int, 0.0, 0.5, TOL)
-    assert calls["fold"] > 0 and calls["eval"] == calls["regular"] == 0
-    assert r.n_evals == calls["fold"]
+    assert nodes["fold"] > 0 and nodes["eval"] == nodes["regular"] == 0
+    assert r.n_evals == nodes["fold"]
 
 
 def test_error_estimate_honest():
-    f = Integrand(eval=lambda t: t**-0.25 * math.cos(t),
+    f = Integrand(eval=lambda t: t**-0.25 * np.cos(t),
                   singular_points=[(0.0, -0.25)])
     r = integrate(f, 0.0, 1.0, TOL)
     # reference from a change of variables t = u^4 making it smooth
-    g = Integrand(eval=lambda u: 4.0 * u**2 * math.cos(u**4))
+    g = Integrand(eval=lambda u: 4.0 * u**2 * np.cos(u**4))
     ref = integrate(g, 0.0, 1.0, TOL)
     assert abs(r.value - ref.value) <= r.abs_error_estimate + 1e-10
 
 
 def test_quadresult_arithmetic():
-    f = Integrand(eval=lambda t: 1.0)
+    f = Integrand(eval=np.ones_like)
     r = integrate(f, 0.0, 1.0, TOL)
     total = r + r.scale(2.0)
     assert abs(total.value - 3.0) <= 1e-12
@@ -138,7 +177,7 @@ def test_quadresult_arithmetic():
 @settings(max_examples=25, deadline=None)
 @given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
 def test_linearity_property(a, b):
-    f = Integrand(eval=lambda t: a * t * t + b * math.exp(-t), tail_decay=math.inf)
+    f = Integrand(eval=lambda t: a * t * t + b * np.exp(-t), tail_decay=math.inf)
     r = integrate(f, 0.0, 1.0, TOL)
     exact = a / 3.0 + b * (1.0 - math.exp(-1.0))
     assert abs(r.value - exact) <= 1e-8 * (1.0 + abs(a) + abs(b))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fractrunc import profiles as pr
 from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
@@ -43,6 +44,20 @@ def test_bump_train_passes():
             "case2_u_vanishes", "case2_frame_sum_zero"} <= names
 
 
+def test_bump_train_case2_points_in_gaps():
+    # at s = 0.955 the threshold is eps = 0.4025; a case-2 point at
+    # 4 + 2*eps + 0.3 lay inside bump 5, where u does not vanish
+    r = vf.verify_bump_train(0.955, 1.5, k=2, N=4)
+    assert r.verdict == "pass"
+    for eps in np.linspace(0.01, 0.49, 25):
+        u = pr.BumpTrain(eps, 0.5, window=10)
+        case2 = vf.verify_bump_train(0.5, 2.0, eps=eps, k=1, N=2, window=10,
+                                     tol=Tolerance(1e-6, 1e-6)).residuals
+        points = [c.point[0] for c in case2 if c.claim == "case2_u_vanishes"]
+        assert len(points) == 2
+        assert all(u(np.array([0.0, t])) == 0.0 for t in points)
+
+
 def test_bump_train_requires_k_below_N():
     with pytest.raises(ValueError):
         vf.verify_bump_train(0.3, 2.0, k=2, N=2)
@@ -65,6 +80,15 @@ def test_psi_reports_onset_radius():
     assert r.verdict == "pass"
     assert r.extra["empirical_R0"] is not None
     assert r.extra["empirical_R0"] <= 320.0
+
+
+@pytest.mark.parametrize("s", [0.06, 0.09])
+def test_psi_without_onset_is_inconclusive(s):
+    # no sampled radius up to 3000 starts a passing run at these s: the
+    # onset lies beyond the samples, which is no violation
+    r = vf.verify_psi_subsolution("decay", 2, s)
+    assert r.extra["empirical_R0"] is None
+    assert r.verdict == "inconclusive"
 
 
 def test_singular_ik_minus_cancellation():
