@@ -125,10 +125,9 @@ def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def render_svg(title: str, x_label: str, y_label: str,
-               series: dict[str, list[tuple[float, float]]],
-               width: int = 640, height: int = 420) -> str:
-    """Minimal SVG 1.1 line chart: axes, one polyline per series, labels."""
-    margin = 60
+               series: dict[str, list[tuple[float, float]]]) -> str:
+    """Minimal SVG 1.1 line chart, 640 x 420: axes, one polyline per series, labels."""
+    width, height, margin = 640, 420, 60
     pts = [p for data in series.values() for p in data
            if math.isfinite(p[0]) and math.isfinite(p[1])]
     if pts:
@@ -495,9 +494,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "rel_tol": args.rel_tol})
         return args.func(args, cfg)
     except (cn.DomainError, cn.NoRootError, cn.BracketFailure,
-            vf.GeometryViolation, vf.NotFound, ValueError,
-            FileNotFoundError) as exc:
+            vf.GeometryViolation, vf.NotFound, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except OSError as exc:
+        # a --config, --out or --report path that cannot be used; a failed
+        # rename names its target second, after write_atomic's temporary file
+        path = exc.filename2 or exc.filename
+        sys.stderr.write(f"error: {exc.strerror}: {path}\n" if path else f"error: {exc}\n")
         return EXIT_USAGE
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import binom, eval_gegenbauer, gamma
 
 from .quad import Integrand, Tolerance, integrate, integrate_pv
@@ -428,6 +427,8 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
 # ---------------------------------------------------------------------------
 
 def _bracketed_root(fn: Callable[[float], float], lo: float, hi: float) -> RootResult:
+    from scipy.optimize import brentq  # slow to import: load it on first use
+
     root, info = brentq(fn, lo, hi, xtol=1e-10, rtol=8.9e-16, full_output=True)
     residual = fn(root)
     return RootResult(root=root, residual=residual, bracket=(lo, hi),

@@ -75,7 +75,9 @@ class LineSection:
     they become quadrature panel boundaries.  ``growth_alpha`` bounds
     ``|section(tau)| <= growth_const * (1+|tau|)^growth_alpha``.
     ``extra_abs_error`` carries any approximation error already present in
-    the evaluations (e.g. a truncated bump window) into the result.
+    the evaluations (e.g. a truncated bump window) into the result, and
+    ``extra_evals`` the field evaluations already spent on the section (the
+    finite differences behind ``d2``) into its count.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -85,6 +87,7 @@ class LineSection:
     growth_alpha: float = 0.0
     growth_const: Optional[float] = None
     extra_abs_error: float = 0.0
+    extra_evals: int = 0
 
     def __post_init__(self) -> None:
         if self.c2_delta0 <= 0.0:
@@ -141,6 +144,10 @@ def _integrate_fan(ev: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bound.  The Taylor ladders of all sections run in lockstep, four rungs
     per open section to an ``integrate_batch`` call; then every piece of
     (ii) and (iii) of every section goes into one call.
+
+    ``n_evals`` of each result counts the section's field evaluations: u(0),
+    two per kernel node (at t and -t), the growth probes and the section's
+    ``extra_evals``.  Field metadata (breakpoints, C^2 radius) is not counted.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0,1)")
@@ -151,7 +158,7 @@ def _integrate_fan(ev: Callable[[np.ndarray, np.ndarray], np.ndarray],
     m = len(sections)
     all_rows = np.arange(m)
     u0 = float(ev(0.0, 0))
-    n_evals = np.ones(m, int)
+    n_evals = 1 + np.array([sec.extra_evals for sec in sections])
     p = 1.0 + 2.0 * s
     expo = 2.0 - 2.0 * s
     d2 = np.array([sec.d2 for sec in sections])
@@ -162,7 +169,7 @@ def _integrate_fan(ev: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     def count_evals(rows: np.ndarray, n: np.ndarray) -> None:
         # pair makes two section evals per kernel eval
-        n_evals[:] += 3 * np.bincount(rows, n, m).astype(int)
+        n_evals[:] += 2 * np.bincount(rows, n, m).astype(int)
 
     # The Taylor ladder: rung k compares the analytic piece on (0, delta_k)
     # with the one on (0, delta_k/2) plus quadrature over (delta_k/2, delta_k),
@@ -336,7 +343,9 @@ def _fan_sections(u, x: np.ndarray, dirs: np.ndarray,
     d2_fn = getattr(u, "d2_along", None)
     if d2_fn is not None:
         d2 = [float(d2_fn(x, xi)) for xi in dirs]
+        fd_evals = 0
     else:
+        fd_evals = _FD_NODES.size
         nodes = np.multiply.outer(delta0, _FD_NODES)
         d2 = []
         for (_, h, _, h2, _), (u0, up, um, up2, um2) in zip(
@@ -356,6 +365,7 @@ def _fan_sections(u, x: np.ndarray, dirs: np.ndarray,
             growth_alpha=float(u.growth_alpha),
             growth_const=getattr(u, "growth_const", None),
             extra_abs_error=extra,
+            extra_evals=fd_evals,
         )
         for j in range(len(dirs))
     ]
@@ -527,10 +537,12 @@ def _search_objective(u, x: np.ndarray, s: float, k: int,
     return objective
 
 
+# Each rotation first scores _ANGLE_GRID equispaced angles over [0, pi).
 # Each zoom level evaluates _ZOOM_POINTS points across its bracket and keeps
 # two spacings around the best.  The last level's bracket is at most
 # 2*step*_ZOOM_WIDTH wide, the final bracket of 24 golden-section steps from a
 # bracket of two grid steps, so the angle is found at least that precisely.
+_ANGLE_GRID = 32
 _ZOOM_POINTS = 9
 _ZOOM_WIDTH = ((math.sqrt(5.0) - 1.0) / 2.0) ** 24
 
@@ -538,12 +550,12 @@ _ZOOM_WIDTH = ((math.sqrt(5.0) - 1.0) / 2.0) ** 24
 def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
                     budget: int = 10, seed: int = 42,
                     tol: Tolerance = _DEFAULT_TOL,
-                    sweeps: int = 3, angle_grid: int = 32) -> tuple[QuadResult, Frame]:
+                    sweeps: int = 3) -> tuple[QuadResult, Frame]:
     """Heuristic frame optimization for the extremal operators.
 
     Random orthonormal restarts followed by coordinate descent over Givens
     rotation angles (within the frame's span and against its orthogonal
-    complement).  Each rotation first tries ``angle_grid`` angles over
+    complement).  Each rotation first tries 32 equispaced angles over
     [0, pi), then zooms in on the best: every level evaluates a grid across
     the bracket and keeps two spacings around its best point.  The restarts
     descend in lockstep, so each grid of all of them is one batched
@@ -559,14 +571,12 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
         raise ValueError(f"k must lie in 1..N = {N}")
     if budget < 1 or sweeps < 1:
         raise ValueError("budget and sweeps must be >= 1")
-    if angle_grid < 2:
-        raise ValueError("angle_grid must be >= 2")
     sign = 1.0 if variant == "plus" else -1.0
     rng = np.random.default_rng(seed)
     search_tol = Tolerance(max(tol.abs_tol, 1e-7), max(tol.rel_tol, 1e-6))
 
     objective = _search_objective(u, x, s, k, search_tol)
-    angles = np.linspace(0.0, math.pi, angle_grid, endpoint=False)
+    angles = np.linspace(0.0, math.pi, _ANGLE_GRID, endpoint=False)
     step = float(angles[1])
     # the zoom grid without its center, whose value is known
     offsets = np.delete(np.linspace(-0.5, 0.5, _ZOOM_POINTS), _ZOOM_POINTS // 2)
@@ -643,21 +653,17 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
 # ---------------------------------------------------------------------------
 
 def derivative_commutation_residual(profile, x: np.ndarray, xi: np.ndarray,
-                                    s: float, h: float = 1e-4,
-                                    direction: Optional[np.ndarray] = None,
+                                    s: float,
                                     tol: Tolerance = _DEFAULT_TOL) -> float:
-    """|central difference of y -> I_xi profile(y) minus I_xi (D profile)(x)|.
+    """|central difference of y -> I_xi profile(y) minus I_xi (D_N profile)(x)|.
 
-    ``direction`` is the differentiation direction (default e_N).  The
-    derivative field comes from the profile's analytic ``partial`` method.
+    The difference is taken along e_N with step h = 1e-4.  The derivative
+    field comes from the profile's analytic ``partial`` method.
     """
     x = np.asarray(x, float)
-    N = x.size
-    e = np.zeros(N)
+    h = 1e-4
+    e = np.zeros(x.size)
     e[-1] = 1.0
-    if direction is not None:
-        e = np.asarray(direction, float)
-        e = e / np.linalg.norm(e)
     plus = directional_at(profile, x + h * e, xi, s, tol).value
     minus = directional_at(profile, x - h * e, xi, s, tol).value
     fd = (plus - minus) / (2.0 * h)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import (
     DomainError,
@@ -62,14 +61,12 @@ class ExponentOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """The surface {x_N = level}."""
-
-    level: float = 0.0
+    """The surface {x_N = 0}, the boundary of the half-space."""
 
     def crossings(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
         if abs(xi[-1]) < 1e-15:
             return []
-        return [(self.level - x[-1]) / xi[-1]]
+        return [-x[-1] / xi[-1]]
 
 
 @dataclass(frozen=True)
@@ -109,12 +106,8 @@ def _squared_norm(pairs: Sequence[tuple[float, np.ndarray]]) -> Callable[[np.nda
     return r2
 
 
-def _surface_breakpoints(surfaces: Sequence, x: np.ndarray,
-                         xi: np.ndarray) -> list[float]:
-    out: list[float] = []
-    for srf in surfaces:
-        out.extend(srf.crossings(x, xi))
-    return sorted(t for t in out if abs(t) > 1e-9)
+def _surface_breakpoints(surface, x: np.ndarray, xi: np.ndarray) -> list[float]:
+    return sorted(t for t in surface.crossings(x, xi) if abs(t) > 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +275,7 @@ class RadialProfile(Field):
 
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
         return _surface_breakpoints(
-            [Sphere(math.sqrt(self.junction_r2))], np.asarray(x, float),
+            Sphere(math.sqrt(self.junction_r2)), np.asarray(x, float),
             np.asarray(xi, float))
 
     def d2_along(self, x: np.ndarray, xi: np.ndarray) -> float:
@@ -408,20 +401,15 @@ class _PartialN(RadialDerivativeField):
         a, b = pairs[-1]
         return lambda t: 2.0 * (a + t * b) * value(r2(t), 1)
 
-    def c2_radius(self, x: np.ndarray) -> float:
-        r = float(np.linalg.norm(x))
-        rj = math.sqrt(self.base.junction_r2)
-        return float(np.clip(abs(r - rj), 0.02, 1.0))
 
-
-def make_psi(kind: str, k: int, s: float,
-             gamma: Optional[float] = None) -> PsiField:
+def make_psi(kind: str, k: int, s: float) -> PsiField:
     """The three subsolution candidates.
 
     ``decay``: requires the bounded-exponent root gamma_bar(k, s) to exist;
-    the free second exponent defaults to min(gamma_bar + 0.2, (1+gamma_bar)/2).
-    ``halfint``: k = 1, s = 1/2, single-profile variant; default gamma 0.5.
-    ``growth``: s > 1/2 with lead exponent 2s-1; default second gamma (2s-1)/2.
+    the second exponent is min(gamma_bar + 0.2, (1+gamma_bar)/2), which lies
+    in (gamma_bar, 1).
+    ``halfint``: k = 1, s = 1/2, single-profile variant with gamma 0.5.
+    ``growth``: s > 1/2 with lead exponent 2s-1 and second exponent (2s-1)/2.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -431,25 +419,16 @@ def make_psi(kind: str, k: int, s: float,
             raise NoRootError(
                 f"no bounded exponent root exists for k={k}, s={s}")
         gb = bar.root
-        g2 = gamma if gamma is not None else min(gb + 0.2, (1.0 + gb) / 2.0)
-        if not gb < g2 < 1.0:
-            raise ExponentOutOfRange("second exponent must lie in (gamma_bar, 1)")
-        return PsiField("decay", k, s, gb, g2)
+        return PsiField("decay", k, s, gb, min(gb + 0.2, (1.0 + gb) / 2.0))
     if kind == "halfint":
         if k != 1:
             raise ExponentOutOfRange("halfint variant requires k = 1")
-        g = gamma if gamma is not None else 0.5
-        if not 0.0 < g < 1.0:
-            raise ExponentOutOfRange("gamma must lie in (0,1)")
-        return PsiField("halfint", k, s, g, g)
+        return PsiField("halfint", k, s, 0.5, 0.5)
     if kind == "growth":
         if not s > 0.5:
             raise ExponentOutOfRange("growth variant requires s > 1/2")
         gb = 2.0 * s - 1.0
-        g2 = gamma if gamma is not None else gb / 2.0
-        if not 0.0 < g2 < gb:
-            raise ExponentOutOfRange("second exponent must lie in (0, 2s-1)")
-        return PsiField("growth", k, s, gb, g2)
+        return PsiField("growth", k, s, gb, gb / 2.0)
     raise ValueError(f"unknown psi kind {kind!r}")
 
 
@@ -551,8 +530,8 @@ class HalfSpacePowerTail(Field):
         xi = np.asarray(xi, float)
         z = x.copy()
         z[-1] += self.shift
-        out = _surface_breakpoints([Hyperplane(0.0)], x, xi)
-        out.extend(_surface_breakpoints([Sphere(1.0)], z, xi))
+        out = _surface_breakpoints(Hyperplane(), x, xi)
+        out.extend(_surface_breakpoints(Sphere(1.0), z, xi))
         return sorted(set(out))
 
 
@@ -580,7 +559,7 @@ class PowerProfile(Field):
         return max(abs(t) / 2.0, 1e-9)
 
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return _surface_breakpoints([Hyperplane(0.0)], np.asarray(x, float),
+        return _surface_breakpoints(Hyperplane(), np.asarray(x, float),
                                     np.asarray(xi, float))
 
     def d2_along(self, x: np.ndarray, xi: np.ndarray) -> float:
@@ -615,6 +594,8 @@ class MinField(Field):
     def _crossings(self, x: np.ndarray, xi: Optional[np.ndarray],
                    radius: float = 0.0) -> list[float]:
         # sign changes of first - second along the line (sampled + refined)
+        from scipy.optimize import brentq  # slow to import: load it on first use
+
         x = np.asarray(x, float)
         if xi is None:
             xi = np.zeros_like(x)
@@ -653,14 +634,13 @@ class MinField(Field):
         return sorted(set(out))
 
 
-def build_thIN_supersolution(N: int, s: float, p: float,
-                             mu: Optional[float] = None) -> tuple[MinField, dict]:
+def build_thIN_supersolution(N: int, s: float, p: float) -> tuple[MinField, dict]:
     """Supersolution eps*min{phi, z} for the full-frame minimal operator.
 
     ``phi`` is the half-space power tail shifted by R = sqrt(N/(N-1)) along
-    e_N; ``z`` the mu-power profile.  Requires p > 1 + 2s/gamma_plus so that
-    gamma = 2s/(p-1) lies below the critical root and both constants are
-    positive.
+    e_N; ``z`` the mu-power profile with mu = s/2.  Requires
+    p > 1 + 2s/gamma_plus so that gamma = 2s/(p-1) lies below the critical
+    root and both constants are positive.
     """
     from .constants import c_n_plus  # local import to keep module load cheap
 
@@ -670,9 +650,7 @@ def build_thIN_supersolution(N: int, s: float, p: float,
         raise ExponentOutOfRange(
             f"p must exceed 1 + 2s/gamma_plus = {threshold:.6f}")
     gamma = 2.0 * s / (p - 1.0)
-    mu = s / 2.0 if mu is None else mu
-    if not 0.0 < mu < s:
-        raise ExponentOutOfRange("mu must lie in (0, s)")
+    mu = s / 2.0
     Cs = normalizing_constant(s)
     alpha = -c_n_plus(gamma, s, N) * Cs
     beta = -c_s_mu(mu, s) * Cs

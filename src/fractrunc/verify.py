@@ -119,34 +119,43 @@ def _finish(construction: str, params: dict, claims: list[ClaimResult],
 # verifiers
 # ---------------------------------------------------------------------------
 
-def verify_power_identity(mu: float, s: float, xi: Optional[np.ndarray] = None,
-                          points: Optional[Sequence[np.ndarray]] = None,
-                          N: int = 3,
+def _on_axis(N: int, t: float) -> np.ndarray:
+    """The point t*e_N of R^N."""
+    x = np.zeros(N)
+    x[-1] = t
+    return x
+
+
+def _upper_points(N: int, radii: Sequence[float], seed: int) -> list[np.ndarray]:
+    """One point of the upper half-space at each radius, in a random direction
+    from ``seed`` whose last component is lifted by 0.2 before normalising."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for r in radii:
+        v = rng.standard_normal(N)
+        v[-1] = abs(v[-1]) + 0.2
+        v /= np.linalg.norm(v)
+        points.append(r * v)
+    return points
+
+
+def verify_power_identity(mu: float, s: float,
                           tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
-    """Directional operator of (x_N)_+^mu equals C_s xi_N^{2s} c_{s,mu} x_N^{mu-2s}."""
+    """Directional operator of (x_N)_+^mu along e_N equals C_s c_{s,mu} x_N^{mu-2s}
+    at x = t*e_N in R^3, t in {0.5, 1, 2}."""
     z = pr.PowerProfile(mu, 1.0)
-    if xi is None:
-        xi = np.zeros(N)
-        xi[-1] = 1.0
-    xi = np.asarray(xi, float)
-    xi = xi / np.linalg.norm(xi)
-    if points is None:
-        points = []
-        for t in (0.5, 1.0, 2.0):
-            x = np.zeros(N)
-            x[-1] = t
-            points.append(x)
+    e_n = _on_axis(3, 1.0)
     c_val = cn.c_s_mu(mu, s)
     Cs = cn.normalizing_constant(s)
 
-    def claims_at(x: np.ndarray, t: Tolerance) -> ClaimResult:
-        r = op.directional_at(z, x, xi, s, t)
-        predicted = Cs * abs(xi[-1]) ** (2.0 * s) * c_val * float(x[-1]) ** (mu - 2.0 * s)
-        return ClaimResult(list(map(float, x)), "identity_residual",
-                           r.value - predicted, r.abs_error_estimate + 1e-9, "eq")
-
-    claims = [claims_at(np.asarray(x, float), tol) for x in points]
-    return _finish("power_identity", {"mu": mu, "s": s, "xi": list(xi)}, claims)
+    claims: list[ClaimResult] = []
+    for t in (0.5, 1.0, 2.0):
+        x = _on_axis(3, t)
+        r = op.directional_at(z, x, e_n, s, tol)
+        predicted = Cs * c_val * t ** (mu - 2.0 * s)
+        claims.append(ClaimResult(list(map(float, x)), "identity_residual",
+                                  r.value - predicted, r.abs_error_estimate + 1e-9, "eq"))
+    return _finish("power_identity", {"mu": mu, "s": s}, claims)
 
 
 def epsilon_threshold(s: float, p: float) -> float:
@@ -170,7 +179,6 @@ def epsilon_threshold(s: float, p: float) -> float:
 
 
 def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
-                      slab_points: Optional[Sequence[float]] = None,
                       k: int = 1, N: int = 2, window: int = 400,
                       tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
     """Certify the bump-train supersolution one bump at a time.
@@ -189,31 +197,21 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
     Cs = cn.normalizing_constant(s)
     bound = (-Cs * cn.beta_1ms_s(s)
              + Cs * (1.0 - 2.0 * eps) ** (-2.0 * s) * eps ** (2.0 * s) / s)
-    e_n = np.zeros(N)
-    e_n[-1] = 1.0
+    e_n = _on_axis(N, 1.0)
     frame = op.canonical_frame(N, k)
 
-    if slab_points is None:
-        case1 = [eps, 1.0 + eps, 3.0 + eps / 2.0, 5.0 + 1.5 * eps]
-        # gap midpoints n + eps + 1/2: bump n covers [n, n + 2*eps]
-        case2 = [eps + 0.5, 4.0 + eps + 0.5]
-    else:
-        case1 = [t for t in slab_points if u(np.array([0.0] * (N - 1) + [t])) > 0.0]
-        case2 = [t for t in slab_points if u(np.array([0.0] * (N - 1) + [t])) == 0.0]
-
     claims: list[ClaimResult] = []
-    for t in case1:
-        x = np.zeros(N)
-        x[-1] = t
+    for t in (eps, 1.0 + eps, 3.0 + eps / 2.0, 5.0 + 1.5 * eps):
+        x = _on_axis(N, t)
         r = op.directional_at(u, x, e_n, s, tol)
         uval = u(x)
         claims.append(ClaimResult([t], "case1_supersolution",
                                   r.value + uval**p, r.abs_error_estimate, "le"))
         claims.append(ClaimResult([t], "case1_cross_bump_bound",
                                   r.value - bound, r.abs_error_estimate, "le"))
-    for t in case2:
-        x = np.zeros(N)
-        x[-1] = t
+    # gap midpoints n + eps + 1/2: bump n covers [n, n + 2*eps]
+    for t in (eps + 0.5, 4.0 + eps + 0.5):
+        x = _on_axis(N, t)
         uval = u(x)
         claims.append(ClaimResult([t], "case2_u_vanishes", uval, 0.0, "eq"))
         fs = op.frame_sum(u, x, frame, s, tol)
@@ -229,39 +227,28 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
 
 
 def verify_T49_2(N: int, s: float, gamma: Optional[float] = None,
-                 points: Optional[Sequence[np.ndarray]] = None,
-                 p: Optional[float] = None,
                  tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
     """Frame bound for the half-space power tail outside the critical ball.
 
     The frame has every vector at angle arccos(1/sqrt(N)) to the radial
     direction; the frame sum certifies the upper bound
-    C_s c_N^+(gamma) |x|^{-gamma-2s} for the full minimal operator.
+    C_s c_N^+(gamma) |x|^{-gamma-2s} for the full minimal operator.  Default
+    gamma: 2s/(p-1) for p = 1 + 2s/gamma_plus + 0.2.
     """
     gamma_plus = cn.find_gamma_plus(N, s).root
     if gamma is None:
-        if p is None:
-            p = 1.0 + 2.0 * s / gamma_plus + 0.2
+        p = 1.0 + 2.0 * s / gamma_plus + 0.2
         gamma = 2.0 * s / (p - 1.0)
     R = math.sqrt(N / (N - 1.0))
     u = pr.HalfSpacePowerTail(gamma)
     Cs = cn.normalizing_constant(s)
     rhs_const = Cs * cn.c_n_plus(gamma, s, N)
-    if points is None:
-        rng = np.random.default_rng(7)
-        points = [2.0 * math.sqrt(N) * np.eye(N)[-1]]
-        for r in np.geomspace(1.05 * R, 20.0 * R, 5):
-            v = rng.standard_normal(N)
-            v[-1] = abs(v[-1]) + 0.2
-            v /= np.linalg.norm(v)
-            points.append(r * v)
+    points = ([_on_axis(N, 2.0 * math.sqrt(N))]
+              + _upper_points(N, np.geomspace(1.05 * R, 20.0 * R, 5), 7))
 
     claims: list[ClaimResult] = []
     for x in points:
-        x = np.asarray(x, float)
         nx = float(np.linalg.norm(x))
-        if nx < R - 1e-12 or x[-1] <= 0.0:
-            raise GeometryViolation("points must lie in the half-space with |x| >= R")
         frame = op.householder_frame(x / nx)
         # avoidance bound: each section stays at radius >= |x|/sqrt(2)
         for xi in frame.vectors:
@@ -294,7 +281,6 @@ def _psi_bound_constant(kind: str, k: int, s: float, psi: pr.PsiField) -> float:
 
 def verify_psi_subsolution(kind: str, k: int, s: float,
                            radii: Optional[Sequence[float]] = None,
-                           n_angles: int = 3,
                            tol: Tolerance = Tolerance(1e-12, 1e-11)) -> VerificationReport:
     """Frame lower bound for the subsolution candidate, with empirical onset radius.
 
@@ -313,7 +299,7 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
     N = max(k + 1, 2)
     if radii is None:
         radii = np.geomspace(2.0, 3000.0, 10)
-    angles = np.linspace(0.25, 1.45, n_angles)
+    angles = np.linspace(0.25, 1.45, 3)
 
     claims: list[ClaimResult] = []
     per_radius: dict[float, bool] = {}
@@ -368,41 +354,36 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
 
 
 def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
-                                  points: Optional[Sequence[float]] = None,
-                                  n_frames: int = 100, seed: int = 42,
-                                  residual_tol: float = 1e-6,
+                                  seed: int = 42,
                                   tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
-    """Exact-cancellation supersolution M (x_N)_+^mu for p < -1.
+    """Exact-cancellation supersolution M (x_N)_+^mu for p < -1, at x = t*e_N
+    for t in {0.5, 1, 2}.
 
-    ``ik_minus``: |I_{e_N} u + u^p| below ``residual_tol`` pointwise (the
-    construction cancels exactly).  ``in_plus``: for random full frames, the
+    ``ik_minus``: |I_{e_N} u + u^p| below 1e-6 pointwise (the construction
+    cancels exactly).  ``in_plus``: for 100 random full frames per point, the
     frame sum plus u^p stays nonpositive via the pigeonhole direction.
     """
     if N < 2:
         raise cn.DomainError("N must be >= 2")
     u, M, mu = pr.build_singular_supersolution(s, p, op_kind, N)
-    if points is None:
-        points = [0.5, 1.0, 2.0]
-    e_n = np.zeros(N)
-    e_n[-1] = 1.0
+    points = (0.5, 1.0, 2.0)
     claims: list[ClaimResult] = []
     if op_kind == "ik_minus":
+        e_n = _on_axis(N, 1.0)
         for t in points:
-            x = np.zeros(N)
-            x[-1] = t
+            x = _on_axis(N, t)
             r = op.directional_at(u, x, e_n, s, tol)
             raw = r.value + u(x) ** p
             claims.append(ClaimResult([float(t)], "exact_cancellation",
-                                      abs(raw) - residual_tol,
+                                      abs(raw) - 1e-6,
                                       r.abs_error_estimate, "le"))
     else:
         rng = np.random.default_rng(seed)
         # closed-form directional values: each section is a power of x_N
         c_val = cn.normalizing_constant(s) * cn.c_s_mu(mu, s)
         for t in points:
-            x = np.zeros(N)
-            x[-1] = t
-            for _ in range(n_frames):
+            x = _on_axis(N, t)
+            for _ in range(100):
                 frame = op.random_frame(N, N, rng)
                 pigeon = float(np.max(np.abs(frame.vectors[:, -1])))
                 claims.append(ClaimResult([float(t)], "pigeonhole_direction",
@@ -455,7 +436,6 @@ class _BallBump(pr.Field):
 
 
 def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
-                             points: Optional[Sequence[np.ndarray]] = None,
                              tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
     """Ball-avoiding frame: every section of the ball bump vanishes identically.
 
@@ -471,19 +451,8 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     if y[-1] > -math.sqrt(2.0) * r:
         raise GeometryViolation("ball center must satisfy y_N <= -sqrt(2) r")
     u = _BallBump(y, r, s)
-    if points is None:
-        rng = np.random.default_rng(3)
-        points = []
-        for rad in (1.0, 2.0, 5.0):
-            v = rng.standard_normal(N)
-            v[-1] = abs(v[-1]) + 0.2
-            v /= np.linalg.norm(v)
-            points.append(rad * v)
     claims: list[ClaimResult] = []
-    for x in points:
-        x = np.asarray(x, float)
-        if x[-1] <= 0.0:
-            raise GeometryViolation("points must lie in the open half-space")
+    for x in _upper_points(N, (1.0, 2.0, 5.0), 3):
         d = x - y
         nd = float(np.linalg.norm(d))
         claims.append(ClaimResult(list(map(float, x)), "distance_exceeds",
@@ -500,18 +469,15 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
                    claims)
 
 
-def verify_transform(s: float, p: float, q: float,
-                     base: Optional[pr.Field] = None,
-                     points: Optional[Sequence[float]] = None,
-                     n_triples: int = 10**4, seed: int = 42,
+def verify_transform(s: float, p: float, q: float, seed: int = 42,
                      tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
     """Power-transform machinery: scalar inequality, operator inequality, closure.
 
     Checks the scalar bound b - a <= beta a^{(beta-1)/beta} (b^{1/beta} - a^{1/beta})
-    on randomized triples, the induced directional-operator inequality for the
-    transformed field, and (for a pure power base) that the transformed family
-    is again a supersolution of the target exponent: one-sided, since the
-    transform degrades the cancellation to an inequality.
+    on 10^4 randomized triples, the induced directional-operator inequality
+    for the transformed ``ik_minus`` singular supersolution, and that the
+    transformed family is again a supersolution of the target exponent:
+    one-sided, since the transform degrades the cancellation to an inequality.
     """
     tp = pr.TransformParams(p, q)
     tp.validate()
@@ -521,6 +487,7 @@ def verify_transform(s: float, p: float, q: float,
 
     # scalar inequality on randomized triples; parameterize a = A^beta,
     # b = B^beta so every power stays within floating-point range
+    n_triples = 10**4
     A = rng.uniform(1e-6, 10.0, n_triples)
     B = rng.uniform(1e-6, 10.0, n_triples)
     betas = rng.uniform(1e-3, 1.0 - 1e-6, n_triples)
@@ -531,18 +498,12 @@ def verify_transform(s: float, p: float, q: float,
     claims.append(ClaimResult([0.0], "scalar_inequality_worst",
                               worst - 1e-9 * scale, 0.0, "le"))
 
-    N = 2
-    if base is None:
-        base, M, mu = pr.build_singular_supersolution(s, p, "ik_minus", N)
-    if points is None:
-        points = [0.5, 1.0, 2.0]
+    base, _, _ = pr.build_singular_supersolution(s, p, "ik_minus", 2)
     v = pr.power_transform(base, p, q)
     wrapper = pr.PowerTransformField(base, tp)
-    e_n = np.zeros(N)
-    e_n[-1] = 1.0
-    for t in points:
-        x = np.zeros(N)
-        x[-1] = t
+    e_n = _on_axis(2, 1.0)
+    for t in (0.5, 1.0, 2.0):
+        x = _on_axis(2, t)
         # operator inequality: I v <= beta v^{(beta-1)/beta} I (v^{1/beta})
         lhs_q = op.directional_at(v, x, e_n, s, tol)
         # v^{1/beta} = alpha^{1/beta} * base
@@ -562,6 +523,5 @@ def verify_transform(s: float, p: float, q: float,
         res = lhs_q.value + v(x) ** q
         claims.append(ClaimResult([float(t)], "target_supersolution",
                                   res, lhs_q.abs_error_estimate, "le"))
-    params = {"s": s, "p": p, "q": q, "beta": beta, "alpha": tp.alpha_coef,
-              "n_triples": n_triples}
+    params = {"s": s, "p": p, "q": q, "beta": beta, "alpha": tp.alpha_coef}
     return _finish("transform", params, claims)

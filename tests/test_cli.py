@@ -117,13 +117,20 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
      "r must be finite and positive"),
     (["verify", "avoidance", "--s", "0.5", "--N", "2", "--r", "nan"],
      "r must be finite and positive"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "2", "--report", "DIR"],
+     "Is a directory: DIR"),
+    (["constants", "--s", "0.5", "--out", "DIR"], "Is a directory: DIR"),
+    (["--config", "DIR", "constants", "--s", "0.5"], "Is a directory: DIR"),
 ], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
-        "avoidance-r-nan"])
-def test_bad_input_exit_2(capsys, argv, message):
+        "avoidance-r-nan", "report-dir", "out-dir", "config-dir"])
+def test_bad_input_exit_2(capsys, tmp_path, argv, message):
+    # DIR stands for an existing directory given where a file belongs
+    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message.replace('DIR', str(tmp_path))}\n"
+    assert not any(tmp_path.iterdir())  # no temporary file left behind
 
 
 def test_constants_negative_gamma_is_null(capsys):
@@ -189,14 +196,16 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 def test_cli_import_leaves_scipy_integrate_out():
-    # the quadrature is the package's own; scipy.integrate alone took most
-    # of the CLI's import time
+    # the quadrature is the package's own, and brentq is imported where a
+    # root is refined; scipy.integrate and then scipy.optimize each took
+    # most of the CLI's import time
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, fractrunc.cli; print('scipy.integrate' in sys.modules)"
+    probe = ("import sys, fractrunc.cli; "
+             "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_write_atomic(tmp_path):

@@ -175,7 +175,6 @@ def test_search_requires_known_variant():
     (0, {}, "k must lie in 1..N"),
     (3, {}, "k must lie in 1..N"),
     (1, {"sweeps": 0}, "budget and sweeps"),
-    (1, {"angle_grid": 1}, "angle_grid"),
 ])
 def test_search_rejects_bad_settings(k, settings, message):
     w = pr.make_w_gamma(0.5)
@@ -213,6 +212,43 @@ def test_growth_metadata_enforced():
     with pytest.raises(ValueError):
         op.LineSection(eval=lambda t: t, c2_delta0=-1.0, d2=0.0,
                        discontinuities=[], growth_alpha=0.0)
+
+
+class _CountingField:
+    """A field's proxy that counts the values its line closures return."""
+
+    def __init__(self, field):
+        self.field, self.evals = field, 0
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+    def line(self, x, xi):
+        at = self.field.line(x, xi)
+
+        def counted(t):
+            out = at(t)
+            self.evals += np.size(out)
+            return out
+        return counted
+
+
+# metadata (breakpoints, C^2 radius) of these fields is analytic, so every
+# evaluation the proxy sees belongs to the operator; the half-space tail has
+# no d2_along (finite differences), the other two no growth_const (probes)
+COUNTED_FIELDS = {
+    "halfspace_tail": lambda: pr.HalfSpacePowerTail(0.7),
+    "power_profile": lambda: pr.PowerProfile(0.05, 2.0),
+    "radial_profile": lambda: pr.make_w_gamma(0.5),
+}
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("kind", sorted(COUNTED_FIELDS))
+def test_n_evals_counts_field_evaluations(kind, s):
+    u = _CountingField(COUNTED_FIELDS[kind]())
+    r = op.directional_at(u, np.array([0.3, 1.2]), np.array([0.6, 0.8]), s, TOL)
+    assert r.n_evals == u.evals
 
 
 # --- parity with scipy's quad over the same pieces ---------------------------

@@ -69,11 +69,6 @@ def test_t49_2_passes():
     assert r.params["gamma"] < r.params["gamma_plus"]
 
 
-def test_t49_2_rejects_interior_points():
-    with pytest.raises(vf.GeometryViolation):
-        vf.verify_T49_2(3, 0.5, points=[np.array([0.0, 0.0, 0.2])])
-
-
 def test_psi_reports_onset_radius():
     r = vf.verify_psi_subsolution("halfint", 1, 0.5,
                                   radii=[5.0, 20.0, 80.0, 320.0])
@@ -100,8 +95,7 @@ def test_singular_ik_minus_cancellation():
 
 
 def test_singular_in_plus_random_frames():
-    r = vf.verify_singular_supersolution(0.5, -3.0, "in_plus", 3,
-                                         n_frames=25)
+    r = vf.verify_singular_supersolution(0.5, -3.0, "in_plus", 3)
     assert r.verdict == "pass"
 
 
@@ -118,6 +112,6 @@ def test_avoidance_passes():
 
 
 def test_transform_passes():
-    r = vf.verify_transform(0.5, -3.0, -5.0, n_triples=2000)
+    r = vf.verify_transform(0.5, -3.0, -5.0)
     assert r.verdict == "pass"
     assert r.params["beta"] == pytest.approx(2.0 / 3.0)
