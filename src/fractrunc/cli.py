@@ -96,7 +96,10 @@ def load_config(path: Optional[str] = None,
 def write_atomic(path: str, data: str) -> None:
     """Write a file via a temp sibling and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fractrunc-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fractrunc-")
+    except OSError as exc:  # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)

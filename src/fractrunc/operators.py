@@ -667,6 +667,6 @@ def derivative_commutation_residual(profile, x: np.ndarray, xi: np.ndarray,
     plus = directional_at(profile, x + h * e, xi, s, tol).value
     minus = directional_at(profile, x - h * e, xi, s, tol).value
     fd = (plus - minus) / (2.0 * h)
-    dprofile = profile.partial(e)
+    dprofile = profile.partial()
     direct = directional_at(dprofile, x, xi, s, tol).value
     return abs(fd - direct)

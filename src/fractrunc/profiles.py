@@ -10,6 +10,12 @@ operator module needs (C^2 window radius, non-smooth crossing locations
 along a line, growth exponent).  Radial profiles are cap/tail
 constructions: a power of |x| beyond a junction radius, glued C^3 to the
 third-order Taylor cubic of the same power inside.
+
+Each construction is one class: the radial profile and its derivative
+along e_N, the subsolution candidate psi, the bump train, the half-space
+power tail, the power profile, the min composition and the power
+transform.  A field's crossings with the hyperplanes {x_N = level} and
+with spheres come from ``_plane_crossings`` and ``_sphere_crossings``.
 """
 
 from __future__ import annotations
@@ -32,11 +38,8 @@ from .constants import (
 __all__ = [
     "InvariantViolation",
     "ExponentOutOfRange",
-    "Hyperplane",
-    "Sphere",
     "RadialProfile",
     "TransformParams",
-    "make_cap",
     "make_w_gamma",
     "make_v_gamma",
     "make_v_minus_gamma",
@@ -56,36 +59,8 @@ class ExponentOutOfRange(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# discontinuity surfaces
+# lines, and where they cross non-smooth surfaces
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """The surface {x_N = 0}, the boundary of the half-space."""
-
-    def crossings(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        if abs(xi[-1]) < 1e-15:
-            return []
-        return [-x[-1] / xi[-1]]
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """The surface {|x - center| = radius}."""
-
-    radius: float
-    center: Optional[tuple[float, ...]] = None
-
-    def crossings(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        c = np.zeros_like(x) if self.center is None else np.asarray(self.center, float)
-        d = x - c
-        b = float(d @ xi)
-        disc = b * b - float(d @ d) + self.radius**2
-        if disc <= 0.0:
-            return []
-        root = math.sqrt(disc)
-        return [-b - root, -b + root]
-
 
 def _components(x: np.ndarray, xi: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """The pairs (x_i, xi[..., i]): x_i a Python float, xi[..., i] an array
@@ -106,49 +81,56 @@ def _squared_norm(pairs: Sequence[tuple[float, np.ndarray]]) -> Callable[[np.nda
     return r2
 
 
-def _surface_breakpoints(surface, x: np.ndarray, xi: np.ndarray) -> list[float]:
-    return sorted(t for t in surface.crossings(x, xi) if abs(t) > 1e-9)
+def _plane_crossings(x: np.ndarray, xi: np.ndarray,
+                     levels: Sequence[float] = (0.0,)) -> list[float]:
+    """The sorted t with |t| > 1e-9 at which x_N + t*xi_N meets a level."""
+    if abs(xi[-1]) < 1e-15:
+        return []
+    return sorted(t for t in ((e - x[-1]) / xi[-1] for e in levels) if abs(t) > 1e-9)
+
+
+def _sphere_crossings(x: np.ndarray, xi: np.ndarray, radius: float) -> list[float]:
+    """The sorted t with |t| > 1e-9 at which |x + t*xi| = radius; ``x`` is
+    taken relative to the sphere's centre."""
+    b = float(x @ xi)
+    disc = b * b - float(x @ x) + radius**2
+    if disc <= 0.0:
+        return []
+    root = math.sqrt(disc)
+    return [t for t in (-b - root, -b + root) if abs(t) > 1e-9]
 
 
 # ---------------------------------------------------------------------------
 # cap/tail machinery
 # ---------------------------------------------------------------------------
 
-def make_cap(gamma: float, junction_r2: float, sign: float = 1.0) -> tuple[float, ...]:
-    """Third-order Taylor coefficients of sign * r^{-sign*gamma/2} at the junction.
-
-    ``sign=+1`` produces the decay cap (Taylor of r^{-gamma/2}); ``sign=-1``
-    the growth cap (Taylor of -r^{+gamma/2}).  Coefficients are in powers of
-    (r - junction_r2), ``r`` being the squared-radius variable.
-    """
-    if gamma <= 0.0:
-        raise ExponentOutOfRange("gamma must be positive")
-    p = -sign * gamma / 2.0
-    j = junction_r2
-
-    def h(order: int) -> float:
-        coeff = sign
-        e = p
-        for _ in range(order):
-            coeff *= e
-            e -= 1.0
-        return coeff * j**e
-
-    return (h(0), h(1), h(2) / 2.0, h(3) / 6.0)
-
-
 class _PiecewiseG:
     """g(r) in the squared-radius variable: cubic cap for r <= junction, power tail.
 
-    Tail is sign * r^{-sign*gamma/2}; derivatives available through order 3.
+    The tail is sign * r^{-sign*gamma/2}: ``sign=+1`` decays, ``sign=-1``
+    grows like -r^{gamma/2}.  The cap is the tail's third-order Taylor cubic
+    at the junction, in powers of (r - junction_r2); derivatives are
+    available through order 3.
     """
 
     def __init__(self, gamma: float, junction_r2: float, sign: float = 1.0) -> None:
+        if not 0.0 < gamma < math.inf:
+            raise ExponentOutOfRange("gamma must be finite and positive")
         self.gamma = gamma
         self.junction_r2 = junction_r2
         self.sign = sign
         self.p = -sign * gamma / 2.0
-        self.cap = make_cap(gamma, junction_r2, sign)
+        h = [coeff * junction_r2**e for coeff, e in map(self._tail, range(4))]
+        self.cap = (h[0], h[1], h[2] / 2.0, h[3] / 6.0)
+
+    def _tail(self, order: int) -> tuple[float, float]:
+        """(c, e) such that the tail's derivative of this order is c * r^e."""
+        coeff = self.sign
+        e = self.p
+        for _ in range(order):
+            coeff *= e
+            e -= 1.0
+        return coeff, e
 
     def value(self, r: np.ndarray, order: int = 0) -> np.ndarray:
         """g^(order) at every element of ``r``; the branches are taken with
@@ -164,11 +146,7 @@ class _PiecewiseG:
             cap = 2.0 * a[2] + 6.0 * d * a[3]
         else:
             cap = 6.0 * a[3] if order == 3 else 0.0
-        coeff = self.sign
-        e = self.p
-        for _ in range(order):
-            coeff *= e
-            e -= 1.0
+        coeff, e = self._tail(order)
         return np.where(r <= j, cap, coeff * np.maximum(r, j) ** e)
 
 
@@ -198,51 +176,6 @@ class Field:
         return []
 
 
-class _ScaledField(Field):
-    def __init__(self, base: Field, factor: float) -> None:
-        self.base = base
-        self.factor = factor
-        self.growth_alpha = base.growth_alpha
-        if base.growth_const is not None:
-            self.growth_const = abs(factor) * base.growth_const
-        self.is_radial = base.is_radial
-
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        base, factor = self.base.line(x, xi), float(self.factor)
-        return lambda t: factor * base(t)
-
-    def c2_radius(self, x: np.ndarray) -> float:
-        return self.base.c2_radius(x)
-
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return self.base.breakpoints(x, xi)
-
-
-class _SumField(Field):
-    def __init__(self, parts: Sequence[Field]) -> None:
-        self.parts = list(parts)
-        self.growth_alpha = max(p.growth_alpha for p in self.parts)
-
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        lines = [p.line(x, xi) for p in self.parts]
-
-        def at(t: np.ndarray) -> np.ndarray:
-            acc = 0.0
-            for f in lines:
-                acc += f(t)
-            return acc
-        return at
-
-    def c2_radius(self, x: np.ndarray) -> float:
-        return min(p.c2_radius(x) for p in self.parts)
-
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        out: list[float] = []
-        for p in self.parts:
-            out.extend(p.breakpoints(x, xi))
-        return sorted(set(out))
-
-
 # ---------------------------------------------------------------------------
 # radial profiles
 # ---------------------------------------------------------------------------
@@ -269,22 +202,17 @@ class RadialProfile(Field):
         r2, value = _squared_norm(_components(x, xi)), self.g.value
         return lambda t: value(r2(t))
 
-    def c2_radius(self, x: np.ndarray) -> float:
-        # C^3 everywhere; a unit window keeps Taylor pieces local
-        return 1.0
-
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return _surface_breakpoints(
-            Sphere(math.sqrt(self.junction_r2)), np.asarray(x, float),
-            np.asarray(xi, float))
+        return _sphere_crossings(np.asarray(x, float), np.asarray(xi, float),
+                                 math.sqrt(self.junction_r2))
 
     def d2_along(self, x: np.ndarray, xi: np.ndarray) -> float:
         r2 = float(np.dot(x, x))
         b = float(np.dot(x, xi))
         return float(self.g.value(r2, 2) * 4.0 * b * b + self.g.value(r2, 1) * 2.0)
 
-    def partial(self, e: np.ndarray) -> "RadialDerivativeField":
-        return RadialDerivativeField(self, np.asarray(e, float))
+    def partial(self) -> "_PartialN":
+        return _PartialN(self)
 
     # -- invariants ---------------------------------------------------------
     def _validate(self) -> None:
@@ -312,27 +240,22 @@ class RadialProfile(Field):
         self._validate()
 
 
-class RadialDerivativeField(Field):
-    """Directional derivative 2<y,e> g'(|y|^2) of a radial profile."""
+class _PartialN(Field):
+    """D_{x_N} v = 2 y_N g'(|y|^2) of a radial profile v = g(|y|^2).
 
-    def __init__(self, base: RadialProfile, e: np.ndarray) -> None:
+    It is dimension-free: the derivative is along the last axis of whatever
+    point it is given.  Decay: the derivative decays; growth (gamma <= 2s-1
+    < 1): |Dv| ~ |y|^{gamma-1} is bounded.  So growth_alpha stays 0.
+    """
+
+    def __init__(self, base: RadialProfile) -> None:
         self.base = base
-        self.e = np.asarray(e, float)
-        # decay: derivative decays; growth (gamma <= 2s-1 < 1): |Dv| ~ |y|^{gamma-1} bounded
-        self.growth_alpha = 0.0
 
     def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        rows = [(a, b, c) for (a, b), c in zip(_components(x, xi), self.e.tolist())]
-        value = self.base.g.value
-
-        def at(t: np.ndarray) -> np.ndarray:
-            r2 = ye = 0.0
-            for a, b, c in rows:
-                v = a + t * b
-                r2 += v * v
-                ye += v * c
-            return 2.0 * ye * value(r2, 1)
-        return at
+        pairs = _components(x, xi)
+        r2, value = _squared_norm(pairs), self.base.g.value
+        a, b = pairs[-1]
+        return lambda t: 2.0 * (a + t * b) * value(r2(t), 1)
 
     def c2_radius(self, x: np.ndarray) -> float:
         # Dv is C^2 away from the junction sphere (v is only C^3 there)
@@ -369,10 +292,16 @@ def make_v_minus_gamma(gamma: float, s: float) -> RadialProfile:
 # half-space constructions
 # ---------------------------------------------------------------------------
 
-class PsiField(_ScaledField):
-    """Subsolution candidate: -(1/gamma_lead)(D_N v_a + D_N v_b)."""
+class PsiField(Field):
+    """Subsolution candidate psi = -(1/gamma_lead)(D_N v_a + D_N v_b).
 
-    def __init__(self, variant: str, k: int, s: float,
+    ``decay`` and ``halfint`` take v_a = v_{gamma_lead} and ``growth`` takes
+    v_a = v_{-gamma_lead}; v_b is the same profile at gamma_second.  The
+    ``halfint`` variant keeps the lead term alone.  The C^2 radius and the
+    breakpoints are those of the parts.
+    """
+
+    def __init__(self, variant: str, s: float,
                  gamma_lead: float, gamma_second: float) -> None:
         self.gamma_lead = gamma_lead
         self.gamma_second = gamma_second
@@ -380,26 +309,27 @@ class PsiField(_ScaledField):
             lead = make_v_gamma(gamma_lead)
         else:
             lead = make_v_minus_gamma(gamma_lead, s)
-        pieces: list[Field] = [_PartialN(lead)]
+        self.parts = [lead.partial()]
         if variant == "decay":
-            pieces.append(_PartialN(make_v_gamma(gamma_second)))
+            self.parts.append(make_v_gamma(gamma_second).partial())
         elif variant == "growth":
-            pieces.append(_PartialN(make_v_minus_gamma(gamma_second, s)))
-        super().__init__(_SumField(pieces), -1.0 / gamma_lead)
-
-
-class _PartialN(RadialDerivativeField):
-    """D_{x_N} of a radial profile (derivative along the last axis)."""
-
-    def __init__(self, base: RadialProfile) -> None:
-        self.base = base
-        self.growth_alpha = 0.0
+            self.parts.append(make_v_minus_gamma(gamma_second, s).partial())
 
     def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        pairs = _components(x, xi)
-        r2, value = _squared_norm(pairs), self.base.g.value
-        a, b = pairs[-1]
-        return lambda t: 2.0 * (a + t * b) * value(r2(t), 1)
+        lines, factor = [p.line(x, xi) for p in self.parts], -1.0 / self.gamma_lead
+
+        def at(t: np.ndarray) -> np.ndarray:
+            acc = 0.0
+            for f in lines:
+                acc += f(t)
+            return factor * acc
+        return at
+
+    def c2_radius(self, x: np.ndarray) -> float:
+        return min(p.c2_radius(x) for p in self.parts)
+
+    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
+        return sorted({t for p in self.parts for t in p.breakpoints(x, xi)})
 
 
 def make_psi(kind: str, k: int, s: float) -> PsiField:
@@ -419,16 +349,16 @@ def make_psi(kind: str, k: int, s: float) -> PsiField:
             raise NoRootError(
                 f"no bounded exponent root exists for k={k}, s={s}")
         gb = bar.root
-        return PsiField("decay", k, s, gb, min(gb + 0.2, (1.0 + gb) / 2.0))
+        return PsiField("decay", s, gb, min(gb + 0.2, (1.0 + gb) / 2.0))
     if kind == "halfint":
         if k != 1:
             raise ExponentOutOfRange("halfint variant requires k = 1")
-        return PsiField("halfint", k, s, 0.5, 0.5)
+        return PsiField("halfint", s, 0.5, 0.5)
     if kind == "growth":
         if not s > 0.5:
             raise ExponentOutOfRange("growth variant requires s > 1/2")
         gb = 2.0 * s - 1.0
-        return PsiField("growth", k, s, gb, gb / 2.0)
+        return PsiField("growth", s, gb, gb / 2.0)
     raise ValueError(f"unknown psi kind {kind!r}")
 
 
@@ -476,12 +406,8 @@ class BumpTrain(Field):
         return out
 
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        x = np.asarray(x, float)
-        xi = np.asarray(xi, float)
-        if abs(xi[-1]) < 1e-15:
-            return []
-        return sorted(t for t in ((e - x[-1]) / xi[-1] for e in self._edges())
-                      if abs(t) > 1e-9)
+        return _plane_crossings(np.asarray(x, float), np.asarray(xi, float),
+                                self._edges())
 
     def extra_abs_error(self, x: np.ndarray) -> float:
         t = float(np.asarray(x, float).reshape(-1)[-1])
@@ -497,8 +423,6 @@ class HalfSpacePowerTail(Field):
     """
 
     def __init__(self, gamma: float, shift: float = 0.0) -> None:
-        if gamma <= 0.0:
-            raise ExponentOutOfRange("gamma must be positive")
         self.gamma = gamma
         self.shift = shift
         self.radial = RadialProfile(gamma, 1.0, "decay")
@@ -530,9 +454,7 @@ class HalfSpacePowerTail(Field):
         xi = np.asarray(xi, float)
         z = x.copy()
         z[-1] += self.shift
-        out = _surface_breakpoints(Hyperplane(), x, xi)
-        out.extend(_surface_breakpoints(Sphere(1.0), z, xi))
-        return sorted(set(out))
+        return sorted(set(_plane_crossings(x, xi) + _sphere_crossings(z, xi, 1.0)))
 
 
 class PowerProfile(Field):
@@ -559,8 +481,7 @@ class PowerProfile(Field):
         return max(abs(t) / 2.0, 1e-9)
 
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return _surface_breakpoints(Hyperplane(), np.asarray(x, float),
-                                    np.asarray(xi, float))
+        return _plane_crossings(np.asarray(x, float), np.asarray(xi, float))
 
     def d2_along(self, x: np.ndarray, xi: np.ndarray) -> float:
         t = float(np.asarray(x, float).reshape(-1)[-1])

@@ -431,8 +431,8 @@ class _BallBump(pr.Field):
         return max(abs(d - self.r) / 2.0, 1e-6)
 
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return pr.Sphere(self.r, tuple(self.y)).crossings(
-            np.asarray(x, float), np.asarray(xi, float))
+        return pr._sphere_crossings(np.asarray(x, float) - self.y,
+                                    np.asarray(xi, float), self.r)
 
 
 def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
@@ -448,6 +448,8 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     if not 0.0 < r < math.inf:
         raise cn.DomainError("r must be finite and positive")
     y = np.asarray(y, float)
+    if not np.all(np.isfinite(y)):
+        raise cn.DomainError("y must be finite")
     if y[-1] > -math.sqrt(2.0) * r:
         raise GeometryViolation("ball center must satisfy y_N <= -sqrt(2) r")
     u = _BallBump(y, r, s)

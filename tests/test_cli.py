@@ -121,12 +121,25 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
      "Is a directory: DIR"),
     (["constants", "--s", "0.5", "--out", "DIR"], "Is a directory: DIR"),
     (["--config", "DIR", "constants", "--s", "0.5"], "Is a directory: DIR"),
+    (["constants", "--s", "0.5", "--out", "DIR/missing/x.json"],
+     "No such file or directory: DIR/missing/x.json"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "2", "--report", "DIR/missing/r.json"],
+     "No such file or directory: DIR/missing/r.json"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "2", "--y-N", "nan"], "y must be finite"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "2", "--y-N=-inf"], "y must be finite"),
+    (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "nan"],
+     "gamma must be finite and positive"),
+    (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "inf"],
+     "gamma must be finite and positive"),
 ], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
-        "avoidance-r-nan", "report-dir", "out-dir", "config-dir"])
+        "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
+        "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "t49-2-gamma-nan",
+        "t49-2-gamma-inf"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, message):
-    # DIR stands for an existing directory given where a file belongs
-    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+    # DIR stands for an existing directory: given where a file belongs, or as
+    # the parent of a directory that does not exist
+    argv = [a.replace("DIR", str(tmp_path)) for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"error: {message.replace('DIR', str(tmp_path))}\n"

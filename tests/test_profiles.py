@@ -51,7 +51,7 @@ def test_d2_along_matches_finite_difference():
 
 def test_partial_derivative_field():
     v = pr.make_v_gamma(0.5)
-    d = v.partial(np.array([0.0, 1.0]))
+    d = v.partial()
     x = np.array([0.3, 2.0])
     h = 1e-6
     fd = (v(x + np.array([0.0, h])) - v(x - np.array([0.0, h]))) / (2.0 * h)
@@ -65,6 +65,32 @@ def test_make_psi_defaults(kind, k, s):
     assert psi.gamma_lead > 0.0
     x = np.array([0.0] * max(k, 2) + [5.0])
     assert np.isfinite(psi(x))
+
+
+@pytest.mark.parametrize("kind,k,s", [("decay", 2, 0.5), ("halfint", 1, 0.5),
+                                      ("growth", 1, 0.75)])
+def test_psi_is_scaled_sum_of_partials(kind, k, s):
+    # psi = -(1/gamma_lead) * sum of D_N v over its profiles; halfint has one
+    psi = pr.make_psi(kind, k, s)
+    if kind == "growth":
+        profiles = [pr.make_v_minus_gamma(g, s) for g in (psi.gamma_lead, psi.gamma_second)]
+    else:
+        gammas = (psi.gamma_lead,) if kind == "halfint" else (psi.gamma_lead, psi.gamma_second)
+        profiles = [pr.make_v_gamma(g) for g in gammas]
+    h = 1e-5
+    for x in ([0.3, 1.7], [-0.8, 0.6], [0.4, -0.5], [1.2, -0.5, 2.0],
+              [0.2, 0.1, 0.7], [-2.0, 1.0, -3.0]):
+        x = np.array(x)
+        step = np.zeros(x.size)
+        step[-1] = h
+        fd = sum((v(x + step) - v(x - step)) / (2.0 * h) for v in profiles)
+        assert psi(x) == pytest.approx(-fd / psi.gamma_lead, rel=1e-6)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_half_space_tail_rejects_bad_gamma(gamma):
+    with pytest.raises(pr.ExponentOutOfRange, match="gamma must be finite and positive"):
+        pr.HalfSpacePowerTail(gamma)
 
 
 def test_make_psi_guards():
@@ -196,10 +222,7 @@ def _unit(rng, N):
 LINE_FIELDS = {
     "radial_decay": lambda N, rng: pr.make_w_gamma(0.5),
     "radial_growth": lambda N, rng: pr.make_v_minus_gamma(0.3, 0.75),
-    "radial_derivative": lambda N, rng: pr.make_v_gamma(0.6).partial(_unit(rng, N)),
-    "partial_n": lambda N, rng: pr._PartialN(pr.make_v_gamma(0.4)),
-    "scaled_sum": lambda N, rng: pr._ScaledField(
-        pr._SumField([pr.make_w_gamma(0.5), pr.PowerProfile(0.3, 2.0)]), -1.5),
+    "partial_n": lambda N, rng: pr.make_v_gamma(0.4).partial(),
     "psi_decay": lambda N, rng: pr.make_psi("decay", 2, 0.5),
     "psi_halfint": lambda N, rng: pr.make_psi("halfint", 1, 0.5),
     "psi_growth": lambda N, rng: pr.make_psi("growth", 1, 0.75),
