@@ -44,8 +44,8 @@ _CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class Config:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
+    abs_tol: float = Tolerance.abs_tol
+    rel_tol: float = Tolerance.rel_tol
     seed: int = 42
 
     def __post_init__(self) -> None:

@@ -252,11 +252,18 @@ def _pow_kernel(g: float, s: float, tol: Tolerance, perp: float = 0.0) -> float:
     return integrate_pv(integrand, 0.0, math.inf, tol).value
 
 
+def _check_positive(gam: float, s: float) -> None:
+    # chained comparisons are false for NaN, so NaN is rejected too
+    if not 0.0 < gam < math.inf:
+        raise DomainError("gamma must be finite and positive")
+    if not 0.0 < s < 1.0:
+        raise DomainError("s must lie in (0,1)")
+
+
 def _check_decay(gam: float, s: float) -> None:
     if not 0.0 < gam < 1.0:
         raise DomainError("gamma must lie in (0,1)")
-    if not 0.0 < s < 1.0:
-        raise DomainError("s must lie in (0,1)")
+    _check_positive(gam, s)
 
 
 def hat_c_dec(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
@@ -271,10 +278,7 @@ def hat_c_dec(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
 
 def c_perp(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
     """2 * integral_0^inf ((1+tau^2)^{-gamma/2} - 1)/tau^{1+2s} dtau  (< 0)."""
-    if gam <= 0.0:
-        raise DomainError("gamma must be positive")
-    if not 0.0 < s < 1.0:
-        raise DomainError("s must lie in (0,1)")
+    _check_positive(gam, s)
 
     def f(t: np.ndarray) -> np.ndarray:
         return 2.0 * np.expm1(-(gam / 2.0) * np.log1p(t * t)) * t ** (-1.0 - 2.0 * s)
@@ -309,8 +313,7 @@ def hat_c_gro(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
 
 def _iso_parts(gam: float, s: float, N: int) -> tuple[Callable, Callable, Callable]:
     """c_iso's kernel, its (1+t^2-2t/sqrt(N))^{-g/2} half, and its pair series."""
-    if gam <= 0.0:
-        raise DomainError("gamma must be positive")
+    _check_positive(gam, s)
     if N < 2:
         raise DomainError("N must be >= 2")
     a = 1.0 / math.sqrt(N)

@@ -15,16 +15,16 @@ point along many directions.  One engine integrates a whole fan through
 ``quad.integrate_batch``, the batched adaptive G10/K21 engine: field lines
 accept a stack of directions, so each round of bisection evaluates every
 open panel of every piece of every section in one field call.
-``directional`` on a single prepared section is the fan of one;
-``directional_fan``, ``frame_sum``, the ``plus`` closed form and the
-search's objective evaluate their directions as one fan each.
+It is the only path: ``directional`` along one direction is the fan of
+one, and ``directional_fan``, ``frame_sum``, the ``plus`` closed form and
+the search's objective evaluate their directions as one fan each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,12 +32,10 @@ from .constants import normalizing_constant
 from .quad import QuadResult, Tolerance, integrate_batch
 
 __all__ = [
-    "LineSection",
     "Frame",
     "GrowthViolation",
     "HypothesisViolation",
     "directional",
-    "directional_at",
     "directional_fan",
     "frame_sum",
     "extremal_radial",
@@ -51,50 +49,16 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _LOG8 = math.log(8.0)
-# finite-difference nodes 0, +-h, +-h/2 with h = delta0/8, in units of delta0
+# finite-difference nodes 0, +-h, +-h/2 with h = window/8, in units of the C^2 window
 _FD_NODES = np.array([0.0, 0.125, -0.125, 0.0625, -0.0625])
-_DEFAULT_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-9)
 
 
 class GrowthViolation(ValueError):
-    """Section growth exponent >= 2s; the defining integral diverges."""
+    """Field growth exponent >= 2s; the defining integral diverges."""
 
 
 class HypothesisViolation(ValueError):
     """A closed-form representation's hypotheses fail numerically."""
-
-
-@dataclass
-class LineSection:
-    """One-dimensional restriction ``tau -> u(x + tau*xi)`` with metadata.
-
-    ``eval`` maps an ndarray of tau elementwise to the section's values.
-    ``c2_delta0`` is a radius within which the section is twice continuously
-    differentiable and ``d2`` its second derivative at 0.  ``discontinuities``
-    lists every tau where the section is not C^2 (jumps and kinks alike);
-    they become quadrature panel boundaries.  ``growth_alpha`` bounds
-    ``|section(tau)| <= growth_const * (1+|tau|)^growth_alpha``.
-    ``extra_abs_error`` carries any approximation error already present in
-    the evaluations (e.g. a truncated bump window) into the result, and
-    ``extra_evals`` the field evaluations already spent on the section (the
-    finite differences behind ``d2``) into its count.
-    """
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    c2_delta0: float
-    d2: float
-    discontinuities: list[float] = field(default_factory=list)
-    growth_alpha: float = 0.0
-    growth_const: Optional[float] = None
-    extra_abs_error: float = 0.0
-    extra_evals: int = 0
-
-    def __post_init__(self) -> None:
-        if self.c2_delta0 <= 0.0:
-            raise ValueError("c2_delta0 must be positive")
-        inside = [t for t in self.discontinuities if abs(t) < self.c2_delta0]
-        if inside:
-            raise ValueError(f"discontinuities {inside} inside the C2 window")
 
 
 @dataclass(frozen=True)
@@ -125,43 +89,98 @@ class Frame:
 
 
 # ---------------------------------------------------------------------------
-# directional operator on a fan of line sections
+# the directional operator on a fan of directions
 # ---------------------------------------------------------------------------
+#
+# A *field* is any object with:
+#   line(x, xi) -> Callable[[ndarray], ndarray]
+#                                           the section tau -> u(x + tau*xi),
+#                                           elementwise on an array of tau;
+#                                           xi of shape (..., N) is a fan of
+#                                           directions, broadcasting against tau
+#   c2_radius(x: ndarray) -> float          radius of C^2 ball around x
+#   breakpoints(x, xi) -> list[float]       tau of every non-C^2 crossing
+#   growth_alpha: float                     (H2)-type growth exponent: every
+#                                           section is bounded by
+#                                           growth_const * (1+|tau|)^growth_alpha
+# optional:
+#   growth_const: float                     probed along each section if absent
+#   extra_abs_error(x) -> float             evaluation-truncation error
+#   d2_along(x, xi) -> float                analytic second derivative
+#
+# ``breakpoints`` and ``d2_along`` take one direction of shape (N,).
+# ``line`` does the field's vector work once per call, so the quadrature
+# evaluates a whole batch of nodes, of one section or of a whole fan, in
+# one numpy pass.
 
-def _integrate_fan(ev: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   sections: list[LineSection], s: float,
+def _unit(xi: np.ndarray) -> np.ndarray:
+    """``xi`` scaled to unit length, unchanged when it already is unit."""
+    xi = np.asarray(xi, float)
+    nrm = float(np.linalg.norm(xi))
+    return xi / nrm if abs(nrm - 1.0) > 1e-12 else xi
+
+
+def _integrate_fan(u, x: np.ndarray, dirs: np.ndarray, s: float,
                    tol: Tolerance) -> list[QuadResult]:
-    """The directional operator integral of every section of a fan.
+    """The directional operator integral of a field at ``x`` along each unit row of ``dirs``.
 
-    A fan is a list of line sections through one point; ``ev(t, rows)``
-    evaluates section ``rows`` at ``t``, the two broadcasting against each
-    other, so one call serves nodes of many sections.  The sections share
-    their value at 0.  Each integral splits into (i) an analytic Taylor
-    piece on ``(0, delta)`` using the section's second derivative, with the
-    remainder self-estimated by comparing against the half-radius
-    evaluation, (ii) panels between discontinuities, (iii) a log-substituted
-    far panel, and (iv) an analytic tail remainder from the declared growth
-    bound.  The Taylor ladders of all sections run in lockstep, four rungs
-    per open section to an ``integrate_batch`` call; then every piece of
-    (ii) and (iii) of every section goes into one call.
+    A fan is the line sections of one field through one point.  Every field
+    evaluation is ``u.line(x, dirs[rows])`` at nodes ``t``, the two
+    broadcasting against each other, so one call serves nodes of many
+    sections.  The sections share their value at 0.  Each integral splits
+    into (i) an analytic Taylor piece on ``(0, delta)`` using the section's
+    second derivative, with the remainder self-estimated by comparing against
+    the half-radius evaluation, (ii) panels between breakpoints, (iii) a
+    log-substituted far panel, and (iv) an analytic tail remainder from the
+    growth bound.  The Taylor ladders of all sections run in lockstep, four
+    rungs per open section to an ``integrate_batch`` call; then every piece
+    of (ii) and (iii) of every section goes into one call.
+
+    The field's metadata is read once per fan.  A direction's C^2 window is
+    the C^2 radius capped at its nearest breakpoint; without ``d2_along`` the
+    second derivatives of all directions come from one call of finite
+    differences inside their windows.
 
     ``n_evals`` of each result counts the section's field evaluations: u(0),
-    two per kernel node (at t and -t), the growth probes and the section's
-    ``extra_evals``.  Field metadata (breakpoints, C^2 radius) is not counted.
+    two per kernel node (at t and -t), the growth probes and the finite
+    differences.  Field metadata (breakpoints, C^2 radius) is not counted.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0,1)")
-    for sec in sections:
-        if sec.growth_alpha >= 2.0 * s:
-            raise GrowthViolation(f"growth exponent {sec.growth_alpha} >= 2s = {2*s}")
+    growth_alpha = float(u.growth_alpha)
+    if growth_alpha >= 2.0 * s:
+        raise GrowthViolation(f"growth exponent {growth_alpha} >= 2s = {2*s}")
 
-    m = len(sections)
+    m = len(dirs)
     all_rows = np.arange(m)
+
+    def ev(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return u.line(x, dirs[rows])(t)
+
+    c2 = float(u.c2_radius(x))
+    radii = [[abs(float(t)) for t in u.breakpoints(x, xi)] for xi in dirs]
+    window = np.array([min([c2] + r) for r in radii])
+    if np.any(window <= 0.0):
+        raise ValueError("the C^2 window of every direction must be positive")
+    extra_fn = getattr(u, "extra_abs_error", None)
+    extra = float(extra_fn(x)) if extra_fn is not None else 0.0
+
     u0 = float(ev(0.0, 0))
-    n_evals = 1 + np.array([sec.extra_evals for sec in sections])
+    n_evals = np.ones(m, int)
+    d2_fn = getattr(u, "d2_along", None)
+    if d2_fn is not None:
+        d2 = np.array([float(d2_fn(x, xi)) for xi in dirs])
+    else:
+        # central differences at h = window/8 and h/2, Richardson-extrapolated
+        nodes = np.multiply.outer(window, _FD_NODES)
+        v = ev(nodes, all_rows[:, None])
+        h, h2 = nodes[:, 1], nodes[:, 3]
+        coarse = (v[:, 1] + v[:, 2] - 2.0 * v[:, 0]) / (h * h)
+        fine = (v[:, 3] + v[:, 4] - 2.0 * v[:, 0]) / (h2 * h2)
+        d2 = (4.0 * fine - coarse) / 3.0
+        n_evals += _FD_NODES.size
     p = 1.0 + 2.0 * s
     expo = 2.0 - 2.0 * s
-    d2 = np.array([sec.d2 for sec in sections])
 
     def pair(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         both = ev(np.stack((t, -t)), rows)
@@ -180,7 +199,7 @@ def _integrate_fan(ev: Callable[[np.ndarray, np.ndarray], np.ndarray],
     # are wasted work and the deep ones are the noisy, expensive ones.
     # Below delta_cancel the pair loses all significant digits to rounding.
     delta_cancel = 32.0 * np.sqrt(_EPS * (abs(u0) + 1.0) / (np.abs(d2) + 1e-3))
-    top = np.minimum([sec.c2_delta0 / 2.0 for sec in sections], 1.0)
+    top = np.minimum(window / 2.0, 1.0)
     n_rungs = 1 + np.count_nonzero(
         np.ldexp(top[:, None], -np.arange(1, 60)) > delta_cancel[:, None], axis=1)
     next_rung = np.zeros(m, int)
@@ -207,14 +226,14 @@ def _integrate_fan(ev: Callable[[np.ndarray, np.ndarray], np.ndarray],
         next_rung[ladder_open] += count
         ladder_open = ladder_open[~done]
 
-    # pieces between discontinuity radii, each on a quintic smoothstep map of
+    # pieces between breakpoint radii, each on a quintic smoothstep map of
     # (0, 1): algebraic kinks |t - endpoint|^kappa become C^2-or-better, so
     # the rule converges at full rate even for Hoelder-rough sections
     cuts = []
-    for sec, dl in zip(sections, delta.tolist()):
-        bps = sorted({abs(t) for t in sec.discontinuities if abs(t) > dl})
-        end = max(1.0, 2.0 * dl, (bps[-1] + 1.0) if bps else 1.0)
-        cuts.append([dl] + [b for b in bps if b < end] + [end])
+    for r, dl in zip(radii, delta.tolist()):
+        outer = sorted({b for b in r if b > dl})
+        end = max(1.0, 2.0 * dl, (outer[-1] + 1.0) if outer else 1.0)
+        cuts.append([dl] + [b for b in outer if b < end] + [end])
     sizes = np.array([len(c) for c in cuts])
     flat = np.array([c for cut in cuts for c in cut])
     last = np.cumsum(sizes) - 1
@@ -222,16 +241,18 @@ def _integrate_fan(ev: Callable[[np.ndarray, np.ndarray], np.ndarray],
     firsts = np.delete(np.arange(flat.size), last)
     core_rows = np.repeat(all_rows, sizes - 1)
 
-    # growth coefficients for tail truncation: declared, or probed in one call
-    alpha = np.array([sec.growth_alpha for sec in sections])
-    c_grow = np.array([sec.growth_const or 0.0 for sec in sections])
-    probed = np.flatnonzero([sec.growth_const is None for sec in sections])
-    if probed.size:
-        probes = core_end[probed, None] * np.array([1.0, 3.0, 9.0])
-        vals = np.abs(ev(np.stack((probes, -probes)), probed[:, None]))
-        c_grow[probed] = np.max(np.max(vals, axis=0) / (1.0 + probes) ** alpha[probed, None],
-                                axis=1)
-        n_evals[probed] += 6
+    # growth coefficients for tail truncation: declared, or probed in one call.
+    # The exponent stays an array: numpy's power takes a different path for a
+    # scalar exponent, which can move the last bit of the tail bound.
+    alpha = np.full(m, growth_alpha)
+    growth_const = getattr(u, "growth_const", None)
+    if growth_const is None:
+        probes = core_end[:, None] * np.array([1.0, 3.0, 9.0])
+        vals = np.abs(ev(np.stack((probes, -probes)), all_rows[:, None]))
+        c_grow = np.max(np.max(vals, axis=0) / (1.0 + probes) ** alpha[:, None], axis=1)
+        n_evals += 6
+    else:
+        c_grow = np.full(m, float(growth_const))
 
     # Beyond T the -2*u0 part of the pair integrates exactly to
     # -u0 * T^{-2s} / s; only the growth-bounded part of the sections
@@ -279,130 +300,36 @@ def _integrate_fan(ev: Callable[[np.ndarray, np.ndarray], np.ndarray],
     value = (small_val + np.bincount(core_rows, v[:n_core], m)
              + (-u0 * T ** (-2.0 * s) / s + far_val))
     err = (small_err + np.bincount(core_rows, e[:n_core], m)
-           + (coeff * T**-decay + far_err)
-           + np.array([sec.extra_abs_error for sec in sections]))
+           + (coeff * T**-decay + far_err) + extra)
     Cs = normalizing_constant(s)
     return [QuadResult(a, b, c).scale(Cs)
             for a, b, c in zip(value.tolist(), err.tolist(), n_evals.tolist())]
 
 
-def directional(section: LineSection, s: float,
-                tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
-    """Evaluate the directional operator integral on a prepared line section.
-
-    The fan of one: the engine of ``directional_fan`` on a single section,
-    with a Taylor piece near 0, core panels between discontinuities, a far
-    panel and an analytic tail remainder.
-    """
-    return _integrate_fan(lambda t, rows: section.eval(t), [section], s, tol)[0]
-
-
-# ---------------------------------------------------------------------------
-# building sections from evaluable fields
-# ---------------------------------------------------------------------------
-#
-# A *field* is any object with:
-#   line(x, xi) -> Callable[[ndarray], ndarray]
-#                                           the section tau -> u(x + tau*xi),
-#                                           elementwise on an array of tau;
-#                                           xi of shape (..., N) is a fan of
-#                                           directions, broadcasting against tau
-#   c2_radius(x: ndarray) -> float          radius of C^2 ball around x
-#   breakpoints(x, xi) -> list[float]       tau of every non-C^2 crossing
-#   growth_alpha: float                     (H2)-type growth exponent
-# optional:
-#   growth_const: float
-#   extra_abs_error(x) -> float             evaluation-truncation error
-#   d2_along(x, xi) -> float                analytic second derivative
-#
-# ``breakpoints`` and ``d2_along`` take one direction of shape (N,).
-# ``line`` does the field's vector work once per call, so the quadrature
-# evaluates a whole batch of nodes, of one section or of a whole fan, in
-# one numpy pass.
-
-def _unit(xi: np.ndarray) -> np.ndarray:
-    """``xi`` scaled to unit length, unchanged when it already is unit."""
-    xi = np.asarray(xi, float)
-    nrm = float(np.linalg.norm(xi))
-    return xi / nrm if abs(nrm - 1.0) > 1e-12 else xi
-
-
-def _fan_sections(u, x: np.ndarray, dirs: np.ndarray,
-                  ev: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[LineSection]:
-    """The line sections of a field through ``x`` along each unit row of ``dirs``.
-
-    ``ev(t, rows)`` evaluates them as ``_integrate_fan`` does.  The C^2
-    radius and the truncation error depend on ``x`` alone and are read once;
-    without ``d2_along`` the second derivatives of all sections come from
-    one call of finite differences.
-    """
-    c2 = float(u.c2_radius(x))
-    bps = [sorted(float(t) for t in u.breakpoints(x, xi)) for xi in dirs]
-    delta0 = [min([c2] + [abs(t) for t in b]) for b in bps]
-
-    d2_fn = getattr(u, "d2_along", None)
-    if d2_fn is not None:
-        d2 = [float(d2_fn(x, xi)) for xi in dirs]
-        fd_evals = 0
-    else:
-        fd_evals = _FD_NODES.size
-        nodes = np.multiply.outer(delta0, _FD_NODES)
-        d2 = []
-        for (_, h, _, h2, _), (u0, up, um, up2, um2) in zip(
-                nodes.tolist(), ev(nodes, np.arange(len(dirs))[:, None]).tolist()):
-            coarse = (up + um - 2.0 * u0) / (h * h)
-            fine = (up2 + um2 - 2.0 * u0) / (h2 * h2)
-            d2.append((4.0 * fine - coarse) / 3.0)
-
-    extra_fn = getattr(u, "extra_abs_error", None)
-    extra = float(extra_fn(x)) if extra_fn is not None else 0.0
-    return [
-        LineSection(
-            eval=lambda t, j=j: ev(t, j),
-            c2_delta0=delta0[j],
-            d2=d2[j],
-            discontinuities=bps[j],
-            growth_alpha=float(u.growth_alpha),
-            growth_const=getattr(u, "growth_const", None),
-            extra_abs_error=extra,
-            extra_evals=fd_evals,
-        )
-        for j in range(len(dirs))
-    ]
-
-
-def make_section(u, x: np.ndarray, xi: np.ndarray) -> LineSection:
-    """Build the line section of a field through ``x`` along unit ``xi``."""
-    x = np.asarray(x, float)
-    xi = _unit(xi)
-    line = u.line(x, xi)
-    return _fan_sections(u, x, xi[None], lambda t, rows: line(t))[0]
-
-
-def directional_at(u, x: np.ndarray, xi: np.ndarray, s: float,
-                   tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
-    """Directional operator of a field at a point along a unit vector."""
-    return directional(make_section(u, x, xi), s, tol)
-
-
 def directional_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
-                    tol: Tolerance = _DEFAULT_TOL) -> list[QuadResult]:
+                    tol: Tolerance = Tolerance()) -> list[QuadResult]:
     """Directional operator of a field at one point along each row of ``directions``.
 
     The whole fan is one batched quadrature: each round evaluates the nodes
-    of every section in one field call.  Direction by direction the result
-    is that of ``directional_at``.
+    of every section in one field call.
     """
     x = np.asarray(x, float)
     dirs = np.array([_unit(xi) for xi in np.asarray(directions, float).reshape(-1, x.size)])
+    return _integrate_fan(u, x, dirs, s, tol)
 
-    def ev(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return u.line(x, dirs[rows])(t)
-    return _integrate_fan(ev, _fan_sections(u, x, dirs, ev), s, tol)
+
+def directional(u, x: np.ndarray, xi: np.ndarray, s: float,
+                tol: Tolerance = Tolerance()) -> QuadResult:
+    """Directional operator of a field at a point along a unit vector: the fan of one."""
+    return directional_fan(u, x, xi, s, tol)[0]
+
+
+# the older name, still looked up by perfbench's tracer; the package calls ``directional``
+directional_at = directional
 
 
 def frame_sum(u, x: np.ndarray, frame: Frame, s: float,
-              tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
+              tol: Tolerance = Tolerance()) -> QuadResult:
     """Sum of directional operators over the vectors of a frame."""
     total = QuadResult(0.0, 0.0, 0)
     for r in directional_fan(u, x, frame.vectors, s, tol):
@@ -466,7 +393,7 @@ def random_frame(N: int, k: int, rng: np.random.Generator) -> Frame:
 # ---------------------------------------------------------------------------
 
 def extremal_radial(profile, x: np.ndarray, s: float, k: int,
-                    variant: str, tol: Tolerance = _DEFAULT_TOL) -> QuadResult:
+                    variant: str, tol: Tolerance = Tolerance()) -> QuadResult:
     """Closed-form extremal value for a radial profile.
 
     ``plus``: the maximizing frame is {xhat} plus k-1 orthogonal directions.
@@ -490,7 +417,7 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
         if k != N:
             raise HypothesisViolation("variant minus_full requires k = N")
         xi_star = householder_frame(xhat).vectors[0]
-        return directional_at(profile, x, xi_star, s, tol).scale(float(N))
+        return directional(profile, x, xi_star, s, tol).scale(float(N))
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -549,7 +476,7 @@ _ZOOM_WIDTH = ((math.sqrt(5.0) - 1.0) / 2.0) ** 24
 
 def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
                     budget: int = 10, seed: int = 42,
-                    tol: Tolerance = _DEFAULT_TOL,
+                    tol: Tolerance = Tolerance(),
                     sweeps: int = 3) -> tuple[QuadResult, Frame]:
     """Heuristic frame optimization for the extremal operators.
 
@@ -654,7 +581,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
 
 def derivative_commutation_residual(profile, x: np.ndarray, xi: np.ndarray,
                                     s: float,
-                                    tol: Tolerance = _DEFAULT_TOL) -> float:
+                                    tol: Tolerance = Tolerance()) -> float:
     """|central difference of y -> I_xi profile(y) minus I_xi (D_N profile)(x)|.
 
     The difference is taken along e_N with step h = 1e-4.  The derivative
@@ -664,9 +591,9 @@ def derivative_commutation_residual(profile, x: np.ndarray, xi: np.ndarray,
     h = 1e-4
     e = np.zeros(x.size)
     e[-1] = 1.0
-    plus = directional_at(profile, x + h * e, xi, s, tol).value
-    minus = directional_at(profile, x - h * e, xi, s, tol).value
+    plus = directional(profile, x + h * e, xi, s, tol).value
+    minus = directional(profile, x - h * e, xi, s, tol).value
     fd = (plus - minus) / (2.0 * h)
     dprofile = profile.partial()
-    direct = directional_at(dprofile, x, xi, s, tol).value
+    direct = directional(dprofile, x, xi, s, tol).value
     return abs(fd - direct)

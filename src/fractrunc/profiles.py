@@ -627,6 +627,8 @@ class TransformParams:
         return self.beta_exp ** (1.0 / (self.q - 1.0))
 
     def validate(self) -> None:
+        if self.q == 1.0 and self.p != self.q:
+            raise ExponentOutOfRange("transform requires q != 1 when p != q")
         b, a = self.beta_exp, self.alpha_coef
         if not 0.0 < b <= 1.0:
             raise ExponentOutOfRange(

@@ -38,8 +38,6 @@ __all__ = [
     "verify_transform",
 ]
 
-_DEFAULT_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-9)
-
 
 class NotFound(RuntimeError):
     """A numeric search produced no admissible value."""
@@ -140,7 +138,7 @@ def _upper_points(N: int, radii: Sequence[float], seed: int) -> list[np.ndarray]
 
 
 def verify_power_identity(mu: float, s: float,
-                          tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
+                          tol: Tolerance = Tolerance()) -> VerificationReport:
     """Directional operator of (x_N)_+^mu along e_N equals C_s c_{s,mu} x_N^{mu-2s}
     at x = t*e_N in R^3, t in {0.5, 1, 2}."""
     z = pr.PowerProfile(mu, 1.0)
@@ -151,7 +149,7 @@ def verify_power_identity(mu: float, s: float,
     claims: list[ClaimResult] = []
     for t in (0.5, 1.0, 2.0):
         x = _on_axis(3, t)
-        r = op.directional_at(z, x, e_n, s, tol)
+        r = op.directional(z, x, e_n, s, tol)
         predicted = Cs * c_val * t ** (mu - 2.0 * s)
         claims.append(ClaimResult(list(map(float, x)), "identity_residual",
                                   r.value - predicted, r.abs_error_estimate + 1e-9, "eq"))
@@ -180,7 +178,7 @@ def epsilon_threshold(s: float, p: float) -> float:
 
 def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
                       k: int = 1, N: int = 2, window: int = 400,
-                      tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
+                      tol: Tolerance = Tolerance()) -> VerificationReport:
     """Certify the bump-train supersolution one bump at a time.
 
     Case-1 points lie inside bump supports: the e_N directional value plus
@@ -203,7 +201,7 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
     claims: list[ClaimResult] = []
     for t in (eps, 1.0 + eps, 3.0 + eps / 2.0, 5.0 + 1.5 * eps):
         x = _on_axis(N, t)
-        r = op.directional_at(u, x, e_n, s, tol)
+        r = op.directional(u, x, e_n, s, tol)
         uval = u(x)
         claims.append(ClaimResult([t], "case1_supersolution",
                                   r.value + uval**p, r.abs_error_estimate, "le"))
@@ -218,7 +216,7 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
         claims.append(ClaimResult([t], "case2_frame_sum_zero",
                                   fs.value, fs.abs_error_estimate + 1e-12, "eq"))
         # along e_N the second difference of a zero-valued center is >= 0
-        rn = op.directional_at(u, x, e_n, s, tol)
+        rn = op.directional(u, x, e_n, s, tol)
         claims.append(ClaimResult([t], "case2_directional_nonnegative",
                                   -rn.value, rn.abs_error_estimate, "le"))
     params = {"s": s, "p": p, "eps": eps, "k": k, "N": N, "window": window,
@@ -227,7 +225,7 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
 
 
 def verify_T49_2(N: int, s: float, gamma: Optional[float] = None,
-                 tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
+                 tol: Tolerance = Tolerance()) -> VerificationReport:
     """Frame bound for the half-space power tail outside the critical ball.
 
     The frame has every vector at angle arccos(1/sqrt(N)) to the radial
@@ -355,7 +353,7 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
 
 def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
                                   seed: int = 42,
-                                  tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
+                                  tol: Tolerance = Tolerance()) -> VerificationReport:
     """Exact-cancellation supersolution M (x_N)_+^mu for p < -1, at x = t*e_N
     for t in {0.5, 1, 2}.
 
@@ -372,7 +370,7 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
         e_n = _on_axis(N, 1.0)
         for t in points:
             x = _on_axis(N, t)
-            r = op.directional_at(u, x, e_n, s, tol)
+            r = op.directional(u, x, e_n, s, tol)
             raw = r.value + u(x) ** p
             claims.append(ClaimResult([float(t)], "exact_cancellation",
                                       abs(raw) - 1e-6,
@@ -436,7 +434,7 @@ class _BallBump(pr.Field):
 
 
 def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
-                             tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
+                             tol: Tolerance = Tolerance()) -> VerificationReport:
     """Ball-avoiding frame: every section of the ball bump vanishes identically.
 
     The frame makes each vector see the line at distance >= |x-y|/sqrt(2)
@@ -472,7 +470,7 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
 
 
 def verify_transform(s: float, p: float, q: float, seed: int = 42,
-                     tol: Tolerance = _DEFAULT_TOL) -> VerificationReport:
+                     tol: Tolerance = Tolerance()) -> VerificationReport:
     """Power-transform machinery: scalar inequality, operator inequality, closure.
 
     Checks the scalar bound b - a <= beta a^{(beta-1)/beta} (b^{1/beta} - a^{1/beta})
@@ -507,9 +505,9 @@ def verify_transform(s: float, p: float, q: float, seed: int = 42,
     for t in (0.5, 1.0, 2.0):
         x = _on_axis(2, t)
         # operator inequality: I v <= beta v^{(beta-1)/beta} I (v^{1/beta})
-        lhs_q = op.directional_at(v, x, e_n, s, tol)
+        lhs_q = op.directional(v, x, e_n, s, tol)
         # v^{1/beta} = alpha^{1/beta} * base
-        rhs_dir = op.directional_at(base, x, e_n, s, tol)
+        rhs_dir = op.directional(base, x, e_n, s, tol)
         vx = v(x)
         factor = beta * vx ** ((beta - 1.0) / beta) * tp.alpha_coef ** (1.0 / beta)
         rhs_q = factor * rhs_dir.value

@@ -26,7 +26,7 @@ def test_01_bump_identity(s, t):
         growth_const = 1.0
 
         def line(self, x, xi):
-            x_n, xi_n = float(x[-1]), float(xi[-1])
+            x_n, xi_n = float(x[-1]), np.asarray(xi)[..., -1]
             return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
 
         def c2_radius(self, x):
@@ -38,8 +38,8 @@ def test_01_bump_identity(s, t):
             return sorted((b - float(x[-1])) / float(xi[-1])
                           for b in (-1.0, 1.0))
 
-    r = op.directional_at(Bump(), np.array([0.0, t]), np.array([0.0, 1.0]),
-                          s, TOL)
+    r = op.directional(Bump(), np.array([0.0, t]), np.array([0.0, 1.0]),
+                       s, TOL)
     expected = cn.normalizing_constant(s) * oc.BUMP_IDENTITY[s]
     assert r.value == pytest.approx(expected, rel=1e-6)
 

@@ -131,11 +131,13 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
      "gamma must be finite and positive"),
     (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "inf"],
      "gamma must be finite and positive"),
+    (["verify", "transform", "--s", "0.5", "--p", "2", "--q", "1"],
+     "transform requires q != 1 when p != q"),
 ], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "t49-2-gamma-nan",
-        "t49-2-gamma-inf"])
+        "t49-2-gamma-inf", "transform-q1"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, message):
     # DIR stands for an existing directory: given where a file belongs, or as
     # the parent of a directory that does not exist
@@ -146,12 +148,38 @@ def test_bad_input_exit_2(capsys, tmp_path, argv, message):
     assert not any(tmp_path.iterdir())  # no temporary file left behind
 
 
-def test_constants_negative_gamma_is_null(capsys):
-    code, out, err = run(capsys, ["constants", "--s", "0.5", "--gamma", "-1"])
+@pytest.mark.parametrize("gamma", ["-1", "inf", "nan"])
+def test_constants_negative_gamma_is_null(capsys, gamma):
+    code, out, err = run(capsys, ["constants", "--s", "0.5", "--gamma", gamma])
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["c_N_plus"] is None
-    assert "c_N_plus: gamma must be positive" in doc["notes"]
+    assert "c_N_plus: gamma must be finite and positive" in doc["notes"]
+
+
+# every subcommand that takes --s, with valid values for its other required flags
+_S_COMMANDS = {
+    "constants": ["constants"],
+    "roots-gamma-bar": ["roots", "--which", "gamma-bar"],
+    "roots-gamma-tilde": ["roots", "--which", "gamma-tilde", "--N", "2"],
+    "roots-gamma-plus": ["roots", "--which", "gamma-plus", "--N", "2"],
+    "table": ["table", "--N", "2"],
+    "verify-power-identity": ["verify", "power-identity", "--mu", "0.3"],
+    "verify-bump-train": ["verify", "bump-train", "--p", "2"],
+    "verify-t49-2": ["verify", "t49-2", "--N", "2"],
+    "verify-psi": ["verify", "psi"],
+    "verify-singular": ["verify", "singular", "--p", "-3"],
+    "verify-avoidance": ["verify", "avoidance", "--N", "2"],
+    "verify-transform": ["verify", "transform", "--p", "2", "--q", "3"],
+}
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf", "0", "1", "1.5", "-0.5"])
+@pytest.mark.parametrize("command", sorted(_S_COMMANDS))
+def test_bad_s_exits_2(capsys, command, s):
+    code, out, err = run(capsys, _S_COMMANDS[command] + [f"--s={s}"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_verify_no_root_exit_2(capsys):

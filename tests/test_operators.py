@@ -29,7 +29,7 @@ class CompactBump:
         self.is_radial = False
 
     def line(self, x, xi):
-        x_n, xi_n, s = float(x[-1]), float(xi[-1]), self.s
+        x_n, xi_n, s = float(x[-1]), np.asarray(xi)[..., -1], self.s
         return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
 
     def c2_radius(self, x):
@@ -46,7 +46,7 @@ class CompactBump:
 def test_bump_raw_identity(s, t):
     u = CompactBump(s)
     x = np.array([0.0, t])
-    r = op.directional_at(u, x, np.array([0.0, 1.0]), s, TOL)
+    r = op.directional(u, x, np.array([0.0, 1.0]), s, TOL)
     expected = cn.normalizing_constant(s) * oc.BUMP_IDENTITY[s]
     assert r.value == pytest.approx(expected, rel=1e-8)
 
@@ -55,7 +55,7 @@ def test_bump_raw_identity(s, t):
 def test_power_identity_axis(s, mu):
     z = pr.PowerProfile(mu, 1.0)
     x = np.array([0.0, 0.0, 1.3])
-    r = op.directional_at(z, x, np.array([0.0, 0.0, 1.0]), s, TOL)
+    r = op.directional(z, x, np.array([0.0, 0.0, 1.0]), s, TOL)
     predicted = (cn.normalizing_constant(s) * cn.c_s_mu(mu, s)
                  * 1.3 ** (mu - 2.0 * s))
     assert r.value == pytest.approx(predicted, rel=1e-7)
@@ -66,7 +66,7 @@ def test_power_identity_oblique():
     z = pr.PowerProfile(mu, 1.0)
     x = np.array([0.0, 1.0])
     xi = np.array([math.sqrt(3.0) / 2.0, 0.5])
-    r = op.directional_at(z, x, xi, s, TOL)
+    r = op.directional(z, x, xi, s, TOL)
     predicted = (cn.normalizing_constant(s) * 0.5 ** (2.0 * s)
                  * cn.c_s_mu(mu, s))
     assert r.value == pytest.approx(predicted, rel=1e-7)
@@ -74,8 +74,8 @@ def test_power_identity_oblique():
 
 def test_power_identity_tangential_is_zero():
     z = pr.PowerProfile(0.7, 1.0)
-    r = op.directional_at(z, np.array([0.0, 1.0]), np.array([1.0, 0.0]),
-                          0.5, TOL)
+    r = op.directional(z, np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+                       0.5, TOL)
     assert abs(r.value) <= 1e-9
 
 
@@ -84,7 +84,7 @@ def test_perpendicular_radial_identity():
     gamma, s = 0.6, 0.3
     w = pr.make_w_gamma(gamma)
     x = np.array([0.0, 2.0])
-    r = op.directional_at(w, x, np.array([1.0, 0.0]), s, TOL)
+    r = op.directional(w, x, np.array([1.0, 0.0]), s, TOL)
     predicted = (cn.normalizing_constant(s) * cn.c_perp(gamma, s)
                  * 2.0 ** (-gamma - 2.0 * s))
     assert r.value == pytest.approx(predicted, rel=1e-7)
@@ -94,8 +94,8 @@ def test_homogeneity_2s():
     gamma, s = 0.6, 0.4
     w = pr.make_w_gamma(gamma)
     xi = np.array([0.6, 0.8])
-    a = op.directional_at(w, np.array([0.0, 3.0]), xi, s, TOL)
-    b = op.directional_at(w, np.array([0.0, 6.0]), xi, s, TOL)
+    a = op.directional(w, np.array([0.0, 3.0]), xi, s, TOL)
+    b = op.directional(w, np.array([0.0, 6.0]), xi, s, TOL)
     assert b.value == pytest.approx(a.value * 2.0 ** (-gamma - 2.0 * s),
                                     rel=1e-7)
 
@@ -134,7 +134,7 @@ def test_frame_sum_additivity():
     x = np.array([0.0, 2.0])
     f = op.canonical_frame(2, 2)
     total = op.frame_sum(w, x, f, s, TOL)
-    parts = sum((op.directional_at(w, x, xi, s, TOL) for xi in f.vectors),
+    parts = sum((op.directional(w, x, xi, s, TOL) for xi in f.vectors),
                 start=op.QuadResult(0.0, 0.0, 0))
     assert total.value == pytest.approx(parts.value, abs=1e-10)
 
@@ -190,7 +190,7 @@ def test_search_finds_kinked_optimum():
     u, _ = pr.build_thIN_supersolution(2, s, 3.82)
     x = np.array([-0.0469, 1.3451])
     search_tol = Tolerance(1e-7, 1e-6)
-    kink = op.directional_at(u, x, np.array([1.0, 0.0]), s, search_tol)
+    kink = op.directional(u, x, np.array([1.0, 0.0]), s, search_tol)
     for seed in range(4):
         found, _ = op.extremal_search(u, x, s, 1, "plus", budget=1, seed=seed,
                                       tol=search_tol, sweeps=1)
@@ -206,12 +206,16 @@ def test_commutation_residual_small():
 
 
 def test_growth_metadata_enforced():
-    w = pr.make_w_gamma(0.5)
-    section = op.make_section(w, np.array([0.0, 2.0]), np.array([0.0, 1.0]))
-    assert section.growth_alpha <= 0.0
-    with pytest.raises(ValueError):
-        op.LineSection(eval=lambda t: t, c2_delta0=-1.0, d2=0.0,
-                       discontinuities=[], growth_alpha=0.0)
+    # growth exponent 1.2 >= 2s: the defining integral diverges
+    with pytest.raises(op.GrowthViolation):
+        op.directional(pr.PowerProfile(1.2), np.array([0.0, 2.0]), np.array([0.0, 1.0]), 0.5)
+
+    class NoC2Window(CompactBump):
+        def c2_radius(self, x):
+            return 0.0
+
+    with pytest.raises(ValueError, match="C\\^2 window"):
+        op.directional(NoC2Window(0.5), np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.5)
 
 
 class _CountingField:
@@ -247,7 +251,7 @@ COUNTED_FIELDS = {
 @pytest.mark.parametrize("kind", sorted(COUNTED_FIELDS))
 def test_n_evals_counts_field_evaluations(kind, s):
     u = _CountingField(COUNTED_FIELDS[kind]())
-    r = op.directional_at(u, np.array([0.3, 1.2]), np.array([0.6, 0.8]), s, TOL)
+    r = op.directional(u, np.array([0.3, 1.2]), np.array([0.6, 0.8]), s, TOL)
     assert r.n_evals == u.evals
 
 
@@ -259,20 +263,34 @@ def _scipy_piece(f, a, b, abs_tol, rel_tol):
         return si.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=250)[:2]
 
 
-def _reference_directional(section, s, tol):
-    """The pieces of ``op.directional``, each by scipy's quad, one call per node."""
+def _reference_directional(u, x, xi, s, tol):
+    """The pieces of ``op.directional``, each by scipy's quad, one call per node.
+
+    It reads the field's own hooks, one direction at a time.
+    """
+    line = u.line(x, xi)
+
     def ev(t):
-        return float(section.eval(np.array(t)))
+        return float(line(np.array(t)))
 
     u0 = ev(0.0)
 
     def kernel(t):
         return (ev(t) + ev(-t) - 2.0 * u0) / t ** (1.0 + 2.0 * s)
 
-    m, d2 = 2.0 - 2.0 * s, section.d2
+    discontinuities = [float(t) for t in u.breakpoints(x, xi)]
+    window = min([float(u.c2_radius(x))] + [abs(t) for t in discontinuities])
+    if hasattr(u, "d2_along"):
+        d2 = float(u.d2_along(x, xi))
+    else:  # Richardson extrapolation of central differences at h and h/2
+        h = window / 8.0
+        coarse = (ev(h) + ev(-h) - 2.0 * u0) / (h * h)
+        fine = (ev(h / 2.0) + ev(-h / 2.0) - 2.0 * u0) / (h * h / 4.0)
+        d2 = (4.0 * fine - coarse) / 3.0
+    m = 2.0 - 2.0 * s
     eps = np.finfo(float).eps
     delta_cancel = 32.0 * math.sqrt(eps * (abs(u0) + 1.0) / (abs(d2) + 1e-3))
-    delta = min(section.c2_delta0 / 2.0, 1.0)
+    delta = min(window / 2.0, 1.0)
     for _ in range(60):
         small, eq = _scipy_piece(kernel, delta / 2.0, delta, tol.abs_tol / 8.0, tol.rel_tol)
         small += d2 * (delta / 2.0) ** m / m
@@ -282,7 +300,7 @@ def _reference_directional(section, s, tol):
         delta /= 2.0
     value, err = small, taylor_err + eq
 
-    bps = sorted({abs(t) for t in section.discontinuities if abs(t) > delta})
+    bps = sorted({abs(t) for t in discontinuities if abs(t) > delta})
     core_end = max(1.0, 2.0 * delta, (bps[-1] + 1.0) if bps else 1.0)
     cuts = [delta] + [b for b in bps if b < core_end] + [core_end]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -292,8 +310,8 @@ def _reference_directional(section, s, tol):
         v, e = _scipy_piece(smooth, 0.0, 1.0, tol.abs_tol / (4.0 * len(cuts)), tol.rel_tol)
         value, err = value + v, err + e
 
-    alpha = section.growth_alpha
-    c_grow = section.growth_const
+    alpha = float(u.growth_alpha)
+    c_grow = getattr(u, "growth_const", None)
     if c_grow is None:
         c_grow = max(max(abs(ev(t)), abs(ev(-t))) / (1.0 + t) ** alpha
                      for t in (core_end, 3.0 * core_end, 9.0 * core_end))
@@ -312,7 +330,8 @@ def _reference_directional(section, s, tol):
                             math.log(core_end), math.log(T), tol.abs_tol / 4.0, tol.rel_tol)
         value, err = value + v, err + e
     Cs = cn.normalizing_constant(s)
-    return Cs * value, Cs * (err + section.extra_abs_error)
+    extra = float(u.extra_abs_error(x)) if hasattr(u, "extra_abs_error") else 0.0
+    return Cs * value, Cs * (err + extra)
 
 
 # field kinds whose growth exponent stays below 2s for every s tested
@@ -337,9 +356,8 @@ def test_directional_matches_scipy_reference(kind, s, N):
     x = np.r_[rng.uniform(-1.0, 1.0, N - 1), rng.uniform(0.2, 2.0)]
     xi = rng.standard_normal(N)
     xi /= np.linalg.norm(xi)
-    section = op.make_section(u, x, xi)
-    r = op.directional(section, s, TOL)
-    ref_value, ref_err = _reference_directional(section, s, TOL)
+    r = op.directional(u, x, xi, s, TOL)
+    ref_value, ref_err = _reference_directional(u, x, xi, s, TOL)
     assert abs(r.value - ref_value) <= r.abs_error_estimate + ref_err
 
 
@@ -351,12 +369,12 @@ def test_fan_matches_one_call_per_direction(kind, s, N):
     u = PARITY_FIELDS[kind](N)
     x = np.r_[rng.uniform(-1.0, 1.0, N - 1), rng.uniform(0.2, 2.0)]
     # axis directions, then directions of any length: the fan scales them
-    # to unit length as make_section does
+    # to unit length as directional does
     directions = np.concatenate((np.eye(N), 3.0 * rng.standard_normal((4, N))))
     fan = op.directional_fan(u, x, directions, s, TOL)
     assert len(fan) == len(directions)
     for xi, r in zip(directions, fan):
-        one = op.directional(op.make_section(u, x, xi), s, TOL)
+        one = op.directional(u, x, xi, s, TOL)
         assert r.n_evals == one.n_evals
         bars = r.abs_error_estimate + one.abs_error_estimate
         assert abs(r.value - one.value) <= max(1e-13 * abs(one.value), bars)

@@ -194,7 +194,7 @@ def test_min_field_crossings_ignore_common_zeros():
     m = pr.MinField(pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5), 0.3)
     x, xi = np.array([0.3, 0.2, 1.5]), np.array([0.48, 0.6, 0.64])
     assert len(m._crossings(x, xi)) <= 3
-    r = op.directional_at(m, x, xi, 0.5)
+    r = op.directional(m, x, xi, 0.5)
     # value and error bar computed with every zero node as a breakpoint
     old_value, old_error = -0.15797872399512658, 1.248418382275979e-11
     assert abs(r.value - old_value) <= r.abs_error_estimate + old_error
