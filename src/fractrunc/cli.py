@@ -393,8 +393,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
         for t in targets:
             try:
                 val = _sweep_row(t, args.N, args.k, float(s), args.gamma)
-            except Exception as exc:  # record, keep sweeping
-                row.append("")
+            except (cn.DomainError, cn.NoRootError, cn.BracketFailure) as exc:
+                row.append("")  # record, keep sweeping; any other error is a bug
                 status = f"error:{t}:{type(exc).__name__}"
                 continue
             row.append("" if val is None else f"{val:.12g}")

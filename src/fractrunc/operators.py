@@ -405,9 +405,6 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
     N = x.size
     if not getattr(profile, "is_radial", False):
         raise HypothesisViolation("extremal_radial requires a radial profile")
-    check = getattr(profile, "check_representation_hypotheses", None)
-    if check is not None:
-        check()
     xhat = x / np.linalg.norm(x)
     if variant == "plus":
         fr = completion_frame(xhat, k)

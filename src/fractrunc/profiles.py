@@ -236,9 +236,6 @@ class RadialProfile(Field):
                     raise InvariantViolation(
                         f"growth cap fails dominance at r={r}")
 
-    def check_representation_hypotheses(self) -> None:
-        self._validate()
-
 
 class _PartialN(Field):
     """D_{x_N} v = 2 y_N g'(|y|^2) of a radial profile v = g(|y|^2).

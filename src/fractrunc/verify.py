@@ -22,7 +22,7 @@ import numpy as np
 from . import constants as cn
 from . import operators as op
 from . import profiles as pr
-from .quad import QuadResult, Tolerance
+from .quad import Tolerance
 
 __all__ = [
     "VerificationReport",
@@ -51,6 +51,15 @@ class GeometryViolation(ValueError):
 # reports
 # ---------------------------------------------------------------------------
 
+# The one rounding allowance of every claim.  A residual formed from
+# floating-point terms of magnitude ``scale`` (0 where it is exact) may miss
+# its exact value by a few ulps of ``scale``, so with floor = _ROUNDING*scale:
+#   le: pass when residual + error <= floor, fail when residual - error > floor,
+#       inconclusive otherwise;
+#   eq: pass when |residual| <= error + floor, fail otherwise.
+_ROUNDING = 1e-9
+
+
 @dataclass
 class ClaimResult:
     point: list[float]
@@ -58,14 +67,18 @@ class ClaimResult:
     residual: float
     error: float
     kind: str  # "le": residual <= 0; "eq": residual == 0 within error
+    scale: float = 0.0  # magnitude of the terms the residual is formed from
+
+    def __post_init__(self) -> None:
+        self.point = np.asarray(self.point, float).ravel().tolist()
 
     def status(self) -> str:
+        floor = _ROUNDING * self.scale
         if self.kind == "eq":
-            tol = max(self.error, 1e-12)
-            return "pass" if abs(self.residual) <= tol else "fail"
-        if self.residual + self.error <= 0.0:
+            return "pass" if abs(self.residual) <= self.error + floor else "fail"
+        if self.residual + self.error <= floor:
             return "pass"
-        if self.residual - self.error > 0.0:
+        if self.residual - self.error > floor:
             return "fail"
         return "inconclusive"
 
@@ -88,7 +101,8 @@ class VerificationReport:
             "points": self.points,
             "residuals": [
                 {"point": c.point, "claim": c.claim, "value": c.residual,
-                 "error_estimate": c.error, "kind": c.kind, "status": c.status()}
+                 "error_estimate": c.error, "kind": c.kind, "scale": c.scale,
+                 "status": c.status()}
                 for c in self.residuals
             ],
             "max_violation": self.max_violation,
@@ -97,16 +111,16 @@ class VerificationReport:
         }
 
 
+def _verdict(claims: list[ClaimResult]) -> str:
+    """The worst status among the claims: fail, then inconclusive, then pass."""
+    statuses = {c.status() for c in claims}
+    return next((v for v in ("fail", "inconclusive") if v in statuses), "pass")
+
+
 def _finish(construction: str, params: dict, claims: list[ClaimResult],
-            extra: Optional[dict] = None) -> VerificationReport:
-    """Aggregate claims into a report."""
-    statuses = [c.status() for c in claims]
-    if any(s == "fail" for s in statuses):
-        verdict = "fail"
-    elif any(s == "inconclusive" for s in statuses):
-        verdict = "inconclusive"
-    else:
-        verdict = "pass"
+            extra: Optional[dict] = None, verdict: Optional[str] = None) -> VerificationReport:
+    """Aggregate claims into a report, with ``_verdict(claims)`` unless a verdict is given."""
+    verdict = verdict or _verdict(claims)
     max_violation = max((c.residual for c in claims), default=-math.inf)
     points = sorted({tuple(c.point) for c in claims})
     return VerificationReport(construction, params, [list(p) for p in points],
@@ -151,25 +165,29 @@ def verify_power_identity(mu: float, s: float,
         x = _on_axis(3, t)
         r = op.directional(z, x, e_n, s, tol)
         predicted = Cs * c_val * t ** (mu - 2.0 * s)
-        claims.append(ClaimResult(list(map(float, x)), "identity_residual",
-                                  r.value - predicted, r.abs_error_estimate + 1e-9, "eq"))
+        # c_{s,mu} cancels near mu = s; the terms it sums are of size C_s t^{mu-2s}
+        scale = max(abs(predicted), Cs * t ** (mu - 2.0 * s))
+        claims.append(ClaimResult(x, "identity_residual", r.value - predicted,
+                                  r.abs_error_estimate, "eq", scale))
     return _finish("power_identity", {"mu": mu, "s": s}, claims)
+
+
+def _cross_bump_bound(s: float) -> Callable[[float], float]:
+    """eps -> -C_s beta(1-s, s) + C_s (1-2eps)^{-2s} eps^{2s} / s: the bound on
+    the e_N directional value inside a bump, the other bumps' pull included."""
+    Cs = cn.normalizing_constant(s)
+    beta = cn.beta_1ms_s(s)
+    return lambda eps: -Cs * beta + Cs * (1.0 - 2.0 * eps) ** (-2.0 * s) * eps ** (2.0 * s) / s
 
 
 def epsilon_threshold(s: float, p: float) -> float:
     """Largest grid eps in (0, 1/2) making the bump-train residual bound
     nonpositive, minus a 10% safety margin."""
-    if p <= 0.0 or not 0.0 < s < 1.0:
-        raise ValueError("requires p > 0 and s in (0,1)")
-    Cs = cn.normalizing_constant(s)
-    beta = cn.beta_1ms_s(s)
-
-    def lhs(eps: float) -> float:
-        return (-Cs * beta + Cs * (1.0 - 2.0 * eps) ** (-2.0 * s) * eps ** (2.0 * s) / s
-                + eps ** (2.0 * s * p))
-
+    if not 0.0 < p < math.inf:
+        raise ValueError("p must be finite and positive")
+    bound = _cross_bump_bound(s)
     grid = np.geomspace(1e-6, 0.499, 600)
-    admissible = [e for e in grid if lhs(e) <= 0.0]
+    admissible = [e for e in grid if bound(e) + e ** (2.0 * s * p) <= 0.0]
     if not admissible:
         raise NotFound(
             f"bump-train inequality fails for all eps >= 1e-6 at s={s}, p={p}")
@@ -189,12 +207,12 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
     """
     if not 1 <= k < N:
         raise ValueError("the construction requires k < N")
+    if not 0.0 < p < math.inf:
+        raise ValueError("p must be finite and positive")
     if eps is None:
         eps = epsilon_threshold(s, p)
     u = pr.BumpTrain(eps, s, window)
-    Cs = cn.normalizing_constant(s)
-    bound = (-Cs * cn.beta_1ms_s(s)
-             + Cs * (1.0 - 2.0 * eps) ** (-2.0 * s) * eps ** (2.0 * s) / s)
+    bound = _cross_bump_bound(s)(eps)
     e_n = _on_axis(N, 1.0)
     frame = op.canonical_frame(N, k)
 
@@ -213,8 +231,9 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
         uval = u(x)
         claims.append(ClaimResult([t], "case2_u_vanishes", uval, 0.0, "eq"))
         fs = op.frame_sum(u, x, frame, s, tol)
+        # sections along e_1..e_k are constant, so the value is exactly 0
         claims.append(ClaimResult([t], "case2_frame_sum_zero",
-                                  fs.value, fs.abs_error_estimate + 1e-12, "eq"))
+                                  fs.value, fs.abs_error_estimate, "eq"))
         # along e_N the second difference of a zero-valued center is >= 0
         rn = op.directional(u, x, e_n, s, tol)
         claims.append(ClaimResult([t], "case2_directional_nonnegative",
@@ -251,16 +270,14 @@ def verify_T49_2(N: int, s: float, gamma: Optional[float] = None,
         # avoidance bound: each section stays at radius >= |x|/sqrt(2)
         for xi in frame.vectors:
             min_r2 = nx * nx * (1.0 - float(x / nx @ xi) ** 2)
-            claims.append(ClaimResult(list(map(float, x)), "avoidance_radius",
-                                      nx * nx / 2.0 - min_r2 - 1e-9 * nx * nx,
-                                      0.0, "le"))
+            claims.append(ClaimResult(x, "avoidance_radius", nx * nx / 2.0 - min_r2,
+                                      0.0, "le", nx * nx))
         fs = op.frame_sum(u, x, frame, s, tol)
         rhs = rhs_const * nx ** (-gamma - 2.0 * s)
-        claims.append(ClaimResult(list(map(float, x)), "frame_bound",
-                                  fs.value - rhs, fs.abs_error_estimate + 1e-10, "le"))
+        claims.append(ClaimResult(x, "frame_bound", fs.value - rhs,
+                                  fs.abs_error_estimate, "le", abs(rhs)))
         if gamma < gamma_plus:
-            claims.append(ClaimResult(list(map(float, x)), "rhs_negative",
-                                      rhs, 0.0, "le"))
+            claims.append(ClaimResult(x, "rhs_negative", rhs, 0.0, "le"))
     params = {"N": N, "s": s, "gamma": gamma, "gamma_plus": gamma_plus, "R": R}
     return _finish("t49_2", params, claims)
 
@@ -295,15 +312,13 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
     else:
         exponent = g2 + 2.0 * s + 2.0
     N = max(k + 1, 2)
-    if radii is None:
-        radii = np.geomspace(2.0, 3000.0, 10)
+    radii = np.sort(np.geomspace(2.0, 3000.0, 10) if radii is None
+                    else np.asarray(radii, float))
     angles = np.linspace(0.25, 1.45, 3)
 
     claims: list[ClaimResult] = []
-    per_radius: dict[float, bool] = {}
     far_positive = True
     for r in radii:
-        all_ok = True
         for phi in angles:
             x = np.zeros(N)
             x[0] = r * math.cos(phi)
@@ -314,41 +329,27 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
             tol_pt = Tolerance(abs_tol=max(abs(bound) * 1e-4, tol.abs_tol),
                                rel_tol=tol.rel_tol)
             fs = op.frame_sum(psi, x, frame, s, tol_pt)
-            c = ClaimResult(list(map(float, x)), "frame_lower_bound",
-                            bound - fs.value, fs.abs_error_estimate, "le")
-            claims.append(c)
-            if c.status() != "pass":
-                all_ok = False
-            if r == max(radii) and fs.value <= 0.0:
+            claims.append(ClaimResult(x, "frame_lower_bound",
+                                      bound - fs.value, fs.abs_error_estimate, "le"))
+            if r == radii[-1] and fs.value <= 0.0:
                 far_positive = False
-        per_radius[float(r)] = all_ok
 
-    onset = None
-    sorted_r = sorted(per_radius)
-    for i, r in enumerate(sorted_r):
-        if all(per_radius[q] for q in sorted_r[i:]):
-            onset = r
-            break
-    # verdict counts only claims at radii >= onset
-    if onset is None:
+    # the onset is the first radius from which every claim (one per angle) passes
+    n = len(angles)
+    start = next((i for i in range(len(radii)) if _verdict(claims[i * n:]) == "pass"), None)
+    if start is None:
         # no sampled radius starts a passing run: the onset, if there is one,
         # lies beyond the samples, where nothing was checked, so the claim
         # (and the far-field sign with it) is undecided, not violated
-        verdict_claims = [ClaimResult([max(sorted_r)], "onset_exists", 0.0, 1.0, "le")]
+        onset, verdict = None, "inconclusive"
     else:
-        verdict_claims = [c for c in claims
-                          if float(np.linalg.norm(np.asarray(c.point))) >= onset - 1e-9]
-        if not far_positive:
-            verdict_claims.append(
-                ClaimResult([max(sorted_r)], "far_field_positive", 1.0, 0.0, "le"))
-    report = _finish("psi_subsolution",
-                     {"kind": kind, "k": k, "s": s, "gamma_lead": gb,
-                      "gamma_second": g2, "bound_constant": const},
-                     verdict_claims,
-                     extra={"empirical_R0": onset,
-                            "radii": [float(r) for r in radii]})
-    report.residuals = claims  # keep the full record, verdict from effective set
-    return report
+        onset, verdict = float(radii[start]), "pass" if far_positive else "fail"
+    return _finish("psi_subsolution",
+                   {"kind": kind, "k": k, "s": s, "gamma_lead": gb,
+                    "gamma_second": g2, "bound_constant": const},
+                   claims, extra={"empirical_R0": onset,
+                                  "radii": [float(r) for r in radii]},
+                   verdict=verdict)
 
 
 def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
@@ -372,8 +373,7 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
             x = _on_axis(N, t)
             r = op.directional(u, x, e_n, s, tol)
             raw = r.value + u(x) ** p
-            claims.append(ClaimResult([float(t)], "exact_cancellation",
-                                      abs(raw) - 1e-6,
+            claims.append(ClaimResult(t, "exact_cancellation", abs(raw) - 1e-6,
                                       r.abs_error_estimate, "le"))
     else:
         rng = np.random.default_rng(seed)
@@ -384,19 +384,18 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
             for _ in range(100):
                 frame = op.random_frame(N, N, rng)
                 pigeon = float(np.max(np.abs(frame.vectors[:, -1])))
-                claims.append(ClaimResult([float(t)], "pigeonhole_direction",
-                                          1.0 / math.sqrt(N) - pigeon - 1e-12,
-                                          0.0, "le"))
+                claims.append(ClaimResult(t, "pigeonhole_direction",
+                                          1.0 / math.sqrt(N) - pigeon, 0.0, "le",
+                                          1.0 / math.sqrt(N)))
                 fs = sum(abs(float(xi[-1])) ** (2.0 * s) for xi in frame.vectors)
                 total = fs * M * c_val * t ** (mu - 2.0 * s)
-                claims.append(ClaimResult([float(t)], "frame_supersolution",
-                                          total + (M * t**mu) ** p, 1e-10, "le"))
+                claims.append(ClaimResult(t, "frame_supersolution",
+                                          total + (M * t**mu) ** p, 0.0, "le", abs(total)))
             # spot-check one frame by quadrature
             frame = op.random_frame(N, N, rng)
             fsq = op.frame_sum(u, x, frame, s, tol)
-            claims.append(ClaimResult([float(t)], "frame_supersolution_quadrature",
-                                      fsq.value + u(x) ** p,
-                                      fsq.abs_error_estimate, "le"))
+            claims.append(ClaimResult(t, "frame_supersolution_quadrature",
+                                      fsq.value + u(x) ** p, fsq.abs_error_estimate, "le"))
     params = {"s": s, "p": p, "op_kind": op_kind, "N": N, "M": M, "mu": mu}
     return _finish("singular_supersolution", params, claims)
 
@@ -455,16 +454,14 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     for x in _upper_points(N, (1.0, 2.0, 5.0), 3):
         d = x - y
         nd = float(np.linalg.norm(d))
-        claims.append(ClaimResult(list(map(float, x)), "distance_exceeds",
-                                  math.sqrt(2.0) * r - nd, 0.0, "le"))
+        claims.append(ClaimResult(x, "distance_exceeds", math.sqrt(2.0) * r - nd, 0.0, "le"))
         frame = op.householder_frame(d / nd)
         for xi in frame.vectors:
             min_r2 = nd * nd * (1.0 - float(d / nd @ xi) ** 2)
-            claims.append(ClaimResult(list(map(float, x)), "line_avoids_ball",
-                                      r * r - min_r2, 0.0, "le"))
+            claims.append(ClaimResult(x, "line_avoids_ball", r * r - min_r2, 0.0, "le"))
         fs = op.frame_sum(u, x, frame, s, tol)
-        claims.append(ClaimResult(list(map(float, x)), "frame_sum_zero",
-                                  fs.value, fs.abs_error_estimate + 1e-15, "eq"))
+        # every section misses the ball, so the value is exactly 0
+        claims.append(ClaimResult(x, "frame_sum_zero", fs.value, fs.abs_error_estimate, "eq"))
     return _finish("avoidance_example", {"N": N, "s": s, "r": r, "y": list(y)},
                    claims)
 
@@ -495,8 +492,7 @@ def verify_transform(s: float, p: float, q: float, seed: int = 42,
     rhs = betas * A ** (betas - 1.0) * (B - A)
     worst = float(np.max(lhs - rhs))
     scale = float(np.max(np.abs(rhs)) + 1.0)
-    claims.append(ClaimResult([0.0], "scalar_inequality_worst",
-                              worst - 1e-9 * scale, 0.0, "le"))
+    claims.append(ClaimResult(0.0, "scalar_inequality_worst", worst, 0.0, "le", scale))
 
     base, _, _ = pr.build_singular_supersolution(s, p, "ik_minus", 2)
     v = pr.power_transform(base, p, q)
@@ -511,17 +507,17 @@ def verify_transform(s: float, p: float, q: float, seed: int = 42,
         vx = v(x)
         factor = beta * vx ** ((beta - 1.0) / beta) * tp.alpha_coef ** (1.0 / beta)
         rhs_q = factor * rhs_dir.value
-        claims.append(ClaimResult([float(t)], "operator_inequality",
+        claims.append(ClaimResult(t, "operator_inequality",
                                   lhs_q.value - rhs_q,
                                   lhs_q.abs_error_estimate
                                   + abs(factor) * rhs_dir.abs_error_estimate,
                                   "le"))
         # closure: wrapper evaluation matches the closed-form power family
-        claims.append(ClaimResult([float(t)], "family_closure_pointwise",
-                                  wrapper(x) - v(x), 1e-10, "eq"))
+        claims.append(ClaimResult(t, "family_closure_pointwise", wrapper(x) - vx, 0.0, "eq",
+                                  abs(vx)))
         # transformed family stays a supersolution of the target exponent
         res = lhs_q.value + v(x) ** q
-        claims.append(ClaimResult([float(t)], "target_supersolution",
+        claims.append(ClaimResult(t, "target_supersolution",
                                   res, lhs_q.abs_error_estimate, "le"))
     params = {"s": s, "p": p, "q": q, "beta": beta, "alpha": tp.alpha_coef}
     return _finish("transform", params, claims)

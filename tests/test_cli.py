@@ -133,11 +133,13 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
      "gamma must be finite and positive"),
     (["verify", "transform", "--s", "0.5", "--p", "2", "--q", "1"],
      "transform requires q != 1 when p != q"),
+    (["verify", "bump-train", "--s", "0.5", "--p", "inf"], "p must be finite and positive"),
+    (["verify", "bump-train", "--s", "0.5", "--p", "nan"], "p must be finite and positive"),
 ], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "t49-2-gamma-nan",
-        "t49-2-gamma-inf", "transform-q1"])
+        "t49-2-gamma-inf", "transform-q1", "bump-train-p-inf", "bump-train-p-nan"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, message):
     # DIR stands for an existing directory: given where a file belongs, or as
     # the parent of a directory that does not exist
@@ -212,6 +214,27 @@ def test_sweep_emits_csv_and_svg(tmp_path, capsys):
     tildes = [float(r[2]) for r in rows[1:]]
     assert tildes == sorted(tildes, reverse=True)
     xml.dom.minidom.parse(prefix + ".svg")  # well-formed XML
+
+
+def test_sweep_records_domain_errors(tmp_path, capsys):
+    # gamma = 1.5 lies outside the (0,1) domain of c_hat and c_k
+    prefix = str(tmp_path / "sw")
+    code, _, _ = run(capsys, ["sweep", "--targets", "bounds", "--gamma", "1.5",
+                              "--steps", "3", "--out-prefix", prefix])
+    assert code == 0
+    rows = list(csv.reader(open(prefix + ".csv", newline="")))
+    assert [r[-1] for r in rows[1:]] == ["error:c_k:DomainError"] * 3
+    assert all(r[1] == "" and r[2] != "" and r[3] == "" for r in rows[1:])
+
+
+def test_sweep_propagates_bugs(tmp_path, capsys, monkeypatch):
+    def broken(gamma, s):
+        return 1.0 / 0.0
+
+    monkeypatch.setattr(cli.cn, "c_perp", broken)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["sweep", "--targets", "bounds", "--gamma", "0.5", "--steps", "2",
+                  "--out-prefix", str(tmp_path / "sw")])
 
 
 def test_config_precedence(tmp_path, monkeypatch):

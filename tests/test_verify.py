@@ -15,8 +15,29 @@ def test_claim_verdicts():
     assert c.status() == "pass"
     assert vf.ClaimResult([0.0], "t", 1.0, 0.5, "le").status() == "fail"
     assert vf.ClaimResult([0.0], "t", 0.1, 0.5, "le").status() == "inconclusive"
-    assert vf.ClaimResult([0.0], "t", 1e-13, 0.0, "eq").status() == "pass"
+    assert vf.ClaimResult([0.0], "t", 1e-13, 0.0, "eq", 1.0).status() == "pass"
     assert vf.ClaimResult([0.0], "t", 1.0, 0.1, "eq").status() == "fail"
+    # one rounding floor, _ROUNDING * scale, on the claim side of every rule
+    floor = vf._ROUNDING * 4.0
+    assert vf.ClaimResult([0.0], "t", 0.5 * floor, 0.0, "le", 4.0).status() == "pass"
+    assert vf.ClaimResult([0.0], "t", -floor, 0.5 * floor, "le", 4.0).status() == "pass"
+    assert vf.ClaimResult([0.0], "t", 2.0 * floor, 0.0, "le", 4.0).status() == "fail"
+    assert vf.ClaimResult([0.0], "t", 2.0 * floor, 0.5 * floor, "le", 4.0).status() == "fail"
+    assert vf.ClaimResult([0.0], "t", 2.0 * floor, 1.5 * floor, "le", 4.0).status() \
+        == "inconclusive"
+    assert vf.ClaimResult([0.0], "t", 0.5 * floor, 0.0, "le").status() == "fail"
+    assert vf.ClaimResult([0.0], "t", 1.5 * floor, floor, "eq", 4.0).status() == "pass"
+    assert vf.ClaimResult([0.0], "t", 2.5 * floor, floor, "eq", 4.0).status() == "fail"
+    # an exact residual (scale 0) gets no floor: |residual| <= error
+    assert vf.ClaimResult([0.0], "t", 1e-13, 0.0, "eq").status() == "fail"
+    assert vf.ClaimResult([0.0], "t", -1e-13, 1e-13, "eq").status() == "pass"
+    assert vf.ClaimResult([0.0], "t", 0.0, 0.0, "eq").status() == "pass"
+
+
+def test_claim_point_is_a_list_of_floats():
+    assert vf.ClaimResult(np.array([1, 2]), "t", 0.0, 0.0, "le").point == [1.0, 2.0]
+    point = vf.ClaimResult(np.float64(0.5), "t", 0.0, 0.0, "le").point
+    assert point == [0.5] and type(point[0]) is float
 
 
 def test_report_json_schema():
@@ -26,6 +47,20 @@ def test_report_json_schema():
     assert doc["verdict"] == "pass"
     assert all({"point", "claim", "value", "error_estimate", "status"}
                <= set(entry) for entry in doc["residuals"])
+    # each status can be recomputed from the report alone
+    for entry in doc["residuals"]:
+        claim = vf.ClaimResult(entry["point"], entry["claim"], entry["value"],
+                               entry["error_estimate"], entry["kind"], entry["scale"])
+        assert claim.status() == entry["status"]
+    assert {entry["scale"] for entry in doc["residuals"]} != {0.0}
+
+
+def test_power_identity_floor_where_the_constant_vanishes():
+    # c_{s,mu} vanishes at mu = s, and so does the predicted value; the floor
+    # stays relative to C_s t^{mu-2s}, the size of the terms that cancel
+    r = vf.verify_power_identity(0.95095, 0.95)
+    assert r.verdict == "pass"
+    assert all(c.scale >= 0.04 for c in r.residuals)
 
 
 def test_epsilon_threshold_monotone_margin():
@@ -63,6 +98,29 @@ def test_bump_train_requires_k_below_N():
         vf.verify_bump_train(0.3, 2.0, k=2, N=2)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.0])
+def test_bump_train_requires_finite_positive_p(p):
+    with pytest.raises(ValueError, match="p must be finite and positive"):
+        vf.epsilon_threshold(0.5, p)
+    with pytest.raises(ValueError, match="p must be finite and positive"):
+        vf.verify_bump_train(0.5, p, eps=0.2)
+
+
+def test_bump_train_cross_bump_bound():
+    # eps and the bound come from the one formula, in this operation order
+    s, p = 0.5, 2.0
+    Cs, beta = vf.cn.normalizing_constant(s), vf.cn.beta_1ms_s(s)
+
+    def bound(eps):
+        return -Cs * beta + Cs * (1.0 - 2.0 * eps) ** (-2.0 * s) * eps ** (2.0 * s) / s
+
+    grid = np.geomspace(1e-6, 0.499, 600)
+    eps = vf.epsilon_threshold(s, p)
+    assert eps == 0.9 * max(e for e in grid if bound(e) + e ** (2.0 * s * p) <= 0.0)
+    r = vf.verify_bump_train(s, p, eps=eps, window=10, tol=Tolerance(1e-6, 1e-6))
+    assert r.params["cross_bump_bound"] == bound(eps)
+
+
 def test_t49_2_passes():
     r = vf.verify_T49_2(3, 0.5)
     assert r.verdict == "pass"
@@ -75,6 +133,22 @@ def test_psi_reports_onset_radius():
     assert r.verdict == "pass"
     assert r.extra["empirical_R0"] is not None
     assert r.extra["empirical_R0"] <= 320.0
+
+
+@pytest.mark.parametrize("kind,k,s,radii,verdict", [
+    ("decay", 2, 0.06, None, "inconclusive"),
+    ("halfint", 1, 0.5, [320.0, 5.0, 80.0, 20.0], "pass"),
+])
+def test_psi_report_records_every_claim(kind, k, s, radii, verdict):
+    # the report's points and max_violation come from every claim, at every
+    # radius, not only from those the verdict counts
+    r = vf.verify_psi_subsolution(kind, k, s, radii=radii)
+    assert r.verdict == verdict
+    assert all(c.claim == "frame_lower_bound" for c in r.residuals)
+    assert r.points == sorted(map(list, {tuple(c.point) for c in r.residuals}))
+    assert all(len(p) == k + 1 for p in r.points)
+    assert r.max_violation == max(c.residual for c in r.residuals)
+    assert r.extra["radii"] == sorted(r.extra["radii"])
 
 
 @pytest.mark.parametrize("s", [0.06, 0.09])
