@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import binom, eval_gegenbauer, gamma
 
 from .quad import Integrand, Tolerance, integrate, integrate_pv
 
@@ -114,7 +113,7 @@ def normalizing_constant(s: float) -> float:
     """
     if not 0.0 < s < 1.0:
         raise DomainError("s must lie in (0,1)")
-    return 4.0**s * s * gamma(0.5 + s) / (math.sqrt(math.pi) * gamma(1.0 - s))
+    return 4.0**s * s * math.gamma(0.5 + s) / (math.sqrt(math.pi) * math.gamma(1.0 - s))
 
 
 def beta_1ms_s(s: float) -> float:
@@ -173,27 +172,48 @@ def _series_pair(coeffs: np.ndarray,
     return pair
 
 
+def _binomials(alpha: float, n: int) -> np.ndarray:
+    """binom(alpha, m) for m = 1..n: the running product of (alpha-i+1)/i."""
+    i = np.arange(1.0, n + 1.0)
+    return np.cumprod((alpha + 1.0 - i) / i)
+
+
+def _gegenbauers(n: int, lam: float, a: float) -> list[float]:
+    """The Gegenbauer values C_m^(lam)(a) for m = 1..n.
+
+    Three-term recurrence m C_m = 2a(m+lam-1) C_{m-1} - (m+2lam-2) C_{m-2}
+    (Abramowitz & Stegun 22.7.3) from C_0 = 1, C_1 = 2 lam a, on Python
+    floats: a loop over numpy elements costs several times more.
+    """
+    prev, cur = 1.0, 2.0 * lam * a
+    out = [cur]
+    for m in range(2, n + 1):
+        prev, cur = cur, (2.0 * a * (m + lam - 1.0) * cur - (m + 2.0 * lam - 2.0) * prev) / m
+        out.append(cur)
+    return out
+
+
 def _pow_pair_series(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
     """d -> ((1+d)^alpha + (1-d)^alpha - 2) / d^2, stable for any d in [0, 1).
 
     Uses the even binomial series for small d; its coefficients
-    2*binom(alpha, 2j) are tabled once here, not per evaluation.
+    2*binom(alpha, 2j), j = 1..79, are tabled once here, not per evaluation.
     """
-    return _series_pair(2.0 * binom(alpha, 2 * np.arange(1, 80)),
+    return _series_pair(2.0 * _binomials(alpha, 158)[1::2],
                         lambda d: ((1.0 + d) ** alpha + (1.0 - d) ** alpha - 2.0) / (d * d))
 
 
 def _iso_pair_series(gam: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
     """d -> ((1+d^2+2ad)^{-g/2} + (1+d^2-2ad)^{-g/2} - 2)/d^2 via Gegenbauer series.
 
-    The coefficients 2*C_{2j}^{(g/2)}(a) are tabled once here.
+    The coefficients 2*C_{2j}^{(g/2)}(a), j = 1..119, are tabled once here.
     """
     def direct(d: float) -> float:
         plus = (1.0 + d * d + 2.0 * a * d) ** (-gam / 2.0)
         minus = (1.0 + d * d - 2.0 * a * d) ** (-gam / 2.0)
         return (plus + minus - 2.0) / (d * d)
 
-    return _series_pair(2.0 * eval_gegenbauer(2 * np.arange(1, 120), gam / 2.0, a), direct)
+    return _series_pair(2.0 * np.array(_gegenbauers(238, gam / 2.0, a)[1::2]), direct)
 
 
 def _perp_pair(gam: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -429,13 +449,48 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
 # root finders
 # ---------------------------------------------------------------------------
 
-def _bracketed_root(fn: Callable[[float], float], lo: float, hi: float) -> RootResult:
-    from scipy.optimize import brentq  # slow to import: load it on first use
+def _bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
+                    flo: float, fhi: float, xtol: float = 1e-10,
+                    rtol: float = 8.9e-16) -> RootResult:
+    """A root of ``fn`` in [lo, hi], given ``flo = fn(lo)`` and ``fhi = fn(hi)`` of opposite signs.
 
-    root, info = brentq(fn, lo, hi, xtol=1e-10, rtol=8.9e-16, full_output=True)
-    residual = fn(root)
-    return RootResult(root=root, residual=residual, bracket=(lo, hi),
-                      iterations=info.iterations)
+    Chandrupatla's method (Adv. Eng. Software 28, 1997): inverse quadratic
+    interpolation through the bracket ends and the last point dropped from
+    it, taken only where that parabola is monotone over the bracket, and
+    bisection otherwise.  The step stays half the tolerance away from either
+    end.  It stops once the bracket is narrower than ``xtol + rtol*|root|``
+    (scipy ``brentq``'s criterion) and returns the end with the smaller |fn|,
+    with that value as the residual; ``iterations`` counts its own
+    evaluations of ``fn``.
+    """
+    bracket = (lo, hi)
+    if flo == 0.0 or fhi == 0.0:
+        return RootResult(lo if flo == 0.0 else hi, 0.0, bracket, 0)
+    # x1 is the newest point, [x1, x2] the bracket, x3 the point it dropped
+    x1, f1, x2, f2 = hi, fhi, lo, flo
+    t = 0.5
+    for iterations in range(1, 101):
+        x = x1 + t * (x2 - x1)
+        fx = fn(x)
+        if (fx < 0.0) == (f1 < 0.0):
+            x3, f3 = x1, f1
+        else:
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        xm, fm = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        dx = abs(x2 - x1)
+        tol = xtol + rtol * abs(xm)
+        if fm == 0.0 or dx < tol:
+            return RootResult(xm, fm, bracket, iterations)
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            alpha = (x3 - x1) / (x2 - x1)
+            t = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+        else:
+            t = 0.5
+        t = min(max(t, 0.5 * tol / dx), 1.0 - 0.5 * tol / dx)
+    raise RuntimeError(f"no root to within {xtol:g} in [{lo}, {hi}] after 100 evaluations")
 
 
 def find_gamma_bar(k: int, s: float,
@@ -450,11 +505,9 @@ def find_gamma_bar(k: int, s: float,
     lo, hi = _EPS_GAMMA, 1.0 - _EPS_GAMMA
     fn = lambda g: c_k_fn(g, s, k, tol)
     flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return RootResult(lo, flo, (lo, hi), 0)
     if flo * fhi > 0.0:
         return None
-    return _bracketed_root(fn, lo, hi)
+    return _bracketed_root(fn, lo, hi, flo, fhi)
 
 
 def _expanding_root(fn: Callable[[float], float], lo: float,
@@ -462,8 +515,9 @@ def _expanding_root(fn: Callable[[float], float], lo: float,
     flo = fn(lo)
     hi = hi0
     while hi <= 1e3:
-        if flo * fn(hi) < 0.0:
-            return _bracketed_root(fn, lo, hi)
+        fhi = fn(hi)
+        if flo * fhi < 0.0:
+            return _bracketed_root(fn, lo, hi, flo, fhi)
         hi *= 2.0
     raise BracketFailure("no sign change found up to gamma = 1e3")
 

@@ -45,6 +45,7 @@ __all__ = [
     "completion_frame",
     "householder_frame",
     "random_frame",
+    "random_frames",
 ]
 
 _EPS = np.finfo(float).eps
@@ -69,10 +70,7 @@ class Frame:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", np.atleast_2d(np.asarray(self.vectors, float)))
-        if self.orthonormality_defect > 1e-12:
-            raise ValueError(
-                f"orthonormality defect {self.orthonormality_defect:.2e} exceeds 1e-12"
-            )
+        _check_orthonormal(self.vectors)
 
     @property
     def k(self) -> int:
@@ -84,8 +82,19 @@ class Frame:
 
     @property
     def orthonormality_defect(self) -> float:
-        g = self.vectors @ self.vectors.T
-        return float(np.max(np.abs(g - np.eye(self.k))))
+        return float(_orthonormality_defects(self.vectors))
+
+
+def _orthonormality_defects(vectors: np.ndarray) -> np.ndarray:
+    """max |V V^T - I| of each family V of k rows in a stack of shape (..., k, N)."""
+    g = vectors @ np.swapaxes(vectors, -1, -2)
+    return np.max(np.abs(g - np.eye(vectors.shape[-2])), axis=(-2, -1))
+
+
+def _check_orthonormal(vectors: np.ndarray) -> None:
+    worst = float(np.max(_orthonormality_defects(vectors)))
+    if worst > 1e-12:
+        raise ValueError(f"orthonormality defect {worst:.2e} exceeds 1e-12")
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +389,23 @@ def householder_frame(xhat: np.ndarray) -> Frame:
     return Frame(H.T)  # rows xi_i = H e_i, so <xhat, xi_i> = (H^T xhat)_i = 1/sqrt(N)
 
 
+def random_frames(N: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed k-frames as a stack of rows, shape ``(count, k, N)``.
+
+    Orthonormalized Gaussian samples: one QR of the whole stack, signs fixed
+    so that each R has a positive diagonal.  Every frame passes ``Frame``'s
+    orthonormality check.  The draws, and so the frames, are those of
+    ``count`` calls of ``random_frame`` in a row.
+    """
+    q, r = np.linalg.qr(rng.standard_normal((count, N, k)))
+    frames = np.swapaxes(q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :], 1, 2)
+    _check_orthonormal(frames)
+    return frames
+
+
 def random_frame(N: int, k: int, rng: np.random.Generator) -> Frame:
     """Orthonormalized Gaussian sample (Haar-distributed k-frame)."""
-    g = rng.standard_normal((N, k))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    return Frame(q.T)
+    return Frame(random_frames(N, k, 1, rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +442,40 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
 # heuristic frame search (one-sided)
 # ---------------------------------------------------------------------------
 
+def _not_a_knot_spline(y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The not-a-knot cubic spline through ``y`` on the uniform grid of [0, 1].
+
+    The node slopes m solve one linear system: m[i-1] + 4 m[i] + m[i+1] =
+    3 (y[i+1] - y[i-1]) / h inside, and equal third derivatives on the first
+    two and on the last two intervals, m[0] - m[2] = 2 (d[0] - d[1]) with
+    the divided differences d.  Each interval is then the cubic Hermite
+    piece of its end values and slopes, evaluated by Horner's rule in the
+    offset from its left node.  The interval of z is found by indexing.
+    """
+    n = y.size - 1
+    h = 1.0 / n
+    d = np.diff(y) / h
+    a = np.zeros((n + 1, n + 1))
+    rhs = np.empty(n + 1)
+    rows = np.arange(1, n)
+    a[rows, rows - 1], a[rows, rows], a[rows, rows + 1] = 1.0, 4.0, 1.0
+    rhs[1:-1] = 3.0 * (d[:-1] + d[1:])
+    a[0, [0, 2]] = 1.0, -1.0
+    a[n, [n - 2, n]] = 1.0, -1.0
+    rhs[0], rhs[n] = 2.0 * (d[0] - d[1]), 2.0 * (d[n - 2] - d[n - 1])
+    m = np.linalg.solve(a, rhs)
+    c2 = (3.0 * d - 2.0 * m[:-1] - m[1:]) / h
+    c3 = (m[:-1] + m[1:] - 2.0 * d) / (h * h)
+    c0, c1 = y[:-1], m[:-1]
+
+    def spline(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, float)
+        i = np.minimum((z * n).astype(int), n - 1)
+        dz = z - i * h
+        return c0[i] + dz * (c1[i] + dz * (c2[i] + dz * c3[i]))
+    return spline
+
+
 def _radial_spline(u, x: np.ndarray, s: float, tol: Tolerance):
     """Cubic spline of the directional value in |<xhat, xi>| on [0, 1].
 
@@ -429,8 +483,6 @@ def _radial_spline(u, x: np.ndarray, s: float, tol: Tolerance):
     the absolute cosine with the radial direction, so one 1-D table, built
     from one fan of 65 directions, serves every frame during the search.
     """
-    from scipy.interpolate import CubicSpline
-
     x = np.asarray(x, float)
     N = x.size
     xhat = x / np.linalg.norm(x)
@@ -439,7 +491,7 @@ def _radial_spline(u, x: np.ndarray, s: float, tol: Tolerance):
     thetas = np.linspace(0.0, 1.0, 65)
     xis = thetas[:, None] * xhat + np.sqrt(np.maximum(0.0, 1.0 - thetas**2))[:, None] * perp
     xis /= np.linalg.norm(xis, axis=1, keepdims=True)
-    return CubicSpline(thetas, [r.value for r in directional_fan(u, x, xis, s, tol)])
+    return _not_a_knot_spline(np.array([r.value for r in directional_fan(u, x, xis, s, tol)]))
 
 
 def _search_objective(u, x: np.ndarray, s: float, k: int,
@@ -512,8 +564,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     # of all restarts still improving.  Full bases: frame rows first, then
     # the complement.
     bases = np.empty((budget, N, N))
-    for r in range(budget):
-        vectors = random_frame(N, k, rng).vectors
+    for r, vectors in enumerate(random_frames(N, k, budget, rng)):
         qfull, _ = np.linalg.qr(np.column_stack([vectors.T, np.eye(N)]))
         bases[r] = qfull.T
         bases[r, :k] = vectors

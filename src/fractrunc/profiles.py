@@ -29,6 +29,7 @@ import numpy as np
 from .constants import (
     DomainError,
     NoRootError,
+    _bracketed_root,
     c_s_mu,
     find_gamma_bar,
     find_gamma_plus,
@@ -511,9 +512,12 @@ class MinField(Field):
 
     def _crossings(self, x: np.ndarray, xi: Optional[np.ndarray],
                    radius: float = 0.0) -> list[float]:
-        # sign changes of first - second along the line (sampled + refined)
-        from scipy.optimize import brentq  # slow to import: load it on first use
+        """Sign changes of first - second along the line, sampled on 801 nodes.
 
+        Adjacent nodes of opposite sign bracket a root, refined to within
+        2e-12 + 8.88e-16*|t|.  A sign change across a run of exact zeros (both
+        fields vanish there) keeps the ends of the run instead.
+        """
         x = np.asarray(x, float)
         if xi is None:
             xi = np.zeros_like(x)
@@ -528,20 +532,18 @@ class MinField(Field):
             return float(first(t) - second(t))
 
         grid = np.linspace(-span, span, 801)
-        vals = (first(grid) - second(grid)).tolist()
-        grid = grid.tolist()
+        vals = first(grid) - second(grid)
+        nonzero = np.flatnonzero(vals != 0.0)
+        signs = vals[nonzero] < 0.0
+        change = np.flatnonzero(signs[:-1] != signs[1:])
         out = []
-        last = None  # index of the last node with a nonzero difference
-        for i, v in enumerate(vals):
-            if v == 0.0:
-                continue
-            if last is not None and vals[last] * v < 0.0:
-                if last == i - 1:
-                    out.append(brentq(diff, grid[last], grid[i]))
-                else:
-                    # the sign changes across a run of exact zeros: keep its ends
-                    out.extend(sorted({grid[last + 1], grid[i - 1]}))
-            last = i
+        for left, right in zip(nonzero[change].tolist(), nonzero[change + 1].tolist()):
+            if right == left + 1:
+                out.append(_bracketed_root(diff, float(grid[left]), float(grid[right]),
+                                           float(vals[left]), float(vals[right]),
+                                           xtol=2e-12, rtol=8.88e-16).root)
+            else:
+                out.extend(sorted({float(grid[left + 1]), float(grid[right - 1])}))
         return [t for t in out if abs(t) > 1e-9]
 
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:

@@ -259,16 +259,48 @@ def test_config_rejects_unknown_key(tmp_path):
         cli.Config(abs_tol=-1.0)
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # the quadrature is the package's own, and brentq is imported where a
-    # root is refined; scipy.integrate and then scipy.optimize each took
-    # most of the CLI's import time
+# Run with every scipy import refused: the subcommands, a frame search on a
+# min field (its crossings are root-refined) and one on a radial profile (it
+# reads a spline table), then no scipy module may have been loaded.
+_WITHOUT_SCIPY = """
+import contextlib, io, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+
+import numpy as np
+from fractrunc import cli
+from fractrunc import operators as op
+from fractrunc import profiles as pr
+from fractrunc.quad import Tolerance
+
+for argv in (["constants", "--s", "0.5"],
+             ["roots", "--which", "gamma-plus", "--N", "3", "--s", "0.5"],
+             ["table", "--N", "3", "--s", "0.5"],
+             ["verify", "t49-2", "--N", "2", "--s", "0.5"],
+             ["verify", "avoidance", "--s", "0.5", "--N", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+loose = Tolerance(1e-7, 1e-6)
+thin, _ = pr.build_thIN_supersolution(2, 0.45, 4.0)
+op.extremal_search(thin, np.array([0.2, 1.2]), 0.45, 1, "plus", budget=1, sweeps=1, tol=loose)
+op.extremal_search(pr.make_w_gamma(0.5), np.array([0.3, 1.2, 0.8]), 0.4, 2, "plus",
+                   budget=1, sweeps=1, tol=loose)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_runtime_needs_no_scipy():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, fractrunc.cli; "
-             "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
 

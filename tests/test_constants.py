@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import mpmath
+from scipy.optimize import brentq
 from scipy.special import binom, eval_gegenbauer
 
 from fractrunc import constants as cn
@@ -112,7 +114,7 @@ def test_root_result_fields():
     r = cn.find_gamma_tilde(3, 0.5)
     lo, hi = r.bracket
     assert lo < r.root < hi
-    assert r.iterations >= 1
+    assert isinstance(r.iterations, int) and r.iterations >= 1
 
 
 def test_exponent_table_structure():
@@ -214,14 +216,14 @@ def test_c_s_mu_calibrated(form, half, s, request):
     assert cn.c_s_mu(mu, s, form) == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
-# --- tabled series against the per-term evaluation ---------------------------
+# --- coefficient tables and the series summed over them ---------------------
 
-def _even_series_reference(coefficient, n_terms, d):
-    """The series summed per term, one scipy.special call per coefficient."""
+def _even_series_reference(coeffs, d):
+    """The even series summed per term over the same coefficient table."""
     total = 0.0
     term_pow = 1.0
-    for j in range(1, n_terms + 1):
-        term = 2.0 * coefficient(2 * j) * term_pow
+    for c in coeffs:
+        term = c * term_pow
         total += term
         term_pow *= d * d
         if abs(term) < 1e-18 * max(abs(total), 1e-300):
@@ -231,14 +233,14 @@ def _even_series_reference(coefficient, n_terms, d):
 
 def _pow_pair_reference(alpha, d):
     if d < 0.25:
-        return _even_series_reference(lambda n: binom(alpha, n), 79, d)
+        return _even_series_reference(2.0 * cn._binomials(alpha, 158)[1::2], d)
     return ((1.0 + d) ** alpha + (1.0 - d) ** alpha - 2.0) / (d * d)
 
 
 def _iso_pair_reference(gam, a, d):
     if d < 0.25:
         return _even_series_reference(
-            lambda n: eval_gegenbauer(n, gam / 2.0, a), 119, d)
+            [2.0 * c for c in cn._gegenbauers(238, gam / 2.0, a)[1::2]], d)
     plus = (1.0 + d * d + 2.0 * a * d) ** (-gam / 2.0)
     minus = (1.0 + d * d - 2.0 * a * d) ** (-gam / 2.0)
     return (plus + minus - 2.0) / (d * d)
@@ -248,18 +250,117 @@ def _series_points(rng):
     return [*rng.uniform(0.0, 0.25, 12), 1e-300, 1e-8, 0.2499, 0.3]
 
 
+POW_ALPHAS = [*np.random.default_rng(7).uniform(-1.0, 2.0, 10), -0.5, 0.5, 1.0]
+ISO_A = [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(3.0), 0.5]
+
+
 def test_pow_pair_series_matches_per_term_sum():
     rng = np.random.default_rng(7)
-    for alpha in [*rng.uniform(-1.0, 2.0, 10), -0.5, 0.5, 1.0]:
+    for alpha in POW_ALPHAS:
         pair = cn._pow_pair_series(alpha)
         for d in _series_points(rng):
             assert pair(d) == _pow_pair_reference(alpha, d), (alpha, d)
 
 
-@pytest.mark.parametrize("a", [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(3.0), 0.5])
+@pytest.mark.parametrize("a", ISO_A)
 def test_iso_pair_series_matches_per_term_sum(a):
     rng = np.random.default_rng(11)
     for gam in [*rng.uniform(0.05, 4.0, 8), 2.0]:
         pair = cn._iso_pair_series(gam, a)
         for d in _series_points(rng):
             assert pair(d) == _iso_pair_reference(gam, a, d), (gam, a, d)
+
+
+def test_binomial_coefficients_match_references():
+    # scipy.special.binom is itself off by up to 6e-13 on these alpha (the
+    # running product is within 6e-15 of mpmath), so the 1e-13 bound is
+    # checked against mpmath and scipy is held to 1e-12
+    orders = 2 * np.arange(1, 80)
+    for alpha in POW_ALPHAS:
+        got = cn._binomials(alpha, 158)[1::2]
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.binomial(alpha, int(n))) for n in orders])
+        assert np.array_equal(got == 0.0, exact == 0.0), alpha
+        assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact)), alpha
+        ref = binom(alpha, orders)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), alpha
+
+
+@pytest.mark.parametrize("a", ISO_A)
+def test_gegenbauer_coefficients_match_scipy(a):
+    # lambda = gamma/2 for gamma from the smallest bracket end (1e-3) to the
+    # expanding bracket's cap (1e3); at large lambda the late coefficients
+    # overflow to inf, in both
+    orders = 2 * np.arange(1, 120)
+    for lam in [0.0005, 0.025, 0.5, 1.0, 2.0, 8.0, 50.0, 250.0, 500.0]:
+        got = np.array(cn._gegenbauers(238, lam, a)[1::2])
+        ref = eval_gegenbauer(orders, lam, a)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), finite), lam
+        largest = np.max(np.abs(ref[finite]))
+        assert np.max(np.abs(got[finite] - ref[finite])) <= 1e-12 * largest, lam
+
+
+# --- the bracketed root finder against scipy's brentq ------------------------
+
+ROOT_S = [0.03, 0.1, 0.25, 0.4, 0.6, 0.8, 0.97]
+
+
+@pytest.fixture(scope="module")
+def root_brackets():
+    """(name, fn, lo, hi) for every c_k (k = 1..4), c_iso and c_n_plus root (N = 3)."""
+    out = []
+    for s in ROOT_S:
+        for k in range(1, 5):
+            fn = (lambda s, k: lambda g: cn.c_k_fn(g, s, k))(s, k)
+            lo, hi = cn._EPS_GAMMA, 1.0 - cn._EPS_GAMMA
+            if fn(lo) * fn(hi) < 0.0:
+                out.append((f"c_{k} s={s}", fn, lo, hi))
+        out.append((f"c_iso s={s}", (lambda s: lambda g: cn.c_iso(g, s, 3))(s),
+                    *cn.find_gamma_tilde(3, s).bracket))
+        out.append((f"c_n_plus s={s}", (lambda s: lambda g: cn.c_n_plus(g, s, 3))(s),
+                    *cn.find_gamma_plus(3, s).bracket))
+    return out
+
+
+@pytest.fixture(scope="module")
+def root_runs(root_brackets):
+    """Per bracket: the package's result and evaluations, brentq's root and evaluations."""
+    runs = []
+    for name, fn, lo, hi in root_brackets:
+        calls = []
+        result = cn._bracketed_root(lambda g: calls.append(g) or fn(g), lo, hi, fn(lo), fn(hi))
+        root, info = brentq(fn, lo, hi, xtol=1e-10, rtol=8.9e-16, full_output=True)
+        # brentq counts its two endpoint evaluations; the caller makes them here
+        runs.append((name, result, len(calls) + 2, root, info.function_calls))
+    return runs
+
+
+def test_roots_match_brentq(root_runs):
+    assert len(root_runs) == 39
+    for name, result, _, root, _ in root_runs:
+        assert abs(result.root - root) <= 1e-10, name
+        assert isinstance(result.iterations, int) and result.iterations >= 1, name
+
+
+def test_root_finder_needs_no_more_evaluations_than_brentq(root_runs):
+    ours = sum(run[2] for run in root_runs)
+    theirs = sum(run[4] for run in root_runs)
+    assert ours <= theirs, (ours, theirs)
+
+
+def test_root_residual_is_the_value_at_the_root(root_brackets):
+    name, fn, lo, hi = root_brackets[0]
+    result = cn._bracketed_root(fn, lo, hi, fn(lo), fn(hi))
+    assert result.residual == fn(result.root), name
+
+
+def test_root_at_an_exact_zero():
+    def never(t):
+        raise AssertionError("no evaluation needed")
+
+    assert cn._bracketed_root(never, 1.0, 2.0, 0.0, 1.0) == cn.RootResult(1.0, 0.0, (1.0, 2.0), 0)
+    assert cn._bracketed_root(never, 1.0, 2.0, -1.0, 0.0) == cn.RootResult(2.0, 0.0, (1.0, 2.0), 0)
+    # the first bisection lands on the root
+    assert cn._bracketed_root(lambda t: t - 1.5, 1.0, 2.0, -0.5, 0.5) == cn.RootResult(
+        1.5, 0.0, (1.0, 2.0), 1)

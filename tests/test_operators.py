@@ -122,10 +122,35 @@ def test_completion_frame_contains_radial():
     assert np.allclose(f.vectors[0], xhat, atol=1e-12)
 
 
+def test_spline_matches_scipy_cubic_spline():
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(9)
+    nodes = np.linspace(0.0, 1.0, 65)
+    z = np.concatenate([rng.uniform(0.0, 1.0, 2000), nodes])
+    for scale in (1e-6, 1.0, 1e6):
+        y = scale * rng.standard_normal(65)
+        got = op._not_a_knot_spline(y)(z)
+        assert np.max(np.abs(got - CubicSpline(nodes, y)(z))) <= 1e-14 * np.max(np.abs(y))
+
+
 def test_random_frame_orthonormal():
     rng = np.random.default_rng(0)
     f = op.random_frame(4, 3, rng)
     assert np.allclose(f.vectors @ f.vectors.T, np.eye(3), atol=1e-12)
+
+
+def test_random_frames_match_one_qr_per_frame():
+    # one stacked QR gives the frames of one QR per frame, bit for bit
+    for N in (2, 3, 4):
+        rng = np.random.default_rng(3)
+        want = []
+        for _ in range(100):
+            q, r = np.linalg.qr(rng.standard_normal((N, N)))
+            want.append((q * np.sign(np.diag(r))).T)
+        assert np.array_equal(op.random_frames(N, N, 100, np.random.default_rng(3)), want)
+    with pytest.raises(ValueError, match="orthonormality defect"):
+        op._check_orthonormal(np.stack([np.eye(3), np.ones((3, 3))]))
 
 
 def test_frame_sum_additivity():

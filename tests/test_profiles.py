@@ -200,6 +200,76 @@ def test_min_field_crossings_ignore_common_zeros():
     assert abs(r.value - old_value) <= r.abs_error_estimate + old_error
 
 
+def _crossings_reference(m, x, xi, radius=0.0):
+    """The scan of earlier versions: a loop over the 801 nodes, scipy's brentq per sign change."""
+    from scipy.optimize import brentq
+
+    if xi is None:
+        xi = np.zeros_like(x)
+        xi[-1] = 1.0
+    span = radius if radius > 0.0 else max(10.0, 2.0 * float(np.linalg.norm(x)) + 4.0)
+    first, second = m.first.line(x, xi), m.second.line(x, xi)
+    grid = np.linspace(-span, span, 801)
+    vals = (first(grid) - second(grid)).tolist()
+    grid = grid.tolist()
+    out, last = [], None
+    for i, v in enumerate(vals):
+        if v == 0.0:
+            continue
+        if last is not None and vals[last] * v < 0.0:
+            if last == i - 1:
+                out.append(brentq(lambda t: float(first(t) - second(t)), grid[last], grid[i]))
+            else:
+                out.extend(sorted({grid[last + 1], grid[i - 1]}))
+        last = i
+    return [t for t in out if abs(t) > 1e-9]
+
+
+def _crossing_cases():
+    rng = np.random.default_rng(3)
+    thin, _ = pr.build_thIN_supersolution(2, 0.45, 4.0)
+    tail_min = pr.MinField(pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5), 0.3)
+    yield pr.MinField(pr.PowerProfile(2.0, 1.0), pr.PowerProfile(1.0, 4.0), 1.0), \
+        np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0
+    # both fields vanish for x_N <= 0: sign changes across runs of zeros
+    yield tail_min, np.array([0.3, 0.2, 1.5]), np.array([0.48, 0.6, 0.64]), 0.0
+    yield tail_min, np.array([0.3, 0.2, 1.5]), None, 0.9
+    for _ in range(8):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        x = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.05, 3.0)])
+        yield thin, x, np.array([math.cos(angle), math.sin(angle)]), 0.0
+        yield thin, x, None, thin.c2_radius(x)
+
+
+def test_min_field_crossings_match_scan_and_brentq():
+    for m, x, xi, radius in _crossing_cases():
+        got = m._crossings(x, xi, radius)
+        want = _crossings_reference(m, x, xi, radius)
+        assert len(got) == len(want), (x, xi)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 2e-12 + 8.88e-16 * abs(w), (x, xi, g, w)
+
+
+class _Ramp:
+    """The field t -> max(sign*t - 1, 0) along every line: zero on [-1, 1]."""
+
+    def __init__(self, sign):
+        self.sign = sign
+
+    def line(self, x, xi):
+        return lambda t: np.maximum(self.sign * t - 1.0, 0.0)
+
+
+def test_min_field_crossings_keep_zero_run_ends():
+    # first - second is negative below -1, zero on [-1, 1] and positive above:
+    # the sign changes across a run of zero nodes, whose ends are kept
+    m = pr.MinField(_Ramp(1.0), _Ramp(-1.0))
+    x, xi = np.array([0.0, 0.0]), np.array([0.0, 1.0])
+    got = m._crossings(x, xi)
+    assert got == _crossings_reference(m, x, xi)
+    assert got == pytest.approx([-1.0, 1.0], abs=0.025)
+
+
 def test_pointwise_values_match_closed_forms():
     y = np.array([0.3, -0.4, 1.1])
     tail = pr.HalfSpacePowerTail(0.7, shift=0.8)
