@@ -10,14 +10,17 @@ module evaluates the directional operator on one-dimensional line sections,
 assembles frame sums, provides exact closed-form frames for radial profiles,
 and runs a heuristic (explicitly one-sided) frame search.
 
-The unit of work is a *fan*: the line sections of one field through one
-point along many directions.  One engine integrates a whole fan through
-``quad.integrate_batch``, the batched adaptive G10/K21 engine: field lines
-accept a stack of directions, so each round of bisection evaluates every
-open panel of every piece of every section in one field call.
-It is the only path: ``directional`` along one direction is the fan of
-one, and ``directional_fan``, ``frame_sum``, the ``plus`` closed form and
-the search's objective evaluate their directions as one fan each.
+The unit of work is a batch of *rows*, each a (point, direction) pair:
+the line section of one field through the point along the direction.
+One engine integrates all rows through ``quad.integrate_batch``, the
+batched adaptive G10/K21 engine: field lines accept a stack of directions
+and a stack of points, so each round of bisection evaluates every open
+panel of every piece of every section in one field call.  It is the only
+path: ``directional`` along one direction is the batch of one row;
+``directional_fan``, ``frame_sum``, the ``plus`` closed form and the
+search's objective evaluate the directions through one point as one batch
+(a *fan*); and each verify suite integrates every section of all its
+points, one batch per field.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the directional operator on a fan of directions
+# the directional operator on rows of (point, direction)
 # ---------------------------------------------------------------------------
 #
 # A *field* is any object with:
@@ -106,7 +109,9 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 #                                           the section tau -> u(x + tau*xi),
 #                                           elementwise on an array of tau;
 #                                           xi of shape (..., N) is a fan of
-#                                           directions, broadcasting against tau
+#                                           directions, broadcasting against tau,
+#                                           and x of shape (..., N) a stack of
+#                                           points, broadcasting like xi
 #   c2_radius(x: ndarray) -> float          radius of C^2 ball around x
 #   breakpoints(x, xi) -> list[float]       tau of every non-C^2 crossing
 #   growth_alpha: float                     (H2)-type growth exponent: every
@@ -117,10 +122,10 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 #   extra_abs_error(x) -> float             evaluation-truncation error
 #   d2_along(x, xi) -> float                analytic second derivative
 #
-# ``breakpoints`` and ``d2_along`` take one direction of shape (N,).
-# ``line`` does the field's vector work once per call, so the quadrature
-# evaluates a whole batch of nodes, of one section or of a whole fan, in
-# one numpy pass.
+# ``c2_radius`` and ``extra_abs_error`` take one point of shape (N,);
+# ``breakpoints`` and ``d2_along`` one point and one direction.  ``line``
+# does the field's vector work once per call, so the quadrature evaluates
+# a whole batch of nodes, of one section or of many, in one numpy pass.
 
 def _unit(xi: np.ndarray) -> np.ndarray:
     """``xi`` scaled to unit length, unchanged when it already is unit."""
@@ -129,26 +134,31 @@ def _unit(xi: np.ndarray) -> np.ndarray:
     return xi / nrm if abs(nrm - 1.0) > 1e-12 else xi
 
 
-def _integrate_fan(u, x: np.ndarray, dirs: np.ndarray, s: float,
-                   tol: Tolerance) -> list[QuadResult]:
-    """The directional operator integral of a field at ``x`` along each unit row of ``dirs``.
+def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
+                   abs_tol, rel_tol: float) -> list[QuadResult]:
+    """The directional operator integral of a field along each row of ``directions``.
 
-    A fan is the line sections of one field through one point.  Every field
-    evaluation is ``u.line(x, dirs[rows])`` at nodes ``t``, the two
-    broadcasting against each other, so one call serves nodes of many
-    sections.  The sections share their value at 0.  Each integral splits
-    into (i) an analytic Taylor piece on ``(0, delta)`` using the section's
-    second derivative, with the remainder self-estimated by comparing against
-    the half-radius evaluation, (ii) panels between breakpoints, (iii) a
+    Row i is the line section through ``x`` (shape ``(N,)``), or through its
+    own point ``x[i]`` for a stack of shape ``(m, N)``, along the unit vector
+    of ``directions[i]``; ``abs_tol`` is one absolute tolerance, or one per
+    row.  Every field evaluation is ``u.line`` on the rows' points and
+    directions at nodes ``t``, all broadcasting against each other, so one
+    call serves nodes of many sections.  Each integral splits into (i) an
+    analytic Taylor piece on ``(0, delta)`` using the section's second
+    derivative, with the remainder self-estimated by comparing against the
+    half-radius evaluation, (ii) panels between breakpoints, (iii) a
     log-substituted far panel, and (iv) an analytic tail remainder from the
     growth bound.  The Taylor ladders of all sections run in lockstep, four
     rungs per open section to an ``integrate_batch`` call; then every piece
     of (ii) and (iii) of every section goes into one call.
 
-    The field's metadata is read once per fan.  A direction's C^2 window is
-    the C^2 radius capped at its nearest breakpoint; without ``d2_along`` the
-    second derivatives of all directions come from one call of finite
-    differences inside their windows.
+    The field's point metadata (C^2 radius, ``extra_abs_error``, the value
+    u(x) that the sections through a point share) is read once per distinct
+    point, ``breakpoints`` and ``d2_along`` once per row.  A direction's C^2
+    window is its point's C^2 radius capped at its nearest breakpoint;
+    without ``d2_along`` the second derivatives of all rows come from one
+    call of finite differences inside their windows.  When every row has
+    the same point, the field sees that one point, as for a single section.
 
     ``n_evals`` of each result counts the section's field evaluations: u(0),
     two per kernel node (at t and -t), the growth probes and the finite
@@ -160,25 +170,46 @@ def _integrate_fan(u, x: np.ndarray, dirs: np.ndarray, s: float,
     if growth_alpha >= 2.0 * s:
         raise GrowthViolation(f"growth exponent {growth_alpha} >= 2s = {2*s}")
 
+    x = np.asarray(x, float)
+    dirs = np.array([_unit(xi) for xi in np.asarray(directions, float).reshape(-1, x.shape[-1])])
     m = len(dirs)
     all_rows = np.arange(m)
+    abs_tol = np.full(m, abs_tol, float)
+    # the distinct points, the first row through each and the point of each row
+    if x.ndim == 1:
+        points, first_row, at = x[None], np.zeros(1, int), np.zeros(m, int)
+    elif x.shape == dirs.shape:
+        points, first_row, at = np.unique(x, axis=0, return_index=True, return_inverse=True)
+        at = at.reshape(-1)
+    else:
+        raise ValueError("a stack of points needs one point per direction")
+    # rows that all share one point hand the field that point alone, as a
+    # single section does; rows through many points index theirs per row
+    one = len(points) == 1
+    row_points = [points[0]] * m if one else list(points[at])
 
-    def ev(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return u.line(x, dirs[rows])(t)
-
-    c2 = float(u.c2_radius(x))
-    radii = [[abs(float(t)) for t in u.breakpoints(x, xi)] for xi in dirs]
-    window = np.array([min([c2] + r) for r in radii])
+    c2 = np.array([float(u.c2_radius(p)) for p in points])[at]
+    radii = [[abs(float(t)) for t in u.breakpoints(p, xi)] for p, xi in zip(row_points, dirs)]
+    window = np.array([min([c] + r) for c, r in zip(c2.tolist(), radii)])
     if np.any(window <= 0.0):
         raise ValueError("the C^2 window of every direction must be positive")
     extra_fn = getattr(u, "extra_abs_error", None)
-    extra = float(extra_fn(x)) if extra_fn is not None else 0.0
+    extra = np.array([float(extra_fn(p)) if extra_fn is not None else 0.0
+                      for p in points])[at]
+    u0 = np.array([float(u.line(p, dirs[i])(0.0)) for p, i in zip(points, first_row)])[at]
+    two_u0 = 2.0 * u0
 
-    u0 = float(ev(0.0, 0))
+    def ev(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return u.line(points[0] if one else points[at[rows]], dirs[rows])(t)
+
+    def pair(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        both = ev(np.stack((t, -t)), rows)
+        return both[0] + both[1] - (two_u0[0] if one else two_u0[rows])
+
     n_evals = np.ones(m, int)
     d2_fn = getattr(u, "d2_along", None)
     if d2_fn is not None:
-        d2 = np.array([float(d2_fn(x, xi)) for xi in dirs])
+        d2 = np.array([float(d2_fn(p, xi)) for p, xi in zip(row_points, dirs)])
     else:
         # central differences at h = window/8 and h/2, Richardson-extrapolated
         nodes = np.multiply.outer(window, _FD_NODES)
@@ -190,10 +221,6 @@ def _integrate_fan(u, x: np.ndarray, dirs: np.ndarray, s: float,
         n_evals += _FD_NODES.size
     p = 1.0 + 2.0 * s
     expo = 2.0 - 2.0 * s
-
-    def pair(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        both = ev(np.stack((t, -t)), rows)
-        return both[0] + both[1] - 2.0 * u0
 
     def count_evals(rows: np.ndarray, n: np.ndarray) -> None:
         # pair makes two section evals per kernel eval
@@ -207,7 +234,7 @@ def _integrate_fan(u, x: np.ndarray, dirs: np.ndarray, s: float,
     # Rungs are integrated four to a batched call, since rungs past the stop
     # are wasted work and the deep ones are the noisy, expensive ones.
     # Below delta_cancel the pair loses all significant digits to rounding.
-    delta_cancel = 32.0 * np.sqrt(_EPS * (abs(u0) + 1.0) / (np.abs(d2) + 1e-3))
+    delta_cancel = 32.0 * np.sqrt(_EPS * (np.abs(u0) + 1.0) / (np.abs(d2) + 1e-3))
     top = np.minimum(window / 2.0, 1.0)
     n_rungs = 1 + np.count_nonzero(
         np.ldexp(top[:, None], -np.arange(1, 60)) > delta_cancel[:, None], axis=1)
@@ -221,11 +248,11 @@ def _integrate_fan(u, x: np.ndarray, dirs: np.ndarray, s: float,
         k = next_rung[rows] + np.arange(rows.size) - np.repeat(offsets, count)
         tops = np.ldexp(top[rows], -k)
         v, e, n = integrate_batch(lambda t, g: pair(t, rows[g]) / t**p, tops / 2.0, tops,
-                                  tol.abs_tol / 8.0, tol.rel_tol)
+                                  abs_tol[rows] / 8.0, rel_tol)
         count_evals(rows, n)
         val = d2[rows] * (tops / 2.0) ** expo / expo + v
         err = np.abs(d2[rows] * tops**expo / expo - val)
-        stop = (err <= tol.abs_tol / 4.0) | (err <= e) | (k == n_rungs[rows] - 1)
+        stop = (err <= abs_tol[rows] / 4.0) | (err <= e) | (k == n_rungs[rows] - 1)
         first = np.minimum.reduceat(np.where(stop, np.arange(rows.size), rows.size), offsets)
         done = first < rows.size
         pick = first[done]
@@ -271,7 +298,7 @@ def _integrate_fan(u, x: np.ndarray, dirs: np.ndarray, s: float,
     decay = 2.0 * s - alpha
     coeff = np.where(c_grow > 0.0, 2.0 ** (1.0 + alpha) * c_grow / decay, 0.0)
     with np.errstate(divide="ignore"):
-        n_budget = np.log(coeff * core_end**-decay / (tol.abs_tol / 4.0)) / (decay * _LOG8)
+        n_budget = np.log(coeff * core_end**-decay / (abs_tol / 4.0)) / (decay * _LOG8)
     n_range = (550.0 - np.log(core_end)) / _LOG8
     T = core_end * 8.0 ** np.maximum(np.ceil(np.minimum(n_budget, n_range)), 0.0)
     far = np.flatnonzero(T > core_end)
@@ -297,11 +324,11 @@ def _integrate_fan(u, x: np.ndarray, dirs: np.ndarray, s: float,
         return np.where(core, k / np.where(core, t, 1.0) ** p * length[g] * dw,
                         k * t ** (-2.0 * s))
 
-    abs_tols = np.concatenate((tol.abs_tol / (4.0 * sizes[core_rows]),
-                               np.full(far.size, tol.abs_tol / 4.0)))
+    abs_tols = np.concatenate((abs_tol[core_rows] / (4.0 * sizes[core_rows]),
+                               abs_tol[far] / 4.0))
     v, e, n = integrate_batch(pieces, np.concatenate((np.zeros(n_core), np.log(core_end[far]))),
                               np.concatenate((np.ones(n_core), np.log(T[far]))), abs_tols,
-                              tol.rel_tol)
+                              rel_tol)
     count_evals(rows, n)
     far_val, far_err = np.zeros(m), np.zeros(m)
     far_val[far], far_err[far] = v[n_core:], e[n_core:]
@@ -317,14 +344,13 @@ def _integrate_fan(u, x: np.ndarray, dirs: np.ndarray, s: float,
 
 def directional_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
                     tol: Tolerance = Tolerance()) -> list[QuadResult]:
-    """Directional operator of a field at one point along each row of ``directions``.
+    """Directional operator of a field along each row of ``directions``.
 
-    The whole fan is one batched quadrature: each round evaluates the nodes
-    of every section in one field call.
+    ``x`` is one point of shape ``(N,)``, or a stack of shape ``(m, N)`` with
+    the point of each row.  All rows are one batched quadrature: each round
+    evaluates the nodes of every section in one field call.
     """
-    x = np.asarray(x, float)
-    dirs = np.array([_unit(xi) for xi in np.asarray(directions, float).reshape(-1, x.size)])
-    return _integrate_fan(u, x, dirs, s, tol)
+    return _integrate_fan(u, x, directions, s, tol.abs_tol, tol.rel_tol)
 
 
 def directional(u, x: np.ndarray, xi: np.ndarray, s: float,
@@ -340,10 +366,7 @@ directional_at = directional
 def frame_sum(u, x: np.ndarray, frame: Frame, s: float,
               tol: Tolerance = Tolerance()) -> QuadResult:
     """Sum of directional operators over the vectors of a frame."""
-    total = QuadResult(0.0, 0.0, 0)
-    for r in directional_fan(u, x, frame.vectors, s, tol):
-        total = total + r
-    return total
+    return sum(directional_fan(u, x, frame.vectors, s, tol), QuadResult(0.0, 0.0, 0))
 
 
 # ---------------------------------------------------------------------------

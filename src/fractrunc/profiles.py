@@ -4,7 +4,9 @@ Every constructed function is an *evaluable field*: restrictable to lines
 (``line(x, xi)`` returns the array-valued function ``t -> u(x + t*xi)``,
 evaluated elementwise on an ndarray of any shape, which the operator module
 calls once per batch of quadrature nodes; ``xi`` of shape ``(..., N)`` is a
-fan of directions through ``x``, broadcasting against ``t``), callable on
+fan of directions, broadcasting against ``t``, and ``x`` one point of shape
+``(N,)`` or a stack of points of shape ``(..., N)``, broadcasting like
+``xi``, so one call evaluates rows of (point, direction)), callable on
 points (the line through the point at ``t = 0``), and carrying the metadata the
 operator module needs (C^2 window radius, non-smooth crossing locations
 along a line, growth exponent).  Radial profiles are cap/tail
@@ -64,11 +66,18 @@ class ExponentOutOfRange(ValueError):
 # ---------------------------------------------------------------------------
 
 def _components(x: np.ndarray, xi: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """The pairs (x_i, xi[..., i]): x_i a Python float, xi[..., i] an array
-    over the fan of directions (0-d for a single direction of shape (N,))."""
-    xi = np.asarray(xi, float)
-    return list(zip(np.asarray(x, float).reshape(-1).tolist(),
-                    (xi[..., i] for i in range(xi.shape[-1]))))
+    """The pairs (x[..., i], xi[..., i]) of a line's point and direction.
+
+    ``xi[..., i]`` is an array over the fan of directions (0-d for a single
+    direction of shape (N,)).  One point of shape (N,) gives each x_i as a
+    Python float; a stack of points of shape (..., N) gives arrays, which
+    broadcast against the directions and t as the directions do.
+    """
+    x, xi = np.asarray(x, float), np.asarray(xi, float)
+    comps = (xi[..., i] for i in range(xi.shape[-1]))
+    if x.ndim <= 1:
+        return list(zip(x.reshape(-1).tolist(), comps))
+    return list(zip((x[..., i] for i in range(x.shape[-1])), comps))
 
 
 def _squared_norm(pairs: Sequence[tuple[float, np.ndarray]]) -> Callable[[np.ndarray], np.ndarray]:
@@ -87,7 +96,10 @@ def _plane_crossings(x: np.ndarray, xi: np.ndarray,
     """The sorted t with |t| > 1e-9 at which x_N + t*xi_N meets a level."""
     if abs(xi[-1]) < 1e-15:
         return []
-    return sorted(t for t in ((e - x[-1]) / xi[-1] for e in levels) if abs(t) > 1e-9)
+    t = (np.asarray(levels, float) - x[-1]) / xi[-1]
+    t = t[np.abs(t) > 1e-9]
+    t.sort()
+    return t.tolist()
 
 
 def _sphere_crossings(x: np.ndarray, xi: np.ndarray, radius: float) -> list[float]:
@@ -376,6 +388,9 @@ class BumpTrain(Field):
         self.window = int(window)
         self.growth_alpha = 0.0
         self.growth_const = eps ** (2.0 * s)
+        # the support edges n and n + 2*eps of every retained bump, in order
+        starts = np.arange(self.window, dtype=float)
+        self.edges = np.column_stack((starts, starts + 2.0 * eps)).reshape(-1)
 
     def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         a, b = _components(x, xi)[-1]
@@ -392,20 +407,11 @@ class BumpTrain(Field):
 
     def c2_radius(self, x: np.ndarray) -> float:
         t = float(np.asarray(x, float).reshape(-1)[-1])
-        edges = self._edges()
-        d = min(abs(t - e) for e in edges)
+        d = float(np.min(np.abs(t - self.edges)))
         return max(d / 2.0, 1e-6)
 
-    def _edges(self) -> list[float]:
-        out = []
-        for n in range(self.window):
-            out.append(float(n))
-            out.append(n + 2.0 * self.eps)
-        return out
-
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return _plane_crossings(np.asarray(x, float), np.asarray(xi, float),
-                                self._edges())
+        return _plane_crossings(np.asarray(x, float), np.asarray(xi, float), self.edges)
 
     def extra_abs_error(self, x: np.ndarray) -> float:
         t = float(np.asarray(x, float).reshape(-1)[-1])

@@ -180,7 +180,7 @@ _EPS = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 _ROUNDOFF_LIMIT = 6  # QUADPACK qage: six stalled bisections end an integral
 _PANEL_LIMIT = 250  # panels per integral, scipy quad's ``limit``
-_PANELS_PER_CALL = 4096  # 86k nodes: a few MB per array the integrand builds
+_PANELS_PER_CALL = 1024  # 21.5k nodes: under 1 MB per array the integrand builds
 
 
 def _gk21(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
@@ -218,7 +218,7 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.nda
     Integral ``g`` runs over ``(a[g], b[g])``.  ``f(x, group)`` is called with
     an array of nodes of shape ``(panels, 21)`` and the integral index of each
     panel, shape ``(panels, 1)``, and returns the integrand at every node.
-    Each round evaluates every open panel in one call, or in calls of 4096
+    Each round evaluates every open panel in one call, or in calls of 1024
     panels when there are more.  An integral is done once its summed error
     estimate is at most ``max(abs_tol[g], rel_tol*|value|)``; until then
     each of its panels whose error exceeds its width's share of that

@@ -22,7 +22,7 @@ import numpy as np
 from . import constants as cn
 from . import operators as op
 from . import profiles as pr
-from .quad import Tolerance
+from .quad import QuadResult, Tolerance
 
 __all__ = [
     "VerificationReport",
@@ -138,6 +138,20 @@ def _on_axis(N: int, t: float) -> np.ndarray:
     return x
 
 
+def _frame_sums(u, points: Sequence[np.ndarray], frames: Sequence[np.ndarray], s: float,
+                abs_tol, rel_tol: float) -> list[QuadResult]:
+    """The directional operator of ``u`` at each point summed over the rows of
+    its frame, as ``op.frame_sum`` sums them; a frame of one row gives the
+    directional value.  Every section of every point is one engine call.
+    ``abs_tol`` is one absolute tolerance, or one per point."""
+    sizes = [len(f) for f in frames]
+    sections = op._integrate_fan(u, np.repeat(points, sizes, axis=0), np.vstack(frames), s,
+                                 np.repeat(np.broadcast_to(abs_tol, len(points)), sizes),
+                                 rel_tol)
+    ends = np.cumsum(sizes).tolist()
+    return [sum(sections[e - k:e], QuadResult(0.0, 0.0, 0)) for e, k in zip(ends, sizes)]
+
+
 def _upper_points(N: int, radii: Sequence[float], seed: int) -> list[np.ndarray]:
     """One point of the upper half-space at each radius, in a random direction
     from ``seed`` whose last component is lifted by 0.2 before normalising."""
@@ -156,14 +170,15 @@ def verify_power_identity(mu: float, s: float,
     """Directional operator of (x_N)_+^mu along e_N equals C_s c_{s,mu} x_N^{mu-2s}
     at x = t*e_N in R^3, t in {0.5, 1, 2}."""
     z = pr.PowerProfile(mu, 1.0)
-    e_n = _on_axis(3, 1.0)
+    e_n = _on_axis(3, 1.0)[None]
     c_val = cn.c_s_mu(mu, s)
     Cs = cn.normalizing_constant(s)
 
+    ts = (0.5, 1.0, 2.0)
+    xs = [_on_axis(3, t) for t in ts]
     claims: list[ClaimResult] = []
-    for t in (0.5, 1.0, 2.0):
-        x = _on_axis(3, t)
-        r = op.directional(z, x, e_n, s, tol)
+    for t, x, r in zip(ts, xs, _frame_sums(z, xs, [e_n] * len(xs), s, tol.abs_tol,
+                                           tol.rel_tol)):
         predicted = Cs * c_val * t ** (mu - 2.0 * s)
         # c_{s,mu} cancels near mu = s; the terms it sums are of size C_s t^{mu-2s}
         scale = max(abs(predicted), Cs * t ** (mu - 2.0 * s))
@@ -213,29 +228,33 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
         eps = epsilon_threshold(s, p)
     u = pr.BumpTrain(eps, s, window)
     bound = _cross_bump_bound(s)(eps)
-    e_n = _on_axis(N, 1.0)
+    e_n = _on_axis(N, 1.0)[None]
     frame = op.canonical_frame(N, k)
 
+    inside = (eps, 1.0 + eps, 3.0 + eps / 2.0, 5.0 + 1.5 * eps)
+    # gap midpoints n + eps + 1/2: bump n covers [n, n + 2*eps]
+    gaps = (eps + 0.5, 4.0 + eps + 0.5)
+    # e_N at every point, then the frame at each gap point
+    n_along = len(inside) + len(gaps)
+    sums = _frame_sums(u, [_on_axis(N, t) for t in inside + gaps + gaps],
+                       [e_n] * n_along + [frame.vectors] * len(gaps), s,
+                       tol.abs_tol, tol.rel_tol)
+    along_n, frame_sums = sums[:n_along], sums[n_along:]
+
     claims: list[ClaimResult] = []
-    for t in (eps, 1.0 + eps, 3.0 + eps / 2.0, 5.0 + 1.5 * eps):
-        x = _on_axis(N, t)
-        r = op.directional(u, x, e_n, s, tol)
-        uval = u(x)
+    for t, r in zip(inside, along_n):
+        uval = u(_on_axis(N, t))
         claims.append(ClaimResult([t], "case1_supersolution",
                                   r.value + uval**p, r.abs_error_estimate, "le"))
         claims.append(ClaimResult([t], "case1_cross_bump_bound",
                                   r.value - bound, r.abs_error_estimate, "le"))
-    # gap midpoints n + eps + 1/2: bump n covers [n, n + 2*eps]
-    for t in (eps + 0.5, 4.0 + eps + 0.5):
-        x = _on_axis(N, t)
-        uval = u(x)
+    for t, fs, rn in zip(gaps, frame_sums, along_n[len(inside):]):
+        uval = u(_on_axis(N, t))
         claims.append(ClaimResult([t], "case2_u_vanishes", uval, 0.0, "eq"))
-        fs = op.frame_sum(u, x, frame, s, tol)
         # sections along e_1..e_k are constant, so the value is exactly 0
         claims.append(ClaimResult([t], "case2_frame_sum_zero",
                                   fs.value, fs.abs_error_estimate, "eq"))
         # along e_N the second difference of a zero-valued center is >= 0
-        rn = op.directional(u, x, e_n, s, tol)
         claims.append(ClaimResult([t], "case2_directional_nonnegative",
                                   -rn.value, rn.abs_error_estimate, "le"))
     params = {"s": s, "p": p, "eps": eps, "k": k, "N": N, "window": window,
@@ -263,16 +282,17 @@ def verify_T49_2(N: int, s: float, gamma: Optional[float] = None,
     points = ([_on_axis(N, 2.0 * math.sqrt(N))]
               + _upper_points(N, np.geomspace(1.05 * R, 20.0 * R, 5), 7))
 
+    frames = [op.householder_frame(x / np.linalg.norm(x)).vectors for x in points]
+    sums = _frame_sums(u, points, frames, s, tol.abs_tol, tol.rel_tol)
+
     claims: list[ClaimResult] = []
-    for x in points:
+    for x, frame, fs in zip(points, frames, sums):
         nx = float(np.linalg.norm(x))
-        frame = op.householder_frame(x / nx)
         # avoidance bound: each section stays at radius >= |x|/sqrt(2)
-        for xi in frame.vectors:
+        for xi in frame:
             min_r2 = nx * nx * (1.0 - float(x / nx @ xi) ** 2)
             claims.append(ClaimResult(x, "avoidance_radius", nx * nx / 2.0 - min_r2,
                                       0.0, "le", nx * nx))
-        fs = op.frame_sum(u, x, frame, s, tol)
         rhs = rhs_const * nx ** (-gamma - 2.0 * s)
         claims.append(ClaimResult(x, "frame_bound", fs.value - rhs,
                                   fs.abs_error_estimate, "le", abs(rhs)))
@@ -316,23 +336,27 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
                     else np.asarray(radii, float))
     angles = np.linspace(0.25, 1.45, 3)
 
-    claims: list[ClaimResult] = []
-    far_positive = True
+    xs, frames, bounds, abs_tols = [], [], [], []
     for r in radii:
         for phi in angles:
             x = np.zeros(N)
             x[0] = r * math.cos(phi)
             x[-1] = r * math.sin(phi)
-            frame = op.completion_frame(x / np.linalg.norm(x), k)
-            bound = const * float(x[-1]) * r ** (-exponent)
+            xs.append(x)
+            frames.append(op.completion_frame(x / np.linalg.norm(x), k).vectors)
+            bounds.append(const * float(x[-1]) * r ** (-exponent))
             # absolute tolerance tracks the shrinking bound at far radii
-            tol_pt = Tolerance(abs_tol=max(abs(bound) * 1e-4, tol.abs_tol),
-                               rel_tol=tol.rel_tol)
-            fs = op.frame_sum(psi, x, frame, s, tol_pt)
-            claims.append(ClaimResult(x, "frame_lower_bound",
-                                      bound - fs.value, fs.abs_error_estimate, "le"))
-            if r == radii[-1] and fs.value <= 0.0:
-                far_positive = False
+            abs_tols.append(Tolerance(max(abs(bounds[-1]) * 1e-4, tol.abs_tol),
+                                      tol.rel_tol).abs_tol)
+    sums = _frame_sums(psi, xs, frames, s, abs_tols, tol.rel_tol)
+
+    claims: list[ClaimResult] = []
+    far_positive = True
+    for r, x, bound, fs in zip(np.repeat(radii, len(angles)), xs, bounds, sums):
+        claims.append(ClaimResult(x, "frame_lower_bound",
+                                  bound - fs.value, fs.abs_error_estimate, "le"))
+        if r == radii[-1] and fs.value <= 0.0:
+            far_positive = False
 
     # the onset is the first radius from which every claim (one per angle) passes
     n = len(angles)
@@ -366,12 +390,12 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
         raise cn.DomainError("N must be >= 2")
     u, M, mu = pr.build_singular_supersolution(s, p, op_kind, N)
     points = (0.5, 1.0, 2.0)
+    xs = [_on_axis(N, t) for t in points]
     claims: list[ClaimResult] = []
     if op_kind == "ik_minus":
-        e_n = _on_axis(N, 1.0)
-        for t in points:
-            x = _on_axis(N, t)
-            r = op.directional(u, x, e_n, s, tol)
+        e_n = _on_axis(N, 1.0)[None]
+        sums = _frame_sums(u, xs, [e_n] * len(xs), s, tol.abs_tol, tol.rel_tol)
+        for t, x, r in zip(points, xs, sums):
             raw = r.value + u(x) ** p
             claims.append(ClaimResult(t, "exact_cancellation", abs(raw) - 1e-6,
                                       r.abs_error_estimate, "le"))
@@ -379,21 +403,25 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
         rng = np.random.default_rng(seed)
         # closed-form directional values: each section is a power of x_N
         c_val = cn.normalizing_constant(s) * cn.c_s_mu(mu, s)
+        closed, frames = [], []
         for t in points:
-            x = _on_axis(N, t)
+            at_t = []
             # the last components of each frame's vectors
             for last in op.random_frames(N, N, 100, rng)[:, :, -1].tolist():
                 pigeon = max(abs(c) for c in last)
-                claims.append(ClaimResult(t, "pigeonhole_direction",
-                                          1.0 / math.sqrt(N) - pigeon, 0.0, "le",
-                                          1.0 / math.sqrt(N)))
+                at_t.append(ClaimResult(t, "pigeonhole_direction",
+                                        1.0 / math.sqrt(N) - pigeon, 0.0, "le",
+                                        1.0 / math.sqrt(N)))
                 fs = sum(abs(c) ** (2.0 * s) for c in last)
                 total = fs * M * c_val * t ** (mu - 2.0 * s)
-                claims.append(ClaimResult(t, "frame_supersolution",
-                                          total + (M * t**mu) ** p, 0.0, "le", abs(total)))
+                at_t.append(ClaimResult(t, "frame_supersolution",
+                                        total + (M * t**mu) ** p, 0.0, "le", abs(total)))
+            closed.append(at_t)
             # spot-check one frame by quadrature
-            frame = op.random_frame(N, N, rng)
-            fsq = op.frame_sum(u, x, frame, s, tol)
+            frames.append(op.random_frame(N, N, rng).vectors)
+        sums = _frame_sums(u, xs, frames, s, tol.abs_tol, tol.rel_tol)
+        for t, x, at_t, fsq in zip(points, xs, closed, sums):
+            claims.extend(at_t)
             claims.append(ClaimResult(t, "frame_supersolution_quadrature",
                                       fsq.value + u(x) ** p, fsq.abs_error_estimate, "le"))
     params = {"s": s, "p": p, "op_kind": op_kind, "N": N, "M": M, "mu": mu}
@@ -450,16 +478,17 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     if y[-1] > -math.sqrt(2.0) * r:
         raise GeometryViolation("ball center must satisfy y_N <= -sqrt(2) r")
     u = _BallBump(y, r, s)
+    points = _upper_points(N, (1.0, 2.0, 5.0), 3)
+    frames = [op.householder_frame((x - y) / np.linalg.norm(x - y)).vectors for x in points]
+    sums = _frame_sums(u, points, frames, s, tol.abs_tol, tol.rel_tol)
     claims: list[ClaimResult] = []
-    for x in _upper_points(N, (1.0, 2.0, 5.0), 3):
+    for x, frame, fs in zip(points, frames, sums):
         d = x - y
         nd = float(np.linalg.norm(d))
         claims.append(ClaimResult(x, "distance_exceeds", math.sqrt(2.0) * r - nd, 0.0, "le"))
-        frame = op.householder_frame(d / nd)
-        for xi in frame.vectors:
+        for xi in frame:
             min_r2 = nd * nd * (1.0 - float(d / nd @ xi) ** 2)
             claims.append(ClaimResult(x, "line_avoids_ball", r * r - min_r2, 0.0, "le"))
-        fs = op.frame_sum(u, x, frame, s, tol)
         # every section misses the ball, so the value is exactly 0
         claims.append(ClaimResult(x, "frame_sum_zero", fs.value, fs.abs_error_estimate, "eq"))
     return _finish("avoidance_example", {"N": N, "s": s, "r": r, "y": list(y)},
@@ -497,13 +526,14 @@ def verify_transform(s: float, p: float, q: float, seed: int = 42,
     base, _, _ = pr.build_singular_supersolution(s, p, "ik_minus", 2)
     v = pr.power_transform(base, p, q)
     wrapper = pr.PowerTransformField(base, tp)
-    e_n = _on_axis(2, 1.0)
-    for t in (0.5, 1.0, 2.0):
-        x = _on_axis(2, t)
-        # operator inequality: I v <= beta v^{(beta-1)/beta} I (v^{1/beta})
-        lhs_q = op.directional(v, x, e_n, s, tol)
-        # v^{1/beta} = alpha^{1/beta} * base
-        rhs_dir = op.directional(base, x, e_n, s, tol)
+    ts = (0.5, 1.0, 2.0)
+    xs = [_on_axis(2, t) for t in ts]
+    e_n = [_on_axis(2, 1.0)[None]] * len(xs)
+    # operator inequality: I v <= beta v^{(beta-1)/beta} I (v^{1/beta}),
+    # with v^{1/beta} = alpha^{1/beta} * base
+    lhs_all = _frame_sums(v, xs, e_n, s, tol.abs_tol, tol.rel_tol)
+    rhs_all = _frame_sums(base, xs, e_n, s, tol.abs_tol, tol.rel_tol)
+    for t, x, lhs_q, rhs_dir in zip(ts, xs, lhs_all, rhs_all):
         vx = v(x)
         factor = beta * vx ** ((beta - 1.0) / beta) * tp.alpha_coef ** (1.0 / beta)
         rhs_q = factor * rhs_dir.value

@@ -8,7 +8,15 @@ against these values; the package itself computes everything by quadrature.
 
 import math
 
-from scipy.special import gamma as G
+
+def G(x: float) -> float:
+    """Gamma, with the values ``scipy.special.gamma`` takes at its poles:
+    an infinity of the zero's sign at 0, nan at the negative integers."""
+    if x == 0.0:
+        return math.copysign(math.inf, x)
+    if x < 0.0 and x == math.floor(x):
+        return math.nan
+    return math.gamma(x)
 
 
 def normalizing_constant_oracle(s: float) -> float:

@@ -7,6 +7,7 @@ import pytest
 import mpmath
 from scipy.optimize import brentq
 from scipy.special import binom, eval_gegenbauer
+from scipy.special import gamma as scipy_gamma
 
 from fractrunc import constants as cn
 from fractrunc import quad
@@ -15,6 +16,20 @@ from fractrunc.quad import Tolerance
 import oracles as oc
 
 S_GRID = [0.25, 0.5, 0.75]
+
+
+def test_oracle_gamma_matches_scipy():
+    # the oracles' Gamma takes scipy's values, poles included: an infinity
+    # of the zero's sign at +-0 and nan at every negative integer
+    grid = [*np.linspace(-6.0, 12.0, 145).tolist(), -0.0, 1e-9, -1e-9, -2.5 + 1e-12]
+    for x in grid:
+        got, want = oc.G(x), float(scipy_gamma(x))
+        if math.isnan(want):
+            assert math.isnan(got), x
+        else:
+            assert got == pytest.approx(want, rel=1e-13), x
+    assert oc.G(0.0) == math.inf and oc.G(-0.0) == -math.inf
+    assert all(math.isnan(oc.G(-n)) for n in range(1, 7))
 
 
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])

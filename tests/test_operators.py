@@ -404,3 +404,16 @@ def test_fan_matches_one_call_per_direction(kind, s, N):
         bars = r.abs_error_estimate + one.abs_error_estimate
         assert abs(r.value - one.value) <= max(1e-13 * abs(one.value), bars)
         assert r.abs_error_estimate == pytest.approx(one.abs_error_estimate, rel=1e-13)
+    # a stack of points, one per row, the first two rows and the last two
+    # sharing theirs: each row matches its own call; its panels sit elsewhere
+    # in the batch, so sums may round differently
+    points = np.r_[x[None], x[None], np.c_[rng.uniform(-1.0, 1.0, (N + 1, N - 1)),
+                                           rng.uniform(0.2, 2.0, N + 1)]]
+    points[-1] = points[-2]
+    stack = op.directional_fan(u, points, directions[1:], s, TOL)
+    assert len(stack) == len(points)
+    for y, xi, r in zip(points, directions[1:], stack):
+        one = op.directional(u, y, xi, s, TOL)
+        assert r.n_evals == one.n_evals
+        assert abs(r.value - one.value) <= r.abs_error_estimate + one.abs_error_estimate
+        assert r.abs_error_estimate == pytest.approx(one.abs_error_estimate, rel=1e-9)

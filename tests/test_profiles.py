@@ -132,6 +132,22 @@ def test_bump_train_breakpoints():
     assert u.breakpoints(np.array([0.0, 0.2]), np.array([1.0, 0.0])) == []
 
 
+@pytest.mark.parametrize("eps,s,window", [(0.2, 0.5, 10), (0.0317, 0.05, 400),
+                                          (0.4614, 0.97, 400)])
+def test_bump_train_metadata_matches_per_edge_formula(eps, s, window):
+    # the edge array gives the floats, in the order, of the per-edge formula
+    u = pr.BumpTrain(eps, s, window)
+    edges = [e for n in range(window) for e in (float(n), n + 2.0 * eps)]
+    assert u.edges.tolist() == edges
+    rng = np.random.default_rng(window)
+    for _ in range(20):
+        x = np.r_[rng.uniform(-1.0, 1.0), rng.uniform(-2.0, window + 2.0)]
+        xi = _unit(rng, 2)
+        old = sorted(t for t in ((e - x[-1]) / xi[-1] for e in edges) if abs(t) > 1e-9)
+        assert u.breakpoints(x, xi) == old
+        assert u.c2_radius(x) == max(min(abs(float(x[-1]) - e) for e in edges) / 2.0, 1e-6)
+
+
 def test_halfspace_power_tail_vanishes_below_wall():
     u = pr.HalfSpacePowerTail(0.7)
     assert u(np.array([1.0, -0.5])) == 0.0
@@ -344,6 +360,16 @@ def test_line_matches_pointwise_evaluation(kind, N):
         assert fan_values.shape == rows.shape
         for xi_row, t_row, got in zip(fan, rows, fan_values):
             assert got == pytest.approx(u.line(x, xi_row)(t_row), rel=1e-15, abs=1e-300)
+        # a stack of points, one per row, with the fan or with xi alone:
+        # each row equals the line through its own point
+        points = np.r_[x[None], fan_rng.uniform(-1.0, 3.0, (len(fan) - 1, N))]
+        for dirs in (fan[:, None, :], xi):
+            stack_values = u.line(points[:, None, :], dirs)(rows)
+            assert stack_values.shape == rows.shape
+            for y, xi_row, t_row, got in zip(points, np.broadcast_to(dirs, fan[:, None].shape),
+                                             rows, stack_values):
+                assert got == pytest.approx(u.line(y, xi_row[0])(t_row), rel=1e-15,
+                                            abs=1e-300)
 
 
 def test_power_transform_line_rejects_negative_base():

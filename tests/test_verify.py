@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fractrunc import operators as op
 from fractrunc import profiles as pr
 from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
@@ -189,3 +190,31 @@ def test_transform_passes():
     r = vf.verify_transform(0.5, -3.0, -5.0)
     assert r.verdict == "pass"
     assert r.params["beta"] == pytest.approx(2.0 / 3.0)
+
+
+@pytest.mark.parametrize("name,call,rows", [
+    ("power-identity", lambda: vf.verify_power_identity(0.3, 0.5), [3]),
+    ("bump-train", lambda: vf.verify_bump_train(0.5, 1.5, k=2, N=3), [6 + 2 * 2]),
+    ("t49-2", lambda: vf.verify_T49_2(3, 0.5), [6 * 3]),
+    ("psi", lambda: vf.verify_psi_subsolution("decay", 2, 0.4), [30 * 2]),
+    ("singular ik_minus",
+     lambda: vf.verify_singular_supersolution(0.5, -3.0, "ik_minus", 2), [3]),
+    ("singular in_plus",
+     lambda: vf.verify_singular_supersolution(0.5, -3.0, "in_plus", 3), [3 * 3]),
+    ("avoidance",
+     lambda: vf.verify_avoidance_example(3, 0.5, 0.5, np.array([0.0, 0.0, -0.8])), [3 * 3]),
+    ("transform", lambda: vf.verify_transform(0.5, -3.0, -5.0), [3, 3]),
+])
+def test_one_engine_call_per_field(name, call, rows, monkeypatch):
+    # every section of a suite goes through the fan engine in one call per field
+    calls = []
+    engine = op._integrate_fan
+
+    def spy(u, x, directions, *args):
+        calls.append((u, len(directions)))
+        return engine(u, x, directions, *args)
+
+    monkeypatch.setattr(op, "_integrate_fan", spy)
+    assert call().verdict == "pass"
+    assert [n for _, n in calls] == rows
+    assert len({id(u) for u, _ in calls}) == len(calls)
