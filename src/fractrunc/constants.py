@@ -264,7 +264,6 @@ def _pow_kernel(g: float, s: float, tol: Tolerance, perp: float = 0.0) -> float:
     integrand = Integrand(
         eval=f,
         singular_points=[(-1.0, e)],
-        pv_points=[0.0],
         tail_decay=1.0 + 2.0 * s + min(g, 0.0),
         regular_eval={-1.0: near_minus_one},
         pv_fold={0.0: (1.0 - 2.0 * s, fold)},
@@ -336,6 +335,11 @@ def _iso_parts(gam: float, s: float, N: int) -> tuple[Callable, Callable, Callab
     _check_positive(gam, s)
     if N < 2:
         raise DomainError("N must be >= 2")
+    # the kernel peaks at (1-1/N)^{-g/2}, at t = 1/sqrt(N); past 1e300 its
+    # values, and the quadrature's sums of them, leave the float range
+    if -gam / 2.0 * math.log1p(-1.0 / N) > math.log(1e300):
+        raise DomainError(f"gamma = {gam} is too large: the kernel's peak "
+                          "(1-1/N)^(-gamma/2) exceeds 1e300")
     a = 1.0 / math.sqrt(N)
 
     def minus(t: np.ndarray) -> np.ndarray:

@@ -17,17 +17,18 @@ batched adaptive G10/K21 engine: field lines accept a stack of directions
 and a stack of points, so each round of bisection evaluates every open
 panel of every piece of every section in one field call.  It is the only
 path: ``directional`` along one direction is the batch of one row;
-``directional_fan``, ``frame_sum``, the ``plus`` closed form and the
-search's objective evaluate the directions through one point as one batch
-(a *fan*); and each verify suite integrates every section of all its
-points, one batch per field.
+``directional_fan``, the ``plus`` closed form and the search's objective
+evaluate the directions through one point as one batch (a *fan*); and
+``frame_sums`` integrates every section of the frames at many points as one
+batch, which is how each verify suite calls it, one batch per field, and
+``frame_sum`` is its case of one point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,13 +42,13 @@ __all__ = [
     "directional",
     "directional_fan",
     "frame_sum",
+    "frame_sums",
     "extremal_radial",
     "extremal_search",
     "derivative_commutation_residual",
     "canonical_frame",
     "completion_frame",
     "householder_frame",
-    "random_frame",
     "random_frames",
 ]
 
@@ -83,10 +84,6 @@ class Frame:
     def N(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def orthonormality_defect(self) -> float:
-        return float(_orthonormality_defects(self.vectors))
-
 
 def _orthonormality_defects(vectors: np.ndarray) -> np.ndarray:
     """max |V V^T - I| of each family V of k rows in a stack of shape (..., k, N)."""
@@ -108,10 +105,10 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 #   line(x, xi) -> Callable[[ndarray], ndarray]
 #                                           the section tau -> u(x + tau*xi),
 #                                           elementwise on an array of tau;
-#                                           xi of shape (..., N) is a fan of
-#                                           directions, broadcasting against tau,
-#                                           and x of shape (..., N) a stack of
-#                                           points, broadcasting like xi
+#                                           xi of shape (..., N) holds the rows'
+#                                           directions and x the rows' points,
+#                                           stacked like xi, both broadcasting
+#                                           against tau
 #   c2_radius(x: ndarray) -> float          radius of C^2 ball around x
 #   breakpoints(x, xi) -> list[float]       tau of every non-C^2 crossing
 #   growth_alpha: float                     (H2)-type growth exponent: every
@@ -157,8 +154,8 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     point, ``breakpoints`` and ``d2_along`` once per row.  A direction's C^2
     window is its point's C^2 radius capped at its nearest breakpoint;
     without ``d2_along`` the second derivatives of all rows come from one
-    call of finite differences inside their windows.  When every row has
-    the same point, the field sees that one point, as for a single section.
+    call of finite differences inside their windows.  ``rel_tol``, like
+    ``abs_tol``, is one tolerance or one per row.
 
     ``n_evals`` of each result counts the section's field evaluations: u(0),
     two per kernel node (at t and -t), the growth probes and the finite
@@ -175,7 +172,9 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     m = len(dirs)
     all_rows = np.arange(m)
     abs_tol = np.full(m, abs_tol, float)
-    # the distinct points, the first row through each and the point of each row
+    rel_tol = np.full(m, rel_tol, float)
+    # the distinct points, the first row through each and the point of each
+    # row; one point of shape (N,) needs no search for the distinct ones
     if x.ndim == 1:
         points, first_row, at = x[None], np.zeros(1, int), np.zeros(m, int)
     elif x.shape == dirs.shape:
@@ -183,10 +182,7 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
         at = at.reshape(-1)
     else:
         raise ValueError("a stack of points needs one point per direction")
-    # rows that all share one point hand the field that point alone, as a
-    # single section does; rows through many points index theirs per row
-    one = len(points) == 1
-    row_points = [points[0]] * m if one else list(points[at])
+    row_points = points[at]
 
     c2 = np.array([float(u.c2_radius(p)) for p in points])[at]
     radii = [[abs(float(t)) for t in u.breakpoints(p, xi)] for p, xi in zip(row_points, dirs)]
@@ -200,11 +196,11 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     two_u0 = 2.0 * u0
 
     def ev(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return u.line(points[0] if one else points[at[rows]], dirs[rows])(t)
+        return u.line(row_points[rows], dirs[rows])(t)
 
     def pair(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         both = ev(np.stack((t, -t)), rows)
-        return both[0] + both[1] - (two_u0[0] if one else two_u0[rows])
+        return both[0] + both[1] - two_u0[rows]
 
     n_evals = np.ones(m, int)
     d2_fn = getattr(u, "d2_along", None)
@@ -248,7 +244,7 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
         k = next_rung[rows] + np.arange(rows.size) - np.repeat(offsets, count)
         tops = np.ldexp(top[rows], -k)
         v, e, n = integrate_batch(lambda t, g: pair(t, rows[g]) / t**p, tops / 2.0, tops,
-                                  abs_tol[rows] / 8.0, rel_tol)
+                                  abs_tol[rows] / 8.0, rel_tol[rows])
         count_evals(rows, n)
         val = d2[rows] * (tops / 2.0) ** expo / expo + v
         err = np.abs(d2[rows] * tops**expo / expo - val)
@@ -328,7 +324,7 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
                                abs_tol[far] / 4.0))
     v, e, n = integrate_batch(pieces, np.concatenate((np.zeros(n_core), np.log(core_end[far]))),
                               np.concatenate((np.ones(n_core), np.log(T[far]))), abs_tols,
-                              rel_tol)
+                              np.concatenate((rel_tol[core_rows], rel_tol[far])))
     count_evals(rows, n)
     far_val, far_err = np.zeros(m), np.zeros(m)
     far_val[far], far_err[far] = v[n_core:], e[n_core:]
@@ -363,10 +359,29 @@ def directional(u, x: np.ndarray, xi: np.ndarray, s: float,
 directional_at = directional
 
 
+def frame_sums(u, points: Sequence[np.ndarray], frames: Sequence[np.ndarray], s: float,
+               tol: Tolerance | Sequence[Tolerance] = Tolerance()) -> list[QuadResult]:
+    """Sum of directional operators at each point over the rows of its frame.
+
+    ``frames[i]``, of shape ``(k_i, N)``, holds the directions summed at
+    ``points[i]``; a frame of one row gives the directional value.  ``tol``
+    is one ``Tolerance``, or one per point.  Every section of every point is
+    one batch of rows, so each round of bisection calls the field once.
+    """
+    sizes = [len(f) for f in frames]
+    tols = [tol] * len(sizes) if isinstance(tol, Tolerance) else tol
+    sections = _integrate_fan(u, np.repeat(np.asarray(points, float), sizes, axis=0),
+                              np.vstack(frames), s,
+                              np.repeat([t.abs_tol for t in tols], sizes),
+                              np.repeat([t.rel_tol for t in tols], sizes))
+    ends = np.cumsum(sizes).tolist()
+    return [sum(sections[e - k:e], QuadResult(0.0, 0.0, 0)) for e, k in zip(ends, sizes)]
+
+
 def frame_sum(u, x: np.ndarray, frame: Frame, s: float,
               tol: Tolerance = Tolerance()) -> QuadResult:
-    """Sum of directional operators over the vectors of a frame."""
-    return sum(directional_fan(u, x, frame.vectors, s, tol), QuadResult(0.0, 0.0, 0))
+    """Sum of directional operators over the vectors of a frame: ``frame_sums`` at one point."""
+    return frame_sums(u, [x], [frame.vectors], s, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +433,12 @@ def random_frames(N: int, k: int, count: int, rng: np.random.Generator) -> np.nd
     Orthonormalized Gaussian samples: one QR of the whole stack, signs fixed
     so that each R has a positive diagonal.  Every frame passes ``Frame``'s
     orthonormality check.  The draws, and so the frames, are those of
-    ``count`` calls of ``random_frame`` in a row.
+    ``count`` calls with ``count = 1`` in a row.
     """
     q, r = np.linalg.qr(rng.standard_normal((count, N, k)))
     frames = np.swapaxes(q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :], 1, 2)
     _check_orthonormal(frames)
     return frames
-
-
-def random_frame(N: int, k: int, rng: np.random.Generator) -> Frame:
-    """Orthonormalized Gaussian sample (Haar-distributed k-frame)."""
-    return Frame(random_frames(N, k, 1, rng)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 Every constructed function is an *evaluable field*: restrictable to lines
 (``line(x, xi)`` returns the array-valued function ``t -> u(x + t*xi)``,
 evaluated elementwise on an ndarray of any shape, which the operator module
-calls once per batch of quadrature nodes; ``xi`` of shape ``(..., N)`` is a
-fan of directions, broadcasting against ``t``, and ``x`` one point of shape
-``(N,)`` or a stack of points of shape ``(..., N)``, broadcasting like
-``xi``, so one call evaluates rows of (point, direction)), callable on
+calls once per batch of quadrature nodes; ``xi`` of shape ``(..., N)``
+holds the directions of rows of (point, direction) and ``x`` their points,
+stacked like ``xi``, both broadcasting against ``t``), callable on
 points (the line through the point at ``t = 0``), and carrying the metadata the
 operator module needs (C^2 window radius, non-smooth crossing locations
 along a line, growth exponent).  Radial profiles are cap/tail
@@ -15,9 +14,10 @@ third-order Taylor cubic of the same power inside.
 
 Each construction is one class: the radial profile and its derivative
 along e_N, the subsolution candidate psi, the bump train, the half-space
-power tail, the power profile, the min composition and the power
-transform.  A field's crossings with the hyperplanes {x_N = level} and
-with spheres come from ``_plane_crossings`` and ``_sphere_crossings``.
+power tail, the power profile and the min composition; the power transform
+of a power profile is again a power profile.  A field's crossings with the
+hyperplanes {x_N = level} and with spheres come from ``_plane_crossings``
+and ``_sphere_crossings``.
 """
 
 from __future__ import annotations
@@ -65,22 +65,18 @@ class ExponentOutOfRange(ValueError):
 # lines, and where they cross non-smooth surfaces
 # ---------------------------------------------------------------------------
 
-def _components(x: np.ndarray, xi: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """The pairs (x[..., i], xi[..., i]) of a line's point and direction.
+def _components(x: np.ndarray, xi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (x[..., i], xi[..., i]) of the rows' points and directions.
 
-    ``xi[..., i]`` is an array over the fan of directions (0-d for a single
-    direction of shape (N,)).  One point of shape (N,) gives each x_i as a
-    Python float; a stack of points of shape (..., N) gives arrays, which
-    broadcast against the directions and t as the directions do.
+    Each is an array over the rows (0-d for one row of shape (N,)), which
+    broadcasts against t.
     """
     x, xi = np.asarray(x, float), np.asarray(xi, float)
-    comps = (xi[..., i] for i in range(xi.shape[-1]))
-    if x.ndim <= 1:
-        return list(zip(x.reshape(-1).tolist(), comps))
-    return list(zip((x[..., i] for i in range(x.shape[-1])), comps))
+    return [(x[..., i], xi[..., i]) for i in range(xi.shape[-1])]
 
 
-def _squared_norm(pairs: Sequence[tuple[float, np.ndarray]]) -> Callable[[np.ndarray], np.ndarray]:
+def _squared_norm(
+        pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> Callable[[np.ndarray], np.ndarray]:
     """t -> |x + t*xi|^2 over the given component pairs, summed in order."""
     def r2(t: np.ndarray) -> np.ndarray:
         acc = 0.0
@@ -122,8 +118,8 @@ class _PiecewiseG:
 
     The tail is sign * r^{-sign*gamma/2}: ``sign=+1`` decays, ``sign=-1``
     grows like -r^{gamma/2}.  The cap is the tail's third-order Taylor cubic
-    at the junction, in powers of (r - junction_r2); derivatives are
-    available through order 3.
+    at the junction, in powers of (r - junction_r2); ``value`` gives it and
+    its first two derivatives.
     """
 
     def __init__(self, gamma: float, junction_r2: float, sign: float = 1.0) -> None:
@@ -146,8 +142,8 @@ class _PiecewiseG:
         return coeff, e
 
     def value(self, r: np.ndarray, order: int = 0) -> np.ndarray:
-        """g^(order) at every element of ``r``; the branches are taken with
-        np.where, each on arguments where it is finite."""
+        """g^(order), order 0, 1 or 2, at every element of ``r``; the branches
+        are taken with np.where, each on arguments where it is finite."""
         j = self.junction_r2
         a = self.cap
         d = np.minimum(r, j) - j
@@ -155,10 +151,8 @@ class _PiecewiseG:
             cap = a[0] + d * (a[1] + d * (a[2] + d * a[3]))
         elif order == 1:
             cap = a[1] + d * (2.0 * a[2] + 3.0 * d * a[3])
-        elif order == 2:
-            cap = 2.0 * a[2] + 6.0 * d * a[3]
         else:
-            cap = 6.0 * a[3] if order == 3 else 0.0
+            cap = 2.0 * a[2] + 6.0 * d * a[3]
         coeff, e = self._tail(order)
         return np.where(r <= j, cap, coeff * np.maximum(r, j) ** e)
 
@@ -644,43 +638,12 @@ class TransformParams:
             raise InvariantViolation("identity alpha*beta = alpha^q fails")
 
 
-class PowerTransformField(Field):
-    """alpha * base^beta for a nonnegative base field."""
+def power_transform(u: PowerProfile, p: float, q: float) -> PowerProfile:
+    """v = ((p-1)/(q-1))^{1/(q-1)} * u^{(p-1)/(q-1)} of a power profile ``u``.
 
-    def __init__(self, base: Field, tp: TransformParams) -> None:
-        tp.validate()
-        self.base = base
-        self.tp = tp
-        self.growth_alpha = base.growth_alpha * tp.beta_exp
-
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        base = self.base.line(x, xi)
-        alpha, beta = float(self.tp.alpha_coef), float(self.tp.beta_exp)
-
-        def at(t: np.ndarray) -> np.ndarray:
-            v = base(t)
-            if np.any(v < 0.0):
-                raise ValueError("power transform requires a nonnegative base")
-            return alpha * v**beta
-        return at
-
-    def c2_radius(self, x: np.ndarray) -> float:
-        return self.base.c2_radius(x)
-
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return self.base.breakpoints(x, xi)
-
-
-def power_transform(u: Field, p: float, q: float) -> Field:
-    """v = ((p-1)/(q-1))^{1/(q-1)} * u^{(p-1)/(q-1)}.
-
-    For a pure power profile the result is again a pure power profile
-    (coefficient alpha*M^beta, exponent mu*beta) and is returned in closed
-    form; otherwise a pointwise wrapper field.
+    The result is again a power profile, with coefficient alpha*M^beta and
+    exponent mu*beta.
     """
     tp = TransformParams(p, q)
     tp.validate()
-    if isinstance(u, PowerProfile):
-        return PowerProfile(u.mu * tp.beta_exp,
-                            tp.alpha_coef * u.coefficient**tp.beta_exp)
-    return PowerTransformField(u, tp)
+    return PowerProfile(u.mu * tp.beta_exp, tp.alpha_coef * u.coefficient**tp.beta_exp)

@@ -6,9 +6,10 @@ singular structure up front; ``integrate`` subdivides at the declared
 points, maps algebraic singularities to exponentially decaying smooth
 integrands via the substitution ``tau = c +/- exp(-u)``, and truncates
 infinite tails at an adaptively chosen point with the analytic remainder
-folded into the value and the error estimate.  ``integrate_pv`` takes a
-principal value around a PV point through the fold the integrand declares
-there.
+folded into the value and the error estimate.  The lower end ``a`` of an
+``integrate`` interval is finite; the upper end may be +inf.
+``integrate_pv`` takes a principal value around a PV point, a key of the
+integrand's ``pv_fold``, through the fold declared there.
 
 ``integrate_batch`` is the engine underneath: adaptive bisection with
 QUADPACK's G10/K21 rule over many integrals at once, each round evaluating
@@ -71,9 +72,6 @@ class Tolerance:
         if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be finite and positive")
 
-    def scaled(self, factor: float) -> "Tolerance":
-        return Tolerance(self.abs_tol * factor, self.rel_tol * factor)
-
 
 @dataclass
 class QuadResult:
@@ -104,17 +102,17 @@ class Integrand:
 
     ``singular_points`` lists ``(location, exponent)`` pairs where
     ``f(location + side*d) ~ C * d**exponent`` as ``d -> 0``; exponents must be
-    > -1 unless the location is also listed in ``pv_points``, and exponent 0
-    declares a jump or kink as a breakpoint.  ``tail_decay``
-    is an exponent ``beta`` with ``|f(tau)| <= C*tau**-beta`` for large
-    ``tau``; it must exceed 1 when integration extends to +inf.
+    > -1 unless the location is a PV point, and exponent 0 declares a jump or
+    kink as a breakpoint.  ``tail_decay`` is an exponent ``beta`` with
+    ``|f(tau)| <= C*tau**-beta`` for large ``tau``; it must exceed 1 when
+    integration extends to +inf.
 
     ``regular_eval`` optionally maps a singular location to a stable
-    regular-part evaluator ``r(side, d)``.  ``pv_fold`` maps every PV
-    location ``c`` to ``(fold_exponent, g)`` where
-    ``f(c+h) + f(c-h) = g(h) * h**fold_exponent`` with ``g`` bounded near 0;
-    ``integrate_pv`` integrates that fold, and ``integrate`` accepts no PV
-    point in its closed interval.
+    regular-part evaluator ``r(side, d)``.  The PV points are the keys of
+    ``pv_fold``, which maps each PV point ``c`` to ``(fold_exponent, g)``
+    where ``f(c+h) + f(c-h) = g(h) * h**fold_exponent`` with ``g`` bounded
+    near 0; ``integrate_pv`` integrates that fold, and ``integrate`` accepts
+    no PV point in its closed interval.
 
     ``eval(t)``, each ``r(side, d)`` and each fold ``g(h)`` take an ndarray
     and return their values elementwise.
@@ -122,7 +120,6 @@ class Integrand:
 
     eval: Callable[[np.ndarray], np.ndarray]
     singular_points: list[tuple[float, float]] = field(default_factory=list)
-    pv_points: list[float] = field(default_factory=list)
     tail_decay: float = math.inf
     regular_eval: dict[float, Callable[[int, np.ndarray], np.ndarray]] = field(
         default_factory=dict)
@@ -132,13 +129,11 @@ class Integrand:
     def validate(self, a: float, b: float) -> None:
         """Raise ``NonIntegrable`` if the declarations rule out ``integrate`` on ``(a, b)``."""
         for loc, expo in self.singular_points:
-            if expo <= -1.0 and loc not in self.pv_points:
+            if expo <= -1.0 and loc not in self.pv_fold:
                 raise NonIntegrable(
-                    f"singular point {loc} has exponent {expo} <= -1 and no PV flag"
+                    f"singular point {loc} has exponent {expo} <= -1 and no PV fold"
                 )
-        for c in self.pv_points:
-            if c not in self.pv_fold:
-                raise NonIntegrable(f"PV point {c} has no declared fold")
+        for c in self.pv_fold:
             if a <= c <= b:  # at an endpoint there is nothing to cancel against
                 raise NonIntegrable(
                     f"PV point {c} lies in [{a}, {b}]; integrate around it "
@@ -212,7 +207,7 @@ def _gk21(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
 
 def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
                     b: np.ndarray, abs_tol: np.ndarray,
-                    rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    rel_tol: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive G10/K21 quadrature of many integrals in one numpy pass per round.
 
     Integral ``g`` runs over ``(a[g], b[g])``.  ``f(x, group)`` is called with
@@ -220,7 +215,8 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.nda
     panel, shape ``(panels, 1)``, and returns the integrand at every node.
     Each round evaluates every open panel in one call, or in calls of 1024
     panels when there are more.  An integral is done once its summed error
-    estimate is at most ``max(abs_tol[g], rel_tol*|value|)``; until then
+    estimate is at most ``max(abs_tol[g], rel_tol[g]*|value|)`` (either
+    tolerance may be one value for all integrals); until then
     each of its panels whose error exceeds its width's share of that
     tolerance is bisected.  As in QUADPACK's QAG, an
     integral also closes after six bisections that leave the value unchanged
@@ -423,7 +419,6 @@ def _reflected(f: Integrand) -> Integrand:
     return Integrand(
         eval=lambda t: f.eval(-t),
         singular_points=[(-loc, expo) for loc, expo in f.singular_points],
-        pv_points=[-loc for loc in f.pv_points],
         tail_decay=f.tail_decay,
         regular_eval=regular,
         pv_fold={-loc: fe for loc, fe in f.pv_fold.items()},
@@ -461,27 +456,21 @@ def _plan_interval(plan: _Plan, f: Integrand, a: float, b: float, abs_tol: float
 
 
 def integrate(f: Integrand, a: float, b: float, tol: Tolerance = Tolerance()) -> QuadResult:
-    """Integrate ``f`` over ``(a, b)``; ``b`` may be +inf, ``a`` may be -inf.
+    """Integrate ``f`` over ``(a, b)`` for finite ``a``; ``b`` may be +inf.
 
     Subdivides at declared singular points, applies the exponential
     substitution next to them, and truncates the infinite tail with an
     analytic remainder bound included in the error estimate; every piece
-    goes into one ``integrate_batch`` call.  Over the whole line each half
-    gets half of ``tol.abs_tol``.  A PV point in ``[a, b]`` raises
+    goes into one ``integrate_batch`` call.  A non-finite ``a``, or one past
+    ``b``, raises ``ValueError``.  A PV point in ``[a, b]`` raises
     ``NonIntegrable``: integrate around it with ``integrate_pv``.
     """
-    if a > b:
-        raise ValueError("interval endpoints must be ordered")
+    if not (math.isfinite(a) and a <= b):
+        raise ValueError("a must be finite and at most b")
     plan = _Plan()
     # tails run out to tau ~ e^690, where squares overflow to inf
     with np.errstate(over="ignore"):
-        if math.isinf(a) and math.isinf(b):
-            _plan_interval(plan, _reflected(f), 0.0, math.inf, tol.abs_tol / 2.0)
-            _plan_interval(plan, f, 0.0, math.inf, tol.abs_tol / 2.0)
-        elif math.isinf(a):
-            _plan_interval(plan, _reflected(f), -b, math.inf, tol.abs_tol)
-        else:
-            _plan_interval(plan, f, a, b, tol.abs_tol)
+        _plan_interval(plan, f, a, b, tol.abs_tol)
         return plan.run(tol.rel_tol)
 
 
@@ -497,17 +486,15 @@ def integrate_pv(f: Integrand, c: float, halfwidth: float,
     ``(c+w, c+halfwidth)`` and ``(c-halfwidth, c-w)`` are integrated as
     ``integrate`` integrates them, in the same ``integrate_batch`` call;
     ``halfwidth = inf`` gives the principal value over the whole line.
-    Without a fold at ``c`` it raises ``NonIntegrable``.
+    A ``c`` that is not a key of ``f.pv_fold`` raises ``ValueError``.
     """
-    if c not in f.pv_points:
-        raise ValueError(f"{c} is not a declared PV point of the integrand")
     fold = f.pv_fold.get(c)
     if fold is None:
-        raise NonIntegrable(f"PV point {c} has no declared fold")
+        raise ValueError(f"{c} is not a declared PV point of the integrand")
     expo, g = fold
     if expo <= -1.0:
         raise NonCancelling(f"declared fold exponent {expo} <= -1 at PV point {c}")
-    others = [abs(loc - c) for loc in [loc for loc, _ in f.singular_points] + f.pv_points
+    others = [abs(loc - c) for loc in [loc for loc, _ in f.singular_points] + list(f.pv_fold)
               if loc != c]
     w = min(halfwidth, min(others, default=2.0) / 2.0)
     plan = _Plan()

@@ -22,7 +22,7 @@ import numpy as np
 from . import constants as cn
 from . import operators as op
 from . import profiles as pr
-from .quad import QuadResult, Tolerance
+from .quad import Tolerance
 
 __all__ = [
     "VerificationReport",
@@ -121,7 +121,9 @@ def _finish(construction: str, params: dict, claims: list[ClaimResult],
             extra: Optional[dict] = None, verdict: Optional[str] = None) -> VerificationReport:
     """Aggregate claims into a report, with ``_verdict(claims)`` unless a verdict is given."""
     verdict = verdict or _verdict(claims)
-    max_violation = max((c.residual for c in claims), default=-math.inf)
+    # how far the worst claim misses beyond its bar and floor: > 0 when some claim fails
+    max_violation = max(((abs(c.residual) if c.kind == "eq" else c.residual)
+                         - c.error - _ROUNDING * c.scale for c in claims), default=-math.inf)
     points = sorted({tuple(c.point) for c in claims})
     return VerificationReport(construction, params, [list(p) for p in points],
                               claims, max_violation, verdict, extra or {})
@@ -136,20 +138,6 @@ def _on_axis(N: int, t: float) -> np.ndarray:
     x = np.zeros(N)
     x[-1] = t
     return x
-
-
-def _frame_sums(u, points: Sequence[np.ndarray], frames: Sequence[np.ndarray], s: float,
-                abs_tol, rel_tol: float) -> list[QuadResult]:
-    """The directional operator of ``u`` at each point summed over the rows of
-    its frame, as ``op.frame_sum`` sums them; a frame of one row gives the
-    directional value.  Every section of every point is one engine call.
-    ``abs_tol`` is one absolute tolerance, or one per point."""
-    sizes = [len(f) for f in frames]
-    sections = op._integrate_fan(u, np.repeat(points, sizes, axis=0), np.vstack(frames), s,
-                                 np.repeat(np.broadcast_to(abs_tol, len(points)), sizes),
-                                 rel_tol)
-    ends = np.cumsum(sizes).tolist()
-    return [sum(sections[e - k:e], QuadResult(0.0, 0.0, 0)) for e, k in zip(ends, sizes)]
 
 
 def _upper_points(N: int, radii: Sequence[float], seed: int) -> list[np.ndarray]:
@@ -177,8 +165,7 @@ def verify_power_identity(mu: float, s: float,
     ts = (0.5, 1.0, 2.0)
     xs = [_on_axis(3, t) for t in ts]
     claims: list[ClaimResult] = []
-    for t, x, r in zip(ts, xs, _frame_sums(z, xs, [e_n] * len(xs), s, tol.abs_tol,
-                                           tol.rel_tol)):
+    for t, x, r in zip(ts, xs, op.frame_sums(z, xs, [e_n] * len(xs), s, tol)):
         predicted = Cs * c_val * t ** (mu - 2.0 * s)
         # c_{s,mu} cancels near mu = s; the terms it sums are of size C_s t^{mu-2s}
         scale = max(abs(predicted), Cs * t ** (mu - 2.0 * s))
@@ -236,9 +223,8 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
     gaps = (eps + 0.5, 4.0 + eps + 0.5)
     # e_N at every point, then the frame at each gap point
     n_along = len(inside) + len(gaps)
-    sums = _frame_sums(u, [_on_axis(N, t) for t in inside + gaps + gaps],
-                       [e_n] * n_along + [frame.vectors] * len(gaps), s,
-                       tol.abs_tol, tol.rel_tol)
+    sums = op.frame_sums(u, [_on_axis(N, t) for t in inside + gaps + gaps],
+                         [e_n] * n_along + [frame.vectors] * len(gaps), s, tol)
     along_n, frame_sums = sums[:n_along], sums[n_along:]
 
     claims: list[ClaimResult] = []
@@ -276,14 +262,14 @@ def verify_T49_2(N: int, s: float, gamma: Optional[float] = None,
         p = 1.0 + 2.0 * s / gamma_plus + 0.2
         gamma = 2.0 * s / (p - 1.0)
     R = math.sqrt(N / (N - 1.0))
-    u = pr.HalfSpacePowerTail(gamma)
     Cs = cn.normalizing_constant(s)
-    rhs_const = Cs * cn.c_n_plus(gamma, s, N)
+    rhs_const = Cs * cn.c_n_plus(gamma, s, N)  # first: it rejects a gamma out of range
+    u = pr.HalfSpacePowerTail(gamma)
     points = ([_on_axis(N, 2.0 * math.sqrt(N))]
               + _upper_points(N, np.geomspace(1.05 * R, 20.0 * R, 5), 7))
 
     frames = [op.householder_frame(x / np.linalg.norm(x)).vectors for x in points]
-    sums = _frame_sums(u, points, frames, s, tol.abs_tol, tol.rel_tol)
+    sums = op.frame_sums(u, points, frames, s, tol)
 
     claims: list[ClaimResult] = []
     for x, frame, fs in zip(points, frames, sums):
@@ -336,7 +322,7 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
                     else np.asarray(radii, float))
     angles = np.linspace(0.25, 1.45, 3)
 
-    xs, frames, bounds, abs_tols = [], [], [], []
+    xs, frames, bounds, tols = [], [], [], []
     for r in radii:
         for phi in angles:
             x = np.zeros(N)
@@ -346,9 +332,8 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
             frames.append(op.completion_frame(x / np.linalg.norm(x), k).vectors)
             bounds.append(const * float(x[-1]) * r ** (-exponent))
             # absolute tolerance tracks the shrinking bound at far radii
-            abs_tols.append(Tolerance(max(abs(bounds[-1]) * 1e-4, tol.abs_tol),
-                                      tol.rel_tol).abs_tol)
-    sums = _frame_sums(psi, xs, frames, s, abs_tols, tol.rel_tol)
+            tols.append(Tolerance(max(abs(bounds[-1]) * 1e-4, tol.abs_tol), tol.rel_tol))
+    sums = op.frame_sums(psi, xs, frames, s, tols)
 
     claims: list[ClaimResult] = []
     far_positive = True
@@ -394,7 +379,7 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
     claims: list[ClaimResult] = []
     if op_kind == "ik_minus":
         e_n = _on_axis(N, 1.0)[None]
-        sums = _frame_sums(u, xs, [e_n] * len(xs), s, tol.abs_tol, tol.rel_tol)
+        sums = op.frame_sums(u, xs, [e_n] * len(xs), s, tol)
         for t, x, r in zip(points, xs, sums):
             raw = r.value + u(x) ** p
             claims.append(ClaimResult(t, "exact_cancellation", abs(raw) - 1e-6,
@@ -418,8 +403,8 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
                                         total + (M * t**mu) ** p, 0.0, "le", abs(total)))
             closed.append(at_t)
             # spot-check one frame by quadrature
-            frames.append(op.random_frame(N, N, rng).vectors)
-        sums = _frame_sums(u, xs, frames, s, tol.abs_tol, tol.rel_tol)
+            frames.append(op.random_frames(N, N, 1, rng)[0])
+        sums = op.frame_sums(u, xs, frames, s, tol)
         for t, x, at_t, fsq in zip(points, xs, closed, sums):
             claims.extend(at_t)
             claims.append(ClaimResult(t, "frame_supersolution_quadrature",
@@ -480,7 +465,7 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     u = _BallBump(y, r, s)
     points = _upper_points(N, (1.0, 2.0, 5.0), 3)
     frames = [op.householder_frame((x - y) / np.linalg.norm(x - y)).vectors for x in points]
-    sums = _frame_sums(u, points, frames, s, tol.abs_tol, tol.rel_tol)
+    sums = op.frame_sums(u, points, frames, s, tol)
     claims: list[ClaimResult] = []
     for x, frame, fs in zip(points, frames, sums):
         d = x - y
@@ -525,14 +510,13 @@ def verify_transform(s: float, p: float, q: float, seed: int = 42,
 
     base, _, _ = pr.build_singular_supersolution(s, p, "ik_minus", 2)
     v = pr.power_transform(base, p, q)
-    wrapper = pr.PowerTransformField(base, tp)
     ts = (0.5, 1.0, 2.0)
     xs = [_on_axis(2, t) for t in ts]
     e_n = [_on_axis(2, 1.0)[None]] * len(xs)
     # operator inequality: I v <= beta v^{(beta-1)/beta} I (v^{1/beta}),
     # with v^{1/beta} = alpha^{1/beta} * base
-    lhs_all = _frame_sums(v, xs, e_n, s, tol.abs_tol, tol.rel_tol)
-    rhs_all = _frame_sums(base, xs, e_n, s, tol.abs_tol, tol.rel_tol)
+    lhs_all = op.frame_sums(v, xs, e_n, s, tol)
+    rhs_all = op.frame_sums(base, xs, e_n, s, tol)
     for t, x, lhs_q, rhs_dir in zip(ts, xs, lhs_all, rhs_all):
         vx = v(x)
         factor = beta * vx ** ((beta - 1.0) / beta) * tp.alpha_coef ** (1.0 / beta)
@@ -542,8 +526,9 @@ def verify_transform(s: float, p: float, q: float, seed: int = 42,
                                   lhs_q.abs_error_estimate
                                   + abs(factor) * rhs_dir.abs_error_estimate,
                                   "le"))
-        # closure: wrapper evaluation matches the closed-form power family
-        claims.append(ClaimResult(t, "family_closure_pointwise", wrapper(x) - vx, 0.0, "eq",
+        # closure: alpha * base^beta, pointwise, matches the closed-form power family
+        pointwise = float(tp.alpha_coef * np.asarray(base(x)) ** beta)
+        claims.append(ClaimResult(t, "family_closure_pointwise", pointwise - vx, 0.0, "eq",
                                   abs(vx)))
         # transformed family stays a supersolution of the target exponent
         res = lhs_q.value + v(x) ** q

@@ -26,7 +26,7 @@ def test_01_bump_identity(s, t):
         growth_const = 1.0
 
         def line(self, x, xi):
-            x_n, xi_n = float(x[-1]), np.asarray(xi)[..., -1]
+            x_n, xi_n = np.asarray(x)[..., -1], np.asarray(xi)[..., -1]
             return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
 
         def c2_radius(self, x):
@@ -84,7 +84,7 @@ def test_04_root_consistency(which, nk, s):
     coarse = finder(nk, s, tol)
     assert coarse is not None
     assert abs(coarse.residual) <= 1e-8
-    fine = finder(nk, s, tol.scaled(0.1))
+    fine = finder(nk, s, Tolerance(tol.abs_tol * 0.1, tol.rel_tol * 0.1))
     assert abs(coarse.root - fine.root) <= 1e-6
 
 

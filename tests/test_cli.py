@@ -131,6 +131,8 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
      "gamma must be finite and positive"),
     (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "inf"],
      "gamma must be finite and positive"),
+    (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "1e300"],
+     "gamma = 1e+300 is too large: the kernel's peak (1-1/N)^(-gamma/2) exceeds 1e300"),
     (["verify", "transform", "--s", "0.5", "--p", "2", "--q", "1"],
      "transform requires q != 1 when p != q"),
     (["verify", "bump-train", "--s", "0.5", "--p", "inf"], "p must be finite and positive"),
@@ -139,7 +141,8 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "t49-2-gamma-nan",
-        "t49-2-gamma-inf", "transform-q1", "bump-train-p-inf", "bump-train-p-nan"])
+        "t49-2-gamma-inf", "t49-2-gamma-overflow", "transform-q1", "bump-train-p-inf",
+        "bump-train-p-nan"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, message):
     # DIR stands for an existing directory: given where a file belongs, or as
     # the parent of a directory that does not exist
@@ -157,6 +160,18 @@ def test_constants_negative_gamma_is_null(capsys, gamma):
     doc = json.loads(out)
     assert doc["c_N_plus"] is None
     assert "c_N_plus: gamma must be finite and positive" in doc["notes"]
+
+
+def test_constants_overflowing_gamma_is_null(capsys):
+    # the c_iso kernel's peak (1-1/N)^(-gamma/2) is past the float range
+    code, out, err = run(capsys, ["constants", "--s", "0.5", "--gamma", "5000"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["c_iso"] is None and doc["c_N_plus"] is None
+    assert doc["c_perp"] is not None
+    for name in ("c_iso", "c_N_plus"):
+        assert (f"{name}: gamma = 5000.0 is too large: the kernel's peak "
+                "(1-1/N)^(-gamma/2) exceeds 1e300") in doc["notes"]
 
 
 # every subcommand that takes --s, with valid values for its other required flags

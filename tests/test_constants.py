@@ -174,7 +174,7 @@ def test_one_batched_quadrature_per_constant(name, call, monkeypatch):
 def test_tighter_quadrature_stability():
     tol = Tolerance(1e-12, 1e-11)
     a = cn.find_gamma_bar(2, 0.5, tol)
-    b = cn.find_gamma_bar(2, 0.5, tol.scaled(0.1))
+    b = cn.find_gamma_bar(2, 0.5, Tolerance(tol.abs_tol * 0.1, tol.rel_tol * 0.1))
     assert abs(a.root - b.root) <= 1e-6
 
 

@@ -29,7 +29,7 @@ class CompactBump:
         self.is_radial = False
 
     def line(self, x, xi):
-        x_n, xi_n, s = float(x[-1]), np.asarray(xi)[..., -1], self.s
+        x_n, xi_n, s = np.asarray(x)[..., -1], np.asarray(xi)[..., -1], self.s
         return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
 
     def c2_radius(self, x):
@@ -136,7 +136,7 @@ def test_spline_matches_scipy_cubic_spline():
 
 def test_random_frame_orthonormal():
     rng = np.random.default_rng(0)
-    f = op.random_frame(4, 3, rng)
+    f = op.Frame(op.random_frames(4, 3, 1, rng)[0])
     assert np.allclose(f.vectors @ f.vectors.T, np.eye(3), atol=1e-12)
 
 
@@ -417,3 +417,33 @@ def test_fan_matches_one_call_per_direction(kind, s, N):
         assert r.n_evals == one.n_evals
         assert abs(r.value - one.value) <= r.abs_error_estimate + one.abs_error_estimate
         assert r.abs_error_estimate == pytest.approx(one.abs_error_estimate, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", sorted(PARITY_FIELDS))
+def test_one_point_fan_matches_stack_of_that_point(kind):
+    # the rows through one point of shape (N,) and through a stack of that
+    # point repeated are the same batch, so the results agree bit for bit
+    N, s = 3, 0.5
+    rng = np.random.default_rng(17)
+    u = PARITY_FIELDS[kind](N)
+    x = np.r_[rng.uniform(-1.0, 1.0, N - 1), rng.uniform(0.2, 2.0)]
+    directions = rng.standard_normal((5, N))
+    fan = op.directional_fan(u, x, directions, s, TOL)
+    assert op.directional_fan(u, np.repeat(x[None], 5, axis=0), directions, s, TOL) == fan
+
+
+def test_frame_sums():
+    u, s = pr.HalfSpacePowerTail(0.7, shift=0.8), 0.5
+    x, y = np.array([0.3, -0.2, 1.1]), np.array([-0.5, 0.4, 2.0])
+    fx = op.householder_frame(x / np.linalg.norm(x))
+    fy = op.completion_frame(y / np.linalg.norm(y), 2)
+    # frame_sum is the case of one point
+    assert op.frame_sum(u, x, fx, s, TOL) == op.frame_sums(u, [x], [fx.vectors], s, TOL)[0]
+    # one tolerance per point: each sum matches its own call within the bars
+    tols = [TOL, Tolerance(1e-6, 1e-5)]
+    sums = op.frame_sums(u, [x, y], [fx.vectors, fy.vectors], s, tols)
+    for r, point, frame, tol in zip(sums, (x, y), (fx, fy), tols):
+        one = op.frame_sum(u, point, frame, s, tol)
+        assert r.n_evals == one.n_evals
+        assert abs(r.value - one.value) <= r.abs_error_estimate + one.abs_error_estimate
+    assert sums[1].n_evals < op.frame_sum(u, y, fy, s, TOL).n_evals

@@ -45,16 +45,9 @@ def test_infinite_tail():
     assert abs(r.value - 1.0) <= 1e-8
 
 
-def test_gaussian_both_tails():
-    f = Integrand(eval=lambda t: np.exp(-t * t), tail_decay=8.0)
-    r = integrate(f, -math.inf, math.inf, TOL)
-    assert abs(r.value - math.sqrt(math.pi)) <= 1e-8
-
-
 def test_pv_odd_kernel_cancels():
     # PV integral of 1/t over (-1, 1) is 0
-    f = Integrand(eval=lambda t: 1.0 / t, pv_points=[0.0],
-                  pv_fold={0.0: (0.0, np.zeros_like)})
+    f = Integrand(eval=lambda t: 1.0 / t, pv_fold={0.0: (0.0, np.zeros_like)})
     r = integrate_pv(f, 0.0, 1.0, TOL)
     assert abs(r.value) <= 1e-10
 
@@ -63,7 +56,7 @@ def test_pv_with_regular_part():
     # PV integral of e^t / t over (-1, 1) = 2 * sum t^{2k+1}/((2k+1)(2k+1)!)
     exact = 2.0 * sum(1.0 / ((2 * k + 1) * math.factorial(2 * k + 1))
                       for k in range(12))
-    f = Integrand(eval=lambda t: np.exp(t) / t, pv_points=[0.0],
+    f = Integrand(eval=lambda t: np.exp(t) / t,
                   pv_fold={0.0: (0.0, lambda h: (np.exp(h) - np.exp(-h)) / h)})
     r = integrate_pv(f, 0.0, 1.0, TOL)
     assert abs(r.value - exact) <= 1e-9
@@ -74,8 +67,8 @@ def _pv_resolvent(c):
     def fold(h):
         return -4.0 * c / ((1.0 + (c + h) ** 2) * (1.0 + (c - h) ** 2))
 
-    return Integrand(eval=lambda t: 1.0 / ((t - c) * (1.0 + t * t)), pv_points=[c],
-                     tail_decay=3.0, pv_fold={c: (0.0, fold)})
+    return Integrand(eval=lambda t: 1.0 / ((t - c) * (1.0 + t * t)), tail_decay=3.0,
+                     pv_fold={c: (0.0, fold)})
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, -2.0])
@@ -98,8 +91,6 @@ def test_one_batch_per_call(monkeypatch):
     f = Integrand(eval=lambda t: np.abs(t - 1.0) ** -0.5 * np.exp(-t * t),
                   singular_points=[(1.0, -0.5)], tail_decay=8.0)
     calls = [lambda: integrate(f, 0.0, 2.0, TOL), lambda: integrate(f, 0.0, math.inf, TOL),
-             lambda: integrate(f, -math.inf, 0.5, TOL),
-             lambda: integrate(f, -math.inf, math.inf, TOL),
              lambda: integrate_pv(_pv_resolvent(0.5), 0.5, 0.2, TOL),
              lambda: integrate_pv(_pv_resolvent(0.5), 0.5, math.inf, TOL)]
     for call in calls:
@@ -112,16 +103,19 @@ def test_nonintegrable_rejected():
     f = Integrand(eval=lambda t: t**-1.5, singular_points=[(0.0, -1.5)])
     with pytest.raises(NonIntegrable):
         integrate(f, 0.0, 1.0, TOL)
-    # a PV point inside the interval or at an end needs integrate_pv, and
-    # that a fold
-    folded = Integrand(eval=lambda t: 1.0 / t, pv_points=[0.0],
-                       pv_fold={0.0: (0.0, lambda h: 0.0)})
+    # a PV point inside the interval or at an end needs integrate_pv
+    folded = Integrand(eval=lambda t: 1.0 / t, pv_fold={0.0: (0.0, lambda h: 0.0)})
     for a, b in ((-1.0, 1.0), (0.0, 1.0)):
         with pytest.raises(NonIntegrable):
             integrate(folded, a, b, TOL)
-    bare = Integrand(eval=lambda t: 1.0 / t, pv_points=[0.0])
-    with pytest.raises(NonIntegrable):
-        integrate_pv(bare, 0.0, 1.0, TOL)
+
+
+def test_lower_end_must_be_finite():
+    f = Integrand(eval=lambda t: np.exp(-t * t), tail_decay=8.0)
+    for a, b in ((-math.inf, 0.5), (-math.inf, math.inf), (math.nan, 1.0), (math.inf, math.inf),
+                 (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            integrate(f, a, b, TOL)
 
 
 def test_n_evals_counts_every_call():
@@ -144,7 +138,7 @@ def test_n_evals_counts_every_call():
     # an infinite tail, and a PV point at 0 with its fold
     f_int = Integrand(eval=counted("eval", f),
                       singular_points=[(1.0, -0.5), (3.0, 0.5)],
-                      pv_points=[0.0], tail_decay=5.0,
+                      tail_decay=5.0,
                       regular_eval={1.0: counted("regular", near_one)},
                       pv_fold={0.0: (0.0, counted("fold", lambda h: (f(h) + f(-h)) * h))})
     r = integrate(f_int, 1.0, math.inf, TOL)
@@ -184,10 +178,6 @@ def test_linearity_property(a, b):
 
 
 def test_tolerance_scaling():
-    t = Tolerance(1e-6, 1e-5)
-    s = t.scaled(0.1)
-    assert s.abs_tol == pytest.approx(1e-7)
-    assert s.rel_tol == pytest.approx(1e-6)
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             Tolerance(abs_tol=bad)

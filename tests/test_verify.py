@@ -148,8 +148,17 @@ def test_psi_report_records_every_claim(kind, k, s, radii, verdict):
     assert all(c.claim == "frame_lower_bound" for c in r.residuals)
     assert r.points == sorted(map(list, {tuple(c.point) for c in r.residuals}))
     assert all(len(p) == k + 1 for p in r.points)
-    assert r.max_violation == max(c.residual for c in r.residuals)
+    # le claims: residual - error - floor; floor = 1e-9 * scale, 0 for psi's claims
+    assert r.max_violation == max(c.residual - c.error for c in r.residuals)
     assert r.extra["radii"] == sorted(r.extra["radii"])
+
+
+def test_max_violation_is_nonpositive_when_every_claim_holds():
+    # max_violation reads each claim past its bar and rounding floor, so it
+    # is positive exactly when some claim fails
+    r = vf.verify_T49_2(2, 0.5)
+    assert r.verdict == "pass"
+    assert r.max_violation <= 0.0
 
 
 @pytest.mark.parametrize("s", [0.06, 0.09])
