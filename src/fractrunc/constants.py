@@ -8,14 +8,12 @@ independent of the normalization choice.
 
 The integrands all pair values symmetrically around a singular point, which
 is catastrophically ill-conditioned in double precision near the pairing
-center.  Each constant therefore ships a series-stabilized regular-part
-evaluator to the quadrature engine (binomial series for power pairs,
-Gegenbauer series for the shifted isotropic kernel, expm1/log1p forms
-elsewhere), so accuracy is uniform across the whole parameter range,
-including s close to 1.  A series' coefficients depend only on its
-exponent, so each constant tables them once per integrand
-(``_pow_pair_series`` / ``_iso_pair_series``) and the evaluator sums them for
-a whole array of nodes at once, with the scalar loop's term order and stop.
+center.  Each constant therefore ships a cancellation-free regular-part
+evaluator to the quadrature engine: closed forms in ``expm1``, ``log1p``,
+``cosh`` and ``sinh`` in which only two O(d^2) terms meet (``_pow_pair``,
+``_iso_pair``, ``_log_pair``), used where the direct form cancels, so
+accuracy is uniform across the whole parameter range, including s close
+to 1.  Every evaluator works on a whole array of nodes at once.
 Every integrand is array-valued, and each constant is one ``integrate`` or
 ``integrate_pv`` call, so one batched quadrature.
 
@@ -124,107 +122,75 @@ def beta_1ms_s(s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# series-stabilized kernel pieces
+# cancellation-free kernel pairs
 # ---------------------------------------------------------------------------
 
-def _even_series(coeffs: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] * d^(2j) for each element of ``d``, stopped once a term is negligible.
+def _cancel_free(d: np.ndarray, p: float, closed: Callable, direct: Callable) -> np.ndarray:
+    """``closed`` where the pair's direct form cancels (d < 0.75 and |p|*d <= 1), else ``direct``.
 
-    Powers and partial sums accumulate term by term in the order of the
-    scalar loop ``term_pow *= d*d; total += c*term_pow``, and each element
-    takes its partial sum at its own stop, so every value is that loop's.
-    The first 32 terms usually stop every element; only if they do not are
-    all terms summed.  Terms past an element's stop may overflow to inf or
-    nan (huge Gegenbauer coefficients times a vanishing power); they are
-    never read.
+    Each form sees only its own elements: the closed forms overflow for
+    large |p|*d, which the direct forms keep within range.
     """
-    for n in (32, coeffs.size):
-        steps = np.empty((d.size, n))
-        steps[:, 0] = 1.0
-        steps[:, 1:] = (d * d)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = coeffs[:n] * np.multiply.accumulate(steps, axis=1)
-            totals = np.add.accumulate(terms, axis=1)
-            small = np.abs(terms) < 1e-18 * np.maximum(np.abs(totals), 1e-300)
-        stopped = small.any(axis=1)
-        if stopped.all():
-            break
-    stop = np.where(stopped, small.argmax(axis=1), n - 1)
-    return totals[np.arange(d.size), stop]
-
-
-def _series_pair(coeffs: np.ndarray,
-                 direct: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """d -> the even series below d = 0.25, where ``direct`` loses all digits, else ``direct``.
-
-    ``direct`` runs on Python floats, one element at a time: numpy's vector
-    ``pow`` can differ from the scalar one in the last bit.
-    """
-    def pair(d: np.ndarray) -> np.ndarray:
-        d = np.asarray(d, float)
-        flat = d.ravel()
-        small = flat < 0.25
-        out = np.empty_like(flat)
-        out[small] = _even_series(coeffs, flat[small])
-        out[~small] = [direct(x) for x in flat[~small].tolist()]
-        return out.reshape(d.shape)
-
-    return pair
-
-
-def _binomials(alpha: float, n: int) -> np.ndarray:
-    """binom(alpha, m) for m = 1..n: the running product of (alpha-i+1)/i."""
-    i = np.arange(1.0, n + 1.0)
-    return np.cumprod((alpha + 1.0 - i) / i)
-
-
-def _gegenbauers(n: int, lam: float, a: float) -> list[float]:
-    """The Gegenbauer values C_m^(lam)(a) for m = 1..n.
-
-    Three-term recurrence m C_m = 2a(m+lam-1) C_{m-1} - (m+2lam-2) C_{m-2}
-    (Abramowitz & Stegun 22.7.3) from C_0 = 1, C_1 = 2 lam a, on Python
-    floats: a loop over numpy elements costs several times more.
-    """
-    prev, cur = 1.0, 2.0 * lam * a
-    out = [cur]
-    for m in range(2, n + 1):
-        prev, cur = cur, (2.0 * a * (m + lam - 1.0) * cur - (m + 2.0 * lam - 2.0) * prev) / m
-        out.append(cur)
+    d = np.asarray(d, float)
+    out = np.empty_like(d)
+    near = (d < 0.75) & (abs(p) * d <= 1.0)
+    out[near] = closed(d[near])
+    out[~near] = direct(d[~near])
     return out
 
 
-def _pow_pair_series(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    """d -> ((1+d)^alpha + (1-d)^alpha - 2) / d^2, stable for any d in [0, 1).
-
-    Uses the even binomial series for small d; its coefficients
-    2*binom(alpha, 2j), j = 1..79, are tabled once here, not per evaluation.
-    """
-    return _series_pair(2.0 * _binomials(alpha, 158)[1::2],
-                        lambda d: ((1.0 + d) ** alpha + (1.0 - d) ** alpha - 2.0) / (d * d))
-
-
-def _iso_pair_series(gam: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
-    """d -> ((1+d^2+2ad)^{-g/2} + (1+d^2-2ad)^{-g/2} - 2)/d^2 via Gegenbauer series.
-
-    The coefficients 2*C_{2j}^{(g/2)}(a), j = 1..119, are tabled once here.
-    """
-    def direct(d: float) -> float:
-        plus = (1.0 + d * d + 2.0 * a * d) ** (-gam / 2.0)
-        minus = (1.0 + d * d - 2.0 * a * d) ** (-gam / 2.0)
-        return (plus + minus - 2.0) / (d * d)
-
-    return _series_pair(2.0 * np.array(_gegenbauers(238, gam / 2.0, a)[1::2]), direct)
-
-
-def _perp_pair(gam: float) -> Callable[[np.ndarray], np.ndarray]:
-    """d -> 2*((1+d^2)^{-g/2} - 1)/d^2, stable at d = 0."""
+def _log_pair(p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """d -> 2*((1+d^2)^p - 1)/d^2, stable at d = 0."""
     def pair(d: np.ndarray) -> np.ndarray:
         tiny = d < 1e-7
         safe = np.where(tiny, 1.0, d)
-        return np.where(tiny, -gam + gam * (gam + 2.0) / 4.0 * d * d,
-                        2.0 * np.expm1(-(gam / 2.0) * np.log1p(safe * safe)) / (safe * safe))
+        return np.where(tiny, 2.0 * p + p * (p - 1.0) * d * d,
+                        2.0 * np.expm1(p * np.log1p(safe * safe)) / (safe * safe))
 
     return pair
+
+
+def _pow_pair(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """d -> ((1+d)^alpha + (1-d)^alpha - 2)/d^2, stable for any d in [0, 1).
+
+    With m = (alpha/2)*log1p(-d^2) and y = alpha*atanh(d) the numerator is
+    2*(expm1(m)*cosh(y) + 2*sinh(y/2)^2): two O(d^2) terms, no O(1) ones.
+    """
+    def closed(d: np.ndarray) -> np.ndarray:
+        tiny = d < 1e-7
+        safe = np.where(tiny, 0.5, d)
+        y = alpha * np.arctanh(safe)
+        return np.where(
+            tiny, alpha * (alpha - 1.0)
+            + alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0) / 12.0 * d * d,
+            2.0 * (np.expm1(alpha / 2.0 * np.log1p(-safe * safe)) * np.cosh(y)
+                   + 2.0 * np.sinh(y / 2.0) ** 2) / (safe * safe))
+
+    def direct(d: np.ndarray) -> np.ndarray:
+        return ((1.0 + d) ** alpha + (1.0 - d) ** alpha - 2.0) / (d * d)
+
+    return lambda d: _cancel_free(d, alpha, closed, direct)
+
+
+def _iso_pair(gam: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
+    """d -> ((1+d^2+2ad)^{-g/2} + (1+d^2-2ad)^{-g/2} - 2)/d^2, stable for any d >= 0.
+
+    With p = -g/2, A = 1+d^2 and z = 2ad/A the numerator is
+    A^p*((1+z)^p + (1-z)^p - 2) + 2*(A^p - 1): a power pair at z and a
+    log pair at d.
+    """
+    p = -gam / 2.0
+    pow_pair, log_pair = _pow_pair(p), _log_pair(p)
+
+    def closed(d: np.ndarray) -> np.ndarray:
+        big_a = 1.0 + d * d
+        return big_a ** p * pow_pair(2.0 * a * d / big_a) * (2.0 * a / big_a) ** 2 + log_pair(d)
+
+    def direct(d: np.ndarray) -> np.ndarray:
+        return ((1.0 + d * d + 2.0 * a * d) ** p + (1.0 + d * d - 2.0 * a * d) ** p
+                - 2.0) / (d * d)
+
+    return lambda d: _cancel_free(d, p, closed, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +221,7 @@ def _pow_kernel(g: float, s: float, tol: Tolerance, perp: float = 0.0) -> float:
         return ((d ** (-g - e) - d ** (-e) + excess(side * d - 1.0) * d ** (-e))
                 / np.abs(1.0 - side * d) ** (1.0 + 2.0 * s))
 
-    pair, perp_pair = _pow_pair_series(-g), _perp_pair(g)
+    pair, perp_pair = _pow_pair(-g), _log_pair(-g / 2.0)
 
     def fold(h: np.ndarray) -> np.ndarray:
         # (f(h) + f(-h)) * h^{2s-1}; the even part of the pair
@@ -302,7 +268,7 @@ def c_perp(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
     def f(t: np.ndarray) -> np.ndarray:
         return 2.0 * np.expm1(-(gam / 2.0) * np.log1p(t * t)) * t ** (-1.0 - 2.0 * s)
 
-    pair = _perp_pair(gam)  # f(d) * d^{2s-1}
+    pair = _log_pair(-gam / 2.0)  # f(d) * d^{2s-1}
     integrand = Integrand(
         eval=f,
         singular_points=[(0.0, 1.0 - 2.0 * s)],
@@ -331,7 +297,7 @@ def hat_c_gro(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
 
 
 def _iso_parts(gam: float, s: float, N: int) -> tuple[Callable, Callable, Callable]:
-    """c_iso's kernel, its (1+t^2-2t/sqrt(N))^{-g/2} half, and its pair series."""
+    """c_iso's kernel, its (1+t^2-2t/sqrt(N))^{-g/2} half, and its closed-form pair."""
     _check_positive(gam, s)
     if N < 2:
         raise DomainError("N must be >= 2")
@@ -349,7 +315,7 @@ def _iso_parts(gam: float, s: float, N: int) -> tuple[Callable, Callable, Callab
         plus = (1.0 + t * t + 2.0 * a * t) ** (-gam / 2.0)
         return (plus + minus(t) - 2.0) * t ** (-1.0 - 2.0 * s)
 
-    return kernel, minus, _iso_pair_series(gam, a)
+    return kernel, minus, _iso_pair(gam, a)
 
 
 def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
@@ -409,7 +375,7 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
             return ((1.0 + 1.0 / t) ** mu * t ** (mu - 1.0 - 2.0 * s)
                     + (np.maximum(1.0 - t, 0.0) ** mu - 2.0) * t ** (-1.0 - 2.0 * s))
 
-        pair = _pow_pair_series(mu)
+        pair = _pow_pair(mu)
         integrand = Integrand(
             eval=f,
             singular_points=[(0.0, 1.0 - 2.0 * s), (1.0, 0.0)],

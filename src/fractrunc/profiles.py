@@ -129,7 +129,13 @@ class _PiecewiseG:
         self.junction_r2 = junction_r2
         self.sign = sign
         self.p = -sign * gamma / 2.0
-        h = [coeff * junction_r2**e for coeff, e in map(self._tail, range(4))]
+        try:
+            h = [coeff * junction_r2**e for coeff, e in map(self._tail, range(4))]
+        except OverflowError:  # junction_r2**e leaves the float range
+            h = [math.inf]
+        if not all(map(math.isfinite, h)):
+            raise ExponentOutOfRange(f"gamma = {gamma} is too large: the cap "
+                                     "coefficients leave the float range")
         self.cap = (h[0], h[1], h[2] / 2.0, h[3] / 6.0)
 
     def _tail(self, order: int) -> tuple[float, float]:
@@ -355,8 +361,8 @@ def make_psi(kind: str, k: int, s: float) -> PsiField:
         gb = bar.root
         return PsiField("decay", s, gb, min(gb + 0.2, (1.0 + gb) / 2.0))
     if kind == "halfint":
-        if k != 1:
-            raise ExponentOutOfRange("halfint variant requires k = 1")
+        if k != 1 or s != 0.5:
+            raise ExponentOutOfRange("halfint variant requires k = 1 and s = 1/2")
         return PsiField("halfint", s, 0.5, 0.5)
     if kind == "growth":
         if not s > 0.5:

@@ -118,12 +118,15 @@ def _verdict(claims: list[ClaimResult]) -> str:
 
 
 def _finish(construction: str, params: dict, claims: list[ClaimResult],
-            extra: Optional[dict] = None, verdict: Optional[str] = None) -> VerificationReport:
-    """Aggregate claims into a report, with ``_verdict(claims)`` unless a verdict is given."""
-    verdict = verdict or _verdict(claims)
+            extra: Optional[dict] = None, verdict: Optional[str] = None,
+            counted: Optional[list[ClaimResult]] = None) -> VerificationReport:
+    """Aggregate claims into a report; its verdict (``_verdict`` unless given)
+    and ``max_violation`` read ``counted``, every claim unless given."""
+    counted = claims if counted is None else counted
+    verdict = verdict or _verdict(counted)
     # how far the worst claim misses beyond its bar and floor: > 0 when some claim fails
     max_violation = max(((abs(c.residual) if c.kind == "eq" else c.residual)
-                         - c.error - _ROUNDING * c.scale for c in claims), default=-math.inf)
+                         - c.error - _ROUNDING * c.scale for c in counted), default=-math.inf)
     points = sorted({tuple(c.point) for c in claims})
     return VerificationReport(construction, params, [list(p) for p in points],
                               claims, max_violation, verdict, extra or {})
@@ -335,30 +338,28 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
             tols.append(Tolerance(max(abs(bounds[-1]) * 1e-4, tol.abs_tol), tol.rel_tol))
     sums = op.frame_sums(psi, xs, frames, s, tols)
 
-    claims: list[ClaimResult] = []
-    far_positive = True
-    for r, x, bound, fs in zip(np.repeat(radii, len(angles)), xs, bounds, sums):
-        claims.append(ClaimResult(x, "frame_lower_bound",
-                                  bound - fs.value, fs.abs_error_estimate, "le"))
-        if r == radii[-1] and fs.value <= 0.0:
-            far_positive = False
+    claims = [ClaimResult(x, "frame_lower_bound", bound - fs.value, fs.abs_error_estimate, "le")
+              for x, bound, fs in zip(xs, bounds, sums)]
 
-    # the onset is the first radius from which every claim (one per angle) passes
+    # the onset is the first radius from which every claim (one per angle)
+    # passes; the verdict and max_violation read the claims from it on.  The
+    # bound constant and x_N are positive, so those passing claims also show
+    # a positive frame sum at every radius from the onset on.
     n = len(angles)
     start = next((i for i in range(len(radii)) if _verdict(claims[i * n:]) == "pass"), None)
     if start is None:
         # no sampled radius starts a passing run: the onset, if there is one,
-        # lies beyond the samples, where nothing was checked, so the claim
-        # (and the far-field sign with it) is undecided, not violated
-        onset, verdict = None, "inconclusive"
+        # lies beyond the samples, where nothing was checked, so the claim is
+        # undecided, not violated
+        onset, counted, verdict = None, claims, "inconclusive"
     else:
-        onset, verdict = float(radii[start]), "pass" if far_positive else "fail"
+        onset, counted, verdict = float(radii[start]), claims[start * n:], "pass"
     return _finish("psi_subsolution",
                    {"kind": kind, "k": k, "s": s, "gamma_lead": gb,
                     "gamma_second": g2, "bound_constant": const},
                    claims, extra={"empirical_R0": onset,
                                   "radii": [float(r) for r in radii]},
-                   verdict=verdict)
+                   verdict=verdict, counted=counted)
 
 
 def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,

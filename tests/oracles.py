@@ -2,7 +2,8 @@
 
 Everything here is derived from Gamma-function identities, written without
 importing the package under test, or frozen from an independent
-high-precision (50-digit mpmath) computation.  Tests compare package output
+high-precision mpmath computation (50 digits for the roots, 80 for c_iso,
+whose recipe is given with its values).  Tests compare package output
 against these values; the package itself computes everything by quadrature.
 """
 
@@ -73,6 +74,28 @@ FROZEN_ROOTS = {
     ("gamma_tilde", 3, 0.9): 1.41841678800,
     ("gamma_tilde", 3, 0.99): 1.04017005672,
     ("gamma_plus", 3, 0.5): 3.74284353188,
+}
+
+# c_iso(gamma, s, N) has no closed form; these values are frozen from an
+# independent 80-digit mpmath quadrature, rounded to the digits shown:
+#
+#     mp.dps = 80; a = 1/sqrt(N); p = -gamma/2
+#     pair(t) = ((1+t^2+2at)^p + (1+t^2-2at)^p - 2)/t^2, evaluated with
+#               2*floor(-log10 t) + 10 extra digits (mpmath.extradps), and as
+#               its limit 4a^2 p(p-1) + 2p below t = 1e-100
+#     k = 1/(2-2s)    # t = u^k turns pair(t) t^(1-2s) dt into k pair(u^k) du
+#     c_iso = k * quad(lambda u: pair(u^k), [0, a^(1/k), 1])
+#             + quad(lambda t: pair(t) t^(1-2s), [1, sqrt(N), 10, inf])
+#
+# The same recipe at 60 digits agrees to 1e-38 relative.  gamma = N - 2 is
+# where the kernel's d^2 coefficient 2*C_2^(gamma/2)(1/sqrt(N)) vanishes.
+FROZEN_C_ISO = {  # (gamma, s, N) -> c_iso
+    (2.0, 0.5, 4): -1.8137993642342179,
+    (3.0, 0.98, 5): -1.6921066675935485,
+    (3.0, 0.6, 5): -1.9495692182950383,
+    (0.7, 0.5, 3): -1.0537106981456088,
+    (2000.0, 0.5, 20): 2.1274638384624886e22,
+    (5000.0, 0.5, 9): 2.3000651415603092e127,
 }
 
 BUMP_IDENTITY = {  # raw second-difference integral of (1-t^2)_+^s: -G(s)G(1-s)

@@ -1,12 +1,12 @@
 """Constants module against independent Gamma-function oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import mpmath
 from scipy.optimize import brentq
-from scipy.special import binom, eval_gegenbauer
 from scipy.special import gamma as scipy_gamma
 
 from fractrunc import constants as cn
@@ -231,89 +231,68 @@ def test_c_s_mu_calibrated(form, half, s, request):
     assert cn.c_s_mu(mu, s, form) == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
-# --- coefficient tables and the series summed over them ---------------------
+# --- the cancellation-free kernel pairs --------------------------------------
 
-def _even_series_reference(coeffs, d):
-    """The even series summed per term over the same coefficient table."""
-    total = 0.0
-    term_pow = 1.0
-    for c in coeffs:
-        term = c * term_pow
-        total += term
-        term_pow *= d * d
-        if abs(term) < 1e-18 * max(abs(total), 1e-300):
-            break
-    return total
+PAIR_D = np.array([0.0, 5e-324, 1e-300, 1e-150, 1e-20, 1e-8, 9.99e-8, 1.01e-7, 1e-5,
+                   1e-3, 0.01, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 0.7499, 0.75, 0.8,
+                   0.9, 0.99, 0.999999])
 
 
-def _pow_pair_reference(alpha, d):
-    if d < 0.25:
-        return _even_series_reference(2.0 * cn._binomials(alpha, 158)[1::2], d)
-    return ((1.0 + d) ** alpha + (1.0 - d) ** alpha - 2.0) / (d * d)
+def _mp_pair(numerator, d):
+    """numerator(x)/x^2 at x = d in mpmath, with two more digits per decade of 1/d."""
+    x = mpmath.mpf(float(d))
+    with mpmath.workdps(60 + 2 * int(-mpmath.log10(x))):
+        return float(numerator(x) / x**2)
 
 
-def _iso_pair_reference(gam, a, d):
-    if d < 0.25:
-        return _even_series_reference(
-            [2.0 * c for c in cn._gegenbauers(238, gam / 2.0, a)[1::2]], d)
-    plus = (1.0 + d * d + 2.0 * a * d) ** (-gam / 2.0)
-    minus = (1.0 + d * d - 2.0 * a * d) ** (-gam / 2.0)
-    return (plus + minus - 2.0) / (d * d)
+def _pair_values(pair, d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return pair(d)
 
 
-def _series_points(rng):
-    return [*rng.uniform(0.0, 0.25, 12), 1e-300, 1e-8, 0.2499, 0.3]
+@pytest.mark.parametrize("alpha", [-2.9, -1.5, -1.0, -0.5, -1e-4, 1e-4, 0.3, 0.5, 0.999,
+                                   1.0, 1.001, 1.5, 1.98])
+def test_pow_pair_matches_mpmath(alpha):
+    got = _pair_values(cn._pow_pair(alpha), PAIR_D)
+    a = mpmath.mpf(alpha)
+    for d, value in zip(PAIR_D, got):
+        want = alpha * (alpha - 1.0) if d == 0.0 else _mp_pair(
+            lambda x: (1 + x) ** a + (1 - x) ** a - 2, d)
+        assert abs(value - want) <= 5e-12 * max(abs(want), abs(alpha) * (1.0 + abs(alpha))), d
 
 
-POW_ALPHAS = [*np.random.default_rng(7).uniform(-1.0, 2.0, 10), -0.5, 0.5, 1.0]
-ISO_A = [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(3.0), 0.5]
+@pytest.mark.parametrize("N", [2, 3, 4, 9, 20])
+def test_iso_pair_matches_mpmath(N):
+    a = 1.0 / math.sqrt(N)
+    for gam in [0.05, 0.7, 1.0, max(N - 2.0, 0.3), 3.0, 10.0, 100.0, 1000.0, 2000.0]:
+        if -gam / 2.0 * math.log1p(-1.0 / N) > math.log(1e300):
+            continue  # outside c_iso's domain
+        got = _pair_values(cn._iso_pair(gam, a), PAIR_D)
+        p, am = mpmath.mpf(-gam / 2.0), mpmath.mpf(a)
+        for d, value in zip(PAIR_D, got):
+            # at d = 0 the pair is 2*C_2^(gamma/2)(a) = 4a^2 p(p-1) + 2p
+            want = float(4 * am**2 * p * (p - 1) + 2 * p) if d == 0.0 else _mp_pair(
+                lambda x: (1 + x * x + 2 * am * x) ** p + (1 + x * x - 2 * am * x) ** p - 2, d)
+            assert abs(value - want) <= 1e-12 * max(abs(want), gam * (1.0 + gam)), (gam, d)
 
 
-def test_pow_pair_series_matches_per_term_sum():
-    rng = np.random.default_rng(7)
-    for alpha in POW_ALPHAS:
-        pair = cn._pow_pair_series(alpha)
-        for d in _series_points(rng):
-            assert pair(d) == _pow_pair_reference(alpha, d), (alpha, d)
+@pytest.mark.parametrize("key", sorted(oc.FROZEN_C_ISO))
+def test_c_iso_frozen(key):
+    assert cn.c_iso(*key) == pytest.approx(oc.FROZEN_C_ISO[key], rel=1e-10)
 
 
-@pytest.mark.parametrize("a", ISO_A)
-def test_iso_pair_series_matches_per_term_sum(a):
-    rng = np.random.default_rng(11)
-    for gam in [*rng.uniform(0.05, 4.0, 8), 2.0]:
-        pair = cn._iso_pair_series(gam, a)
-        for d in _series_points(rng):
-            assert pair(d) == _iso_pair_reference(gam, a, d), (gam, a, d)
+def test_c_n_plus_continuous_where_the_d2_coefficient_vanishes():
+    # at gamma = N - 2 the isotropic pair's value at d = 0 is exactly 0
+    assert abs(cn.c_n_plus(2.0, 0.5, 4) - cn.c_n_plus(2.0 + 1e-9, 0.5, 4)) <= 1e-8
 
 
-def test_binomial_coefficients_match_references():
-    # scipy.special.binom is itself off by up to 6e-13 on these alpha (the
-    # running product is within 6e-15 of mpmath), so the 1e-13 bound is
-    # checked against mpmath and scipy is held to 1e-12
-    orders = 2 * np.arange(1, 80)
-    for alpha in POW_ALPHAS:
-        got = cn._binomials(alpha, 158)[1::2]
-        with mpmath.workdps(30):
-            exact = np.array([float(mpmath.binomial(alpha, int(n))) for n in orders])
-        assert np.array_equal(got == 0.0, exact == 0.0), alpha
-        assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact)), alpha
-        ref = binom(alpha, orders)
-        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), alpha
-
-
-@pytest.mark.parametrize("a", ISO_A)
-def test_gegenbauer_coefficients_match_scipy(a):
-    # lambda = gamma/2 for gamma from the smallest bracket end (1e-3) to the
-    # expanding bracket's cap (1e3); at large lambda the late coefficients
-    # overflow to inf, in both
-    orders = 2 * np.arange(1, 120)
-    for lam in [0.0005, 0.025, 0.5, 1.0, 2.0, 8.0, 50.0, 250.0, 500.0]:
-        got = np.array(cn._gegenbauers(238, lam, a)[1::2])
-        ref = eval_gegenbauer(orders, lam, a)
-        finite = np.isfinite(ref)
-        assert np.array_equal(np.isfinite(got), finite), lam
-        largest = np.max(np.abs(ref[finite]))
-        assert np.max(np.abs(got[finite] - ref[finite])) <= 1e-12 * largest, lam
+@pytest.mark.parametrize("gam,N", [(1700.0, 2), (1990.0, 2), (5000.0, 9)])
+def test_large_admissible_gamma_is_finite(gam, N):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert math.isfinite(cn.c_iso(gam, 0.5, N))
+        assert math.isfinite(cn.c_n_plus(gam, 0.5, N))
 
 
 # --- the bracketed root finder against scipy's brentq ------------------------

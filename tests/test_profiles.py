@@ -93,9 +93,18 @@ def test_half_space_tail_rejects_bad_gamma(gamma):
         pr.HalfSpacePowerTail(gamma)
 
 
+@pytest.mark.parametrize("build", [pr.HalfSpacePowerTail, pr.make_w_gamma])
+def test_cap_rejects_gamma_whose_coefficients_overflow(build):
+    # the cap's cubic coefficients grow like gamma^3 times junction_r2^(-gamma/2)
+    with pytest.raises(pr.ExponentOutOfRange, match="too large"):
+        build(1e300)
+
+
 def test_make_psi_guards():
     with pytest.raises(pr.ExponentOutOfRange):
         pr.make_psi("halfint", 2, 0.5)
+    with pytest.raises(pr.ExponentOutOfRange):
+        pr.make_psi("halfint", 1, 0.2)  # the variant is the s = 1/2 case
     with pytest.raises(pr.ExponentOutOfRange):
         pr.make_psi("growth", 1, 0.3)
     with pytest.raises(cn.NoRootError):

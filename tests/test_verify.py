@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fractrunc import constants as cn
 from fractrunc import operators as op
 from fractrunc import profiles as pr
 from fractrunc import verify as vf
@@ -141,16 +142,46 @@ def test_psi_reports_onset_radius():
     ("halfint", 1, 0.5, [320.0, 5.0, 80.0, 20.0], "pass"),
 ])
 def test_psi_report_records_every_claim(kind, k, s, radii, verdict):
-    # the report's points and max_violation come from every claim, at every
-    # radius, not only from those the verdict counts
+    # the report's points and residuals come from every claim, at every
+    # radius; max_violation from those the verdict reads, every claim from
+    # the onset radius on (all of them without an onset)
     r = vf.verify_psi_subsolution(kind, k, s, radii=radii)
     assert r.verdict == verdict
     assert all(c.claim == "frame_lower_bound" for c in r.residuals)
     assert r.points == sorted(map(list, {tuple(c.point) for c in r.residuals}))
     assert all(len(p) == k + 1 for p in r.points)
+    assert len(r.residuals) == 3 * len(r.extra["radii"])
+    onset = r.extra["empirical_R0"]
+    counted = [c for c in r.residuals
+               if onset is None or math.hypot(*c.point) >= onset * (1.0 - 1e-12)]
     # le claims: residual - error - floor; floor = 1e-9 * scale, 0 for psi's claims
-    assert r.max_violation == max(c.residual - c.error for c in r.residuals)
+    assert r.max_violation == max(c.residual - c.error for c in counted)
     assert r.extra["radii"] == sorted(r.extra["radii"])
+
+
+def test_psi_max_violation_reads_the_claims_from_the_onset_on():
+    # claims below the onset fail by design; the verdict ignores them, and
+    # so does max_violation
+    r = vf.verify_psi_subsolution("decay", 1, 0.3783)
+    assert r.verdict == "pass"
+    assert r.extra["empirical_R0"] > r.extra["radii"][0]
+    assert max(c.residual - c.error for c in r.residuals) > 0.0
+    assert r.max_violation <= 0.0
+
+
+def test_psi_bound_constant_is_positive():
+    # with x_N > 0 at every sampled angle, a passing claim then implies a
+    # positive frame sum, so the verdict needs no separate sign check
+    for s in np.linspace(0.02, 0.98, 25):
+        for kind in ("decay", "halfint", "growth"):
+            for k in (1, 2, 3):
+                try:
+                    psi = pr.make_psi(kind, k, s)
+                except (cn.NoRootError, pr.ExponentOutOfRange):
+                    continue
+                assert vf._psi_bound_constant(kind, k, s, psi) > 0.0, (kind, k, s)
+    psi = pr.make_psi("halfint", 1, 0.5)
+    assert vf._psi_bound_constant("halfint", 1, 0.5, psi) > 0.0
 
 
 def test_max_violation_is_nonpositive_when_every_claim_holds():
