@@ -6,16 +6,20 @@ factor ``C_s``; callers that need the physically scaled quantity multiply by
 :func:`normalizing_constant` explicitly.  This keeps every root and sign test
 independent of the normalization choice.
 
-The integrands all pair values symmetrically around a singular point, which
+The 1-D kernel constants ``hat_c_dec``, ``c_perp``, ``c_k_fn``, ``hat_c_gro``
+and ``c_s_mu`` are Gamma-function closed forms; a reciprocal Gamma that is
+exactly 0 at its poles puts their roots exactly where they vanish.
+``c_iso`` and ``c_n_plus`` have none: each is one array-valued ``integrate``
+call, so one batched quadrature.
+
+Their integrands pair values symmetrically around a singular point, which
 is catastrophically ill-conditioned in double precision near the pairing
-center.  Each constant therefore ships a cancellation-free regular-part
-evaluator to the quadrature engine: closed forms in ``expm1``, ``log1p``,
-``cosh`` and ``sinh`` in which only two O(d^2) terms meet (``_pow_pair``,
-``_iso_pair``, ``_log_pair``), used where the direct form cancels, so
-accuracy is uniform across the whole parameter range, including s close
-to 1.  Every evaluator works on a whole array of nodes at once.
-Every integrand is array-valued, and each constant is one ``integrate`` or
-``integrate_pv`` call, so one batched quadrature.
+center.  Each therefore ships a cancellation-free regular-part evaluator to
+the quadrature engine: closed forms in ``expm1``, ``log1p``, ``cosh`` and
+``sinh`` in which only two O(d^2) terms meet (``_pow_pair``, ``_iso_pair``,
+``_log_pair``), used where the direct form cancels, so accuracy is uniform
+across the whole parameter range, including s close to 1.  Every evaluator
+works on a whole array of nodes at once.
 
 The kernels multiply by the negative power ``t**(-1-2s)`` instead of
 dividing by ``t**(1+2s)``: far out in the tail the weight underflows to 0
@@ -31,7 +35,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quad import Integrand, Tolerance, integrate, integrate_pv
+from .quad import Integrand, Tolerance, integrate
+from .quad import integrate_pv  # unused here; still looked up by perfbench's tracer
 
 __all__ = [
     "ProblemParams",
@@ -56,7 +61,7 @@ __all__ = [
 ]
 
 _DEFAULT_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-11)
-_EPS_GAMMA = 1e-6  # search interval (eps, 1-eps) for the bounded-exponent root
+_EPS_GAMMA = 1e-6  # search interval (eps, 1-eps) for the bounded-exponent root, k >= 2
 
 
 class DomainError(ValueError):
@@ -197,46 +202,6 @@ def _iso_pair(gam: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
 # the kernel constants (all without the C_s factor)
 # ---------------------------------------------------------------------------
 
-def _pow_kernel(g: float, s: float, tol: Tolerance, perp: float = 0.0) -> float:
-    """PV integral over the real line of
-    (|1+tau|^{-g} - 1 + perp*((1+tau^2)^{-g/2} - 1)) / |tau|^{1+2s}.
-
-    ``hat_c_dec(gamma)`` is this kernel at g = gamma, ``hat_c_gro(gamma)``
-    minus it at g = -gamma, and ``c_k(gamma)`` it at g = gamma with
-    perp = k-1: the second term alone integrates to ``c_perp(gamma)``.  PV
-    point at 0, where both terms fold with exponent 1-2s; singularity of
-    exponent e = min(-g, 0) at tau = -1; tail decay 1 + 2s + min(g, 0).
-    """
-    e = min(-g, 0.0)
-
-    def excess(t: np.ndarray) -> np.ndarray:
-        # perp times the c_perp numerator (1+t^2)^{-g/2} - 1
-        return perp * np.expm1(-(g / 2.0) * np.log1p(t * t)) if perp else 0.0
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return (np.abs(1.0 + t) ** (-g) - 1.0 + excess(t)) * np.abs(t) ** (-1.0 - 2.0 * s)
-
-    def near_minus_one(side: int, d: np.ndarray) -> np.ndarray:
-        # f(-1 + side*d) * d^{-e}, stable down to d = 0
-        return ((d ** (-g - e) - d ** (-e) + excess(side * d - 1.0) * d ** (-e))
-                / np.abs(1.0 - side * d) ** (1.0 + 2.0 * s))
-
-    pair, perp_pair = _pow_pair(-g), _log_pair(-g / 2.0)
-
-    def fold(h: np.ndarray) -> np.ndarray:
-        # (f(h) + f(-h)) * h^{2s-1}; the even part of the pair
-        return pair(h) + perp * perp_pair(h) if perp else pair(h)
-
-    integrand = Integrand(
-        eval=f,
-        singular_points=[(-1.0, e)],
-        tail_decay=1.0 + 2.0 * s + min(g, 0.0),
-        regular_eval={-1.0: near_minus_one},
-        pv_fold={0.0: (1.0 - 2.0 * s, fold)},
-    )
-    return integrate_pv(integrand, 0.0, math.inf, tol).value
-
-
 def _check_positive(gam: float, s: float) -> None:
     # chained comparisons are false for NaN, so NaN is rejected too
     if not 0.0 < gam < math.inf:
@@ -251,49 +216,82 @@ def _check_decay(gam: float, s: float) -> None:
     _check_positive(gam, s)
 
 
-def hat_c_dec(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), exactly 0 at the poles x = 0, -1, -2, ..."""
+    return 0.0 if x <= 0.0 and x == math.floor(x) else 1.0 / math.gamma(x)
+
+
+def _sin_pi(x: float) -> float:
+    """sin(pi*x) for |x| < 1, reduced to |x| <= 1/2 to keep its relative accuracy near +-1."""
+    return math.copysign(math.sin(math.pi * min(abs(x), 1.0 - abs(x))), x)
+
+
+# Stirling coefficients B_2n/(2n(2n-1)) of lgamma(z), with the power 2n-1 of 1/z
+_STIRLING = ((1.0 / 12.0, 1), (-1.0 / 360.0, 3), (1.0 / 1260.0, 5), (-1.0 / 1680.0, 7),
+             (1.0 / 1188.0, 9))
+
+
+def _perp_kernel(g: float, s: float) -> float:
+    """Gamma(-s) Gamma(g/2+s)/Gamma(g/2), for g > -2s: c_perp at g > 0.
+
+    With x = g/2 the ratio is x Gamma(x+s)/Gamma(1+x), and from x = 15 on
+    the Stirling series of lgamma(x+s) - lgamma(x) term by term: math.gamma
+    loses digits as x grows (6e-14 at 170) and overflows past 171, and two
+    lgamma values lose them as x log x.  Either way it keeps ~2e-15.
+    """
+    x = g / 2.0
+    if x < 15.0:
+        return math.gamma(-s) * (x * math.gamma(x + s) / math.gamma(1.0 + x))
+    z = x + s
+    # lgamma(z) - lgamma(x) - s log z: O(s/x), so its exp loses no digits
+    rest = (x - 0.5) * math.log1p(s / x) - s
+    for c, p in _STIRLING:
+        rest += c * (z ** -p - x ** -p)
+    return math.gamma(-s) * z ** s * math.exp(rest)
+
+
+def _dec_ratio(g: float, s: float) -> float:
+    """hat_c_dec / c_perp at g < 1: sqrt(pi) Gamma((1-g)/2) / (Gamma(1/2+s) Gamma((1-g)/2-s)).
+
+    The last Gamma is a reciprocal, so the ratio is exactly 0 at g = 1-2s.
+    """
+    return (math.sqrt(math.pi) * math.gamma((1.0 - g) / 2.0)
+            * _rgamma((1.0 - g) / 2.0 - s) / math.gamma(0.5 + s))
+
+
+def hat_c_dec(gam: float, s: float) -> float:
     """PV integral of (|1+tau|^{-gamma} - 1)/|tau|^{1+2s} over the real line.
 
-    Decay-case constant; gamma in (0,1).  PV point at 0, absolutely
-    integrable singularity of exponent -gamma at tau = -1.
+    Decay-case constant; gamma in (0,1).  Closed form; exactly 0 at the
+    root gamma = 1-2s.
     """
     _check_decay(gam, s)
-    return _pow_kernel(gam, s, tol)
+    return _perp_kernel(gam, s) * _dec_ratio(gam, s)
 
 
-def c_perp(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
-    """2 * integral_0^inf ((1+tau^2)^{-gamma/2} - 1)/tau^{1+2s} dtau  (< 0)."""
+def c_perp(gam: float, s: float) -> float:
+    """2 * integral_0^inf ((1+tau^2)^{-gamma/2} - 1)/tau^{1+2s} dtau  (< 0), in closed form."""
     _check_positive(gam, s)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return 2.0 * np.expm1(-(gam / 2.0) * np.log1p(t * t)) * t ** (-1.0 - 2.0 * s)
-
-    pair = _log_pair(-gam / 2.0)  # f(d) * d^{2s-1}
-    integrand = Integrand(
-        eval=f,
-        singular_points=[(0.0, 1.0 - 2.0 * s)],
-        tail_decay=1.0 + 2.0 * s,
-        regular_eval={0.0: lambda side, d: pair(d)},
-    )
-    return integrate(integrand, 0.0, math.inf, tol).value
+    return _perp_kernel(gam, s)
 
 
-def c_k_fn(gam: float, s: float, k: int, tol: Tolerance = _DEFAULT_TOL) -> float:
-    """c_k(gamma) = hat_c_dec(gamma) + (k-1) * c_perp(gamma), as one integral."""
+def c_k_fn(gam: float, s: float, k: int) -> float:
+    """c_k(gamma) = hat_c_dec(gamma) + (k-1) * c_perp(gamma)."""
     _check_decay(gam, s)
-    return _pow_kernel(gam, s, tol, k - 1.0)
+    return _perp_kernel(gam, s) * (_dec_ratio(gam, s) + k - 1)
 
 
-def hat_c_gro(gam: float, s: float, tol: Tolerance = _DEFAULT_TOL) -> float:
+def hat_c_gro(gam: float, s: float) -> float:
     """PV integral of (1 - |1+tau|^gamma)/|tau|^{1+2s}; growth case, s > 1/2.
 
-    Positive for gamma < 2s-1, zero at gamma = 2s-1.
+    Minus hat_c_dec's closed form at -gamma.  Positive for gamma < 2s-1,
+    exactly zero at gamma = 2s-1.
     """
     if not 0.5 < s < 1.0:
         raise DomainError("s must lie in (1/2,1) for the growth-case constant")
     if not 0.0 < gam <= 2.0 * s - 1.0 + 1e-12:
         raise DomainError("gamma must lie in (0, 2s-1]; the tail diverges beyond")
-    return -_pow_kernel(-gam, s, tol)
+    return -_perp_kernel(-gam, s) * _dec_ratio(-gam, s)
 
 
 def _iso_parts(gam: float, s: float, N: int) -> tuple[Callable, Callable, Callable]:
@@ -360,30 +358,22 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
            tol: Tolerance = _DEFAULT_TOL) -> float:
     """The power-profile constant with I_{e_N}(x_N)_+^mu = C_s c_{s,mu} x_N^{mu-2s}.
 
-    ``form="primary"`` integrates ((1+t)^mu + (1-t)_+^mu - 2)/t^{1+2s};
-    ``form="alternate"`` uses the first-derivative representation
-    (mu/2s) * integral ((1+t)^{mu-1} - (1+t)^{2s-mu-1})/t^{2s}.
+    ``form="primary"`` is the closed form of the integral of
+    ((1+t)^mu + (1-t)_+^mu - 2)/t^{1+2s} over (0, inf), in the reflected
+    form (mu/2s) B(mu, 2s-mu) sin(pi(mu-s))/sin(pi s): no removable point
+    at s = 1/2, and exactly 0 at mu = s.  ``form="alternate"`` integrates
+    the first-derivative representation
+    (mu/2s) * integral ((1+t)^{mu-1} - (1+t)^{2s-mu-1})/t^{2s} to ``tol``.
     """
     if not 0.0 < s < 1.0:
         raise DomainError("s must lie in (0,1)")
     if not 0.0 < mu < 2.0 * s:
         raise DomainError("mu must lie in (0, 2s)")
     if form == "primary":
-        def f(t: np.ndarray) -> np.ndarray:
-            # (1+t)^mu t^{-1-2s} as (1+1/t)^mu t^{mu-1-2s}: (1+t)^mu alone
-            # overflows far out in the tail once mu > 1
-            return ((1.0 + 1.0 / t) ** mu * t ** (mu - 1.0 - 2.0 * s)
-                    + (np.maximum(1.0 - t, 0.0) ** mu - 2.0) * t ** (-1.0 - 2.0 * s))
-
-        pair = _pow_pair(mu)
-        integrand = Integrand(
-            eval=f,
-            singular_points=[(0.0, 1.0 - 2.0 * s), (1.0, 0.0)],
-            tail_decay=1.0 + 2.0 * s - mu,
-            regular_eval={0.0: lambda side, d: pair(d)},
-        )
-        return integrate(integrand, 0.0, math.inf, tol).value
-    if form == "alternate":
+        # mu Gamma(mu) = Gamma(1+mu) and 2s Gamma(2s) = Gamma(1+2s)
+        return (math.gamma(1.0 + mu) * math.gamma(2.0 * s - mu) / math.gamma(1.0 + 2.0 * s)
+                * _sin_pi(mu - s) / _sin_pi(s))
+    if form == "alternate":  # still drawn by perfbench's constants deck; a check of the closed form
         # First-derivative representation mapped to (0,1) via u = 1/(1+t):
         # (mu/2s) * integral_0^1 (u^{2s-mu-1} - u^{mu-1}) (1-u)^{-2s} du.
         # Both endpoint singularities are integrable (the numerator vanishes
@@ -463,17 +453,23 @@ def _bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
     raise RuntimeError(f"no root to within {xtol:g} in [{lo}, {hi}] after 100 evaluations")
 
 
-def find_gamma_bar(k: int, s: float,
-                   tol: Tolerance = _DEFAULT_TOL) -> Optional[RootResult]:
+def find_gamma_bar(k: int, s: float) -> Optional[RootResult]:
     """Root of c_k in (0,1), or None when no sign change exists there.
 
     The absence of a root is a meaningful outcome: it encodes the existence
-    dichotomy (a root exists iff k=1 with s < 1/2, or k >= 2).
+    dichotomy (a root exists iff k=1 with s < 1/2, or k >= 2).  For k = 1
+    the root is exact: c_1 = hat_c_dec vanishes at gamma = 1-2s, so that
+    root comes with residual 0 and no search.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
+    if k == 1:
+        if not 0.0 < s < 1.0:
+            raise DomainError("s must lie in (0,1)")
+        root = 1.0 - 2.0 * s
+        return RootResult(root, 0.0, (root, root), 0) if s < 0.5 else None
     lo, hi = _EPS_GAMMA, 1.0 - _EPS_GAMMA
-    fn = lambda g: c_k_fn(g, s, k, tol)
+    fn = lambda g: c_k_fn(g, s, k)
     flo, fhi = fn(lo), fn(hi)
     if flo * fhi > 0.0:
         return None
@@ -550,7 +546,7 @@ def exponent_table(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> ExponentT
                 "p_lower_star": INTERVAL_MINUS1_0,
             })
     for k in range(1, N + 1):
-        bar = find_gamma_bar(k, s, tol)
+        bar = find_gamma_bar(k, s)
         row: dict = {"operator": f"I_{k}^+", "k": k,
                      "p_lower_star": INTERVAL_MINUS1_0}
         if bar is None:

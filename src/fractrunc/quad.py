@@ -474,6 +474,7 @@ def integrate(f: Integrand, a: float, b: float, tol: Tolerance = Tolerance()) ->
         return plan.run(tol.rel_tol)
 
 
+# no caller in the package any more; still looked up by perfbench's tracer
 def integrate_pv(f: Integrand, c: float, halfwidth: float,
                  tol: Tolerance = Tolerance()) -> QuadResult:
     """Symmetric principal value around ``c`` over ``(c-halfwidth, c+halfwidth)``.

@@ -72,6 +72,17 @@ def test_c_s_mu_half_quarter():
     assert cn.c_s_mu(0.25, 0.5) == pytest.approx(oc.C_HALF_QUARTER, abs=1e-9)
 
 
+@pytest.mark.parametrize("s", [0.999, 0.9999999])
+def test_c_s_mu_keeps_its_accuracy_near_s_one(s):
+    # sin(pi*s) is small there: pi*s rounded in double would cost ~1e-9
+    for mu in (0.5 * s, 1.5 * s):
+        m, sm = mpmath.mpf(mu), mpmath.mpf(s)
+        with mpmath.workdps(40):
+            want = (m / (2 * sm) * mpmath.beta(m, 2 * sm - m)
+                    * mpmath.sin(mpmath.pi * (m - sm)) / mpmath.sin(mpmath.pi * sm))
+        assert cn.c_s_mu(mu, s) == pytest.approx(float(want), rel=1e-13)
+
+
 def test_c_s_mu_negative_below_s_zero_at_s():
     assert cn.c_s_mu(0.2, 0.5) < 0.0
     assert abs(cn.c_s_mu(0.5, 0.5)) <= 1e-9
@@ -108,6 +119,16 @@ def test_gamma_bar_k1_matches_exact():
         assert r.root == pytest.approx(oc.gamma_bar_k1_oracle(s), abs=1e-8)
     for s in (0.5, 0.75):
         assert cn.find_gamma_bar(1, s) is None
+
+
+@pytest.mark.parametrize("s", [0.4999999, 0.49999999999])
+def test_gamma_bar_k1_is_exact_near_one_half(s):
+    # the root 1-2s lies below the bracket search's floor 1e-6, but it exists
+    r = cn.find_gamma_bar(1, s)
+    assert r is not None and r.root == 1.0 - 2.0 * s
+    i1_plus = cn.exponent_table(2, s).rows[2]
+    assert i1_plus["operator"] == "I_1^+"
+    assert i1_plus["p_star_upper_ref"] == 1.0 + 2.0 * s / (1.0 - 2.0 * s)
 
 
 @pytest.mark.parametrize("key", sorted(oc.FROZEN_ROOTS))
@@ -159,6 +180,8 @@ def test_exponent_table_structure():
     ("c_s_mu alternate", lambda: cn.c_s_mu(0.3, 0.5, "alternate")),
 ])
 def test_one_batched_quadrature_per_constant(name, call, monkeypatch):
+    # the 1-D kernel constants are closed forms: no quadrature at all
+    closed = name not in ("c_iso", "c_n_plus", "c_s_mu alternate")
     batches = []
     engine = quad.integrate_batch
 
@@ -168,28 +191,20 @@ def test_one_batched_quadrature_per_constant(name, call, monkeypatch):
 
     monkeypatch.setattr(quad, "integrate_batch", spy)
     assert math.isfinite(call())
-    assert len(batches) == 1
+    assert len(batches) == (0 if closed else 1)
 
 
 def test_tighter_quadrature_stability():
     tol = Tolerance(1e-12, 1e-11)
-    a = cn.find_gamma_bar(2, 0.5, tol)
-    b = cn.find_gamma_bar(2, 0.5, Tolerance(tol.abs_tol * 0.1, tol.rel_tol * 0.1))
+    a = cn.find_gamma_tilde(3, 0.5, tol)
+    b = cn.find_gamma_tilde(3, 0.5, Tolerance(tol.abs_tol * 0.1, tol.rel_tol * 0.1))
     assert abs(a.root - b.root) <= 1e-6
 
 
 # --- calibration over the admissible range ----------------------------------
 
-CALIBRATION_S = [0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
-CALIBRATION_GAMMA = [0.05, 0.5, 0.95]
-
-# Integrals with an algebraic tail are truncated at t = e^690 (the float
-# range) and the remainder past it is taken from the leading exponent alone.
-# The primary c_s_mu integrand mixes t^(-1-2s+mu) and t^(-1-2s); for 2s below
-# ~0.025 the second term's share of the remainder, about
-# e^(-690*2s) * (1/(2s-mu) - 1/(2s)), still exceeds 1e-10.
-_MIXED_TAIL = ("tail mixes the exponents 1+2s-mu and 1+2s; the remainder past "
-               "e^690 uses the leading one")
+CALIBRATION_S = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
+CALIBRATION_GAMMA = [0.01, 0.05, 0.5, 0.95]
 
 
 @pytest.mark.parametrize("s", CALIBRATION_S)
@@ -216,19 +231,42 @@ def test_growth_constant_calibrated(gamma, s):
 @pytest.mark.parametrize("form", ["primary", "alternate"])
 def test_c_s_mu_calibrated(form, half, s, request):
     mu = s / 2.0 if half else s
-    if form == "primary":
-        request.applymarker(pytest.mark.xfail(2.0 * s < 0.025, reason=_MIXED_TAIL,
-                                              strict=True))
-    else:
+    if form == "alternate":
         # the alternate form's endpoint exponent is min(2s-mu, mu) - 1; its
         # substitution u = -log d runs out of float range (d underflows at
         # u ~ 745) before exp(-min(2s-mu, mu)*u) has decayed when that
-        # minimum is below ~0.008
+        # minimum is below ~0.008 (at mu = s the integrand is identically 0)
         request.applymarker(pytest.mark.xfail(
-            min(2.0 * s - mu, mu) < 0.008, strict=True,
+            mu != s and min(2.0 * s - mu, mu) < 0.008, strict=True,
             reason="endpoint substitution underflows before it has decayed"))
     want = oc.C_HALF_QUARTER if (s, mu) == (0.5, 0.25) else oc.c_s_mu_oracle(mu, s)
     assert cn.c_s_mu(mu, s, form) == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("key", sorted(oc.FROZEN_KERNEL))
+def test_closed_forms_match_frozen_integrals(key):
+    name, param, s = key
+    got = {"c_perp": cn.c_perp, "hat_c_dec": cn.hat_c_dec, "hat_c_gro": cn.hat_c_gro,
+           "c_s_mu": cn.c_s_mu}[name](param, s)
+    assert got == pytest.approx(oc.FROZEN_KERNEL[key], rel=1e-12)
+
+
+def test_kernel_roots_are_exact_zeros():
+    # a reciprocal Gamma that vanishes at its pole puts the roots exactly
+    assert cn.hat_c_dec(1.0 - 2.0 * 0.25, 0.25) == 0.0
+    assert cn.hat_c_gro(2.0 * 0.75 - 1.0, 0.75) == 0.0
+    assert cn.c_s_mu(0.3, 0.3) == 0.0
+
+
+@pytest.mark.parametrize("s", [0.01, 0.5, 0.99])
+def test_c_perp_at_large_gamma(s):
+    # Gamma(gamma/2) alone overflows past gamma ~ 343, and a difference of
+    # two lgamma values loses digits as gamma grows
+    for gam in (29.9, 30.1, 339.0, 341.0, 2000.0, 1e6, 1e9, 1e300):
+        g, sm = mpmath.mpf(gam), mpmath.mpf(s)
+        with mpmath.workdps(340):  # 1e300/2 + s keeps s
+            want = float(mpmath.gamma(-sm) * mpmath.gamma(g / 2 + sm) / mpmath.gamma(g / 2))
+        assert cn.c_perp(gam, s) == pytest.approx(want, rel=5e-15), gam
 
 
 # --- the cancellation-free kernel pairs --------------------------------------
