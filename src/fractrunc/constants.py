@@ -68,6 +68,21 @@ class DomainError(ValueError):
     """A parameter lies outside the admissible range."""
 
 
+# The smallest s resolved.  The quadratures take the tail exponent 1 + 2s,
+# whose rounding (eps/4 in s) moves a constant of size ~1/s by ~eps/(4 s^2),
+# which exceeds the default relative tolerance 1e-11 below s ~ 5.6e-6; below
+# ~1.1e-16, 1 + 2s rounds to 1 and the tail diverges.
+_S_MIN = 1e-5
+
+
+def _check_s(s: float) -> None:
+    # chained comparisons are false for NaN, so NaN is rejected too
+    if not 0.0 < s < 1.0:
+        raise DomainError("s must lie in (0,1)")
+    if s < _S_MIN:
+        raise DomainError(f"s = {s:g} lies below {_S_MIN:g}, the smallest s fractrunc resolves")
+
+
 class NoRootError(RuntimeError):
     """A construction requires a critical exponent that does not exist."""
 
@@ -85,8 +100,7 @@ class ProblemParams:
     k: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.s < 1.0:
-            raise DomainError("s must lie in (0,1)")
+        _check_s(self.s)
         if self.N < 2:
             raise DomainError("N must be >= 2")
         if not 1 <= self.k <= self.N:
@@ -114,15 +128,13 @@ def normalizing_constant(s: float) -> float:
     pure second derivative as s -> 1-.  Every exponent and root produced by
     this module is independent of this choice.
     """
-    if not 0.0 < s < 1.0:
-        raise DomainError("s must lie in (0,1)")
+    _check_s(s)
     return 4.0**s * s * math.gamma(0.5 + s) / (math.sqrt(math.pi) * math.gamma(1.0 - s))
 
 
 def beta_1ms_s(s: float) -> float:
     """Gamma(1-s)*Gamma(s) = pi / sin(pi*s)."""
-    if not 0.0 < s < 1.0:
-        raise DomainError("s must lie in (0,1)")
+    _check_s(s)
     return math.pi / math.sin(math.pi * s)
 
 
@@ -206,8 +218,7 @@ def _check_positive(gam: float, s: float) -> None:
     # chained comparisons are false for NaN, so NaN is rejected too
     if not 0.0 < gam < math.inf:
         raise DomainError("gamma must be finite and positive")
-    if not 0.0 < s < 1.0:
-        raise DomainError("s must lie in (0,1)")
+    _check_s(s)
 
 
 def _check_decay(gam: float, s: float) -> None:
@@ -365,8 +376,7 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
     the first-derivative representation
     (mu/2s) * integral ((1+t)^{mu-1} - (1+t)^{2s-mu-1})/t^{2s} to ``tol``.
     """
-    if not 0.0 < s < 1.0:
-        raise DomainError("s must lie in (0,1)")
+    _check_s(s)
     if not 0.0 < mu < 2.0 * s:
         raise DomainError("mu must lie in (0, 2s)")
     if form == "primary":
@@ -464,8 +474,7 @@ def find_gamma_bar(k: int, s: float) -> Optional[RootResult]:
     if k < 1:
         raise DomainError("k must be >= 1")
     if k == 1:
-        if not 0.0 < s < 1.0:
-            raise DomainError("s must lie in (0,1)")
+        _check_s(s)
         root = 1.0 - 2.0 * s
         return RootResult(root, 0.0, (root, root), 0) if s < 0.5 else None
     lo, hi = _EPS_GAMMA, 1.0 - _EPS_GAMMA
@@ -529,8 +538,7 @@ def exponent_table(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> ExponentT
     """Bounds on the critical exponents p* (p > 1) and p_* (p < 1) per operator."""
     if N < 2:
         raise DomainError("N must be >= 2")
-    if not 0.0 < s < 1.0:
-        raise DomainError("s must lie in (0,1)")
+    _check_s(s)
     rows: list[dict] = []
     gamma_plus = find_gamma_plus(N, s, tol).root
     for k in range(1, N + 1):

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import normalizing_constant
+from .constants import _check_s, normalizing_constant
 from .quad import QuadResult, Tolerance, integrate_batch
 
 __all__ = [
@@ -161,8 +161,7 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     two per kernel node (at t and -t), the growth probes and the finite
     differences.  Field metadata (breakpoints, C^2 radius) is not counted.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0,1)")
+    _check_s(s)
     growth_alpha = float(u.growth_alpha)
     if growth_alpha >= 2.0 * s:
         raise GrowthViolation(f"growth exponent {growth_alpha} >= 2s = {2*s}")
@@ -546,14 +545,53 @@ def _search_objective(u, x: np.ndarray, s: float, k: int,
     return objective
 
 
-# Each rotation first scores _ANGLE_GRID equispaced angles over [0, pi).
-# Each zoom level evaluates _ZOOM_POINTS points across its bracket and keeps
-# two spacings around the best.  The last level's bracket is at most
-# 2*step*_ZOOM_WIDTH wide, the final bracket of 24 golden-section steps from a
-# bracket of two grid steps, so the angle is found at least that precisely.
+# Each rotation first scores _ANGLE_GRID equispaced angles over [0, pi): the
+# objective is pi-periodic in the angle, since I_xi = I_{-xi}, and angle 0 is
+# the frame's current score.  Then it zooms.  Each level scores _ZOOM_POINTS
+# points on a grid that ``_parabola_step`` places from the last level's best
+# point and its neighbours (mod pi on the 32 angles): on the vertex of their
+# parabola, 1/4 to 1/_ZOOM_SHRINK as wide as the last grid, where the nodes
+# two out confirm the parabola; else on the best point, two spacings wide.
+# On ties the centre is the best point; a best point on an edge re-centres the
+# next grid there at the same width.  The zoom ends at a best point inside a
+# grid at most 2*step*_ZOOM_WIDTH wide: the optimum of a unimodal objective
+# then lies between its neighbours, a bracket no wider than the final one of
+# 24 golden-section steps from two grid steps, so the angle is found at least
+# that precisely.  A smooth objective takes three to five levels; flat
+# stretches and kinks end after _ZOOM_LEVELS.
 _ANGLE_GRID = 32
 _ZOOM_POINTS = 9
+_ZOOM_SHRINK = 96.0
+_ZOOM_LEVELS = 10
 _ZOOM_WIDTH = ((math.sqrt(5.0) - 1.0) / 2.0) ** 24
+_ZOOM_OFFSETS = np.linspace(-0.5, 0.5, _ZOOM_POINTS)
+
+
+def _parabola_step(vals: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next zoom grid around each row's best node ``g``, in node spacings:
+    the offset of its centre from ``g``, and its width.
+
+    ``up`` and ``down`` are the misses of the parabola through g and its
+    neighbours at the nodes two spacings out (indices mod the row length; a
+    nan node counts as a miss).  A cubic term moves the vertex by about
+    |up - down| / (12 |curvature|) spacings, so a trusted parabola centres
+    a grid 8 times that wide on its vertex, which puts the vertex error
+    within one spacing of that grid, and at least 8/_ZOOM_SHRINK wide.  A
+    kink misses at both nodes, by about the curvature each.  So a parabola
+    is trusted only when the misses sum to at most its curvature and the
+    vertex error is at most a quarter spacing.  Otherwise the grid spans the
+    two spacings around g, which bracket the optimum of a unimodal objective.
+    """
+    n, rows = vals.shape[1], np.arange(g.size)
+    lo2, lo, mid, hi, hi2 = (vals[rows, (g + d) % n] for d in (-2, -1, 0, 1, 2))
+    curv, slope = lo - 2.0 * mid + hi, hi - lo
+    up, down = hi2 - mid - slope - 2.0 * curv, lo2 - mid + slope - 2.0 * curv
+    trusted = (np.abs(up + down) <= -curv) & (np.abs(up - down) <= -3.0 * curv)
+    shift, width = np.zeros(g.size), np.where(trusted, 8.0 / _ZOOM_SHRINK, 2.0)
+    bent = trusted & (curv < 0.0)
+    shift[bent] = -0.5 * slope[bent] / curv[bent]
+    width[bent] = np.maximum(width[bent], 2.0 * np.abs(up - down)[bent] / (-3.0 * curv[bent]))
+    return shift, width
 
 
 def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
@@ -564,13 +602,16 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
 
     Random orthonormal restarts followed by coordinate descent over Givens
     rotation angles (within the frame's span and against its orthogonal
-    complement).  Each rotation first tries 32 equispaced angles over
-    [0, pi), then zooms in on the best: every level evaluates a grid across
-    the bracket and keeps two spacings around its best point.  The restarts
-    descend in lockstep, so each grid of all of them is one batched
-    objective call over a stack of frames.  The result is one-sided by
-    construction: an upper bound for the inf (``minus``) and a lower bound
-    for the sup (``plus``).
+    complement).  Each rotation scores 32 equispaced angles over [0, pi),
+    then zooms on 9-point grids centred on the vertex of the parabola
+    through the best angle and its neighbours, up to 96 times narrower per
+    level where the points two spacings out confirm the parabola, until the
+    best angle lies inside a grid no wider than the final bracket of 24
+    golden-section steps from two angle steps: three to five levels on a
+    smooth objective, ten at most.  The restarts descend in lockstep, so
+    each grid of all of them is one batched objective call over a stack of
+    frames.  The result is one-sided by construction: an upper bound for the
+    inf (``minus``) and a lower bound for the sup (``plus``).
     """
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -587,8 +628,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     objective = _search_objective(u, x, s, k, search_tol)
     angles = np.linspace(0.0, math.pi, _ANGLE_GRID, endpoint=False)
     step = float(angles[1])
-    # the zoom grid without its center, whose value is known
-    offsets = np.delete(np.linspace(-0.5, 0.5, _ZOOM_POINTS), _ZOOM_POINTS // 2)
+    mid = _ZOOM_POINTS // 2
 
     def score(frames: np.ndarray) -> np.ndarray:
         return sign * objective(frames)
@@ -607,38 +647,45 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
         improved = np.zeros(live.size, bool)
         for i, j in [(i, j) for i in range(k) for j in range(i + 1, N)]:
             vi, vj = bases[live, i], bases[live, j]
-            cur = best[live]
 
-            def rotated(angs: np.ndarray) -> np.ndarray:
-                """Scores of the live frames with rows i and j turned by angs[r]."""
+            def rotated(rows: np.ndarray, angs: np.ndarray) -> np.ndarray:
+                """Scores of the live frames ``rows`` with rows i and j turned by angs[r]."""
                 c, sn = np.cos(angs)[..., None], np.sin(angs)[..., None]
-                frames = np.repeat(bases[live, None, :k], angs.shape[1], axis=1)
-                frames[:, :, i] = c * vi[:, None] + sn * vj[:, None]
+                frames = np.repeat(bases[live[rows], None, :k], angs.shape[1], axis=1)
+                frames[:, :, i] = c * vi[rows, None] + sn * vj[rows, None]
                 if j < k:
-                    frames[:, :, j] = -sn * vi[:, None] + c * vj[:, None]
+                    frames[:, :, j] = -sn * vi[rows, None] + c * vj[rows, None]
                 return score(frames.reshape(-1, k, N)).reshape(angs.shape)
 
-            best_angle = np.zeros(live.size)
-            grid_vals = rotated(np.broadcast_to(angles[1:], (live.size, angles.size - 1)))
-            for r, row in enumerate(grid_vals.tolist()):
-                for ang, val in zip(angles[1:].tolist(), row):
-                    if val - cur[r] > 1e-14:
-                        cur[r], best_angle[r], improved[r] = val, ang, True
-            # zoom around the best grid angle
-            center, center_val, width = best_angle.copy(), cur.copy(), 2.0 * step
             every = np.arange(live.size)
-            while True:
-                grid = center[:, None] + width * offsets
-                vals = rotated(grid)
-                b = np.argmax(vals, axis=1)
-                better = vals[every, b] > center_val
-                center[better], center_val[better] = grid[every, b][better], vals[every, b][better]
-                if width <= 2.0 * step * _ZOOM_WIDTH:
+            ring = np.column_stack([best[live], rotated(every, np.broadcast_to(
+                angles[1:], (live.size, _ANGLE_GRID - 1)))])
+            b = np.argmax(ring, axis=1)
+            improved |= b > 0
+            cur, best_angle = ring[every, b], angles[b]
+            shift, span = _parabola_step(ring, b)
+            center, width = best_angle + step * shift, step * span
+            zooming = every
+            for _ in range(_ZOOM_LEVELS):
+                grid = center[zooming, None] + width[zooming, None] * _ZOOM_OFFSETS
+                vals = rotated(zooming, grid)
+                at = np.arange(zooming.size)
+                g = np.argmax(vals, axis=1)
+                g[vals[:, mid] >= vals[at, g]] = mid
+                top, theta = vals[at, g], grid[at, g]
+                gain = top > cur[zooming]
+                cur[zooming[gain]], best_angle[zooming[gain]] = top[gain], theta[gain]
+                improved[zooming[gain]] = True
+                # pad with nan, so that nodes past the ends count as misses
+                shift, span = _parabola_step(
+                    np.pad(vals, ((0, 0), (2, 2)), constant_values=np.nan), g + 2)
+                edge = (g == 0) | (g == _ZOOM_POINTS - 1)
+                w = width[zooming]
+                center[zooming] = theta + w / (_ZOOM_POINTS - 1) * shift
+                width[zooming] = np.where(edge, w, w / (_ZOOM_POINTS - 1) * span)
+                zooming = zooming[edge | (w > 2.0 * step * _ZOOM_WIDTH)]
+                if not zooming.size:
                     break
-                width *= 2.0 / (_ZOOM_POINTS - 1)
-            better = center_val - cur > 0.0
-            cur[better], best_angle[better] = center_val[better], center[better]
-            improved |= better
             c, sn = np.cos(best_angle)[:, None], np.sin(best_angle)[:, None]
             bases[live, i] = c * vi + sn * vj
             bases[live, j] = -sn * vi + c * vj

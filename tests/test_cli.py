@@ -187,7 +187,7 @@ _S_COMMANDS = {
     "verify-psi": ["verify", "psi"],
     "verify-singular": ["verify", "singular", "--p", "-3"],
     "verify-avoidance": ["verify", "avoidance", "--N", "2"],
-    "verify-transform": ["verify", "transform", "--p", "2", "--q", "3"],
+    "verify-transform": ["verify", "transform", "--p", "-3", "--q", "-4"],
 }
 
 
@@ -197,6 +197,22 @@ def test_bad_s_exits_2(capsys, command, s):
     code, out, err = run(capsys, _S_COMMANDS[command] + [f"--s={s}"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# Below 1e-5 the rounding of the tail exponent 1 + 2s outweighs the
+# quadratures' tolerance; at 1e-17 it rounds to 1 and the tail diverges, and
+# at 1e-310 Gamma(-s) overflows.  Each exits 2 and names the floor.
+@pytest.mark.parametrize("s", ["1e-17", "1e-310", "9e-06"])
+@pytest.mark.parametrize("command", sorted(_S_COMMANDS))
+def test_s_below_floor_exits_2(capsys, command, s):
+    code, out, err = run(capsys, _S_COMMANDS[command] + [f"--s={s}"])
+    assert code == 2 and out == ""
+    assert err == f"error: s = {float(s):g} lies below 1e-05, the smallest s fractrunc resolves\n"
+
+
+def test_s_at_floor_resolves(capsys):
+    code, out, _ = run(capsys, ["roots", "--which", "gamma-tilde", "--N", "3", "--s", "1e-05"])
+    assert code == 0 and json.loads(out)["exists"] is True
 
 
 def test_verify_no_root_exit_2(capsys):

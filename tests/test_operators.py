@@ -223,6 +223,68 @@ def test_search_finds_kinked_optimum():
         assert found.value >= kink.value - bars
 
 
+SEARCH_TOL = Tolerance(1e-7, 1e-6)
+
+
+def _unit(v):
+    v = np.asarray(v, float)
+    return v / np.linalg.norm(v)
+
+
+def test_search_rotation_costs_few_fans(monkeypatch):
+    # one objective fan scores the first frame, then each Givens rotation
+    # makes its 32-angle grid and the zoom levels; a zoom of 4x per level
+    # made 11 fans a rotation here
+    fans = []
+    engine = op.directional_fan
+    monkeypatch.setattr(op, "directional_fan", lambda *a, **kw: fans.append(1) or engine(*a, **kw))
+    x = 1.8 * _unit([0.5, 0.3, -0.6, 0.8])
+    op.extremal_search(pr.HalfSpacePowerTail(1.1), x, 0.3, 1, "plus",
+                       budget=1, seed=0, tol=SEARCH_TOL, sweeps=1)
+    rotations = 3  # k = 1 in N = 4
+    assert len(fans) - 1 <= 6 * rotations
+
+
+def test_search_on_flat_objective_ends_within_level_cap(monkeypatch):
+    calls = []
+
+    def flat(u, x, s, k, tol):
+        return lambda frames: calls.append(1) or np.full(frames.shape[0], 0.25)
+    monkeypatch.setattr(op, "_search_objective", flat)
+    w = pr.make_w_gamma(0.5)
+    found, frame = op.extremal_search(w, np.array([2.0, 0.0, 0.0]), 0.5, 1, "plus",
+                                      budget=2, seed=3)
+    # every restart ties at every angle: no gain, so one sweep of 2 rotations
+    assert 1 < len(calls) <= 1 + 2 * (1 + op._ZOOM_LEVELS)
+    assert frame.k == 1 and math.isfinite(found.value)
+
+
+# (field, point, s, variant, settings) -> (value, error bar) the search
+# returned with a zoom of 4x per level (k = 1, budget 1, seed 0, SEARCH_TOL)
+FROZEN_SEARCHES = [
+    (lambda: pr.HalfSpacePowerTail(0.9), 2.0 * _unit([0.4, -0.7, 0.9]), 0.35, "plus", {},
+     (-0.020637457090175133, 1.2345752615835503e-07)),
+    (lambda: pr.HalfSpacePowerTail(1.1), 1.8 * _unit([0.5, 0.3, -0.6, 0.8]), 0.3, "plus", {},
+     (-0.01273072114657014, 4.0150097093695125e-09)),
+    (lambda: pr.HalfSpacePowerTail(0.7), 2.2 * _unit([0.6, 0.9]), 0.4, "minus", {},
+     (-0.19877620973955157, 3.002121155192993e-08)),
+    (lambda: pr.build_thIN_supersolution(2, 0.45, 4.0)[0], np.array([0.2, 1.2]), 0.45, "plus",
+     {"sweeps": 1}, (-0.051523349686220236, 5.5909943356316065e-09)),
+]
+
+
+@pytest.mark.parametrize("make,x,s,variant,settings,frozen", FROZEN_SEARCHES,
+                         ids=["tail-N3-plus", "tail-N4-plus", "tail-N2-minus",
+                              "min-field-plus"])
+def test_search_no_worse_than_frozen(make, x, s, variant, settings, frozen):
+    found, _ = op.extremal_search(make(), x, s, 1, variant, budget=1, seed=0,
+                                  tol=SEARCH_TOL, **settings)
+    value, bar = frozen
+    # plus bounds the sup from below, minus the inf from above
+    gain = found.value - value if variant == "plus" else value - found.value
+    assert gain >= -(bar + found.abs_error_estimate)
+
+
 def test_commutation_residual_small():
     v = pr.make_v_gamma(0.5)
     res = op.derivative_commutation_residual(v, np.array([0.0, 2.0]),
