@@ -116,11 +116,15 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 #                                           growth_const * (1+|tau|)^growth_alpha
 # optional:
 #   growth_const: float                     probed along each section if absent
-#   extra_abs_error(x) -> float             evaluation-truncation error
+#   extra_abs_error(x, xi) -> float         evaluation-truncation error of
+#                                           the section's integral (before
+#                                           C_s); it joins the row's bar, and
+#                                           the row's absolute tolerance is
+#                                           floored at 1/16 of it
 #   d2_along(x, xi) -> float                analytic second derivative
 #
-# ``c2_radius`` and ``extra_abs_error`` take one point of shape (N,);
-# ``breakpoints`` and ``d2_along`` one point and one direction.  ``line``
+# ``c2_radius`` takes one point of shape (N,); ``breakpoints``,
+# ``extra_abs_error`` and ``d2_along`` one point and one unit direction.  ``line``
 # does the field's vector work once per call, so the quadrature evaluates
 # a whole batch of nodes, of one section or of many, in one numpy pass.
 
@@ -149,9 +153,14 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     rungs per open section to an ``integrate_batch`` call; then every piece
     of (ii) and (iii) of every section goes into one call.
 
-    The field's point metadata (C^2 radius, ``extra_abs_error``, the value
-    u(x) that the sections through a point share) is read once per distinct
-    point, ``breakpoints`` and ``d2_along`` once per row.  A direction's C^2
+    The field's point metadata (C^2 radius, the value u(x) that the
+    sections through a point share) is read once per distinct point,
+    ``breakpoints``, ``extra_abs_error`` and ``d2_along`` once per row.  A
+    row's ``extra_abs_error`` is the truncation error its field already
+    carries; it joins the row's bar, and the row's ``abs_tol`` is raised to
+    at least 1/16 of it before any piece below shares it out, since
+    quadrature far finer than the field itself buys nothing.  The pieces
+    then add at most about 3/64 of it to the bar.  A direction's C^2
     window is its point's C^2 radius capped at its nearest breakpoint;
     without ``d2_along`` the second derivatives of all rows come from one
     call of finite differences inside their windows.  ``rel_tol``, like
@@ -189,8 +198,9 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     if np.any(window <= 0.0):
         raise ValueError("the C^2 window of every direction must be positive")
     extra_fn = getattr(u, "extra_abs_error", None)
-    extra = np.array([float(extra_fn(p)) if extra_fn is not None else 0.0
-                      for p in points])[at]
+    extra = (np.array([float(extra_fn(p, xi)) for p, xi in zip(row_points, dirs)])
+             if extra_fn is not None else np.zeros(m))
+    abs_tol = np.maximum(abs_tol, extra / 16.0)
     u0 = np.array([float(u.line(p, dirs[i])(0.0)) for p, i in zip(points, first_row)])[at]
     two_u0 = 2.0 * u0
 

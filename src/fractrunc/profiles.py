@@ -376,8 +376,11 @@ class BumpTrain(Field):
     """Train of disjoint bumps sum_n (eps^2 - (x_N - n - eps)^2)_+^s.
 
     Only the first ``window`` bumps are retained; the neglected far bumps'
-    kernel contribution is bounded by eps^{2s} * distance^{-2s} / s and
-    surfaced through ``extra_abs_error``.
+    kernel contribution along e_N is bounded by eps^{2s} * distance^{-2s} / s
+    and surfaced through ``extra_abs_error``.  The train depends on x_N
+    alone, so the section along a unit xi is the e_N section scaled by
+    |xi_N| in t, and its integral, truncation included, is |xi_N|^{2s} times
+    the e_N one: the bound is 0 along xi_N = 0.
     """
 
     def __init__(self, eps: float, s: float, window: int = 400) -> None:
@@ -413,10 +416,11 @@ class BumpTrain(Field):
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
         return _plane_crossings(np.asarray(x, float), np.asarray(xi, float), self.edges)
 
-    def extra_abs_error(self, x: np.ndarray) -> float:
+    def extra_abs_error(self, x: np.ndarray, xi: np.ndarray) -> float:
         t = float(np.asarray(x, float).reshape(-1)[-1])
         dist = max(self.window - t, 1.0)
-        return self.eps ** (2.0 * self.s) * dist ** (-2.0 * self.s) / self.s
+        scale = abs(float(np.asarray(xi, float).reshape(-1)[-1])) ** (2.0 * self.s)
+        return scale * self.eps ** (2.0 * self.s) * dist ** (-2.0 * self.s) / self.s
 
 
 class HalfSpacePowerTail(Field):

@@ -417,7 +417,7 @@ def _reference_directional(u, x, xi, s, tol):
                             math.log(core_end), math.log(T), tol.abs_tol / 4.0, tol.rel_tol)
         value, err = value + v, err + e
     Cs = cn.normalizing_constant(s)
-    extra = float(u.extra_abs_error(x)) if hasattr(u, "extra_abs_error") else 0.0
+    extra = float(u.extra_abs_error(x, xi)) if hasattr(u, "extra_abs_error") else 0.0
     return Cs * value, Cs * (err + extra)
 
 
@@ -509,3 +509,49 @@ def test_frame_sums():
         assert r.n_evals == one.n_evals
         assert abs(r.value - one.value) <= r.abs_error_estimate + one.abs_error_estimate
     assert sums[1].n_evals < op.frame_sum(u, y, fy, s, TOL).n_evals
+
+
+# --- the tolerance floor at a field's own truncation error -------------------
+
+class _NoTruncationBar:
+    """A field's proxy without ``extra_abs_error``, so its rows keep the full tolerance."""
+
+    def __init__(self, field):
+        self.growth_alpha, self.growth_const = field.growth_alpha, field.growth_const
+        self.line, self.c2_radius, self.breakpoints = field.line, field.c2_radius, field.breakpoints
+
+
+def test_row_tolerance_floors_at_truncation_error():
+    # the e_N section through the first bump crosses all 800 bump edges
+    s = 0.06
+    eps = vf.epsilon_threshold(s, 1.5)
+    u = pr.BumpTrain(eps, s)
+    x, e_n = np.array([0.0, eps]), np.array([0.0, 1.0])
+    r = op.directional(u, x, e_n, s, TOL)
+    full = op.directional(_NoTruncationBar(u), x, e_n, s, TOL)
+    extra = cn.normalizing_constant(s) * u.extra_abs_error(x, e_n)
+    # ~240k evaluations at the full 1e-10, ~34k at the floor extra/16
+    assert r.n_evals <= 60_000
+    # the quadrature part of the bar alone covers the distance to the full
+    # tolerance's value; the truncation part is the same for both
+    assert abs(r.value - full.value) <= (r.abs_error_estimate - extra) + full.abs_error_estimate
+    assert r.abs_error_estimate <= (1.0 + 1.0 / 16.0) * extra
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+def test_bump_train_truncation_bar_covers_the_far_bumps(s):
+    eps, window, tilt = 0.2, 6, 0.6
+    x = np.array([0.0, eps])
+    near, wide = pr.BumpTrain(eps, s, window), pr.BumpTrain(eps, s, 2 * window)
+    bars, values = [], []
+    for xi in (np.array([0.0, 1.0]), np.array([0.8, tilt])):
+        r = op.directional(near, x, xi, s, TOL)
+        extra = cn.normalizing_constant(s) * near.extra_abs_error(x, xi)
+        # doubling the window adds bumps only beyond the truncation distance
+        assert abs(r.value - op.directional(wide, x, xi, s, TOL).value) <= extra
+        values.append(r.value)
+        bars.append(r.abs_error_estimate - extra)
+    # the train depends on x_N alone, so the tilted row is the e_N one times
+    # tilt^{2s}, truncation included: the quadrature bars alone cover it
+    scale = tilt ** (2.0 * s)
+    assert abs(values[1] - scale * values[0]) <= bars[1] + scale * bars[0]

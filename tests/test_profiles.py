@@ -121,8 +121,12 @@ def test_bump_train_values():
     # 1-periodic structure within the window
     assert u(center + np.array([0.0, 3.0])) == pytest.approx(u(center),
                                                              rel=1e-12)
-    assert u.extra_abs_error(np.array([0.0, 1.0])) > 0.0
-    assert u.extra_abs_error(np.array([0.0, 1.0])) < 1e-2
+    e_n, tilted = np.array([0.0, 1.0]), np.array([0.8, 0.6])
+    assert 0.0 < u.extra_abs_error(np.array([0.0, 1.0]), e_n) < 1e-2
+    # the train depends on x_N alone: the bound scales as |xi_N|^{2s}
+    assert u.extra_abs_error(np.array([0.0, 1.0]), tilted) == pytest.approx(
+        0.6 ** (2.0 * s) * u.extra_abs_error(np.array([0.0, 1.0]), e_n), rel=1e-14)
+    assert u.extra_abs_error(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == 0.0
 
 
 def test_bump_train_window():
