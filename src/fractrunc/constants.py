@@ -14,12 +14,12 @@ call, so one batched quadrature.
 
 Their integrands pair values symmetrically around a singular point, which
 is catastrophically ill-conditioned in double precision near the pairing
-center.  Each therefore ships a cancellation-free regular-part evaluator to
-the quadrature engine: closed forms in ``expm1``, ``log1p``, ``cosh`` and
-``sinh`` in which only two O(d^2) terms meet (``_pow_pair``, ``_iso_pair``,
-``_log_pair``), used where the direct form cancels, so accuracy is uniform
-across the whole parameter range, including s close to 1.  Every evaluator
-works on a whole array of nodes at once.
+center.  Both therefore ship one cancellation-free regular-part evaluator to
+the quadrature engine, ``_iso_pair``: a closed form in ``expm1``, ``log1p``,
+``cosh`` and ``sinh`` in which only two O(d^2) terms meet, picked node by
+node where the direct form cancels, so accuracy is uniform across the whole
+parameter range, including s close to 1.  It works on a whole array of
+nodes at once.  c_n_plus's jump at sqrt(N) is a plain panel edge.
 
 The kernels multiply by the negative power ``t**(-1-2s)`` instead of
 dividing by ``t**(1+2s)``: far out in the tail the weight underflows to 0
@@ -142,72 +142,35 @@ def beta_1ms_s(s: float) -> float:
 # cancellation-free kernel pairs
 # ---------------------------------------------------------------------------
 
-def _cancel_free(d: np.ndarray, p: float, closed: Callable, direct: Callable) -> np.ndarray:
-    """``closed`` where the pair's direct form cancels (d < 0.75 and |p|*d <= 1), else ``direct``.
-
-    Each form sees only its own elements: the closed forms overflow for
-    large |p|*d, which the direct forms keep within range.
-    """
-    d = np.asarray(d, float)
-    out = np.empty_like(d)
-    near = (d < 0.75) & (abs(p) * d <= 1.0)
-    out[near] = closed(d[near])
-    out[~near] = direct(d[~near])
-    return out
-
-
-def _log_pair(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """d -> 2*((1+d^2)^p - 1)/d^2, stable at d = 0."""
-    def pair(d: np.ndarray) -> np.ndarray:
-        tiny = d < 1e-7
-        safe = np.where(tiny, 1.0, d)
-        return np.where(tiny, 2.0 * p + p * (p - 1.0) * d * d,
-                        2.0 * np.expm1(p * np.log1p(safe * safe)) / (safe * safe))
-
-    return pair
-
-
-def _pow_pair(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    """d -> ((1+d)^alpha + (1-d)^alpha - 2)/d^2, stable for any d in [0, 1).
-
-    With m = (alpha/2)*log1p(-d^2) and y = alpha*atanh(d) the numerator is
-    2*(expm1(m)*cosh(y) + 2*sinh(y/2)^2): two O(d^2) terms, no O(1) ones.
-    """
-    def closed(d: np.ndarray) -> np.ndarray:
-        tiny = d < 1e-7
-        safe = np.where(tiny, 0.5, d)
-        y = alpha * np.arctanh(safe)
-        return np.where(
-            tiny, alpha * (alpha - 1.0)
-            + alpha * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0) / 12.0 * d * d,
-            2.0 * (np.expm1(alpha / 2.0 * np.log1p(-safe * safe)) * np.cosh(y)
-                   + 2.0 * np.sinh(y / 2.0) ** 2) / (safe * safe))
-
-    def direct(d: np.ndarray) -> np.ndarray:
-        return ((1.0 + d) ** alpha + (1.0 - d) ** alpha - 2.0) / (d * d)
-
-    return lambda d: _cancel_free(d, alpha, closed, direct)
-
-
 def _iso_pair(gam: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
     """d -> ((1+d^2+2ad)^{-g/2} + (1+d^2-2ad)^{-g/2} - 2)/d^2, stable for any d >= 0.
 
-    With p = -g/2, A = 1+d^2 and z = 2ad/A the numerator is
-    A^p*((1+z)^p + (1-z)^p - 2) + 2*(A^p - 1): a power pair at z and a
-    log pair at d.
+    With p = -g/2, A = 1+d^2, e = expm1(p*log1p(d^2)) = A^p - 1, z = 2ad/A
+    and y = p*atanh(z), the numerator is
+    2*((1+e)*(expm1((p/2)*log1p(-z^2))*cosh(y) + 2*sinh(y/2)^2) + e):
+    two O(d^2) terms, no O(1) ones.  Since z <= a <= 1/sqrt(2), atanh(z)
+    stays finite, and the closed form is used wherever |p|*d <= 1, where
+    the direct form cancels (for small |p| at any d); past that it
+    overflows, and the direct form keeps within range.  Both are computed
+    on every node and one is picked.  Below d = 1e-150, where d^2 leaves the
+    normal range, the pair is its limit 4a^2 p(p-1) + 2p.
     """
     p = -gam / 2.0
-    pow_pair, log_pair = _pow_pair(p), _log_pair(p)
+    limit = 4.0 * a * a * p * (p - 1.0) + 2.0 * p
 
-    def closed(d: np.ndarray) -> np.ndarray:
-        big_a = 1.0 + d * d
-        return big_a ** p * pow_pair(2.0 * a * d / big_a) * (2.0 * a / big_a) ** 2 + log_pair(d)
+    def pair(d: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            d2 = d * d
+            e = np.expm1(p * np.log1p(d2))
+            z = 2.0 * a * d / (1.0 + d2)
+            y = p * np.arctanh(z)
+            closed = 2.0 * ((1.0 + e) * (np.expm1(p / 2.0 * np.log1p(-z * z)) * np.cosh(y)
+                                         + 2.0 * np.sinh(y / 2.0) ** 2) + e) / d2
+            direct = ((1.0 + d2 + 2.0 * a * d) ** p + (1.0 + d2 - 2.0 * a * d) ** p - 2.0) / d2
+            near = abs(p) * d <= 1.0
+            return np.where(d < 1e-150, limit, np.where(near, closed, direct))
 
-    def direct(d: np.ndarray) -> np.ndarray:
-        return ((1.0 + d * d + 2.0 * a * d) ** p + (1.0 + d * d - 2.0 * a * d) ** p
-                - 2.0) / (d * d)
-
-    return lambda d: _cancel_free(d, p, closed, direct)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +269,7 @@ def hat_c_gro(gam: float, s: float) -> float:
 
 
 def _iso_parts(gam: float, s: float, N: int) -> tuple[Callable, Callable, Callable]:
-    """c_iso's kernel, its (1+t^2-2t/sqrt(N))^{-g/2} half, and its closed-form pair."""
+    """c_iso's (1+t^2+2t/sqrt(N))^{-g/2} and (1+t^2-2t/sqrt(N))^{-g/2} halves, and its pair."""
     _check_positive(gam, s)
     if N < 2:
         raise DomainError("N must be >= 2")
@@ -317,14 +280,13 @@ def _iso_parts(gam: float, s: float, N: int) -> tuple[Callable, Callable, Callab
                           "(1-1/N)^(-gamma/2) exceeds 1e300")
     a = 1.0 / math.sqrt(N)
 
+    def plus(t: np.ndarray) -> np.ndarray:
+        return (1.0 + t * t + 2.0 * a * t) ** (-gam / 2.0)
+
     def minus(t: np.ndarray) -> np.ndarray:
         return (1.0 + t * t - 2.0 * a * t) ** (-gam / 2.0)
 
-    def kernel(t: np.ndarray) -> np.ndarray:
-        plus = (1.0 + t * t + 2.0 * a * t) ** (-gam / 2.0)
-        return (plus + minus(t) - 2.0) * t ** (-1.0 - 2.0 * s)
-
-    return kernel, minus, _iso_pair(gam, a)
+    return plus, minus, _iso_pair(gam, a)
 
 
 def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
@@ -333,9 +295,9 @@ def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     integral_0^inf ((1+t^2+2t/sqrt(N))^{-g/2} + (1+t^2-2t/sqrt(N))^{-g/2} - 2)
     / t^{1+2s} dt.
     """
-    kernel, _, pair = _iso_parts(gam, s, N)
+    plus, minus, pair = _iso_parts(gam, s, N)
     integrand = Integrand(
-        eval=kernel,
+        eval=lambda t: (plus(t) + minus(t) - 2.0) * t ** (-1.0 - 2.0 * s),
         singular_points=[(0.0, 1.0 - 2.0 * s)],
         tail_decay=1.0 + 2.0 * s,
         regular_eval={0.0: lambda side, d: pair(d)},
@@ -348,13 +310,14 @@ def c_n_plus(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> flo
 
     One integral over (0, inf): N times the c_iso kernel, less
     (1+t^2-2t/sqrt(N))^{-gamma/2} / t^{1+2s} past t = sqrt(N), where the
-    integrand jumps (declared as a breakpoint).
+    integrand jumps (declared as a breakpoint, a plain panel edge).
     """
-    kernel, minus, pair = _iso_parts(gam, s, N)
+    plus, minus, pair = _iso_parts(gam, s, N)
     root = math.sqrt(N)
 
     def f(t: np.ndarray) -> np.ndarray:
-        return N * kernel(t) - np.where(t > root, minus(t) * t ** (-1.0 - 2.0 * s), 0.0)
+        m = minus(t)
+        return (N * (plus(t) + m - 2.0) - np.where(t > root, m, 0.0)) * t ** (-1.0 - 2.0 * s)
 
     integrand = Integrand(
         eval=f,
@@ -487,12 +450,18 @@ def find_gamma_bar(k: int, s: float) -> Optional[RootResult]:
 
 def _expanding_root(fn: Callable[[float], float], lo: float,
                     hi0: float) -> RootResult:
+    """A root of ``fn`` past ``lo``: walk hi0, 2*hi0, ... up to 1e3 to the first sign change.
+
+    Each walked point becomes the lower end, so the bracket handed to
+    :func:`_bracketed_root` is [hi/2, hi] (or [lo, hi0] at the first step).
+    """
     flo = fn(lo)
     hi = hi0
     while hi <= 1e3:
         fhi = fn(hi)
-        if flo * fhi < 0.0:
+        if flo * fhi <= 0.0:
             return _bracketed_root(fn, lo, hi, flo, fhi)
+        lo, flo = hi, fhi
         hi *= 2.0
     raise BracketFailure("no sign change found up to gamma = 1e3")
 
@@ -505,11 +474,19 @@ def find_gamma_tilde(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> RootRes
 
 
 def find_gamma_plus(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> RootResult:
-    """Root of c_n_plus; strictly above find_gamma_tilde by construction."""
-    tilde = find_gamma_tilde(N, s, tol)
-    result = _expanding_root(lambda g: c_n_plus(g, s, N, tol), tilde.root,
-                             max(2.0 * tilde.root, 2.0))
-    if not result.root > tilde.root:
+    """Root of c_n_plus, which lies above find_gamma_tilde.
+
+    c_N^+ = N c_iso - corr with corr > 0, so c_N^+ < 0 on (0, gamma_tilde]
+    where c_iso <= 0.  The root is found by the walk of find_gamma_tilde
+    (1e-3, then 2, 4, ...) on c_n_plus alone, and ``bracket`` reports the
+    bracket Chandrupatla's method starts from: [hi/2, hi] for the first
+    walked point hi where c_n_plus is positive, or [1e-3, 2].  That the
+    root exceeds gamma_tilde, c_iso's unique positive root, is one sign
+    test: c_iso(root + 1e-10) > 0, 1e-10 being the root's tolerance (at the
+    root itself c_iso can read as quadrature noise of either sign).
+    """
+    result = _expanding_root(lambda g: c_n_plus(g, s, N, tol), 1e-3, 2.0)
+    if not c_iso(result.root + 1e-10, s, N, tol) > 0.0:
         raise BracketFailure("gamma_plus did not exceed gamma_tilde")
     return result
 

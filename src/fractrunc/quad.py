@@ -102,10 +102,11 @@ class Integrand:
 
     ``singular_points`` lists ``(location, exponent)`` pairs where
     ``f(location + side*d) ~ C * d**exponent`` as ``d -> 0``; exponents must be
-    > -1 unless the location is a PV point, and exponent 0 declares a jump or
-    kink as a breakpoint.  ``tail_decay`` is an exponent ``beta`` with
-    ``|f(tau)| <= C*tau**-beta`` for large ``tau``; it must exceed 1 when
-    integration extends to +inf.
+    > -1 unless the location is a PV point.  Exponent 0 declares a jump or
+    kink as a breakpoint: a plain panel edge, unless the location has a
+    ``regular_eval``, which then gets its singular piece like any other.
+    ``tail_decay`` is an exponent ``beta`` with ``|f(tau)| <= C*tau**-beta``
+    for large ``tau``; it must exceed 1 when integration extends to +inf.
 
     ``regular_eval`` optionally maps a singular location to a stable
     regular-part evaluator ``r(side, d)``.  The PV points are the keys of
@@ -432,14 +433,17 @@ def _plan_interval(plan: _Plan, f: Integrand, a: float, b: float, abs_tol: float
     panels, each piece of which gets ``abs_tol / max(panels + 2, 3)``; a
     singular end takes half of its panel (a third when both ends are
     singular) through ``d = exp(-u)``, and an infinite tail gets
-    ``abs_tol / 4``.
+    ``abs_tol / 4``.  A breakpoint of exponent 0 without a regular part is
+    a plain panel edge, not a singular end.
     """
     f.validate(a, b)
-    sing = {loc: expo for loc, expo in f.singular_points}
+    points = [loc for loc, _ in f.singular_points]
+    sing = {loc: expo for loc, expo in f.singular_points
+            if expo != 0.0 or loc in f.regular_eval}
     finite_end = b
     if math.isinf(b):
-        finite_end = max([abs(a) + 1.0, 2.0] + [abs(loc) + 1.0 for loc in sing])
-    grid = sorted({a, finite_end} | {loc for loc in sing if a <= loc <= finite_end})
+        finite_end = max([abs(a) + 1.0, 2.0] + [abs(loc) + 1.0 for loc in points])
+    grid = sorted({a, finite_end} | {loc for loc in points if a <= loc <= finite_end})
     piece_abs = abs_tol / max(len(grid) + 1, 3)
     for lo, hi in zip(grid[:-1], grid[1:]):
         lo_sing, hi_sing = sing.get(lo), sing.get(hi)

@@ -3,12 +3,13 @@
 Everything here is derived from Gamma-function identities, written without
 importing the package under test, or frozen from an independent
 high-precision mpmath computation (50 digits for the roots, the defining
-integrals of the 1-D kernel constants and c_iso's 80, each recipe given with
-its values).  Tests compare package output against these values.  The
-package computes c_iso and c_N^+ by quadrature, and the 1-D kernel
-constants from Gamma closed forms written differently from the ones here
-(a reciprocal Gamma, an lgamma ratio, the reflected c_{s,mu}); the frozen
-integrals check both against the definitions themselves.
+integrals of the 1-D kernel constants, c_iso's 80 and the 40 of c_N^+'s
+one-sided correction, each recipe given with its values).  Tests compare
+package output against these values.  The package computes c_iso and c_N^+
+by quadrature, and the 1-D kernel constants from Gamma closed forms written
+differently from the ones here (a reciprocal Gamma, an lgamma ratio, the
+reflected c_{s,mu}); the frozen integrals check both against the
+definitions themselves.
 """
 
 import math
@@ -100,6 +101,23 @@ FROZEN_C_ISO = {  # (gamma, s, N) -> c_iso
     (0.7, 0.5, 3): -1.0537106981456088,
     (2000.0, 0.5, 20): 2.1274638384624886e22,
     (5000.0, 0.5, 9): 2.3000651415603092e127,
+}
+
+# c_n_plus(gamma, s, N) = N*c_iso - corr at the finite FROZEN_C_ISO keys with
+# gamma <= 3, N*c_iso taken from the frozen double above and corr from an
+# independent 40-digit mpmath quadrature, rounded to double:
+#
+#     mp.dps = 40; a = 1/sqrt(N)
+#     corr = quad(lambda t: (1+t^2-2at)^(-gamma/2) t^(-1-2s),
+#                 [sqrt(N), 2 sqrt(N), 10, 100, inf])
+#
+# The same integral in v = log t over [log sqrt(N), 3, 6, 20, inf], and the
+# first recipe at 50 digits, agree with it to 2e-42.
+FROZEN_C_N_PLUS = {  # (gamma, s, N) -> c_n_plus
+    (2.0, 0.5, 4): -7.309056526671944,
+    (3.0, 0.98, 5): -8.465649017740127,
+    (3.0, 0.6, 5): -9.758929106073285,
+    (0.7, 0.5, 3): -3.4194136539335056,
 }
 
 # The defining integrals of the 1-D kernel constants, frozen from an

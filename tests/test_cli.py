@@ -64,6 +64,13 @@ def test_table_csv_four_columns(capsys):
     assert rows[1][1] == "1" and rows[1][2] == "1"
 
 
+def test_table_where_gamma_plus_meets_gamma_tilde(capsys):
+    code, out, _ = run(capsys, ["table", "--N", "6", "--s", "0.05"])
+    assert code == 0
+    full_minus = [row for row in json.loads(out)["rows"] if row["operator"] == "I_6^-"]
+    assert 1.0 < full_minus[0]["p_star_upper"] < 1.01
+
+
 def test_verify_exit_codes_and_report(tmp_path, capsys):
     report = tmp_path / "r.json"
     code, _, _ = run(capsys, ["verify", "power-identity", "--s", "0.5",

@@ -289,21 +289,12 @@ def _pair_values(pair, d):
         return pair(d)
 
 
-@pytest.mark.parametrize("alpha", [-2.9, -1.5, -1.0, -0.5, -1e-4, 1e-4, 0.3, 0.5, 0.999,
-                                   1.0, 1.001, 1.5, 1.98])
-def test_pow_pair_matches_mpmath(alpha):
-    got = _pair_values(cn._pow_pair(alpha), PAIR_D)
-    a = mpmath.mpf(alpha)
-    for d, value in zip(PAIR_D, got):
-        want = alpha * (alpha - 1.0) if d == 0.0 else _mp_pair(
-            lambda x: (1 + x) ** a + (1 - x) ** a - 2, d)
-        assert abs(value - want) <= 5e-12 * max(abs(want), abs(alpha) * (1.0 + abs(alpha))), d
-
-
 @pytest.mark.parametrize("N", [2, 3, 4, 9, 20])
 def test_iso_pair_matches_mpmath(N):
     a = 1.0 / math.sqrt(N)
-    for gam in [0.05, 0.7, 1.0, max(N - 2.0, 0.3), 3.0, 10.0, 100.0, 1000.0, 2000.0]:
+    # 2e-4, 1, 2, 3 and 5.8 put the inner power pair's exponent -gamma/2 at -1e-4 .. -2.9
+    for gam in [2e-4, 0.05, 0.7, 1.0, 2.0, max(N - 2.0, 0.3), 3.0, 5.8, 10.0, 100.0, 1000.0,
+                2000.0]:
         if -gam / 2.0 * math.log1p(-1.0 / N) > math.log(1e300):
             continue  # outside c_iso's domain
         got = _pair_values(cn._iso_pair(gam, a), PAIR_D)
@@ -318,6 +309,39 @@ def test_iso_pair_matches_mpmath(N):
 @pytest.mark.parametrize("key", sorted(oc.FROZEN_C_ISO))
 def test_c_iso_frozen(key):
     assert cn.c_iso(*key) == pytest.approx(oc.FROZEN_C_ISO[key], rel=1e-10)
+
+
+@pytest.mark.parametrize("key", sorted(oc.FROZEN_C_N_PLUS))
+def test_c_n_plus_frozen(key):
+    assert cn.c_n_plus(*key) == pytest.approx(oc.FROZEN_C_N_PLUS[key], rel=1e-13)
+
+
+def test_gamma_plus_and_c_n_plus_quadrature_counts(monkeypatch):
+    # gamma_plus walks c_n_plus alone and checks gamma_tilde with one c_iso;
+    # the jump at sqrt(N) is a plain panel edge, not two singular pieces
+    evals = []
+    engine = cn.integrate
+
+    def spy(*args):
+        result = engine(*args)
+        evals.append(result.n_evals)
+        return result
+
+    monkeypatch.setattr(cn, "integrate", spy)
+    cn.find_gamma_plus(3, 0.5)
+    assert len(evals) <= 11
+    evals.clear()
+    cn.c_n_plus(2.0, 0.5, 4)
+    assert len(evals) == 1 and evals[0] <= 450
+
+
+@pytest.mark.parametrize("N,s", [(4, 0.01), (6, 0.05), (6, 0.1), (8, 0.24), (10, 0.43)])
+def test_gamma_plus_where_it_meets_gamma_tilde(N, s):
+    # gamma_plus - gamma_tilde is below the root's resolution here; c_iso at
+    # the root reads quadrature noise of either sign
+    root = cn.find_gamma_plus(N, s).root
+    assert root >= cn.find_gamma_tilde(N, s).root - 1e-10
+    assert cn.c_n_plus(root - 1e-7, s, N) < 0.0 < cn.c_n_plus(root + 1e-7, s, N)
 
 
 def test_c_n_plus_continuous_where_the_d2_coefficient_vanishes():

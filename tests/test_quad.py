@@ -258,3 +258,25 @@ def test_integrate_batch_splits_large_rounds():
         alone = quad.integrate_batch(lambda x, _: fn(x), [lo], [hi], tol, 1e-9)
         assert np.all(evals[g::3] == alone[2][0])
         assert values[g::3] == pytest.approx(alone[0][0], rel=1e-14, abs=1e-300)
+
+
+def test_jump_without_regular_part_is_a_panel_edge():
+    # a step at 0.7: one 21-node panel on each side integrates it exactly
+    step = Integrand(eval=lambda t: np.where(t > 0.7, 1.0, 0.0), singular_points=[(0.7, 0.0)])
+    r = integrate(step, 0.0, 2.0, TOL)
+    assert abs(r.value - 1.3) <= 1e-14
+    assert r.n_evals <= 2 * 2 * 21
+
+
+def test_jump_with_regular_part_keeps_its_singular_piece():
+    nodes = Counter()
+
+    def near_jump(side, d):
+        nodes["regular"] += d.size
+        return np.full_like(d, 1.0 if side > 0 else 0.0)
+
+    step = Integrand(eval=lambda t: np.where(t > 0.7, 1.0, 0.0), singular_points=[(0.7, 0.0)],
+                     regular_eval={0.7: near_jump})
+    r = integrate(step, 0.0, 2.0, TOL)
+    assert nodes["regular"] > 0
+    assert abs(r.value - 1.3) <= 1e-10
