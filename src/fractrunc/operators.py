@@ -116,16 +116,23 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 #                                           growth_const * (1+|tau|)^growth_alpha
 # optional:
 #   growth_const: float                     probed along each section if absent
-#   extra_abs_error(x, xi) -> float         evaluation-truncation error of
-#                                           the section's integral (before
-#                                           C_s); it joins the row's bar, and
-#                                           the row's absolute tolerance is
-#                                           floored at 1/16 of it
+#   near() -> field                         the field whose section through a
+#                                           point shows only the part near
+#                                           it; the engine integrates it in
+#                                           place of the field
+#   far_part(x, xi, s) -> (values, errors)  the rest of each row's order-s
+#                                           section integral (before C_s), in closed
+#                                           form, with its error, truncation
+#                                           included; vectorised over rows.
+#                                           The value joins the row's value
+#                                           and the error its bar, and the
+#                                           row's absolute tolerance is
+#                                           floored at 1/16 of that error
 #   d2_along(x, xi) -> float                analytic second derivative
 #
-# ``c2_radius`` takes one point of shape (N,); ``breakpoints``,
-# ``extra_abs_error`` and ``d2_along`` one point and one unit direction.  ``line``
-# does the field's vector work once per call, so the quadrature evaluates
+# ``c2_radius`` takes one point of shape (N,); ``breakpoints`` and
+# ``d2_along`` one point and one unit direction.  ``line`` and ``far_part``
+# do the field's vector work once per call, so the quadrature evaluates
 # a whole batch of nodes, of one section or of many, in one numpy pass.
 
 def _unit(xi: np.ndarray) -> np.ndarray:
@@ -153,22 +160,25 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     rungs per open section to an ``integrate_batch`` call; then every piece
     of (ii) and (iii) of every section goes into one call.
 
-    The field's point metadata (C^2 radius, the value u(x) that the
-    sections through a point share) is read once per distinct point,
-    ``breakpoints``, ``extra_abs_error`` and ``d2_along`` once per row.  A
-    row's ``extra_abs_error`` is the truncation error its field already
-    carries; it joins the row's bar, and the row's ``abs_tol`` is raised to
-    at least 1/16 of it before any piece below shares it out, since
-    quadrature far finer than the field itself buys nothing.  The pieces
-    then add at most about 3/64 of it to the bar.  A direction's C^2
-    window is its point's C^2 radius capped at its nearest breakpoint;
-    without ``d2_along`` the second derivatives of all rows come from one
-    call of finite differences inside their windows.  ``rel_tol``, like
-    ``abs_tol``, is one tolerance or one per row.
+    A field with ``near`` is integrated as ``u.near()``, the part of each
+    section near its point, and ``u.far_part`` of all rows adds the rest in
+    closed form.  The field's point metadata (C^2 radius, the value u(x)
+    that the sections through a point share) is read once per distinct
+    point, ``breakpoints`` and ``d2_along`` once per row.  The error of a
+    row's ``far_part`` is the error its field already carries; it joins the
+    row's bar, and the row's ``abs_tol`` is raised to at least 1/16 of it
+    before any piece below shares it out, since quadrature far finer than
+    the field itself buys nothing.  The pieces then add at most about 3/64
+    of it to the bar.  A direction's C^2 window is its point's C^2 radius
+    capped at its nearest breakpoint; without ``d2_along`` the second
+    derivatives of all rows come from one call of finite differences inside
+    their windows.  ``rel_tol``, like ``abs_tol``, is one tolerance or one
+    per row.
 
     ``n_evals`` of each result counts the section's field evaluations: u(0),
     two per kernel node (at t and -t), the growth probes and the finite
-    differences.  Field metadata (breakpoints, C^2 radius) is not counted.
+    differences.  Field metadata (breakpoints, C^2 radius) and ``far_part``
+    are not counted.
     """
     _check_s(s)
     growth_alpha = float(u.growth_alpha)
@@ -192,15 +202,16 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
         raise ValueError("a stack of points needs one point per direction")
     row_points = points[at]
 
+    if hasattr(u, "near"):
+        u = u.near()
     c2 = np.array([float(u.c2_radius(p)) for p in points])[at]
     radii = [[abs(float(t)) for t in u.breakpoints(p, xi)] for p, xi in zip(row_points, dirs)]
     window = np.array([min([c] + r) for c, r in zip(c2.tolist(), radii)])
     if np.any(window <= 0.0):
         raise ValueError("the C^2 window of every direction must be positive")
-    extra_fn = getattr(u, "extra_abs_error", None)
-    extra = (np.array([float(extra_fn(p, xi)) for p, xi in zip(row_points, dirs)])
-             if extra_fn is not None else np.zeros(m))
-    abs_tol = np.maximum(abs_tol, extra / 16.0)
+    closed, closed_err = (u.far_part(row_points, dirs, s) if hasattr(u, "far_part")
+                          else (np.zeros(m), np.zeros(m)))
+    abs_tol = np.maximum(abs_tol, closed_err / 16.0)
     u0 = np.array([float(u.line(p, dirs[i])(0.0)) for p, i in zip(points, first_row)])[at]
     two_u0 = 2.0 * u0
 
@@ -339,9 +350,9 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     far_val[far], far_err[far] = v[n_core:], e[n_core:]
     # bincount adds up each section's core pieces in their order
     value = (small_val + np.bincount(core_rows, v[:n_core], m)
-             + (-u0 * T ** (-2.0 * s) / s + far_val))
+             + (-u0 * T ** (-2.0 * s) / s + far_val) + closed)
     err = (small_err + np.bincount(core_rows, e[:n_core], m)
-           + (coeff * T**-decay + far_err) + extra)
+           + (coeff * T**-decay + far_err) + closed_err)
     Cs = normalizing_constant(s)
     return [QuadResult(a, b, c).scale(Cs)
             for a, b, c in zip(value.tolist(), err.tolist(), n_evals.tolist())]

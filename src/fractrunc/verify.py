@@ -186,17 +186,17 @@ def _cross_bump_bound(s: float) -> Callable[[float], float]:
 
 
 def epsilon_threshold(s: float, p: float) -> float:
-    """Largest grid eps in (0, 1/2) making the bump-train residual bound
-    nonpositive, minus a 10% safety margin."""
+    """Largest grid eps in [1e-6, 1/2) making the bump-train residual bound
+    nonpositive, minus a 10% safety margin that stops at the grid's floor,
+    the narrowest bump a ``BumpTrain`` takes."""
     if not 0.0 < p < math.inf:
         raise ValueError("p must be finite and positive")
-    bound = _cross_bump_bound(s)
-    grid = np.geomspace(1e-6, 0.499, 600)
-    admissible = [e for e in grid if bound(e) + e ** (2.0 * s * p) <= 0.0]
-    if not admissible:
+    grid = np.geomspace(pr._EPS_MIN, 0.499, 600)
+    admissible = grid[_cross_bump_bound(s)(grid) + grid ** (2.0 * s * p) <= 0.0]
+    if not admissible.size:
         raise NotFound(
             f"bump-train inequality fails for all eps >= 1e-6 at s={s}, p={p}")
-    return 0.9 * max(admissible)
+    return max(0.9 * float(admissible[-1]), pr._EPS_MIN)
 
 
 def verify_bump_train(s: float, p: float, eps: Optional[float] = None,

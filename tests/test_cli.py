@@ -144,12 +144,15 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
      "transform requires q != 1 when p != q"),
     (["verify", "bump-train", "--s", "0.5", "--p", "inf"], "p must be finite and positive"),
     (["verify", "bump-train", "--s", "0.5", "--p", "nan"], "p must be finite and positive"),
+    # a bump narrower than the quadrature's breakpoint resolution read as ~0
+    (["verify", "bump-train", "--s", "0.5", "--p", "1.5", "--eps", "1e-20"],
+     "eps must lie in [1e-06, 1/2)"),
 ], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "t49-2-gamma-nan",
         "t49-2-gamma-inf", "t49-2-gamma-overflow", "transform-q1", "bump-train-p-inf",
-        "bump-train-p-nan"])
+        "bump-train-p-nan", "bump-train-eps-tiny"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, message):
     # DIR stands for an existing directory: given where a file belongs, or as
     # the parent of a directory that does not exist

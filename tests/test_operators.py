@@ -417,8 +417,8 @@ def _reference_directional(u, x, xi, s, tol):
                             math.log(core_end), math.log(T), tol.abs_tol / 4.0, tol.rel_tol)
         value, err = value + v, err + e
     Cs = cn.normalizing_constant(s)
-    extra = float(u.extra_abs_error(x, xi)) if hasattr(u, "extra_abs_error") else 0.0
-    return Cs * value, Cs * (err + extra)
+    closed, closed_err = u.far_part(x, xi, s) if hasattr(u, "far_part") else (0.0, 0.0)
+    return Cs * (value + float(closed)), Cs * (err + float(closed_err))
 
 
 # field kinds whose growth exponent stays below 2s for every s tested
@@ -514,7 +514,8 @@ def test_frame_sums():
 # --- the tolerance floor at a field's own truncation error -------------------
 
 class _NoTruncationBar:
-    """A field's proxy without ``extra_abs_error``, so its rows keep the full tolerance."""
+    """A field's proxy without ``near`` and ``far_part``, so its rows integrate the
+    whole field and keep the full tolerance."""
 
     def __init__(self, field):
         self.growth_alpha, self.growth_const = field.growth_alpha, field.growth_const
@@ -529,9 +530,10 @@ def test_row_tolerance_floors_at_truncation_error():
     x, e_n = np.array([0.0, eps]), np.array([0.0, 1.0])
     r = op.directional(u, x, e_n, s, TOL)
     full = op.directional(_NoTruncationBar(u), x, e_n, s, TOL)
-    extra = cn.normalizing_constant(s) * u.extra_abs_error(x, e_n)
-    # ~240k evaluations at the full 1e-10, ~34k at the floor extra/16
-    assert r.n_evals <= 60_000
+    extra = cn.normalizing_constant(s) * float(u.far_part(x, e_n, s)[1])
+    # ~240k evaluations over the whole window at the full 1e-10; the near
+    # bump alone at the floor extra/16 takes ~500
+    assert r.n_evals <= 2_000
     # the quadrature part of the bar alone covers the distance to the full
     # tolerance's value; the truncation part is the same for both
     assert abs(r.value - full.value) <= (r.abs_error_estimate - extra) + full.abs_error_estimate
@@ -542,11 +544,11 @@ def test_row_tolerance_floors_at_truncation_error():
 def test_bump_train_truncation_bar_covers_the_far_bumps(s):
     eps, window, tilt = 0.2, 6, 0.6
     x = np.array([0.0, eps])
-    near, wide = pr.BumpTrain(eps, s, window), pr.BumpTrain(eps, s, 2 * window)
+    narrow, wide = pr.BumpTrain(eps, s, window), pr.BumpTrain(eps, s, 2 * window)
     bars, values = [], []
     for xi in (np.array([0.0, 1.0]), np.array([0.8, tilt])):
-        r = op.directional(near, x, xi, s, TOL)
-        extra = cn.normalizing_constant(s) * near.extra_abs_error(x, xi)
+        r = op.directional(narrow, x, xi, s, TOL)
+        extra = cn.normalizing_constant(s) * float(narrow.far_part(x, xi, s)[1])
         # doubling the window adds bumps only beyond the truncation distance
         assert abs(r.value - op.directional(wide, x, xi, s, TOL).value) <= extra
         values.append(r.value)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,11 +123,14 @@ def test_bump_train_values():
     assert u(center + np.array([0.0, 3.0])) == pytest.approx(u(center),
                                                              rel=1e-12)
     e_n, tilted = np.array([0.0, 1.0]), np.array([0.8, 0.6])
-    assert 0.0 < u.extra_abs_error(np.array([0.0, 1.0]), e_n) < 1e-2
+
+    def far_error(xi):
+        return float(u.far_part(np.array([0.0, 1.0]), xi, s)[1])
+
+    assert 0.0 < far_error(e_n) < 1e-2
     # the train depends on x_N alone: the bound scales as |xi_N|^{2s}
-    assert u.extra_abs_error(np.array([0.0, 1.0]), tilted) == pytest.approx(
-        0.6 ** (2.0 * s) * u.extra_abs_error(np.array([0.0, 1.0]), e_n), rel=1e-14)
-    assert u.extra_abs_error(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == 0.0
+    assert far_error(tilted) == pytest.approx(0.6 ** (2.0 * s) * far_error(e_n), rel=1e-14)
+    assert far_error(np.array([1.0, 0.0])) == 0.0
 
 
 def test_bump_train_window():
@@ -159,6 +163,67 @@ def test_bump_train_metadata_matches_per_edge_formula(eps, s, window):
         old = sorted(t for t in ((e - x[-1]) / xi[-1] for e in edges) if abs(t) > 1e-9)
         assert u.breakpoints(x, xi) == old
         assert u.c2_radius(x) == max(min(abs(float(x[-1]) - e) for e in edges) / 2.0, 1e-6)
+
+
+@pytest.mark.parametrize("s", [1e-5, 0.05, 0.5, 0.95, 0.999])
+def test_far_bump_series_matches_mpmath(s):
+    # the bump's kernel integral at d = 2*eps, the nearest distance it is
+    # summed at, at 1 and at 399, the far end of the default window
+    for eps in (0.0017, 0.2, 0.4025):
+        ds = np.array([2.0 * eps, 1.0, 399.0])
+        values, errors = pr._far_bump(eps, s, s, ds)
+        with mpmath.workdps(30):
+            e, a = mpmath.mpf(eps), mpmath.mpf(s)
+            for d, value, error in zip(ds, values, errors):
+                want = mpmath.quad(lambda h: (e * e - h * h) ** a * (d - h) ** (-1 - 2 * a),
+                                   [-e, 0, e])
+                assert abs(value - want) <= error
+                assert error <= 1e-14 * value
+
+
+def test_bump_train_near_shows_the_bumps_within_two_eps():
+    eps, s = 0.4025, 0.955
+    u = pr.BumpTrain(eps, s, window=10)
+    near = u.near()
+    centres = np.arange(10) + eps
+    # inside bumps, at a centre, in gaps (whose near bumps are both
+    # neighbours at this eps), at the window's ends and beyond them
+    for y in (eps, 1.0 + eps, 3.1, 4.0 + eps + 0.5, 0.9, -0.3, 9.7, 11.0):
+        x = np.array([0.3, y])
+        assert near(x) == u(x)
+        close = np.abs(centres - y) < 2.0 * eps
+        line = near.line(x, np.array([0.0, 1.0]))
+        assert np.array_equal(line(centres - y), np.where(close, eps ** (2.0 * s), 0.0))
+        assert set(near.breakpoints(x, np.array([0.0, 1.0]))) <= set(
+            u.breakpoints(x, np.array([0.0, 1.0])))
+    # with eps below 1/4 a gap point has no near bump: its section is 0
+    thin = pr.BumpTrain(0.1, s, window=10).near()
+    assert thin.breakpoints(np.array([0.0, 0.7]), np.array([0.0, 1.0])) == []
+    assert thin.c2_radius(np.array([0.0, 0.7])) == 1.0
+
+
+def test_bump_train_far_part():
+    eps, s, window = 0.2, 0.5, 400
+    u = pr.BumpTrain(eps, s, window)
+    x = np.array([[0.0, eps], [0.0, eps], [0.0, 3.5], [1.0, 3.5]])
+    xi = np.array([[0.0, 1.0], [0.8, 0.6], [0.0, 1.0], [1.0, 0.0]])
+    # the whole train: nothing in closed form, the bumps beyond the window as
+    # error, the formula of the truncation bound it always carried
+    values, errors = u.far_part(x, xi, s)
+    assert values.tolist() == [0.0] * 4
+    assert errors.tolist() == [abs(b[-1]) ** (2.0 * s) * eps ** (2.0 * s)
+                               * max(window - a[-1], 1.0) ** (-2.0 * s) / s
+                               for a, b in zip(x, xi)]
+    # the near train adds every bump at d >= 2 eps of the row's point
+    values, errors = u.near().far_part(x, xi, s)
+    for y, row in ((eps, 0), (3.5, 2)):
+        d = np.abs(np.arange(window) + eps - y)
+        F, _ = pr._far_bump(eps, s, s, d[d >= 2.0 * eps])
+        assert values[row] == pytest.approx(math.fsum(F), rel=1e-14)
+    assert values[1] == pytest.approx(0.6 ** (2.0 * s) * values[0], rel=1e-14)
+    assert values[3] == 0.0 and errors[3] == 0.0
+    # the series and its rounding widen the bar by a few hundred ulps of the value
+    assert 0.0 < errors[0] - float(u.far_part(x[0], xi[0], s)[1]) < 1e-13 * values[0]
 
 
 def test_halfspace_power_tail_vanishes_below_wall():

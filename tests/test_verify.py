@@ -112,19 +112,38 @@ def test_bump_train_requires_finite_positive_p(p):
         vf.verify_bump_train(0.5, p, eps=0.2)
 
 
-def test_bump_train_cross_bump_bound():
-    # eps and the bound come from the one formula, in this operation order
-    s, p = 0.5, 2.0
+def _scalar_cross_bump_bound(s):
     Cs, beta = vf.cn.normalizing_constant(s), vf.cn.beta_1ms_s(s)
 
     def bound(eps):
         return -Cs * beta + Cs * (1.0 - 2.0 * eps) ** (-2.0 * s) * eps ** (2.0 * s) / s
+    return bound
 
+
+def test_bump_train_cross_bump_bound():
+    # eps and the bound come from the one formula, in this operation order,
+    # one grid point at a time
     grid = np.geomspace(1e-6, 0.499, 600)
+    for s in (0.001, 0.05, 0.3, 0.5, 0.75, 0.97, 0.999):
+        bound = _scalar_cross_bump_bound(s)
+        for p in (0.2, 0.8, 1.5, 2.0, 4.0, 6.0):
+            admissible = [e for e in grid if bound(e) + e ** (2.0 * s * p) <= 0.0]
+            if admissible:
+                assert vf.epsilon_threshold(s, p) == 0.9 * max(admissible)
+            else:
+                with pytest.raises(vf.NotFound):
+                    vf.epsilon_threshold(s, p)
+    s, p = 0.5, 2.0
     eps = vf.epsilon_threshold(s, p)
-    assert eps == 0.9 * max(e for e in grid if bound(e) + e ** (2.0 * s * p) <= 0.0)
     r = vf.verify_bump_train(s, p, eps=eps, window=10, tol=Tolerance(1e-6, 1e-6))
-    assert r.params["cross_bump_bound"] == bound(eps)
+    assert r.params["cross_bump_bound"] == _scalar_cross_bump_bound(s)(eps)
+
+
+def test_epsilon_threshold_stops_at_the_narrowest_bump():
+    # only the grid's floor 1e-6 is admissible; 10% below it a train refuses
+    assert vf.epsilon_threshold(0.5, 5.02e-8) == 1e-6
+    with pytest.raises(vf.pr.ExponentOutOfRange, match=r"eps must lie in \[1e-06, 1/2\)"):
+        vf.pr.BumpTrain(0.9e-6, 0.5)
 
 
 def test_t49_2_passes():
