@@ -23,7 +23,7 @@ import numpy as np
 
 from . import constants as cn
 from . import verify as vf
-from .quad import Tolerance
+from .quad import QuadResult, Tolerance
 
 __all__ = ["main", "Config", "load_config", "write_atomic",
            "render_csv", "render_svg"]
@@ -202,28 +202,37 @@ def cmd_constants(args: argparse.Namespace, cfg: Config) -> int:
         "params": {"s": s, "N": N, "k": k, "gamma": args.gamma, "mu": args.mu},
         "C_s": cn.normalizing_constant(s),
         "beta": cn.beta_1ms_s(s),
-        "error_estimates": {"closed_form": 1e-14, "quadrature": cfg.abs_tol},
+        # the quadrature bar is the largest error estimate of the c_iso and
+        # c_N_plus values below, which run at the constants' own tolerance
+        "error_estimates": {"closed_form": 1e-14, "quadrature": None},
     }
     notes = []
+    quadrature = []
 
     def attempt(name, fn, *fargs):
         try:
-            doc[name] = fn(*fargs)
+            value = fn(*fargs)
         except (cn.DomainError, ValueError) as exc:
             doc[name] = None
             notes.append(f"{name}: {exc}")
+            return
+        if isinstance(value, QuadResult):
+            quadrature.append(value.abs_error_estimate)
+            value = value.value
+        doc[name] = value
 
     gamma = args.gamma
     if gamma is not None:
         attempt("c_hat", cn.hat_c_dec, gamma, s)
         attempt("c_perp", cn.c_perp, gamma, s)
         attempt("c_k", cn.c_k_fn, gamma, s, k)
-        attempt("c_iso", cn.c_iso, gamma, s, N)
-        attempt("c_N_plus", cn.c_n_plus, gamma, s, N)
+        attempt("c_iso", lambda: cn.iso_stack([gamma], s, N, False)[0])
+        attempt("c_N_plus", lambda: cn.iso_stack([gamma], s, N, True)[0])
     else:
         doc.update({"c_hat": None, "c_perp": None, "c_k": None,
                     "c_iso": None, "c_N_plus": None})
         notes.append("gamma not supplied; gamma-dependent constants omitted")
+    doc["error_estimates"]["quadrature"] = max(quadrature, default=None)
     if args.mu is not None:
         attempt("c_s_mu", cn.c_s_mu, args.mu, s)
     else:

@@ -9,8 +9,13 @@ independent of the normalization choice.
 The 1-D kernel constants ``hat_c_dec``, ``c_perp``, ``c_k_fn``, ``hat_c_gro``
 and ``c_s_mu`` are Gamma-function closed forms; a reciprocal Gamma that is
 exactly 0 at its poles puts their roots exactly where they vanish.
-``c_iso`` and ``c_n_plus`` have none: each is one array-valued ``integrate``
-call, so one batched quadrature.
+``c_iso`` and ``c_n_plus`` have none.  They share one kernel, and
+``iso_stack`` evaluates either at a whole stack of gamma in one
+``integrate`` call, so one batched quadrature; ``c_iso`` and ``c_n_plus``
+are its stacks of one.  The roots gamma_tilde and gamma_plus come from
+three such calls, or a few more: a walk over a gamma grid, a Chebyshev
+proxy on the cell where the constant changes sign, and a closing sign test
+at the proxy's root +- 5e-11, which is the root's bracket.
 
 Their integrands pair values symmetrically around a singular point, which
 is catastrophically ill-conditioned in double precision near the pairing
@@ -31,11 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quad import Integrand, Tolerance, integrate
+from .quad import Integrand, StackResult, Tolerance, integrate
 from .quad import integrate_pv  # unused here; still looked up by perfbench's tracer
 
 __all__ = [
@@ -53,6 +58,7 @@ __all__ = [
     "hat_c_gro",
     "c_iso",
     "c_n_plus",
+    "iso_stack",
     "c_s_mu",
     "find_gamma_bar",
     "find_gamma_tilde",
@@ -142,12 +148,12 @@ def beta_1ms_s(s: float) -> float:
 # cancellation-free kernel pairs
 # ---------------------------------------------------------------------------
 
-def _iso_pair(gam: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
-    """d -> ((1+d^2+2ad)^{-g/2} + (1+d^2-2ad)^{-g/2} - 2)/d^2, stable for any d >= 0.
+def _iso_pair(gam: float | np.ndarray, a: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(d, member) -> ((1+d^2+2ad)^{-g/2} + (1+d^2-2ad)^{-g/2} - 2)/d^2 at the member's g, for any d >= 0.
 
-    With p = -g/2, A = 1+d^2, e = expm1(p*log1p(d^2)) = A^p - 1, z = 2ad/A
-    and y = p*atanh(z), the numerator is
-    2*((1+e)*(expm1((p/2)*log1p(-z^2))*cosh(y) + 2*sinh(y/2)^2) + e):
+    ``gam`` holds one g per member of a stack.  With p = -g/2, A = 1+d^2,
+    e = expm1(p*log1p(d^2)) = A^p - 1, z = 2ad/A and y = p*atanh(z), the
+    numerator is 2*((1+e)*(expm1((p/2)*log1p(-z^2))*cosh(y) + 2*sinh(y/2)^2) + e):
     two O(d^2) terms, no O(1) ones.  Since z <= a <= 1/sqrt(2), atanh(z)
     stays finite, and the closed form is used wherever |p|*d <= 1, where
     the direct form cancels (for small |p| at any d); past that it
@@ -155,10 +161,12 @@ def _iso_pair(gam: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
     on every node and one is picked.  Below d = 1e-150, where d^2 leaves the
     normal range, the pair is its limit 4a^2 p(p-1) + 2p.
     """
-    p = -gam / 2.0
-    limit = 4.0 * a * a * p * (p - 1.0) + 2.0 * p
+    p_all = -np.atleast_1d(np.asarray(gam, float)) / 2.0
+    limit_all = 4.0 * a * a * p_all * (p_all - 1.0) + 2.0 * p_all
 
-    def pair(d: np.ndarray) -> np.ndarray:
+    def pair(d: np.ndarray, member: np.ndarray) -> np.ndarray:
+        # a stack of one keeps a scalar exponent, for numpy's scalar loops
+        p = p_all[member] if p_all.size > 1 else p_all[0]
         with np.errstate(all="ignore"):
             d2 = d * d
             e = np.expm1(p * np.log1p(d2))
@@ -167,8 +175,8 @@ def _iso_pair(gam: float, a: float) -> Callable[[np.ndarray], np.ndarray]:
             closed = 2.0 * ((1.0 + e) * (np.expm1(p / 2.0 * np.log1p(-z * z)) * np.cosh(y)
                                          + 2.0 * np.sinh(y / 2.0) ** 2) + e) / d2
             direct = ((1.0 + d2 + 2.0 * a * d) ** p + (1.0 + d2 - 2.0 * a * d) ** p - 2.0) / d2
-            near = abs(p) * d <= 1.0
-            return np.where(d < 1e-150, limit, np.where(near, closed, direct))
+            near = np.abs(p) * d <= 1.0
+            return np.where(d < 1e-150, limit_all[member], np.where(near, closed, direct))
 
     return pair
 
@@ -268,41 +276,65 @@ def hat_c_gro(gam: float, s: float) -> float:
     return -_perp_kernel(-gam, s) * _dec_ratio(-gam, s)
 
 
-def _iso_parts(gam: float, s: float, N: int) -> tuple[Callable, Callable, Callable]:
-    """c_iso's (1+t^2+2t/sqrt(N))^{-g/2} and (1+t^2-2t/sqrt(N))^{-g/2} halves, and its pair."""
-    _check_positive(gam, s)
+def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool | Sequence[bool],
+              tol: Tolerance = _DEFAULT_TOL) -> StackResult:
+    """c_iso, or c_N^+ where ``n_plus`` is true, at every gamma of a stack: one ``integrate`` call.
+
+    Both are integrals over (0, inf) of one kernel,
+    (w*(plus + minus - 2) - kappa*1{t > sqrt(N)}*minus) / t^{1+2s} with
+    plus, minus = (1+t^2 +- 2t/sqrt(N))^{-g/2}, and (w, kappa) = (1, 0) for
+    c_iso and (N, 1) for c_N^+.  The singular point 0 and the tail exponent
+    1 + 2s are shared, so the members differ in g, w and kappa only; the
+    jump at sqrt(N) is a breakpoint (a plain panel edge) of the stack when
+    some member is c_N^+.  Returns one ``QuadResult`` per member, in a ``StackResult``.
+    """
+    for gam in gammas:
+        _check_positive(gam, s)
     if N < 2:
         raise DomainError("N must be >= 2")
     # the kernel peaks at (1-1/N)^{-g/2}, at t = 1/sqrt(N); past 1e300 its
     # values, and the quadrature's sums of them, leave the float range
-    if -gam / 2.0 * math.log1p(-1.0 / N) > math.log(1e300):
-        raise DomainError(f"gamma = {gam} is too large: the kernel's peak "
-                          "(1-1/N)^(-gamma/2) exceeds 1e300")
+    for gam in gammas:
+        if -gam / 2.0 * math.log1p(-1.0 / N) > math.log(1e300):
+            raise DomainError(f"gamma = {gam} is too large: the kernel's peak "
+                              "(1-1/N)^(-gamma/2) exceeds 1e300")
     a = 1.0 / math.sqrt(N)
+    root = math.sqrt(N)
+    gam = np.array(gammas, float)
+    p = -gam / 2.0
+    pair = _iso_pair(gam, a)
+    power = -1.0 - 2.0 * s
+    kappa = np.array([n_plus] * gam.size if isinstance(n_plus, bool) else n_plus, float)
+    w = 1.0 + (N - 1.0) * kappa  # N where kappa is 1
 
-    def plus(t: np.ndarray) -> np.ndarray:
-        return (1.0 + t * t + 2.0 * a * t) ** (-gam / 2.0)
+    jump = bool(kappa.any())
 
-    def minus(t: np.ndarray) -> np.ndarray:
-        return (1.0 + t * t - 2.0 * a * t) ** (-gam / 2.0)
+    def kernel(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+        pm = p[m] if p.size > 1 else p[0]  # as in the pair
+        square, cross = 1.0 + t * t, 2.0 * a * t
+        minus = (square - cross) ** pm
+        value = (square + cross) ** pm + minus - 2.0
+        if jump:  # (w, kappa) = (1, 0) on every member otherwise
+            value = w[m] * value - kappa[m] * np.where(t > root, minus, 0.0)
+        return value * t ** power
 
-    return plus, minus, _iso_pair(gam, a)
+    integrand = Integrand(
+        eval=kernel,
+        singular_points=[(0.0, 1.0 - 2.0 * s)] + ([(root, 0.0)] if jump else []),
+        tail_decay=1.0 + 2.0 * s,
+        regular_eval={0.0: lambda side, d, m: w[m] * pair(d, m)},
+        stack=gam.size,
+    )
+    return integrate(integrand, 0.0, math.inf, tol)
 
 
 def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     """Isotropic half-space kernel constant.
 
     integral_0^inf ((1+t^2+2t/sqrt(N))^{-g/2} + (1+t^2-2t/sqrt(N))^{-g/2} - 2)
-    / t^{1+2s} dt.
+    / t^{1+2s} dt: the stack of one of :func:`iso_stack`.
     """
-    plus, minus, pair = _iso_parts(gam, s, N)
-    integrand = Integrand(
-        eval=lambda t: (plus(t) + minus(t) - 2.0) * t ** (-1.0 - 2.0 * s),
-        singular_points=[(0.0, 1.0 - 2.0 * s)],
-        tail_decay=1.0 + 2.0 * s,
-        regular_eval={0.0: lambda side, d: pair(d)},
-    )
-    return integrate(integrand, 0.0, math.inf, tol).value
+    return iso_stack([gam], s, N, False, tol)[0].value
 
 
 def c_n_plus(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
@@ -310,22 +342,10 @@ def c_n_plus(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> flo
 
     One integral over (0, inf): N times the c_iso kernel, less
     (1+t^2-2t/sqrt(N))^{-gamma/2} / t^{1+2s} past t = sqrt(N), where the
-    integrand jumps (declared as a breakpoint, a plain panel edge).
+    integrand jumps (declared as a breakpoint, a plain panel edge); the
+    stack of one of :func:`iso_stack`.
     """
-    plus, minus, pair = _iso_parts(gam, s, N)
-    root = math.sqrt(N)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        m = minus(t)
-        return (N * (plus(t) + m - 2.0) - np.where(t > root, m, 0.0)) * t ** (-1.0 - 2.0 * s)
-
-    integrand = Integrand(
-        eval=f,
-        singular_points=[(0.0, 1.0 - 2.0 * s), (root, 0.0)],
-        tail_decay=1.0 + 2.0 * s,
-        regular_eval={0.0: lambda side, d: N * pair(d)},
-    )
-    return integrate(integrand, 0.0, math.inf, tol).value
+    return iso_stack([gam], s, N, True, tol)[0].value
 
 
 def c_s_mu(mu: float, s: float, form: str = "primary",
@@ -448,45 +468,137 @@ def find_gamma_bar(k: int, s: float) -> Optional[RootResult]:
     return _bracketed_root(fn, lo, hi, flo, fhi)
 
 
-def _expanding_root(fn: Callable[[float], float], lo: float,
-                    hi0: float) -> RootResult:
-    """A root of ``fn`` past ``lo``: walk hi0, 2*hi0, ... up to 1e3 to the first sign change.
+# the walk's two gamma grids, and the Chebyshev-Lobatto points of the proxy on [-1, 1]
+_WALK = ((2.0, 4.0, 8.0, 16.0, 32.0), (64.0, 128.0, 256.0, 512.0, 1024.0))
+_PROXY_DEGREE = 16
+_LOBATTO = -np.cos(np.pi * np.arange(_PROXY_DEGREE + 1) / _PROXY_DEGREE)
+_BARYCENTRIC = (-1.0) ** np.arange(_PROXY_DEGREE + 1)  # the weights at those points
+_BARYCENTRIC[[0, -1]] *= 0.5
+_ZOOM = np.linspace(0.0, 1.0, 33)[1:-1]
+_PASS_LIMIT = 40
 
-    Each walked point becomes the lower end, so the bracket handed to
-    :func:`_bracketed_root` is [hi/2, hi] (or [lo, hi0] at the first step).
+
+def _proxy_root(x: np.ndarray, fx: np.ndarray, j: int) -> float:
+    """The root in [x[j-1], x[j]] of the interpolant of ``fx`` at the Chebyshev-Lobatto points ``x``.
+
+    The interpolant is evaluated in barycentric form (Berrut & Trefethen,
+    SIAM Review 46, 2004) at 31 inner points of the cell where it changes
+    sign, four times over, each time on the sub-cell where it changes sign
+    (32^4 ~ 1e6 narrower); the root is the secant point of the last one.
     """
-    flo = fn(lo)
-    hi = hi0
-    while hi <= 1e3:
-        fhi = fn(hi)
-        if flo * fhi <= 0.0:
-            return _bracketed_root(fn, lo, hi, flo, fhi)
-        lo, flo = hi, fhi
-        hi *= 2.0
-    raise BracketFailure("no sign change found up to gamma = 1e3")
+    a, fa, b, fb = x[j - 1], fx[j - 1], x[j], fx[j]
+    for _ in range(4):
+        t = a + (b - a) * _ZOOM
+        weights = _BARYCENTRIC / (t[:, None] - x)
+        ft = (weights @ fx) / weights.sum(axis=1)
+        up = np.flatnonzero(ft > 0.0)
+        k = int(up[0]) if up.size else t.size
+        if k > 0:
+            a, fa = t[k - 1], ft[k - 1]
+        if k < t.size:
+            b, fb = t[k], ft[k]
+    return float(a - fa * (b - a) / (fb - fa))
+
+
+def _root_passes(evaluate: Callable[[list[float], bool], np.ndarray], f0: float,
+                 xtol: float = 1e-10) -> RootResult:
+    """The first root above 0 of a constant c with c(0) = ``f0`` and c < 0 just above 0.
+
+    ``evaluate(gammas, closing)`` returns c at a stack of gammas from one
+    batched quadrature, a pass; it may check more on a closing pass.
+    1. Walk: c at 2, 4, ..., 32, then at 64, ..., 1024 if c is positive at
+       none of them, with 0 as the lowest point: the first cell where c
+       turns positive.
+    2. Proxy: c at the 15 inner Chebyshev-Lobatto points of the cell, and r
+       the root of their degree-16 interpolant (a Chebyshev proxy, Boyd,
+       Solving Transcendental Equations, SIAM 2014) in the node cell where
+       c turns positive.
+    3. Closing test: c at r - delta, r and r + delta, delta = xtol/2.  If c
+       changes sign across r +- delta, that is the bracket: at most
+       xtol + 2.2e-16*|r| wide, the rounding of its ends included.
+       Otherwise the cell shrinks to the pair of points seen nearest r
+       where c turns positive, at least ~10x, and 2-3 repeat.
+    ``residual`` is c(r) and ``iterations`` counts the passes.
+    """
+    lo, flo = 0.0, f0
+    passes = 0
+    for grid in _WALK:
+        values = evaluate(list(grid), False)
+        passes += 1
+        up = np.flatnonzero(values > 0.0)
+        if up.size:
+            i = int(up[0])
+            if i > 0:
+                lo, flo = grid[i - 1], float(values[i - 1])
+            hi, fhi = grid[i], float(values[i])
+            break
+        lo, flo = grid[-1], float(values[-1])
+    else:
+        raise BracketFailure(f"no sign change found up to gamma = {_WALK[-1][-1]:g}")
+    while passes < _PASS_LIMIT:
+        x = lo + (hi - lo) * (_LOBATTO + 1.0) / 2.0
+        x[0], x[-1] = lo, hi
+        fx = np.concatenate(([flo], evaluate(x[1:-1].tolist(), False), [fhi]))
+        j = int(np.flatnonzero(fx > 0.0)[0])
+        r = _proxy_root(x, fx, j)
+        probe = np.array([r - 0.5 * xtol, r, r + 0.5 * xtol])
+        fp = evaluate(probe.tolist(), True)
+        passes += 2
+        if (fp[0] > 0.0) != (fp[2] > 0.0):
+            return RootResult(r, float(fp[1]), (float(probe[0]), float(probe[2])), passes)
+        xs = np.concatenate((x, probe))
+        order = np.argsort(xs, kind="stable")
+        xs, fs = xs[order], np.concatenate((fx, fp))[order]
+        changes = np.flatnonzero((fs[:-1] <= 0.0) & (fs[1:] > 0.0))
+        i = int(changes[np.argmin(np.abs(xs[changes] - r))])
+        lo, flo, hi, fhi = float(xs[i]), float(fs[i]), float(xs[i + 1]), float(fs[i + 1])
+        if hi - lo <= xtol:
+            # a sign change within the tolerance that the test at r +- delta missed
+            root, value = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
+            return RootResult(root, value, (lo, hi), passes)
+    raise BracketFailure(f"no root to within {xtol:g} after {_PASS_LIMIT} passes")
 
 
 def find_gamma_tilde(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> RootResult:
-    """Unique positive root of c_iso."""
+    """Unique positive root of c_iso, from batched passes (:func:`_root_passes`).
+
+    c_iso(0) = 0, and c_iso < 0 just above 0.
+    """
     if N < 2:
         raise DomainError("N must be >= 2")
-    return _expanding_root(lambda g: c_iso(g, s, N, tol), 1e-3, 2.0)
+
+    def evaluate(gammas: list[float], closing: bool) -> np.ndarray:
+        return np.array([r.value for r in iso_stack(gammas, s, N, False, tol)])
+
+    return _root_passes(evaluate, 0.0)
 
 
 def find_gamma_plus(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> RootResult:
-    """Root of c_n_plus, which lies above find_gamma_tilde.
+    """Root of c_n_plus, which lies above find_gamma_tilde, from batched passes.
 
     c_N^+ = N c_iso - corr with corr > 0, so c_N^+ < 0 on (0, gamma_tilde]
-    where c_iso <= 0.  The root is found by the walk of find_gamma_tilde
-    (1e-3, then 2, 4, ...) on c_n_plus alone, and ``bracket`` reports the
-    bracket Chandrupatla's method starts from: [hi/2, hi] for the first
-    walked point hi where c_n_plus is positive, or [1e-3, 2].  That the
-    root exceeds gamma_tilde, c_iso's unique positive root, is one sign
-    test: c_iso(root + 1e-10) > 0, 1e-10 being the root's tolerance (at the
-    root itself c_iso can read as quadrature noise of either sign).
+    where c_iso <= 0; c_N^+(0) = -N^{-s}/(2s) in closed form.  The root is
+    found by :func:`_root_passes` on c_n_plus alone.  That it exceeds
+    gamma_tilde, c_iso's unique positive root, is one sign test in the same
+    call as each closing test: c_iso(r + 1e-10) > 0, 1e-10 being the root's
+    tolerance (at the root itself c_iso can read as quadrature noise of
+    either sign).
     """
-    result = _expanding_root(lambda g: c_n_plus(g, s, N, tol), 1e-3, 2.0)
-    if not c_iso(result.root + 1e-10, s, N, tol) > 0.0:
+    _check_s(s)
+    if N < 2:
+        raise DomainError("N must be >= 2")
+
+    iso_above = []  # c_iso(r + 1e-10) of each closing pass
+
+    def evaluate(gammas: list[float], closing: bool) -> np.ndarray:
+        if not closing:
+            return np.array([r.value for r in iso_stack(gammas, s, N, True, tol)])
+        results = iso_stack(gammas + [gammas[1] + 1e-10], s, N, [True] * 3 + [False], tol)
+        iso_above.append(results[3].value)
+        return np.array([r.value for r in results[:3]])
+
+    result = _root_passes(evaluate, -N ** -s / (2.0 * s))
+    if not iso_above[-1] > 0.0:
         raise BracketFailure("gamma_plus did not exceed gamma_tilde")
     return result
 

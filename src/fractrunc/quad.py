@@ -16,7 +16,11 @@ QUADPACK's G10/K21 rule over many integrals at once, each round evaluating
 every open panel in one call of a vectorised integrand.  ``integrate`` and
 ``integrate_pv`` plan their pieces (plain panels, singular pieces, the tail)
 and integrate them all in one ``integrate_batch`` call; the directional
-operator calls it directly.
+operator calls it directly.  The plan is made for a stack: integrals that
+share their declared structure and differ in one parameter, planned with
+per-member cut-offs, tolerance shares and remainders, whose every piece
+function is called once per engine round over all members.  An integrand
+that declares no stack is the stack of one.
 
 Accuracy near a singular point ``c`` with exponent ``e`` (``f ~ C*d**e`` with
 ``d = |tau - c|``) is limited by floating-point rounding of ``c + d`` once
@@ -37,6 +41,7 @@ import numpy as np
 __all__ = [
     "Integrand",
     "QuadResult",
+    "StackResult",
     "Tolerance",
     "QuadError",
     "NonIntegrable",
@@ -96,6 +101,15 @@ class QuadResult:
         )
 
 
+class StackResult(tuple):
+    """The ``QuadResult`` of each member of a stacked integrand, in member order."""
+
+    @property
+    def n_evals(self) -> int:
+        """The evaluations of the whole call: every member's."""
+        return sum(r.n_evals for r in self)
+
+
 @dataclass
 class Integrand:
     """An array-valued integrand with declared singular structure.
@@ -117,15 +131,25 @@ class Integrand:
 
     ``eval(t)``, each ``r(side, d)`` and each fold ``g(h)`` take an ndarray
     and return their values elementwise.
+
+    ``stack = M`` declares M integrals that share these declarations and
+    differ in one parameter: each function then takes the member index of
+    every node as a last argument, an int array that broadcasts against
+    the nodes (``eval(t, member)``, ``r(side, d, member)``, ``g(h, member)``),
+    and ``integrate`` returns one ``QuadResult`` per member.
     """
 
-    eval: Callable[[np.ndarray], np.ndarray]
+    eval: Callable[..., np.ndarray]
     singular_points: list[tuple[float, float]] = field(default_factory=list)
     tail_decay: float = math.inf
-    regular_eval: dict[float, Callable[[int, np.ndarray], np.ndarray]] = field(
+    regular_eval: dict[float, Callable[..., np.ndarray]] = field(default_factory=dict)
+    pv_fold: dict[float, tuple[float, Callable[..., np.ndarray]]] = field(
         default_factory=dict)
-    pv_fold: dict[float, tuple[float, Callable[[np.ndarray], np.ndarray]]] = field(
-        default_factory=dict)
+    stack: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.stack is not None and not self.stack >= 1:
+            raise ValueError("a stack holds at least one integral")
 
     def validate(self, a: float, b: float) -> None:
         """Raise ``NonIntegrable`` if the declarations rule out ``integrate`` on ``(a, b)``."""
@@ -228,7 +252,8 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.nda
     lo = np.asarray(a, float)
     hi = np.asarray(b, float)
     n = lo.size
-    tol_abs = np.broadcast_to(np.asarray(abs_tol, float), (n,))
+    tol_abs = np.empty(n)
+    tol_abs[:] = abs_tol
     group = np.arange(n)
     width = hi - lo
     val, err, _ = _gk21(f, lo, hi, group)
@@ -270,97 +295,118 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.nda
 _DECAY_EDGES = (1.5 ** np.arange(9) - 1.0) / (1.5**8 - 1.0)
 
 
-def _decaying(lo: float, hi: float) -> np.ndarray:
-    """Panel edges for a piece that decays exponentially from ``lo`` on.
+def _decaying(lo: float | np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Panel edges, one row per member, for a piece that decays exponentially from ``lo`` on.
 
-    A singular piece or a log-substituted tail spans ~30 e-folds.  From one
+    ``lo`` is one number or a column, ``hi`` one number per member.  A
+    singular piece or a log-substituted tail spans ~30 e-folds.  From one
     panel the batch bisected its start for four rounds; 8 panels whose
     widths grow by half from ``lo`` usually resolve it in one round.
     """
-    edges = lo + (hi - lo) * _DECAY_EDGES
-    edges[-1] = hi
+    edges = lo + (hi[:, None] - lo) * _DECAY_EDGES
+    edges[:, -1] = hi
     return edges
 
 
 class _Plan:
-    """The pieces of one ``integrate`` or ``integrate_pv`` call.
+    """The pieces of one ``integrate`` or ``integrate_pv`` call, over a stack of integrals.
 
-    A piece is the integral of an array-valued function over the panels
-    between its ``edges``, each panel an integral of the batch with its
-    share of the piece's absolute tolerance; ``run`` integrates every panel
-    of every piece in one ``integrate_batch`` call.  Analytic remainders go
-    to ``shift`` (added to the value) and ``slack`` (added to the error).
-    ``probe`` evaluates a function outside the batch, for a cut-off or a
-    remainder, and counts the nodes it evaluates.
+    A piece is the integral of a function ``fn(x, member)`` over the panels
+    between its edges, one row of edges per member of the stack; each panel
+    is an integral of the batch with its member's share of the piece's
+    absolute tolerance, and an empty panel is dropped.  ``run`` integrates
+    every panel of every piece and member in one ``integrate_batch`` call,
+    so each piece's function is called once per engine round.  Analytic
+    remainders go to ``shift`` (added to each member's value) and ``slack``
+    (added to its error).  ``probe`` evaluates a function outside the batch
+    at points per member, for a cut-off or a remainder, and counts them.
     """
 
-    def __init__(self) -> None:
-        self.fns: list[Callable[[np.ndarray], np.ndarray]] = []
-        self.starts: list[int] = []  # index of each piece's first integral
-        self.edges: list[np.ndarray] = []
+    def __init__(self, members: int) -> None:
+        self.member = np.arange(members)[:, None]
+        self.fns: list[Callable[[np.ndarray, np.ndarray], np.ndarray]] = []
+        self.edges: list[np.ndarray] = []  # per piece, one row of edges per member
         self.tols: list[float] = []
-        self.shift = 0.0
-        self.slack = 0.0
+        self.shift = np.zeros(members)
+        self.slack = np.zeros(members)
         self.probes = 0
 
-    def probe(self, fn: Callable[[np.ndarray], np.ndarray], t: list[float]) -> np.ndarray:
-        self.probes += len(t)
-        return fn(np.array(t))
+    def probe(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+              t: np.ndarray) -> np.ndarray:
+        """``fn`` at the points ``t``: one row of points per member, or one row for all."""
+        out = np.empty((self.member.size, t.shape[1]))
+        out[:] = fn(t, self.member)
+        self.probes += t.shape[1]
+        return out
 
-    def add(self, fn: Callable[[np.ndarray], np.ndarray], edges: list[float] | np.ndarray,
-            abs_tol: float) -> None:
-        if edges[-1] > edges[0]:
-            self.fns.append(fn)
-            self.starts.append(len(self.tols))
-            self.edges.append(np.asarray(edges, float))
-            self.tols += [abs_tol / (len(edges) - 1)] * (len(edges) - 1)
+    def add(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            edges: list[float] | np.ndarray, abs_tol: float) -> None:
+        edges = np.asarray(edges, float)
+        self.fns.append(fn)
+        self.edges.append(edges if edges.ndim == 2 else edges[None].repeat(self.member.size, 0))
+        self.tols.append(abs_tol)
 
-    def run(self, rel_tol: float) -> QuadResult:
+    def run(self, rel_tol: float) -> list[QuadResult]:
         fns = self.fns
-        starts = np.array(self.starts + [len(self.tols)])
+        m = self.member.size
+        lo = np.concatenate([e[:, :-1].ravel() for e in self.edges])
+        hi = np.concatenate([e[:, 1:].ravel() for e in self.edges])
+        # panel -> cell = piece * m + member; each cell shares its piece's tolerance
+        # among its nonempty panels
+        widths = np.array([e.shape[1] - 1 for e in self.edges]).repeat(m)
+        cell = np.arange(widths.size).repeat(widths)
+        full = hi > lo
+        lo, hi, cell = lo[full], hi[full], cell[full]
+        tols = np.array(self.tols).repeat(m)[cell] / np.bincount(cell, minlength=widths.size)[cell]
+        member = cell % m
+        starts = cell.searchsorted(np.arange(len(fns) + 1) * m)
 
         def f(x: np.ndarray, group: np.ndarray) -> np.ndarray:
             # each piece's function on the rows of its panels, sorted together
             order = np.argsort(group[:, 0], kind="stable")
-            bounds = np.searchsorted(group[order, 0], starts).tolist()
+            panel = group[order, 0]
+            bounds = np.searchsorted(panel, starts).tolist()
             rows = x[order]
+            of = member[panel][:, None]
             values = np.empty_like(rows)
-            for fn, lo, hi in zip(fns, bounds[:-1], bounds[1:]):
-                if hi > lo:
-                    values[lo:hi] = fn(rows[lo:hi])
+            for fn, a, b in zip(fns, bounds[:-1], bounds[1:]):
+                if b > a:
+                    values[a:b] = fn(rows[a:b], of[a:b])
             out = np.empty_like(x)
             out[order] = values
             return out
 
-        lo = np.concatenate([e[:-1] for e in self.edges])
-        hi = np.concatenate([e[1:] for e in self.edges])
-        values, errors, evals = integrate_batch(f, lo, hi, np.array(self.tols), rel_tol)
-        return QuadResult(float(values.sum()) + self.shift,
-                          float(errors.sum()) + self.slack,
-                          int(evals.sum()) + self.probes)
+        values, errors, evals = integrate_batch(f, lo, hi, tols, rel_tol)
+        value = np.bincount(member, values, m) + self.shift
+        error = np.bincount(member, errors, m) + self.slack
+        count = np.bincount(member, evals, m) + self.probes
+        return [QuadResult(float(v), float(e), int(n))
+                for v, e, n in zip(value.tolist(), error.tolist(), count.tolist())]
 
 
-def _singular_piece(plan: _Plan, r: Callable[[np.ndarray], np.ndarray], exponent: float,
-                    length: float, abs_tol: float, floor: Optional[float] = None) -> None:
-    """Plan integral_0^length r(d) * d**exponent dd  via d = exp(-u).
+def _singular_piece(plan: _Plan, r: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    exponent: float, length: float, abs_tol: float,
+                    floor: Optional[float] = None) -> None:
+    """Plan integral_0^length r(d) * d**exponent dd  via d = exp(-u), for every member.
 
     The transformed integrand ``r(exp(-u)) * exp(-(1+exponent)*u)`` decays
     exponentially; it is integrated up to ``u1`` and the truncation
     remainder is bounded analytically and added to the error.  Without
-    ``floor``, ``r`` is a stable regular part bounded near 0 and ``u1`` is
-    set from a probe of ``r`` there.  A ``floor`` marks ``r`` as recovered
-    from direct evaluation, which loses accuracy once ``c + side*d`` rounds
-    to ``c``, so ``u1`` is capped at ``-log(floor)``.
+    ``floor``, ``r`` is a stable regular part bounded near 0 and each
+    member's ``u1`` is set from a probe of its ``r`` there.  A ``floor``
+    marks ``r`` as recovered from direct evaluation, which loses accuracy
+    once ``c + side*d`` rounds to ``c``, so ``u1`` is capped at ``-log(floor)``.
     """
     om = 1.0 + exponent
     u0 = -math.log(length)
     if floor is None:
-        probe = abs(float(plan.probe(r, [min(length / 2.0, 1e-30)])[0])) + 1.0
-        u1 = max(u0 + 1.0, math.log(8.0 * probe / (abs_tol * om)) / om)
+        probe = np.abs(plan.probe(r, np.array([[min(length / 2.0, 1e-30)]]))[:, 0]) + 1.0
+        u1 = np.maximum(u0 + 1.0, np.log(8.0 * probe / (abs_tol * om)) / om)
     else:
-        u1 = min(-math.log(floor), max(u0 + 1.0, math.log(8.0 / (abs_tol * om)) / om))
-    plan.add(lambda u: r(np.exp(-u)) * np.exp(-om * u), _decaying(u0, u1), abs_tol)
-    plan.slack += abs(float(plan.probe(r, [math.exp(-u1)])[0])) * math.exp(-om * u1) / om
+        u1 = np.full(plan.member.size, min(
+            -math.log(floor), max(u0 + 1.0, math.log(8.0 / (abs_tol * om)) / om)))
+    plan.add(lambda u, m: r(np.exp(-u), m) * np.exp(-om * u), _decaying(u0, u1), abs_tol)
+    plan.slack += np.abs(plan.probe(r, np.exp(-u1)[:, None])[:, 0]) * np.exp(-om * u1) / om
 
 
 def _sing_adjacent(plan: _Plan, f: Integrand, loc: float, expo: float, side: int,
@@ -368,19 +414,22 @@ def _sing_adjacent(plan: _Plan, f: Integrand, loc: float, expo: float, side: int
     """Plan the panel of given length touching ``loc`` from one side."""
     custom = f.regular_eval.get(loc)
     if custom is not None:
-        _singular_piece(plan, lambda d: custom(side, d), expo, length, abs_tol)
+        _singular_piece(plan, lambda d, m: custom(side, d, m), expo, length, abs_tol)
         return
     # Direct evaluation: keep distances above the rounding floor of loc.
     floor = max(1e-15, 4.0 * abs(loc) * 2.3e-16)
-    _singular_piece(plan, lambda d: f.eval(loc + side * d) * d ** (-expo), expo, length,
+    _singular_piece(plan, lambda d, m: f.eval(loc + side * d, m) * d ** (-expo), expo, length,
                     abs_tol, floor)
 
 
-def _tail(plan: _Plan, f: Callable[[np.ndarray], np.ndarray], start: float, beta: float,
-          abs_tol: float) -> None:
-    """Plan integral_start^inf with |f| <= C*tau**-beta, beta > 1.
+_TAIL_PROBES = np.array([[1.0, 1.7, 2.9, 5.3]])
 
-    The truncation point is chosen so the analytic remainder
+
+def _tail(plan: _Plan, f: Callable[[np.ndarray, np.ndarray], np.ndarray], start: float,
+          beta: float, abs_tol: float) -> None:
+    """Plan integral_start^inf with |f| <= C*tau**-beta, beta > 1, for every member.
+
+    Each member's truncation point is chosen so the analytic remainder
     ``C*T**(1-beta)/(beta-1)`` is at most abs_tol/4.  Past T the integrand is
     taken as ``f(T)*(tau/T)**-beta`` (beta is the exact leading exponent), so
     the signed remainder ``f(T)*T/(beta-1)`` is added to the value and its
@@ -389,45 +438,62 @@ def _tail(plan: _Plan, f: Callable[[np.ndarray], np.ndarray], start: float, beta
     runs in ``u = log(tau)``.
     """
     # Probe several points: a single sample can land on a zero of f.
-    t = [start * m for m in (1.0, 1.7, 2.9, 5.3)]
-    coeff = float(np.max(np.abs(plan.probe(f, t)) * np.array(t) ** beta))
-    if coeff == 0.0:
-        coeff = abs_tol
-    log_T = (math.log(4.0 * coeff / (abs_tol * (beta - 1.0)))) / (beta - 1.0)
-    log_T = min(max(log_T, math.log(start) + 1.0), _LOG_HUGE)
+    t = start * _TAIL_PROBES
+    coeff = (np.abs(plan.probe(f, t)) * t ** beta).max(axis=1)
+    coeff[coeff == 0.0] = abs_tol
+    log_T = np.log(4.0 * coeff / (abs_tol * (beta - 1.0))) / (beta - 1.0)
+    u = math.log(start)
+    log_T = np.minimum(np.maximum(log_T, u + 1.0), _LOG_HUGE)
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def g(u: np.ndarray, m: np.ndarray) -> np.ndarray:
         tau = np.exp(u)
-        return f(tau) * tau
+        return f(tau, m) * tau
 
     # the first unit of u is a panel of its own: a term decaying like
     # tau**-30 hides inside a wider first panel (c_iso at gamma ~ 28)
-    u = math.log(start)
-    edges = np.concatenate(([u], _decaying(u + 1.0, log_T))) if log_T > u + 1.0 else [u, log_T]
+    edges = np.empty((log_T.size, 1 + _DECAY_EDGES.size))
+    edges[:, 0] = u
+    edges[:, 1:] = _decaying(np.minimum(u + 1.0, log_T)[:, None], log_T)
     plan.add(g, edges, abs_tol)
-    T = math.exp(log_T)
-    remainder = float(plan.probe(f, [T])[0]) * T / (beta - 1.0)
+    T = np.exp(log_T)
+    remainder = plan.probe(f, T[:, None])[:, 0] * T / (beta - 1.0)
     plan.shift += remainder
-    plan.slack += abs(remainder)
+    plan.slack += np.abs(remainder)
+
+
+def _as_stack(f: Integrand) -> Integrand:
+    """``f`` itself if it declares a stack, else its stack of one."""
+    if f.stack is not None:
+        return f
+    return Integrand(
+        eval=lambda t, m: f.eval(t),
+        singular_points=f.singular_points,
+        tail_decay=f.tail_decay,
+        regular_eval={loc: (lambda fn: (lambda side, d, m: fn(side, d)))(fn)
+                      for loc, fn in f.regular_eval.items()},
+        pv_fold={c: (e, (lambda g: (lambda h, m: g(h)))(g)) for c, (e, g) in f.pv_fold.items()},
+        stack=1,
+    )
 
 
 def _reflected(f: Integrand) -> Integrand:
-    """The integrand tau -> f(-tau) with mirrored declarations."""
+    """The stacked integrand tau -> f(-tau) with mirrored declarations."""
     regular = {
-        -loc: (lambda fn: (lambda side, d: fn(-side, d)))(fn)
+        -loc: (lambda fn: (lambda side, d, m: fn(-side, d, m)))(fn)
         for loc, fn in f.regular_eval.items()
     }
     return Integrand(
-        eval=lambda t: f.eval(-t),
+        eval=lambda t, m: f.eval(-t, m),
         singular_points=[(-loc, expo) for loc, expo in f.singular_points],
         tail_decay=f.tail_decay,
         regular_eval=regular,
         pv_fold={-loc: fe for loc, fe in f.pv_fold.items()},
+        stack=f.stack,
     )
 
 
 def _plan_interval(plan: _Plan, f: Integrand, a: float, b: float, abs_tol: float) -> None:
-    """Plan integral_a^b f for finite ``a`` and ``b`` finite or +inf.
+    """Plan integral_a^b f of a stacked ``f`` for finite ``a`` and ``b`` finite or +inf.
 
     Breakpoints at the declared singular points split the finite part into
     panels, each piece of which gets ``abs_tol / max(panels + 2, 3)``; a
@@ -459,28 +525,38 @@ def _plan_interval(plan: _Plan, f: Integrand, a: float, b: float, abs_tol: float
         _tail(plan, f.eval, finite_end, f.tail_decay, abs_tol / 4.0)
 
 
-def integrate(f: Integrand, a: float, b: float, tol: Tolerance = Tolerance()) -> QuadResult:
+def _results(f: Integrand, results: list[QuadResult]) -> QuadResult | StackResult:
+    return results[0] if f.stack is None else StackResult(results)
+
+
+def integrate(f: Integrand, a: float, b: float,
+              tol: Tolerance = Tolerance()) -> QuadResult | StackResult:
     """Integrate ``f`` over ``(a, b)`` for finite ``a``; ``b`` may be +inf.
 
     Subdivides at declared singular points, applies the exponential
     substitution next to them, and truncates the infinite tail with an
-    analytic remainder bound included in the error estimate; every piece
-    goes into one ``integrate_batch`` call.  A non-finite ``a``, or one past
-    ``b``, raises ``ValueError``.  A PV point in ``[a, b]`` raises
+    analytic remainder bound included in the error estimate.  An integrand
+    is planned as a stack, one without a declared ``stack`` as the stack of
+    one: the cut-offs, tolerance shares and remainders are arrays over the
+    members, and every piece of every member goes into one
+    ``integrate_batch`` call.  Returns a ``QuadResult``, or for a declared
+    stack a ``StackResult`` of one per member.  A non-finite ``a``, or one
+    past ``b``, raises ``ValueError``.  A PV point in ``[a, b]`` raises
     ``NonIntegrable``: integrate around it with ``integrate_pv``.
     """
     if not (math.isfinite(a) and a <= b):
         raise ValueError("a must be finite and at most b")
-    plan = _Plan()
+    stack = _as_stack(f)
+    plan = _Plan(stack.stack)
     # tails run out to tau ~ e^690, where squares overflow to inf
     with np.errstate(over="ignore"):
-        _plan_interval(plan, f, a, b, tol.abs_tol)
-        return plan.run(tol.rel_tol)
+        _plan_interval(plan, stack, a, b, tol.abs_tol)
+        return _results(f, plan.run(tol.rel_tol))
 
 
 # no caller in the package any more; still looked up by perfbench's tracer
 def integrate_pv(f: Integrand, c: float, halfwidth: float,
-                 tol: Tolerance = Tolerance()) -> QuadResult:
+                 tol: Tolerance = Tolerance()) -> QuadResult | StackResult:
     """Symmetric principal value around ``c`` over ``(c-halfwidth, c+halfwidth)``.
 
     The declared fold ``g(h) * h**fold_exponent`` of ``f(c+h) + f(c-h)``,
@@ -496,16 +572,17 @@ def integrate_pv(f: Integrand, c: float, halfwidth: float,
     fold = f.pv_fold.get(c)
     if fold is None:
         raise ValueError(f"{c} is not a declared PV point of the integrand")
-    expo, g = fold
+    expo, _ = fold
     if expo <= -1.0:
         raise NonCancelling(f"declared fold exponent {expo} <= -1 at PV point {c}")
     others = [abs(loc - c) for loc in [loc for loc, _ in f.singular_points] + list(f.pv_fold)
               if loc != c]
     w = min(halfwidth, min(others, default=2.0) / 2.0)
-    plan = _Plan()
+    stack = _as_stack(f)
+    plan = _Plan(stack.stack)
     with np.errstate(over="ignore"):
-        _singular_piece(plan, g, expo, w, tol.abs_tol)
+        _singular_piece(plan, stack.pv_fold[c][1], expo, w, tol.abs_tol)
         if halfwidth > w:
-            _plan_interval(plan, f, c + w, c + halfwidth, tol.abs_tol)
-            _plan_interval(plan, _reflected(f), w - c, halfwidth - c, tol.abs_tol)
-        return plan.run(tol.rel_tol)
+            _plan_interval(plan, stack, c + w, c + halfwidth, tol.abs_tol)
+            _plan_interval(plan, _reflected(stack), w - c, halfwidth - c, tol.abs_tol)
+        return _results(f, plan.run(tol.rel_tol))

@@ -53,6 +53,30 @@ def test_roots_gamma_tilde_above_one(capsys):
     assert code == 0 and doc["root"] > 1.0 and abs(doc["residual"]) <= 1e-9
 
 
+@pytest.mark.parametrize("which,N,s", [("gamma-plus", 3, 0.5), ("gamma-tilde", 20, 0.02),
+                                       ("gamma-plus", 2, 0.98)])
+def test_roots_bracket_is_the_verified_cell(capsys, which, N, s):
+    code, out, _ = run(capsys, ["roots", "--which", which, "--N", str(N), "--s", str(s)])
+    doc = json.loads(out)
+    lo, hi = doc["bracket"]
+    assert code == 0 and lo < doc["root"] < hi and hi - lo <= 1e-9
+    constant = cli.cn.c_iso if which == "gamma-tilde" else cli.cn.c_n_plus
+    assert constant(lo, s, N) < 0.0 < constant(hi, s, N)
+
+
+def test_constants_report_the_quadrature_error_they_reach(capsys):
+    # c_iso and c_N_plus run at the constants' own tolerance, not --abs-tol
+    code, out, _ = run(capsys, ["--abs-tol", "1e-3", "constants", "--s", "0.5", "--N", "3",
+                                "--gamma", "0.7"])
+    doc = json.loads(out)
+    iso, plus = (cli.cn.iso_stack([0.7], 0.5, 3, n_plus)[0] for n_plus in (False, True))
+    assert code == 0 and doc["c_iso"] == iso.value and doc["c_N_plus"] == plus.value
+    assert doc["error_estimates"]["quadrature"] == max(iso.abs_error_estimate,
+                                                       plus.abs_error_estimate) < 1e-10
+    code, out, _ = run(capsys, ["constants", "--s", "0.5"])
+    assert json.loads(out)["error_estimates"]["quadrature"] is None
+
+
 def test_table_csv_four_columns(capsys):
     code, out, _ = run(capsys, ["table", "--N", "3", "--s", "0.5",
                                 "--format", "csv"])

@@ -286,7 +286,7 @@ def _mp_pair(numerator, d):
 def _pair_values(pair, d):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return pair(d)
+        return pair(d, 0)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 9, 20])
@@ -317,8 +317,9 @@ def test_c_n_plus_frozen(key):
 
 
 def test_gamma_plus_and_c_n_plus_quadrature_counts(monkeypatch):
-    # gamma_plus walks c_n_plus alone and checks gamma_tilde with one c_iso;
-    # the jump at sqrt(N) is a plain panel edge, not two singular pieces
+    # gamma_plus takes three batched passes of c_n_plus (walk, proxy, closing
+    # test, the last with its c_iso check); the jump at sqrt(N) is a plain
+    # panel edge, not two singular pieces
     evals = []
     engine = cn.integrate
 
@@ -329,7 +330,7 @@ def test_gamma_plus_and_c_n_plus_quadrature_counts(monkeypatch):
 
     monkeypatch.setattr(cn, "integrate", spy)
     cn.find_gamma_plus(3, 0.5)
-    assert len(evals) <= 11
+    assert len(evals) <= 3
     evals.clear()
     cn.c_n_plus(2.0, 0.5, 4)
     assert len(evals) == 1 and evals[0] <= 450
@@ -342,6 +343,59 @@ def test_gamma_plus_where_it_meets_gamma_tilde(N, s):
     root = cn.find_gamma_plus(N, s).root
     assert root >= cn.find_gamma_tilde(N, s).root - 1e-10
     assert cn.c_n_plus(root - 1e-7, s, N) < 0.0 < cn.c_n_plus(root + 1e-7, s, N)
+
+
+ROOT_GRID_S = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5, 0.6, 0.75, 0.9, 0.98]
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 8, 13, 20])
+def test_roots_are_verified_cells(N):
+    # each root sits in a cell of the root's width across which the one-gamma
+    # constant changes sign, and a stacked member is its one-gamma call
+    for s in ROOT_GRID_S:
+        roots = {}
+        for name, find, n_plus, one in (("tilde", cn.find_gamma_tilde, False, cn.c_iso),
+                                        ("plus", cn.find_gamma_plus, True, cn.c_n_plus)):
+            r = find(N, s)
+            lo, hi = r.bracket
+            assert lo < r.root < hi and hi - lo <= 1e-10 + 8.9e-16 * r.root, (name, s, r)
+            assert one(lo, s, N) < 0.0 < one(hi, s, N), (name, s, r)
+            stacked = cn.iso_stack([lo, r.root, hi], s, N, n_plus)
+            for g, member in zip((lo, r.root, hi), stacked):
+                assert abs(member.value - one(g, s, N)) <= member.abs_error_estimate, (name, s, g)
+            assert r.residual == pytest.approx(stacked[1].value, abs=stacked[1].abs_error_estimate)
+            roots[name] = r.root
+        assert roots["plus"] >= roots["tilde"] - 1e-10, s
+
+
+def test_root_passes_shrink_where_the_proxy_is_poor():
+    # a steep step: 16 nodes on [4, 8] do not resolve it, so the cell shrinks
+    def steep(gammas, closing):
+        return np.tanh(40.0 * (np.array(gammas) - 5.3))
+
+    r = cn._root_passes(steep, -1.0)
+    lo, hi = r.bracket
+    assert lo < r.root < hi and hi - lo <= 1e-10 + 8.9e-16 * r.root
+    assert steep([lo], False)[0] < 0.0 < steep([hi], False)[0]
+    assert 3 < r.iterations < cn._PASS_LIMIT
+    with pytest.raises(cn.BracketFailure):
+        cn._root_passes(lambda gammas, closing: -np.ones(len(gammas)), -1.0)
+
+
+def test_stacked_members_are_their_one_gamma_calls():
+    gammas = [0.3, 2.0, 7.5, 40.0]
+    for n_plus, one in ((False, cn.c_iso), (True, cn.c_n_plus)):
+        results = cn.iso_stack(gammas, 0.3, 4, n_plus)
+        assert isinstance(results, quad.StackResult) and len(results) == len(gammas)
+        assert results.n_evals == sum(r.n_evals for r in results)
+        for g, r in zip(gammas, results):
+            assert r.value == pytest.approx(one(g, 0.3, 4), rel=1e-14, abs=1e-14)
+    # a mixed stack gives c_iso members the breakpoint at sqrt(N) too
+    mixed = cn.iso_stack([2.0, 2.0], 0.3, 4, [False, True])
+    assert abs(mixed[0].value - cn.c_iso(2.0, 0.3, 4)) <= mixed[0].abs_error_estimate
+    assert abs(mixed[1].value - cn.c_n_plus(2.0, 0.3, 4)) <= mixed[1].abs_error_estimate
+    with pytest.raises(cn.DomainError):
+        cn.iso_stack([1.0, -1.0], 0.3, 4, False)
 
 
 def test_c_n_plus_continuous_where_the_d2_coefficient_vanishes():
@@ -373,10 +427,18 @@ def root_brackets():
             if fn(lo) * fn(hi) < 0.0:
                 out.append((f"c_{k} s={s}", fn, lo, hi))
         out.append((f"c_iso s={s}", (lambda s: lambda g: cn.c_iso(g, s, 3))(s),
-                    *cn.find_gamma_tilde(3, s).bracket))
+                    *_walk_cell(cn.find_gamma_tilde(3, s).root)))
         out.append((f"c_n_plus s={s}", (lambda s: lambda g: cn.c_n_plus(g, s, 3))(s),
-                    *cn.find_gamma_plus(3, s).bracket))
+                    *_walk_cell(cn.find_gamma_plus(3, s).root)))
     return out
+
+
+def _walk_cell(root):
+    """The cell an expanding walk 1e-3, 2, 4, 8, ... brackets ``root`` in: [2^(n-1), 2^n] above 2."""
+    if root <= 2.0:
+        return 1e-3, 2.0
+    hi = 2.0 ** math.ceil(math.log2(root))
+    return hi / 2.0, hi
 
 
 @pytest.fixture(scope="module")

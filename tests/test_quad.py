@@ -280,3 +280,62 @@ def test_jump_with_regular_part_keeps_its_singular_piece():
     r = integrate(step, 0.0, 2.0, TOL)
     assert nodes["regular"] > 0
     assert abs(r.value - 1.3) <= 1e-10
+
+
+# --- stacks: integrals that share their declarations -------------------------
+
+def _scaled_pole(c):
+    """integral_0^inf t^(-1/2) / (1 + c t)^2 dt = (pi/2) / sqrt(c), singular at 0 with a regular part."""
+    return Integrand(eval=lambda t: t**-0.5 / (1.0 + c * t) ** 2, singular_points=[(0.0, -0.5)],
+                     tail_decay=2.5, regular_eval={0.0: lambda side, d: 1.0 / (1.0 + c * d) ** 2})
+
+
+def test_stack_members_are_their_one_integral_calls(monkeypatch):
+    cs = np.array([0.5, 1.0, 3.0, 10.0, 1e4])
+    calls = Counter()
+
+    def stacked(t, m):
+        calls["eval"] += t.shape[-1] == 21  # engine rounds, not probes
+        return t**-0.5 / (1.0 + cs[m] * t) ** 2
+
+    def near0(side, d, m):
+        calls["regular"] += d.shape[-1] == 21
+        return 1.0 / (1.0 + cs[m] * d) ** 2
+
+    rounds = []
+    engine = quad.integrate_batch
+
+    def spy(f, *args):
+        rounds.append(0)
+
+        def counted(x, group):
+            rounds[-1] += 1
+            return f(x, group)
+        return engine(counted, *args)
+
+    monkeypatch.setattr(quad, "integrate_batch", spy)
+    f = Integrand(eval=stacked, singular_points=[(0.0, -0.5)], tail_decay=2.5,
+                  regular_eval={0.0: near0}, stack=cs.size)
+    results = integrate(f, 0.0, math.inf, TOL)
+    # one engine call; each piece function once per round over every member
+    assert len(rounds) == 1
+    assert 0 < calls["eval"] <= 2 * rounds[0] and 0 < calls["regular"] <= rounds[0]
+    assert isinstance(results, quad.StackResult) and len(results) == cs.size
+    assert results.n_evals == sum(r.n_evals for r in results)
+    for c, r in zip(cs, results):
+        one = integrate(_scaled_pole(c), 0.0, math.inf, TOL)
+        assert isinstance(one, quad.QuadResult)
+        assert r.value == pytest.approx(one.value, rel=1e-14) and r.n_evals == one.n_evals
+        assert abs(r.value - math.pi / (2.0 * math.sqrt(c))) <= r.abs_error_estimate + 1e-10
+
+
+def test_stack_of_one_is_the_undeclared_integrand():
+    f = _scaled_pole(3.0)
+    one = integrate(f, 0.0, math.inf, TOL)
+    stack = integrate(Integrand(eval=lambda t, m: f.eval(t), singular_points=f.singular_points,
+                                tail_decay=f.tail_decay,
+                                regular_eval={0.0: lambda side, d, m: f.regular_eval[0.0](side, d)},
+                                stack=1), 0.0, math.inf, TOL)
+    assert stack == (one,)
+    with pytest.raises(ValueError):
+        Integrand(eval=np.sin, stack=0)
