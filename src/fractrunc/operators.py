@@ -8,7 +8,9 @@ and the extremal operators of order ``k`` are the inf/sup of frame sums
 ``sum_i I_{xi_i} u(x)`` over orthonormal families of ``k`` vectors.  This
 module evaluates the directional operator on one-dimensional line sections,
 assembles frame sums, provides exact closed-form frames for radial profiles,
-and runs a heuristic (explicitly one-sided) frame search.
+and runs a heuristic (explicitly one-sided) frame search: a sweep of Givens
+rotations, each a line search, then trust-region steps on a quadratic model
+of the score in all the rotation angles at once.
 
 The unit of work is a batch of *rows*, each a (point, direction) pair:
 the line section of one field through the point along the direction.
@@ -530,7 +532,8 @@ def _not_a_knot_spline(y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _radial_spline(u, x: np.ndarray, s: float, tol: Tolerance):
-    """Cubic spline of the directional value in |<xhat, xi>| on [0, 1].
+    """Cubic spline of the directional value in |<xhat, xi>| on [0, 1], and
+    the largest error bar of its table.
 
     For radial fields the section through x along xi depends only on |x| and
     the absolute cosine with the radial direction, so one 1-D table, built
@@ -544,25 +547,31 @@ def _radial_spline(u, x: np.ndarray, s: float, tol: Tolerance):
     thetas = np.linspace(0.0, 1.0, 65)
     xis = thetas[:, None] * xhat + np.sqrt(np.maximum(0.0, 1.0 - thetas**2))[:, None] * perp
     xis /= np.linalg.norm(xis, axis=1, keepdims=True)
-    return _not_a_knot_spline(np.array([r.value for r in directional_fan(u, x, xis, s, tol)]))
+    table = directional_fan(u, x, xis, s, tol)
+    return (_not_a_knot_spline(np.array([r.value for r in table])),
+            max(r.abs_error_estimate for r in table))
 
 
-def _search_objective(u, x: np.ndarray, s: float, k: int,
-                      tol: Tolerance) -> Callable[[np.ndarray], np.ndarray]:
-    """The search objective: a stack of frames ``(m, k, N)`` -> their frame sums ``(m,)``.
+def _search_objective(u, x: np.ndarray, s: float, k: int, tol: Tolerance
+                      ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The search objective: a stack of frames ``(m, k, N)`` -> their frame sums
+    and error bars, each of shape ``(m,)``.
 
-    Radial fields read the sums off the ``_radial_spline`` table; other
-    fields evaluate all ``m*k`` directions as one fan.
+    Radial fields read the sums off the ``_radial_spline`` table, each
+    vector with the table's largest bar; other fields evaluate all ``m*k``
+    directions as one fan, and a frame's bar sums its rows' bars.
     """
     N = x.size
     if getattr(u, "is_radial", False):
         xhat = x / np.linalg.norm(x)
-        spline = _radial_spline(u, x, s, tol)
-        return lambda frames: spline(np.minimum(np.abs(frames @ xhat), 1.0)).sum(axis=1)
+        spline, bar = _radial_spline(u, x, s, tol)
+        return lambda frames: (spline(np.minimum(np.abs(frames @ xhat), 1.0)).sum(axis=1),
+                               np.full(frames.shape[0], k * bar))
 
-    def objective(frames: np.ndarray) -> np.ndarray:
+    def objective(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         fan = directional_fan(u, x, frames.reshape(-1, N), s, tol)
-        return np.array([r.value for r in fan]).reshape(-1, k).sum(axis=1)
+        rows = np.array([(r.value, r.abs_error_estimate) for r in fan]).reshape(-1, k, 2)
+        return rows[..., 0].sum(axis=1), rows[..., 1].sum(axis=1)
     return objective
 
 
@@ -572,14 +581,16 @@ def _search_objective(u, x: np.ndarray, s: float, k: int,
 # points on a grid that ``_parabola_step`` places from the last level's best
 # point and its neighbours (mod pi on the 32 angles): on the vertex of their
 # parabola, 1/4 to 1/_ZOOM_SHRINK as wide as the last grid, where the nodes
-# two out confirm the parabola; else on the best point, two spacings wide.
-# On ties the centre is the best point; a best point on an edge re-centres the
-# next grid there at the same width.  The zoom ends at a best point inside a
+# two out confirm the parabola; else on the peak where the parabolas through
+# the three points on either side meet, as narrow as their fit allows; else
+# on the best point, two spacings wide.  On ties the centre is the best
+# point; a best point on an edge re-centres the next grid there at the same
+# width.  The zoom ends at a best point inside a
 # grid at most 2*step*_ZOOM_WIDTH wide: the optimum of a unimodal objective
 # then lies between its neighbours, a bracket no wider than the final one of
 # 24 golden-section steps from two grid steps, so the angle is found at least
-# that precisely.  A smooth objective takes three to five levels; flat
-# stretches and kinks end after _ZOOM_LEVELS.
+# that precisely.  A smooth objective takes three to five levels, a min
+# field's kink four to eight; flat stretches end after _ZOOM_LEVELS.
 _ANGLE_GRID = 32
 _ZOOM_POINTS = 9
 _ZOOM_SHRINK = 96.0
@@ -600,11 +611,20 @@ def _parabola_step(vals: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndar
     within one spacing of that grid, and at least 8/_ZOOM_SHRINK wide.  A
     kink misses at both nodes, by about the curvature each.  So a parabola
     is trusted only when the misses sum to at most its curvature and the
-    vertex error is at most a quarter spacing.  Otherwise the grid spans the
-    two spacings around g, which bracket the optimum of a unimodal objective.
+    vertex error is at most a quarter spacing.
+
+    Where it is not, the kink step: the parabolas through the three nodes
+    left of g and through the three right of it meet at the peak of a kink
+    between g's neighbours.  The one on g's side passes through g up to the
+    error of that side's fit; twice its miss there, over the jump in slope
+    at the peak, bounds how far that error moves the meeting point (on the
+    cusps of min-field objectives, 2 to 5 times the distance measured), and
+    a grid 8 times that wide is centred on it.  Otherwise, and wherever that
+    grid would be no narrower, the grid spans the two spacings around g,
+    which bracket the optimum of a unimodal objective.
     """
     n, rows = vals.shape[1], np.arange(g.size)
-    lo2, lo, mid, hi, hi2 = (vals[rows, (g + d) % n] for d in (-2, -1, 0, 1, 2))
+    lo3, lo2, lo, mid, hi, hi2, hi3 = (vals[rows, (g + d) % n] for d in range(-3, 4))
     curv, slope = lo - 2.0 * mid + hi, hi - lo
     up, down = hi2 - mid - slope - 2.0 * curv, lo2 - mid + slope - 2.0 * curv
     trusted = (np.abs(up + down) <= -curv) & (np.abs(up - down) <= -3.0 * curv)
@@ -612,27 +632,187 @@ def _parabola_step(vals: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndar
     bent = trusted & (curv < 0.0)
     shift[bent] = -0.5 * slope[bent] / curv[bent]
     width[bent] = np.maximum(width[bent], 2.0 * np.abs(up - down)[bent] / (-3.0 * curv[bent]))
+    # the side parabolas, through nodes -3..-1 and 1..3, meet where their
+    # difference a t^2 + b t + c vanishes
+    left_c, right_c = lo3 - 2.0 * lo2 + lo, hi - 2.0 * hi2 + hi3
+    left_s, right_s = 0.5 * (lo - lo3), 0.5 * (hi3 - hi)
+    a = 0.5 * (left_c - right_c)
+    b = left_s - right_s + 2.0 * (left_c + right_c)
+    c = lo2 - hi2 + 2.0 * (left_s + right_s + left_c - right_c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peak = -2.0 * c / (b + np.sqrt(b * b - 4.0 * a * c))
+        jump = b + 2.0 * a * peak
+        miss = np.minimum(np.abs(mid - lo2 - 2.0 * (left_s + left_c)),
+                          np.abs(mid - hi2 + 2.0 * (right_s - right_c)))
+        spread = 16.0 * miss / jump
+    kink = ~trusted & (jump > 0.0) & (np.abs(peak) < 1.0) & (spread < 2.0)
+    shift[kink] = peak[kink]
+    width[kink] = np.maximum(spread[kink], 8.0 / _ZOOM_SHRINK)
     return shift, width
+
+
+# After the sweeps, the polish: a quadratic model of the score in the angles
+# of the Givens planes, fitted from the frame, the turns by +-_POLISH_H in
+# each angle and by _POLISH_H in each pair of them, every restart's model
+# frames in one objective call.  _POLISH_H balances the fitted gradient's
+# truncation error, h^2/6 times the score's third derivative, against the
+# score's own error over h.  The trust radius starts at one angle step and
+# stays below pi/4; the polish makes at most _POLISH_CALLS calls.
+_POLISH_H = 4e-3
+_POLISH_RADIUS = math.pi / _ANGLE_GRID
+_POLISH_MAX_RADIUS = math.pi / 4.0
+_POLISH_CALLS = 8
+
+
+def _turned(bases: np.ndarray, planes: list[tuple[int, int]], angles: np.ndarray) -> np.ndarray:
+    """The bases ``(m, N, N)`` with rows i and j of each turned by its angle for
+    each plane (i, j), in order: a product of Givens turns, so exactly orthogonal."""
+    out = bases.copy()
+    for p, (i, j) in enumerate(planes):
+        c, sn = np.cos(angles[:, p, None]), np.sin(angles[:, p, None])
+        out[:, i], out[:, j] = c * out[:, i] + sn * out[:, j], -sn * out[:, i] + c * out[:, j]
+    return out
+
+
+def _quadratic_model(vals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient ``(m, d)`` and Hessian ``(m, d, d)`` of the quadratic through each
+    row of ``vals``: the scores at 0, +h e_p, -h e_p, then h (e_p + e_q) for
+    p < q, with h = _POLISH_H."""
+    m = vals.shape[0]
+    f0, fp, fm = vals[:, :1], vals[:, 1:1 + d], vals[:, 1 + d:1 + 2 * d]
+    h2 = _POLISH_H * _POLISH_H
+    hess = np.empty((m, d, d))
+    p, q = np.triu_indices(d, 1)
+    hess[:, p, q] = hess[:, q, p] = (vals[:, 1 + 2 * d:] - fp[:, p] - fp[:, q] + f0) / h2
+    hess[:, np.arange(d), np.arange(d)] = (fp + fm - 2.0 * f0) / h2
+    return (fp - fm) / (2.0 * _POLISH_H), hess
+
+
+def _trust_step(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Steihaug-Toint truncated conjugate gradients for each row: a step s with
+    |s| <= radius that raises the model grad.s + s.hess.s/2, and that rise.
+
+    On a concave model it is the model's maximiser, or the boundary point where
+    the CG path leaves the trust region; along a direction of non-negative
+    curvature, indefinite or singular models included, it runs out to the
+    boundary.  No factorisation, so no model is ever ill-conditioned.
+    """
+    step = np.zeros_like(grad)
+    resid = grad.copy()  # the model's gradient at the step
+    path = resid.copy()
+    rr = np.einsum("ri,ri->r", resid, resid)
+    open_ = rr > 0.0
+    for _ in range(grad.shape[1]):
+        if not open_.any():
+            break
+        hp = np.einsum("rij,rj->ri", hess, path)
+        curv = -np.einsum("ri,ri->r", path, hp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = rr / curv
+        trial = step + alpha[:, None] * path
+        out = open_ & ((curv <= 0.0) | (np.einsum("ri,ri->r", trial, trial) >= radius**2))
+        # the boundary point s + tau p, tau >= 0, of each row leaving the region
+        sp, pp = np.einsum("ri,ri->r", step, path), np.einsum("ri,ri->r", path, path)
+        ss = np.einsum("ri,ri->r", step, step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = (np.sqrt(sp * sp + pp * (radius**2 - ss)) - sp) / pp
+        step[out] += tau[out, None] * path[out]
+        inner = open_ & ~out
+        step[inner] = trial[inner]
+        resid[inner] += alpha[inner, None] * hp[inner]
+        rr_new = np.einsum("ri,ri->r", resid, resid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            path[inner] = resid[inner] + (rr_new / rr)[inner, None] * path[inner]
+        rr = rr_new
+        open_ = inner & (rr > 0.0)
+    rise = (np.einsum("ri,ri->r", grad, step)
+            + 0.5 * np.einsum("ri,rij,rj->r", step, hess, step))
+    return step, rise
+
+
+def _polish(score, bases: np.ndarray, best: np.ndarray, live: np.ndarray, k: int) -> None:
+    """Trust-region steps on the frames of the restarts ``live``, in place.
+
+    Each call scores, for every open restart, its candidate frame and the
+    model frames around it.  The candidate becomes the restart's centre only
+    when its score is no worse than the centre's, so ``best`` can only rise;
+    otherwise the old model takes a step in a quarter of the rejected one's
+    radius.  A restart stops when its model's predicted rise is no more than
+    its centre's error bar, or after _POLISH_CALLS calls.
+    """
+    N = bases.shape[1]
+    planes = [(i, j) for i in range(k) for j in range(i + 1, N)]
+    d = len(planes)
+    if d < 2 or not live.size:
+        return
+    eye = np.eye(d)
+    p, q = np.triu_indices(d, 1)
+    design = _POLISH_H * np.vstack([np.zeros((1, d)), eye, -eye, eye[p] + eye[q]])
+    m = live.size
+    centre, cand = bases[live], bases[live]
+    cur = np.full(m, -np.inf)
+    grad, hess = np.zeros((m, d)), np.zeros((m, d, d))
+    bar, rise = np.zeros(m), np.full(m, np.inf)
+    radius, length = np.full(m, _POLISH_RADIUS), np.zeros(m)
+    todo = np.arange(m)
+    for call in range(_POLISH_CALLS):
+        frames = _turned(np.repeat(cand[todo], design.shape[0], axis=0), planes,
+                         np.tile(design, (todo.size, 1)))
+        vals, bars = (a.reshape(todo.size, -1) for a in score(frames[:, :k]))
+        ok = vals[:, 0] >= cur[todo]
+        took, missed = todo[ok], todo[~ok]
+        # a step whose rise came true at least 3/4 and reached the boundary doubles
+        # the radius; one that fell short of a quarter halves it.  The first call
+        # scores the sweeps' frames, with no step to judge: its ratio is nan.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (vals[ok, 0] - cur[took]) / rise[took]
+        full = length[took] >= 0.9 * radius[took]
+        radius[took] = np.where((ratio >= 0.75) & full,
+                                np.minimum(2.0 * radius[took], _POLISH_MAX_RADIUS),
+                                np.where(ratio < 0.25, 0.5 * radius[took], radius[took]))
+        radius[missed] = 0.25 * length[missed]
+        centre[took], cur[took], bar[took] = cand[took], vals[ok, 0], bars[ok, 0]
+        grad[took], hess[took] = _quadratic_model(vals[ok], d)
+        if call == _POLISH_CALLS - 1:
+            break
+        step, rise[todo] = _trust_step(grad[todo], hess[todo], radius[todo])
+        length[todo] = np.linalg.norm(step, axis=1)
+        go = rise[todo] > bar[todo]
+        todo = todo[go]
+        if not todo.size:
+            break
+        cand[todo] = _turned(centre[todo], planes, step[go])
+    bases[live], best[live] = centre, cur
 
 
 def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
                     budget: int = 10, seed: int = 42,
                     tol: Tolerance = Tolerance(),
-                    sweeps: int = 3) -> tuple[QuadResult, Frame]:
+                    sweeps: int = 1) -> tuple[QuadResult, Frame]:
     """Heuristic frame optimization for the extremal operators.
 
-    Random orthonormal restarts followed by coordinate descent over Givens
-    rotation angles (within the frame's span and against its orthogonal
-    complement).  Each rotation scores 32 equispaced angles over [0, pi),
-    then zooms on 9-point grids centred on the vertex of the parabola
-    through the best angle and its neighbours, up to 96 times narrower per
-    level where the points two spacings out confirm the parabola, until the
-    best angle lies inside a grid no wider than the final bracket of 24
-    golden-section steps from two angle steps: three to five levels on a
-    smooth objective, ten at most.  The restarts descend in lockstep, so
-    each grid of all of them is one batched objective call over a stack of
-    frames.  The result is one-sided by construction: an upper bound for the
-    inf (``minus``) and a lower bound for the sup (``plus``).
+    Random orthonormal restarts, ``sweeps`` sweeps of coordinate descent over
+    Givens rotation angles (within the frame's span and against its
+    orthogonal complement), then a trust-region polish in all those angles
+    at once.  Each rotation scores 32 equispaced angles over [0, pi), then
+    zooms on 9-point grids centred on the vertex of the parabola through
+    the best angle and its neighbours, up to 96 times narrower per level
+    where the points two spacings out confirm the parabola, or on the peak
+    where the parabolas through the three angles on either side meet, as
+    far as their fit allows, until the best angle lies inside a grid no
+    wider than the final bracket of 24 golden-section steps from two angle
+    steps: three to five levels on a smooth objective, ten at most.  The
+    polish fits a quadratic model of the score in the d = k(N-k) + k(k-1)/2
+    angles from 1 + 2d + d(d-1)/2 frames around the current one and takes a
+    trust-region step, a product of Givens turns, so every frame stays
+    orthonormal; a step counts only when its score, read in the next call,
+    is no worse.  It stops when the model's predicted gain is no more than
+    the score's own error bar, or after eight calls; with d = 1 the
+    rotation's line search is already exact, and there is no polish.  The
+    restarts run in lockstep, so each grid or model of all of them is one
+    batched objective call over a stack of frames.  The result is one-sided by construction: an upper
+    bound for the inf (``minus``) and a lower bound for the sup (``plus``).
     """
     if variant not in ("plus", "minus"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -651,8 +831,9 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     step = float(angles[1])
     mid = _ZOOM_POINTS // 2
 
-    def score(frames: np.ndarray) -> np.ndarray:
-        return sign * objective(frames)
+    def score(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, bars = objective(frames)
+        return sign * values, bars
 
     # Every restart descends at once, so one objective call serves the grid
     # of all restarts still improving.  Full bases: frame rows first, then
@@ -662,7 +843,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
         qfull, _ = np.linalg.qr(np.column_stack([vectors.T, np.eye(N)]))
         bases[r] = qfull.T
         bases[r, :k] = vectors
-    best = score(bases[:, :k])
+    best = score(bases[:, :k])[0]
     live = np.arange(budget)
     for _ in range(sweeps):
         improved = np.zeros(live.size, bool)
@@ -676,7 +857,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
                 frames[:, :, i] = c * vi[rows, None] + sn * vj[rows, None]
                 if j < k:
                     frames[:, :, j] = -sn * vi[rows, None] + c * vj[rows, None]
-                return score(frames.reshape(-1, k, N)).reshape(angs.shape)
+                return score(frames.reshape(-1, k, N))[0].reshape(angs.shape)
 
             every = np.arange(live.size)
             ring = np.column_stack([best[live], rotated(every, np.broadcast_to(
@@ -699,7 +880,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
                 improved[zooming[gain]] = True
                 # pad with nan, so that nodes past the ends count as misses
                 shift, span = _parabola_step(
-                    np.pad(vals, ((0, 0), (2, 2)), constant_values=np.nan), g + 2)
+                    np.pad(vals, ((0, 0), (3, 3)), constant_values=np.nan), g + 3)
                 edge = (g == 0) | (g == _ZOOM_POINTS - 1)
                 w = width[zooming]
                 center[zooming] = theta + w / (_ZOOM_POINTS - 1) * shift
@@ -707,13 +888,12 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
                 zooming = zooming[edge | (w > 2.0 * step * _ZOOM_WIDTH)]
                 if not zooming.size:
                     break
-            c, sn = np.cos(best_angle)[:, None], np.sin(best_angle)[:, None]
-            bases[live, i] = c * vi + sn * vj
-            bases[live, j] = -sn * vi + c * vj
+            bases[live] = _turned(bases[live], [(i, j)], best_angle[:, None])
             best[live] = cur
         live = live[improved]
         if not live.size:
             break
+    _polish(score, bases, best, live, k)
     best_vecs = bases[int(np.argmax(best)), :k]
 
     # re-orthonormalize (Givens updates are orthogonal, this scrubs roundoff)

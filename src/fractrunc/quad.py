@@ -349,6 +349,9 @@ class _Plan:
     def run(self, rel_tol: float) -> list[QuadResult]:
         fns = self.fns
         m = self.member.size
+        if not fns:  # an empty interval: only the remainders, if any
+            return [QuadResult(float(v), float(e), self.probes)
+                    for v, e in zip(self.shift.tolist(), self.slack.tolist())]
         lo = np.concatenate([e[:, :-1].ravel() for e in self.edges])
         hi = np.concatenate([e[:, 1:].ravel() for e in self.edges])
         # panel -> cell = piece * m + member; each cell shares its piece's tolerance

@@ -457,7 +457,7 @@ def test_radial_search_objective_on_arrays(u, x, s):
     # the objective on a stack of frames equals, frame by frame, the sum of
     # the radial spline over the frame's vectors
     tol = Tolerance(1e-7, 1e-6)
-    spline = op._radial_spline(u, x, s, tol)
+    spline, _ = op._radial_spline(u, x, s, tol)
     xhat = x / np.linalg.norm(x)
     rng = np.random.default_rng(5)
     for k in range(1, x.size + 1):
@@ -465,4 +465,4 @@ def test_radial_search_objective_on_arrays(u, x, s):
         frames = op.random_frames(x.size, k, 50, rng)
         expected = [sum(float(spline(min(abs(float(v @ xhat)), 1.0))) for v in f)
                     for f in frames]
-        assert objective(frames).tolist() == pytest.approx(expected, rel=1e-14, abs=1e-300)
+        assert objective(frames)[0].tolist() == pytest.approx(expected, rel=1e-14, abs=1e-300)

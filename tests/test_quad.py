@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractrunc import quad
-from fractrunc.quad import (Integrand, NonIntegrable, Tolerance, integrate,
+from fractrunc.quad import (Integrand, NonIntegrable, QuadResult, Tolerance, integrate,
                             integrate_pv)
 
 TOL = Tolerance(1e-10, 1e-9)
@@ -116,6 +116,15 @@ def test_lower_end_must_be_finite():
                  (1.0, 0.0)):
         with pytest.raises(ValueError):
             integrate(f, a, b, TOL)
+
+
+def test_empty_interval_is_zero():
+    assert integrate(Integrand(eval=np.sin), 1.0, 1.0) == QuadResult(0.0, 0.0, 0)
+    # a singular end and a stack of integrals make no pieces either
+    singular = Integrand(eval=lambda t: t**-0.5, singular_points=[(0.0, -0.5)])
+    assert integrate(singular, 0.0, 0.0, TOL) == QuadResult(0.0, 0.0, 0)
+    stack = Integrand(eval=lambda t, m: np.cos(t) * (m + 1.0), stack=3)
+    assert list(integrate(stack, 2.0, 2.0, TOL)) == [QuadResult(0.0, 0.0, 0)] * 3
 
 
 def test_n_evals_counts_every_call():
