@@ -391,6 +391,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
     lo, hi = args.s_min, args.s_max
     if not (0.0 < lo < hi < 1.0):
         raise cn.DomainError("sweep range must satisfy 0 < s_min < s_max < 1")
+    cn.ProblemParams(N=args.N, k=args.k, s=hi)  # validates N and k as constants does
     grid = np.linspace(lo, hi, args.steps)
     targets = _SWEEP_TARGETS[args.targets]
     header = ["s"] + targets + ["status"]
@@ -398,18 +399,18 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
     series: dict[str, list[tuple[float, float]]] = {t: [] for t in targets}
     for s in grid:
         row: list = [f"{s:.10g}"]
-        status = "ok"
+        failed = []
         for t in targets:
             try:
                 val = _sweep_row(t, args.N, args.k, float(s), args.gamma)
             except (cn.DomainError, cn.NoRootError, cn.BracketFailure) as exc:
                 row.append("")  # record, keep sweeping; any other error is a bug
-                status = f"error:{t}:{type(exc).__name__}"
+                failed.append(f"{t}:{type(exc).__name__}")
                 continue
             row.append("" if val is None else f"{val:.12g}")
             if val is not None:
                 series[t].append((float(s), val))
-        row.append(status)
+        row.append("error:" + ";".join(failed) if failed else "ok")
         rows.append(row)
     base = args.out_prefix
     write_atomic(base + ".csv", render_csv(header, rows))

@@ -259,6 +259,8 @@ def c_perp(gam: float, s: float) -> float:
 
 def c_k_fn(gam: float, s: float, k: int) -> float:
     """c_k(gamma) = hat_c_dec(gamma) + (k-1) * c_perp(gamma)."""
+    if k < 1:
+        raise DomainError("k must be >= 1")
     _check_decay(gam, s)
     return _perp_kernel(gam, s) * (_dec_ratio(gam, s) + k - 1)
 
@@ -454,8 +456,6 @@ def find_gamma_bar(k: int, s: float) -> Optional[RootResult]:
     the root is exact: c_1 = hat_c_dec vanishes at gamma = 1-2s, so that
     root comes with residual 0 and no search.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
     if k == 1:
         _check_s(s)
         root = 1.0 - 2.0 * s

@@ -118,18 +118,12 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 #                                           growth_const * (1+|tau|)^growth_alpha
 # optional:
 #   growth_const: float                     probed along each section if absent
-#   near() -> field                         the field whose section through a
-#                                           point shows only the part near
-#                                           it; the engine integrates it in
-#                                           place of the field
-#   far_part(x, xi, s) -> (values, errors)  the rest of each row's order-s
-#                                           section integral (before C_s), in closed
-#                                           form, with its error, truncation
-#                                           included; vectorised over rows.
-#                                           The value joins the row's value
-#                                           and the error its bar, and the
-#                                           row's absolute tolerance is
-#                                           floored at 1/16 of that error
+#   far_part(x, xi, s) -> (values, errors)  the part of each row's order-s section
+#                                           integral (before C_s) that ``line``
+#                                           does not show, in closed form, with
+#                                           its error, vectorised over rows; the
+#                                           value joins the row's value, the
+#                                           error its bar
 #   d2_along(x, xi) -> float                analytic second derivative
 #
 # ``c2_radius`` takes one point of shape (N,); ``breakpoints`` and
@@ -162,17 +156,13 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     rungs per open section to an ``integrate_batch`` call; then every piece
     of (ii) and (iii) of every section goes into one call.
 
-    A field with ``near`` is integrated as ``u.near()``, the part of each
-    section near its point, and ``u.far_part`` of all rows adds the rest in
-    closed form.  The field's point metadata (C^2 radius, the value u(x)
-    that the sections through a point share) is read once per distinct
-    point, ``breakpoints`` and ``d2_along`` once per row.  The error of a
-    row's ``far_part`` is the error its field already carries; it joins the
-    row's bar, and the row's ``abs_tol`` is raised to at least 1/16 of it
-    before any piece below shares it out, since quadrature far finer than
-    the field itself buys nothing.  The pieces then add at most about 3/64
-    of it to the bar.  A direction's C^2 window is its point's C^2 radius
-    capped at its nearest breakpoint; without ``d2_along`` the second
+    A field with ``far_part`` shows in ``line`` only the part of each
+    section near its point; ``u.far_part`` of all rows adds the rest in
+    closed form, value to value and error to bar.  The field's point
+    metadata (C^2 radius, the value u(x) that the sections through a point
+    share) is read once per distinct point, ``breakpoints`` and
+    ``d2_along`` once per row.  A direction's C^2 window is its point's C^2
+    radius capped at its nearest breakpoint; without ``d2_along`` the second
     derivatives of all rows come from one call of finite differences inside
     their windows.  ``rel_tol``, like ``abs_tol``, is one tolerance or one
     per row.
@@ -204,16 +194,12 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
         raise ValueError("a stack of points needs one point per direction")
     row_points = points[at]
 
-    if hasattr(u, "near"):
-        u = u.near()
     c2 = np.array([float(u.c2_radius(p)) for p in points])[at]
     radii = [[abs(float(t)) for t in u.breakpoints(p, xi)] for p, xi in zip(row_points, dirs)]
     window = np.array([min([c] + r) for c, r in zip(c2.tolist(), radii)])
     if np.any(window <= 0.0):
         raise ValueError("the C^2 window of every direction must be positive")
-    closed, closed_err = (u.far_part(row_points, dirs, s) if hasattr(u, "far_part")
-                          else (np.zeros(m), np.zeros(m)))
-    abs_tol = np.maximum(abs_tol, closed_err / 16.0)
+    closed, closed_err = u.far_part(row_points, dirs, s) if hasattr(u, "far_part") else (0.0, 0.0)
     u0 = np.array([float(u.line(p, dirs[i])(0.0)) for p, i in zip(points, first_row)])[at]
     two_u0 = 2.0 * u0
 
@@ -584,7 +570,7 @@ def _search_objective(u, x: np.ndarray, s: float, k: int, tol: Tolerance
 # two out confirm the parabola; else on the peak where the parabolas through
 # the three points on either side meet, as narrow as their fit allows; else
 # on the best point, two spacings wide.  On ties the centre is the best
-# point; a best point on an edge re-centres the next grid there at the same
+# point; a best point on an edge is the centre of the next grid at the same
 # width.  The zoom ends at a best point inside a
 # grid at most 2*step*_ZOOM_WIDTH wide: the optimum of a unimodal objective
 # then lies between its neighbours, a bracket no wider than the final one of
@@ -606,7 +592,7 @@ def _parabola_step(vals: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndar
     ``up`` and ``down`` are the misses of the parabola through g and its
     neighbours at the nodes two spacings out (indices mod the row length; a
     nan node counts as a miss).  A cubic term moves the vertex by about
-    |up - down| / (12 |curvature|) spacings, so a trusted parabola centres
+    |up - down| / (12 |curvature|) spacings, so a trusted parabola puts
     a grid 8 times that wide on its vertex, which puts the vertex error
     within one spacing of that grid, and at least 8/_ZOOM_SHRINK wide.  A
     kink misses at both nodes, by about the curvature each.  So a parabola

@@ -22,7 +22,6 @@ and ``_sphere_crossings``.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -373,154 +372,168 @@ def make_psi(kind: str, k: int, s: float) -> PsiField:
     raise ValueError(f"unknown psi kind {kind!r}")
 
 
-# the moment series of one bump seen from outside: the terms summed, and the
-# rounding of one summed bump in units of 2^-53 -- c_0 through math.gamma
-# (up to ~10), the coefficient recurrence and Horner weighted by the terms
-# (~12 at eps/d = 1/2), r = eps/d, r^{2s}, the products and a row's
-# |xi_N|^{2s} (~8); against mpmath it misses by at most ~6
+# the moment series of bumps seen from outside: the terms summed, and its
+# rounding beyond the moments' own in units of 2^-53 -- c_0 through math.gamma
+# (~10), the recurrence and dot product (~12), the products and |xi_N|^{2s} (~8)
 _MOMENT_TERMS = 32
-_BUMP_ROUNDING = 48.0 * 2.0**-53
+_U = 2.0**-53
+_BUMP_ROUNDING = 48.0 * _U
 # the narrowest bump a train takes; epsilon_threshold's grid starts here
 _EPS_MIN = 1e-6
+# Euler-Maclaurin: the terms a Hurwitz sum adds directly, and B_2j/(2j)! for
+# j = 1..9, the last one only to bound the remainder
+_EM_SHIFT = 10
+_EM_WEIGHTS = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+                        43867 / 798]) / np.cumprod(np.arange(1.0, 19.0))[1::2]
 
 
-def _far_bump(eps: float, a: float, s: float,
-              d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, error) of the bump (eps^2 - h^2)_+^a seen from distance d >= 2*eps
-    of its centre by the kernel of order s.
+def _power_sums(eps: float, s: float, d: np.ndarray, d_rel) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, errors) over the last axis of ``d`` (inf adds 0, ``d_rel`` bounds
+    its relative error beyond rounding) of (eps/d)^{1+2s+2i}, i = 0.._MOMENT_TERMS.
+    The offset 2s + 2i enters as such, not through a rounded 1 + 2s: 2s is exact,
+    and the rounding of 2s + 2i <= 4i moves r^sigma by up to 4i |log r| 2^-53,
+    that of r by sigma (2^-52 + d_rel)."""
+    i = np.arange(_MOMENT_TERMS + 1)[:, None]
+    r = (eps / d)[..., None, :]
+    powers = r * r ** (2.0 * s + 2.0 * i)
+    shift = np.broadcast_to(d_rel, d.shape)[..., None, :] / _U
+    weight = ((2.0 * s + 2.0 * i + 1.0) * (2.0 + shift)
+              + 4.0 * i * np.abs(np.log(np.maximum(r, 1e-300))) + 2.0 + d.shape[-1])
+    return powers.sum(-1), _U * (powers * weight).sum(-1)
 
-    F(d) = integral of (eps^2 - h^2)_+^a |d - h|^{-1-2s} dh is the bump's
-    whole contribution to the e_N section integral through a point outside
-    it.  Expanding the kernel in h/d leaves the bump's even Beta moments
-    (Dyda, Fract. Calc. Appl. Anal. 15, 2012): with r = eps/d,
-    F = eps^{2(a-s)} r^{1+2s} sum_i c_i r^{2i}, where
-    c_0 = sqrt(pi) Gamma(1+a)/Gamma(3/2+a) and
-    c_{i+1} = c_i (2s+2i+1)(2s+2i+2)/((2i+2)(2i+2a+3)).  The terms are
-    positive and, past index I, their ratio is at most q = (1 + s/(I+1)) r^2,
-    below 1/4 + 1/132, so the omitted tail is at most the first omitted term
-    over 1 - q.  The error adds that tail and the rounding.  Elementwise on
-    an array d; d = inf gives (0, 0).
+
+def _hurwitz_sums(eps: float, s: float, start: np.ndarray,
+                  start_rel) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, errors) of sum_{n >= 0} (eps/(start + n))^{1+2s+2i}, the scaled
+    Hurwitz zeta eps^sigma zeta(sigma, start), one column per i and one row
+    per ``start`` > 0 of relative error up to ``start_rel``.
+
+    ``_EM_SHIFT`` terms are summed directly, the rest by Euler-Maclaurin at
+    x = start + _EM_SHIFT (Johansson, Numer. Algorithms 69, 2015): with
+    f = (eps/x)^sigma, x f/(sigma - 1) + f/2 + sum_j B_2j/(2j)! (sigma)_{2j-1}
+    x^{1-2j} f.  t^-sigma is completely monotone, so the remainder lies between
+    0 and the next term, which the error adds to the rounding (and 1e-300).
+    """
+    start, start_rel = np.asarray(start, float), np.asarray(start_rel, float)[..., None]
+    head, err = _power_sums(eps, s, start[..., None] + np.arange(_EM_SHIFT), start_rel)
+    i = np.arange(_MOMENT_TERMS + 1)
+    offset = 2.0 * s + 2.0 * i
+    x = (start + _EM_SHIFT)[..., None]
+    fx = (eps / x) * (eps / x) ** offset
+    pochhammer = np.cumprod((1.0 + offset)[:, None] + np.arange(2 * _EM_WEIGHTS.size - 1), -1)
+    terms = (fx[..., None] * _EM_WEIGHTS * pochhammer[:, ::2]
+             * x[..., None] ** (-1.0 - 2.0 * np.arange(_EM_WEIGHTS.size)))
+    integral = x * fx / offset
+    value = head + integral + fx / 2.0 + terms[..., :-1].sum(-1)
+    weight = (1.0 + offset) * (2.0 + start_rel / _U) + 4.0 * i * np.abs(np.log(eps / x)) + 8.0
+    err += np.abs(terms[..., -1]) + 1e-300 + _U * (
+        (integral + fx) * weight + 8.0 * np.abs(terms).sum(-1) + 16.0 * value)
+    return value, err
+
+
+def _moment_series(eps: float, a: float, s: float, moments: np.ndarray,
+                   errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, error) of the sum of F(d) over bumps at distances d >= 2*eps,
+    given their ``moments``, the sums of (eps/d)^{1+2s+2i}, with ``errors``.
+
+    A bump's F(d) = integral of (eps^2 - h^2)_+^a |d - h|^{-1-2s} dh is its
+    whole order-s contribution to the e_N section integral through a point
+    outside it.  Expanding the kernel in h/d leaves the bump's even Beta
+    moments (Dyda, Fract. Calc. Appl. Anal. 15, 2012): with r = eps/d,
+    F = eps^{2(a-s)} sum_i c_i r^{1+2s+2i}, where c_0 = sqrt(pi) Gamma(1+a)/Gamma(3/2+a)
+    and c_{i+1} = c_i (2s+2i+1)(2s+2i+2)/((2i+2)(2i+2a+3)).  The terms are
+    positive and, past index I, their ratio is at most (1 + s/(I+1)) r^2,
+    below 1/4 + 1/132 at r <= 1/2, so the omitted tail is at most the
+    first omitted term over 1 minus that.  The error adds that tail, the
+    moments' errors and the rounding.
     """
     i = np.arange(_MOMENT_TERMS, dtype=float)
     ratios = ((2.0 * s + 2.0 * i + 1.0) * (2.0 * s + 2.0 * i + 2.0)
               / ((2.0 * i + 2.0) * (2.0 * i + 2.0 * a + 3.0)))
     c = (math.sqrt(math.pi) * math.gamma(1.0 + a) / math.gamma(1.5 + a)
          * np.concatenate(([1.0], np.cumprod(ratios))))
-    r = eps / d
-    x = r * r
     # eps^{2(a-s)} is exactly 1 for a train seen by its own order
-    lead = r * r ** (2.0 * s) * eps ** (2.0 * a - 2.0 * s)
-    value = lead * np.polynomial.polynomial.polyval(x, c[:-1])
-    q = (1.0 + s / (_MOMENT_TERMS + 1.0)) * x
-    tail = lead * c[-1] * x**_MOMENT_TERMS / (1.0 - q)
+    scale = eps ** (2.0 * a - 2.0 * s)
+    value = scale * (moments[..., :-1] @ c[:-1])
+    tail = scale * c[-1] * moments[..., -1] / (1.0 - (1.0 + s / (_MOMENT_TERMS + 1.0)) / 4.0)
     # the rounding of 2a - 2s moves eps^{2(a-s)} by up to |2(a-s) log eps| 2^-53
-    rounding = _BUMP_ROUNDING + abs(2.0 * (a - s) * math.log(eps)) * 2.0**-53
-    return value, tail + rounding * value
+    rounding = _BUMP_ROUNDING + abs(2.0 * (a - s) * math.log(eps)) * _U
+    return value, tail + scale * (errors @ c) + rounding * value
 
 
 class BumpTrain(Field):
-    """Train of disjoint bumps sum_n (eps^2 - (x_N - n - eps)^2)_+^s.
+    """The infinite train of disjoint bumps sum_{n >= 0} (eps^2 - (x_N - n - eps)^2)_+^s.
 
-    Only the first ``window`` bumps are retained.  The train depends on x_N
-    alone, so the section along a unit xi is the e_N section scaled by
-    |xi_N| in t, and its integral is |xi_N|^{2s} times the e_N one.
-
-    The operator engine integrates ``near()``, the train whose section
-    through a point shows only the bumps centred within 2*eps of it
-    (eps/d > 1/2 at d = |x_N - n - eps|), and adds ``far_part``: every other
-    retained bump in closed form (``_far_bump``), and the bound
-    eps^{2s} * distance^{-2s} / s on the bumps beyond the window as error.
-    So a section costs a few quadrature pieces, not two per retained bump.
+    The train depends on x_N alone, so the section along a unit xi is the
+    e_N section scaled by |xi_N| in t, and its integral is |xi_N|^{2s} times
+    the e_N one.  A section through a point shows only the bumps centred
+    within 2*eps of it (eps/d > 1/2 at d = |x_N - n - eps|), and so do
+    ``breakpoints``, ``c2_radius`` and ``d2_along``; the bump that holds x_N
+    is among them, so u(x) is exact.  ``far_part`` adds every other bump by
+    its moment series, so a section costs a few quadrature pieces.
     """
 
-    def __init__(self, eps: float, s: float, window: int = 400) -> None:
+    def __init__(self, eps: float, s: float) -> None:
         if not _EPS_MIN <= eps < 0.5:
             raise ExponentOutOfRange(f"eps must lie in [{_EPS_MIN:g}, 1/2)")
-        self.eps = eps
-        self.s = s
-        self.window = int(window)
-        self.growth_alpha = 0.0
-        self.growth_const = eps ** (2.0 * s)
-        self.near_only = False
-        # the support edges n and n + 2*eps of every retained bump, in order
-        starts = np.arange(self.window, dtype=float)
-        self.centres = starts + eps
-        self.edges = np.column_stack((starts, starts + 2.0 * eps)).reshape(-1)
+        self.eps, self.s = eps, s
+        self.growth_alpha, self.growth_const = 0.0, eps ** (2.0 * s)
 
-    def near(self) -> "BumpTrain":
-        """The train whose section through a point shows only its near bumps."""
-        train = copy.copy(self)
-        train.near_only = True
-        return train
-
-    def _shown_edges(self, x: np.ndarray) -> np.ndarray:
-        """The edges of the bumps the sections through ``x`` show."""
-        if not self.near_only:
-            return self.edges
-        y = float(np.asarray(x, float).reshape(-1)[-1])
-        close = np.abs(self.centres - y) < 2.0 * self.eps
-        return self.edges.reshape(-1, 2)[close].reshape(-1)
+    def _near_edges(self, x: np.ndarray) -> tuple[float, list[float]]:
+        """x_N, and the edges n and n + 2*eps of the bumps the sections through ``x`` show."""
+        y, eps = float(np.asarray(x, float).reshape(-1)[-1]), self.eps
+        # 3*eps < 3/2 and eps < 1/2, so only floor(y) - 1 .. floor(y) + 1 can be near
+        return y, [e for n in range(max(math.floor(y) - 1, 0), max(math.floor(y) + 2, 0))
+                   if abs(n + eps - y) < 2.0 * eps for e in (float(n), n + 2.0 * eps)]
 
     def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         a, b = _components(x, xi)[-1]
-        eps, s, window, near_only = float(self.eps), float(self.s), self.window, self.near_only
-        eps2 = eps**2
+        eps, s = float(self.eps), float(self.s)
 
         def at(t: np.ndarray) -> np.ndarray:
             y = a + t * b
             n = np.floor(y)
-            arg = eps2 - (y - n - eps) ** 2
-            inside = (n >= 0.0) & (n < window) & (arg > 0.0)
-            if near_only:
-                inside &= np.abs(n + eps - a) < 2.0 * eps
+            arg = eps**2 - (y - n - eps) ** 2
+            inside = (n >= 0.0) & (arg > 0.0) & (np.abs(n + eps - a) < 2.0 * eps)
             return np.where(inside, np.maximum(arg, 0.0) ** s, 0.0)
         return at
 
     def c2_radius(self, x: np.ndarray) -> float:
-        edges = self._shown_edges(x)
-        if not edges.size:
-            return 1.0
-        t = float(np.asarray(x, float).reshape(-1)[-1])
-        d = float(np.min(np.abs(t - edges)))
-        return max(d / 2.0, 1e-6)
+        y, edges = self._near_edges(x)
+        return max(min(abs(y - e) for e in edges) / 2.0, 1e-6) if edges else 1.0
 
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
         return _plane_crossings(np.asarray(x, float), np.asarray(xi, float),
-                                self._shown_edges(x))
+                                self._near_edges(x)[1])
 
-    def far_part(self, x: np.ndarray, xi: np.ndarray,
-                 s: float) -> tuple[np.ndarray, np.ndarray]:
+    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> float:
+        y, b, s = float(x[-1]), float(xi[-1]), float(self.s)
+        z = y - math.floor(y) - self.eps  # from the centre of the bump that holds y
+        g = self.eps**2 - z * z
+        return (s * g ** (s - 2.0) * ((s - 1.0) * (2.0 * z * b) ** 2 - 2.0 * g * b * b)
+                if y >= 0.0 and g > 0.0 else 0.0)
+
+    def far_part(self, x: np.ndarray, xi: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(values, errors) of the part of the order-s section integrals that
-        the train does not show, before C_s, for rows of points ``x`` and unit
-        directions ``xi``.
-
-        The value is |xi_N|^{2s} times the sum of ``_far_bump`` over the
-        retained bumps at d >= 2*eps of the row's point when the train shows
-        only near bumps, and 0 otherwise.  The error adds each summed bump's
-        error, the rounding of d and of the sum, and the truncation bound
-        |xi_N|^{2s} eps^{2a} * distance^{-2s} / s of the bumps beyond the
-        window (a = the train's own s), 0 along xi_N = 0.
-        """
+        the sections do not show, before C_s, for rows of points ``x`` and
+        unit directions ``xi``: |xi_N|^{2s} times the moment series of every
+        bump at d >= 2*eps of the row's point.  With m = floor(max x_N) + 2,
+        the bumps n < m are summed one by one (the near ones at d = inf) and
+        every bump from m on, at d > 1, as a Hurwitz sum."""
         y, xi_n = np.broadcast_arrays(np.asarray(x, float)[..., -1],
                                       np.asarray(xi, float)[..., -1])
-        eps, a = float(self.eps), float(self.s)
-        scale = np.abs(xi_n) ** (2.0 * s)
-        dist = np.maximum(self.window - y, 1.0)
-        beyond = scale * eps ** (2.0 * a) * dist ** (-2.0 * s) / s
-        if not self.near_only:
-            return np.zeros_like(beyond), beyond
-        points, at = np.unique(y, return_inverse=True)
-        d = np.abs(self.centres - points[:, None])
-        # the shown bumps sit at d = inf, where _far_bump gives (0, 0)
+        eps = float(self.eps)
+        m = max(math.floor(np.max(y)) + 2, 0)
+        middle = np.arange(m) + eps
+        d = np.abs(middle - y[..., None])
         d[d < 2.0 * eps] = np.inf
-        value, error = _far_bump(eps, a, s, d)
-        # d = |fl(n + eps) - y| is off by up to 2^-53 (n + eps + d), and F moves
-        # by at most 6 times the relative change of d
-        error += value * (6.0 * 2.0**-53) * (self.centres / d + 1.0)
-        total = value.sum(axis=1)
-        error = error.sum(axis=1) + self.window * 2.0**-53 * total
-        at = at.reshape(y.shape)
-        return scale * total[at], scale * error[at] + beyond
+        # d = |fl(n + eps) - y| is off by up to 2^-53 (n + eps + d)
+        moments, errors = _power_sums(eps, s, d, _U * (middle / d + 1.0))
+        start = m + eps - y
+        far, far_err = _hurwitz_sums(eps, s, start, _U * ((m + eps) / start + 1.0))
+        value, error = _moment_series(eps, float(self.s), s, moments + far, errors + far_err)
+        scale = np.abs(xi_n) ** (2.0 * s)
+        return scale * value, scale * error
 
 
 class HalfSpacePowerTail(Field):

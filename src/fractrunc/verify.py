@@ -199,8 +199,7 @@ def epsilon_threshold(s: float, p: float) -> float:
     return max(0.9 * float(admissible[-1]), pr._EPS_MIN)
 
 
-def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
-                      k: int = 1, N: int = 2, window: int = 400,
+def verify_bump_train(s: float, p: float, eps: Optional[float] = None, k: int = 1, N: int = 2,
                       tol: Tolerance = Tolerance()) -> VerificationReport:
     """Certify the bump-train supersolution one bump at a time.
 
@@ -216,7 +215,7 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
         raise ValueError("p must be finite and positive")
     if eps is None:
         eps = epsilon_threshold(s, p)
-    u = pr.BumpTrain(eps, s, window)
+    u = pr.BumpTrain(eps, s)
     bound = _cross_bump_bound(s)(eps)
     e_n = _on_axis(N, 1.0)[None]
     frame = op.canonical_frame(N, k)
@@ -246,8 +245,7 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None,
         # along e_N the second difference of a zero-valued center is >= 0
         claims.append(ClaimResult([t], "case2_directional_nonnegative",
                                   -rn.value, rn.abs_error_estimate, "le"))
-    params = {"s": s, "p": p, "eps": eps, "k": k, "N": N, "window": window,
-              "cross_bump_bound": bound}
+    params = {"s": s, "p": p, "eps": eps, "k": k, "N": N, "cross_bump_bound": bound}
     return _finish("bump_train", params, claims)
 
 

@@ -171,12 +171,18 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     # a bump narrower than the quadrature's breakpoint resolution read as ~0
     (["verify", "bump-train", "--s", "0.5", "--p", "1.5", "--eps", "1e-20"],
      "eps must lie in [1e-06, 1/2)"),
+    # sweep checks N and k as constants does, before it writes a row
+    (["sweep", "--targets", "bounds", "--k", "0", "--out-prefix", "DIR/sw"],
+     "k must lie in 1..N"),
+    (["sweep", "--targets", "bounds", "--k", "5", "--N", "3", "--out-prefix", "DIR/sw"],
+     "k must lie in 1..N"),
+    (["sweep", "--targets", "roots", "--N", "1", "--out-prefix", "DIR/sw"], "N must be >= 2"),
 ], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "t49-2-gamma-nan",
         "t49-2-gamma-inf", "t49-2-gamma-overflow", "transform-q1", "bump-train-p-inf",
-        "bump-train-p-nan", "bump-train-eps-tiny"])
+        "bump-train-p-nan", "bump-train-eps-tiny", "sweep-k0", "sweep-k-above-N", "sweep-N1"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, message):
     # DIR stands for an existing directory: given where a file belongs, or as
     # the parent of a directory that does not exist
@@ -282,13 +288,14 @@ def test_sweep_emits_csv_and_svg(tmp_path, capsys):
 
 
 def test_sweep_records_domain_errors(tmp_path, capsys):
-    # gamma = 1.5 lies outside the (0,1) domain of c_hat and c_k
+    # gamma = 1.5 lies outside the (0,1) domain of c_hat and c_k; the status
+    # names every target that failed
     prefix = str(tmp_path / "sw")
     code, _, _ = run(capsys, ["sweep", "--targets", "bounds", "--gamma", "1.5",
                               "--steps", "3", "--out-prefix", prefix])
     assert code == 0
     rows = list(csv.reader(open(prefix + ".csv", newline="")))
-    assert [r[-1] for r in rows[1:]] == ["error:c_k:DomainError"] * 3
+    assert [r[-1] for r in rows[1:]] == ["error:c_hat:DomainError;c_k:DomainError"] * 3
     assert all(r[1] == "" and r[2] != "" and r[3] == "" for r in rows[1:])
 
 

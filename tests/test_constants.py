@@ -95,6 +95,14 @@ def test_c_k_decomposition():
         cn.hat_c_dec(gamma, s) + 2.0 * cn.c_perp(gamma, s), rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_c_k_requires_k_at_least_1(k):
+    with pytest.raises(cn.DomainError, match="k must be >= 1"):
+        cn.c_k_fn(0.5, 0.3, k)
+    with pytest.raises(cn.DomainError, match="k must be >= 1"):
+        cn.find_gamma_bar(k, 0.3)
+
+
 @pytest.mark.parametrize("bad", [-0.1, 0.0, 1.0, 1.5])
 def test_domain_errors_s(bad):
     with pytest.raises(cn.DomainError):

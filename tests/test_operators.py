@@ -439,11 +439,53 @@ def _reference_directional(u, x, xi, s, tol):
     return Cs * (value + float(closed)), Cs * (err + float(closed_err))
 
 
+class _TruncatedTrain:
+    """The bumps n < ``window`` of a ``BumpTrain``, each on the whole line of
+    every section, and the bumps from ``window`` on as ``far_part``, the
+    moment series of their Hurwitz sums.  A quadrature of its sections is an
+    independent check of the train's split into near bumps, bumps summed one
+    by one and the Hurwitz sum; rows need x_N <= window - eps."""
+
+    def __init__(self, eps, s, window):
+        self.eps, self.s, self.window = eps, s, window
+        self.growth_alpha, self.growth_const = 0.0, eps ** (2.0 * s)
+        starts = np.arange(window, dtype=float)
+        self.edges = np.column_stack((starts, starts + 2.0 * eps)).reshape(-1)
+
+    def line(self, x, xi):
+        a, b = np.asarray(x, float)[..., -1], np.asarray(xi, float)[..., -1]
+        eps, s, window = self.eps, self.s, self.window
+
+        def at(t):
+            y = a + t * b
+            n = np.floor(y)
+            arg = eps * eps - (y - n - eps) ** 2
+            inside = (n >= 0.0) & (n < window) & (arg > 0.0)
+            return np.where(inside, np.maximum(arg, 0.0) ** s, 0.0)
+        return at
+
+    def c2_radius(self, x):
+        return max(float(np.min(np.abs(float(x[-1]) - self.edges))) / 2.0, 1e-6)
+
+    def breakpoints(self, x, xi):
+        return pr._plane_crossings(np.asarray(x, float), np.asarray(xi, float), self.edges)
+
+    def far_part(self, x, xi, s):
+        y, xi_n = np.broadcast_arrays(np.asarray(x, float)[..., -1],
+                                      np.asarray(xi, float)[..., -1])
+        start = self.window + self.eps - y
+        moments, errors = pr._hurwitz_sums(self.eps, s, start,
+                                           2.0**-53 * ((self.window + self.eps) / start + 1.0))
+        value, error = pr._moment_series(self.eps, self.s, s, moments, errors)
+        scale = np.abs(xi_n) ** (2.0 * s)
+        return scale * value, scale * error
+
+
 # field kinds whose growth exponent stays below 2s for every s tested
 PARITY_FIELDS = {
     "radial_decay": lambda N: pr.make_w_gamma(0.5),
     "psi_decay": lambda N: pr.make_psi("decay", 2, 0.5),
-    "bump_train": lambda N: pr.BumpTrain(0.2, 0.5, window=6),
+    "bump_train": lambda N: pr.BumpTrain(0.2, 0.5),
     "halfspace_power_tail": lambda N: pr.HalfSpacePowerTail(0.7, shift=0.8),
     "singular_power": lambda N: pr.PowerProfile(0.05, 2.0),
     "min_composition": lambda N: pr.MinField(
@@ -462,7 +504,9 @@ def test_directional_matches_scipy_reference(kind, s, N):
     xi = rng.standard_normal(N)
     xi /= np.linalg.norm(xi)
     r = op.directional(u, x, xi, s, TOL)
-    ref_value, ref_err = _reference_directional(u, x, xi, s, TOL)
+    # scipy integrates the train's first six bumps over the whole section
+    reference = _TruncatedTrain(0.2, 0.5, 6) if kind == "bump_train" else u
+    ref_value, ref_err = _reference_directional(reference, x, xi, s, TOL)
     assert abs(r.value - ref_value) <= r.abs_error_estimate + ref_err
 
 
@@ -529,49 +573,58 @@ def test_frame_sums():
     assert sums[1].n_evals < op.frame_sum(u, y, fy, s, TOL).n_evals
 
 
-# --- the tolerance floor at a field's own truncation error -------------------
+# --- the bump train: near bumps by quadrature, the rest in closed form -------
 
-class _NoTruncationBar:
-    """A field's proxy without ``near`` and ``far_part``, so its rows integrate the
-    whole field and keep the full tolerance."""
-
-    def __init__(self, field):
-        self.growth_alpha, self.growth_const = field.growth_alpha, field.growth_const
-        self.line, self.c2_radius, self.breakpoints = field.line, field.c2_radius, field.breakpoints
-
-
-def test_row_tolerance_floors_at_truncation_error():
-    # the e_N section through the first bump crosses all 800 bump edges
+def test_bump_train_section_integrates_only_its_near_bumps():
+    # the e_N section through the first bump at s = 0.06: the infinite train
+    # integrates that bump alone, the truncated one all 800 edges of its 400
+    # bumps (~240k evaluations)
     s = 0.06
     eps = vf.epsilon_threshold(s, 1.5)
-    u = pr.BumpTrain(eps, s)
     x, e_n = np.array([0.0, eps]), np.array([0.0, 1.0])
-    r = op.directional(u, x, e_n, s, TOL)
-    full = op.directional(_NoTruncationBar(u), x, e_n, s, TOL)
-    extra = cn.normalizing_constant(s) * float(u.far_part(x, e_n, s)[1])
-    # ~240k evaluations over the whole window at the full 1e-10; the near
-    # bump alone at the floor extra/16 takes ~500
+    r = op.directional(pr.BumpTrain(eps, s), x, e_n, s, TOL)
+    full = op.directional(_TruncatedTrain(eps, s, 400), x, e_n, s, TOL)
     assert r.n_evals <= 2_000
-    # the quadrature part of the bar alone covers the distance to the full
-    # tolerance's value; the truncation part is the same for both
-    assert abs(r.value - full.value) <= (r.abs_error_estimate - extra) + full.abs_error_estimate
-    assert r.abs_error_estimate <= (1.0 + 1.0 / 16.0) * extra
+    assert abs(r.value - full.value) <= r.abs_error_estimate + full.abs_error_estimate
+    # no truncation in the bar: the quadrature's tolerance and the rounding
+    assert r.abs_error_estimate <= TOL.abs_tol
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.5, pytest.param(0.99, marks=pytest.mark.xfail(
+    strict=True, reason="at s >= 0.95 the Taylor ladder's self-estimate is not a bound once "
+    "the pair is rounding noise: up to 5.6x at s = 0.99, eps = 0.01"))])
+def test_bump_train_matches_closed_form_inside_a_bump(s):
+    # (-Delta)^s (eps^2 - z^2)_+^s = Gamma(1+2s) for |z| < eps (Dyda 2012), so
+    # at a point inside a bump with no other bump near, the directional value
+    # is -Gamma(1+2s) |xi_N|^{2s} plus the far part
+    Cs = cn.normalizing_constant(s)
+    for eps in (0.01, 0.2, 0.3):
+        u = pr.BumpTrain(eps, s)
+        for y in (eps, 3.0 + 0.5 * eps, 5.0 + 1.9 * eps, 0.05 * eps):
+            for xi in (np.array([0.0, 1.0]), np.array([0.6, 0.8])):
+                x = np.array([0.3, y])
+                r = op.directional(u, x, xi, s, TOL)
+                exact = (-math.gamma(1.0 + 2.0 * s) * xi[-1] ** (2.0 * s)
+                         + Cs * float(u.far_part(x, xi, s)[0]))
+                assert abs(r.value - exact) <= r.abs_error_estimate
 
 
 @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
-def test_bump_train_truncation_bar_covers_the_far_bumps(s):
-    eps, window, tilt = 0.2, 6, 0.6
+def test_bump_train_matches_truncated_train(s):
+    eps, tilt = 0.2, 0.6
     x = np.array([0.0, eps])
-    narrow, wide = pr.BumpTrain(eps, s, window), pr.BumpTrain(eps, s, 2 * window)
+    u = pr.BumpTrain(eps, s)
     bars, values = [], []
     for xi in (np.array([0.0, 1.0]), np.array([0.8, tilt])):
-        r = op.directional(narrow, x, xi, s, TOL)
-        extra = cn.normalizing_constant(s) * float(narrow.far_part(x, xi, s)[1])
-        # doubling the window adds bumps only beyond the truncation distance
-        assert abs(r.value - op.directional(wide, x, xi, s, TOL).value) <= extra
+        r = op.directional(u, x, xi, s, TOL)
+        ref = op.directional(_TruncatedTrain(eps, s, 6), x, xi, s, TOL)
+        assert abs(r.value - ref.value) <= r.abs_error_estimate + ref.abs_error_estimate
+        # the far part's error is its rounding: no bump is left out
+        far, far_err = u.far_part(x, xi, s)
+        assert 0.0 < far_err <= 1e-13 * far
         values.append(r.value)
-        bars.append(r.abs_error_estimate - extra)
+        bars.append(r.abs_error_estimate)
     # the train depends on x_N alone, so the tilted row is the e_N one times
-    # tilt^{2s}, truncation included: the quadrature bars alone cover it
+    # tilt^{2s}, its far part included
     scale = tilt ** (2.0 * s)
     assert abs(values[1] - scale * values[0]) <= bars[1] + scale * bars[0]

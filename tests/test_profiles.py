@@ -119,7 +119,7 @@ def test_bump_train_values():
     gap = np.array([0.0, 2.0 * eps + 0.5 * (1.0 - 2.0 * eps)])
     assert u(center) == pytest.approx(eps ** (2.0 * s), rel=1e-12)
     assert u(gap) == 0.0
-    # 1-periodic structure within the window
+    # 1-periodic structure
     assert u(center + np.array([0.0, 3.0])) == pytest.approx(u(center),
                                                              rel=1e-12)
     e_n, tilted = np.array([0.0, 1.0]), np.array([0.8, 0.6])
@@ -127,103 +127,150 @@ def test_bump_train_values():
     def far_error(xi):
         return float(u.far_part(np.array([0.0, 1.0]), xi, s)[1])
 
-    assert 0.0 < far_error(e_n) < 1e-2
-    # the train depends on x_N alone: the bound scales as |xi_N|^{2s}
+    # no bump is left out: the error is the series' and the rounding
+    assert 0.0 < far_error(e_n) < 1e-14
+    # the train depends on x_N alone: the error scales as |xi_N|^{2s}
     assert far_error(tilted) == pytest.approx(0.6 ** (2.0 * s) * far_error(e_n), rel=1e-14)
     assert far_error(np.array([1.0, 0.0])) == 0.0
 
 
 def test_bump_train_window():
-    # only bumps 0 .. window-1 are kept, on the whole line and on arrays
+    # no window: no bump below n = 0, and every bump above, n = 399, 400 and
+    # far beyond, shows at its own points
     eps, s = 0.2, 0.5
-    u = pr.BumpTrain(eps, s, window=3)
-    line = u.line(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-    values = line(np.array([-1.0 + eps, eps, 2.0 + eps, 3.0 + eps, 7.0 + eps]))
-    assert values.tolist() == [0.0, eps ** (2.0 * s), eps ** (2.0 * s), 0.0, 0.0]
+    u = pr.BumpTrain(eps, s)
+    assert u(np.array([0.0, -1.0 + eps])) == 0.0
+    for n in (0, 2, 3, 399, 400, 7 * 10**6):
+        for y in (n + eps, n + 0.3 * eps):
+            assert u(np.array([0.0, y])) == (eps**2 - (y - n - eps) ** 2) ** s
+    line = u.line(np.array([[0.0, 0.0], [0.0, 400.0]]), np.array([0.0, 1.0]))
+    values = line(np.array([[-1.0 + eps, eps, 2.0 + eps]]).T)
+    assert values.tolist() == [[0.0, 0.0], [eps ** (2.0 * s)] * 2, [0.0, 0.0]]
 
 
 def test_bump_train_breakpoints():
-    u = pr.BumpTrain(0.2, 0.5, window=10)
+    u = pr.BumpTrain(0.2, 0.5)
     bps = u.breakpoints(np.array([0.0, 0.2]), np.array([0.0, 1.0]))
     assert any(abs(b - 0.2) < 1e-12 for b in bps)  # right edge of bump 0
     assert u.breakpoints(np.array([0.0, 0.2]), np.array([1.0, 0.0])) == []
 
 
-@pytest.mark.parametrize("eps,s,window", [(0.2, 0.5, 10), (0.0317, 0.05, 400),
-                                          (0.4614, 0.97, 400)])
-def test_bump_train_metadata_matches_per_edge_formula(eps, s, window):
-    # the edge array gives the floats, in the order, of the per-edge formula
-    u = pr.BumpTrain(eps, s, window)
-    edges = [e for n in range(window) for e in (float(n), n + 2.0 * eps)]
-    assert u.edges.tolist() == edges
-    rng = np.random.default_rng(window)
+@pytest.mark.parametrize("eps,s,span", [(0.2, 0.5, 10), (0.0317, 0.05, 400),
+                                        (0.4614, 0.97, 400)])
+def test_bump_train_metadata_matches_per_edge_formula(eps, s, span):
+    # the per-edge formula over the edges of the bumps centred within 2 eps
+    # of the point, at random points and at points within 3 eps of a centre
+    u = pr.BumpTrain(eps, s)
+    rng = np.random.default_rng(span)
     for _ in range(20):
-        x = np.r_[rng.uniform(-1.0, 1.0), rng.uniform(-2.0, window + 2.0)]
-        xi = _unit(rng, 2)
-        old = sorted(t for t in ((e - x[-1]) / xi[-1] for e in edges) if abs(t) > 1e-9)
-        assert u.breakpoints(x, xi) == old
-        assert u.c2_radius(x) == max(min(abs(float(x[-1]) - e) for e in edges) / 2.0, 1e-6)
+        x = np.r_[rng.uniform(-1.0, 1.0), rng.uniform(-2.0, span + 2.0)]
+        for y in (x[-1], rng.integers(-1, span) + eps * rng.uniform(-2.0, 4.0)):
+            x[-1] = y
+            xi = _unit(rng, 2)
+            edges = [e for n in range(span + 3) if abs(n + eps - y) < 2.0 * eps
+                     for e in (float(n), n + 2.0 * eps)]
+            want = sorted(t for t in ((e - y) / xi[-1] for e in edges) if abs(t) > 1e-9)
+            assert u.breakpoints(x, xi) == want
+            c2 = max(min(abs(y - e) for e in edges) / 2.0, 1e-6) if edges else 1.0
+            assert u.c2_radius(x) == c2
 
 
 @pytest.mark.parametrize("s", [1e-5, 0.05, 0.5, 0.95, 0.999])
 def test_far_bump_series_matches_mpmath(s):
-    # the bump's kernel integral at d = 2*eps, the nearest distance it is
-    # summed at, at 1 and at 399, the far end of the default window
+    # one bump's kernel integral at d = 2*eps, the nearest distance it is
+    # summed at, at 1 and at 399
     for eps in (0.0017, 0.2, 0.4025):
         ds = np.array([2.0 * eps, 1.0, 399.0])
-        values, errors = pr._far_bump(eps, s, s, ds)
+        values, errors = pr._moment_series(eps, s, s, *pr._power_sums(eps, s, ds[:, None], 0.0))
         with mpmath.workdps(30):
             e, a = mpmath.mpf(eps), mpmath.mpf(s)
             for d, value, error in zip(ds, values, errors):
                 want = mpmath.quad(lambda h: (e * e - h * h) ** a * (d - h) ** (-1 - 2 * a),
                                    [-e, 0, e])
                 assert abs(value - want) <= error
-                assert error <= 1e-14 * value
+                assert error <= 2e-14 * value
+
+
+def test_hurwitz_sums_match_mpmath():
+    # eps^sigma zeta(sigma, a) for sigma = 1 + 2s + 2i; mpmath's own zeta is
+    # off by 5e-10 at 50 digits (zeta(28, 400)) and by 2e-13 at 110 (zeta(50,
+    # 400)), and within 4e-16 at 150 on this grid
+    for s in (1e-5, 1e-3, 0.01, 0.0731, 0.5, 0.97):
+        for eps in (1e-6, 0.49):
+            starts = np.array([2.0 * eps, 1.0 + eps, 7.9, 400.0])
+            values, errors = pr._hurwitz_sums(eps, s, starts, 0.0)
+            with mpmath.workdps(150):
+                for start, value, error in zip(starts, values, errors):
+                    for i in (0, 13, 24, 32) if start == 400.0 else (0, 13, 32):
+                        sigma = 1 + 2 * mpmath.mpf(s) + 2 * i
+                        want = mpmath.mpf(eps) ** sigma * mpmath.zeta(sigma, mpmath.mpf(start))
+                        assert abs(value[i] - want) <= error[i]
+                        assert error[i] <= 1e-12 * want + 2e-300
+
+
+def test_bump_train_far_part():
+    # the moment series of every bump at d >= 2 eps of the row's point,
+    # summed in mpmath: the bumps n < 10 one by one, the rest as Hurwitz zeta
+    # (at d > 4, so 16 terms of its series leave < 1e-30); the kernel's order
+    # s may differ from the train's a
+    x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 3.5], [1.0, 3.5], [0.0, -0.3], [0.0, 5.0]])
+    xi = np.array([[0.0, 1.0], [0.8, 0.6], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    for eps, a, s in ((0.2, 0.5, 0.5), (0.2, 0.5, 0.05), (0.0191653, 0.0731, 0.0731),
+                      (1e-6, 0.03, 0.95)):
+        # through the first bump's centre and inside bump 5
+        x[:2, -1], x[-1, -1] = eps, 5.0 + 1.5 * eps
+        values, errors = pr.BumpTrain(eps, a).far_part(x, xi, s)
+        with mpmath.workdps(40):
+            e, a_, s_ = mpmath.mpf(eps), mpmath.mpf(a), mpmath.mpf(s)
+            c = [mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 + a_) / mpmath.gamma(1.5 + a_)]
+            for i in range(59):
+                c.append(c[-1] * (2 * s_ + 2 * i + 1) * (2 * s_ + 2 * i + 2)
+                         / ((2 * i + 2) * (2 * i + 2 * a_ + 3)))
+            for row in (0, 2, 4, 5):
+                y = mpmath.mpf(x[row, -1])
+                ds = [abs(n + e - y) for n in range(10) if abs(n + e - y) >= 2 * e]
+                want = e ** (2 * (a_ - s_)) * mpmath.fsum(
+                    c[i] * mpmath.fsum((e / d) ** (1 + 2 * s_ + 2 * i) for d in ds)
+                    for i in range(60))
+                want += e ** (2 * (a_ - s_)) * mpmath.fsum(
+                    c[i] * e ** (1 + 2 * s_ + 2 * i) * mpmath.zeta(1 + 2 * s_ + 2 * i, 10 + e - y)
+                    for i in range(16))
+                assert abs(values[row] - want) <= errors[row]
+                assert errors[row] <= 1e-9 * values[row]
+        assert values[1] == pytest.approx(0.6 ** (2.0 * s) * values[0], rel=1e-14)
+        assert values[3] == 0.0 and errors[3] == 0.0
 
 
 def test_bump_train_near_shows_the_bumps_within_two_eps():
     eps, s = 0.4025, 0.955
-    u = pr.BumpTrain(eps, s, window=10)
-    near = u.near()
-    centres = np.arange(10) + eps
+    u = pr.BumpTrain(eps, s)
+    centres = np.arange(14) + eps
     # inside bumps, at a centre, in gaps (whose near bumps are both
-    # neighbours at this eps), at the window's ends and beyond them
+    # neighbours at this eps), below the first bump and far along
     for y in (eps, 1.0 + eps, 3.1, 4.0 + eps + 0.5, 0.9, -0.3, 9.7, 11.0):
         x = np.array([0.3, y])
-        assert near(x) == u(x)
+        n = math.floor(y)
+        assert u(x) == (max(eps**2 - (y - n - eps) ** 2, 0.0) ** s if n >= 0 else 0.0)
         close = np.abs(centres - y) < 2.0 * eps
-        line = near.line(x, np.array([0.0, 1.0]))
+        line = u.line(x, np.array([0.0, 1.0]))
         assert np.array_equal(line(centres - y), np.where(close, eps ** (2.0 * s), 0.0))
-        assert set(near.breakpoints(x, np.array([0.0, 1.0]))) <= set(
-            u.breakpoints(x, np.array([0.0, 1.0])))
+        edges = [e - y for c in centres[close] for e in (c - eps, c + eps) if abs(e - y) > 1e-9]
+        assert u.breakpoints(x, np.array([0.0, 1.0])) == pytest.approx(sorted(edges), abs=1e-15)
     # with eps below 1/4 a gap point has no near bump: its section is 0
-    thin = pr.BumpTrain(0.1, s, window=10).near()
+    thin = pr.BumpTrain(0.1, s)
     assert thin.breakpoints(np.array([0.0, 0.7]), np.array([0.0, 1.0])) == []
     assert thin.c2_radius(np.array([0.0, 0.7])) == 1.0
+    assert thin.d2_along(np.array([0.0, 0.7]), np.array([0.0, 1.0])) == 0.0
 
 
-def test_bump_train_far_part():
-    eps, s, window = 0.2, 0.5, 400
-    u = pr.BumpTrain(eps, s, window)
-    x = np.array([[0.0, eps], [0.0, eps], [0.0, 3.5], [1.0, 3.5]])
-    xi = np.array([[0.0, 1.0], [0.8, 0.6], [0.0, 1.0], [1.0, 0.0]])
-    # the whole train: nothing in closed form, the bumps beyond the window as
-    # error, the formula of the truncation bound it always carried
-    values, errors = u.far_part(x, xi, s)
-    assert values.tolist() == [0.0] * 4
-    assert errors.tolist() == [abs(b[-1]) ** (2.0 * s) * eps ** (2.0 * s)
-                               * max(window - a[-1], 1.0) ** (-2.0 * s) / s
-                               for a, b in zip(x, xi)]
-    # the near train adds every bump at d >= 2 eps of the row's point
-    values, errors = u.near().far_part(x, xi, s)
-    for y, row in ((eps, 0), (3.5, 2)):
-        d = np.abs(np.arange(window) + eps - y)
-        F, _ = pr._far_bump(eps, s, s, d[d >= 2.0 * eps])
-        assert values[row] == pytest.approx(math.fsum(F), rel=1e-14)
-    assert values[1] == pytest.approx(0.6 ** (2.0 * s) * values[0], rel=1e-14)
-    assert values[3] == 0.0 and errors[3] == 0.0
-    # the series and its rounding widen the bar by a few hundred ulps of the value
-    assert 0.0 < errors[0] - float(u.far_part(x[0], xi[0], s)[1]) < 1e-13 * values[0]
+def test_bump_train_d2_along_matches_differences():
+    # the second derivative of the bump that holds the point, along xi
+    u = pr.BumpTrain(0.3, 0.7)
+    for x, xi in ((np.array([0.2, 2.41]), np.array([0.6, 0.8])),
+                  (np.array([-1.0, 0.3]), np.array([0.0, 1.0]))):
+        line, h = u.line(x, xi), 1e-4
+        fd = (line(h) + line(-h) - 2.0 * line(0.0)) / (h * h)
+        assert u.d2_along(x, xi) == pytest.approx(fd, rel=1e-6)
 
 
 def test_halfspace_power_tail_vanishes_below_wall():
@@ -390,7 +437,7 @@ LINE_FIELDS = {
     "psi_decay": lambda N, rng: pr.make_psi("decay", 2, 0.5),
     "psi_halfint": lambda N, rng: pr.make_psi("halfint", 1, 0.5),
     "psi_growth": lambda N, rng: pr.make_psi("growth", 1, 0.75),
-    "bump_train": lambda N, rng: pr.BumpTrain(0.2, 0.5, window=6),
+    "bump_train": lambda N, rng: pr.BumpTrain(0.2, 0.5),
     "halfspace_power_tail": lambda N, rng: pr.HalfSpacePowerTail(0.7, shift=0.8),
     "singular_power": lambda N, rng: pr.PowerProfile(0.25, 3.0),
     "min_composition": lambda N, rng: pr.MinField(
@@ -398,6 +445,15 @@ LINE_FIELDS = {
     "ball_bump": lambda N, rng: vf._BallBump(
         np.r_[np.zeros(N - 1), -0.5], 1.5, 0.5),
 }
+
+
+def _section_value(u, x, y):
+    """u(y) as the section through x shows it: a bump train shows only the
+    bumps centred within 2 eps of x, and the bump that holds y is one of
+    them or shows 0."""
+    if isinstance(u, pr.BumpTrain) and not abs(math.floor(y[-1]) + u.eps - x[-1]) < 2.0 * u.eps:
+        return 0.0
+    return u(y)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -416,7 +472,8 @@ def test_line_matches_pointwise_evaluation(kind, N):
             h = 1e-7 * max(1.0, abs(b))
             ts += [b - h, b + h]
         for t in ts:
-            assert line(t) == pytest.approx(u(x + t * xi), rel=1e-15, abs=1e-300)
+            assert line(t) == pytest.approx(_section_value(u, x, x + t * xi), rel=1e-15,
+                                            abs=1e-300)
         # the same nodes and every breakpoint as one 2-D array: one value per
         # node, each the node's value alone (numpy's vector pow may differ
         # from its scalar pow in the last bit)
@@ -424,8 +481,8 @@ def test_line_matches_pointwise_evaluation(kind, N):
         values = line(nodes.reshape(-1, 1))
         assert values.shape == (nodes.size, 1)
         assert np.all(np.isfinite(values))
-        assert values[:len(ts), 0] == pytest.approx([u(x + t * xi) for t in ts],
-                                                    rel=1e-15, abs=1e-300)
+        assert values[:len(ts), 0] == pytest.approx(
+            [_section_value(u, x, x + t * xi) for t in ts], rel=1e-15, abs=1e-300)
         assert values[:, 0] == pytest.approx([float(line(t)) for t in nodes],
                                              rel=1e-15, abs=1e-300)
         # a fan of directions through x, one row of nodes per direction:

@@ -79,10 +79,20 @@ def test_bump_train_passes():
     names = {c.claim for c in r.residuals}
     assert {"case1_supersolution", "case1_cross_bump_bound",
             "case2_u_vanishes", "case2_frame_sum_zero"} <= names
-    # sections along e_1 never meet the far bumps, so no truncation is charged
+    # sections along e_1 never meet a bump but the point's own, which is 0 there
     for c in r.residuals:
         if c.claim == "case2_frame_sum_zero":
             assert c.residual == 0.0 and c.error <= 1e-9
+
+
+@pytest.mark.parametrize("s,p", [(0.0731, 1.616), (0.05, 1.5), (0.03, 1.5)])
+def test_bump_train_passes_at_small_s(s, p):
+    # every bump is in the value, so a gap point's directional value (+0.0157
+    # at s = 0.0731) carries only quadrature and rounding in its bar
+    r = vf.verify_bump_train(s, p, N=2)
+    assert r.verdict == "pass"
+    assert "window" not in r.params
+    assert max(c.error for c in r.residuals) <= 1e-9
 
 
 def test_bump_train_case2_points_in_gaps():
@@ -91,8 +101,8 @@ def test_bump_train_case2_points_in_gaps():
     r = vf.verify_bump_train(0.955, 1.5, k=2, N=4)
     assert r.verdict == "pass"
     for eps in np.linspace(0.01, 0.49, 25):
-        u = pr.BumpTrain(eps, 0.5, window=10)
-        case2 = vf.verify_bump_train(0.5, 2.0, eps=eps, k=1, N=2, window=10,
+        u = pr.BumpTrain(eps, 0.5)
+        case2 = vf.verify_bump_train(0.5, 2.0, eps=eps, k=1, N=2,
                                      tol=Tolerance(1e-6, 1e-6)).residuals
         points = [c.point[0] for c in case2 if c.claim == "case2_u_vanishes"]
         assert len(points) == 2
@@ -135,7 +145,7 @@ def test_bump_train_cross_bump_bound():
                     vf.epsilon_threshold(s, p)
     s, p = 0.5, 2.0
     eps = vf.epsilon_threshold(s, p)
-    r = vf.verify_bump_train(s, p, eps=eps, window=10, tol=Tolerance(1e-6, 1e-6))
+    r = vf.verify_bump_train(s, p, eps=eps, tol=Tolerance(1e-6, 1e-6))
     assert r.params["cross_bump_bound"] == _scalar_cross_bump_bound(s)(eps)
 
 
