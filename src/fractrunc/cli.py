@@ -389,6 +389,8 @@ def _sweep_row(target: str, N: int, k: int, s: float,
 
 def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
     lo, hi = args.s_min, args.s_max
+    if args.steps < 1:
+        raise cn.DomainError("steps must be >= 1")
     if not (0.0 < lo < hi < 1.0):
         raise cn.DomainError("sweep range must satisfy 0 < s_min < s_max < 1")
     cn.ProblemParams(N=args.N, k=args.k, s=hi)  # validates N and k as constants does

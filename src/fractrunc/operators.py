@@ -9,8 +9,9 @@ and the extremal operators of order ``k`` are the inf/sup of frame sums
 module evaluates the directional operator on one-dimensional line sections,
 assembles frame sums, provides exact closed-form frames for radial profiles,
 and runs a heuristic (explicitly one-sided) frame search: a sweep of Givens
-rotations, each a line search, then trust-region steps on a quadratic model
-of the score in all the rotation angles at once.
+rotations, each a ring of angles, then a bracket zoom on the one angle
+(N = 2) or trust-region steps on a quadratic model of the score in all the
+rotation angles at once.
 
 The unit of work is a batch of *rows*, each a (point, direction) pair:
 the line section of one field through the point along the direction.
@@ -561,93 +562,35 @@ def _search_objective(u, x: np.ndarray, s: float, k: int, tol: Tolerance
     return objective
 
 
-# Each rotation first scores _ANGLE_GRID equispaced angles over [0, pi): the
-# objective is pi-periodic in the angle, since I_xi = I_{-xi}, and angle 0 is
-# the frame's current score.  Then it zooms.  Each level scores _ZOOM_POINTS
-# points on a grid that ``_parabola_step`` places from the last level's best
-# point and its neighbours (mod pi on the 32 angles): on the vertex of their
-# parabola, 1/4 to 1/_ZOOM_SHRINK as wide as the last grid, where the nodes
-# two out confirm the parabola; else on the peak where the parabolas through
-# the three points on either side meet, as narrow as their fit allows; else
-# on the best point, two spacings wide.  On ties the centre is the best
-# point; a best point on an edge is the centre of the next grid at the same
-# width.  The zoom ends at a best point inside a
-# grid at most 2*step*_ZOOM_WIDTH wide: the optimum of a unimodal objective
-# then lies between its neighbours, a bracket no wider than the final one of
-# 24 golden-section steps from two grid steps, so the angle is found at least
-# that precisely.  A smooth objective takes three to five levels, a min
-# field's kink four to eight; flat stretches end after _ZOOM_LEVELS.
+# Each Givens rotation scores _ANGLE_GRID equispaced angles over [0, pi), a
+# ring: the objective is pi-periodic in the angle, since I_xi = I_{-xi}, and
+# angle 0 is the frame's current score.  The rings only scan; one method then
+# refines each search.  With one angle (N = 2) the zoom brackets it: each
+# level scores _ZOOM_POINTS angles across the two spacings around the best
+# angle so far, so each level is 8 times narrower, and a best angle on an
+# edge recentres the grid at the same width.  It stops when the best angle's
+# drop to the lower of its two neighbours is at most its score's error bar:
+# the optimum of a unimodal objective lies between those neighbours, where
+# the gain left is at most 1/4 of that drop on a smooth peak and 1/2 on a
+# cusp.  Flat stretches end after _ZOOM_LEVELS.
 _ANGLE_GRID = 32
-_ZOOM_POINTS = 9
-_ZOOM_SHRINK = 96.0
+_ZOOM_POINTS = 17
 _ZOOM_LEVELS = 10
-_ZOOM_WIDTH = ((math.sqrt(5.0) - 1.0) / 2.0) ** 24
-_ZOOM_OFFSETS = np.linspace(-0.5, 0.5, _ZOOM_POINTS)
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
 
 
-def _parabola_step(vals: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The next zoom grid around each row's best node ``g``, in node spacings:
-    the offset of its centre from ``g``, and its width.
-
-    ``up`` and ``down`` are the misses of the parabola through g and its
-    neighbours at the nodes two spacings out (indices mod the row length; a
-    nan node counts as a miss).  A cubic term moves the vertex by about
-    |up - down| / (12 |curvature|) spacings, so a trusted parabola puts
-    a grid 8 times that wide on its vertex, which puts the vertex error
-    within one spacing of that grid, and at least 8/_ZOOM_SHRINK wide.  A
-    kink misses at both nodes, by about the curvature each.  So a parabola
-    is trusted only when the misses sum to at most its curvature and the
-    vertex error is at most a quarter spacing.
-
-    Where it is not, the kink step: the parabolas through the three nodes
-    left of g and through the three right of it meet at the peak of a kink
-    between g's neighbours.  The one on g's side passes through g up to the
-    error of that side's fit; twice its miss there, over the jump in slope
-    at the peak, bounds how far that error moves the meeting point (on the
-    cusps of min-field objectives, 2 to 5 times the distance measured), and
-    a grid 8 times that wide is centred on it.  Otherwise, and wherever that
-    grid would be no narrower, the grid spans the two spacings around g,
-    which bracket the optimum of a unimodal objective.
-    """
-    n, rows = vals.shape[1], np.arange(g.size)
-    lo3, lo2, lo, mid, hi, hi2, hi3 = (vals[rows, (g + d) % n] for d in range(-3, 4))
-    curv, slope = lo - 2.0 * mid + hi, hi - lo
-    up, down = hi2 - mid - slope - 2.0 * curv, lo2 - mid + slope - 2.0 * curv
-    trusted = (np.abs(up + down) <= -curv) & (np.abs(up - down) <= -3.0 * curv)
-    shift, width = np.zeros(g.size), np.where(trusted, 8.0 / _ZOOM_SHRINK, 2.0)
-    bent = trusted & (curv < 0.0)
-    shift[bent] = -0.5 * slope[bent] / curv[bent]
-    width[bent] = np.maximum(width[bent], 2.0 * np.abs(up - down)[bent] / (-3.0 * curv[bent]))
-    # the side parabolas, through nodes -3..-1 and 1..3, meet where their
-    # difference a t^2 + b t + c vanishes
-    left_c, right_c = lo3 - 2.0 * lo2 + lo, hi - 2.0 * hi2 + hi3
-    left_s, right_s = 0.5 * (lo - lo3), 0.5 * (hi3 - hi)
-    a = 0.5 * (left_c - right_c)
-    b = left_s - right_s + 2.0 * (left_c + right_c)
-    c = lo2 - hi2 + 2.0 * (left_s + right_s + left_c - right_c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        peak = -2.0 * c / (b + np.sqrt(b * b - 4.0 * a * c))
-        jump = b + 2.0 * a * peak
-        miss = np.minimum(np.abs(mid - lo2 - 2.0 * (left_s + left_c)),
-                          np.abs(mid - hi2 + 2.0 * (right_s - right_c)))
-        spread = 16.0 * miss / jump
-    kink = ~trusted & (jump > 0.0) & (np.abs(peak) < 1.0) & (spread < 2.0)
-    shift[kink] = peak[kink]
-    width[kink] = np.maximum(spread[kink], 8.0 / _ZOOM_SHRINK)
-    return shift, width
-
-
-# After the sweeps, the polish: a quadratic model of the score in the angles
-# of the Givens planes, fitted from the frame, the turns by +-_POLISH_H in
-# each angle and by _POLISH_H in each pair of them, every restart's model
-# frames in one objective call.  _POLISH_H balances the fitted gradient's
-# truncation error, h^2/6 times the score's third derivative, against the
-# score's own error over h.  The trust radius starts at one angle step and
-# stays below pi/4; the polish makes at most _POLISH_CALLS calls.
+# With two or more angles (N >= 3), the polish: a quadratic model of the
+# score in the angles of the Givens planes, fitted from the frame, the turns
+# by +-_POLISH_H in each angle and by _POLISH_H in each pair of them, every
+# restart's model frames in one objective call.  _POLISH_H balances the
+# fitted gradient's truncation error, h^2/6 times the score's third
+# derivative, against the score's own error over h.  The trust radius starts
+# at one angle step and stays below pi/4; the polish makes at most
+# _POLISH_CALLS calls.
 _POLISH_H = 4e-3
 _POLISH_RADIUS = math.pi / _ANGLE_GRID
 _POLISH_MAX_RADIUS = math.pi / 4.0
-_POLISH_CALLS = 8
+_POLISH_CALLS = 16
 
 
 def _turned(bases: np.ndarray, planes: list[tuple[int, int]], angles: np.ndarray) -> np.ndarray:
@@ -730,7 +673,7 @@ def _polish(score, bases: np.ndarray, best: np.ndarray, live: np.ndarray, k: int
     N = bases.shape[1]
     planes = [(i, j) for i in range(k) for j in range(i + 1, N)]
     d = len(planes)
-    if d < 2 or not live.size:
+    if not live.size:
         return
     eye = np.eye(d)
     p, q = np.triu_indices(d, 1)
@@ -772,32 +715,54 @@ def _polish(score, bases: np.ndarray, best: np.ndarray, live: np.ndarray, k: int
     bases[live], best[live] = centre, cur
 
 
+def _zoom(score, bases: np.ndarray, best: np.ndarray, k: int) -> None:
+    """The bracket zoom on the one angle of every restart's frame, in place."""
+    m, mid = bases.shape[0], _ZOOM_POINTS // 2
+    angle, half = np.zeros(m), np.full(m, math.pi / _ANGLE_GRID)
+    todo = np.arange(m)
+    for _ in range(_ZOOM_LEVELS):
+        grid = angle[todo, None] + half[todo, None] * _ZOOM_OFFSETS
+        frames = _turned(np.repeat(bases[todo], _ZOOM_POINTS, axis=0), [(0, 1)],
+                         grid.reshape(-1, 1))
+        vals, bars = (a.reshape(todo.size, -1) for a in score(frames[:, :k]))
+        at = np.arange(todo.size)
+        # the centre is the best angle so far: it moves only on a strict gain
+        g = np.argmax(vals, axis=1)
+        g[vals[at, g] <= np.maximum(best[todo], vals[:, mid])] = mid
+        top = vals[at, g]
+        best[todo], angle[todo] = np.maximum(best[todo], top), grid[at, g]
+        edge = (g == 0) | (g == _ZOOM_POINTS - 1)
+        half[todo[~edge]] *= 2.0 / (_ZOOM_POINTS - 1)
+        drop = top - np.minimum(vals[at, g - 1], vals[at, (g + 1) % _ZOOM_POINTS])
+        todo = todo[edge | (drop > bars[at, g])]
+        if not todo.size:
+            break
+    bases[:] = _turned(bases, [(0, 1)], angle[:, None])
+
+
 def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
                     budget: int = 10, seed: int = 42,
                     tol: Tolerance = Tolerance(),
                     sweeps: int = 1) -> tuple[QuadResult, Frame]:
     """Heuristic frame optimization for the extremal operators.
 
-    Random orthonormal restarts, ``sweeps`` sweeps of coordinate descent over
-    Givens rotation angles (within the frame's span and against its
-    orthogonal complement), then a trust-region polish in all those angles
-    at once.  Each rotation scores 32 equispaced angles over [0, pi), then
-    zooms on 9-point grids centred on the vertex of the parabola through
-    the best angle and its neighbours, up to 96 times narrower per level
-    where the points two spacings out confirm the parabola, or on the peak
-    where the parabolas through the three angles on either side meet, as
-    far as their fit allows, until the best angle lies inside a grid no
-    wider than the final bracket of 24 golden-section steps from two angle
-    steps: three to five levels on a smooth objective, ten at most.  The
-    polish fits a quadratic model of the score in the d = k(N-k) + k(k-1)/2
-    angles from 1 + 2d + d(d-1)/2 frames around the current one and takes a
-    trust-region step, a product of Givens turns, so every frame stays
-    orthonormal; a step counts only when its score, read in the next call,
-    is no worse.  It stops when the model's predicted gain is no more than
-    the score's own error bar, or after eight calls; with d = 1 the
-    rotation's line search is already exact, and there is no polish.  The
-    restarts run in lockstep, so each grid or model of all of them is one
-    batched objective call over a stack of frames.  The result is one-sided by construction: an upper
+    Random orthonormal restarts, then ``sweeps`` sweeps of Givens rotations
+    over the d = k(N-k) + k(k-1)/2 planes within the frame's span and
+    against its orthogonal complement: each rotation scores 32 equispaced
+    angles over [0, pi) and keeps the best.  One method then refines each
+    search.  With d = 1 (N = 2) a bracket zoom: each level scores 17 angles
+    across the two spacings around the best angle so far, 8 times narrower
+    per level.  With d >= 2 a trust-region polish: a quadratic model of the
+    score in all d angles, fitted from 1 + 2d + d(d-1)/2 frames around the
+    current one, and a truncated-CG step, a product of Givens turns, so
+    every frame stays orthonormal; a step counts only when its score, read
+    in the next call, is no worse.  Both stop by one rule, when the gain
+    left is within the score's own error bar: the zoom when the best
+    angle's drop to the lower of its neighbours is at most its bar, the
+    polish when the model's predicted gain is.  The zoom makes at most ten
+    levels, the polish sixteen calls.  The restarts run in lockstep, so each
+    ring, grid or model of all of them is one batched objective call over a
+    stack of frames.  The result is one-sided by construction: an upper
     bound for the inf (``minus``) and a lower bound for the sup (``plus``).
     """
     if variant not in ("plus", "minus"):
@@ -814,72 +779,39 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
 
     objective = _search_objective(u, x, s, k, search_tol)
     angles = np.linspace(0.0, math.pi, _ANGLE_GRID, endpoint=False)
-    step = float(angles[1])
-    mid = _ZOOM_POINTS // 2
 
     def score(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, bars = objective(frames)
         return sign * values, bars
 
-    # Every restart descends at once, so one objective call serves the grid
-    # of all restarts still improving.  Full bases: frame rows first, then
-    # the complement.
+    # Every restart scans at once, so one objective call serves the ring of
+    # all restarts still improving.  Full bases: frame rows first, then the
+    # complement.
     bases = np.empty((budget, N, N))
     for r, vectors in enumerate(random_frames(N, k, budget, rng)):
         qfull, _ = np.linalg.qr(np.column_stack([vectors.T, np.eye(N)]))
         bases[r] = qfull.T
         bases[r, :k] = vectors
     best = score(bases[:, :k])[0]
+    planes = [(i, j) for i in range(k) for j in range(i + 1, N)]
     live = np.arange(budget)
     for _ in range(sweeps):
         improved = np.zeros(live.size, bool)
-        for i, j in [(i, j) for i in range(k) for j in range(i + 1, N)]:
-            vi, vj = bases[live, i], bases[live, j]
-
-            def rotated(rows: np.ndarray, angs: np.ndarray) -> np.ndarray:
-                """Scores of the live frames ``rows`` with rows i and j turned by angs[r]."""
-                c, sn = np.cos(angs)[..., None], np.sin(angs)[..., None]
-                frames = np.repeat(bases[live[rows], None, :k], angs.shape[1], axis=1)
-                frames[:, :, i] = c * vi[rows, None] + sn * vj[rows, None]
-                if j < k:
-                    frames[:, :, j] = -sn * vi[rows, None] + c * vj[rows, None]
-                return score(frames.reshape(-1, k, N))[0].reshape(angs.shape)
-
-            every = np.arange(live.size)
-            ring = np.column_stack([best[live], rotated(every, np.broadcast_to(
-                angles[1:], (live.size, _ANGLE_GRID - 1)))])
-            b = np.argmax(ring, axis=1)
+        for plane in planes:
+            ring = _turned(np.repeat(bases[live], _ANGLE_GRID - 1, axis=0), [plane],
+                           np.tile(angles[1:], live.size)[:, None])
+            vals = np.column_stack([best[live], score(ring[:, :k])[0].reshape(live.size, -1)])
+            b = np.argmax(vals, axis=1)
             improved |= b > 0
-            cur, best_angle = ring[every, b], angles[b]
-            shift, span = _parabola_step(ring, b)
-            center, width = best_angle + step * shift, step * span
-            zooming = every
-            for _ in range(_ZOOM_LEVELS):
-                grid = center[zooming, None] + width[zooming, None] * _ZOOM_OFFSETS
-                vals = rotated(zooming, grid)
-                at = np.arange(zooming.size)
-                g = np.argmax(vals, axis=1)
-                g[vals[:, mid] >= vals[at, g]] = mid
-                top, theta = vals[at, g], grid[at, g]
-                gain = top > cur[zooming]
-                cur[zooming[gain]], best_angle[zooming[gain]] = top[gain], theta[gain]
-                improved[zooming[gain]] = True
-                # pad with nan, so that nodes past the ends count as misses
-                shift, span = _parabola_step(
-                    np.pad(vals, ((0, 0), (3, 3)), constant_values=np.nan), g + 3)
-                edge = (g == 0) | (g == _ZOOM_POINTS - 1)
-                w = width[zooming]
-                center[zooming] = theta + w / (_ZOOM_POINTS - 1) * shift
-                width[zooming] = np.where(edge, w, w / (_ZOOM_POINTS - 1) * span)
-                zooming = zooming[edge | (w > 2.0 * step * _ZOOM_WIDTH)]
-                if not zooming.size:
-                    break
-            bases[live] = _turned(bases[live], [(i, j)], best_angle[:, None])
-            best[live] = cur
+            bases[live] = _turned(bases[live], [plane], angles[b, None])
+            best[live] = vals[np.arange(live.size), b]
         live = live[improved]
         if not live.size:
             break
-    _polish(score, bases, best, live, k)
+    if len(planes) == 1:
+        _zoom(score, bases, best, k)
+    elif planes:
+        _polish(score, bases, best, live, k)
     best_vecs = bases[int(np.argmax(best)), :k]
 
     # re-orthonormalize (Givens updates are orthogonal, this scrubs roundoff)

@@ -177,12 +177,16 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     (["sweep", "--targets", "bounds", "--k", "5", "--N", "3", "--out-prefix", "DIR/sw"],
      "k must lie in 1..N"),
     (["sweep", "--targets", "roots", "--N", "1", "--out-prefix", "DIR/sw"], "N must be >= 2"),
+    # no s to sweep: not an empty CSV and SVG
+    (["sweep", "--steps", "0", "--out-prefix", "DIR/sw"], "steps must be >= 1"),
+    (["sweep", "--steps", "-3", "--out-prefix", "DIR/sw"], "steps must be >= 1"),
 ], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "t49-2-gamma-nan",
         "t49-2-gamma-inf", "t49-2-gamma-overflow", "transform-q1", "bump-train-p-inf",
-        "bump-train-p-nan", "bump-train-eps-tiny", "sweep-k0", "sweep-k-above-N", "sweep-N1"])
+        "bump-train-p-nan", "bump-train-eps-tiny", "sweep-k0", "sweep-k-above-N", "sweep-N1",
+        "sweep-steps0", "sweep-steps-negative"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, message):
     # DIR stands for an existing directory: given where a file belongs, or as
     # the parent of a directory that does not exist
