@@ -349,8 +349,8 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     elif construction == "psi":
         report = vf.verify_psi_subsolution(args.kind, args.k, args.s)
     elif construction == "singular":
-        report = vf.verify_singular_supersolution(
-            args.s, args.p, args.op_kind, args.N, seed=cfg.seed, tol=tol)
+        report = vf.verify_singular_supersolution(args.s, args.p, args.op_kind,
+                                                  args.N, tol=tol)
     elif construction == "avoidance":
         y = np.zeros(args.N)
         y[-1:] = args.y_N  # a no-op for N < 1, which the verifier rejects
@@ -436,7 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "constructions for truncated fractional Laplacians "
                     "on the half-space.")
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--seed", type=int, help="RNG seed (default 42)")
+    parser.add_argument("--seed", type=int,
+                        help="RNG seed (default 42); only `verify transform` reads it")
     parser.add_argument("--abs-tol", type=float, dest="abs_tol")
     parser.add_argument("--rel-tol", type=float, dest="rel_tol")
     sub = parser.add_subparsers(dest="command", required=True)

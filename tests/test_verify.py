@@ -11,6 +11,8 @@ from fractrunc import profiles as pr
 from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
+import oracles as oc
+
 
 def test_claim_verdicts():
     c = vf.ClaimResult([0.0], "t", -1.0, 0.5, "le")
@@ -237,14 +239,51 @@ def test_psi_without_onset_is_inconclusive(s):
 def test_singular_ik_minus_cancellation():
     r = vf.verify_singular_supersolution(0.5, -3.0, "ik_minus", 2)
     assert r.verdict == "pass"
+    assert r.extra["covers"] == "I_k^- for every k = 1..2"
     # |I u + u^p| <= 1e-6 at every point: residual includes the threshold
     for c in r.residuals:
         assert c.residual <= 0.0
 
 
-def test_singular_in_plus_random_frames():
+def test_singular_in_plus_sup_over_every_frame():
     r = vf.verify_singular_supersolution(0.5, -3.0, "in_plus", 3)
     assert r.verdict == "pass"
+    assert r.extra["covers"] == "I_N^+ over every orthonormal frame"
+    assert {c.claim for c in r.residuals} == {
+        "sup_frame_supersolution", "pigeonhole_cancellation", "frame_supersolution_quadrature"}
+
+
+def test_singular_in_plus_sup_is_closed_form():
+    # the sup over every frame is the fs = 1 case, V (1 - N^-s) with V the
+    # e_N value M C_s c_{s,mu} at t = 1; a frame without e_N has fs > 1 and
+    # a wider margin
+    s, p, N = 0.07, -2.7, 4
+    r = vf.verify_singular_supersolution(s, p, "in_plus", N)
+    assert r.verdict == "pass"
+    assert len(r.residuals) <= 12
+    sup = [c for c in r.residuals if c.claim == "sup_frame_supersolution" and c.point == [1.0]]
+    assert len(sup) == 1
+    mu = 2.0 * s / (1.0 - p)
+    big_c = oc.normalizing_constant_oracle(s) * oc.c_s_mu_oracle(mu, s)
+    M = (N**s / abs(big_c)) ** (1.0 / (1.0 - p))
+    assert sup[0].residual == pytest.approx(M * big_c * (1.0 - N**-s), rel=1e-10)
+    assert sup[0].residual == pytest.approx(-0.03872, abs=5e-6)
+
+
+@pytest.mark.parametrize("s", [0.07, 0.3, 0.5, 0.9])
+def test_power_frame_sum_is_fs_times_e_n_value(s):
+    # the lemma behind the singular suite: at t*e_N a frame's sum for
+    # M (x_N)_+^mu is fs = sum_i |xi_i.e_N|^{2s} >= 1 times the e_N value
+    N, x = 4, np.array([0.0, 0.0, 0.0, 1.0])
+    u, _, _ = pr.build_singular_supersolution(s, -2.7, "in_plus", N)
+    frames = op.random_frames(N, N, 20, np.random.default_rng(11))
+    sums = op.frame_sums(u, [x] * 21, [x[None]] + list(frames), s, Tolerance(1e-10, 1e-9))
+    along_n = sums[0]
+    for frame, fsum in zip(frames, sums[1:]):
+        fs = float(np.sum(np.abs(frame[:, -1]) ** (2.0 * s)))
+        assert fs >= 1.0
+        assert abs(fsum.value - fs * along_n.value) \
+            <= fsum.abs_error_estimate + fs * along_n.abs_error_estimate
 
 
 def test_avoidance_geometry_guard():
@@ -273,7 +312,7 @@ def test_transform_passes():
     ("singular ik_minus",
      lambda: vf.verify_singular_supersolution(0.5, -3.0, "ik_minus", 2), [3]),
     ("singular in_plus",
-     lambda: vf.verify_singular_supersolution(0.5, -3.0, "in_plus", 3), [3 * 3]),
+     lambda: vf.verify_singular_supersolution(0.5, -3.0, "in_plus", 3), [3]),
     ("avoidance",
      lambda: vf.verify_avoidance_example(3, 0.5, 0.5, np.array([0.0, 0.0, -0.8])), [3 * 3]),
     ("transform", lambda: vf.verify_transform(0.5, -3.0, -5.0), [3, 3]),
