@@ -51,6 +51,7 @@ __all__ = [
     "derivative_commutation_residual",
     "canonical_frame",
     "completion_frame",
+    "completion_frames",
     "householder_frame",
     "random_frames",
 ]
@@ -132,13 +133,6 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 # do the field's vector work once per call, so the quadrature evaluates
 # a whole batch of nodes, of one section or of many, in one numpy pass.
 
-def _unit(xi: np.ndarray) -> np.ndarray:
-    """``xi`` scaled to unit length, unchanged when it already is unit."""
-    xi = np.asarray(xi, float)
-    nrm = float(np.linalg.norm(xi))
-    return xi / nrm if abs(nrm - 1.0) > 1e-12 else xi
-
-
 def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
                    abs_tol, rel_tol: float) -> list[QuadResult]:
     """The directional operator integral of a field along each row of ``directions``.
@@ -151,17 +145,20 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     call serves nodes of many sections.  Each integral splits into (i) an
     analytic Taylor piece on ``(0, delta)`` using the section's second
     derivative, with the remainder self-estimated by comparing against the
-    half-radius evaluation, (ii) panels between breakpoints, (iii) a
-    log-substituted far panel, and (iv) an analytic tail remainder from the
-    growth bound.  The Taylor ladders of all sections run in lockstep, four
-    rungs per open section to an ``integrate_batch`` call; then every piece
-    of (ii) and (iii) of every section goes into one call.
+    half-radius evaluation, (ii) panels between breakpoint radii, out to
+    2b + 1 for the largest radius b (or to 1 or 2*delta, if larger), (iii) a
+    log-substituted far panel from there, which then starts clear of the
+    kink at b instead of bisecting next to it, and (iv) an analytic tail
+    remainder from the growth bound.  The Taylor ladders of all sections run
+    in lockstep, four rungs per open section to an ``integrate_batch`` call;
+    then every piece of (ii) and (iii) of every section goes into one call.
 
     A field with ``far_part`` shows in ``line`` only the part of each
     section near its point; ``u.far_part`` of all rows adds the rest in
-    closed form, value to value and error to bar.  The field's point
-    metadata (C^2 radius, the value u(x) that the sections through a point
-    share) is read once per distinct point, ``breakpoints`` and
+    closed form, value to value and error to bar.  The value u(x) that the
+    sections through a point share comes from one ``u.line`` call at t = 0
+    on all distinct points, each with its first row's direction; the C^2
+    radius is read once per distinct point, ``breakpoints`` and
     ``d2_along`` once per row.  A direction's C^2 window is its point's C^2
     radius capped at its nearest breakpoint; without ``d2_along`` the second
     derivatives of all rows come from one call of finite differences inside
@@ -179,7 +176,10 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
         raise GrowthViolation(f"growth exponent {growth_alpha} >= 2s = {2*s}")
 
     x = np.asarray(x, float)
-    dirs = np.array([_unit(xi) for xi in np.asarray(directions, float).reshape(-1, x.shape[-1])])
+    dirs = np.asarray(directions, float).reshape(-1, x.shape[-1])
+    # rows scaled to unit length; a row that already is unit stays as given
+    nrm = np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = np.where(np.abs(nrm - 1.0) > 1e-12, dirs / nrm, dirs)
     m = len(dirs)
     all_rows = np.arange(m)
     abs_tol = np.full(m, abs_tol, float)
@@ -201,7 +201,7 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     if np.any(window <= 0.0):
         raise ValueError("the C^2 window of every direction must be positive")
     closed, closed_err = u.far_part(row_points, dirs, s) if hasattr(u, "far_part") else (0.0, 0.0)
-    u0 = np.array([float(u.line(p, dirs[i])(0.0)) for p, i in zip(points, first_row)])[at]
+    u0 = u.line(points, dirs[first_row])(0.0)[at]
     two_u0 = 2.0 * u0
 
     def ev(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -273,8 +273,8 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     cuts = []
     for r, dl in zip(radii, delta.tolist()):
         outer = sorted({b for b in r if b > dl})
-        end = max(1.0, 2.0 * dl, (outer[-1] + 1.0) if outer else 1.0)
-        cuts.append([dl] + [b for b in outer if b < end] + [end])
+        end = max(1.0, 2.0 * dl, (2.0 * outer[-1] + 1.0) if outer else 1.0)
+        cuts.append([dl] + outer + [end])
     sizes = np.array([len(c) for c in cuts])
     flat = np.array([c for cut in cuts for c in cut])
     last = np.cumsum(sizes) - 1
@@ -402,18 +402,27 @@ def canonical_frame(N: int, k: int) -> Frame:
     return Frame(np.eye(N)[:k])
 
 
+def completion_frames(xhats: np.ndarray, k: int) -> np.ndarray:
+    """Frames {xhat, k-1 vectors orthogonal to xhat} of a stack of directions
+    ``(m, N)`` via QR completion, as a stack of rows ``(m, k, N)``.
+
+    One QR of the whole stack, each matrix xhat followed by the identity's
+    columns, and one orthonormality check; the first row is xhat exactly.
+    """
+    xhats = np.asarray(xhats, float)
+    xhats = xhats / np.linalg.norm(xhats, axis=-1, keepdims=True)
+    m, N = xhats.shape
+    q, _ = np.linalg.qr(np.concatenate((xhats[:, :, None], np.broadcast_to(np.eye(N), (m, N, N))),
+                                       axis=2))
+    frames = np.swapaxes(q[:, :, :k], 1, 2).copy()
+    frames[:, 0] = xhats
+    _check_orthonormal(frames)
+    return frames
+
+
 def completion_frame(xhat: np.ndarray, k: int) -> Frame:
-    """Frame {xhat, k-1 vectors orthogonal to xhat} via QR completion."""
-    xhat = np.asarray(xhat, float)
-    xhat = xhat / np.linalg.norm(xhat)
-    N = xhat.size
-    basis = np.eye(N)
-    # columns: xhat first, then the identity; QR orthonormalizes the rest
-    mat = np.column_stack([xhat, basis])
-    q, _ = np.linalg.qr(mat)
-    vecs = q[:, :k].T.copy()
-    vecs[0] = xhat  # exact first vector
-    return Frame(vecs)
+    """Frame {xhat, k-1 vectors orthogonal to xhat}: ``completion_frames`` of one direction."""
+    return Frame(completion_frames(np.asarray(xhat, float)[None], k)[0])
 
 
 def householder_frame(xhat: np.ndarray) -> Frame:

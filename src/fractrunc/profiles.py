@@ -244,10 +244,10 @@ class RadialProfile(Field):
                 raise InvariantViolation(
                     f"g^{(order)} fails grid convexity (min 2nd diff {np.min(second):.2e})")
         if self.orientation == "growth":
-            for r in np.linspace(0.0, 1.0, 101):
-                if self.g.value(r) > -r ** (self.gamma / 2.0) + 1e-12:
-                    raise InvariantViolation(
-                        f"growth cap fails dominance at r={r}")
+            r = np.linspace(0.0, 1.0, 101)
+            above = np.flatnonzero(self.g.value(r) > -r ** (self.gamma / 2.0) + 1e-12)
+            if above.size:
+                raise InvariantViolation(f"growth cap fails dominance at r={r[above[0]]}")
 
 
 class _PartialN(Field):

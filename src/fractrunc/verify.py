@@ -326,18 +326,14 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
                     else np.asarray(radii, float))
     angles = np.linspace(0.25, 1.45, 3)
 
-    xs, frames, bounds, tols = [], [], [], []
-    for r in radii:
-        for phi in angles:
-            x = np.zeros(N)
-            x[0] = r * math.cos(phi)
-            x[-1] = r * math.sin(phi)
-            xs.append(x)
-            frames.append(op.completion_frame(x / np.linalg.norm(x), k).vectors)
-            bounds.append(const * float(x[-1]) * r ** (-exponent))
-            # absolute tolerance tracks the shrinking bound at far radii
-            tols.append(Tolerance(max(abs(bounds[-1]) * 1e-4, tol.abs_tol), tol.rel_tol))
-    sums = op.frame_sums(psi, xs, frames, s, tols)
+    # the points radius by radius, every angle at each
+    xs = np.zeros((len(radii) * len(angles), N))
+    xs[:, 0] = np.outer(radii, np.cos(angles)).ravel()
+    xs[:, -1] = np.outer(radii, np.sin(angles)).ravel()
+    bounds = (const * xs[:, -1] * np.repeat(radii, len(angles)) ** -exponent).tolist()
+    # absolute tolerance tracks the shrinking bound at far radii
+    tols = [Tolerance(max(abs(b) * 1e-4, tol.abs_tol), tol.rel_tol) for b in bounds]
+    sums = op.frame_sums(psi, xs, op.completion_frames(xs, k), s, tols)
 
     claims = [ClaimResult(x, "frame_lower_bound", bound - fs.value, fs.abs_error_estimate, "le")
               for x, bound, fs in zip(xs, bounds, sums)]

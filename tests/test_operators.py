@@ -122,6 +122,22 @@ def test_completion_frame_contains_radial():
     assert np.allclose(f.vectors[0], xhat, atol=1e-12)
 
 
+def test_completion_frames_are_the_stack_of_single_frames():
+    # one stacked QR gives each point's own frame bit for bit; the first row
+    # is xhat exactly and every frame is orthonormal to 1e-12
+    rng = np.random.default_rng(8)
+    for N in (2, 3, 4):
+        x = rng.standard_normal((30, N)) * np.geomspace(1e-3, 3e3, 30)[:, None]
+        xhat = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        for k in range(1, N + 1):
+            frames = op.completion_frames(x, k)
+            assert frames.shape == (30, k, N)
+            assert np.array_equal(frames[:, 0], xhat)
+            assert np.max(op._orthonormality_defects(frames)) <= 1e-12
+            for frame, y in zip(frames, x):
+                assert np.array_equal(frame, op.completion_frame(y, k).vectors)
+
+
 def test_spline_matches_scipy_cubic_spline():
     from scipy.interpolate import CubicSpline
 
@@ -601,6 +617,39 @@ def test_frame_sums():
         assert r.n_evals == one.n_evals
         assert abs(r.value - one.value) <= r.abs_error_estimate + one.abs_error_estimate
     assert sums[1].n_evals < op.frame_sum(u, y, fy, s, TOL).n_evals
+
+
+@pytest.mark.parametrize("kind,k,s,ceiling", [("decay", 1, 0.4, 1_900),
+                                               ("growth", 1, 0.7, 1_650)])
+def test_far_panel_starts_clear_of_the_last_breakpoint(kind, k, s, ceiling):
+    # at r = 3000 the radial section crosses psi's junction spheres at
+    # t ~ -r -+ 1; a far panel starting just past them bisects deep next to
+    # the kink (2,196 and 1,944 evaluations), one starting at twice the last
+    # breakpoint does not (1,608 and 1,356)
+    psi, phi, tol = pr.make_psi(kind, k, s), 0.85, Tolerance(1e-12, 1e-11)
+    x = 3000.0 * np.array([math.cos(phi), math.sin(phi)])
+    r = op.frame_sum(psi, x, op.completion_frame(x, k), s, tol)
+    assert r.n_evals < ceiling
+    assert r.value > 0.0 and r.abs_error_estimate <= tol.abs_tol
+
+
+@pytest.mark.parametrize("N,s,gamma", [(3, 0.5, 0.6), (2, 0.07, 0.05), (4, 0.3, 0.9)])
+def test_halfspace_tail_frame_sum_scales_along_a_ray(N, s, gamma):
+    # outside the critical ball R = sqrt(N/(N-1)) the Householder frame's
+    # sections stay at radius >= 1.05, where the tail is |x|^-gamma, so the
+    # frame sum is homogeneous of degree -gamma-2s along a ray
+    u, R = pr.HalfSpacePowerTail(gamma), math.sqrt(N / (N - 1.0))
+    xhat = np.linspace(-0.5, 1.0, N) / np.linalg.norm(np.linspace(-0.5, 1.0, N))
+    frame = op.householder_frame(xhat)
+    scaled = []
+    for r in (1.05 * R, 10.0, 100.0, 1000.0):
+        scale = r ** (gamma + 2.0 * s)
+        fs = op.frame_sum(u, r * xhat, frame, s, Tolerance(1e-10 / scale, 1e-10))
+        scaled.append((fs.value * scale, fs.abs_error_estimate * scale))
+    (first, first_bar), *rest = scaled
+    assert first < 0.0
+    for value, bar in rest:
+        assert abs(value - first) <= bar + first_bar
 
 
 # --- the bump train: near bumps by quadrature, the rest in closed form -------

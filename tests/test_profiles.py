@@ -1,6 +1,7 @@
 """Barrier/supersolution constructions: invariants, defaults, serialization."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -39,6 +40,20 @@ def test_v_gamma_orientations():
 def test_v_minus_gamma_exponent_range():
     with pytest.raises(pr.ExponentOutOfRange):
         pr.make_v_minus_gamma(0.8, 0.6)  # beyond 2s - 1
+
+
+def test_growth_dominance_names_the_first_failing_radius(monkeypatch):
+    # a cap lifted by 0.2 r leaves -r^{gamma/2} from some r on; the check
+    # names the first r of its grid where it does
+    prof = pr.make_v_minus_gamma(0.3, 0.75)
+    value = prof.g.value
+    monkeypatch.setattr(prof.g, "value",
+                        lambda r, order=0: value(r, order) + (0.2 * r if order == 0 else 0.0))
+    first = next(r for r in np.linspace(0.0, 1.0, 101)
+                 if prof.g.value(r) > -(r ** 0.15) + 1e-12)
+    assert 0.0 < first < 1.0
+    with pytest.raises(pr.InvariantViolation, match=re.escape(f"dominance at r={first}") + "$"):
+        prof._validate()
 
 
 def test_d2_along_matches_finite_difference():
@@ -503,6 +518,23 @@ def test_line_matches_pointwise_evaluation(kind, N):
                                              rows, stack_values):
                 assert got == pytest.approx(u.line(y, xi_row[0])(t_row), rel=1e-15,
                                             abs=1e-300)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("kind", sorted(LINE_FIELDS))
+def test_line_at_zero_on_a_stack_of_points_is_each_points_value(kind, N):
+    # u(x) of many points from one call at t = 0, as the engine reads it:
+    # each value is bit for bit that of the point's own stack of one, and
+    # the point's value to rounding (a point of shape (N,) takes numpy's
+    # scalar pow, which may differ from the vector pow in the last bit)
+    rng = np.random.default_rng(40 + N)
+    u = LINE_FIELDS[kind](N, rng)
+    points = rng.uniform(-1.0, 3.0, (30, N)) * np.geomspace(1e-2, 1e3, 30)[:, None]
+    dirs = np.array([_unit(rng, N) for _ in range(30)])
+    values = u.line(points, dirs)(0.0)
+    assert values.shape == (30,)
+    assert values.tolist() == [u.line(y[None], xi[None])(0.0)[0] for y, xi in zip(points, dirs)]
+    assert values == pytest.approx([u(y) for y in points], rel=1e-15, abs=1e-300)
 
 
 @pytest.mark.parametrize("u,x,s", [
