@@ -105,33 +105,11 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 # the directional operator on rows of (point, direction)
 # ---------------------------------------------------------------------------
 #
-# A *field* is any object with:
-#   line(x, xi) -> Callable[[ndarray], ndarray]
-#                                           the section tau -> u(x + tau*xi),
-#                                           elementwise on an array of tau;
-#                                           xi of shape (..., N) holds the rows'
-#                                           directions and x the rows' points,
-#                                           stacked like xi, both broadcasting
-#                                           against tau
-#   c2_radius(x: ndarray) -> float          radius of C^2 ball around x
-#   breakpoints(x, xi) -> list[float]       tau of every non-C^2 crossing
-#   growth_alpha: float                     (H2)-type growth exponent: every
-#                                           section is bounded by
-#                                           growth_const * (1+|tau|)^growth_alpha
-# optional:
-#   growth_const: float                     probed along each section if absent
-#   far_part(x, xi, s) -> (values, errors)  the part of each row's order-s section
-#                                           integral (before C_s) that ``line``
-#                                           does not show, in closed form, with
-#                                           its error, vectorised over rows; the
-#                                           value joins the row's value, the
-#                                           error its bar
-#   d2_along(x, xi) -> float                analytic second derivative
-#
-# ``c2_radius`` takes one point of shape (N,); ``breakpoints`` and
-# ``d2_along`` one point and one unit direction.  ``line`` and ``far_part``
-# do the field's vector work once per call, so the quadrature evaluates
-# a whole batch of nodes, of one section or of many, in one numpy pass.
+# A *field* follows the stacked protocol that ``profiles.Field`` states:
+# ``line``, ``c2_radius``, ``breakpoints``, ``growth_alpha`` and, optionally,
+# ``growth_const``, ``d2_along`` and ``far_part``, every hook on all rows at
+# once, so the quadrature evaluates a whole batch of nodes, of one section or
+# of many, in one numpy pass.
 
 def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
                    abs_tol, rel_tol: float) -> list[QuadResult]:
@@ -155,15 +133,13 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
 
     A field with ``far_part`` shows in ``line`` only the part of each
     section near its point; ``u.far_part`` of all rows adds the rest in
-    closed form, value to value and error to bar.  The value u(x) that the
-    sections through a point share comes from one ``u.line`` call at t = 0
-    on all distinct points, each with its first row's direction; the C^2
-    radius is read once per distinct point, ``breakpoints`` and
-    ``d2_along`` once per row.  A direction's C^2 window is its point's C^2
-    radius capped at its nearest breakpoint; without ``d2_along`` the second
-    derivatives of all rows come from one call of finite differences inside
-    their windows.  ``rel_tol``, like ``abs_tol``, is one tolerance or one
-    per row.
+    closed form, value to value and error to bar.  u(x), the C^2 radius, the
+    breakpoints and ``d2_along`` each come from one call on all rows.  A
+    row's C^2 window is its point's C^2 radius capped at its nearest
+    breakpoint; without ``d2_along`` the second derivatives of all rows come
+    from one call of finite differences inside their windows.  The rows'
+    breakpoint radii are sorted and their repeats dropped here, for every
+    field.  ``rel_tol``, like ``abs_tol``, is one tolerance or one per row.
 
     ``n_evals`` of each result counts the section's field evaluations: u(0),
     two per kernel node (at t and -t), the growth probes and the finite
@@ -184,28 +160,18 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     all_rows = np.arange(m)
     abs_tol = np.full(m, abs_tol, float)
     rel_tol = np.full(m, rel_tol, float)
-    # the distinct points, the first row through each and the point of each
-    # row; one point of shape (N,) needs no search for the distinct ones
-    if x.ndim == 1:
-        points, first_row, at = x[None], np.zeros(1, int), np.zeros(m, int)
-    elif x.shape == dirs.shape:
-        points, first_row, at = np.unique(x, axis=0, return_index=True, return_inverse=True)
-        at = at.reshape(-1)
-    else:
-        raise ValueError("a stack of points needs one point per direction")
-    row_points = points[at]
+    points = np.broadcast_to(x, dirs.shape)  # one point of shape (N,) serves every row
 
-    c2 = np.array([float(u.c2_radius(p)) for p in points])[at]
-    radii = [[abs(float(t)) for t in u.breakpoints(p, xi)] for p, xi in zip(row_points, dirs)]
-    window = np.array([min([c] + r) for c, r in zip(c2.tolist(), radii)])
+    radii = np.abs(u.breakpoints(points, dirs))
+    window = np.minimum(u.c2_radius(points), np.min(radii, axis=1, initial=np.inf))
     if np.any(window <= 0.0):
         raise ValueError("the C^2 window of every direction must be positive")
-    closed, closed_err = u.far_part(row_points, dirs, s) if hasattr(u, "far_part") else (0.0, 0.0)
-    u0 = u.line(points, dirs[first_row])(0.0)[at]
+    closed, closed_err = u.far_part(points, dirs, s) if hasattr(u, "far_part") else (0.0, 0.0)
+    u0 = u.line(points, dirs)(0.0)
     two_u0 = 2.0 * u0
 
     def ev(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return u.line(row_points[rows], dirs[rows])(t)
+        return u.line(points[rows], dirs[rows])(t)
 
     def pair(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         both = ev(np.stack((t, -t)), rows)
@@ -214,7 +180,7 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     n_evals = np.ones(m, int)
     d2_fn = getattr(u, "d2_along", None)
     if d2_fn is not None:
-        d2 = np.array([float(d2_fn(p, xi)) for p, xi in zip(row_points, dirs)])
+        d2 = d2_fn(points, dirs)
     else:
         # central differences at h = window/8 and h/2, Richardson-extrapolated
         nodes = np.multiply.outer(window, _FD_NODES)
@@ -269,17 +235,18 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
 
     # pieces between breakpoint radii, each on a quintic smoothstep map of
     # (0, 1): algebraic kinks |t - endpoint|^kappa become C^2-or-better, so
-    # the rule converges at full rate even for Hoelder-rough sections
-    cuts = []
-    for r, dl in zip(radii, delta.tolist()):
-        outer = sorted({b for b in r if b > dl})
-        end = max(1.0, 2.0 * dl, (2.0 * outer[-1] + 1.0) if outer else 1.0)
-        cuts.append([dl] + outer + [end])
-    sizes = np.array([len(c) for c in cuts])
-    flat = np.array([c for cut in cuts for c in cut])
-    last = np.cumsum(sizes) - 1
-    core_end = flat[last]
-    firsts = np.delete(np.arange(flat.size), last)
+    # the rule converges at full rate even for Hoelder-rough sections.  A
+    # row's cuts are delta, its breakpoint radii above delta, sorted and
+    # without repeats, and the core's end.
+    above = np.sort(np.where(radii > delta[:, None], radii, np.inf), axis=1)
+    keep = np.isfinite(above)
+    keep[:, 1:] &= above[:, 1:] != above[:, :-1]
+    largest = np.max(above, axis=1, where=keep, initial=-np.inf)
+    core_end = np.maximum(np.maximum(1.0, 2.0 * delta), 2.0 * largest + 1.0)
+    keep = np.column_stack((np.ones(m, bool), keep, np.ones(m, bool)))
+    flat = np.column_stack((delta, above, core_end))[keep]
+    sizes = np.count_nonzero(keep, axis=1)
+    firsts = np.delete(np.arange(flat.size), np.cumsum(sizes) - 1)
     core_rows = np.repeat(all_rows, sizes - 1)
 
     # growth coefficients for tail truncation: declared, or probed in one call.

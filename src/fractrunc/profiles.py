@@ -1,16 +1,12 @@
 """Explicit barrier and supersolution profiles on R^N and the half-space.
 
-Every constructed function is an *evaluable field*: restrictable to lines
-(``line(x, xi)`` returns the array-valued function ``t -> u(x + t*xi)``,
-evaluated elementwise on an ndarray of any shape, which the operator module
-calls once per batch of quadrature nodes; ``xi`` of shape ``(..., N)``
-holds the directions of rows of (point, direction) and ``x`` their points,
-stacked like ``xi``, both broadcasting against ``t``), callable on
-points (the line through the point at ``t = 0``), and carrying the metadata the
-operator module needs (C^2 window radius, non-smooth crossing locations
-along a line, growth exponent).  Radial profiles are cap/tail
-constructions: a power of |x| beyond a junction radius, glued C^3 to the
-third-order Taylor cubic of the same power inside.
+Every constructed function is an *evaluable field*: a ``Field``, whose
+docstring states the protocol the operator module reads (line sections,
+C^2 radius, breakpoints, growth, and optionally the second derivative along
+a line and a closed-form far part), every hook on a stack of rows at once.
+Radial profiles are cap/tail constructions: a power of |x| beyond a
+junction radius, glued C^3 to the third-order Taylor cubic of the same
+power inside.
 
 Each construction is one class: the radial profile and its derivative
 along e_N, the subsolution candidate psi, the bump train, the half-space
@@ -87,26 +83,32 @@ def _squared_norm(
     return r2
 
 
-def _plane_crossings(x: np.ndarray, xi: np.ndarray,
-                     levels: Sequence[float] = (0.0,)) -> list[float]:
-    """The sorted t with |t| > 1e-9 at which x_N + t*xi_N meets a level."""
-    if abs(xi[-1]) < 1e-15:
-        return []
-    t = (np.asarray(levels, float) - x[-1]) / xi[-1]
-    t = t[np.abs(t) > 1e-9]
-    t.sort()
-    return t.tolist()
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] . b[i] of each row of two stacks ``(m, N)``, each row by BLAS as
+    ``a[i] @ b[i]`` is, whatever the stacks' layout."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _sphere_crossings(x: np.ndarray, xi: np.ndarray, radius: float) -> list[float]:
-    """The sorted t with |t| > 1e-9 at which |x + t*xi| = radius; ``x`` is
-    taken relative to the sphere's centre."""
-    b = float(x @ xi)
-    disc = b * b - float(x @ x) + radius**2
-    if disc <= 0.0:
-        return []
-    root = math.sqrt(disc)
-    return [t for t in (-b - root, -b + root) if abs(t) > 1e-9]
+def _plane_crossings(x: np.ndarray, xi: np.ndarray, levels=(0.0,)) -> np.ndarray:
+    """``(m, L)``: the t at which each row's x_N + t*xi_N meets each level,
+    inf where |t| <= 1e-9 or |xi_N| < 1e-15.  ``levels`` is ``(L,)`` or one
+    row per row; an inf level meets nothing."""
+    x_n, xi_n = x[:, -1:], xi[:, -1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (np.asarray(levels, float) - x_n) / xi_n
+    return np.where((np.abs(xi_n) >= 1e-15) & np.isfinite(t) & (np.abs(t) > 1e-9), t, np.inf)
+
+
+def _sphere_crossings(x: np.ndarray, xi: np.ndarray, radius: float) -> np.ndarray:
+    """``(m, 2)``: the t at which each row's |x + t*xi| = radius, ``x`` taken
+    relative to the sphere's centre; inf where |t| <= 1e-9 or the line
+    misses or touches the sphere."""
+    b = _dot(x, xi)
+    disc = b * b - _dot(x, x) + radius**2
+    root = np.sqrt(np.maximum(disc, 0.0))
+    t = np.stack((-b - root, -b + root), axis=1)
+    return np.where((disc > 0.0)[:, None] & (np.abs(t) > 1e-9), t, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +170,32 @@ class _PiecewiseG:
 # ---------------------------------------------------------------------------
 
 class Field:
-    """Base evaluable field; subclasses fill in metadata hooks."""
+    """Base evaluable field, and the protocol the operator module reads.
+
+    The unit is a stack of *rows*: points ``x`` of shape ``(m, N)`` and unit
+    directions ``xi`` of the same shape, row i the line x[i] + t*xi[i].
+    Every hook answers for all rows in one call, and row i's answer depends
+    on row i alone:
+
+    - ``line(x, xi)``: the sections t -> u(x + t*xi), elementwise on an
+      array of t; ``x`` and ``xi`` may be of any shape ``(..., N)``, and
+      their stacks broadcast against t.
+    - ``c2_radius(x)``, ``(m,)``: the radius of a ball around each point on
+      which u is C^2.
+    - ``breakpoints(x, xi)``, ``(m, B)``: the t with |t| > 1e-9 at which
+      each section crosses a set where u is not C^2, unsorted, possibly
+      repeated, each row padded with inf.
+    - ``growth_alpha``: every section is bounded by
+      growth_const * (1 + |t|)^growth_alpha; ``growth_const`` may be None,
+      and the sections are then probed.
+    - ``d2_along(x, xi)``, ``(m,)``, optional: the sections' second
+      derivative at t = 0; without it the engine takes finite differences.
+    - ``far_part(x, xi, s)``, optional: (values, errors), each ``(m,)``, of
+      the part of each row's order-s section integral (before C_s) that
+      ``line`` does not show, in closed form.
+
+    The base field is C^2 within 1 of every point and has no breakpoints.
+    """
 
     growth_alpha: float = 0.0
     growth_const: Optional[float] = None
@@ -182,11 +209,11 @@ class Field:
         y = np.asarray(y, float)
         return float(self.line(y, np.zeros_like(y))(0.0))
 
-    def c2_radius(self, x: np.ndarray) -> float:
-        return 1.0
+    def c2_radius(self, x: np.ndarray) -> np.ndarray:
+        return np.ones(len(x))
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return []
+    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return np.empty((len(x), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +242,12 @@ class RadialProfile(Field):
         r2, value = _squared_norm(_components(x, xi)), self.g.value
         return lambda t: value(r2(t))
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return _sphere_crossings(np.asarray(x, float), np.asarray(xi, float),
-                                 math.sqrt(self.junction_r2))
+    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return _sphere_crossings(x, xi, math.sqrt(self.junction_r2))
 
-    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> float:
-        r2 = float(np.dot(x, x))
-        b = float(np.dot(x, xi))
-        return float(self.g.value(r2, 2) * 4.0 * b * b + self.g.value(r2, 1) * 2.0)
+    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        r2, b = _dot(x, x), _dot(x, xi)
+        return self.g.value(r2, 2) * 4.0 * b * b + self.g.value(r2, 1) * 2.0
 
     def partial(self) -> "_PartialN":
         return _PartialN(self)
@@ -267,13 +292,11 @@ class _PartialN(Field):
         a, b = pairs[-1]
         return lambda t: 2.0 * (a + t * b) * value(r2(t), 1)
 
-    def c2_radius(self, x: np.ndarray) -> float:
+    def c2_radius(self, x: np.ndarray) -> np.ndarray:
         # Dv is C^2 away from the junction sphere (v is only C^3 there)
-        r = float(np.linalg.norm(x))
-        rj = math.sqrt(self.base.junction_r2)
-        return float(np.clip(abs(r - rj), 0.02, 1.0))
+        return np.clip(np.abs(np.sqrt(_dot(x, x)) - math.sqrt(self.base.junction_r2)), 0.02, 1.0)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
+    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.base.breakpoints(x, xi)
 
 
@@ -335,11 +358,11 @@ class PsiField(Field):
             return factor * acc
         return at
 
-    def c2_radius(self, x: np.ndarray) -> float:
-        return min(p.c2_radius(x) for p in self.parts)
+    def c2_radius(self, x: np.ndarray) -> np.ndarray:
+        return np.min([p.c2_radius(x) for p in self.parts], axis=0)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return sorted({t for p in self.parts for t in p.breakpoints(x, xi)})
+    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return np.concatenate([p.breakpoints(x, xi) for p in self.parts], axis=1)
 
 
 def make_psi(kind: str, k: int, s: float) -> PsiField:
@@ -479,12 +502,14 @@ class BumpTrain(Field):
         self.eps, self.s = eps, s
         self.growth_alpha, self.growth_const = 0.0, eps ** (2.0 * s)
 
-    def _near_edges(self, x: np.ndarray) -> tuple[float, list[float]]:
-        """x_N, and the edges n and n + 2*eps of the bumps the sections through ``x`` show."""
-        y, eps = float(np.asarray(x, float).reshape(-1)[-1]), self.eps
+    def _near_edges(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x_N of each point ``(m,)``, and the edges n and n + 2*eps of the
+        bumps the sections through it show ``(m, 6)``, inf padded."""
+        y, eps = x[:, -1], self.eps
         # 3*eps < 3/2 and eps < 1/2, so only floor(y) - 1 .. floor(y) + 1 can be near
-        return y, [e for n in range(max(math.floor(y) - 1, 0), max(math.floor(y) + 2, 0))
-                   if abs(n + eps - y) < 2.0 * eps for e in (float(n), n + 2.0 * eps)]
+        n = np.floor(y)[:, None] + np.array([-1.0, 0.0, 1.0])
+        near = (n >= 0.0) & (np.abs(n + eps - y[:, None]) < 2.0 * eps)
+        return y, np.where(np.hstack((near, near)), np.hstack((n, n + 2.0 * eps)), np.inf)
 
     def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         a, b = _components(x, xi)[-1]
@@ -498,20 +523,22 @@ class BumpTrain(Field):
             return np.where(inside, np.maximum(arg, 0.0) ** s, 0.0)
         return at
 
-    def c2_radius(self, x: np.ndarray) -> float:
+    def c2_radius(self, x: np.ndarray) -> np.ndarray:
         y, edges = self._near_edges(x)
-        return max(min(abs(y - e) for e in edges) / 2.0, 1e-6) if edges else 1.0
+        near = np.min(np.abs(y[:, None] - edges), axis=1)
+        return np.where(np.isfinite(near), np.maximum(near / 2.0, 1e-6), 1.0)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return _plane_crossings(np.asarray(x, float), np.asarray(xi, float),
-                                self._near_edges(x)[1])
+    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return _plane_crossings(x, xi, self._near_edges(x)[1])
 
-    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> float:
-        y, b, s = float(x[-1]), float(xi[-1]), float(self.s)
-        z = y - math.floor(y) - self.eps  # from the centre of the bump that holds y
+    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        y, b, s = x[:, -1], xi[:, -1], float(self.s)
+        z = y - np.floor(y) - self.eps  # from the centre of the bump that holds y
         g = self.eps**2 - z * z
-        return (s * g ** (s - 2.0) * ((s - 1.0) * (2.0 * z * b) ** 2 - 2.0 * g * b * b)
-                if y >= 0.0 and g > 0.0 else 0.0)
+        inside = (y >= 0.0) & (g > 0.0)
+        g = np.where(inside, g, 1.0)
+        return np.where(inside, s * g ** (s - 2.0) * ((s - 1.0) * (2.0 * z * b) ** 2
+                                                      - 2.0 * g * b * b), 0.0)
 
     def far_part(self, x: np.ndarray, xi: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(values, errors) of the part of the order-s section integrals that
@@ -561,21 +588,19 @@ class HalfSpacePowerTail(Field):
             return np.where(y > 0.0, value(head(t) + z * z), 0.0)
         return at
 
-    def c2_radius(self, x: np.ndarray) -> float:
-        x = np.asarray(x, float)
-        if x[-1] <= 0.0:
-            return max(-x[-1] / 2.0, 1e-6)
+    def _shifted(self, x: np.ndarray) -> np.ndarray:
         z = x.copy()
-        z[-1] += self.shift
-        r = float(np.linalg.norm(z))
-        return float(np.clip(min(x[-1] / 2.0, abs(r - 1.0)), 1e-6, 1.0))
+        z[:, -1] += self.shift
+        return z
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        x = np.asarray(x, float)
-        xi = np.asarray(xi, float)
-        z = x.copy()
-        z[-1] += self.shift
-        return sorted(set(_plane_crossings(x, xi) + _sphere_crossings(z, xi, 1.0)))
+    def c2_radius(self, x: np.ndarray) -> np.ndarray:
+        y, z = x[:, -1], self._shifted(x)
+        inside = np.clip(np.minimum(y / 2.0, np.abs(np.sqrt(_dot(z, z)) - 1.0)), 1e-6, 1.0)
+        return np.where(y <= 0.0, np.maximum(-y / 2.0, 1e-6), inside)
+
+    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return np.concatenate((_plane_crossings(x, xi),
+                               _sphere_crossings(self._shifted(x), xi, 1.0)), axis=1)
 
 
 class PowerProfile(Field):
@@ -597,19 +622,16 @@ class PowerProfile(Field):
             return np.where(y > 0.0, coefficient * np.maximum(y, 0.0) ** mu, 0.0)
         return at
 
-    def c2_radius(self, x: np.ndarray) -> float:
-        t = float(np.asarray(x, float).reshape(-1)[-1])
-        return max(abs(t) / 2.0, 1e-9)
+    def c2_radius(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(np.abs(x[:, -1]) / 2.0, 1e-9)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return _plane_crossings(np.asarray(x, float), np.asarray(xi, float))
+    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return _plane_crossings(x, xi)
 
-    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> float:
-        t = float(np.asarray(x, float).reshape(-1)[-1])
-        if t <= 0.0:
-            return 0.0
-        return (self.coefficient * self.mu * (self.mu - 1.0)
-                * float(xi[-1]) ** 2 * t ** (self.mu - 2.0))
+    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        t = x[:, -1]
+        return np.where(t > 0.0, self.coefficient * self.mu * (self.mu - 1.0)
+                        * xi[:, -1] ** 2 * np.where(t > 0.0, t, 1.0) ** (self.mu - 2.0), 0.0)
 
 
 class MinField(Field):
@@ -626,55 +648,50 @@ class MinField(Field):
         scale = float(self.scale)
         return lambda t: scale * np.minimum(first(t), second(t))
 
-    def c2_radius(self, x: np.ndarray) -> float:
-        base = min(self.first.c2_radius(x), self.second.c2_radius(x))
-        cross = self._crossings(x, None, radius=2.0 * base)
-        if cross:
-            base = min(base, min(abs(t) for t in cross))
-        return max(base, 1e-6)
+    def c2_radius(self, x: np.ndarray) -> np.ndarray:
+        base = np.minimum(self.first.c2_radius(x), self.second.c2_radius(x))
+        e_n = np.zeros_like(x)
+        e_n[:, -1] = 1.0
+        cross = np.min(np.abs(self._crossings(x, e_n, 2.0 * base)), axis=1, initial=np.inf)
+        return np.maximum(np.minimum(base, cross), 1e-6)
 
-    def _crossings(self, x: np.ndarray, xi: Optional[np.ndarray],
-                   radius: float = 0.0) -> list[float]:
-        """Sign changes of first - second along the line, sampled on 801 nodes.
+    def _crossings(self, x: np.ndarray, xi: np.ndarray, span: np.ndarray) -> np.ndarray:
+        """Sign changes of first - second along each row's line within
+        |t| <= its ``span``, sampled on 801 nodes per row in one scan;
+        ``(m, K)``, inf padded, inf also where |t| <= 1e-9.
 
         Adjacent nodes of opposite sign bracket a root, refined to within
         2e-12 + 8.88e-16*|t|.  A sign change across a run of exact zeros (both
         fields vanish there) keeps the ends of the run instead.
         """
-        x = np.asarray(x, float)
-        if xi is None:
-            xi = np.zeros_like(x)
-            xi[-1] = 1.0
-        span = max(10.0, 2.0 * float(np.linalg.norm(x)) + 4.0)
-        if radius > 0.0:
-            span = radius
+        grid = np.linspace(-span, span, 801, axis=-1)
+        rows = (x[:, None], xi[:, None])
+        vals = self.first.line(*rows)(grid) - self.second.line(*rows)(grid)
+        # each node's nearest nonzero node up to it in its row (-1 if none);
+        # a change is a nonzero node whose sign differs from the one before it
+        last = np.maximum.accumulate(np.where(vals != 0.0, np.arange(801), -1), axis=1)
+        row, right = np.nonzero((vals[:, 1:] != 0.0) & (last[:, :-1] >= 0))
+        right += 1
+        left = last[row, right - 1]
+        change = (vals[row, left] < 0.0) != (vals[row, right] < 0.0)
+        row, left, right = row[change], left[change], right[change]
+        ends = np.stack((grid[row, left + 1], grid[row, right - 1]), axis=1)
+        for i in np.flatnonzero(right == left + 1):
+            r, a, b = row[i], left[i], right[i]
+            first, second = self.first.line(x[r], xi[r]), self.second.line(x[r], xi[r])
+            ends[i] = _bracketed_root(lambda t: float(first(t) - second(t)), float(grid[r, a]),
+                                      float(grid[r, b]), float(vals[r, a]), float(vals[r, b]),
+                                      xtol=2e-12, rtol=8.88e-16).root, np.inf
+        # the j-th change of a row fills its columns 2j and 2j + 1
+        j = np.arange(row.size) - np.searchsorted(row, row)
+        out = np.full((len(x), j.max(initial=-1) + 1, 2), np.inf)
+        out[row, j] = ends
+        return np.where(np.abs(out) > 1e-9, out, np.inf).reshape(len(x), -1)
 
-        first, second = self.first.line(x, xi), self.second.line(x, xi)
-
-        def diff(t: float) -> float:
-            return float(first(t) - second(t))
-
-        grid = np.linspace(-span, span, 801)
-        vals = first(grid) - second(grid)
-        nonzero = np.flatnonzero(vals != 0.0)
-        signs = vals[nonzero] < 0.0
-        change = np.flatnonzero(signs[:-1] != signs[1:])
-        out = []
-        for left, right in zip(nonzero[change].tolist(), nonzero[change + 1].tolist()):
-            if right == left + 1:
-                out.append(_bracketed_root(diff, float(grid[left]), float(grid[right]),
-                                           float(vals[left]), float(vals[right]),
-                                           xtol=2e-12, rtol=8.88e-16).root)
-            else:
-                out.extend(sorted({float(grid[left + 1]), float(grid[right - 1])}))
-        return [t for t in out if abs(t) > 1e-9]
-
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        xi = np.asarray(xi, float)
-        out = list(self.first.breakpoints(x, xi))
-        out.extend(self.second.breakpoints(x, xi))
-        out.extend(self._crossings(np.asarray(x, float), xi))
-        return sorted(set(out))
+    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        span = np.maximum(10.0, 2.0 * np.sqrt(_dot(x, x)) + 4.0)
+        return np.concatenate((self.first.breakpoints(x, xi), self.second.breakpoints(x, xi),
+                               self._crossings(x, xi, span)), axis=1)
 
 
 def build_thIN_supersolution(N: int, s: float, p: float) -> tuple[MinField, dict]:

@@ -426,13 +426,12 @@ class _BallBump(pr.Field):
             return np.where(arg > 0.0, np.maximum(arg, 0.0) ** s, 0.0)
         return at
 
-    def c2_radius(self, x: np.ndarray) -> float:
-        d = float(np.linalg.norm(np.asarray(x, float) - self.y))
-        return max(abs(d - self.r) / 2.0, 1e-6)
+    def c2_radius(self, x: np.ndarray) -> np.ndarray:
+        d = np.sqrt(pr._dot(x - self.y, x - self.y))
+        return np.maximum(np.abs(d - self.r) / 2.0, 1e-6)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> list[float]:
-        return pr._sphere_crossings(np.asarray(x, float) - self.y,
-                                    np.asarray(xi, float), self.r)
+    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return pr._sphere_crossings(x - self.y, xi, self.r)
 
 
 def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,

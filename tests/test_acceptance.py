@@ -30,13 +30,14 @@ def test_01_bump_identity(s, t):
             return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
 
         def c2_radius(self, x):
-            return max(abs(1.0 - abs(float(x[-1]))) / 2.0, 1e-6)
+            return np.maximum(np.abs(1.0 - np.abs(x[:, -1])) / 2.0, 1e-6)
 
         def breakpoints(self, x, xi):
-            if abs(xi[-1]) < 1e-14:
-                return []
-            return sorted((b - float(x[-1])) / float(xi[-1])
-                          for b in (-1.0, 1.0))
+            # each section meets x_N = -1 and x_N = 1, unless xi_N ~ 0
+            x_n, xi_n = x[:, -1:], xi[:, -1:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (np.array([-1.0, 1.0]) - x_n) / xi_n
+            return np.where(np.abs(xi_n) < 1e-14, np.inf, t)
 
     r = op.directional(Bump(), np.array([0.0, t]), np.array([0.0, 1.0]),
                        s, TOL)

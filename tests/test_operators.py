@@ -33,12 +33,14 @@ class CompactBump:
         return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
 
     def c2_radius(self, x):
-        return max(abs(1.0 - abs(float(x[-1]))) / 2.0, 1e-6)
+        return np.maximum(np.abs(1.0 - np.abs(x[:, -1])) / 2.0, 1e-6)
 
     def breakpoints(self, x, xi):
-        if abs(xi[-1]) < 1e-14:
-            return []
-        return sorted((b - float(x[-1])) / float(xi[-1]) for b in (-1.0, 1.0))
+        # where each section meets x_N = -1 and x_N = 1; a row with xi_N ~ 0 meets neither
+        x_n, xi_n = x[:, -1:], xi[:, -1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (np.array([-1.0, 1.0]) - x_n) / xi_n
+        return np.where(np.abs(xi_n) < 1e-14, np.inf, t)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5])
@@ -363,7 +365,7 @@ def test_growth_metadata_enforced():
 
     class NoC2Window(CompactBump):
         def c2_radius(self, x):
-            return 0.0
+            return np.zeros(len(x))
 
     with pytest.raises(ValueError, match="C\\^2 window"):
         op.directional(NoC2Window(0.5), np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.5)
@@ -417,7 +419,7 @@ def _scipy_piece(f, a, b, abs_tol, rel_tol):
 def _reference_directional(u, x, xi, s, tol):
     """The pieces of ``op.directional``, each by scipy's quad, one call per node.
 
-    It reads the field's own hooks, one direction at a time.
+    It reads the field's own hooks, one direction at a time: each a stack of one row.
     """
     line = u.line(x, xi)
 
@@ -429,10 +431,11 @@ def _reference_directional(u, x, xi, s, tol):
     def kernel(t):
         return (ev(t) + ev(-t) - 2.0 * u0) / t ** (1.0 + 2.0 * s)
 
-    discontinuities = [float(t) for t in u.breakpoints(x, xi)]
-    window = min([float(u.c2_radius(x))] + [abs(t) for t in discontinuities])
+    row, row_xi = x[None], xi[None]
+    discontinuities = [float(t) for t in u.breakpoints(row, row_xi)[0] if math.isfinite(t)]
+    window = min([float(u.c2_radius(row)[0])] + [abs(t) for t in discontinuities])
     if hasattr(u, "d2_along"):
-        d2 = float(u.d2_along(x, xi))
+        d2 = float(u.d2_along(row, row_xi)[0])
     else:  # Richardson extrapolation of central differences at h and h/2
         h = window / 8.0
         coarse = (ev(h) + ev(-h) - 2.0 * u0) / (h * h)
@@ -481,8 +484,8 @@ def _reference_directional(u, x, xi, s, tol):
                             math.log(core_end), math.log(T), tol.abs_tol / 4.0, tol.rel_tol)
         value, err = value + v, err + e
     Cs = cn.normalizing_constant(s)
-    closed, closed_err = u.far_part(x, xi, s) if hasattr(u, "far_part") else (0.0, 0.0)
-    return Cs * (value + float(closed)), Cs * (err + float(closed_err))
+    closed, closed_err = u.far_part(row, row_xi, s) if hasattr(u, "far_part") else ([0.0], [0.0])
+    return Cs * (value + float(closed[0])), Cs * (err + float(closed_err[0]))
 
 
 class _TruncatedTrain:
@@ -511,10 +514,10 @@ class _TruncatedTrain:
         return at
 
     def c2_radius(self, x):
-        return max(float(np.min(np.abs(float(x[-1]) - self.edges))) / 2.0, 1e-6)
+        return np.maximum(np.min(np.abs(x[:, -1:] - self.edges), axis=1) / 2.0, 1e-6)
 
     def breakpoints(self, x, xi):
-        return pr._plane_crossings(np.asarray(x, float), np.asarray(xi, float), self.edges)
+        return pr._plane_crossings(x, xi, self.edges)
 
     def far_part(self, x, xi, s):
         y, xi_n = np.broadcast_arrays(np.asarray(x, float)[..., -1],

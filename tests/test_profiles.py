@@ -62,7 +62,7 @@ def test_d2_along_matches_finite_difference():
     xi = np.array([0.6, 0.8])
     h = 1e-5
     fd = (w(x + h * xi) + w(x - h * xi) - 2.0 * w(x)) / h**2
-    assert w.d2_along(x, xi) == pytest.approx(fd, rel=1e-4)
+    assert w.d2_along(x[None], xi[None])[0] == pytest.approx(fd, rel=1e-4)
 
 
 def test_partial_derivative_field():
@@ -165,9 +165,9 @@ def test_bump_train_window():
 
 def test_bump_train_breakpoints():
     u = pr.BumpTrain(0.2, 0.5)
-    bps = u.breakpoints(np.array([0.0, 0.2]), np.array([0.0, 1.0]))
+    bps = _row_breakpoints(u, np.array([0.0, 0.2]), np.array([0.0, 1.0]))
     assert any(abs(b - 0.2) < 1e-12 for b in bps)  # right edge of bump 0
-    assert u.breakpoints(np.array([0.0, 0.2]), np.array([1.0, 0.0])) == []
+    assert _row_breakpoints(u, np.array([0.0, 0.2]), np.array([1.0, 0.0])) == []
 
 
 @pytest.mark.parametrize("eps,s,span", [(0.2, 0.5, 10), (0.0317, 0.05, 400),
@@ -185,9 +185,9 @@ def test_bump_train_metadata_matches_per_edge_formula(eps, s, span):
             edges = [e for n in range(span + 3) if abs(n + eps - y) < 2.0 * eps
                      for e in (float(n), n + 2.0 * eps)]
             want = sorted(t for t in ((e - y) / xi[-1] for e in edges) if abs(t) > 1e-9)
-            assert u.breakpoints(x, xi) == want
+            assert _row_breakpoints(u, x, xi) == want
             c2 = max(min(abs(y - e) for e in edges) / 2.0, 1e-6) if edges else 1.0
-            assert u.c2_radius(x) == c2
+            assert u.c2_radius(x[None])[0] == c2
 
 
 @pytest.mark.parametrize("s", [1e-5, 0.05, 0.5, 0.95, 0.999])
@@ -270,12 +270,13 @@ def test_bump_train_near_shows_the_bumps_within_two_eps():
         line = u.line(x, np.array([0.0, 1.0]))
         assert np.array_equal(line(centres - y), np.where(close, eps ** (2.0 * s), 0.0))
         edges = [e - y for c in centres[close] for e in (c - eps, c + eps) if abs(e - y) > 1e-9]
-        assert u.breakpoints(x, np.array([0.0, 1.0])) == pytest.approx(sorted(edges), abs=1e-15)
+        assert _row_breakpoints(u, x, np.array([0.0, 1.0])) == pytest.approx(sorted(edges),
+                                                                             abs=1e-15)
     # with eps below 1/4 a gap point has no near bump: its section is 0
     thin = pr.BumpTrain(0.1, s)
-    assert thin.breakpoints(np.array([0.0, 0.7]), np.array([0.0, 1.0])) == []
-    assert thin.c2_radius(np.array([0.0, 0.7])) == 1.0
-    assert thin.d2_along(np.array([0.0, 0.7]), np.array([0.0, 1.0])) == 0.0
+    assert _row_breakpoints(thin, np.array([0.0, 0.7]), np.array([0.0, 1.0])) == []
+    assert thin.c2_radius(np.array([[0.0, 0.7]]))[0] == 1.0
+    assert thin.d2_along(np.array([[0.0, 0.7]]), np.array([[0.0, 1.0]]))[0] == 0.0
 
 
 def test_bump_train_d2_along_matches_differences():
@@ -285,7 +286,7 @@ def test_bump_train_d2_along_matches_differences():
                   (np.array([-1.0, 0.3]), np.array([0.0, 1.0]))):
         line, h = u.line(x, xi), 1e-4
         fd = (line(h) + line(-h) - 2.0 * line(0.0)) / (h * h)
-        assert u.d2_along(x, xi) == pytest.approx(fd, rel=1e-6)
+        assert u.d2_along(x[None], xi[None])[0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_halfspace_power_tail_vanishes_below_wall():
@@ -340,7 +341,7 @@ def test_min_field_crossings():
     x = np.array([0.0, 1.0])
     assert m(x) == pytest.approx(1.0)
     assert m(np.array([0.0, 5.0])) == pytest.approx(20.0)
-    bps = m.breakpoints(x, np.array([0.0, 1.0]))
+    bps = _row_breakpoints(m, x, np.array([0.0, 1.0]))
     assert any(abs(t - 3.0) < 1e-6 for t in bps)  # min switches at x_N = 4
 
 
@@ -349,24 +350,44 @@ def test_min_field_crossings_ignore_common_zeros():
     # changes sign only once along this section
     m = pr.MinField(pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5), 0.3)
     x, xi = np.array([0.3, 0.2, 1.5]), np.array([0.48, 0.6, 0.64])
-    assert len(m._crossings(x, xi)) <= 3
+    assert len(_row_crossings(m, x, xi)) <= 3
     r = op.directional(m, x, xi, 0.5)
     # value and error bar computed with every zero node as a breakpoint
     old_value, old_error = -0.15797872399512658, 1.248418382275979e-11
     assert abs(r.value - old_value) <= r.abs_error_estimate + old_error
 
 
-def _crossings_reference(m, x, xi, radius=0.0):
-    """The scan of earlier versions: a loop over the 801 nodes, scipy's brentq per sign change."""
-    from scipy.optimize import brentq
+def _row_breakpoints(u, x, xi):
+    """The breakpoints of the one row (x, xi), as a stack of one: sorted, each once."""
+    return sorted({float(t) for t in u.breakpoints(x[None], xi[None])[0] if math.isfinite(t)})
 
+
+def _span_and_direction(x, xi, radius):
+    """A min field's scan: along e_N within ``radius`` (its C^2 radius's
+    scan) when ``xi`` is None, else along ``xi`` within max(10, 2|x| + 4)."""
     if xi is None:
         xi = np.zeros_like(x)
         xi[-1] = 1.0
     span = radius if radius > 0.0 else max(10.0, 2.0 * float(np.linalg.norm(x)) + 4.0)
-    first, second = m.first.line(x, xi), m.second.line(x, xi)
+    return span, xi
+
+
+def _row_crossings(m, x, xi, radius=0.0):
+    """``m._crossings`` of the one row (x, xi), as a stack of one: sorted, each once."""
+    span, xi = _span_and_direction(x, xi, radius)
+    got = m._crossings(x[None], xi[None], np.array([span]))[0]
+    return sorted({float(t) for t in got if math.isfinite(t)})
+
+
+def _crossings_reference(m, x, xi, radius=0.0):
+    """The scan of earlier versions: a loop over the 801 nodes, scipy's brentq
+    per sign change, on the fields' lines through the row as a stack of one."""
+    from scipy.optimize import brentq
+
+    span, xi = _span_and_direction(x, xi, radius)
+    first, second = m.first.line(x[None], xi[None]), m.second.line(x[None], xi[None])
     grid = np.linspace(-span, span, 801)
-    vals = (first(grid) - second(grid)).tolist()
+    vals = (first(grid[:, None]) - second(grid[:, None]))[:, 0].tolist()
     grid = grid.tolist()
     out, last = [], None
     for i, v in enumerate(vals):
@@ -374,7 +395,7 @@ def _crossings_reference(m, x, xi, radius=0.0):
             continue
         if last is not None and vals[last] * v < 0.0:
             if last == i - 1:
-                out.append(brentq(lambda t: float(first(t) - second(t)), grid[last], grid[i]))
+                out.append(brentq(lambda t: float((first(t) - second(t))[0]), grid[last], grid[i]))
             else:
                 out.extend(sorted({grid[last + 1], grid[i - 1]}))
         last = i
@@ -394,12 +415,12 @@ def _crossing_cases():
         angle = rng.uniform(0.0, 2.0 * math.pi)
         x = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.05, 3.0)])
         yield thin, x, np.array([math.cos(angle), math.sin(angle)]), 0.0
-        yield thin, x, None, thin.c2_radius(x)
+        yield thin, x, None, thin.c2_radius(x[None])[0]
 
 
 def test_min_field_crossings_match_scan_and_brentq():
     for m, x, xi, radius in _crossing_cases():
-        got = m._crossings(x, xi, radius)
+        got = _row_crossings(m, x, xi, radius)
         want = _crossings_reference(m, x, xi, radius)
         assert len(got) == len(want), (x, xi)
         for g, w in zip(got, want):
@@ -421,7 +442,7 @@ def test_min_field_crossings_keep_zero_run_ends():
     # the sign changes across a run of zero nodes, whose ends are kept
     m = pr.MinField(_Ramp(1.0), _Ramp(-1.0))
     x, xi = np.array([0.0, 0.0]), np.array([0.0, 1.0])
-    got = m._crossings(x, xi)
+    got = _row_crossings(m, x, xi)
     assert got == _crossings_reference(m, x, xi)
     assert got == pytest.approx([-1.0, 1.0], abs=0.025)
 
@@ -482,7 +503,7 @@ def test_line_matches_pointwise_evaluation(kind, N):
         xi = _unit(rng, N)
         line = u.line(x, xi)
         ts = [0.0, *rng.uniform(-4.0, 4.0, 6)]
-        bps = u.breakpoints(x, xi)
+        bps = _row_breakpoints(u, x, xi)
         for b in bps:
             h = 1e-7 * max(1.0, abs(b))
             ts += [b - h, b + h]
@@ -535,6 +556,83 @@ def test_line_at_zero_on_a_stack_of_points_is_each_points_value(kind, N):
     assert values.shape == (30,)
     assert values.tolist() == [u.line(y[None], xi[None])(0.0)[0] for y, xi in zip(points, dirs)]
     assert values == pytest.approx([u(y) for y in points], rel=1e-15, abs=1e-300)
+
+
+# one field of every class the package defines, each with the point-set its
+# edge rows probe
+ROW_FIELDS = {
+    "radial_decay": pr.make_w_gamma(0.5),
+    "radial_growth": pr.make_v_minus_gamma(0.3, 0.75),
+    "partial_n": pr.make_v_gamma(0.4).partial(),
+    "psi_decay": pr.make_psi("decay", 2, 0.5),
+    "bump_train": pr.BumpTrain(0.2, 0.5),
+    "bump_train_thin": pr.BumpTrain(0.1, 0.5),
+    "halfspace_power_tail": pr.HalfSpacePowerTail(0.7, shift=0.8),
+    "power_profile": pr.PowerProfile(0.25, 3.0),
+    "min_composition": pr.MinField(
+        pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5), 0.3),
+    "min_thin": pr.build_thIN_supersolution(2, 0.45, 4.0)[0],
+    "ball_bump": vf._BallBump(np.array([0.0, 0.0, -0.5]), 1.5, 0.5),
+}
+
+
+def _edge_rows():
+    """Rows (points, unit directions) in R^3: the edge rows, then random ones."""
+    rng = np.random.default_rng(29)
+    edges = [
+        ([0.3, -0.2, 1.1], [0.6, 0.8, 0.0]),  # xi_N = 0
+        ([0.0, 2.0, math.sqrt(0.5)], [0.0, 1.0, 0.0]),  # tangent to |x|^2 = 1/2
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 0.0]),  # tangent to |x| = 1 and to the ball
+        ([0.0, 2.0, 0.2], [0.0, 1.0, 0.0]),  # tangent to |x + 0.8 e_N| = 1
+        ([0.4, 0.1, -0.3], [0.48, 0.6, 0.64]),  # x_N < 0
+        ([0.4, 0.1, 0.0], [0.0, 0.6, 0.8]),  # x_N = 0
+        ([0.3, 0.2, 0.7], [0.0, 0.0, 1.0]),  # in a gap: no near bump
+        ([0.3, 0.2, 1.5], [0.48, 0.6, 0.64]),  # through the min field's common zeros
+    ]
+    points = np.array([p for p, _ in edges] + [[0.0, 0.0, 0.0]] * 9)
+    dirs = np.array([d for _, d in edges] + [[0.0, 0.0, 1.0]] * 9)
+    points[len(edges):] = rng.uniform(-1.0, 3.0, (9, 3)) * np.geomspace(0.1, 300.0, 9)[:, None]
+    dirs[len(edges):] = [_unit(rng, 3) for _ in range(9)]
+    return points, dirs
+
+
+def _field_classes(cls=pr.Field):
+    return {cls} | {c for sub in cls.__subclasses__() for c in _field_classes(sub)}
+
+
+def test_row_fields_cover_every_field_class():
+    package = {c for c in _field_classes() if c.__module__.startswith("fractrunc.")}
+    assert package - {pr.Field} == {type(u) for u in ROW_FIELDS.values()}
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_FIELDS) + ["base"])
+def test_hooks_on_a_stack_are_each_rows_stack_of_one(kind):
+    # every hook answers row i from row i alone: the stack of all rows gives,
+    # bit for bit, each row's answer as a stack of one; a row's breakpoints
+    # may sit in a wider padding
+    u = ROW_FIELDS.get(kind, pr.Field())
+    points, dirs = _edge_rows()
+
+    def bits(a):
+        return np.asarray(a, float).tobytes()
+
+    c2, bps = u.c2_radius(points), u.breakpoints(points, dirs)
+    assert c2.shape == (len(points),) and bps.shape[0] == len(points)
+    d2 = u.d2_along(points, dirs) if hasattr(u, "d2_along") else None
+    for i, (x, xi) in enumerate(zip(points[:, None], dirs[:, None])):
+        assert bits(u.c2_radius(x)) == bits(c2[i:i + 1])
+        one = u.breakpoints(x, xi)[0]
+        assert bits(one) == bits(bps[i, :one.size])
+        assert np.all(bps[i, one.size:] == np.inf) and not np.any(bps[i] == -np.inf)
+        if d2 is not None:
+            assert bits(u.d2_along(x, xi)) == bits(d2[i:i + 1])
+    if kind != "base":
+        # the edge rows hit what they aim at
+        finite = np.isfinite(bps).sum(axis=1)
+        if kind.startswith("bump_train"):
+            assert finite[0] == 0 and finite[6] == 0 and c2[6] == 1.0
+        if kind == "min_composition":
+            assert finite[7] >= 1
 
 
 @pytest.mark.parametrize("u,x,s", [

@@ -245,6 +245,14 @@ def test_singular_ik_minus_cancellation():
         assert c.residual <= 0.0
 
 
+@pytest.mark.xfail(strict=True, reason="the far panel stops at log T = 550, and the power section "
+                   "t^{mu-2s} = t^-0.015 leaves ~2.3e-4 of its integral beyond T: residuals "
+                   "~2.2e-4 against bars ~4.5e-4 make the claims inconclusive")
+def test_singular_ik_minus_passes_at_small_s():
+    # `fractrunc verify singular --s 0.01 --p -3 --N 2`
+    assert vf.verify_singular_supersolution(0.01, -3.0, "ik_minus", 2).verdict == "pass"
+
+
 def test_singular_in_plus_sup_over_every_frame():
     r = vf.verify_singular_supersolution(0.5, -3.0, "in_plus", 3)
     assert r.verdict == "pass"
