@@ -649,11 +649,17 @@ class MinField(Field):
         return lambda t: scale * np.minimum(first(t), second(t))
 
     def c2_radius(self, x: np.ndarray) -> np.ndarray:
+        # the rows of a fan share their point: each distinct point (bit for
+        # bit) is scanned, and its e_N crossing refined, once
+        rows = np.ascontiguousarray(x)
+        key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+        _, first, back = np.unique(key, return_index=True, return_inverse=True)
+        x = rows[first]
         base = np.minimum(self.first.c2_radius(x), self.second.c2_radius(x))
         e_n = np.zeros_like(x)
         e_n[:, -1] = 1.0
         cross = np.min(np.abs(self._crossings(x, e_n, 2.0 * base)), axis=1, initial=np.inf)
-        return np.maximum(np.minimum(base, cross), 1e-6)
+        return np.maximum(np.minimum(base, cross), 1e-6)[back.ravel()]
 
     def _crossings(self, x: np.ndarray, xi: np.ndarray, span: np.ndarray) -> np.ndarray:
         """Sign changes of first - second along each row's line within

@@ -292,20 +292,20 @@ def integrate_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.nda
     return np.bincount(group, val, n), np.bincount(group, err, n), evals
 
 
-_DECAY_EDGES = (1.5 ** np.arange(9) - 1.0) / (1.5**8 - 1.0)
-
-
-def _decaying(lo: float | np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _decaying(lo: float | np.ndarray, hi: np.ndarray, panels: int | np.ndarray = 8) -> np.ndarray:
     """Panel edges, one row per member, for a piece that decays exponentially from ``lo`` on.
 
-    ``lo`` is one number or a column, ``hi`` one number per member.  A
-    singular piece or a log-substituted tail spans ~30 e-folds.  From one
-    panel the batch bisected its start for four rounds; 8 panels whose
-    widths grow by half from ``lo`` usually resolve it in one round.
+    ``lo`` is one number or a column, ``hi`` one number per member, and
+    ``panels`` one count or a column of counts: panels whose widths grow by
+    half from ``lo``, the first 1/49 of the span at 8 panels.  A row with
+    fewer panels than the widest is padded with empty ones at ``hi``, which
+    ``_Plan`` drops.  From one panel the batch bisected a piece's start for
+    four rounds; 8 resolve a log-substituted tail, at most ~690 e-folds,
+    usually in one.  A singular piece can span ~1e6 (``_singular_piece``).
     """
-    edges = lo + (hi[:, None] - lo) * _DECAY_EDGES
-    edges[:, -1] = hi
-    return edges
+    k = np.arange(np.max(panels) + 1)
+    share = (1.5 ** np.minimum(k, panels) - 1.0) / (1.5 ** panels - 1.0)
+    return np.where(k >= panels, hi[:, None], lo + (hi[:, None] - lo) * share)
 
 
 class _Plan:
@@ -399,6 +399,13 @@ def _singular_piece(plan: _Plan, r: Callable[[np.ndarray, np.ndarray], np.ndarra
     member's ``u1`` is set from a probe of its ``r`` there.  A ``floor``
     marks ``r`` as recovered from direct evaluation, which loses accuracy
     once ``c + side*d`` rounds to ``c``, so ``u1`` is capped at ``-log(floor)``.
+
+    The span ``u1 - u0`` is ~log(1/tol)/(1+exponent) e-folds: ~30 at
+    exponent 0, ~1,600 for c_iso at s = 0.99 (exponent 1 - 2s), ~1.5e6 at
+    s = 0.99999, while a regular part like c_iso's (limit + O(d^2)) varies
+    over the first ~20 only.  So the panels of ``_decaying`` start at most
+    one e-fold wide: 8 of them up to a span of ~49, else
+    ceil(log(1 + span/2)/log 1.5), each member with its own count.
     """
     om = 1.0 + exponent
     u0 = -math.log(length)
@@ -408,7 +415,9 @@ def _singular_piece(plan: _Plan, r: Callable[[np.ndarray, np.ndarray], np.ndarra
     else:
         u1 = np.full(plan.member.size, min(
             -math.log(floor), max(u0 + 1.0, math.log(8.0 / (abs_tol * om)) / om)))
-    plan.add(lambda u, m: r(np.exp(-u), m) * np.exp(-om * u), _decaying(u0, u1), abs_tol)
+    panels = np.maximum(8, np.ceil(np.log1p((u1 - u0) / 2.0) / math.log(1.5))).astype(int)
+    plan.add(lambda u, m: r(np.exp(-u), m) * np.exp(-om * u), _decaying(u0, u1, panels[:, None]),
+             abs_tol)
     plan.slack += np.abs(plan.probe(r, np.exp(-u1)[:, None])[:, 0]) * np.exp(-om * u1) / om
 
 
@@ -454,9 +463,8 @@ def _tail(plan: _Plan, f: Callable[[np.ndarray, np.ndarray], np.ndarray], start:
 
     # the first unit of u is a panel of its own: a term decaying like
     # tau**-30 hides inside a wider first panel (c_iso at gamma ~ 28)
-    edges = np.empty((log_T.size, 1 + _DECAY_EDGES.size))
-    edges[:, 0] = u
-    edges[:, 1:] = _decaying(np.minimum(u + 1.0, log_T)[:, None], log_T)
+    edges = _decaying(np.minimum(u + 1.0, log_T)[:, None], log_T)
+    edges = np.column_stack((np.full(log_T.size, u), edges))
     plan.add(g, edges, abs_tol)
     T = np.exp(log_T)
     remainder = plan.probe(f, T[:, None])[:, 0] * T / (beta - 1.0)

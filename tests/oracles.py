@@ -120,6 +120,32 @@ FROZEN_C_N_PLUS = {  # (gamma, s, N) -> c_n_plus
     (0.7, 0.5, 3): -3.4194136539335056,
 }
 
+# c_iso and c_N^+ near s = 1, where the kernel's exponent at t = 0, 1 - 2s, is
+# near -1 and the constants grow like 1/(2-2s).  Frozen from FROZEN_C_ISO's
+# 80-digit recipe and FROZEN_C_N_PLUS's 40-digit corr, each a function of
+# (gamma, s, N) taking the doubles themselves, rounded to double:
+#
+#     gamma, s = mp.mpf(float(gamma)), mp.mpf(float(s))
+#     c_iso = c_iso(gamma, s, N)
+#     c_n_plus = N * c_iso(gamma, s, N) - corr(gamma, s, N)    # all in mpmath
+#
+#     c_iso(1.5, 0.99995, 3)            2498.972472443664789292804
+#     c_iso(2.0, 0.99999, 3)            33331.88263685689878587849
+#     c_iso(1.00002365148, 0.99999, 3)  -0.2724844483223399796747609
+#     c_iso(1.5, 0.99995, 4)            -1875.874549248619479080947
+#     corr(1.5, 0.99995, 4)             0.03074598031804882083070074
+#
+# The same recipes at 30 and 60 digits print the same 25 digits, and so does an
+# independent 50-digit one that integrates (0, 1) in v = -log t, the pair's
+# limit times exp(-(2-2s) v) in closed form and the rest over [0, 1, 3, 10, 30,
+# 60, 120].
+FROZEN_NEAR_ONE = {  # (constant, gamma, s, N) -> value
+    ("c_iso", 1.5, 0.99995, 3): 2498.9724724436646,
+    ("c_iso", 2.0, 0.99999, 3): 33331.8826368569,
+    ("c_iso", 1.00002365148, 0.99999, 3): -0.27248444832234,
+    ("c_n_plus", 1.5, 0.99995, 4): -7503.528942974796,
+}
+
 # The defining integrals of the 1-D kernel constants, frozen from an
 # independent 50-digit mpmath quadrature, rounded to double:
 #

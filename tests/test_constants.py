@@ -324,6 +324,41 @@ def test_c_n_plus_frozen(key):
     assert cn.c_n_plus(*key) == pytest.approx(oc.FROZEN_C_N_PLUS[key], rel=1e-13)
 
 
+NEAR_ONE_MISS = ("c_iso", 1.00002365148, 0.99999, 3)  # near gamma_tilde(3, 0.99999)
+
+
+@pytest.mark.parametrize("key", [
+    pytest.param(key, id="-".join(map(str, key)), marks=pytest.mark.xfail(
+        key == NEAR_ONE_MISS, strict=True, reason="at gamma ~ N - 2 the pair's O(1) terms "
+        "cancel, and its rounding (~1e-16) over the singular piece's weight of mass "
+        "1/(2-2s) = 5e4 exceeds the bar"))
+    for key in sorted(oc.FROZEN_NEAR_ONE)])
+def test_near_one_within_their_bars(key):
+    # the singular piece spans ~log(1/tol)/(2-2s) e-folds, 1.5e6 at s = 0.99999,
+    # and the pair varies over its first ~20 only
+    name, gam, s, N = key
+    got = cn.iso_stack([gam], s, N, name == "c_n_plus")[0]
+    want = oc.FROZEN_NEAR_ONE[key]
+    assert abs(got.value - want) <= got.abs_error_estimate + 1e-12 * abs(want)
+
+
+def test_walk_near_one_takes_two_rounds(monkeypatch):
+    # the five walk gammas at s = 0.99: a singular piece of ~1,600 e-folds
+    # whose panels start one e-fold wide is resolved in two rounds
+    rounds = []
+    gk21 = quad._gk21
+
+    def spy(*args):
+        rounds.append(args[1].size)
+        return gk21(*args)
+
+    monkeypatch.setattr(quad, "_gk21", spy)
+    results = cn.iso_stack([2.0, 4.0, 8.0, 16.0, 32.0], 0.99, 3, False)
+    assert len(rounds) <= 2 and max(rounds) <= quad._PANELS_PER_CALL
+    # gamma_tilde = 1.04 lies below all five
+    assert all(r.value > 0.0 for r in results)
+
+
 def test_gamma_plus_and_c_n_plus_quadrature_counts(monkeypatch):
     # gamma_plus takes three batched passes of c_n_plus (walk, proxy, closing
     # test, the last with its c_iso check); the jump at sqrt(N) is a plain

@@ -455,7 +455,7 @@ def _reference_directional(u, x, xi, s, tol):
     value, err = small, taylor_err + eq
 
     bps = sorted({abs(t) for t in discontinuities if abs(t) > delta})
-    core_end = max(1.0, 2.0 * delta, (bps[-1] + 1.0) if bps else 1.0)
+    core_end = max(1.0, 2.0 * delta, (2.0 * bps[-1] + 1.0) if bps else 1.0)
     cuts = [delta] + [b for b in bps if b < core_end] + [core_end]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         def smooth(z, lo=lo, L=hi - lo):

@@ -291,6 +291,42 @@ def test_jump_with_regular_part_keeps_its_singular_piece():
     assert abs(r.value - 1.3) <= 1e-10
 
 
+@pytest.mark.parametrize("om", [0.5, 2e-3, 1e-4, 2e-5])
+def test_singular_piece_near_exponent_minus_one(om):
+    # integral_0^inf t^(om-1) / (1 + t/delta)^2 dt = delta^om Gamma(om) Gamma(2-om): the
+    # regular part varies around u = -log(t) ~ 7, in a piece of ~log(1/tol)/om
+    # e-folds (1.8e6 at om = 2e-5)
+    delta = 1e-3
+    e = om - 1.0
+    om = 1.0 + e  # the exponent the integrand declares, exactly
+    f = Integrand(eval=lambda t: t**e / (1.0 + t / delta) ** 2, singular_points=[(0.0, e)],
+                  tail_decay=2.0 - e,
+                  regular_eval={0.0: lambda side, d: 1.0 / (1.0 + d / delta) ** 2})
+    r = integrate(f, 0.0, math.inf, Tolerance(1e-10, 1e-12))
+    want = delta**om * math.gamma(om) * math.gamma(2.0 - om)
+    assert abs(r.value - want) <= r.abs_error_estimate + 1e-14 * want
+
+
+def test_singular_piece_starts_one_efold_wide():
+    # panels growing by half, the first at most one e-fold wide: 8 of them
+    # while that holds, else the fewest that make it so; a stack pads each
+    # member's row with empty panels
+    plan = quad._Plan(3)
+    scale = np.array([1.0, 1e20, 1e200])  # each member's cut-off grows with its |r|
+    for expo in (0.0, -0.9, -0.9999):
+        quad._singular_piece(plan, lambda d, m: scale[m] / (1.0 + d), expo, 1.0, 1e-12)
+    counts = []
+    for edges in plan.edges:
+        for row in edges:
+            widths = np.diff(row)[np.diff(row) > 0.0]
+            span = row[-1] - row[0]
+            counts.append(widths.size)
+            assert np.allclose(widths[1:] / widths[:-1], 1.5)
+            assert widths[0] <= 1.0 + 1e-12
+            assert widths.size == 8 or span > 2.0 * (1.5 ** (widths.size - 1) - 1.0)
+    assert counts[:3] == [8, 10, 14] and max(counts) > 30
+
+
 # --- stacks: integrals that share their declarations -------------------------
 
 def _scaled_pole(c):
