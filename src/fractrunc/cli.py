@@ -438,8 +438,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--seed", type=int,
                         help="RNG seed (default 42); only `verify transform` reads it")
-    parser.add_argument("--abs-tol", type=float, dest="abs_tol")
-    parser.add_argument("--rel-tol", type=float, dest="rel_tol")
+    ignored = ("; constants, roots, table, sweep and verify psi ignore it and run "
+               "at 1e-12 absolute, 1e-11 relative")
+    parser.add_argument("--abs-tol", type=float, dest="abs_tol",
+                        help="absolute quadrature tolerance of the verify suites (default "
+                             f"{Tolerance.abs_tol:g})" + ignored)
+    parser.add_argument("--rel-tol", type=float, dest="rel_tol",
+                        help="relative quadrature tolerance of the verify suites (default "
+                             f"{Tolerance.rel_tol:g})" + ignored)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="special constants at (s, N, k)")

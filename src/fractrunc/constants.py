@@ -350,8 +350,7 @@ def c_n_plus(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> flo
     return iso_stack([gam], s, N, True, tol)[0].value
 
 
-def c_s_mu(mu: float, s: float, form: str = "primary",
-           tol: Tolerance = _DEFAULT_TOL) -> float:
+def c_s_mu(mu: float, s: float, form: str = "primary") -> float:
     """The power-profile constant with I_{e_N}(x_N)_+^mu = C_s c_{s,mu} x_N^{mu-2s}.
 
     ``form="primary"`` is the closed form of the integral of
@@ -359,7 +358,8 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
     form (mu/2s) B(mu, 2s-mu) sin(pi(mu-s))/sin(pi s): no removable point
     at s = 1/2, and exactly 0 at mu = s.  ``form="alternate"`` integrates
     the first-derivative representation
-    (mu/2s) * integral ((1+t)^{mu-1} - (1+t)^{2s-mu-1})/t^{2s} to ``tol``.
+    (mu/2s) * integral ((1+t)^{mu-1} - (1+t)^{2s-mu-1})/t^{2s} at the
+    constants' default tolerance.
     """
     _check_s(s)
     if not 0.0 < mu < 2.0 * s:
@@ -376,14 +376,14 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
         # tail of the original representation.
         e0 = min(2.0 * s - mu, mu) - 1.0
 
-        def g(u: np.ndarray) -> np.ndarray:
+        def g(u: np.ndarray, m: np.ndarray) -> np.ndarray:
             return (u ** (2.0 * s - mu - 1.0) - u ** (mu - 1.0)) * (1.0 - u) ** (-2.0 * s)
 
-        def regular0(side: int, d: np.ndarray) -> np.ndarray:
+        def regular0(side: int, d: np.ndarray, m: np.ndarray) -> np.ndarray:
             return ((d ** (2.0 * s - mu - 1.0 - e0) - d ** (mu - 1.0 - e0))
                     * (1.0 - d) ** (-2.0 * s))
 
-        def regular1(side: int, d: np.ndarray) -> np.ndarray:
+        def regular1(side: int, d: np.ndarray, m: np.ndarray) -> np.ndarray:
             # g(1-d) * d^{2s-1}; numerator via expm1 keeps the cancellation
             # exact, and its limit at d = 0 is 2mu - 2s
             safe = np.where(d > 0.0, d, 0.5)
@@ -396,7 +396,7 @@ def c_s_mu(mu: float, s: float, form: str = "primary",
             singular_points=[(0.0, e0), (1.0, 1.0 - 2.0 * s)],
             regular_eval={0.0: regular0, 1.0: regular1},
         )
-        return (mu / (2.0 * s)) * integrate(integrand, 0.0, 1.0, tol).value
+        return (mu / (2.0 * s)) * integrate(integrand, 0.0, 1.0, _DEFAULT_TOL)[0].value
     raise DomainError(f"unknown form {form!r}; expected 'primary' or 'alternate'")
 
 

@@ -16,25 +16,24 @@ QUADPACK's G10/K21 rule over many integrals at once, each round evaluating
 every open panel in one call of a vectorised integrand.  ``integrate`` and
 ``integrate_pv`` plan their pieces (plain panels, singular pieces, the tail)
 and integrate them all in one ``integrate_batch`` call; the directional
-operator calls it directly.  The plan is made for a stack: integrals that
+operator calls it directly.  Every integrand is a stack: integrals that
 share their declared structure and differ in one parameter, planned with
 per-member cut-offs, tolerance shares and remainders, whose every piece
-function is called once per engine round over all members.  An integrand
-that declares no stack is the stack of one.
+function is called once per engine round over all members.
 
-Accuracy near a singular point ``c`` with exponent ``e`` (``f ~ C*d**e`` with
-``d = |tau - c|``) is limited by floating-point rounding of ``c + d`` once
-``d`` is tiny.  Callers that need full accuracy attach a *regular-part*
-evaluator ``r(side, d)`` with ``f(c + side*d) = r(side, d) * d**e``; the
-engine then never reconstructs the absolute coordinate and the substitution
-is exact down to arbitrarily small distances.
+Near a singular point ``c`` with exponent ``e`` (``f ~ C*d**e`` with
+``d = |tau - c|``) the absolute coordinate ``c + d`` rounds to ``c`` once
+``d`` is tiny, so the integrand declares a *regular-part* evaluator
+``r(side, d, member)`` with ``f(c + side*d) = r(side, d, member) * d**e``: the
+engine never reconstructs the absolute coordinate, and the substitution is
+exact down to arbitrarily small distances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -45,12 +44,11 @@ __all__ = [
     "Tolerance",
     "QuadError",
     "NonIntegrable",
-    "NonCancelling",
     "integrate",
     "integrate_pv",
 ]
 
-_LOG_HUGE = 690.0  # log of ~1e299; substitution ranges never exceed this without a regular part
+_LOG_HUGE = 690.0  # log of ~1e299: the farthest truncation point of an infinite tail
 
 
 class QuadError(Exception):
@@ -59,10 +57,6 @@ class QuadError(Exception):
 
 class NonIntegrable(QuadError):
     """The declared structure does not make the integral converge."""
-
-
-class NonCancelling(QuadError):
-    """The symmetric pairing around a PV point is still non-integrable."""
 
 
 @dataclass(frozen=True)
@@ -114,29 +108,29 @@ class StackResult(tuple):
 class Integrand:
     """An array-valued integrand with declared singular structure.
 
+    ``stack = M`` declares M integrals that share these declarations and
+    differ in one parameter.  Every function takes an ndarray of nodes and
+    the member index of every node, an int array that broadcasts against
+    the nodes, and returns its values elementwise: ``eval(t, member)``,
+    each regular part ``r(side, d, member)`` and each fold
+    ``g(h, member)``.  ``integrate`` returns one ``QuadResult`` per member.
+
     ``singular_points`` lists ``(location, exponent)`` pairs where
     ``f(location + side*d) ~ C * d**exponent`` as ``d -> 0``; exponents must be
-    > -1 unless the location is a PV point.  Exponent 0 declares a jump or
-    kink as a breakpoint: a plain panel edge, unless the location has a
-    ``regular_eval``, which then gets its singular piece like any other.
-    ``tail_decay`` is an exponent ``beta`` with ``|f(tau)| <= C*tau**-beta``
-    for large ``tau``; it must exceed 1 when integration extends to +inf.
+    > -1 unless the location is a PV point.  ``regular_eval`` maps a singular
+    location to its regular part ``r(side, d, member)``, which every
+    location of nonzero exponent that is not a PV point must have.  Exponent
+    0 declares a jump or kink as a breakpoint: a plain panel edge, unless the
+    location has a regular part, which then gets its singular piece like any
+    other.  ``tail_decay`` is an exponent ``beta`` with
+    ``|f(tau)| <= C*tau**-beta`` for large ``tau``; it must exceed 1 when
+    integration extends to +inf.
 
-    ``regular_eval`` optionally maps a singular location to a stable
-    regular-part evaluator ``r(side, d)``.  The PV points are the keys of
-    ``pv_fold``, which maps each PV point ``c`` to ``(fold_exponent, g)``
-    where ``f(c+h) + f(c-h) = g(h) * h**fold_exponent`` with ``g`` bounded
-    near 0; ``integrate_pv`` integrates that fold, and ``integrate`` accepts
-    no PV point in its closed interval.
-
-    ``eval(t)``, each ``r(side, d)`` and each fold ``g(h)`` take an ndarray
-    and return their values elementwise.
-
-    ``stack = M`` declares M integrals that share these declarations and
-    differ in one parameter: each function then takes the member index of
-    every node as a last argument, an int array that broadcasts against
-    the nodes (``eval(t, member)``, ``r(side, d, member)``, ``g(h, member)``),
-    and ``integrate`` returns one ``QuadResult`` per member.
+    The PV points are the keys of ``pv_fold``, which maps each PV point
+    ``c`` to ``(fold_exponent, g)`` where
+    ``f(c+h) + f(c-h) = g(h) * h**fold_exponent`` with ``g`` bounded near 0;
+    ``integrate_pv`` integrates that fold, and ``integrate`` accepts no PV
+    point in its closed interval.
     """
 
     eval: Callable[..., np.ndarray]
@@ -145,19 +139,25 @@ class Integrand:
     regular_eval: dict[float, Callable[..., np.ndarray]] = field(default_factory=dict)
     pv_fold: dict[float, tuple[float, Callable[..., np.ndarray]]] = field(
         default_factory=dict)
-    stack: Optional[int] = None
+    stack: int = 1
 
     def __post_init__(self) -> None:
-        if self.stack is not None and not self.stack >= 1:
+        if not self.stack >= 1:
             raise ValueError("a stack holds at least one integral")
 
     def validate(self, a: float, b: float) -> None:
-        """Raise ``NonIntegrable`` if the declarations rule out ``integrate`` on ``(a, b)``."""
+        """Raise ``NonIntegrable`` if the declarations rule out ``integrate`` on ``(a, b)``.
+
+        A singular point of nonzero exponent without its regular part raises ``ValueError``.
+        """
         for loc, expo in self.singular_points:
-            if expo <= -1.0 and loc not in self.pv_fold:
+            if loc in self.pv_fold:
+                continue
+            if expo <= -1.0:
                 raise NonIntegrable(
-                    f"singular point {loc} has exponent {expo} <= -1 and no PV fold"
-                )
+                    f"singular point {loc} has exponent {expo} <= -1 and no PV fold")
+            if expo != 0.0 and loc not in self.regular_eval:
+                raise ValueError(f"singular point {loc} has exponent {expo} and no regular part")
         for c in self.pv_fold:
             if a <= c <= b:  # at an endpoint there is nothing to cancel against
                 raise NonIntegrable(
@@ -388,17 +388,14 @@ class _Plan:
 
 
 def _singular_piece(plan: _Plan, r: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    exponent: float, length: float, abs_tol: float,
-                    floor: Optional[float] = None) -> None:
+                    exponent: float, length: float, abs_tol: float) -> None:
     """Plan integral_0^length r(d) * d**exponent dd  via d = exp(-u), for every member.
 
     The transformed integrand ``r(exp(-u)) * exp(-(1+exponent)*u)`` decays
     exponentially; it is integrated up to ``u1`` and the truncation
-    remainder is bounded analytically and added to the error.  Without
-    ``floor``, ``r`` is a stable regular part bounded near 0 and each
-    member's ``u1`` is set from a probe of its ``r`` there.  A ``floor``
-    marks ``r`` as recovered from direct evaluation, which loses accuracy
-    once ``c + side*d`` rounds to ``c``, so ``u1`` is capped at ``-log(floor)``.
+    remainder is bounded analytically and added to the error.  ``r`` is a
+    stable regular part bounded near 0, and each member's ``u1`` is set
+    from a probe of its ``r`` there.
 
     The span ``u1 - u0`` is ~log(1/tol)/(1+exponent) e-folds: ~30 at
     exponent 0, ~1,600 for c_iso at s = 0.99 (exponent 1 - 2s), ~1.5e6 at
@@ -409,29 +406,12 @@ def _singular_piece(plan: _Plan, r: Callable[[np.ndarray, np.ndarray], np.ndarra
     """
     om = 1.0 + exponent
     u0 = -math.log(length)
-    if floor is None:
-        probe = np.abs(plan.probe(r, np.array([[min(length / 2.0, 1e-30)]]))[:, 0]) + 1.0
-        u1 = np.maximum(u0 + 1.0, np.log(8.0 * probe / (abs_tol * om)) / om)
-    else:
-        u1 = np.full(plan.member.size, min(
-            -math.log(floor), max(u0 + 1.0, math.log(8.0 / (abs_tol * om)) / om)))
+    probe = np.abs(plan.probe(r, np.array([[min(length / 2.0, 1e-30)]]))[:, 0]) + 1.0
+    u1 = np.maximum(u0 + 1.0, np.log(8.0 * probe / (abs_tol * om)) / om)
     panels = np.maximum(8, np.ceil(np.log1p((u1 - u0) / 2.0) / math.log(1.5))).astype(int)
     plan.add(lambda u, m: r(np.exp(-u), m) * np.exp(-om * u), _decaying(u0, u1, panels[:, None]),
              abs_tol)
     plan.slack += np.abs(plan.probe(r, np.exp(-u1)[:, None])[:, 0]) * np.exp(-om * u1) / om
-
-
-def _sing_adjacent(plan: _Plan, f: Integrand, loc: float, expo: float, side: int,
-                   length: float, abs_tol: float) -> None:
-    """Plan the panel of given length touching ``loc`` from one side."""
-    custom = f.regular_eval.get(loc)
-    if custom is not None:
-        _singular_piece(plan, lambda d, m: custom(side, d, m), expo, length, abs_tol)
-        return
-    # Direct evaluation: keep distances above the rounding floor of loc.
-    floor = max(1e-15, 4.0 * abs(loc) * 2.3e-16)
-    _singular_piece(plan, lambda d, m: f.eval(loc + side * d, m) * d ** (-expo), expo, length,
-                    abs_tol, floor)
 
 
 _TAIL_PROBES = np.array([[1.0, 1.7, 2.9, 5.3]])
@@ -472,23 +452,8 @@ def _tail(plan: _Plan, f: Callable[[np.ndarray, np.ndarray], np.ndarray], start:
     plan.slack += np.abs(remainder)
 
 
-def _as_stack(f: Integrand) -> Integrand:
-    """``f`` itself if it declares a stack, else its stack of one."""
-    if f.stack is not None:
-        return f
-    return Integrand(
-        eval=lambda t, m: f.eval(t),
-        singular_points=f.singular_points,
-        tail_decay=f.tail_decay,
-        regular_eval={loc: (lambda fn: (lambda side, d, m: fn(side, d)))(fn)
-                      for loc, fn in f.regular_eval.items()},
-        pv_fold={c: (e, (lambda g: (lambda h, m: g(h)))(g)) for c, (e, g) in f.pv_fold.items()},
-        stack=1,
-    )
-
-
 def _reflected(f: Integrand) -> Integrand:
-    """The stacked integrand tau -> f(-tau) with mirrored declarations."""
+    """The integrand tau -> f(-tau) with mirrored declarations."""
     regular = {
         -loc: (lambda fn: (lambda side, d, m: fn(-side, d, m)))(fn)
         for loc, fn in f.regular_eval.items()
@@ -504,70 +469,63 @@ def _reflected(f: Integrand) -> Integrand:
 
 
 def _plan_interval(plan: _Plan, f: Integrand, a: float, b: float, abs_tol: float) -> None:
-    """Plan integral_a^b f of a stacked ``f`` for finite ``a`` and ``b`` finite or +inf.
+    """Plan integral_a^b f for finite ``a`` and ``b`` finite or +inf.
 
     Breakpoints at the declared singular points split the finite part into
     panels, each piece of which gets ``abs_tol / max(panels + 2, 3)``; a
-    singular end takes half of its panel (a third when both ends are
-    singular) through ``d = exp(-u)``, and an infinite tail gets
-    ``abs_tol / 4``.  A breakpoint of exponent 0 without a regular part is
-    a plain panel edge, not a singular end.
+    singular end, one with a regular part, takes half of its panel (a third
+    when both ends are singular) through ``d = exp(-u)``, and an infinite
+    tail gets ``abs_tol / 4``.  A breakpoint of exponent 0 without a
+    regular part is a plain panel edge, not a singular end.
     """
     f.validate(a, b)
     points = [loc for loc, _ in f.singular_points]
-    sing = {loc: expo for loc, expo in f.singular_points
-            if expo != 0.0 or loc in f.regular_eval}
+    sing = {loc: expo for loc, expo in f.singular_points if loc in f.regular_eval}
     finite_end = b
     if math.isinf(b):
         finite_end = max([abs(a) + 1.0, 2.0] + [abs(loc) + 1.0 for loc in points])
     grid = sorted({a, finite_end} | {loc for loc in points if a <= loc <= finite_end})
     piece_abs = abs_tol / max(len(grid) + 1, 3)
     for lo, hi in zip(grid[:-1], grid[1:]):
-        lo_sing, hi_sing = sing.get(lo), sing.get(hi)
-        cut = (hi - lo) / (3.0 if lo_sing is not None and hi_sing is not None else 2.0)
-        if lo_sing is not None:
-            _sing_adjacent(plan, f, lo, lo_sing, +1, cut, piece_abs)
-            lo += cut
-        if hi_sing is not None:
-            _sing_adjacent(plan, f, hi, hi_sing, -1, cut, piece_abs)
-            hi -= cut
-        plan.add(f.eval, [lo, hi], piece_abs)
+        ends = [(loc, side) for loc, side in ((lo, 1), (hi, -1)) if loc in sing]
+        cut = (hi - lo) / (len(ends) + 1.0)
+        for loc, side in ends:
+            r = f.regular_eval[loc]
+            _singular_piece(plan, lambda d, m, r=r, side=side: r(side, d, m), sing[loc], cut,
+                            piece_abs)
+        plan.add(f.eval, [lo + cut if lo in sing else lo, hi - cut if hi in sing else hi],
+                 piece_abs)
     if math.isinf(b):
         _tail(plan, f.eval, finite_end, f.tail_decay, abs_tol / 4.0)
 
 
-def _results(f: Integrand, results: list[QuadResult]) -> QuadResult | StackResult:
-    return results[0] if f.stack is None else StackResult(results)
-
-
 def integrate(f: Integrand, a: float, b: float,
-              tol: Tolerance = Tolerance()) -> QuadResult | StackResult:
+              tol: Tolerance = Tolerance()) -> StackResult:
     """Integrate ``f`` over ``(a, b)`` for finite ``a``; ``b`` may be +inf.
 
     Subdivides at declared singular points, applies the exponential
     substitution next to them, and truncates the infinite tail with an
-    analytic remainder bound included in the error estimate.  An integrand
-    is planned as a stack, one without a declared ``stack`` as the stack of
-    one: the cut-offs, tolerance shares and remainders are arrays over the
-    members, and every piece of every member goes into one
-    ``integrate_batch`` call.  Returns a ``QuadResult``, or for a declared
-    stack a ``StackResult`` of one per member.  A non-finite ``a``, or one
-    past ``b``, raises ``ValueError``.  A PV point in ``[a, b]`` raises
-    ``NonIntegrable``: integrate around it with ``integrate_pv``.
+    analytic remainder bound included in the error estimate.  The
+    cut-offs, tolerance shares and remainders are arrays over the members
+    of the stack, and every piece of every member goes into one
+    ``integrate_batch`` call.  Returns a ``StackResult``, one
+    ``QuadResult`` per member.  A non-finite ``a``, or one past ``b``, or
+    a singular point of nonzero exponent without its regular part raises
+    ``ValueError``.  A PV point in ``[a, b]`` raises ``NonIntegrable``:
+    integrate around it with ``integrate_pv``.
     """
     if not (math.isfinite(a) and a <= b):
         raise ValueError("a must be finite and at most b")
-    stack = _as_stack(f)
-    plan = _Plan(stack.stack)
+    plan = _Plan(f.stack)
     # tails run out to tau ~ e^690, where squares overflow to inf
     with np.errstate(over="ignore"):
-        _plan_interval(plan, stack, a, b, tol.abs_tol)
-        return _results(f, plan.run(tol.rel_tol))
+        _plan_interval(plan, f, a, b, tol.abs_tol)
+        return StackResult(plan.run(tol.rel_tol))
 
 
 # no caller in the package any more; still looked up by perfbench's tracer
 def integrate_pv(f: Integrand, c: float, halfwidth: float,
-                 tol: Tolerance = Tolerance()) -> QuadResult | StackResult:
+                 tol: Tolerance = Tolerance()) -> StackResult:
     """Symmetric principal value around ``c`` over ``(c-halfwidth, c+halfwidth)``.
 
     The declared fold ``g(h) * h**fold_exponent`` of ``f(c+h) + f(c-h)``,
@@ -578,22 +536,22 @@ def integrate_pv(f: Integrand, c: float, halfwidth: float,
     ``(c+w, c+halfwidth)`` and ``(c-halfwidth, c-w)`` are integrated as
     ``integrate`` integrates them, in the same ``integrate_batch`` call;
     ``halfwidth = inf`` gives the principal value over the whole line.
-    A ``c`` that is not a key of ``f.pv_fold`` raises ``ValueError``.
+    A ``c`` that is not a key of ``f.pv_fold`` raises ``ValueError``, and a
+    fold exponent at most -1 ``NonIntegrable``.
     """
     fold = f.pv_fold.get(c)
     if fold is None:
         raise ValueError(f"{c} is not a declared PV point of the integrand")
-    expo, _ = fold
+    expo, g = fold
     if expo <= -1.0:
-        raise NonCancelling(f"declared fold exponent {expo} <= -1 at PV point {c}")
+        raise NonIntegrable(f"declared fold exponent {expo} <= -1 at PV point {c}")
     others = [abs(loc - c) for loc in [loc for loc, _ in f.singular_points] + list(f.pv_fold)
               if loc != c]
     w = min(halfwidth, min(others, default=2.0) / 2.0)
-    stack = _as_stack(f)
-    plan = _Plan(stack.stack)
+    plan = _Plan(f.stack)
     with np.errstate(over="ignore"):
-        _singular_piece(plan, stack.pv_fold[c][1], expo, w, tol.abs_tol)
+        _singular_piece(plan, g, expo, w, tol.abs_tol)
         if halfwidth > w:
-            _plan_interval(plan, stack, c + w, c + halfwidth, tol.abs_tol)
-            _plan_interval(plan, _reflected(stack), w - c, halfwidth - c, tol.abs_tol)
-        return _results(f, plan.run(tol.rel_tol))
+            _plan_interval(plan, f, c + w, c + halfwidth, tol.abs_tol)
+            _plan_interval(plan, _reflected(f), w - c, halfwidth - c, tol.abs_tol)
+        return StackResult(plan.run(tol.rel_tol))

@@ -414,15 +414,11 @@ class _BallBump(pr.Field):
         self.growth_const = r ** (2.0 * s)
 
     def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        rows = [(a, b, c) for (a, b), c in zip(pr._components(x, xi), self.y.tolist())]
+        d2 = pr._squared_norm(pr._components(x - self.y, xi))
         r2, s = float(self.r) ** 2, float(self.s)
 
         def at(t: np.ndarray) -> np.ndarray:
-            d2 = 0.0
-            for a, b, c in rows:
-                v = a + t * b - c
-                d2 += v * v
-            arg = r2 - d2
+            arg = r2 - d2(t)
             return np.where(arg > 0.0, np.maximum(arg, 0.0) ** s, 0.0)
         return at
 

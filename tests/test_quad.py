@@ -9,46 +9,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractrunc import quad
-from fractrunc.quad import (Integrand, NonIntegrable, QuadResult, Tolerance, integrate,
-                            integrate_pv)
+from fractrunc.quad import (Integrand, NonIntegrable, QuadResult, StackResult, Tolerance,
+                            integrate, integrate_pv)
 
 TOL = Tolerance(1e-10, 1e-9)
 
 
 def test_smooth_finite():
-    f = Integrand(eval=np.sin)
-    r = integrate(f, 0.0, math.pi, TOL)
+    f = Integrand(eval=lambda t, m: np.sin(t))
+    r = integrate(f, 0.0, math.pi, TOL)[0]
     assert abs(r.value - 2.0) <= 1e-9
     assert r.abs_error_estimate <= 1e-7
     assert r.n_evals > 0
 
 
 def test_endpoint_singularity():
-    f = Integrand(eval=lambda t: t**-0.5, singular_points=[(0.0, -0.5)])
-    r = integrate(f, 0.0, 1.0, TOL)
+    f = Integrand(eval=lambda t, m: t**-0.5, singular_points=[(0.0, -0.5)],
+                  regular_eval={0.0: lambda side, d, m: np.ones_like(d)})
+    r = integrate(f, 0.0, 1.0, TOL)[0]
     assert abs(r.value - 2.0) <= r.abs_error_estimate + 1e-10
     assert abs(r.value - 2.0) <= 1e-6
 
 
 def test_interior_singularity():
     # integral_0^2 |t-1|^{-1/2} dt = 4
-    f = Integrand(eval=lambda t: abs(t - 1.0) ** -0.5,
-                  singular_points=[(1.0, -0.5)])
-    r = integrate(f, 0.0, 2.0, TOL)
+    f = Integrand(eval=lambda t, m: abs(t - 1.0) ** -0.5,
+                  singular_points=[(1.0, -0.5)],
+                  regular_eval={1.0: lambda side, d, m: np.ones_like(d)})
+    r = integrate(f, 0.0, 2.0, TOL)[0]
     assert abs(r.value - 4.0) <= 1.5 * r.abs_error_estimate + 1e-10
     assert abs(r.value - 4.0) <= 1e-6
 
 
 def test_infinite_tail():
-    f = Integrand(eval=lambda t: t**-2.0, tail_decay=2.0)
-    r = integrate(f, 1.0, math.inf, TOL)
+    f = Integrand(eval=lambda t, m: t**-2.0, tail_decay=2.0)
+    r = integrate(f, 1.0, math.inf, TOL)[0]
     assert abs(r.value - 1.0) <= 1e-8
 
 
 def test_pv_odd_kernel_cancels():
     # PV integral of 1/t over (-1, 1) is 0
-    f = Integrand(eval=lambda t: 1.0 / t, pv_fold={0.0: (0.0, np.zeros_like)})
-    r = integrate_pv(f, 0.0, 1.0, TOL)
+    f = Integrand(eval=lambda t, m: 1.0 / t,
+                  pv_fold={0.0: (0.0, lambda h, m: np.zeros_like(h))})
+    r = integrate_pv(f, 0.0, 1.0, TOL)[0]
     assert abs(r.value) <= 1e-10
 
 
@@ -56,24 +59,24 @@ def test_pv_with_regular_part():
     # PV integral of e^t / t over (-1, 1) = 2 * sum t^{2k+1}/((2k+1)(2k+1)!)
     exact = 2.0 * sum(1.0 / ((2 * k + 1) * math.factorial(2 * k + 1))
                       for k in range(12))
-    f = Integrand(eval=lambda t: np.exp(t) / t,
-                  pv_fold={0.0: (0.0, lambda h: (np.exp(h) - np.exp(-h)) / h)})
-    r = integrate_pv(f, 0.0, 1.0, TOL)
+    f = Integrand(eval=lambda t, m: np.exp(t) / t,
+                  pv_fold={0.0: (0.0, lambda h, m: (np.exp(h) - np.exp(-h)) / h)})
+    r = integrate_pv(f, 0.0, 1.0, TOL)[0]
     assert abs(r.value - exact) <= 1e-9
 
 
 def _pv_resolvent(c):
     """1/((t-c)(1+t^2)), PV over the whole line -pi*c/(1+c^2), with its fold at c."""
-    def fold(h):
+    def fold(h, m):
         return -4.0 * c / ((1.0 + (c + h) ** 2) * (1.0 + (c - h) ** 2))
 
-    return Integrand(eval=lambda t: 1.0 / ((t - c) * (1.0 + t * t)), tail_decay=3.0,
+    return Integrand(eval=lambda t, m: 1.0 / ((t - c) * (1.0 + t * t)), tail_decay=3.0,
                      pv_fold={c: (0.0, fold)})
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, -2.0])
 def test_pv_over_whole_line(c):
-    r = integrate_pv(_pv_resolvent(c), c, math.inf, TOL)
+    r = integrate_pv(_pv_resolvent(c), c, math.inf, TOL)[0]
     exact = -math.pi * c / (1.0 + c * c)
     assert abs(r.value - exact) <= r.abs_error_estimate + 1e-10
     assert r.abs_error_estimate <= 1e-8
@@ -88,8 +91,9 @@ def test_one_batch_per_call(monkeypatch):
         return engine(*args)
 
     monkeypatch.setattr(quad, "integrate_batch", spy)
-    f = Integrand(eval=lambda t: np.abs(t - 1.0) ** -0.5 * np.exp(-t * t),
-                  singular_points=[(1.0, -0.5)], tail_decay=8.0)
+    f = Integrand(eval=lambda t, m: np.abs(t - 1.0) ** -0.5 * np.exp(-t * t),
+                  singular_points=[(1.0, -0.5)], tail_decay=8.0,
+                  regular_eval={1.0: lambda side, d, m: np.exp(-(1.0 + side * d) ** 2)})
     calls = [lambda: integrate(f, 0.0, 2.0, TOL), lambda: integrate(f, 0.0, math.inf, TOL),
              lambda: integrate_pv(_pv_resolvent(0.5), 0.5, 0.2, TOL),
              lambda: integrate_pv(_pv_resolvent(0.5), 0.5, math.inf, TOL)]
@@ -100,18 +104,34 @@ def test_one_batch_per_call(monkeypatch):
 
 
 def test_nonintegrable_rejected():
-    f = Integrand(eval=lambda t: t**-1.5, singular_points=[(0.0, -1.5)])
+    f = Integrand(eval=lambda t, m: t**-1.5, singular_points=[(0.0, -1.5)])
     with pytest.raises(NonIntegrable):
         integrate(f, 0.0, 1.0, TOL)
     # a PV point inside the interval or at an end needs integrate_pv
-    folded = Integrand(eval=lambda t: 1.0 / t, pv_fold={0.0: (0.0, lambda h: 0.0)})
+    folded = Integrand(eval=lambda t, m: 1.0 / t, pv_fold={0.0: (0.0, lambda h, m: 0.0)})
     for a, b in ((-1.0, 1.0), (0.0, 1.0)):
         with pytest.raises(NonIntegrable):
             integrate(folded, a, b, TOL)
+    # and a fold that still diverges is no principal value
+    diverging = Integrand(eval=lambda t, m: t**-2.0, pv_fold={0.0: (-1.0, lambda h, m: 2.0)})
+    with pytest.raises(NonIntegrable):
+        integrate_pv(diverging, 0.0, 1.0, TOL)
+
+
+def test_singular_point_needs_its_regular_part():
+    # a nonzero exponent without a regular part is refused, naming the point;
+    # a jump (exponent 0) is a plain panel edge, and a PV point has its fold
+    f = Integrand(eval=lambda t, m: np.abs(t - 0.5) ** -0.5, singular_points=[(0.5, -0.5)])
+    for call in (lambda: f.validate(0.0, 1.0), lambda: integrate(f, 0.0, 1.0, TOL)):
+        with pytest.raises(ValueError, match="singular point 0.5 has exponent -0.5"):
+            call()
+    Integrand(eval=lambda t, m: t, singular_points=[(0.7, 0.0)]).validate(0.0, 1.0)
+    Integrand(eval=lambda t, m: 1.0 / t, singular_points=[(0.0, -1.0)],
+              pv_fold={0.0: (0.0, lambda h, m: 0.0)}).validate(1.0, 2.0)
 
 
 def test_lower_end_must_be_finite():
-    f = Integrand(eval=lambda t: np.exp(-t * t), tail_decay=8.0)
+    f = Integrand(eval=lambda t, m: np.exp(-t * t), tail_decay=8.0)
     for a, b in ((-math.inf, 0.5), (-math.inf, math.inf), (math.nan, 1.0), (math.inf, math.inf),
                  (1.0, 0.0)):
         with pytest.raises(ValueError):
@@ -119,10 +139,12 @@ def test_lower_end_must_be_finite():
 
 
 def test_empty_interval_is_zero():
-    assert integrate(Integrand(eval=np.sin), 1.0, 1.0) == QuadResult(0.0, 0.0, 0)
+    smooth = Integrand(eval=lambda t, m: np.sin(t))
+    assert integrate(smooth, 1.0, 1.0) == (QuadResult(0.0, 0.0, 0),)
     # a singular end and a stack of integrals make no pieces either
-    singular = Integrand(eval=lambda t: t**-0.5, singular_points=[(0.0, -0.5)])
-    assert integrate(singular, 0.0, 0.0, TOL) == QuadResult(0.0, 0.0, 0)
+    singular = Integrand(eval=lambda t, m: t**-0.5, singular_points=[(0.0, -0.5)],
+                         regular_eval={0.0: lambda side, d, m: np.ones_like(d)})
+    assert integrate(singular, 0.0, 0.0, TOL) == (QuadResult(0.0, 0.0, 0),)
     stack = Integrand(eval=lambda t, m: np.cos(t) * (m + 1.0), stack=3)
     assert list(integrate(stack, 2.0, 2.0, TOL)) == [QuadResult(0.0, 0.0, 0)] * 3
 
@@ -132,46 +154,53 @@ def test_n_evals_counts_every_call():
 
     def counted(name, fn):
         def wrapper(*args):
-            nodes[name] += np.size(args[-1])
+            nodes[name] += np.size(args[-2])  # the nodes; the member index comes last
             return fn(*args)
         return wrapper
 
-    def f(t):
+    def f(t, m):
         return abs(t - 1.0) ** -0.5 * abs(t - 3.0) ** 0.5 / (t * (1.0 + t * t) ** 2)
 
-    def near_one(side, d):  # f(1 + side*d) * d^{1/2}
+    def near_one(side, d, m):  # f(1 + side*d) * d^{1/2}
         t = 1.0 + side * d
         return abs(t - 3.0) ** 0.5 / (t * (1.0 + t * t) ** 2)
 
-    # singular endpoint with a regular part, a directly evaluated kink at 3,
-    # an infinite tail, and a PV point at 0 with its fold
+    def near_three(side, d, m):  # f(3 + side*d) * d^{-1/2}
+        t = 3.0 + side * d
+        return abs(t - 1.0) ** -0.5 / (t * (1.0 + t * t) ** 2)
+
+    # singular endpoint and a kink at 3, each with its regular part, an
+    # infinite tail, and a PV point at 0 with its fold
     f_int = Integrand(eval=counted("eval", f),
                       singular_points=[(1.0, -0.5), (3.0, 0.5)],
                       tail_decay=5.0,
-                      regular_eval={1.0: counted("regular", near_one)},
-                      pv_fold={0.0: (0.0, counted("fold", lambda h: (f(h) + f(-h)) * h))})
-    r = integrate(f_int, 1.0, math.inf, TOL)
+                      regular_eval={1.0: counted("regular", near_one),
+                                    3.0: counted("regular", near_three)},
+                      pv_fold={0.0: (0.0, counted("fold",
+                                                  lambda h, m: (f(h, m) + f(-h, m)) * h))})
+    r = integrate(f_int, 1.0, math.inf, TOL)[0]
     assert nodes["eval"] > 0 and nodes["regular"] > 0 and nodes["fold"] == 0
     assert r.n_evals == nodes["eval"] + nodes["regular"]
     nodes.clear()
-    r = integrate_pv(f_int, 0.0, 0.5, TOL)
+    r = integrate_pv(f_int, 0.0, 0.5, TOL)[0]
     assert nodes["fold"] > 0 and nodes["eval"] == nodes["regular"] == 0
     assert r.n_evals == nodes["fold"]
 
 
 def test_error_estimate_honest():
-    f = Integrand(eval=lambda t: t**-0.25 * np.cos(t),
-                  singular_points=[(0.0, -0.25)])
-    r = integrate(f, 0.0, 1.0, TOL)
+    f = Integrand(eval=lambda t, m: t**-0.25 * np.cos(t),
+                  singular_points=[(0.0, -0.25)],
+                  regular_eval={0.0: lambda side, d, m: np.cos(d)})
+    r = integrate(f, 0.0, 1.0, TOL)[0]
     # reference from a change of variables t = u^4 making it smooth
-    g = Integrand(eval=lambda u: 4.0 * u**2 * np.cos(u**4))
-    ref = integrate(g, 0.0, 1.0, TOL)
+    g = Integrand(eval=lambda u, m: 4.0 * u**2 * np.cos(u**4))
+    ref = integrate(g, 0.0, 1.0, TOL)[0]
     assert abs(r.value - ref.value) <= r.abs_error_estimate + 1e-10
 
 
 def test_quadresult_arithmetic():
-    f = Integrand(eval=np.ones_like)
-    r = integrate(f, 0.0, 1.0, TOL)
+    f = Integrand(eval=lambda t, m: np.ones_like(t))
+    r = integrate(f, 0.0, 1.0, TOL)[0]
     total = r + r.scale(2.0)
     assert abs(total.value - 3.0) <= 1e-12
     assert total.n_evals == 2 * r.n_evals
@@ -180,8 +209,8 @@ def test_quadresult_arithmetic():
 @settings(max_examples=25, deadline=None)
 @given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
 def test_linearity_property(a, b):
-    f = Integrand(eval=lambda t: a * t * t + b * np.exp(-t), tail_decay=math.inf)
-    r = integrate(f, 0.0, 1.0, TOL)
+    f = Integrand(eval=lambda t, m: a * t * t + b * np.exp(-t), tail_decay=math.inf)
+    r = integrate(f, 0.0, 1.0, TOL)[0]
     exact = a / 3.0 + b * (1.0 - math.exp(-1.0))
     assert abs(r.value - exact) <= 1e-8 * (1.0 + abs(a) + abs(b))
 
@@ -271,8 +300,9 @@ def test_integrate_batch_splits_large_rounds():
 
 def test_jump_without_regular_part_is_a_panel_edge():
     # a step at 0.7: one 21-node panel on each side integrates it exactly
-    step = Integrand(eval=lambda t: np.where(t > 0.7, 1.0, 0.0), singular_points=[(0.7, 0.0)])
-    r = integrate(step, 0.0, 2.0, TOL)
+    step = Integrand(eval=lambda t, m: np.where(t > 0.7, 1.0, 0.0),
+                     singular_points=[(0.7, 0.0)])
+    r = integrate(step, 0.0, 2.0, TOL)[0]
     assert abs(r.value - 1.3) <= 1e-14
     assert r.n_evals <= 2 * 2 * 21
 
@@ -280,13 +310,13 @@ def test_jump_without_regular_part_is_a_panel_edge():
 def test_jump_with_regular_part_keeps_its_singular_piece():
     nodes = Counter()
 
-    def near_jump(side, d):
+    def near_jump(side, d, m):
         nodes["regular"] += d.size
         return np.full_like(d, 1.0 if side > 0 else 0.0)
 
-    step = Integrand(eval=lambda t: np.where(t > 0.7, 1.0, 0.0), singular_points=[(0.7, 0.0)],
-                     regular_eval={0.7: near_jump})
-    r = integrate(step, 0.0, 2.0, TOL)
+    step = Integrand(eval=lambda t, m: np.where(t > 0.7, 1.0, 0.0),
+                     singular_points=[(0.7, 0.0)], regular_eval={0.7: near_jump})
+    r = integrate(step, 0.0, 2.0, TOL)[0]
     assert nodes["regular"] > 0
     assert abs(r.value - 1.3) <= 1e-10
 
@@ -299,10 +329,10 @@ def test_singular_piece_near_exponent_minus_one(om):
     delta = 1e-3
     e = om - 1.0
     om = 1.0 + e  # the exponent the integrand declares, exactly
-    f = Integrand(eval=lambda t: t**e / (1.0 + t / delta) ** 2, singular_points=[(0.0, e)],
+    f = Integrand(eval=lambda t, m: t**e / (1.0 + t / delta) ** 2, singular_points=[(0.0, e)],
                   tail_decay=2.0 - e,
-                  regular_eval={0.0: lambda side, d: 1.0 / (1.0 + d / delta) ** 2})
-    r = integrate(f, 0.0, math.inf, Tolerance(1e-10, 1e-12))
+                  regular_eval={0.0: lambda side, d, m: 1.0 / (1.0 + d / delta) ** 2})
+    r = integrate(f, 0.0, math.inf, Tolerance(1e-10, 1e-12))[0]
     want = delta**om * math.gamma(om) * math.gamma(2.0 - om)
     assert abs(r.value - want) <= r.abs_error_estimate + 1e-14 * want
 
@@ -331,8 +361,9 @@ def test_singular_piece_starts_one_efold_wide():
 
 def _scaled_pole(c):
     """integral_0^inf t^(-1/2) / (1 + c t)^2 dt = (pi/2) / sqrt(c), singular at 0 with a regular part."""
-    return Integrand(eval=lambda t: t**-0.5 / (1.0 + c * t) ** 2, singular_points=[(0.0, -0.5)],
-                     tail_decay=2.5, regular_eval={0.0: lambda side, d: 1.0 / (1.0 + c * d) ** 2})
+    return Integrand(eval=lambda t, m: t**-0.5 / (1.0 + c * t) ** 2,
+                     singular_points=[(0.0, -0.5)], tail_decay=2.5,
+                     regular_eval={0.0: lambda side, d, m: 1.0 / (1.0 + c * d) ** 2})
 
 
 def test_stack_members_are_their_one_integral_calls(monkeypatch):
@@ -365,22 +396,21 @@ def test_stack_members_are_their_one_integral_calls(monkeypatch):
     # one engine call; each piece function once per round over every member
     assert len(rounds) == 1
     assert 0 < calls["eval"] <= 2 * rounds[0] and 0 < calls["regular"] <= rounds[0]
-    assert isinstance(results, quad.StackResult) and len(results) == cs.size
+    assert isinstance(results, StackResult) and len(results) == cs.size
     assert results.n_evals == sum(r.n_evals for r in results)
     for c, r in zip(cs, results):
-        one = integrate(_scaled_pole(c), 0.0, math.inf, TOL)
-        assert isinstance(one, quad.QuadResult)
+        one, = integrate(_scaled_pole(c), 0.0, math.inf, TOL)
+        assert isinstance(one, QuadResult)
         assert r.value == pytest.approx(one.value, rel=1e-14) and r.n_evals == one.n_evals
         assert abs(r.value - math.pi / (2.0 * math.sqrt(c))) <= r.abs_error_estimate + 1e-10
 
 
-def test_stack_of_one_is_the_undeclared_integrand():
-    f = _scaled_pole(3.0)
-    one = integrate(f, 0.0, math.inf, TOL)
-    stack = integrate(Integrand(eval=lambda t, m: f.eval(t), singular_points=f.singular_points,
-                                tail_decay=f.tail_decay,
-                                regular_eval={0.0: lambda side, d, m: f.regular_eval[0.0](side, d)},
-                                stack=1), 0.0, math.inf, TOL)
-    assert stack == (one,)
+def test_integral_without_a_stack_is_a_stack_of_one():
+    # the whole call's n_evals, which perfbench's tracer reads, is its one member's
+    result = integrate(_scaled_pole(3.0), 0.0, math.inf, TOL)
+    assert isinstance(result, StackResult) and len(result) == 1
+    assert result.n_evals == result[0].n_evals > 0
+    assert abs(result[0].value - math.pi / (2.0 * math.sqrt(3.0))) \
+        <= result[0].abs_error_estimate + 1e-10
     with pytest.raises(ValueError):
         Integrand(eval=np.sin, stack=0)
