@@ -202,12 +202,11 @@ def cmd_constants(args: argparse.Namespace, cfg: Config) -> int:
         "params": {"s": s, "N": N, "k": k, "gamma": args.gamma, "mu": args.mu},
         "C_s": cn.normalizing_constant(s),
         "beta": cn.beta_1ms_s(s),
-        # the quadrature bar is the largest error estimate of the c_iso and
-        # c_N_plus values below, which run at the constants' own tolerance
-        "error_estimates": {"closed_form": 1e-14, "quadrature": None},
+        # c_iso's series bound, and c_N_plus's correction integral's at the constants' tolerance
+        "error_estimates": {"closed_form": None, "quadrature": None},
     }
     notes = []
-    quadrature = []
+    bars = {}
 
     def attempt(name, fn, *fargs):
         try:
@@ -217,7 +216,7 @@ def cmd_constants(args: argparse.Namespace, cfg: Config) -> int:
             notes.append(f"{name}: {exc}")
             return
         if isinstance(value, QuadResult):
-            quadrature.append(value.abs_error_estimate)
+            bars[name] = value.abs_error_estimate
             value = value.value
         doc[name] = value
 
@@ -232,7 +231,9 @@ def cmd_constants(args: argparse.Namespace, cfg: Config) -> int:
         doc.update({"c_hat": None, "c_perp": None, "c_k": None,
                     "c_iso": None, "c_N_plus": None})
         notes.append("gamma not supplied; gamma-dependent constants omitted")
-    doc["error_estimates"]["quadrature"] = max(quadrature, default=None)
+    if "c_N_plus" in bars:  # c_N_plus = N c_iso - corr, and its bar is their bars' sum
+        doc["error_estimates"] = {"closed_form": bars["c_iso"],
+                                  "quadrature": bars["c_N_plus"] - N * bars["c_iso"]}
     if args.mu is not None:
         attempt("c_s_mu", cn.c_s_mu, args.mu, s)
     else:
@@ -452,7 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--N", type=int, default=3)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--gamma", type=float, help="error_estimates then holds c_iso's series "
+                   "bound (closed_form) and c_N_plus's correction integral's bar (quadrature)")
     p.add_argument("--mu", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_constants)

@@ -9,27 +9,15 @@ independent of the normalization choice.
 The 1-D kernel constants ``hat_c_dec``, ``c_perp``, ``c_k_fn``, ``hat_c_gro``
 and ``c_s_mu`` are Gamma-function closed forms; a reciprocal Gamma that is
 exactly 0 at its poles puts their roots exactly where they vanish.
-``c_iso`` and ``c_n_plus`` have none.  They share one kernel, and
-``iso_stack`` evaluates either at a whole stack of gamma in one
-``integrate`` call, so one batched quadrature; ``c_iso`` and ``c_n_plus``
-are its stacks of one.  The roots gamma_tilde and gamma_plus come from
-three such calls, or a few more: a walk over a gamma grid, a Chebyshev
-proxy on the cell where the constant changes sign, and a closing sign test
-at the proxy's root +- 5e-11, which is the root's bracket.
-
-Their integrands pair values symmetrically around a singular point, which
-is catastrophically ill-conditioned in double precision near the pairing
-center.  Both therefore ship one cancellation-free regular-part evaluator to
-the quadrature engine, ``_iso_pair``: a closed form in ``expm1``, ``log1p``,
-``cosh`` and ``sinh`` in which only two O(d^2) terms meet, picked node by
-node where the direct form cancels, so accuracy is uniform across the whole
-parameter range, including s close to 1.  It works on a whole array of
-nodes at once.  c_n_plus's jump at sqrt(N) is a plain panel edge.
-
-The kernels multiply by the negative power ``t**(-1-2s)`` instead of
-dividing by ``t**(1+2s)``: far out in the tail the weight underflows to 0
-rather than overflowing, so no kernel needs an asymptotic overflow branch and
-every term of the integrand is kept out to the quadrature's truncation point.
+``c_iso`` is c_perp times a Gauss hypergeometric series, summed with a
+bound on its error (``_iso_series``), and ``c_n_plus`` is N*c_iso less
+one positive correction integral.  ``iso_stack`` evaluates either at a
+whole stack of gamma, with at most one ``integrate`` call, for the
+corrections; ``c_iso`` and ``c_n_plus`` are its stacks of one.  The roots
+gamma_tilde and gamma_plus come from three such stacks, or a few more: a
+walk over a gamma grid, a Chebyshev proxy on the cell where the constant
+changes sign, and a closing sign test at the proxy's root +- 5e-11, which
+is the root's bracket when both signs lie beyond their error bars.
 """
 
 from __future__ import annotations
@@ -40,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quad import Integrand, StackResult, Tolerance, integrate
+from .quad import Integrand, QuadResult, StackResult, Tolerance, integrate
 from .quad import integrate_pv  # unused here; still looked up by perfbench's tracer
 
 __all__ = [
@@ -145,43 +133,6 @@ def beta_1ms_s(s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cancellation-free kernel pairs
-# ---------------------------------------------------------------------------
-
-def _iso_pair(gam: float | np.ndarray, a: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """(d, member) -> ((1+d^2+2ad)^{-g/2} + (1+d^2-2ad)^{-g/2} - 2)/d^2 at the member's g, for any d >= 0.
-
-    ``gam`` holds one g per member of a stack.  With p = -g/2, A = 1+d^2,
-    e = expm1(p*log1p(d^2)) = A^p - 1, z = 2ad/A and y = p*atanh(z), the
-    numerator is 2*((1+e)*(expm1((p/2)*log1p(-z^2))*cosh(y) + 2*sinh(y/2)^2) + e):
-    two O(d^2) terms, no O(1) ones.  Since z <= a <= 1/sqrt(2), atanh(z)
-    stays finite, and the closed form is used wherever |p|*d <= 1, where
-    the direct form cancels (for small |p| at any d); past that it
-    overflows, and the direct form keeps within range.  Both are computed
-    on every node and one is picked.  Below d = 1e-150, where d^2 leaves the
-    normal range, the pair is its limit 4a^2 p(p-1) + 2p.
-    """
-    p_all = -np.atleast_1d(np.asarray(gam, float)) / 2.0
-    limit_all = 4.0 * a * a * p_all * (p_all - 1.0) + 2.0 * p_all
-
-    def pair(d: np.ndarray, member: np.ndarray) -> np.ndarray:
-        # a stack of one keeps a scalar exponent, for numpy's scalar loops
-        p = p_all[member] if p_all.size > 1 else p_all[0]
-        with np.errstate(all="ignore"):
-            d2 = d * d
-            e = np.expm1(p * np.log1p(d2))
-            z = 2.0 * a * d / (1.0 + d2)
-            y = p * np.arctanh(z)
-            closed = 2.0 * ((1.0 + e) * (np.expm1(p / 2.0 * np.log1p(-z * z)) * np.cosh(y)
-                                         + 2.0 * np.sinh(y / 2.0) ** 2) + e) / d2
-            direct = ((1.0 + d2 + 2.0 * a * d) ** p + (1.0 + d2 - 2.0 * a * d) ** p - 2.0) / d2
-            near = np.abs(p) * d <= 1.0
-            return np.where(d < 1e-150, limit_all[member], np.where(near, closed, direct))
-
-    return pair
-
-
-# ---------------------------------------------------------------------------
 # the kernel constants (all without the C_s factor)
 # ---------------------------------------------------------------------------
 
@@ -278,75 +229,111 @@ def hat_c_gro(gam: float, s: float) -> float:
     return -_perp_kernel(-gam, s) * _dec_ratio(-gam, s)
 
 
+# _perp_kernel's rounding: at most 16.3 eps against 40-digit mpmath on
+# 4,000 random (g, s), g in [1e-3, 3e4]; the bars take twice that
+_EPS = float(np.finfo(float).eps)
+_PERP_REL = 32.0 * _EPS
+
+
+def _iso_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """G = 2F1(g/2+s, -s; 1/2; 1/N) at every g of ``gam``, and a bound on its error.
+
+    G = 1 - u_1 - u_2 - ..., u_1 = 2as/N (a = g/2+s) and u_n = u_{n-1} (a+n-1)(n-1-s)
+    / ((n-1/2) n N) > 0, in blocks that double from 64 until every ratio past the last
+    term K is at most rho = max(1, (max a + K)/(K+1))/N < 1 and the rest, at most
+    u_K rho/(1-rho), is below eps/4 of max(u_1 + ... + u_K, 1).  Near s = 1 the u_n from
+    n = 2 on carry a factor 1 - s and 1 - u_1 cancels alone, so it is taken to 2 eps and
+    the others' math.fsum subtracted.  The bound is the rest plus each rounding: 1 - u_1's,
+    the sum's, the difference's and each u_n's, at most 6n + 8 (five per ratio, one per
+    product and one per block).
+    """
+    a = gam[:, None] / 2.0 + s
+    blocks, running, start, width = [], 0.0, 1, 64
+    while True:
+        m = np.arange(start - 1.0, start - 1.0 + width)  # n - 1
+        block = np.cumprod((a + m) * np.abs(m - s) / ((m + 0.5) * (m + 1.0) * N), axis=1)
+        blocks.append(block * blocks[-1][:, -1:] if blocks else block)
+        running = running + blocks[-1].sum(axis=1)
+        start, width = start + width, 2 * width
+        rho = max(1.0, (a.max() + start - 1.0) / start) / N
+        rest = blocks[-1][:, -1] * (rho / (1.0 - rho)) if rho < 1.0 else np.inf
+        if np.all(rest <= 0.25 * _EPS * np.maximum(running, 1.0)):
+            break
+    later = np.concatenate(blocks, axis=1)[:, 1:]  # u_2 .. u_K
+    # 1 - u_1 = (N - 2as)/N with g/2 + s = a_hi + a_lo and a_hi*s = prod + prod_lo held
+    # exactly (Knuth's TwoSum; Dekker's TwoProduct, Veltkamp's split at 2^27 + 1)
+    half, a_hi = gam / 2.0, a[:, 0]
+    a_lo = (half - (a_hi - (a_hi - half))) + (s - (a_hi - half))
+    prod, big, s_big = a_hi * s, 134217729.0 * a_hi, 134217729.0 * s
+    a_top, s_top = big - (big - a_hi), s_big - (s_big - s)
+    prod_lo = (((a_top * s_top - prod) + a_top * (s - s_top) + (a_hi - a_top) * s_top)
+               + (a_hi - a_top) * (s - s_top))
+    first = ((N - 2.0 * prod) - 2.0 * (prod_lo + a_lo * s)) / N
+    series = first - np.array([math.fsum(row) for row in later.tolist()])
+    rounding = (later @ (3.0 * np.arange(2.0, start) + 4.5) + 2.0 * np.abs(first)
+                + 0.5 * np.abs(series) + _EPS * prod)
+    return series, rest + _EPS * rounding
+
+
 def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool | Sequence[bool],
               tol: Tolerance = _DEFAULT_TOL) -> StackResult:
-    """c_iso, or c_N^+ where ``n_plus`` is true, at every gamma of a stack: one ``integrate`` call.
+    """c_iso, or c_N^+ where ``n_plus`` is true, at every gamma of a stack.
 
-    Both are integrals over (0, inf) of one kernel,
-    (w*(plus + minus - 2) - kappa*1{t > sqrt(N)}*minus) / t^{1+2s} with
-    plus, minus = (1+t^2 +- 2t/sqrt(N))^{-g/2}, and (w, kappa) = (1, 0) for
-    c_iso and (N, 1) for c_N^+.  The singular point 0 and the tail exponent
-    1 + 2s are shared, so the members differ in g, w and kappa only; the
-    jump at sqrt(N) is a breakpoint (a plain panel edge) of the stack when
-    some member is c_N^+.  Returns one ``QuadResult`` per member, in a ``StackResult``.
+    c_iso, the integral over (0, inf) of (plus + minus - 2) / t^{1+2s} with plus, minus =
+    (1+t^2 +- 2t/sqrt(N))^{-g/2}, is the 1-D fractional Laplacian of ((t-a)^2 + b^2)^{-g/2}
+    at 0 (a = 1/sqrt(N), b^2 = 1 - a^2), whose Fourier transform is a Bessel K; Gradshteyn &
+    Ryzhik 6.699.12 and Pfaff's transformation (DLMF 15.8.1) give c_iso = c_perp(g) G, G from
+    :func:`_iso_series`.  Its ``QuadResult`` has no evaluations and bounds the series' error
+    and c_perp's rounding.  c_N^+ = N c_iso - corr, corr the integral of minus / t^{1+2s}
+    over (sqrt(N), inf), positive with no singular point and no jump: one ``integrate`` call
+    at ``tol`` for all c_N^+ members, whose tail decay 1 + 2s + min(g) holds for each.
     """
-    for gam in gammas:
-        _check_positive(gam, s)
     if N < 2:
         raise DomainError("N must be >= 2")
-    # the kernel peaks at (1-1/N)^{-g/2}, at t = 1/sqrt(N); past 1e300 its
-    # values, and the quadrature's sums of them, leave the float range
     for gam in gammas:
+        _check_positive(gam, s)
+        # the kernel peaks at (1-1/N)^{-g/2}, at t = 1/sqrt(N), and the series'
+        # terms and c_iso grow with it; past 1e300 they leave the float range
         if -gam / 2.0 * math.log1p(-1.0 / N) > math.log(1e300):
             raise DomainError(f"gamma = {gam} is too large: the kernel's peak "
                               "(1-1/N)^(-gamma/2) exceeds 1e300")
-    a = 1.0 / math.sqrt(N)
-    root = math.sqrt(N)
     gam = np.array(gammas, float)
-    p = -gam / 2.0
-    pair = _iso_pair(gam, a)
-    power = -1.0 - 2.0 * s
-    kappa = np.array([n_plus] * gam.size if isinstance(n_plus, bool) else n_plus, float)
-    w = 1.0 + (N - 1.0) * kappa  # N where kappa is 1
+    perp = np.array([_perp_kernel(g, s) for g in gammas])
+    series, bound = _iso_series(gam, s, N)
+    value = perp * series
+    results = [QuadResult(v, e, 0) for v, e in zip(
+        value.tolist(), (np.abs(perp) * bound + np.abs(value) * (_PERP_REL + _EPS)).tolist())]
+    plus = [i for i, flag in enumerate([n_plus] * gam.size if isinstance(n_plus, bool)
+                                       else n_plus) if flag]
+    if plus:
+        a, p = 1.0 / math.sqrt(N), -gam[plus] / 2.0
+        power = 2.0 * p - 1.0 - 2.0 * s
 
-    jump = bool(kappa.any())
+        def minus(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+            # as t^{-g} (1 - 2a/t + 1/t^2)^{-g/2}: t*t overflows far out in the
+            # tail; a stack of one keeps scalar exponents, for numpy's scalar loops
+            u, k = 1.0 / t, m if p.size > 1 else 0
+            return (1.0 + u * (u - 2.0 * a)) ** p[k] * t ** power[k]
 
-    def kernel(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-        pm = p[m] if p.size > 1 else p[0]  # as in the pair
-        square, cross = 1.0 + t * t, 2.0 * a * t
-        minus = (square - cross) ** pm
-        value = (square + cross) ** pm + minus - 2.0
-        if jump:  # (w, kappa) = (1, 0) on every member otherwise
-            value = w[m] * value - kappa[m] * np.where(t > root, minus, 0.0)
-        return value * t ** power
-
-    integrand = Integrand(
-        eval=kernel,
-        singular_points=[(0.0, 1.0 - 2.0 * s)] + ([(root, 0.0)] if jump else []),
-        tail_decay=1.0 + 2.0 * s,
-        regular_eval={0.0: lambda side, d, m: w[m] * pair(d, m)},
-        stack=gam.size,
-    )
-    return integrate(integrand, 0.0, math.inf, tol)
+        corr = integrate(Integrand(eval=minus, tail_decay=-float(power.max()), stack=p.size),
+                         math.sqrt(N), math.inf, tol)
+        for i, c in zip(plus, corr):
+            results[i] = results[i].scale(N) + c.scale(-1.0)
+    return StackResult(results)
 
 
 def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     """Isotropic half-space kernel constant.
 
     integral_0^inf ((1+t^2+2t/sqrt(N))^{-g/2} + (1+t^2-2t/sqrt(N))^{-g/2} - 2)
-    / t^{1+2s} dt: the stack of one of :func:`iso_stack`.
+    / t^{1+2s} dt, a series (``tol`` unread): the stack of one of :func:`iso_stack`.
     """
     return iso_stack([gam], s, N, False, tol)[0].value
 
 
 def c_n_plus(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
-    """N*c_iso(gamma) minus the one-sided correction integral from sqrt(N).
-
-    One integral over (0, inf): N times the c_iso kernel, less
-    (1+t^2-2t/sqrt(N))^{-gamma/2} / t^{1+2s} past t = sqrt(N), where the
-    integrand jumps (declared as a breakpoint, a plain panel edge); the
-    stack of one of :func:`iso_stack`.
-    """
+    """N*c_iso(gamma) minus the integral of (1+t^2-2t/sqrt(N))^{-gamma/2} / t^{1+2s}
+    over (sqrt(N), inf), at ``tol``: the stack of one of :func:`iso_stack`."""
     return iso_stack([gam], s, N, True, tol)[0].value
 
 
@@ -500,12 +487,12 @@ def _proxy_root(x: np.ndarray, fx: np.ndarray, j: int) -> float:
     return float(a - fa * (b - a) / (fb - fa))
 
 
-def _root_passes(evaluate: Callable[[list[float], bool], np.ndarray], f0: float,
+def _root_passes(evaluate: Callable[[list[float], bool], Sequence[QuadResult]], f0: float,
                  xtol: float = 1e-10) -> RootResult:
     """The first root above 0 of a constant c with c(0) = ``f0`` and c < 0 just above 0.
 
-    ``evaluate(gammas, closing)`` returns c at a stack of gammas from one
-    batched quadrature, a pass; it may check more on a closing pass.
+    ``evaluate(gammas, closing)``, a pass, returns a ``QuadResult`` (c and
+    its error bar) per gamma; it may check more on a closing pass.
     1. Walk: c at 2, 4, ..., 32, then at 64, ..., 1024 if c is positive at
        none of them, with 0 as the lowest point: the first cell where c
        turns positive.
@@ -514,92 +501,100 @@ def _root_passes(evaluate: Callable[[list[float], bool], np.ndarray], f0: float,
        Solving Transcendental Equations, SIAM 2014) in the node cell where
        c turns positive.
     3. Closing test: c at r - delta, r and r + delta, delta = xtol/2.  If c
-       changes sign across r +- delta, that is the bracket: at most
-       xtol + 2.2e-16*|r| wide, the rounding of its ends included.
-       Otherwise the cell shrinks to the pair of points seen nearest r
-       where c turns positive, at least ~10x, and 2-3 repeat.
+       changes sign across r +- delta and both values lie beyond their
+       bars, that is the bracket: at most xtol + 2.2e-16*|r| wide, the
+       rounding of its ends included.  Otherwise the cell shrinks to the
+       pair of points seen nearest r where c turns positive, at least ~10x,
+       and 2-3 repeat.  A pair at most xtol apart is the bracket if its
+       values lie beyond their bars, and ``BracketFailure`` otherwise.
     ``residual`` is c(r) and ``iterations`` counts the passes.
     """
-    lo, flo = 0.0, f0
+    def read(gammas: list[float], closing: bool) -> np.ndarray:  # rows (c, its bar)
+        return np.array([(r.value, r.abs_error_estimate) for r in evaluate(gammas, closing)])
+
+    def beyond(rows: np.ndarray) -> bool:
+        return bool(np.all(np.abs(rows[:, 0]) > rows[:, 1]))
+
+    lo, low = 0.0, np.array([f0, 0.0])
     passes = 0
     for grid in _WALK:
-        values = evaluate(list(grid), False)
+        values = read(list(grid), False)
         passes += 1
-        up = np.flatnonzero(values > 0.0)
+        up = np.flatnonzero(values[:, 0] > 0.0)
         if up.size:
             i = int(up[0])
             if i > 0:
-                lo, flo = grid[i - 1], float(values[i - 1])
-            hi, fhi = grid[i], float(values[i])
+                lo, low = grid[i - 1], values[i - 1]
+            hi, high = grid[i], values[i]
             break
-        lo, flo = grid[-1], float(values[-1])
+        lo, low = grid[-1], values[-1]
     else:
         raise BracketFailure(f"no sign change found up to gamma = {_WALK[-1][-1]:g}")
     while passes < _PASS_LIMIT:
         x = lo + (hi - lo) * (_LOBATTO + 1.0) / 2.0
         x[0], x[-1] = lo, hi
-        fx = np.concatenate(([flo], evaluate(x[1:-1].tolist(), False), [fhi]))
-        j = int(np.flatnonzero(fx > 0.0)[0])
-        r = _proxy_root(x, fx, j)
+        fx = np.vstack((low, read(x[1:-1].tolist(), False), high))
+        j = int(np.flatnonzero(fx[:, 0] > 0.0)[0])
+        r = _proxy_root(x, fx[:, 0], j)
         probe = np.array([r - 0.5 * xtol, r, r + 0.5 * xtol])
-        fp = evaluate(probe.tolist(), True)
+        fp = read(probe.tolist(), True)
         passes += 2
-        if (fp[0] > 0.0) != (fp[2] > 0.0):
-            return RootResult(r, float(fp[1]), (float(probe[0]), float(probe[2])), passes)
+        if (fp[0, 0] > 0.0) != (fp[2, 0] > 0.0) and beyond(fp[::2]):
+            return RootResult(r, float(fp[1, 0]), (float(probe[0]), float(probe[2])), passes)
         xs = np.concatenate((x, probe))
         order = np.argsort(xs, kind="stable")
-        xs, fs = xs[order], np.concatenate((fx, fp))[order]
-        changes = np.flatnonzero((fs[:-1] <= 0.0) & (fs[1:] > 0.0))
+        xs, fs = xs[order], np.vstack((fx, fp))[order]
+        changes = np.flatnonzero((fs[:-1, 0] <= 0.0) & (fs[1:, 0] > 0.0))
         i = int(changes[np.argmin(np.abs(xs[changes] - r))])
-        lo, flo, hi, fhi = float(xs[i]), float(fs[i]), float(xs[i + 1]), float(fs[i + 1])
+        lo, hi, low, high = float(xs[i]), float(xs[i + 1]), fs[i], fs[i + 1]
         if hi - lo <= xtol:
             # a sign change within the tolerance that the test at r +- delta missed
-            root, value = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
-            return RootResult(root, value, (lo, hi), passes)
+            if not beyond(fs[i:i + 2]):
+                raise BracketFailure(f"the error bars cannot separate the signs at gamma = "
+                                     f"{lo!r} and {hi!r}")
+            k = i if abs(low[0]) < abs(high[0]) else i + 1
+            return RootResult(float(xs[k]), float(fs[k, 0]), (lo, hi), passes)
     raise BracketFailure(f"no root to within {xtol:g} after {_PASS_LIMIT} passes")
 
 
 def find_gamma_tilde(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> RootResult:
-    """Unique positive root of c_iso, from batched passes (:func:`_root_passes`).
+    """Unique positive root of c_iso, from stacked passes (:func:`_root_passes`).
 
-    c_iso(0) = 0, and c_iso < 0 just above 0.
+    c_iso(0) = 0, and c_iso < 0 just above 0.  Every pass is one series
+    :func:`iso_stack` call, no quadrature, and ``tol`` is not read.
     """
     if N < 2:
         raise DomainError("N must be >= 2")
-
-    def evaluate(gammas: list[float], closing: bool) -> np.ndarray:
-        return np.array([r.value for r in iso_stack(gammas, s, N, False, tol)])
-
-    return _root_passes(evaluate, 0.0)
+    return _root_passes(lambda gammas, closing: iso_stack(gammas, s, N, False), 0.0)
 
 
 def find_gamma_plus(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> RootResult:
-    """Root of c_n_plus, which lies above find_gamma_tilde, from batched passes.
+    """Root of c_n_plus, which lies above find_gamma_tilde, from stacked passes.
 
     c_N^+ = N c_iso - corr with corr > 0, so c_N^+ < 0 on (0, gamma_tilde]
     where c_iso <= 0; c_N^+(0) = -N^{-s}/(2s) in closed form.  The root is
-    found by :func:`_root_passes` on c_n_plus alone.  That it exceeds
-    gamma_tilde, c_iso's unique positive root, is one sign test in the same
-    call as each closing test: c_iso(r + 1e-10) > 0, 1e-10 being the root's
-    tolerance (at the root itself c_iso can read as quadrature noise of
-    either sign).
+    found by :func:`_root_passes` on c_n_plus alone, each pass one corr
+    quadrature at ``tol``.  That it exceeds gamma_tilde, c_iso's unique
+    positive root, is one sign test in the same call as each closing test:
+    c_iso(r + 1e-10) > 0 beyond its bar, 1e-10 being the root's tolerance
+    (at the root itself c_iso can read as rounding of either sign).
     """
     _check_s(s)
     if N < 2:
         raise DomainError("N must be >= 2")
 
-    iso_above = []  # c_iso(r + 1e-10) of each closing pass
+    iso_above = []  # c_iso(r + 1e-10) less its bar, of each closing pass
 
-    def evaluate(gammas: list[float], closing: bool) -> np.ndarray:
+    def evaluate(gammas: list[float], closing: bool) -> Sequence[QuadResult]:
         if not closing:
-            return np.array([r.value for r in iso_stack(gammas, s, N, True, tol)])
+            return iso_stack(gammas, s, N, True, tol)
         results = iso_stack(gammas + [gammas[1] + 1e-10], s, N, [True] * 3 + [False], tol)
-        iso_above.append(results[3].value)
-        return np.array([r.value for r in results[:3]])
+        iso_above.append(results[3].value - results[3].abs_error_estimate)
+        return results[:3]
 
     result = _root_passes(evaluate, -N ** -s / (2.0 * s))
     if not iso_above[-1] > 0.0:
-        raise BracketFailure("gamma_plus did not exceed gamma_tilde")
+        raise BracketFailure("gamma_plus did not exceed gamma_tilde beyond c_iso's bar")
     return result
 
 

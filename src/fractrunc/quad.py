@@ -398,9 +398,9 @@ def _singular_piece(plan: _Plan, r: Callable[[np.ndarray, np.ndarray], np.ndarra
     from a probe of its ``r`` there.
 
     The span ``u1 - u0`` is ~log(1/tol)/(1+exponent) e-folds: ~30 at
-    exponent 0, ~1,600 for c_iso at s = 0.99 (exponent 1 - 2s), ~1.5e6 at
-    s = 0.99999, while a regular part like c_iso's (limit + O(d^2)) varies
-    over the first ~20 only.  So the panels of ``_decaying`` start at most
+    exponent 0, ~1,600 for an exponent 1 - 2s at s = 0.99, ~1.5e6 at
+    s = 0.99999, while a second difference's regular part (limit + O(d^2))
+    varies over the first ~20 only.  So the panels of ``_decaying`` start at most
     one e-fold wide: 8 of them up to a span of ~49, else
     ceil(log(1 + span/2)/log 1.5), each member with its own count.
     """
@@ -429,10 +429,12 @@ def _tail(plan: _Plan, f: Callable[[np.ndarray, np.ndarray], np.ndarray], start:
     T before the remainder is small.  Between ``start`` and T the integral
     runs in ``u = log(tau)``.
     """
-    # Probe several points: a single sample can land on a zero of f.
+    # Probe several points: a single sample can land on a zero of f; one where
+    # t**beta overflows and f underflows (a steep beta) reads nan and drops out
     t = start * _TAIL_PROBES
-    coeff = (np.abs(plan.probe(f, t)) * t ** beta).max(axis=1)
-    coeff[coeff == 0.0] = abs_tol
+    with np.errstate(invalid="ignore"):
+        coeff = np.fmax.reduce(np.abs(plan.probe(f, t)) * t ** beta, axis=1)
+    coeff[~(coeff > 0.0)] = abs_tol
     log_T = np.log(4.0 * coeff / (abs_tol * (beta - 1.0))) / (beta - 1.0)
     u = math.log(start)
     log_T = np.minimum(np.maximum(log_T, u + 1.0), _LOG_HUGE)
@@ -442,7 +444,7 @@ def _tail(plan: _Plan, f: Callable[[np.ndarray, np.ndarray], np.ndarray], start:
         return f(tau, m) * tau
 
     # the first unit of u is a panel of its own: a term decaying like
-    # tau**-30 hides inside a wider first panel (c_iso at gamma ~ 28)
+    # tau**-30 hides inside a wider first panel ((1+tau^2)^(-g/2) at g ~ 28)
     edges = _decaying(np.minimum(u + 1.0, log_T)[:, None], log_T)
     edges = np.column_stack((np.full(log_T.size, u), edges))
     plan.add(g, edges, abs_tol)

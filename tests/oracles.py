@@ -5,11 +5,11 @@ importing the package under test, or frozen from an independent
 high-precision mpmath computation (50 digits for the roots, the defining
 integrals of the 1-D kernel constants, c_iso's 80 and the 40 of c_N^+'s
 one-sided correction, each recipe given with its values).  Tests compare
-package output against these values.  The package computes c_iso and c_N^+
-by quadrature, and the 1-D kernel constants from Gamma closed forms written
-differently from the ones here (a reciprocal Gamma, an lgamma ratio, the
-reflected c_{s,mu}); the frozen integrals check both against the
-definitions themselves.
+package output against these values.  The package computes c_iso from a
+hypergeometric series, c_N^+'s correction by quadrature, and the 1-D kernel
+constants from Gamma closed forms written differently from the ones here (a
+reciprocal Gamma, an lgamma ratio, the reflected c_{s,mu}); the frozen
+integrals check all of them against the definitions themselves.
 """
 
 import math
@@ -81,8 +81,10 @@ FROZEN_ROOTS = {
     ("gamma_plus", 3, 0.5): 3.74284353188,
 }
 
-# c_iso(gamma, s, N) has no closed form; these values are frozen from an
-# independent 80-digit mpmath quadrature, rounded to the digits shown:
+# c_iso(gamma, s, N) = c_perp(gamma, s) 2F1(gamma/2+s, -s; 1/2; 1/N), which the
+# package sums; these values are frozen from an independent 80-digit mpmath
+# quadrature of the defining integral, which shares no formula with it,
+# rounded to the digits shown:
 #
 #     mp.dps = 80; a = 1/sqrt(N); p = -gamma/2
 #     pair(t) = ((1+t^2+2at)^p + (1+t^2-2at)^p - 2)/t^2, evaluated with

@@ -65,16 +65,18 @@ def test_roots_bracket_is_the_verified_cell(capsys, which, N, s):
 
 
 def test_constants_report_the_quadrature_error_they_reach(capsys):
-    # c_iso and c_N_plus run at the constants' own tolerance, not --abs-tol
+    # c_iso is a series with its own bound, and c_N_plus's correction runs at
+    # the constants' own tolerance, not --abs-tol
     code, out, _ = run(capsys, ["--abs-tol", "1e-3", "constants", "--s", "0.5", "--N", "3",
                                 "--gamma", "0.7"])
     doc = json.loads(out)
-    iso, plus = (cli.cn.iso_stack([0.7], 0.5, 3, n_plus)[0] for n_plus in (False, True))
+    iso, plus = cli.cn.iso_stack([0.7, 0.7], 0.5, 3, [False, True])
     assert code == 0 and doc["c_iso"] == iso.value and doc["c_N_plus"] == plus.value
-    assert doc["error_estimates"]["quadrature"] == max(iso.abs_error_estimate,
-                                                       plus.abs_error_estimate) < 1e-10
+    bars = doc["error_estimates"]
+    assert bars["closed_form"] == iso.abs_error_estimate < 1e-14
+    assert 0.0 < bars["quadrature"] == plus.abs_error_estimate - 3 * iso.abs_error_estimate < 1e-10
     code, out, _ = run(capsys, ["constants", "--s", "0.5"])
-    assert json.loads(out)["error_estimates"]["quadrature"] is None
+    assert json.loads(out)["error_estimates"] == {"closed_form": None, "quadrature": None}
 
 
 def test_table_csv_four_columns(capsys):

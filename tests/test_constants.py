@@ -188,8 +188,9 @@ def test_exponent_table_structure():
     ("c_s_mu alternate", lambda: cn.c_s_mu(0.3, 0.5, "alternate")),
 ])
 def test_one_batched_quadrature_per_constant(name, call, monkeypatch):
-    # the 1-D kernel constants are closed forms: no quadrature at all
-    closed = name not in ("c_iso", "c_n_plus", "c_s_mu alternate")
+    # the 1-D kernel constants and c_iso's series are closed forms: no
+    # quadrature at all; c_n_plus integrates its correction alone
+    closed = name not in ("c_n_plus", "c_s_mu alternate")
     batches = []
     engine = quad.integrate_batch
 
@@ -277,46 +278,58 @@ def test_c_perp_at_large_gamma(s):
         assert cn.c_perp(gam, s) == pytest.approx(want, rel=5e-15), gam
 
 
-# --- the cancellation-free kernel pairs --------------------------------------
-
-PAIR_D = np.array([0.0, 5e-324, 1e-300, 1e-150, 1e-20, 1e-8, 9.99e-8, 1.01e-7, 1e-5,
-                   1e-3, 0.01, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 0.7499, 0.75, 0.8,
-                   0.9, 0.99, 0.999999])
-
-
-def _mp_pair(numerator, d):
-    """numerator(x)/x^2 at x = d in mpmath, with two more digits per decade of 1/d."""
-    x = mpmath.mpf(float(d))
-    with mpmath.workdps(60 + 2 * int(-mpmath.log10(x))):
-        return float(numerator(x) / x**2)
-
-
-def _pair_values(pair, d):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        return pair(d, 0)
-
-
-@pytest.mark.parametrize("N", [2, 3, 4, 9, 20])
-def test_iso_pair_matches_mpmath(N):
-    a = 1.0 / math.sqrt(N)
-    # 2e-4, 1, 2, 3 and 5.8 put the inner power pair's exponent -gamma/2 at -1e-4 .. -2.9
-    for gam in [2e-4, 0.05, 0.7, 1.0, 2.0, max(N - 2.0, 0.3), 3.0, 5.8, 10.0, 100.0, 1000.0,
-                2000.0]:
-        if -gam / 2.0 * math.log1p(-1.0 / N) > math.log(1e300):
-            continue  # outside c_iso's domain
-        got = _pair_values(cn._iso_pair(gam, a), PAIR_D)
-        p, am = mpmath.mpf(-gam / 2.0), mpmath.mpf(a)
-        for d, value in zip(PAIR_D, got):
-            # at d = 0 the pair is 2*C_2^(gamma/2)(a) = 4a^2 p(p-1) + 2p
-            want = float(4 * am**2 * p * (p - 1) + 2 * p) if d == 0.0 else _mp_pair(
-                lambda x: (1 + x * x + 2 * am * x) ** p + (1 + x * x - 2 * am * x) ** p - 2, d)
-            assert abs(value - want) <= 1e-12 * max(abs(want), gam * (1.0 + gam)), (gam, d)
-
-
 @pytest.mark.parametrize("key", sorted(oc.FROZEN_C_ISO))
 def test_c_iso_frozen(key):
     assert cn.c_iso(*key) == pytest.approx(oc.FROZEN_C_ISO[key], rel=1e-10)
+
+
+def test_c_iso_frozen_within_its_bars():
+    for key, want in oc.FROZEN_C_ISO.items():
+        got = cn.iso_stack([key[0]], *key[1:], False)[0]
+        assert abs(got.value - want) <= got.abs_error_estimate, (key, got)
+
+
+# --- c_iso's series against mpmath -------------------------------------------
+
+AUDIT_S = [1e-5, 0.01, 0.3, 0.5, 0.9, 0.99, 0.99999]
+AUDIT_GAMMA = [1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.7, 10.0, 28.0, 100.0, 262.41047680416006,
+               1000.0, 5000.0]
+
+
+def _mp_c_iso(gam, s, N):
+    """c_iso at 40 digits: c_perp times 2F1(g/2+s, s+1/2; 1/2; -1/(N-1)) (1-1/N)^(-g/2-s).
+
+    That is the series' 2F1(g/2+s, -s; 1/2; 1/N) before Pfaff's transformation.
+    c_iso(2, 1/2, 2) is exactly 0 (gamma_tilde(2, 1/2) = 2), where mpmath's sum
+    finds no relative accuracy.
+    """
+    if (gam, s, N) == (2.0, 0.5, 2):
+        return 0.0
+    with mpmath.workdps(40):
+        g, sm, n = mpmath.mpf(gam), mpmath.mpf(s), mpmath.mpf(N)
+        perp = mpmath.gamma(-sm) * mpmath.gamma(g / 2 + sm) / mpmath.gamma(g / 2)
+        return float(perp * mpmath.hyp2f1(g / 2 + sm, sm + 0.5, 0.5, -1 / (n - 1))
+                     * (1 - 1 / n) ** (-g / 2 - sm))
+
+
+@pytest.mark.parametrize("s", AUDIT_S)
+@pytest.mark.parametrize("N", [2, 3, 4, 9, 20])
+def test_c_iso_series_within_its_bars(N, s):
+    # gamma from 1e-3 up to the largest under the 1e300 peak guard
+    top = 2.0 * math.log(1e300) / -math.log1p(-1.0 / N) * (1.0 - 1e-12)
+    gammas = [g for g in AUDIT_GAMMA if g < top] + [top]
+    for g, got in zip(gammas, cn.iso_stack(gammas, s, N, False)):
+        want = _mp_c_iso(g, s, N)
+        assert got.n_evals == 0 and abs(got.value - want) <= got.abs_error_estimate, (g, got, want)
+
+
+def test_c_iso_series_at_large_gamma():
+    # c_iso ~ 6e38 at gamma ~ 262, N = 2, where the series' terms grow for ~130
+    # terms before they fall: its value from _mp_c_iso, frozen
+    got = cn.iso_stack([262.41047680416006], 0.3356145841839309, 2, False)[0]
+    want = 6.1996960233340388e38
+    assert _mp_c_iso(262.41047680416006, 0.3356145841839309, 2) == pytest.approx(want, rel=1e-16)
+    assert abs(got.value - want) <= got.abs_error_estimate <= 1e-13 * want
 
 
 @pytest.mark.parametrize("key", sorted(oc.FROZEN_C_N_PLUS))
@@ -324,27 +337,20 @@ def test_c_n_plus_frozen(key):
     assert cn.c_n_plus(*key) == pytest.approx(oc.FROZEN_C_N_PLUS[key], rel=1e-13)
 
 
-NEAR_ONE_MISS = ("c_iso", 1.00002365148, 0.99999, 3)  # near gamma_tilde(3, 0.99999)
-
-
-@pytest.mark.parametrize("key", [
-    pytest.param(key, id="-".join(map(str, key)), marks=pytest.mark.xfail(
-        key == NEAR_ONE_MISS, strict=True, reason="at gamma ~ N - 2 the pair's O(1) terms "
-        "cancel, and its rounding (~1e-16) over the singular piece's weight of mass "
-        "1/(2-2s) = 5e4 exceeds the bar"))
-    for key in sorted(oc.FROZEN_NEAR_ONE)])
+@pytest.mark.parametrize("key", [pytest.param(key, id="-".join(map(str, key)))
+                                 for key in sorted(oc.FROZEN_NEAR_ONE)])
 def test_near_one_within_their_bars(key):
-    # the singular piece spans ~log(1/tol)/(2-2s) e-folds, 1.5e6 at s = 0.99999,
-    # and the pair varies over its first ~20 only
+    # c_perp grows like 1/(2-2s) and the series' 1 - u_1 cancels; at
+    # gamma ~ N - 2, by gamma_tilde(3, 0.99999), c_iso is only -0.27
     name, gam, s, N = key
     got = cn.iso_stack([gam], s, N, name == "c_n_plus")[0]
     want = oc.FROZEN_NEAR_ONE[key]
     assert abs(got.value - want) <= got.abs_error_estimate + 1e-12 * abs(want)
 
 
-def test_walk_near_one_takes_two_rounds(monkeypatch):
-    # the five walk gammas at s = 0.99: a singular piece of ~1,600 e-folds
-    # whose panels start one e-fold wide is resolved in two rounds
+def test_walk_near_one_takes_one_round(monkeypatch):
+    # the five walk gammas of c_N^+ at s = 0.99: c_iso is a series, and the
+    # corrections, smooth and decaying from sqrt(N) on, take one engine round
     rounds = []
     gk21 = quad._gk21
 
@@ -353,16 +359,16 @@ def test_walk_near_one_takes_two_rounds(monkeypatch):
         return gk21(*args)
 
     monkeypatch.setattr(quad, "_gk21", spy)
-    results = cn.iso_stack([2.0, 4.0, 8.0, 16.0, 32.0], 0.99, 3, False)
-    assert len(rounds) <= 2 and max(rounds) <= quad._PANELS_PER_CALL
-    # gamma_tilde = 1.04 lies below all five
+    results = cn.iso_stack([2.0, 4.0, 8.0, 16.0, 32.0], 0.99, 3, True)
+    assert len(rounds) == 1 and max(rounds) <= quad._PANELS_PER_CALL
+    # gamma_plus ~ 1.04 lies below all five
     assert all(r.value > 0.0 for r in results)
 
 
 def test_gamma_plus_and_c_n_plus_quadrature_counts(monkeypatch):
-    # gamma_plus takes three batched passes of c_n_plus (walk, proxy, closing
-    # test, the last with its c_iso check); the jump at sqrt(N) is a plain
-    # panel edge, not two singular pieces
+    # gamma_plus takes three passes of c_n_plus (walk, proxy, closing test,
+    # the last with its c_iso check), each one quadrature of the corrections,
+    # which have no singular point and no jump
     evals = []
     engine = cn.integrate
 
@@ -411,18 +417,49 @@ def test_roots_are_verified_cells(N):
         assert roots["plus"] >= roots["tilde"] - 1e-10, s
 
 
+def _stub_pass(values, bar=0.0):
+    """A pass of a stub constant: one ``QuadResult`` per value, each with the error bar ``bar``."""
+    return [quad.QuadResult(float(v), bar, 0) for v in values]
+
+
 def test_root_passes_shrink_where_the_proxy_is_poor():
     # a steep step: 16 nodes on [4, 8] do not resolve it, so the cell shrinks
     def steep(gammas, closing):
-        return np.tanh(40.0 * (np.array(gammas) - 5.3))
+        return _stub_pass(np.tanh(40.0 * (np.array(gammas) - 5.3)))
 
     r = cn._root_passes(steep, -1.0)
     lo, hi = r.bracket
     assert lo < r.root < hi and hi - lo <= 1e-10 + 8.9e-16 * r.root
-    assert steep([lo], False)[0] < 0.0 < steep([hi], False)[0]
+    assert steep([lo], False)[0].value < 0.0 < steep([hi], False)[0].value
     assert 3 < r.iterations < cn._PASS_LIMIT
     with pytest.raises(cn.BracketFailure):
-        cn._root_passes(lambda gammas, closing: -np.ones(len(gammas)), -1.0)
+        cn._root_passes(lambda gammas, closing: _stub_pass(-np.ones(len(gammas))), -1.0)
+
+
+def test_root_passes_read_signs_beyond_their_bars(monkeypatch):
+    # a root at 5.3: with bars of 1e-12 its cell r +- 5e-11 has signs beyond
+    # both; with bars of 1e-3 that straddle zero across it, no cell of the
+    # root's width has, and none is accepted
+    def line(bar):
+        return lambda gammas, closing: _stub_pass(np.array(gammas) - 5.3, bar)
+
+    r = cn._root_passes(line(1e-12), -1.0)
+    assert r.bracket[0] < 5.3 < r.bracket[1] and r.iterations == 3
+    with pytest.raises(cn.BracketFailure, match="bars"):
+        cn._root_passes(line(1e-3), -1.0)
+    # gamma_plus's check that c_iso(r + 1e-10) > 0 reads beyond c_iso's bar too
+    real = cn.iso_stack
+
+    def wide_iso_bars(gammas, s, N, n_plus, tol=cn._DEFAULT_TOL):
+        flags = [n_plus] * len(gammas) if isinstance(n_plus, bool) else n_plus
+        return [r if plus else quad.QuadResult(r.value, abs(r.value) + 1.0, 0)
+                for r, plus in zip(real(gammas, s, N, n_plus, tol), flags)]
+
+    monkeypatch.setattr(cn, "iso_stack", wide_iso_bars)
+    with pytest.raises(cn.BracketFailure, match="c_iso's bar"):
+        cn.find_gamma_plus(3, 0.5)
+    with pytest.raises(cn.BracketFailure, match="bars"):
+        cn.find_gamma_tilde(3, 0.5)
 
 
 def test_stacked_members_are_their_one_gamma_calls():
@@ -433,7 +470,7 @@ def test_stacked_members_are_their_one_gamma_calls():
         assert results.n_evals == sum(r.n_evals for r in results)
         for g, r in zip(gammas, results):
             assert r.value == pytest.approx(one(g, 0.3, 4), rel=1e-14, abs=1e-14)
-    # a mixed stack gives c_iso members the breakpoint at sqrt(N) too
+    # a mixed stack integrates the corrections of its c_N^+ members alone
     mixed = cn.iso_stack([2.0, 2.0], 0.3, 4, [False, True])
     assert abs(mixed[0].value - cn.c_iso(2.0, 0.3, 4)) <= mixed[0].abs_error_estimate
     assert abs(mixed[1].value - cn.c_n_plus(2.0, 0.3, 4)) <= mixed[1].abs_error_estimate

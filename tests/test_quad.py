@@ -1,6 +1,7 @@
 """Quadrature engine: singular pieces, principal values, infinite tails."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -45,6 +46,15 @@ def test_infinite_tail():
     f = Integrand(eval=lambda t, m: t**-2.0, tail_decay=2.0)
     r = integrate(f, 1.0, math.inf, TOL)[0]
     assert abs(r.value - 1.0) <= 1e-8
+
+
+def test_steep_tail_whose_probes_overflow():
+    # at the tail's probes (2 .. 10.6) t**600 overflows while t**-600 underflows to 0
+    f = Integrand(eval=lambda t, m: t**-600.0, tail_decay=600.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's "invalid value" at 0 * inf
+        r = integrate(f, 1.0, math.inf, TOL)[0]
+    assert abs(r.value - 1.0 / 599.0) <= r.abs_error_estimate <= 1e-10
 
 
 def test_pv_odd_kernel_cancels():
