@@ -13,11 +13,13 @@ exactly 0 at its poles puts their roots exactly where they vanish.
 bound on its error (``_iso_series``), and ``c_n_plus`` is N*c_iso less
 one positive correction integral.  ``iso_stack`` evaluates either at a
 whole stack of gamma, with at most one ``integrate`` call, for the
-corrections; ``c_iso`` and ``c_n_plus`` are its stacks of one.  The roots
-gamma_tilde and gamma_plus come from three such stacks, or a few more: a
-walk over a gamma grid, a Chebyshev proxy on the cell where the constant
-changes sign, and a closing sign test at the proxy's root +- 5e-11, which
-is the root's bracket when both signs lie beyond their error bars.
+corrections; ``c_iso`` and ``c_n_plus`` are its stacks of one.  That call
+runs at the constants' one tolerance, ``_DEFAULT_TOL``; nothing here takes
+another.  The roots gamma_tilde and gamma_plus come from three such stacks,
+or a few more: a walk over a gamma grid, a Chebyshev proxy on the cell
+where the constant changes sign, and a closing sign test at the proxy's
+root +- 5e-11, which is the root's bracket when both signs lie beyond their
+error bars.
 """
 
 from __future__ import annotations
@@ -275,9 +277,8 @@ def _iso_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarr
     return series, rest + _EPS * rounding
 
 
-def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool | Sequence[bool],
-              tol: Tolerance = _DEFAULT_TOL) -> StackResult:
-    """c_iso, or c_N^+ where ``n_plus`` is true, at every gamma of a stack.
+def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> StackResult:
+    """c_iso, or c_N^+ if ``n_plus``, at every gamma of a stack.
 
     c_iso, the integral over (0, inf) of (plus + minus - 2) / t^{1+2s} with plus, minus =
     (1+t^2 +- 2t/sqrt(N))^{-g/2}, is the 1-D fractional Laplacian of ((t-a)^2 + b^2)^{-g/2}
@@ -285,8 +286,9 @@ def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool | Sequence
     Ryzhik 6.699.12 and Pfaff's transformation (DLMF 15.8.1) give c_iso = c_perp(g) G, G from
     :func:`_iso_series`.  Its ``QuadResult`` has no evaluations and bounds the series' error
     and c_perp's rounding.  c_N^+ = N c_iso - corr, corr the integral of minus / t^{1+2s}
-    over (sqrt(N), inf), positive with no singular point and no jump: one ``integrate`` call
-    at ``tol`` for all c_N^+ members, whose tail decay 1 + 2s + min(g) holds for each.
+    over (sqrt(N), inf), positive with no singular point and no jump: minus's pure power
+    t^{-g} in closed form, and the rest in one ``integrate`` call for the whole stack, whose
+    tail decay 2 + 2s + min(g) holds for each member.
     """
     if N < 2:
         raise DomainError("N must be >= 2")
@@ -303,38 +305,43 @@ def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool | Sequence
     value = perp * series
     results = [QuadResult(v, e, 0) for v, e in zip(
         value.tolist(), (np.abs(perp) * bound + np.abs(value) * (_PERP_REL + _EPS)).tolist())]
-    plus = [i for i, flag in enumerate([n_plus] * gam.size if isinstance(n_plus, bool)
-                                       else n_plus) if flag]
-    if plus:
-        a, p = 1.0 / math.sqrt(N), -gam[plus] / 2.0
-        power = 2.0 * p - 1.0 - 2.0 * s
+    if not n_plus:
+        return StackResult(results)
+    a, p, decay = 1.0 / math.sqrt(N), -gam / 2.0, gam + 2.0 * s
+    power = -1.0 - decay
 
-        def minus(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-            # as t^{-g} (1 - 2a/t + 1/t^2)^{-g/2}: t*t overflows far out in the
-            # tail; a stack of one keeps scalar exponents, for numpy's scalar loops
-            u, k = 1.0 / t, m if p.size > 1 else 0
-            return (1.0 + u * (u - 2.0 * a)) ** p[k] * t ** power[k]
+    def rest(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+        # minus less its pure power, t^{-g-1-2s} expm1(-(g/2) log1p(u (u - 2a))), u = 1/t:
+        # t*t overflows far out in the tail; a stack of one keeps scalar
+        # exponents, for numpy's scalar loops
+        u, k = 1.0 / t, m if p.size > 1 else 0
+        return np.expm1(p[k] * np.log1p(u * (u - 2.0 * a))) * t ** power[k]
 
-        corr = integrate(Integrand(eval=minus, tail_decay=-float(power.max()), stack=p.size),
-                         math.sqrt(N), math.inf, tol)
-        for i, c in zip(plus, corr):
-            results[i] = results[i].scale(N) + c.scale(-1.0)
-    return StackResult(results)
+    # the pure power's integral sqrt(N)^{-g-2s}/(g+2s) is a closed form, and
+    # the rest decays one order faster, like g a t^{-g-2-2s}
+    corr = integrate(Integrand(eval=rest, tail_decay=2.0 + 2.0 * s + float(gam.min()),
+                               stack=p.size), math.sqrt(N), math.inf, _DEFAULT_TOL)
+    pure = N ** (-decay / 2.0) / decay
+    # twice its rounding: g + 2s's, which moves the power by (g + 2s) log(N)/2 eps
+    # relative, the power's and the quotient's
+    pure_bar = pure * _EPS * (4.0 + decay * math.log(N))
+    return StackResult([r.scale(N) + (c + QuadResult(v, e, 0)).scale(-1.0) for r, c, v, e in zip(
+        results, corr, pure.tolist(), pure_bar.tolist())])
 
 
-def c_iso(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
+def c_iso(gam: float, s: float, N: int) -> float:
     """Isotropic half-space kernel constant.
 
     integral_0^inf ((1+t^2+2t/sqrt(N))^{-g/2} + (1+t^2-2t/sqrt(N))^{-g/2} - 2)
-    / t^{1+2s} dt, a series (``tol`` unread): the stack of one of :func:`iso_stack`.
+    / t^{1+2s} dt, a series: the stack of one of :func:`iso_stack`.
     """
-    return iso_stack([gam], s, N, False, tol)[0].value
+    return iso_stack([gam], s, N, False)[0].value
 
 
-def c_n_plus(gam: float, s: float, N: int, tol: Tolerance = _DEFAULT_TOL) -> float:
+def c_n_plus(gam: float, s: float, N: int) -> float:
     """N*c_iso(gamma) minus the integral of (1+t^2-2t/sqrt(N))^{-gamma/2} / t^{1+2s}
-    over (sqrt(N), inf), at ``tol``: the stack of one of :func:`iso_stack`."""
-    return iso_stack([gam], s, N, True, tol)[0].value
+    over (sqrt(N), inf): the stack of one of :func:`iso_stack`."""
+    return iso_stack([gam], s, N, True)[0].value
 
 
 def c_s_mu(mu: float, s: float, form: str = "primary") -> float:
@@ -463,6 +470,7 @@ _BARYCENTRIC = (-1.0) ** np.arange(_PROXY_DEGREE + 1)  # the weights at those po
 _BARYCENTRIC[[0, -1]] *= 0.5
 _ZOOM = np.linspace(0.0, 1.0, 33)[1:-1]
 _PASS_LIMIT = 40
+_XTOL = 1e-10  # the roots' absolute tolerance: their cells are at most this wide, plus rounding
 
 
 def _proxy_root(x: np.ndarray, fx: np.ndarray, j: int) -> float:
@@ -487,12 +495,12 @@ def _proxy_root(x: np.ndarray, fx: np.ndarray, j: int) -> float:
     return float(a - fa * (b - a) / (fb - fa))
 
 
-def _root_passes(evaluate: Callable[[list[float], bool], Sequence[QuadResult]], f0: float,
-                 xtol: float = 1e-10) -> RootResult:
+def _root_passes(evaluate: Callable[[list[float]], Sequence[QuadResult]],
+                 f0: float) -> RootResult:
     """The first root above 0 of a constant c with c(0) = ``f0`` and c < 0 just above 0.
 
-    ``evaluate(gammas, closing)``, a pass, returns a ``QuadResult`` (c and
-    its error bar) per gamma; it may check more on a closing pass.
+    ``evaluate(gammas)``, a pass, returns a ``QuadResult`` (c and its error
+    bar) per gamma.
     1. Walk: c at 2, 4, ..., 32, then at 64, ..., 1024 if c is positive at
        none of them, with 0 as the lowest point: the first cell where c
        turns positive.
@@ -500,17 +508,17 @@ def _root_passes(evaluate: Callable[[list[float], bool], Sequence[QuadResult]], 
        the root of their degree-16 interpolant (a Chebyshev proxy, Boyd,
        Solving Transcendental Equations, SIAM 2014) in the node cell where
        c turns positive.
-    3. Closing test: c at r - delta, r and r + delta, delta = xtol/2.  If c
+    3. Closing test: c at r - delta, r and r + delta, delta = _XTOL/2.  If c
        changes sign across r +- delta and both values lie beyond their
-       bars, that is the bracket: at most xtol + 2.2e-16*|r| wide, the
+       bars, that is the bracket: at most _XTOL + 2.2e-16*|r| wide, the
        rounding of its ends included.  Otherwise the cell shrinks to the
        pair of points seen nearest r where c turns positive, at least ~10x,
-       and 2-3 repeat.  A pair at most xtol apart is the bracket if its
+       and 2-3 repeat.  A pair at most _XTOL apart is the bracket if its
        values lie beyond their bars, and ``BracketFailure`` otherwise.
     ``residual`` is c(r) and ``iterations`` counts the passes.
     """
-    def read(gammas: list[float], closing: bool) -> np.ndarray:  # rows (c, its bar)
-        return np.array([(r.value, r.abs_error_estimate) for r in evaluate(gammas, closing)])
+    def read(gammas: list[float]) -> np.ndarray:  # rows (c, its bar)
+        return np.array([(r.value, r.abs_error_estimate) for r in evaluate(gammas)])
 
     def beyond(rows: np.ndarray) -> bool:
         return bool(np.all(np.abs(rows[:, 0]) > rows[:, 1]))
@@ -518,7 +526,7 @@ def _root_passes(evaluate: Callable[[list[float], bool], Sequence[QuadResult]], 
     lo, low = 0.0, np.array([f0, 0.0])
     passes = 0
     for grid in _WALK:
-        values = read(list(grid), False)
+        values = read(list(grid))
         passes += 1
         up = np.flatnonzero(values[:, 0] > 0.0)
         if up.size:
@@ -533,11 +541,11 @@ def _root_passes(evaluate: Callable[[list[float], bool], Sequence[QuadResult]], 
     while passes < _PASS_LIMIT:
         x = lo + (hi - lo) * (_LOBATTO + 1.0) / 2.0
         x[0], x[-1] = lo, hi
-        fx = np.vstack((low, read(x[1:-1].tolist(), False), high))
+        fx = np.vstack((low, read(x[1:-1].tolist()), high))
         j = int(np.flatnonzero(fx[:, 0] > 0.0)[0])
         r = _proxy_root(x, fx[:, 0], j)
-        probe = np.array([r - 0.5 * xtol, r, r + 0.5 * xtol])
-        fp = read(probe.tolist(), True)
+        probe = np.array([r - 0.5 * _XTOL, r, r + 0.5 * _XTOL])
+        fp = read(probe.tolist())
         passes += 2
         if (fp[0, 0] > 0.0) != (fp[2, 0] > 0.0) and beyond(fp[::2]):
             return RootResult(r, float(fp[1, 0]), (float(probe[0]), float(probe[2])), passes)
@@ -547,53 +555,43 @@ def _root_passes(evaluate: Callable[[list[float], bool], Sequence[QuadResult]], 
         changes = np.flatnonzero((fs[:-1, 0] <= 0.0) & (fs[1:, 0] > 0.0))
         i = int(changes[np.argmin(np.abs(xs[changes] - r))])
         lo, hi, low, high = float(xs[i]), float(xs[i + 1]), fs[i], fs[i + 1]
-        if hi - lo <= xtol:
+        if hi - lo <= _XTOL:
             # a sign change within the tolerance that the test at r +- delta missed
             if not beyond(fs[i:i + 2]):
                 raise BracketFailure(f"the error bars cannot separate the signs at gamma = "
                                      f"{lo!r} and {hi!r}")
             k = i if abs(low[0]) < abs(high[0]) else i + 1
             return RootResult(float(xs[k]), float(fs[k, 0]), (lo, hi), passes)
-    raise BracketFailure(f"no root to within {xtol:g} after {_PASS_LIMIT} passes")
+    raise BracketFailure(f"no root to within {_XTOL:g} after {_PASS_LIMIT} passes")
 
 
-def find_gamma_tilde(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> RootResult:
+def find_gamma_tilde(N: int, s: float) -> RootResult:
     """Unique positive root of c_iso, from stacked passes (:func:`_root_passes`).
 
     c_iso(0) = 0, and c_iso < 0 just above 0.  Every pass is one series
-    :func:`iso_stack` call, no quadrature, and ``tol`` is not read.
+    :func:`iso_stack` call, with no quadrature.
     """
     if N < 2:
         raise DomainError("N must be >= 2")
-    return _root_passes(lambda gammas, closing: iso_stack(gammas, s, N, False), 0.0)
+    return _root_passes(lambda gammas: iso_stack(gammas, s, N, False), 0.0)
 
 
-def find_gamma_plus(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> RootResult:
+def find_gamma_plus(N: int, s: float) -> RootResult:
     """Root of c_n_plus, which lies above find_gamma_tilde, from stacked passes.
 
     c_N^+ = N c_iso - corr with corr > 0, so c_N^+ < 0 on (0, gamma_tilde]
     where c_iso <= 0; c_N^+(0) = -N^{-s}/(2s) in closed form.  The root is
     found by :func:`_root_passes` on c_n_plus alone, each pass one corr
-    quadrature at ``tol``.  That it exceeds gamma_tilde, c_iso's unique
-    positive root, is one sign test in the same call as each closing test:
-    c_iso(r + 1e-10) > 0 beyond its bar, 1e-10 being the root's tolerance
-    (at the root itself c_iso can read as rounding of either sign).
+    quadrature.  That it exceeds gamma_tilde, c_iso's unique positive root,
+    is then one series call: c_iso(r + _XTOL) > 0 beyond its bar (at the
+    root itself c_iso can read as rounding of either sign).
     """
     _check_s(s)
     if N < 2:
         raise DomainError("N must be >= 2")
-
-    iso_above = []  # c_iso(r + 1e-10) less its bar, of each closing pass
-
-    def evaluate(gammas: list[float], closing: bool) -> Sequence[QuadResult]:
-        if not closing:
-            return iso_stack(gammas, s, N, True, tol)
-        results = iso_stack(gammas + [gammas[1] + 1e-10], s, N, [True] * 3 + [False], tol)
-        iso_above.append(results[3].value - results[3].abs_error_estimate)
-        return results[:3]
-
-    result = _root_passes(evaluate, -N ** -s / (2.0 * s))
-    if not iso_above[-1] > 0.0:
+    result = _root_passes(lambda gammas: iso_stack(gammas, s, N, True), -N ** -s / (2.0 * s))
+    above = iso_stack([result.root + _XTOL], s, N, False)[0]
+    if not above.value - above.abs_error_estimate > 0.0:
         raise BracketFailure("gamma_plus did not exceed gamma_tilde beyond c_iso's bar")
     return result
 
@@ -618,13 +616,13 @@ class ExponentTable:
     rows: tuple[dict, ...]
 
 
-def exponent_table(N: int, s: float, tol: Tolerance = _DEFAULT_TOL) -> ExponentTable:
+def exponent_table(N: int, s: float) -> ExponentTable:
     """Bounds on the critical exponents p* (p > 1) and p_* (p < 1) per operator."""
     if N < 2:
         raise DomainError("N must be >= 2")
     _check_s(s)
     rows: list[dict] = []
-    gamma_plus = find_gamma_plus(N, s, tol).root
+    gamma_plus = find_gamma_plus(N, s).root
     for k in range(1, N + 1):
         if k < N:
             rows.append({

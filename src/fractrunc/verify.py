@@ -304,9 +304,11 @@ def _psi_bound_constant(kind: str, k: int, s: float, psi: pr.PsiField) -> float:
     raise ValueError(f"unknown psi kind {kind!r}")
 
 
+_PSI_TOL = Tolerance(1e-12, 1e-11)  # psi's one request, whatever the CLI flags say
+
+
 def verify_psi_subsolution(kind: str, k: int, s: float,
-                           radii: Optional[Sequence[float]] = None,
-                           tol: Tolerance = Tolerance(1e-12, 1e-11)) -> VerificationReport:
+                           radii: Optional[Sequence[float]] = None) -> VerificationReport:
     """Frame lower bound for the subsolution candidate, with empirical onset radius.
 
     The claim (frame sum >= constant * x_N / |x|^{..}) holds for all radii
@@ -332,7 +334,7 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
     xs[:, -1] = np.outer(radii, np.sin(angles)).ravel()
     bounds = (const * xs[:, -1] * np.repeat(radii, len(angles)) ** -exponent).tolist()
     # absolute tolerance tracks the shrinking bound at far radii
-    tols = [Tolerance(max(abs(b) * 1e-4, tol.abs_tol), tol.rel_tol) for b in bounds]
+    tols = [Tolerance(max(abs(b) * 1e-4, _PSI_TOL.abs_tol), _PSI_TOL.rel_tol) for b in bounds]
     sums = op.frame_sums(psi, xs, op.completion_frames(xs, k), s, tols)
 
     claims = [ClaimResult(x, "frame_lower_bound", bound - fs.value, fs.abs_error_estimate, "le")
@@ -381,19 +383,23 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
     xs = [_on_axis(N, t) for t in points]
     e_n = _on_axis(N, 1.0)[None]
     sums = op.frame_sums(u, xs, [e_n] * len(xs), s, tol)
+    # u(t e_N)^p = M^p t^{mu p} in closed form, with M^{1-p} = scale/|C_s c_{s,mu}|:
+    # u(x) ** p would multiply the rounding of M t^mu by |p|
+    big_c = cn.normalizing_constant(s) * cn.c_s_mu(mu, s)
+    m_p = M * abs(big_c) / (1.0 if op_kind == "ik_minus" else N ** s)
+    u_p = [m_p * t ** (2.0 * s * p / (1.0 - p)) for t in points]
     claims: list[ClaimResult] = []
     if op_kind == "ik_minus":
         covers = f"I_k^- for every k = 1..{N}"
-        for t, x, r in zip(points, xs, sums):
-            raw = r.value + u(x) ** p
+        for t, r, up in zip(points, sums, u_p):
+            raw = r.value + up
             claims.append(ClaimResult(t, "exact_cancellation", abs(raw) - 1e-6,
                                       r.abs_error_estimate, "le"))
     else:
         covers = "I_N^+ over every orthonormal frame"
-        c_val = M * cn.normalizing_constant(s) * cn.c_s_mu(mu, s)
-        for t, x, r in zip(points, xs, sums):
+        c_val = M * big_c
+        for t, r, up in zip(points, sums, u_p):
             v = c_val * t ** (mu - 2.0 * s)  # V(t), the e_N value in closed form
-            up = u(x) ** p
             claims += [
                 ClaimResult(t, "sup_frame_supersolution", v + up, 0.0, "le", abs(v)),
                 ClaimResult(t, "pigeonhole_cancellation", N ** -s * v + up, 0.0, "eq", abs(v)),
@@ -430,6 +436,9 @@ class _BallBump(pr.Field):
         return pr._sphere_crossings(x - self.y, xi, self.r)
 
 
+_AVOIDANCE_SIZE = 1e150  # the largest r and |y| the avoidance suite takes
+
+
 def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
                              tol: Tolerance = Tolerance()) -> VerificationReport:
     """Ball-avoiding frame: every section of the ball bump vanishes identically.
@@ -445,6 +454,10 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     y = np.asarray(y, float)
     if not np.all(np.isfinite(y)):
         raise cn.DomainError("y must be finite")
+    # the suite squares r and distances from y, and math.hypot cannot overflow
+    if max(r, math.hypot(*y)) > _AVOIDANCE_SIZE:
+        raise cn.DomainError(f"r and |y| must be at most {_AVOIDANCE_SIZE:g}, "
+                             "or their squares overflow")
     if y[-1] > -math.sqrt(2.0) * r:
         raise GeometryViolation("ball center must satisfy y_N <= -sqrt(2) r")
     u = _BallBump(y, r, s)

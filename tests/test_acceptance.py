@@ -78,16 +78,15 @@ def _root_cases():
 
 @pytest.mark.parametrize("which,nk,s", _root_cases())
 def test_04_root_consistency(which, nk, s):
-    tol = Tolerance(1e-12, 1e-11)
-    # gamma_bar is the root of a closed form: it takes no tolerance
-    finder = {"gamma_bar": lambda k, s, tol: cn.find_gamma_bar(k, s),
-              "gamma_tilde": cn.find_gamma_tilde,
-              "gamma_plus": cn.find_gamma_plus}[which]
-    coarse = finder(nk, s, tol)
-    assert coarse is not None
-    assert abs(coarse.residual) <= 1e-8
-    fine = finder(nk, s, Tolerance(tol.abs_tol * 0.1, tol.rel_tol * 0.1))
-    assert abs(coarse.root - fine.root) <= 1e-6
+    # each root runs at its one tolerance; the one-gamma constant changes
+    # sign across root +- 1e-6
+    finder, constant = {"gamma_bar": (cn.find_gamma_bar, lambda g: cn.c_k_fn(g, s, nk)),
+                        "gamma_tilde": (cn.find_gamma_tilde, lambda g: cn.c_iso(g, s, nk)),
+                        "gamma_plus": (cn.find_gamma_plus, lambda g: cn.c_n_plus(g, s, nk))}[which]
+    root = finder(nk, s)
+    assert root is not None
+    assert abs(root.residual) <= 1e-8
+    assert constant(root.root - 1e-6) * constant(root.root + 1e-6) < 0.0
 
 
 # -- 5. existence dichotomy ---------------------------------------------------

@@ -70,7 +70,7 @@ def test_constants_report_the_quadrature_error_they_reach(capsys):
     code, out, _ = run(capsys, ["--abs-tol", "1e-3", "constants", "--s", "0.5", "--N", "3",
                                 "--gamma", "0.7"])
     doc = json.loads(out)
-    iso, plus = cli.cn.iso_stack([0.7, 0.7], 0.5, 3, [False, True])
+    iso, plus = (cli.cn.iso_stack([0.7], 0.5, 3, n_plus)[0] for n_plus in (False, True))
     assert code == 0 and doc["c_iso"] == iso.value and doc["c_N_plus"] == plus.value
     bars = doc["error_estimates"]
     assert bars["closed_form"] == iso.abs_error_estimate < 1e-14
@@ -160,6 +160,11 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
      "No such file or directory: DIR/missing/r.json"),
     (["verify", "avoidance", "--s", "0.5", "--N", "2", "--y-N", "nan"], "y must be finite"),
     (["verify", "avoidance", "--s", "0.5", "--N", "2", "--y-N=-inf"], "y must be finite"),
+    # r^2 overflowed in the sphere crossings (a traceback), |y|^2 in a norm (a warning)
+    (["verify", "avoidance", "--s", "0.5", "--r", "1e300", "--y-N=-1e301"],
+     "r and |y| must be at most 1e+150, or their squares overflow"),
+    (["verify", "avoidance", "--s", "0.5", "--r", "0.5", "--y-N=-1e300"],
+     "r and |y| must be at most 1e+150, or their squares overflow"),
     (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "nan"],
      "gamma must be finite and positive"),
     (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "inf"],
@@ -185,7 +190,8 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
 ], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
-        "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "t49-2-gamma-nan",
+        "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "avoidance-r-huge",
+        "avoidance-y-huge", "t49-2-gamma-nan",
         "t49-2-gamma-inf", "t49-2-gamma-overflow", "transform-q1", "bump-train-p-inf",
         "bump-train-p-nan", "bump-train-eps-tiny", "sweep-k0", "sweep-k-above-N", "sweep-N1",
         "sweep-steps0", "sweep-steps-negative"])

@@ -11,7 +11,6 @@ from scipy.special import gamma as scipy_gamma
 
 from fractrunc import constants as cn
 from fractrunc import quad
-from fractrunc.quad import Tolerance
 
 import oracles as oc
 
@@ -203,13 +202,6 @@ def test_one_batched_quadrature_per_constant(name, call, monkeypatch):
     assert len(batches) == (0 if closed else 1)
 
 
-def test_tighter_quadrature_stability():
-    tol = Tolerance(1e-12, 1e-11)
-    a = cn.find_gamma_tilde(3, 0.5, tol)
-    b = cn.find_gamma_tilde(3, 0.5, Tolerance(tol.abs_tol * 0.1, tol.rel_tol * 0.1))
-    assert abs(a.root - b.root) <= 1e-6
-
-
 # --- calibration over the admissible range ----------------------------------
 
 CALIBRATION_S = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
@@ -332,6 +324,32 @@ def test_c_iso_series_at_large_gamma():
     assert abs(got.value - want) <= got.abs_error_estimate <= 1e-13 * want
 
 
+def _mp_c_n_plus(gam, s, N):
+    """c_N^+ = N c_iso - corr at 40 digits, corr in u = 1/t.
+
+    corr = integral over (0, a) of u^{c-1} (1 - 2au + u^2)^{-g/2}, a = 1/sqrt(N) and
+    c = g + 2s, is a^c/c plus the integral of u^{c-1} ((1 - 2au + u^2)^{-g/2} - 1), whose
+    integrand vanishes like u^c at 0: at small c nearly all of u^{c-1}'s mass lies
+    below 1e-30, beyond a quadrature's reach.
+    """
+    with mpmath.workdps(40):
+        g, sm, n = mpmath.mpf(gam), mpmath.mpf(s), mpmath.mpf(N)
+        a, c = 1 / mpmath.sqrt(n), g + 2 * sm
+        rest = mpmath.quad(lambda u: u ** (c - 1) * ((1 - 2 * a * u + u * u) ** (-g / 2) - 1),
+                           [0, a])
+        return float(N * mpmath.mpf(_mp_c_iso(gam, s, N)) - a ** c / c - rest)
+
+
+@pytest.mark.parametrize("s", [1e-5, 0.01])
+@pytest.mark.parametrize("N", [2, 3, 4, 9, 20])
+def test_c_n_plus_bar_at_small_gamma(N, s):
+    # corr decays like t^{-g-1-2s}: its pure power is a closed form, so the
+    # bar does not carry a quadrature tail past e^690 (485 at g = 1e-3, s = 1e-5)
+    got = cn.iso_stack([1e-3], s, N, True)[0]
+    want = _mp_c_n_plus(1e-3, s, N)
+    assert abs(got.value - want) <= got.abs_error_estimate <= 1e-13 * abs(want), (got, want)
+
+
 @pytest.mark.parametrize("key", sorted(oc.FROZEN_C_N_PLUS))
 def test_c_n_plus_frozen(key):
     assert cn.c_n_plus(*key) == pytest.approx(oc.FROZEN_C_N_PLUS[key], rel=1e-13)
@@ -366,9 +384,9 @@ def test_walk_near_one_takes_one_round(monkeypatch):
 
 
 def test_gamma_plus_and_c_n_plus_quadrature_counts(monkeypatch):
-    # gamma_plus takes three passes of c_n_plus (walk, proxy, closing test,
-    # the last with its c_iso check), each one quadrature of the corrections,
-    # which have no singular point and no jump
+    # gamma_plus takes three passes of c_n_plus (walk, proxy, closing test),
+    # each one quadrature of the corrections, which have no singular point and
+    # no jump; its c_iso check after them is a series
     evals = []
     engine = cn.integrate
 
@@ -424,16 +442,16 @@ def _stub_pass(values, bar=0.0):
 
 def test_root_passes_shrink_where_the_proxy_is_poor():
     # a steep step: 16 nodes on [4, 8] do not resolve it, so the cell shrinks
-    def steep(gammas, closing):
+    def steep(gammas):
         return _stub_pass(np.tanh(40.0 * (np.array(gammas) - 5.3)))
 
     r = cn._root_passes(steep, -1.0)
     lo, hi = r.bracket
     assert lo < r.root < hi and hi - lo <= 1e-10 + 8.9e-16 * r.root
-    assert steep([lo], False)[0].value < 0.0 < steep([hi], False)[0].value
+    assert steep([lo])[0].value < 0.0 < steep([hi])[0].value
     assert 3 < r.iterations < cn._PASS_LIMIT
     with pytest.raises(cn.BracketFailure):
-        cn._root_passes(lambda gammas, closing: _stub_pass(-np.ones(len(gammas))), -1.0)
+        cn._root_passes(lambda gammas: _stub_pass(-np.ones(len(gammas))), -1.0)
 
 
 def test_root_passes_read_signs_beyond_their_bars(monkeypatch):
@@ -441,7 +459,7 @@ def test_root_passes_read_signs_beyond_their_bars(monkeypatch):
     # both; with bars of 1e-3 that straddle zero across it, no cell of the
     # root's width has, and none is accepted
     def line(bar):
-        return lambda gammas, closing: _stub_pass(np.array(gammas) - 5.3, bar)
+        return lambda gammas: _stub_pass(np.array(gammas) - 5.3, bar)
 
     r = cn._root_passes(line(1e-12), -1.0)
     assert r.bracket[0] < 5.3 < r.bracket[1] and r.iterations == 3
@@ -450,10 +468,10 @@ def test_root_passes_read_signs_beyond_their_bars(monkeypatch):
     # gamma_plus's check that c_iso(r + 1e-10) > 0 reads beyond c_iso's bar too
     real = cn.iso_stack
 
-    def wide_iso_bars(gammas, s, N, n_plus, tol=cn._DEFAULT_TOL):
-        flags = [n_plus] * len(gammas) if isinstance(n_plus, bool) else n_plus
-        return [r if plus else quad.QuadResult(r.value, abs(r.value) + 1.0, 0)
-                for r, plus in zip(real(gammas, s, N, n_plus, tol), flags)]
+    def wide_iso_bars(gammas, s, N, n_plus):
+        results = real(gammas, s, N, n_plus)
+        return results if n_plus else [quad.QuadResult(r.value, abs(r.value) + 1.0, 0)
+                                       for r in results]
 
     monkeypatch.setattr(cn, "iso_stack", wide_iso_bars)
     with pytest.raises(cn.BracketFailure, match="c_iso's bar"):
@@ -470,10 +488,6 @@ def test_stacked_members_are_their_one_gamma_calls():
         assert results.n_evals == sum(r.n_evals for r in results)
         for g, r in zip(gammas, results):
             assert r.value == pytest.approx(one(g, 0.3, 4), rel=1e-14, abs=1e-14)
-    # a mixed stack integrates the corrections of its c_N^+ members alone
-    mixed = cn.iso_stack([2.0, 2.0], 0.3, 4, [False, True])
-    assert abs(mixed[0].value - cn.c_iso(2.0, 0.3, 4)) <= mixed[0].abs_error_estimate
-    assert abs(mixed[1].value - cn.c_n_plus(2.0, 0.3, 4)) <= mixed[1].abs_error_estimate
     with pytest.raises(cn.DomainError):
         cn.iso_stack([1.0, -1.0], 0.3, 4, False)
 

@@ -261,6 +261,16 @@ def test_singular_in_plus_sup_over_every_frame():
         "sup_frame_supersolution", "pigeonhole_cancellation", "frame_supersolution_quadrature"}
 
 
+@pytest.mark.parametrize("p,op_kind,N", [(-1e8, "in_plus", 3), (-1e10, "in_plus", 3),
+                                         (-1e300, "ik_minus", 2)])
+def test_singular_passes_at_large_negative_p(p, op_kind, N):
+    # u(t e_N)^p is M^p t^{mu p} in closed form: raising M t^mu to the power p
+    # multiplied its rounding by |p| (pigeonhole residual 2.2e-7 against a
+    # bar of 0 at p = -1e10; exact_cancellation 0.36-0.84 at p = -1e300)
+    r = vf.verify_singular_supersolution(0.5, p, op_kind, N)
+    assert r.verdict == "pass", [(c.claim, c.residual, c.error) for c in r.residuals]
+
+
 def test_singular_in_plus_sup_is_closed_form():
     # the sup over every frame is the fs = 1 case, V (1 - N^-s) with V the
     # e_N value M C_s c_{s,mu} at t = 1; a frame without e_N has fs > 1 and
