@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .quad import Integrand, QuadResult, StackResult, Tolerance, integrate
-from .quad import integrate_pv  # unused here; still looked up by perfbench's tracer
+from .quad import integrate_pv  # a stub that raises; perfbench's tracer looks it up here
 
 __all__ = [
     "ProblemParams",
@@ -84,7 +84,7 @@ class NoRootError(RuntimeError):
 
 
 class BracketFailure(RuntimeError):
-    """No sign change found while expanding a root bracket; quadrature defect."""
+    """A root search found no sign change, or none that the error bars resolve."""
 
 
 @dataclass(frozen=True)
@@ -277,6 +277,15 @@ def _iso_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarr
     return series, rest + _EPS * rounding
 
 
+def _peak_gamma(N: int) -> float:
+    """The largest gamma that ``iso_stack`` takes in dimension N, about 1381 N.
+
+    The kernel peaks at (1-1/N)^{-g/2}, at t = 1/sqrt(N), and the series' terms
+    and c_iso grow with it; past 1e300 they leave the float range.
+    """
+    return 2.0 * math.log(1e300) / -math.log1p(-1.0 / N)
+
+
 def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> StackResult:
     """c_iso, or c_N^+ if ``n_plus``, at every gamma of a stack.
 
@@ -294,9 +303,7 @@ def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> StackR
         raise DomainError("N must be >= 2")
     for gam in gammas:
         _check_positive(gam, s)
-        # the kernel peaks at (1-1/N)^{-g/2}, at t = 1/sqrt(N), and the series'
-        # terms and c_iso grow with it; past 1e300 they leave the float range
-        if -gam / 2.0 * math.log1p(-1.0 / N) > math.log(1e300):
+        if gam > _peak_gamma(N):
             raise DomainError(f"gamma = {gam} is too large: the kernel's peak "
                               "(1-1/N)^(-gamma/2) exceeds 1e300")
     gam = np.array(gammas, float)
@@ -385,11 +392,8 @@ def c_s_mu(mu: float, s: float, form: str = "primary") -> float:
                             * np.expm1((2.0 * s - 2.0 * mu) * np.log1p(-safe)) / safe,
                             2.0 * mu - 2.0 * s)
 
-        integrand = Integrand(
-            eval=g,
-            singular_points=[(0.0, e0), (1.0, 1.0 - 2.0 * s)],
-            regular_eval={0.0: regular0, 1.0: regular1},
-        )
+        integrand = Integrand(eval=g, singular_points=[(0.0, e0, regular0),
+                                                       (1.0, 1.0 - 2.0 * s, regular1)])
         return (mu / (2.0 * s)) * integrate(integrand, 0.0, 1.0, _DEFAULT_TOL)[0].value
     raise DomainError(f"unknown form {form!r}; expected 'primary' or 'alternate'")
 
@@ -462,8 +466,8 @@ def find_gamma_bar(k: int, s: float) -> Optional[RootResult]:
     return _bracketed_root(fn, lo, hi, flo, fhi)
 
 
-# the walk's two gamma grids, and the Chebyshev-Lobatto points of the proxy on [-1, 1]
-_WALK = ((2.0, 4.0, 8.0, 16.0, 32.0), (64.0, 128.0, 256.0, 512.0, 1024.0))
+# the walk's grids of five doublings, and the Chebyshev-Lobatto points of the proxy on [-1, 1]
+_WALK_STEPS = 5
 _PROXY_DEGREE = 16
 _LOBATTO = -np.cos(np.pi * np.arange(_PROXY_DEGREE + 1) / _PROXY_DEGREE)
 _BARYCENTRIC = (-1.0) ** np.arange(_PROXY_DEGREE + 1)  # the weights at those points
@@ -496,14 +500,16 @@ def _proxy_root(x: np.ndarray, fx: np.ndarray, j: int) -> float:
 
 
 def _root_passes(evaluate: Callable[[list[float]], Sequence[QuadResult]],
-                 f0: float) -> RootResult:
-    """The first root above 0 of a constant c with c(0) = ``f0`` and c < 0 just above 0.
+                 f0: float, top: float) -> RootResult:
+    """The first root in (0, ``top``] of a constant c with c(0) = ``f0`` and c < 0 just above 0.
 
     ``evaluate(gammas)``, a pass, returns a ``QuadResult`` (c and its error
-    bar) per gamma.
-    1. Walk: c at 2, 4, ..., 32, then at 64, ..., 1024 if c is positive at
-       none of them, with 0 as the lowest point: the first cell where c
-       turns positive.
+    bar) per gamma up to ``top``.
+    1. Walk: c at 2, 4, ..., 32, then at 64, ..., 1024, and so on, five
+       doublings a pass, while c is positive at none of them and the
+       doublings stay within ``top``, with 0 as the lowest point: the first
+       cell where c turns positive.  No sign change up to ``top`` is a
+       ``BracketFailure``.
     2. Proxy: c at the 15 inner Chebyshev-Lobatto points of the cell, and r
        the root of their degree-16 interpolant (a Chebyshev proxy, Boyd,
        Solving Transcendental Equations, SIAM 2014) in the node cell where
@@ -525,8 +531,12 @@ def _root_passes(evaluate: Callable[[list[float]], Sequence[QuadResult]],
 
     lo, low = 0.0, np.array([f0, 0.0])
     passes = 0
-    for grid in _WALK:
-        values = read(list(grid))
+    while True:
+        k = _WALK_STEPS * passes
+        grid = [2.0 ** j for j in range(k + 1, k + _WALK_STEPS + 1) if 2.0 ** j <= top]
+        if not grid or passes == _PASS_LIMIT:
+            raise BracketFailure(f"no sign change found up to gamma = {lo:g}")
+        values = read(grid)
         passes += 1
         up = np.flatnonzero(values[:, 0] > 0.0)
         if up.size:
@@ -536,8 +546,6 @@ def _root_passes(evaluate: Callable[[list[float]], Sequence[QuadResult]],
             hi, high = grid[i], values[i]
             break
         lo, low = grid[-1], values[-1]
-    else:
-        raise BracketFailure(f"no sign change found up to gamma = {_WALK[-1][-1]:g}")
     while passes < _PASS_LIMIT:
         x = lo + (hi - lo) * (_LOBATTO + 1.0) / 2.0
         x[0], x[-1] = lo, hi
@@ -573,7 +581,7 @@ def find_gamma_tilde(N: int, s: float) -> RootResult:
     """
     if N < 2:
         raise DomainError("N must be >= 2")
-    return _root_passes(lambda gammas: iso_stack(gammas, s, N, False), 0.0)
+    return _root_passes(lambda gammas: iso_stack(gammas, s, N, False), 0.0, _peak_gamma(N))
 
 
 def find_gamma_plus(N: int, s: float) -> RootResult:
@@ -589,7 +597,8 @@ def find_gamma_plus(N: int, s: float) -> RootResult:
     _check_s(s)
     if N < 2:
         raise DomainError("N must be >= 2")
-    result = _root_passes(lambda gammas: iso_stack(gammas, s, N, True), -N ** -s / (2.0 * s))
+    result = _root_passes(lambda gammas: iso_stack(gammas, s, N, True), -N ** -s / (2.0 * s),
+                          _peak_gamma(N))
     above = iso_stack([result.root + _XTOL], s, N, False)[0]
     if not above.value - above.abs_error_estimate > 0.0:
         raise BracketFailure("gamma_plus did not exceed gamma_tilde beyond c_iso's bar")

@@ -97,7 +97,7 @@ def _orthonormality_defects(vectors: np.ndarray) -> np.ndarray:
 
 def _check_orthonormal(vectors: np.ndarray) -> None:
     worst = float(np.max(_orthonormality_defects(vectors)))
-    if worst > 1e-12:
+    if not worst <= 1e-12:  # false for NaN too: a family with a NaN entry is no frame
         raise ValueError(f"orthonormality defect {worst:.2e} exceeds 1e-12")
 
 
@@ -155,6 +155,9 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     dirs = np.asarray(directions, float).reshape(-1, x.shape[-1])
     # rows scaled to unit length; a row that already is unit stays as given
     nrm = np.linalg.norm(dirs, axis=1, keepdims=True)
+    # comparisons are false for NaN, so a NaN direction is refused too
+    if not (np.all((nrm > 0.0) & (nrm < np.inf)) and np.all(np.isfinite(x))):
+        raise ValueError("every direction must be finite and nonzero, and every point finite")
     dirs = np.where(np.abs(nrm - 1.0) > 1e-12, dirs / nrm, dirs)
     m = len(dirs)
     all_rows = np.arange(m)
@@ -377,7 +380,8 @@ def completion_frames(xhats: np.ndarray, k: int) -> np.ndarray:
     columns, and one orthonormality check; the first row is xhat exactly.
     """
     xhats = np.asarray(xhats, float)
-    xhats = xhats / np.linalg.norm(xhats, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero xhat: NaN rows, refused below
+        xhats = xhats / np.linalg.norm(xhats, axis=-1, keepdims=True)
     m, N = xhats.shape
     q, _ = np.linalg.qr(np.concatenate((xhats[:, :, None], np.broadcast_to(np.eye(N), (m, N, N))),
                                        axis=2))
@@ -443,7 +447,8 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
     N = x.size
     if not getattr(profile, "is_radial", False):
         raise HypothesisViolation("extremal_radial requires a radial profile")
-    xhat = x / np.linalg.norm(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: NaN, which no frame takes
+        xhat = x / np.linalg.norm(x)
     if variant == "plus":
         fr = completion_frame(xhat, k)
         radial, *perp = directional_fan(profile, x, fr.vectors[:2], s, tol)

@@ -1,30 +1,28 @@
 """One-dimensional quadrature engine for improper integrals.
 
-Handles endpoint and interior algebraic singularities, Cauchy principal
-values and algebraically decaying infinite tails.  Integrands declare their
-singular structure up front; ``integrate`` subdivides at the declared
-points, maps algebraic singularities to exponentially decaying smooth
-integrands via the substitution ``tau = c +/- exp(-u)``, and truncates
-infinite tails at an adaptively chosen point with the analytic remainder
-folded into the value and the error estimate.  The lower end ``a`` of an
-``integrate`` interval is finite; the upper end may be +inf.
-``integrate_pv`` takes a principal value around a PV point, a key of the
-integrand's ``pv_fold``, through the fold declared there.
+Handles endpoint and interior algebraic singularities and algebraically
+decaying infinite tails.  Integrands declare their singular structure up
+front; ``integrate`` subdivides at the declared points, maps algebraic
+singularities to exponentially decaying smooth integrands via the
+substitution ``tau = c +/- exp(-u)``, and truncates infinite tails at an
+adaptively chosen point with the analytic remainder folded into the value
+and the error estimate.  The lower end ``a`` of an ``integrate`` interval is
+finite; the upper end may be +inf.
 
 ``integrate_batch`` is the engine underneath: adaptive bisection with
 QUADPACK's G10/K21 rule over many integrals at once, each round evaluating
-every open panel in one call of a vectorised integrand.  ``integrate`` and
-``integrate_pv`` plan their pieces (plain panels, singular pieces, the tail)
-and integrate them all in one ``integrate_batch`` call; the directional
-operator calls it directly.  Every integrand is a stack: integrals that
-share their declared structure and differ in one parameter, planned with
-per-member cut-offs, tolerance shares and remainders, whose every piece
-function is called once per engine round over all members.
+every open panel in one call of a vectorised integrand.  ``integrate``
+plans its pieces (plain panels, singular pieces, the tail) and integrates
+them all in one ``integrate_batch`` call; the directional operator calls
+it directly.  Every integrand is a stack: integrals that share their
+declared structure and differ in one parameter, planned with per-member
+cut-offs, tolerance shares and remainders, whose every piece function is
+called once per engine round over all members.
 
 Near a singular point ``c`` with exponent ``e`` (``f ~ C*d**e`` with
 ``d = |tau - c|``) the absolute coordinate ``c + d`` rounds to ``c`` once
-``d`` is tiny, so the integrand declares a *regular-part* evaluator
-``r(side, d, member)`` with ``f(c + side*d) = r(side, d, member) * d**e``: the
+``d`` is tiny, so each singular point is declared with its *regular part*
+``r(side, d, member)``, ``f(c + side*d) = r(side, d, member) * d**e``: the
 engine never reconstructs the absolute coordinate, and the substitution is
 exact down to arbitrarily small distances.
 """
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -45,7 +43,6 @@ __all__ = [
     "QuadError",
     "NonIntegrable",
     "integrate",
-    "integrate_pv",
 ]
 
 _LOG_HUGE = 690.0  # log of ~1e299: the farthest truncation point of an infinite tail
@@ -111,63 +108,27 @@ class Integrand:
     ``stack = M`` declares M integrals that share these declarations and
     differ in one parameter.  Every function takes an ndarray of nodes and
     the member index of every node, an int array that broadcasts against
-    the nodes, and returns its values elementwise: ``eval(t, member)``,
-    each regular part ``r(side, d, member)`` and each fold
-    ``g(h, member)``.  ``integrate`` returns one ``QuadResult`` per member.
+    the nodes, and returns its values elementwise: ``eval(t, member)`` and
+    each regular part ``r(side, d, member)``.  ``integrate`` returns one
+    ``QuadResult`` per member.
 
-    ``singular_points`` lists ``(location, exponent)`` pairs where
-    ``f(location + side*d) ~ C * d**exponent`` as ``d -> 0``; exponents must be
-    > -1 unless the location is a PV point.  ``regular_eval`` maps a singular
-    location to its regular part ``r(side, d, member)``, which every
-    location of nonzero exponent that is not a PV point must have.  Exponent
-    0 declares a jump or kink as a breakpoint: a plain panel edge, unless the
-    location has a regular part, which then gets its singular piece like any
-    other.  ``tail_decay`` is an exponent ``beta`` with
+    ``singular_points`` lists ``(location, exponent, r)`` triples where
+    ``f(location + side*d) = r(side, d, member) * d**exponent`` with ``r``
+    bounded as ``d -> 0``; exponents must be > -1, and exponent 0 declares a
+    jump or kink.  ``tail_decay`` is an exponent ``beta`` with
     ``|f(tau)| <= C*tau**-beta`` for large ``tau``; it must exceed 1 when
     integration extends to +inf.
-
-    The PV points are the keys of ``pv_fold``, which maps each PV point
-    ``c`` to ``(fold_exponent, g)`` where
-    ``f(c+h) + f(c-h) = g(h) * h**fold_exponent`` with ``g`` bounded near 0;
-    ``integrate_pv`` integrates that fold, and ``integrate`` accepts no PV
-    point in its closed interval.
     """
 
     eval: Callable[..., np.ndarray]
-    singular_points: list[tuple[float, float]] = field(default_factory=list)
+    singular_points: list[tuple[float, float, Callable[..., np.ndarray]]] = field(
+        default_factory=list)
     tail_decay: float = math.inf
-    regular_eval: dict[float, Callable[..., np.ndarray]] = field(default_factory=dict)
-    pv_fold: dict[float, tuple[float, Callable[..., np.ndarray]]] = field(
-        default_factory=dict)
     stack: int = 1
 
     def __post_init__(self) -> None:
         if not self.stack >= 1:
             raise ValueError("a stack holds at least one integral")
-
-    def validate(self, a: float, b: float) -> None:
-        """Raise ``NonIntegrable`` if the declarations rule out ``integrate`` on ``(a, b)``.
-
-        A singular point of nonzero exponent without its regular part raises ``ValueError``.
-        """
-        for loc, expo in self.singular_points:
-            if loc in self.pv_fold:
-                continue
-            if expo <= -1.0:
-                raise NonIntegrable(
-                    f"singular point {loc} has exponent {expo} <= -1 and no PV fold")
-            if expo != 0.0 and loc not in self.regular_eval:
-                raise ValueError(f"singular point {loc} has exponent {expo} and no regular part")
-        for c in self.pv_fold:
-            if a <= c <= b:  # at an endpoint there is nothing to cancel against
-                raise NonIntegrable(
-                    f"PV point {c} lies in [{a}, {b}]; integrate around it "
-                    "with integrate_pv"
-                )
-        if math.isinf(b) and not self.tail_decay > 1.0:
-            raise NonIntegrable(
-                f"tail_decay {self.tail_decay} <= 1 on an infinite interval"
-            )
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the 21-point Kronrod
@@ -309,7 +270,7 @@ def _decaying(lo: float | np.ndarray, hi: np.ndarray, panels: int | np.ndarray =
 
 
 class _Plan:
-    """The pieces of one ``integrate`` or ``integrate_pv`` call, over a stack of integrals.
+    """The pieces of one ``integrate`` call, over a stack of integrals.
 
     A piece is the integral of a function ``fn(x, member)`` over the panels
     between its edges, one row of edges per member of the stack; each panel
@@ -454,106 +415,53 @@ def _tail(plan: _Plan, f: Callable[[np.ndarray, np.ndarray], np.ndarray], start:
     plan.slack += np.abs(remainder)
 
 
-def _reflected(f: Integrand) -> Integrand:
-    """The integrand tau -> f(-tau) with mirrored declarations."""
-    regular = {
-        -loc: (lambda fn: (lambda side, d, m: fn(-side, d, m)))(fn)
-        for loc, fn in f.regular_eval.items()
-    }
-    return Integrand(
-        eval=lambda t, m: f.eval(-t, m),
-        singular_points=[(-loc, expo) for loc, expo in f.singular_points],
-        tail_decay=f.tail_decay,
-        regular_eval=regular,
-        pv_fold={-loc: fe for loc, fe in f.pv_fold.items()},
-        stack=f.stack,
-    )
-
-
-def _plan_interval(plan: _Plan, f: Integrand, a: float, b: float, abs_tol: float) -> None:
-    """Plan integral_a^b f for finite ``a`` and ``b`` finite or +inf.
-
-    Breakpoints at the declared singular points split the finite part into
-    panels, each piece of which gets ``abs_tol / max(panels + 2, 3)``; a
-    singular end, one with a regular part, takes half of its panel (a third
-    when both ends are singular) through ``d = exp(-u)``, and an infinite
-    tail gets ``abs_tol / 4``.  A breakpoint of exponent 0 without a
-    regular part is a plain panel edge, not a singular end.
-    """
-    f.validate(a, b)
-    points = [loc for loc, _ in f.singular_points]
-    sing = {loc: expo for loc, expo in f.singular_points if loc in f.regular_eval}
-    finite_end = b
-    if math.isinf(b):
-        finite_end = max([abs(a) + 1.0, 2.0] + [abs(loc) + 1.0 for loc in points])
-    grid = sorted({a, finite_end} | {loc for loc in points if a <= loc <= finite_end})
-    piece_abs = abs_tol / max(len(grid) + 1, 3)
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        ends = [(loc, side) for loc, side in ((lo, 1), (hi, -1)) if loc in sing]
-        cut = (hi - lo) / (len(ends) + 1.0)
-        for loc, side in ends:
-            r = f.regular_eval[loc]
-            _singular_piece(plan, lambda d, m, r=r, side=side: r(side, d, m), sing[loc], cut,
-                            piece_abs)
-        plan.add(f.eval, [lo + cut if lo in sing else lo, hi - cut if hi in sing else hi],
-                 piece_abs)
-    if math.isinf(b):
-        _tail(plan, f.eval, finite_end, f.tail_decay, abs_tol / 4.0)
-
-
 def integrate(f: Integrand, a: float, b: float,
               tol: Tolerance = Tolerance()) -> StackResult:
     """Integrate ``f`` over ``(a, b)`` for finite ``a``; ``b`` may be +inf.
 
-    Subdivides at declared singular points, applies the exponential
-    substitution next to them, and truncates the infinite tail with an
-    analytic remainder bound included in the error estimate.  The
-    cut-offs, tolerance shares and remainders are arrays over the members
-    of the stack, and every piece of every member goes into one
-    ``integrate_batch`` call.  Returns a ``StackResult``, one
-    ``QuadResult`` per member.  A non-finite ``a``, or one past ``b``, or
-    a singular point of nonzero exponent without its regular part raises
-    ``ValueError``.  A PV point in ``[a, b]`` raises ``NonIntegrable``:
-    integrate around it with ``integrate_pv``.
+    Breakpoints at the declared singular points split the finite part into
+    panels, each piece of which gets ``abs_tol / max(panels + 2, 3)``; a
+    singular end takes half of its panel (a third when both ends are
+    singular) through ``d = exp(-u)``, and an infinite tail, truncated with
+    an analytic remainder bound included in the error estimate, gets
+    ``abs_tol / 4``.  The cut-offs, tolerance shares and remainders are
+    arrays over the members of the stack, and every piece of every member
+    goes into one ``integrate_batch`` call.  Returns a ``StackResult``, one
+    ``QuadResult`` per member.  A non-finite ``a``, or one past ``b``,
+    raises ``ValueError``; an exponent at most -1, or a tail decay at most
+    1 on an infinite interval, ``NonIntegrable``.
     """
     if not (math.isfinite(a) and a <= b):
         raise ValueError("a must be finite and at most b")
+    sing = {loc: (expo, r) for loc, expo, r in f.singular_points}
+    for loc, (expo, _) in sing.items():
+        if expo <= -1.0:
+            raise NonIntegrable(f"singular point {loc} has exponent {expo} <= -1")
+    if math.isinf(b) and not f.tail_decay > 1.0:
+        raise NonIntegrable(f"tail_decay {f.tail_decay} <= 1 on an infinite interval")
+    finite_end = b
+    if math.isinf(b):
+        finite_end = max([abs(a) + 1.0, 2.0] + [abs(loc) + 1.0 for loc in sing])
+    grid = sorted({a, finite_end} | {loc for loc in sing if a <= loc <= finite_end})
+    piece_abs = tol.abs_tol / max(len(grid) + 1, 3)
     plan = _Plan(f.stack)
     # tails run out to tau ~ e^690, where squares overflow to inf
     with np.errstate(over="ignore"):
-        _plan_interval(plan, f, a, b, tol.abs_tol)
+        for lo, hi in zip(grid[:-1], grid[1:]):
+            ends = [(loc, side) for loc, side in ((lo, 1), (hi, -1)) if loc in sing]
+            cut = (hi - lo) / (len(ends) + 1.0)
+            for loc, side in ends:
+                expo, r = sing[loc]
+                _singular_piece(plan, lambda d, m, r=r, side=side: r(side, d, m), expo, cut,
+                                piece_abs)
+            plan.add(f.eval, [lo + cut if lo in sing else lo, hi - cut if hi in sing else hi],
+                     piece_abs)
+        if math.isinf(b):
+            _tail(plan, f.eval, finite_end, f.tail_decay, tol.abs_tol / 4.0)
         return StackResult(plan.run(tol.rel_tol))
 
 
-# no caller in the package any more; still looked up by perfbench's tracer
-def integrate_pv(f: Integrand, c: float, halfwidth: float,
-                 tol: Tolerance = Tolerance()) -> StackResult:
-    """Symmetric principal value around ``c`` over ``(c-halfwidth, c+halfwidth)``.
-
-    The declared fold ``g(h) * h**fold_exponent`` of ``f(c+h) + f(c-h)``,
-    which cancels the odd singular part exactly, is integrated over
-    ``h in (0, w)``: ``w`` is ``halfwidth`` or, if that is less, half the
-    distance from ``c`` to the nearest other declared singular or PV point
-    (1 when there is none).  Beyond ``w`` the two outer sides
-    ``(c+w, c+halfwidth)`` and ``(c-halfwidth, c-w)`` are integrated as
-    ``integrate`` integrates them, in the same ``integrate_batch`` call;
-    ``halfwidth = inf`` gives the principal value over the whole line.
-    A ``c`` that is not a key of ``f.pv_fold`` raises ``ValueError``, and a
-    fold exponent at most -1 ``NonIntegrable``.
-    """
-    fold = f.pv_fold.get(c)
-    if fold is None:
-        raise ValueError(f"{c} is not a declared PV point of the integrand")
-    expo, g = fold
-    if expo <= -1.0:
-        raise NonIntegrable(f"declared fold exponent {expo} <= -1 at PV point {c}")
-    others = [abs(loc - c) for loc in [loc for loc, _ in f.singular_points] + list(f.pv_fold)
-              if loc != c]
-    w = min(halfwidth, min(others, default=2.0) / 2.0)
-    plan = _Plan(f.stack)
-    with np.errstate(over="ignore"):
-        _singular_piece(plan, g, expo, w, tol.abs_tol)
-        if halfwidth > w:
-            _plan_interval(plan, f, c + w, c + halfwidth, tol.abs_tol)
-            _plan_interval(plan, _reflected(f), w - c, halfwidth - c, tol.abs_tol)
-        return StackResult(plan.run(tol.rel_tol))
+# perfbench's tracer looks this name up in quad and in constants; nothing calls it
+def integrate_pv(*args, **kwargs) -> NoReturn:
+    """No principal values are taken here: raises ``NotImplementedError``."""
+    raise NotImplementedError("quad has no principal-value path")

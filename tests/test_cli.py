@@ -64,6 +64,15 @@ def test_roots_bracket_is_the_verified_cell(capsys, which, N, s):
     assert constant(lo, s, N) < 0.0 < constant(hi, s, N)
 
 
+def test_roots_and_tables_past_the_second_walk_grid(capsys):
+    # gamma_tilde(200, 0.02) ~ 1567 and gamma_plus(50, 1e-5) ~ 1203 lie past gamma = 1024
+    code, out, _ = run(capsys, ["roots", "--which", "gamma-tilde", "--N", "200", "--s", "0.02"])
+    assert code == 0 and abs(json.loads(out)["root"] - 1567.2721322) <= 1e-6
+    code, out, _ = run(capsys, ["table", "--N", "50", "--s", "1e-5"])
+    assert code == 0
+    assert json.loads(out)["rows"][49]["p_star_upper"] == pytest.approx(1.0 + 2e-5 / 1202.5412925572118)
+
+
 def test_constants_report_the_quadrature_error_they_reach(capsys):
     # c_iso is a series with its own bound, and c_N_plus's correction runs at
     # the constants' own tolerance, not --abs-tol

@@ -435,6 +435,52 @@ def test_roots_are_verified_cells(N):
         assert roots["plus"] >= roots["tilde"] - 1e-10, s
 
 
+@pytest.mark.parametrize("N,s,passes", [(43, 1e-5, 7), (135, 0.02, 5), (200, 0.02, 5),
+                                         (250, 0.1, 5), (1000, 1e-3, 5)])
+def test_roots_past_the_second_walk_grid(N, s, passes):
+    # gamma_tilde ~ 24 N at s = 1e-5 and ~ 7.8 N at s = 0.02: past 1024 from N ~ 43, where
+    # the walk goes on in grids of five doublings; mpmath's c_iso changes sign across the
+    # cell, and the root meets its 40-digit root
+    r = cn.find_gamma_tilde(N, s)
+    lo, hi = r.bracket
+    assert r.root > 1024.0 and r.iterations == passes
+    assert lo < r.root < hi and hi - lo <= 1e-10 + 8.9e-16 * r.root
+    assert _mp_c_iso(lo, s, N) < 0.0 < _mp_c_iso(hi, s, N)
+    with mpmath.workdps(40):
+        want = mpmath.findroot(lambda g: mpmath.gamma(-s) * mpmath.gamma(g / 2 + s)
+                               / mpmath.gamma(g / 2)
+                               * mpmath.hyp2f1(g / 2 + s, -s, 0.5, mpmath.mpf(1) / N), r.root)
+    assert r.root == pytest.approx(float(want), rel=1e-13)
+
+
+def test_gamma_plus_past_the_second_walk_grid():
+    r = cn.find_gamma_plus(50, 1e-5)
+    lo, hi = r.bracket
+    assert r.root == pytest.approx(1202.5412925572118, rel=1e-13)
+    assert cn.c_n_plus(lo, 1e-5, 50) < 0.0 < cn.c_n_plus(hi, 1e-5, 50)
+    assert r.root >= cn.find_gamma_tilde(50, 1e-5).root - 1e-10
+
+
+def test_walk_ends_at_the_peak_guard():
+    # the walk takes doublings up to its top, and no further
+    def line(root):
+        return lambda gammas: _stub_pass(np.array(gammas) - root)
+
+    r = cn._root_passes(line(5000.3), -1.0, 1e4)
+    assert r.bracket[0] < 5000.3 < r.bracket[1] and r.iterations == 5
+    with pytest.raises(cn.BracketFailure, match="up to gamma = 4096"):
+        cn._root_passes(line(5000.3), -1.0, 5000.0)
+    top = cn._peak_gamma(3)
+    assert (1.0 - 1.0 / 3.0) ** (-top / 2.0) == pytest.approx(1e300, rel=1e-12)
+    cn.iso_stack([top], 0.5, 3, False)
+    with pytest.raises(cn.DomainError, match="too large"):
+        cn.iso_stack([top * (1.0 + 1e-15)], 0.5, 3, False)
+    # at N = 4000, s = 1e-5 the root ~97,126 is found, but its 1e-10 cell is ~7 ulps
+    # of gamma, where the bars cannot separate the signs
+    with pytest.raises(cn.BracketFailure, match="bars"):
+        cn.find_gamma_tilde(4000, 1e-5)
+
+
 def _stub_pass(values, bar=0.0):
     """A pass of a stub constant: one ``QuadResult`` per value, each with the error bar ``bar``."""
     return [quad.QuadResult(float(v), bar, 0) for v in values]
@@ -445,13 +491,13 @@ def test_root_passes_shrink_where_the_proxy_is_poor():
     def steep(gammas):
         return _stub_pass(np.tanh(40.0 * (np.array(gammas) - 5.3)))
 
-    r = cn._root_passes(steep, -1.0)
+    r = cn._root_passes(steep, -1.0, 1024.0)
     lo, hi = r.bracket
     assert lo < r.root < hi and hi - lo <= 1e-10 + 8.9e-16 * r.root
     assert steep([lo])[0].value < 0.0 < steep([hi])[0].value
     assert 3 < r.iterations < cn._PASS_LIMIT
     with pytest.raises(cn.BracketFailure):
-        cn._root_passes(lambda gammas: _stub_pass(-np.ones(len(gammas))), -1.0)
+        cn._root_passes(lambda gammas: _stub_pass(-np.ones(len(gammas))), -1.0, 1024.0)
 
 
 def test_root_passes_read_signs_beyond_their_bars(monkeypatch):
@@ -461,10 +507,10 @@ def test_root_passes_read_signs_beyond_their_bars(monkeypatch):
     def line(bar):
         return lambda gammas: _stub_pass(np.array(gammas) - 5.3, bar)
 
-    r = cn._root_passes(line(1e-12), -1.0)
+    r = cn._root_passes(line(1e-12), -1.0, 1024.0)
     assert r.bracket[0] < 5.3 < r.bracket[1] and r.iterations == 3
     with pytest.raises(cn.BracketFailure, match="bars"):
-        cn._root_passes(line(1e-3), -1.0)
+        cn._root_passes(line(1e-3), -1.0, 1024.0)
     # gamma_plus's check that c_iso(r + 1e-10) > 0 reads beyond c_iso's bar too
     real = cn.iso_stack
 

@@ -109,6 +109,34 @@ def test_frame_validation():
     assert f.k == 2 and f.N == 3
 
 
+def test_nan_and_zero_frames_rejected():
+    # the orthonormality check is false for NaN, which it must refuse too
+    for bad in (lambda: op.Frame(np.full((1, 2), np.nan)),
+                lambda: op.completion_frame(np.zeros(3), 2),
+                lambda: op.completion_frame(np.array([np.nan, 1.0, 0.0]), 2)):
+        with pytest.raises(ValueError, match="orthonormality defect nan"):
+            bad()
+
+
+@pytest.mark.parametrize("x,xi", [(np.array([2.0, 0.0]), np.zeros(2)),
+                                  (np.array([2.0, 0.0]), np.array([np.nan, 1.0])),
+                                  (np.array([2.0, 0.0]), np.array([np.inf, 1.0])),
+                                  (np.array([np.nan, 1.0]), np.array([1.0, 0.0])),
+                                  (np.array([np.inf, 1.0]), np.array([1.0, 0.0]))])
+def test_directional_rejects_zero_or_non_finite_input(x, xi):
+    w = pr.make_w_gamma(0.5)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        op.directional(w, x, xi, 0.5, TOL)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        op.frame_sums(w, [np.array([2.0, 0.0]), x], [np.eye(2), xi[None]], 0.5, TOL)
+
+
+@pytest.mark.parametrize("k,variant", [(1, "plus"), (2, "minus_full")])
+def test_extremal_radial_rejects_the_origin(k, variant):
+    with pytest.raises(ValueError, match="orthonormality defect nan"):
+        op.extremal_radial(pr.make_w_gamma(0.5), np.zeros(2), 0.5, k, variant, TOL)
+
+
 def test_householder_frame_angles():
     xhat = np.array([0.3, -0.5, 0.8124038404635961])
     xhat /= np.linalg.norm(xhat)
