@@ -202,8 +202,8 @@ def cmd_constants(args: argparse.Namespace, cfg: Config) -> int:
         "params": {"s": s, "N": N, "k": k, "gamma": args.gamma, "mu": args.mu},
         "C_s": cn.normalizing_constant(s),
         "beta": cn.beta_1ms_s(s),
-        # c_iso's series bound, and c_N_plus's correction integral's at the constants' tolerance
-        "error_estimates": {"closed_form": None, "quadrature": None},
+        # c_iso's series bound, and that of c_N_plus's correction series
+        "error_estimates": {"closed_form": None, "correction": None},
     }
     notes = []
     bars = {}
@@ -233,7 +233,7 @@ def cmd_constants(args: argparse.Namespace, cfg: Config) -> int:
         notes.append("gamma not supplied; gamma-dependent constants omitted")
     if "c_N_plus" in bars:  # c_N_plus = N c_iso - corr, and its bar is their bars' sum
         doc["error_estimates"] = {"closed_form": bars["c_iso"],
-                                  "quadrature": bars["c_N_plus"] - N * bars["c_iso"]}
+                                  "correction": bars["c_N_plus"] - N * bars["c_iso"]}
     if args.mu is not None:
         attempt("c_s_mu", cn.c_s_mu, args.mu, s)
     else:
@@ -439,8 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--seed", type=int,
                         help="RNG seed (default 42); only `verify transform` reads it")
-    ignored = ("; constants, roots, table, sweep and verify psi ignore it and run "
-               "at 1e-12 absolute, 1e-11 relative")
+    ignored = ("; constants, roots, table and sweep run no quadrature, and verify psi "
+               "ignores it and runs at 1e-12 absolute, 1e-11 relative")
     parser.add_argument("--abs-tol", type=float, dest="abs_tol",
                         help="absolute quadrature tolerance of the verify suites (default "
                              f"{Tolerance.abs_tol:g})" + ignored)
@@ -454,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=3)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--gamma", type=float, help="error_estimates then holds c_iso's series "
-                   "bound (closed_form) and c_N_plus's correction integral's bar (quadrature)")
+                   "bound (closed_form) and the bound of c_N_plus's correction series "
+                   "(correction)")
     p.add_argument("--mu", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_constants)

@@ -11,15 +11,15 @@ and ``c_s_mu`` are Gamma-function closed forms; a reciprocal Gamma that is
 exactly 0 at its poles puts their roots exactly where they vanish.
 ``c_iso`` is c_perp times a Gauss hypergeometric series, summed with a
 bound on its error (``_iso_series``), and ``c_n_plus`` is N*c_iso less
-one positive correction integral.  ``iso_stack`` evaluates either at a
-whole stack of gamma, with at most one ``integrate`` call, for the
-corrections; ``c_iso`` and ``c_n_plus`` are its stacks of one.  That call
-runs at the constants' one tolerance, ``_DEFAULT_TOL``; nothing here takes
-another.  The roots gamma_tilde and gamma_plus come from three such stacks,
-or a few more: a walk over a gamma grid, a Chebyshev proxy on the cell
-where the constant changes sign, and a closing sign test at the proxy's
-root +- 5e-11, which is the root's bracket when both signs lie beyond their
-error bars.
+one positive correction integral, a 3F2 series summed in 24 weighted
+terms (``_corr_series``).  ``iso_stack`` evaluates either at a whole stack
+of gamma with no quadrature; ``c_iso`` and ``c_n_plus`` are its stacks of
+one.  The only quadrature here is the alternate ``c_s_mu``'s, at
+``_DEFAULT_TOL``; nothing here takes a tolerance.  The roots gamma_tilde
+and gamma_plus come from three such stacks, or a few more: a walk over a
+gamma grid, a Chebyshev proxy on the cell where the constant changes sign,
+and a closing sign test at the proxy's root +- 5e-11, which is the root's
+bracket when both signs lie beyond their error bars.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ __all__ = [
     "exponent_table",
 ]
 
-_DEFAULT_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-11)
+_DEFAULT_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-11)  # the alternate c_s_mu's
 _EPS_GAMMA = 1e-6  # search interval (eps, 1-eps) for the bounded-exponent root, k >= 2
 
 
@@ -286,8 +286,68 @@ def _peak_gamma(N: int) -> float:
     return 2.0 * math.log(1e300) / -math.log1p(-1.0 / N)
 
 
+# Cohen, Rodriguez Villegas & Zagier's acceleration of an alternating series
+# sum (-1)^j a_j (Experimental Math. 9, 2000, Algorithm 1) with n = 24 terms:
+# sum w_j a_j, w_j = c_j/d with integers c_j and d = T_24(3) ~ (3 + sqrt 8)^24 / 2,
+# each weight rounded once (int / int is correctly rounded).
+# If the a_j are the moments of a positive measure on [0, 1], its error is at
+# most |S|/d <= 2|S|/(3 + sqrt 8)^24 ~ 8.5e-19 |S|.
+_CRVZ_TERMS = 24
+
+
+def _crvz_weights(n: int) -> tuple[list[int], int]:
+    """Algorithm 1's n weights as integers c_j over their denominator d = T_n(3).
+
+    Its b_j, the coefficients of the shifted Chebyshev polynomial T_n(1 - 2x), are
+    integers, so every division below is exact.
+    """
+    d, below = 3, 1  # T_k(3), from T_{k+1} = 6 T_k - T_{k-1}
+    for _ in range(n - 1):
+        d, below = 6 * d - below, d
+    b, c, cs = -1, -d, []
+    for k in range(n):
+        c = b - c
+        cs.append(c)
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    return cs, d
+
+
+_CRVZ_NUMERATORS, _CRVZ_DENOMINATOR = _crvz_weights(_CRVZ_TERMS)
+_CRVZ_WEIGHTS = np.array([c / _CRVZ_DENOMINATOR for c in _CRVZ_NUMERATORS])
+_CRVZ_REST = 2.0 / (3.0 + math.sqrt(8.0)) ** _CRVZ_TERMS
+_TINY = math.ulp(0.0)  # the absolute rounding of a result in the subnormal range
+
+
+def _corr_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """corr = integral of (1+t^2-2t/sqrt(N))^{-g/2} / t^{1+2s} over (sqrt(N), inf) at every g
+    of ``gam``, and a bound on its error.
+
+    In x = 1/t, then x = (1-y)/sqrt(N), the binomial series integrates term by term (beta
+    integrals): with kappa = 1/(N-1), corr = N^{-s} (N-1)^{-g/2} / (g+2s) S, S =
+    3F2(g/2, 1/2, 1; g/2+s+1/2, g/2+s+1; -kappa) = sum (-1)^j a_j, a_j the product of
+    (g/2)_j/(g/2+s+1)_j, (1/2)_j/(g/2+s+1/2)_j and kappa^j: three moment sequences on
+    [0, 1], so the a_j are moments of a positive measure on [0, kappa] and 24 weighted
+    terms sum S to within 8.5e-19 S at every N >= 2 (kappa = 1 at N = 2), g > 0 and s.
+    The bound is that plus twice the rounding: at most 13 roundings of eps/2 in each ratio
+    and its product, so 6.5 j eps in a_j, and 12.5 eps in each weighted term and the sum;
+    3.5 eps in the prefactor, an ulp in each power, whose exponents are exact, and half an
+    eps in its product with S; and 4 subnormal units where the prefactor underflows.
+    """
+    half = gam[:, None] / 2.0
+    j = np.arange(_CRVZ_TERMS - 1.0)
+    ratios = (half + j) * (j + 0.5) * (1.0 / (N - 1.0)) / ((half + s + 1.0 + j)
+                                                         * (half + s + 0.5 + j))
+    terms = np.hstack((np.ones_like(half), np.cumprod(ratios, axis=1)))
+    total = terms @ _CRVZ_WEIGHTS
+    rounding = (terms * np.abs(_CRVZ_WEIGHTS)) @ (13.0 * np.arange(_CRVZ_TERMS) + 25.0)
+    prefactor = np.array([N ** -s * (N - 1.0) ** -(g / 2.0) / (g + 2.0 * s) for g in gam.tolist()])
+    corr = prefactor * total
+    return corr, (prefactor * (_CRVZ_REST * total + _EPS * rounding)
+                  + 8.0 * _EPS * corr + 4.0 * _TINY)
+
+
 def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> StackResult:
-    """c_iso, or c_N^+ if ``n_plus``, at every gamma of a stack.
+    """c_iso, or c_N^+ if ``n_plus``, at every gamma of a stack, with no quadrature.
 
     c_iso, the integral over (0, inf) of (plus + minus - 2) / t^{1+2s} with plus, minus =
     (1+t^2 +- 2t/sqrt(N))^{-g/2}, is the 1-D fractional Laplacian of ((t-a)^2 + b^2)^{-g/2}
@@ -295,9 +355,7 @@ def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> StackR
     Ryzhik 6.699.12 and Pfaff's transformation (DLMF 15.8.1) give c_iso = c_perp(g) G, G from
     :func:`_iso_series`.  Its ``QuadResult`` has no evaluations and bounds the series' error
     and c_perp's rounding.  c_N^+ = N c_iso - corr, corr the integral of minus / t^{1+2s}
-    over (sqrt(N), inf), positive with no singular point and no jump: minus's pure power
-    t^{-g} in closed form, and the rest in one ``integrate`` call for the whole stack, whose
-    tail decay 2 + 2s + min(g) holds for each member.
+    over (sqrt(N), inf), a 3F2 series from :func:`_corr_series`.
     """
     if N < 2:
         raise DomainError("N must be >= 2")
@@ -314,26 +372,9 @@ def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> StackR
         value.tolist(), (np.abs(perp) * bound + np.abs(value) * (_PERP_REL + _EPS)).tolist())]
     if not n_plus:
         return StackResult(results)
-    a, p, decay = 1.0 / math.sqrt(N), -gam / 2.0, gam + 2.0 * s
-    power = -1.0 - decay
-
-    def rest(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # minus less its pure power, t^{-g-1-2s} expm1(-(g/2) log1p(u (u - 2a))), u = 1/t:
-        # t*t overflows far out in the tail; a stack of one keeps scalar
-        # exponents, for numpy's scalar loops
-        u, k = 1.0 / t, m if p.size > 1 else 0
-        return np.expm1(p[k] * np.log1p(u * (u - 2.0 * a))) * t ** power[k]
-
-    # the pure power's integral sqrt(N)^{-g-2s}/(g+2s) is a closed form, and
-    # the rest decays one order faster, like g a t^{-g-2-2s}
-    corr = integrate(Integrand(eval=rest, tail_decay=2.0 + 2.0 * s + float(gam.min()),
-                               stack=p.size), math.sqrt(N), math.inf, _DEFAULT_TOL)
-    pure = N ** (-decay / 2.0) / decay
-    # twice its rounding: g + 2s's, which moves the power by (g + 2s) log(N)/2 eps
-    # relative, the power's and the quotient's
-    pure_bar = pure * _EPS * (4.0 + decay * math.log(N))
-    return StackResult([r.scale(N) + (c + QuadResult(v, e, 0)).scale(-1.0) for r, c, v, e in zip(
-        results, corr, pure.tolist(), pure_bar.tolist())])
+    corr, corr_bar = _corr_series(gam, s, N)
+    return StackResult([r.scale(N) + QuadResult(-c, e, 0) for r, c, e in zip(
+        results, corr.tolist(), corr_bar.tolist())])
 
 
 def c_iso(gam: float, s: float, N: int) -> float:
@@ -589,8 +630,8 @@ def find_gamma_plus(N: int, s: float) -> RootResult:
 
     c_N^+ = N c_iso - corr with corr > 0, so c_N^+ < 0 on (0, gamma_tilde]
     where c_iso <= 0; c_N^+(0) = -N^{-s}/(2s) in closed form.  The root is
-    found by :func:`_root_passes` on c_n_plus alone, each pass one corr
-    quadrature.  That it exceeds gamma_tilde, c_iso's unique positive root,
+    found by :func:`_root_passes` on c_n_plus alone, each pass a series with
+    no quadrature.  That it exceeds gamma_tilde, c_iso's unique positive root,
     is then one series call: c_iso(r + _XTOL) > 0 beyond its bar (at the
     root itself c_iso can read as rounding of either sign).
     """

@@ -404,7 +404,8 @@ def householder_frame(xhat: np.ndarray) -> Frame:
     the components of the all-ones direction, 1/sqrt(N) each.
     """
     xhat = np.asarray(xhat, float)
-    xhat = xhat / np.linalg.norm(xhat)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero xhat: NaN, which Frame refuses
+        xhat = xhat / np.linalg.norm(xhat)
     N = xhat.size
     ones = np.full(N, 1.0 / math.sqrt(N))
     w = xhat - ones
@@ -509,7 +510,8 @@ def _radial_spline(u, x: np.ndarray, s: float, tol: Tolerance):
     """
     x = np.asarray(x, float)
     N = x.size
-    xhat = x / np.linalg.norm(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: NaN, which no frame takes
+        xhat = x / np.linalg.norm(x)
     # any unit vector orthogonal to xhat
     perp = completion_frame(xhat, min(2, N)).vectors[-1] if N > 1 else xhat
     thetas = np.linspace(0.0, 1.0, 65)
@@ -531,7 +533,8 @@ def _search_objective(u, x: np.ndarray, s: float, k: int, tol: Tolerance
     """
     N = x.size
     if getattr(u, "is_radial", False):
-        xhat = x / np.linalg.norm(x)
+        with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: NaN, which no frame takes
+            xhat = x / np.linalg.norm(x)
         spline, bar = _radial_spline(u, x, s, tol)
         return lambda frames: (spline(np.minimum(np.abs(frames @ xhat), 1.0)).sum(axis=1),
                                np.full(frames.shape[0], k * bar))

@@ -73,9 +73,9 @@ def test_roots_and_tables_past_the_second_walk_grid(capsys):
     assert json.loads(out)["rows"][49]["p_star_upper"] == pytest.approx(1.0 + 2e-5 / 1202.5412925572118)
 
 
-def test_constants_report_the_quadrature_error_they_reach(capsys):
-    # c_iso is a series with its own bound, and c_N_plus's correction runs at
-    # the constants' own tolerance, not --abs-tol
+def test_constants_report_the_series_errors_they_reach(capsys):
+    # c_iso and c_N_plus's correction are series, each with its own bound,
+    # which --abs-tol does not reach
     code, out, _ = run(capsys, ["--abs-tol", "1e-3", "constants", "--s", "0.5", "--N", "3",
                                 "--gamma", "0.7"])
     doc = json.loads(out)
@@ -83,9 +83,9 @@ def test_constants_report_the_quadrature_error_they_reach(capsys):
     assert code == 0 and doc["c_iso"] == iso.value and doc["c_N_plus"] == plus.value
     bars = doc["error_estimates"]
     assert bars["closed_form"] == iso.abs_error_estimate < 1e-14
-    assert 0.0 < bars["quadrature"] == plus.abs_error_estimate - 3 * iso.abs_error_estimate < 1e-10
+    assert 0.0 < bars["correction"] == plus.abs_error_estimate - 3 * iso.abs_error_estimate < 1e-10
     code, out, _ = run(capsys, ["constants", "--s", "0.5"])
-    assert json.loads(out)["error_estimates"] == {"closed_form": None, "quadrature": None}
+    assert json.loads(out)["error_estimates"] == {"closed_form": None, "correction": None}
 
 
 def test_table_csv_four_columns(capsys):

@@ -187,9 +187,9 @@ def test_exponent_table_structure():
     ("c_s_mu alternate", lambda: cn.c_s_mu(0.3, 0.5, "alternate")),
 ])
 def test_one_batched_quadrature_per_constant(name, call, monkeypatch):
-    # the 1-D kernel constants and c_iso's series are closed forms: no
-    # quadrature at all; c_n_plus integrates its correction alone
-    closed = name not in ("c_n_plus", "c_s_mu alternate")
+    # the 1-D kernel constants and the series of c_iso and of c_n_plus's
+    # correction are closed forms: no quadrature at all
+    closed = name != "c_s_mu alternate"
     batches = []
     engine = quad.integrate_batch
 
@@ -350,6 +350,56 @@ def test_c_n_plus_bar_at_small_gamma(N, s):
     assert abs(got.value - want) <= got.abs_error_estimate <= 1e-13 * abs(want), (got, want)
 
 
+def _mp_corr(gam, s, N):
+    """corr = N^-s (N-1)^(-g/2) / (g+2s) 3F2(g/2, 1/2, 1; g/2+s+1/2, g/2+s+1; -1/(N-1)), an mpf.
+
+    The current digits, 30 or more, hold hyp3f2 at -1 (N = 2) to the bars.
+    """
+    g, sm, n = mpmath.mpf(gam), mpmath.mpf(s), mpmath.mpf(N)
+    return (n ** -sm * (n - 1) ** (-g / 2) / (g + 2 * sm)
+            * mpmath.hyp3f2(g / 2, 0.5, 1, g / 2 + sm + 0.5, g / 2 + sm + 1, -1 / (n - 1)))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 9, 20, 200, 4000])
+def test_corr_and_c_n_plus_within_their_bars(N):
+    # gamma from 1e-3 up to the largest under the 1e300 peak guard, where the
+    # prefactor (N-1)^(-g/2) underflows from N = 3 on: a bar of 0 would not hold
+    top = cn._peak_gamma(N) * (1.0 - 1e-12)
+    gammas = [g for g in AUDIT_GAMMA if g < top] + [top]
+    underflows = 0
+    for s in AUDIT_S:
+        corr, bar = cn._corr_series(np.array(gammas), s, N)
+        plus = cn.iso_stack(gammas, s, N, True)
+        for g, c, e, got in zip(gammas, corr, bar, plus):
+            with mpmath.workdps(30):
+                want = _mp_corr(g, s, N)
+                assert abs(c - want) <= e, (g, s, c, want, e)
+                want_plus = N * mpmath.mpf(_mp_c_iso(g, s, N)) - want
+                assert abs(got.value - want_plus) <= got.abs_error_estimate, (g, s, got)
+            assert got.n_evals == 0
+            underflows += c == 0.0
+    assert (underflows > 0) == (N > 2)
+
+
+@pytest.mark.parametrize("s", [1e-5, 0.3, 0.99999])
+def test_crvz_sum_within_its_bound_at_n_2(s):
+    # at N = 2 the 3F2's argument is -1 and its plain series converges only
+    # algebraically; the 24 exact weights sum it to within 2|S|/(3+sqrt 8)^24
+    cs, d = cn._CRVZ_NUMERATORS, cn._CRVZ_DENOMINATOR
+    with mpmath.workdps(40):
+        for gam in [1e-3, 0.1, 0.5, 1.0, 2.0]:
+            a, b = mpmath.mpf(gam) / 2, mpmath.mpf(gam) / 2 + s
+            terms = [mpmath.rf(a, j) * mpmath.rf(0.5, j)
+                     / (mpmath.rf(b + 1, j) * mpmath.rf(b + 0.5, j)) for j in range(cn._CRVZ_TERMS)]
+            got = mpmath.fsum(mpmath.mpf(c) / d * t for c, t in zip(cs, terms))
+            want = mpmath.hyp3f2(a, 0.5, 1, b + 0.5, b + 1, -1)
+            bound = 2 * abs(want) / (3 + mpmath.sqrt(8)) ** 24
+            assert abs(got - want) <= bound, (gam, got, want)
+            # the plain partial sum of the same terms misses by far more
+            plain = mpmath.fsum((-1) ** j * t for j, t in enumerate(terms))
+            assert abs(plain - want) > 1e6 * bound
+
+
 @pytest.mark.parametrize("key", sorted(oc.FROZEN_C_N_PLUS))
 def test_c_n_plus_frozen(key):
     assert cn.c_n_plus(*key) == pytest.approx(oc.FROZEN_C_N_PLUS[key], rel=1e-13)
@@ -366,41 +416,30 @@ def test_near_one_within_their_bars(key):
     assert abs(got.value - want) <= got.abs_error_estimate + 1e-12 * abs(want)
 
 
-def test_walk_near_one_takes_one_round(monkeypatch):
-    # the five walk gammas of c_N^+ at s = 0.99: c_iso is a series, and the
-    # corrections, smooth and decaying from sqrt(N) on, take one engine round
-    rounds = []
-    gk21 = quad._gk21
+def _no_engine_call(monkeypatch):
+    """A list that every ``quad.integrate_batch`` call would be appended to."""
+    calls = []
+    monkeypatch.setattr(quad, "integrate_batch", lambda *args: calls.append(args))
+    return calls
 
-    def spy(*args):
-        rounds.append(args[1].size)
-        return gk21(*args)
 
-    monkeypatch.setattr(quad, "_gk21", spy)
+def test_walk_near_one_takes_no_engine_round(monkeypatch):
+    # the five walk gammas of c_N^+ at s = 0.99: c_iso and the corrections are series
+    calls = _no_engine_call(monkeypatch)
     results = cn.iso_stack([2.0, 4.0, 8.0, 16.0, 32.0], 0.99, 3, True)
-    assert len(rounds) == 1 and max(rounds) <= quad._PANELS_PER_CALL
+    assert calls == []
     # gamma_plus ~ 1.04 lies below all five
-    assert all(r.value > 0.0 for r in results)
+    assert all(r.value > 0.0 and r.n_evals == 0 for r in results)
 
 
 def test_gamma_plus_and_c_n_plus_quadrature_counts(monkeypatch):
-    # gamma_plus takes three passes of c_n_plus (walk, proxy, closing test),
-    # each one quadrature of the corrections, which have no singular point and
-    # no jump; its c_iso check after them is a series
-    evals = []
-    engine = cn.integrate
-
-    def spy(*args):
-        result = engine(*args)
-        evals.append(result.n_evals)
-        return result
-
-    monkeypatch.setattr(cn, "integrate", spy)
-    cn.find_gamma_plus(3, 0.5)
-    assert len(evals) <= 3
-    evals.clear()
-    cn.c_n_plus(2.0, 0.5, 4)
-    assert len(evals) == 1 and evals[0] <= 450
+    # gamma_plus's passes (walk, proxy, closing test), its c_iso check and the
+    # exponent table are series: no quadrature
+    calls = _no_engine_call(monkeypatch)
+    assert cn.find_gamma_plus(3, 0.5).iterations == 3
+    cn.exponent_table(4, 0.3)
+    assert cn.c_n_plus(2.0, 0.5, 4) == pytest.approx(oc.FROZEN_C_N_PLUS[(2.0, 0.5, 4)], rel=1e-13)
+    assert calls == []
 
 
 @pytest.mark.parametrize("N,s", [(4, 0.01), (6, 0.05), (6, 0.1), (8, 0.24), (10, 0.43)])

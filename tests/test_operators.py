@@ -118,6 +118,17 @@ def test_nan_and_zero_frames_rejected():
             bad()
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_directions_raise_no_warning():
+    # a zero direction divides by its zero norm: NaN, which Frame refuses,
+    # and no RuntimeWarning under warnings-as-errors
+    for bad in (lambda: op.householder_frame(np.zeros(3)),
+                lambda: op.extremal_search(pr.RadialProfile(1.1, 1.0, "decay"), np.zeros(2),
+                                           0.3, 1, "plus", budget=1, seed=0)):
+        with pytest.raises(ValueError, match="orthonormality defect nan"):
+            bad()
+
+
 @pytest.mark.parametrize("x,xi", [(np.array([2.0, 0.0]), np.zeros(2)),
                                   (np.array([2.0, 0.0]), np.array([np.nan, 1.0])),
                                   (np.array([2.0, 0.0]), np.array([np.inf, 1.0])),
