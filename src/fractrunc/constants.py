@@ -13,10 +13,10 @@ exactly 0 at its poles puts their roots exactly where they vanish.
 bound on its error (``_iso_series``), and ``c_n_plus`` is N*c_iso less
 one positive correction integral, a 3F2 series summed in 24 weighted
 terms (``_corr_series``).  ``iso_stack`` evaluates either at a whole stack
-of gamma with no quadrature; ``c_iso`` and ``c_n_plus`` are its stacks of
-one.  The only quadrature here is the alternate ``c_s_mu``'s, at
-``_DEFAULT_TOL``; nothing here takes a tolerance.  The roots gamma_tilde
-and gamma_plus come from three such stacks, or a few more: a walk over a
+of gamma; ``c_iso`` and ``c_n_plus`` are its stacks of one.  The alternate
+``c_s_mu`` sums two series of its first-derivative integral.  No quadrature
+here, and nothing here takes a tolerance.  The roots gamma_tilde and
+gamma_plus come from three such stacks, or a few more: a walk over a
 gamma grid, a Chebyshev proxy on the cell where the constant changes sign,
 and a closing sign test at the proxy's root +- 5e-11, which is the root's
 bracket when both signs lie beyond their error bars.
@@ -30,8 +30,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quad import Integrand, QuadResult, StackResult, Tolerance, integrate
-from .quad import integrate_pv  # a stub that raises; perfbench's tracer looks it up here
+from .quad import QuadResult, StackResult
+from .quad import integrate, integrate_pv  # stubs that raise; perfbench's tracer looks them up here
 
 __all__ = [
     "ProblemParams",
@@ -56,7 +56,6 @@ __all__ = [
     "exponent_table",
 ]
 
-_DEFAULT_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-11)  # the alternate c_s_mu's
 _EPS_GAMMA = 1e-6  # search interval (eps, 1-eps) for the bounded-exponent root, k >= 2
 
 
@@ -64,10 +63,11 @@ class DomainError(ValueError):
     """A parameter lies outside the admissible range."""
 
 
-# The smallest s resolved.  The quadratures take the tail exponent 1 + 2s,
-# whose rounding (eps/4 in s) moves a constant of size ~1/s by ~eps/(4 s^2),
-# which exceeds the default relative tolerance 1e-11 below s ~ 5.6e-6; below
-# ~1.1e-16, 1 + 2s rounds to 1 and the tail diverges.
+# The smallest s resolved.  The verify suites' directional quadrature takes
+# the tail exponent 1 + 2s, whose rounding (eps/4 in s) moves a value of size
+# ~1/s by ~eps/(4 s^2), which exceeds psi's relative tolerance 1e-11 below
+# s ~ 5.6e-6; below ~1.1e-16, 1 + 2s rounds to 1 and the tail diverges.  The
+# constants run no quadrature, but every entry point keeps this one floor.
 _S_MIN = 1e-5
 
 
@@ -392,16 +392,20 @@ def c_n_plus(gam: float, s: float, N: int) -> float:
     return iso_stack([gam], s, N, True)[0].value
 
 
+_K = np.arange(64.0)  # the terms k of the alternate c_s_mu's two series
+_HALF_K = 0.5 ** _K
+
+
 def c_s_mu(mu: float, s: float, form: str = "primary") -> float:
     """The power-profile constant with I_{e_N}(x_N)_+^mu = C_s c_{s,mu} x_N^{mu-2s}.
 
     ``form="primary"`` is the closed form of the integral of
     ((1+t)^mu + (1-t)_+^mu - 2)/t^{1+2s} over (0, inf), in the reflected
     form (mu/2s) B(mu, 2s-mu) sin(pi(mu-s))/sin(pi s): no removable point
-    at s = 1/2, and exactly 0 at mu = s.  ``form="alternate"`` integrates
-    the first-derivative representation
-    (mu/2s) * integral ((1+t)^{mu-1} - (1+t)^{2s-mu-1})/t^{2s} at the
-    constants' default tolerance.
+    at s = 1/2, and exactly 0 at mu = s.  ``form="alternate"`` sums the
+    first-derivative representation
+    (mu/2s) * integral ((1+t)^{mu-1} - (1+t)^{2s-mu-1})/t^{2s} as two
+    series of 64 terms, also exactly 0 at mu = s.
     """
     _check_s(s)
     if not 0.0 < mu < 2.0 * s:
@@ -410,32 +414,24 @@ def c_s_mu(mu: float, s: float, form: str = "primary") -> float:
         # mu Gamma(mu) = Gamma(1+mu) and 2s Gamma(2s) = Gamma(1+2s)
         return (math.gamma(1.0 + mu) * math.gamma(2.0 * s - mu) / math.gamma(1.0 + 2.0 * s)
                 * _sin_pi(mu - s) / _sin_pi(s))
-    if form == "alternate":  # still drawn by perfbench's constants deck; a check of the closed form
-        # First-derivative representation mapped to (0,1) via u = 1/(1+t):
-        # (mu/2s) * integral_0^1 (u^{2s-mu-1} - u^{mu-1}) (1-u)^{-2s} du.
-        # Both endpoint singularities are integrable (the numerator vanishes
-        # linearly at u=1); the finite interval avoids the slow t^{-1-mu}
-        # tail of the original representation.
-        e0 = min(2.0 * s - mu, mu) - 1.0
-
-        def g(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-            return (u ** (2.0 * s - mu - 1.0) - u ** (mu - 1.0)) * (1.0 - u) ** (-2.0 * s)
-
-        def regular0(side: int, d: np.ndarray, m: np.ndarray) -> np.ndarray:
-            return ((d ** (2.0 * s - mu - 1.0 - e0) - d ** (mu - 1.0 - e0))
-                    * (1.0 - d) ** (-2.0 * s))
-
-        def regular1(side: int, d: np.ndarray, m: np.ndarray) -> np.ndarray:
-            # g(1-d) * d^{2s-1}; numerator via expm1 keeps the cancellation
-            # exact, and its limit at d = 0 is 2mu - 2s
-            safe = np.where(d > 0.0, d, 0.5)
-            return np.where(d > 0.0, (1.0 - d) ** (mu - 1.0)
-                            * np.expm1((2.0 * s - 2.0 * mu) * np.log1p(-safe)) / safe,
-                            2.0 * mu - 2.0 * s)
-
-        integrand = Integrand(eval=g, singular_points=[(0.0, e0, regular0),
-                                                       (1.0, 1.0 - 2.0 * s, regular1)])
-        return (mu / (2.0 * s)) * integrate(integrand, 0.0, 1.0, _DEFAULT_TOL)[0].value
+    if form == "alternate":  # an independent check of the closed form: no Gamma, no reflection
+        # The first-derivative representation mapped to (0,1) via u = 1/(1+t),
+        # (mu/2s) J with J = integral_0^1 (u^{b-1} - u^{a-1}) (1-u)^{-2s} du, a = mu and
+        # b = 2s - mu, split at u = 1/2.  On (0, 1/2) the binomial series of (1-u)^{-2s}
+        # gives sum_k (2s)_k/k! (2^{-b-k}/(b+k) - 2^{-a-k}/(a+k)), each bracket taken as
+        # 2^{-a-k} (expm1((a-b) log 2)/(b+k) + (a-b)/((a+k)(b+k))), two terms of one sign,
+        # so nothing cancels as mu -> s.  On (1/2, 1), in v = 1-u, that of (1-v)^{c-1}
+        # gives sum_{k>=1} ((1-b)_k - (1-a)_k)/k! 2^{2s-1-k}/(k+1-2s).  The terms of both
+        # fall like k 2^-k, so past the 64 taken they leave ~2^-57 of the leading one.
+        a, b = mu, 2.0 * s - mu
+        d = a - b
+        ratios = (np.array([[2.0 * s], [1.0 - b], [1.0 - a]]) + _K[:-1]) / _K[1:]
+        rising = np.cumprod(np.hstack((np.ones((3, 1)), ratios)), axis=1)  # (x)_k/k!
+        left = rising[0] * _HALF_K * (math.expm1(d * math.log(2.0)) / (b + _K)
+                                      + d / ((a + _K) * (b + _K)))
+        right = (rising[1, 1:] - rising[2, 1:]) * _HALF_K[1:] / (_K[1:] + 1.0 - 2.0 * s)
+        return float(mu / (2.0 * s) * (2.0 ** -a * left.sum()
+                                       + 2.0 ** (2.0 * s - 1.0) * right.sum()))
     raise DomainError(f"unknown form {form!r}; expected 'primary' or 'alternate'")
 
 

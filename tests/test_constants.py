@@ -71,15 +71,33 @@ def test_c_s_mu_half_quarter():
     assert cn.c_s_mu(0.25, 0.5) == pytest.approx(oc.C_HALF_QUARTER, abs=1e-9)
 
 
+def _c_s_mu_mp(mu, s):
+    """The primary closed form of c_{s,mu} in 40-digit mpmath."""
+    m, sm = mpmath.mpf(mu), mpmath.mpf(s)
+    with mpmath.workdps(40):
+        return float(m / (2 * sm) * mpmath.beta(m, 2 * sm - m)
+                     * mpmath.sin(mpmath.pi * (m - sm)) / mpmath.sin(mpmath.pi * sm))
+
+
 @pytest.mark.parametrize("s", [0.999, 0.9999999])
 def test_c_s_mu_keeps_its_accuracy_near_s_one(s):
     # sin(pi*s) is small there: pi*s rounded in double would cost ~1e-9
     for mu in (0.5 * s, 1.5 * s):
-        m, sm = mpmath.mpf(mu), mpmath.mpf(s)
-        with mpmath.workdps(40):
-            want = (m / (2 * sm) * mpmath.beta(m, 2 * sm - m)
-                    * mpmath.sin(mpmath.pi * (m - sm)) / mpmath.sin(mpmath.pi * sm))
-        assert cn.c_s_mu(mu, s) == pytest.approx(float(want), rel=1e-13)
+        assert cn.c_s_mu(mu, s) == pytest.approx(_c_s_mu_mp(mu, s), rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [1e-5, 3e-5, 0.002, 0.01, 0.5, 0.99, 0.99999])
+def test_c_s_mu_alternate_at_the_range_edges(s):
+    # the series of the first-derivative integral, from mu/s = 1e-4, where the
+    # u^{mu-1} end is nearly non-integrable, to 2s - mu = 1e-4 s at the other end
+    for ratio in (1e-4, 0.01, 0.999999, 1.0, 1.9999):
+        mu = ratio * s
+        got = cn.c_s_mu(mu, s, "alternate")
+        if mu == s:
+            assert got == 0.0
+            continue
+        want = _c_s_mu_mp(mu, s)
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (mu, got, want)
 
 
 def test_c_s_mu_negative_below_s_zero_at_s():
@@ -187,19 +205,11 @@ def test_exponent_table_structure():
     ("c_s_mu alternate", lambda: cn.c_s_mu(0.3, 0.5, "alternate")),
 ])
 def test_one_batched_quadrature_per_constant(name, call, monkeypatch):
-    # the 1-D kernel constants and the series of c_iso and of c_n_plus's
-    # correction are closed forms: no quadrature at all
-    closed = name != "c_s_mu alternate"
-    batches = []
-    engine = quad.integrate_batch
-
-    def spy(*args):
-        batches.append(args[1].size)
-        return engine(*args)
-
-    monkeypatch.setattr(quad, "integrate_batch", spy)
+    # the 1-D kernel constants are closed forms, and c_iso, c_n_plus's
+    # correction and the alternate c_s_mu series: no quadrature at all
+    calls = _no_engine_call(monkeypatch)
     assert math.isfinite(call())
-    assert len(batches) == (0 if closed else 1)
+    assert calls == []
 
 
 # --- calibration over the admissible range ----------------------------------
@@ -230,16 +240,8 @@ def test_growth_constant_calibrated(gamma, s):
 @pytest.mark.parametrize("s", CALIBRATION_S)
 @pytest.mark.parametrize("half", [True, False])
 @pytest.mark.parametrize("form", ["primary", "alternate"])
-def test_c_s_mu_calibrated(form, half, s, request):
+def test_c_s_mu_calibrated(form, half, s):
     mu = s / 2.0 if half else s
-    if form == "alternate":
-        # the alternate form's endpoint exponent is min(2s-mu, mu) - 1; its
-        # substitution u = -log d runs out of float range (d underflows at
-        # u ~ 745) before exp(-min(2s-mu, mu)*u) has decayed when that
-        # minimum is below ~0.008 (at mu = s the integrand is identically 0)
-        request.applymarker(pytest.mark.xfail(
-            mu != s and min(2.0 * s - mu, mu) < 0.008, strict=True,
-            reason="endpoint substitution underflows before it has decayed"))
     want = oc.C_HALF_QUARTER if (s, mu) == (0.5, 0.25) else oc.c_s_mu_oracle(mu, s)
     assert cn.c_s_mu(mu, s, form) == pytest.approx(want, rel=1e-8, abs=1e-10)
 
