@@ -18,7 +18,9 @@ the line section of one field through the point along the direction.
 One engine integrates all rows through ``quad.integrate_batch``, the
 batched adaptive G10/K21 engine: field lines accept a stack of directions
 and a stack of points, so each round of bisection evaluates every open
-panel of every piece of every section in one field call.  It is the only
+panel of every piece of every section in one field call, and a batch
+whose Taylor ladders stop within their first five rungs takes one engine
+call (``_integrate_fan``).  It is the only
 path: ``directional`` along one direction is the batch of one row;
 ``directional_fan``, the ``plus`` closed form and the search's objective
 evaluate the directions through one point as one batch (a *fan*); and
@@ -58,8 +60,8 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _LOG8 = math.log(8.0)
-# finite-difference nodes 0, +-h, +-h/2 with h = window/8, in units of the C^2 window
-_FD_NODES = np.array([0.0, 0.125, -0.125, 0.0625, -0.0625])
+# finite-difference nodes 0, +-h, +-h/2, +-h/4 with h = window/8, in units of the C^2 window
+_FD_NODES = np.array([0.0, 0.125, -0.125, 0.0625, -0.0625, 0.03125, -0.03125])
 
 
 class GrowthViolation(ValueError):
@@ -120,16 +122,18 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     of ``directions[i]``; ``abs_tol`` is one absolute tolerance, or one per
     row.  Every field evaluation is ``u.line`` on the rows' points and
     directions at nodes ``t``, all broadcasting against each other, so one
-    call serves nodes of many sections.  Each integral splits into (i) an
-    analytic Taylor piece on ``(0, delta)`` using the section's second
-    derivative, with the remainder self-estimated by comparing against the
-    half-radius evaluation, (ii) panels between breakpoint radii, out to
-    2b + 1 for the largest radius b (or to 1 or 2*delta, if larger), (iii) a
-    log-substituted far panel from there, which then starts clear of the
-    kink at b instead of bisecting next to it, and (iv) an analytic tail
-    remainder from the growth bound.  The Taylor ladders of all sections run
-    in lockstep, four rungs per open section to an ``integrate_batch`` call;
-    then every piece of (ii) and (iii) of every section goes into one call.
+    call serves nodes of many sections.  Each integral splits at
+    top = min(window/2, 1) into (i) a Taylor ladder on ``(0, top)``: the
+    analytic piece of the section's second derivative on ``(0, delta)`` and
+    quadratures of rungs ``(delta/2, delta)`` above it, judged on Richardson
+    estimates that cancel the remainder's delta^{4-2s} term, (ii) panels
+    between breakpoint radii, out to 2b + 1 for the largest radius b (or to
+    1 or 2*top, if larger), (iii) a log-substituted far panel from there,
+    which then starts clear of the kink at b instead of bisecting next to
+    it, and (iv) an analytic tail remainder from the growth bound.  Every
+    section's first five rungs and its pieces of (ii) and (iii) go into one
+    ``integrate_batch`` call; ladders still open then run four rungs per
+    section to a call.
 
     A field with ``far_part`` shows in ``line`` only the part of each
     section near its point; ``u.far_part`` of all rows adds the rest in
@@ -137,7 +141,9 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     breakpoints and ``d2_along`` each come from one call on all rows.  A
     row's C^2 window is its point's C^2 radius capped at its nearest
     breakpoint; without ``d2_along`` the second derivatives of all rows come
-    from one call of finite differences inside their windows.  The rows'
+    from one call of finite differences inside their windows, and their
+    error bound, weighted as the Taylor piece carries it, goes into the
+    bar.  The rows'
     breakpoint radii are sorted and their repeats dropped here, for every
     field.  ``rel_tol``, like ``abs_tol``, is one tolerance or one per row.
 
@@ -183,15 +189,18 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     n_evals = np.ones(m, int)
     d2_fn = getattr(u, "d2_along", None)
     if d2_fn is not None:
-        d2 = d2_fn(points, dirs)
+        d2, d2_err = d2_fn(points, dirs), np.zeros(m)
     else:
-        # central differences at h = window/8 and h/2, Richardson-extrapolated
+        # central differences at h = window/8, h/2 and h/4, Richardson-extrapolated
+        # twice; the error of the once-extrapolated one at h/2 bounds the result's
         nodes = np.multiply.outer(window, _FD_NODES)
         v = ev(nodes, all_rows[:, None])
-        h, h2 = nodes[:, 1], nodes[:, 3]
-        coarse = (v[:, 1] + v[:, 2] - 2.0 * v[:, 0]) / (h * h)
-        fine = (v[:, 3] + v[:, 4] - 2.0 * v[:, 0]) / (h2 * h2)
-        d2 = (4.0 * fine - coarse) / 3.0
+        central = (v[:, 1::2] + v[:, 2::2] - 2.0 * v[:, :1]) / (nodes[:, 1::2] * nodes[:, 1::2])
+        once = (4.0 * central[:, 1:] - central[:, :-1]) / 3.0
+        d2 = (16.0 * once[:, 1] - once[:, 0]) / 15.0
+        # the finest differences' rounding enters d2 with weight 64/45
+        noise = 4.0 * _EPS * np.sum(np.abs(v[:, [0, 0, 5, 6]]), axis=1) / nodes[:, 5] ** 2
+        d2_err = np.abs(once[:, 1] - once[:, 0]) / 15.0 + 64.0 / 45.0 * noise
         n_evals += _FD_NODES.size
     p = 1.0 + 2.0 * s
     expo = 2.0 - 2.0 * s
@@ -200,54 +209,20 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
         # pair makes two section evals per kernel eval
         n_evals[:] += 2 * np.bincount(rows, n, m).astype(int)
 
-    # The Taylor ladder: rung k compares the analytic piece on (0, delta_k)
-    # with the one on (0, delta_k/2) plus quadrature over (delta_k/2, delta_k),
-    # delta_k = delta/2^k, down to delta_cancel.  It stops at the first rung
-    # whose self-estimate is within budget or below the rung's own quadrature
-    # error: deeper rungs only trade Taylor remainder for rounding noise.
-    # Rungs are integrated four to a batched call, since rungs past the stop
-    # are wasted work and the deep ones are the noisy, expensive ones.
-    # Below delta_cancel the pair loses all significant digits to rounding.
-    delta_cancel = 32.0 * np.sqrt(_EPS * (np.abs(u0) + 1.0) / (np.abs(d2) + 1e-3))
-    top = np.minimum(window / 2.0, 1.0)
-    n_rungs = 1 + np.count_nonzero(
-        np.ldexp(top[:, None], -np.arange(1, 60)) > delta_cancel[:, None], axis=1)
-    next_rung = np.zeros(m, int)
-    delta, small_val, small_err = np.empty(m), np.empty(m), np.empty(m)
-    ladder_open = all_rows
-    while ladder_open.size:
-        count = np.minimum(n_rungs[ladder_open] - next_rung[ladder_open], 4)
-        rows = np.repeat(ladder_open, count)
-        offsets = np.cumsum(count) - count  # each open section's first rung in the batch
-        k = next_rung[rows] + np.arange(rows.size) - np.repeat(offsets, count)
-        tops = np.ldexp(top[rows], -k)
-        v, e, n = integrate_batch(lambda t, g: pair(t, rows[g]) / t**p, tops / 2.0, tops,
-                                  abs_tol[rows] / 8.0, rel_tol[rows])
-        count_evals(rows, n)
-        val = d2[rows] * (tops / 2.0) ** expo / expo + v
-        err = np.abs(d2[rows] * tops**expo / expo - val)
-        stop = (err <= abs_tol[rows] / 4.0) | (err <= e) | (k == n_rungs[rows] - 1)
-        first = np.minimum.reduceat(np.where(stop, np.arange(rows.size), rows.size), offsets)
-        done = first < rows.size
-        pick = first[done]
-        rung_done = ladder_open[done]
-        delta[rung_done], small_val[rung_done] = tops[pick], val[pick]
-        small_err[rung_done] = err[pick] + e[pick]
-        next_rung[ladder_open] += count
-        ladder_open = ladder_open[~done]
-
     # pieces between breakpoint radii, each on a quintic smoothstep map of
     # (0, 1): algebraic kinks |t - endpoint|^kappa become C^2-or-better, so
     # the rule converges at full rate even for Hoelder-rough sections.  A
-    # row's cuts are delta, its breakpoint radii above delta, sorted and
-    # without repeats, and the core's end.
-    above = np.sort(np.where(radii > delta[:, None], radii, np.inf), axis=1)
+    # row's cuts are top = min(window/2, 1), where its Taylor ladder ends,
+    # its breakpoint radii, sorted and without repeats (all lie beyond the
+    # window), and the core's end.
+    top = np.minimum(window / 2.0, 1.0)
+    above = np.sort(np.where(radii > top[:, None], radii, np.inf), axis=1)
     keep = np.isfinite(above)
     keep[:, 1:] &= above[:, 1:] != above[:, :-1]
     largest = np.max(above, axis=1, where=keep, initial=-np.inf)
-    core_end = np.maximum(np.maximum(1.0, 2.0 * delta), 2.0 * largest + 1.0)
+    core_end = np.maximum(np.maximum(1.0, 2.0 * top), 2.0 * largest + 1.0)
     keep = np.column_stack((np.ones(m, bool), keep, np.ones(m, bool)))
-    flat = np.column_stack((delta, above, core_end))[keep]
+    flat = np.column_stack((top, above, core_end))[keep]
     sizes = np.count_nonzero(keep, axis=1)
     firsts = np.delete(np.arange(flat.size), np.cumsum(sizes) - 1)
     core_rows = np.repeat(all_rows, sizes - 1)
@@ -278,39 +253,129 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     T = core_end * 8.0 ** np.maximum(np.ceil(np.minimum(n_budget, n_range)), 0.0)
     far = np.flatnonzero(T > core_end)
 
+    # The Taylor ladder on (0, top).  Rung k integrates the pair over
+    # (delta_k/2, delta_k), delta_k = top/2^k, for delta_k/2 above
+    # delta_cancel, below which the pair loses all significant digits to
+    # rounding.  The analytic piece tau(d) = d2 d^{2-2s}/(2-2s) leaves a
+    # remainder c d^{4-2s} + O(d^{6-2s}) on (0, d), so with the rung's
+    # value val_k = tau(delta_k/2) + q_k on (0, delta_k), Richardson's step
+    # x_k = val_k - (tau(delta_k) - val_k)/(2^{4-2s} - 1) cancels the
+    # d^{4-2s} term.  Rung k stops when x_k and x_{k+1} + q_k, two
+    # estimates of the piece on (0, delta_k), agree within budget or within
+    # their quadratures' errors, or when their gap grows at rung k+1: the
+    # remainder only shrinks down the ladder, so a growing gap is rounding
+    # noise, which deeper rungs would only add to.  The piece on (0, top)
+    # is then x_{k+1} plus the quadratures of rungs 0..k, and its bar the
+    # gap (and the next one, where it grew), every quadrature error that
+    # went in and d2's error times the weight tau gives it.  The last rung
+    # has no successor and keeps the plain estimate val_k, with
+    # |tau(delta_k) - val_k| in the bar.  Every row's first five rungs go
+    # into the one call with its core and far pieces; a row still open then
+    # gets four rungs a call after its last two, which the next pass judges
+    # again with their successors.
+    delta_cancel = 32.0 * np.sqrt(_EPS * (np.abs(u0) + 1.0) / (np.abs(d2) + 1e-3))
+    n_rungs = 1 + np.count_nonzero(
+        np.ldexp(top[:, None], -np.arange(1, 60)) > delta_cancel[:, None], axis=1)
+    richardson = 2.0 ** (2.0 + expo) - 1.0
+
+    def ahead(a: np.ndarray) -> np.ndarray:  # each rung's successor; the last its own
+        return np.column_stack((a[:, 1:], a[:, -1:]))
+
+    ladder = all_rows  # the rows of the open ladders, one per row of `rung`
+    rung = np.broadcast_to(np.arange(5), (m, 5))
+    new = rung < n_rungs[:, None]
+    rung_rows = np.nonzero(new)[0]
+    rung_tops = np.ldexp(top[rung_rows], -rung[new])
+
     # Integral g < n_core is a core piece of section rows[g] in the
-    # smoothstep variable z; the rest are far panels in w = log t.
+    # smoothstep variable z; then come the far panels in w = log t, then
+    # the rungs in t.
     n_core = core_rows.size
-    rows = np.concatenate((core_rows, far))
+    n_near = n_core + far.size
+    rows = np.concatenate((core_rows, far, rung_rows))
     start = flat[firsts]
     length = flat[firsts + 1] - start
 
     def pieces(z: np.ndarray, group: np.ndarray) -> np.ndarray:
         core = group < n_core
+        log_t = ~core & (group < n_near)
         g = np.minimum(group, n_core - 1)
         w = z * z * z * (10.0 + z * (-15.0 + 6.0 * z))
         dw = 30.0 * z * z * (1.0 - z) * (1.0 - z)
-        t = np.where(core, start[g] + length[g] * w, np.exp(z))
+        t = np.where(core, start[g] + length[g] * w, np.where(log_t, np.exp(z), z))
         # far out (|t| > 1e154) squared norms overflow to inf, where the
         # sections take their limits
         with np.errstate(over="ignore"):
             k = pair(t, rows[group])
         # t**p overflows on the far panel; there each branch gets safe input
-        return np.where(core, k / np.where(core, t, 1.0) ** p * length[g] * dw,
-                        k * t ** (-2.0 * s))
+        k_p = k / np.where(log_t, 1.0, t) ** p
+        return np.where(core, k_p * length[g] * dw, np.where(log_t, k * t ** (-2.0 * s), k_p))
 
-    abs_tols = np.concatenate((abs_tol[core_rows] / (4.0 * sizes[core_rows]),
-                               abs_tol[far] / 4.0))
-    v, e, n = integrate_batch(pieces, np.concatenate((np.zeros(n_core), np.log(core_end[far]))),
-                              np.concatenate((np.ones(n_core), np.log(T[far]))), abs_tols,
-                              np.concatenate((rel_tol[core_rows], rel_tol[far])))
+    v, e, n = integrate_batch(
+        pieces, np.concatenate((np.zeros(n_core), np.log(core_end[far]), rung_tops / 2.0)),
+        np.concatenate((np.ones(n_core), np.log(T[far]), rung_tops)),
+        np.concatenate((abs_tol[core_rows] / (4.0 * sizes[core_rows]), abs_tol[far] / 4.0,
+                        abs_tol[rung_rows] / 8.0)),
+        rel_tol[rows])
     count_evals(rows, n)
+    core_val, core_err = v[:n_core], e[:n_core]
     far_val, far_err = np.zeros(m), np.zeros(m)
-    far_val[far], far_err[far] = v[n_core:], e[n_core:]
+    far_val[far], far_err[far] = v[n_core:n_near], e[n_core:n_near]
+    q, q_err = np.zeros(rung.shape), np.zeros(rung.shape)
+    q[new], q_err[new] = v[n_near:], e[n_near:]
+
+    # each pass judges the rungs of the open ladders in order; above_val
+    # and above_err sum the quadratures and errors of the rungs before them
+    small_val, small_err = np.empty(m), np.empty(m)
+    above_val, above_err = np.zeros(m), np.zeros(m)
+    while True:
+        tops = np.ldexp(top[ladder, None], -rung)
+        reach = (tops / 2.0) ** expo / expo
+        low = d2[ladder, None] * reach
+        gain = d2[ladder, None] * tops**expo / expo - (low + q)
+        x = low + q - gain / richardson
+        val = above_val[ladder, None] + np.cumsum(q, axis=1)
+        err = above_err[ladder, None] + np.cumsum(q_err, axis=1)
+        x_next, err_next = ahead(x), ahead(q_err)
+        has_next = ahead(rung < n_rungs[ladder, None]) & (ahead(rung) > rung)
+        gap = np.abs(x - (x_next + q))
+        gap_next = ahead(gap)
+        rises = ahead(has_next) & has_next & (gap_next >= gap)
+        last = rung == n_rungs[ladder, None] - 1
+        stop = last | has_next & ((gap <= abs_tol[ladder, None] / 4.0)
+                                  | (gap <= q_err + err_next)) | rises
+        done = np.flatnonzero(np.any(stop, axis=1))
+        j = np.argmax(stop[done], axis=1)
+        row, plain = ladder[done], last[done, j]
+        small_val[row] = val[done, j] + np.where(plain, low[done, j], x_next[done, j])
+        small_err[row] = err[done, j] + np.where(
+            plain, np.abs(gain[done, j]) + d2_err[row] * reach[done, j],
+            gap[done, j] + np.where(rises[done, j], gap_next[done, j], 0.0)
+            + (1.0 + 1.0 / richardson) * err_next[done, j]
+            + d2_err[row] * ahead(reach)[done, j] * 3.0 * 2.0**expo / richardson)
+        still = np.flatnonzero(~np.any(stop, axis=1))
+        if not still.size:
+            break
+        # an open ladder's last two rungs lead its next block
+        ladder = ladder[still]
+        above_val[ladder], above_err[ladder] = val[still, -3], err[still, -3]
+        rung = rung[still, -2:-1] + np.arange(6)
+        new = rung < n_rungs[ladder, None]
+        new[:, :2] = False
+        q = np.column_stack((q[still, -2:], np.zeros((still.size, 4))))
+        q_err = np.column_stack((q_err[still, -2:], np.zeros((still.size, 4))))
+        rung_rows = ladder[np.nonzero(new)[0]]
+        rung_tops = np.ldexp(top[rung_rows], -rung[new])
+        v, e, n = integrate_batch(lambda t, g: pair(t, rung_rows[g]) / t**p,
+                                  rung_tops / 2.0, rung_tops,
+                                  abs_tol[rung_rows] / 8.0, rel_tol[rung_rows])
+        count_evals(rung_rows, n)
+        q[new], q_err[new] = v, e
+
     # bincount adds up each section's core pieces in their order
-    value = (small_val + np.bincount(core_rows, v[:n_core], m)
+    value = (small_val + np.bincount(core_rows, core_val, m)
              + (-u0 * T ** (-2.0 * s) / s + far_val) + closed)
-    err = (small_err + np.bincount(core_rows, e[:n_core], m)
+    err = (small_err + np.bincount(core_rows, core_err, m)
            + (coeff * T**-decay + far_err) + closed_err)
     Cs = normalizing_constant(s)
     return [QuadResult(a, b, c).scale(Cs)
