@@ -27,7 +27,9 @@ import numpy as np
 from .constants import (
     DomainError,
     NoRootError,
+    _PERP_REL,
     _bracketed_root,
+    _perp_kernel,
     c_s_mu,
     find_gamma_bar,
     find_gamma_plus,
@@ -121,7 +123,7 @@ class _PiecewiseG:
     The tail is sign * r^{-sign*gamma/2}: ``sign=+1`` decays, ``sign=-1``
     grows like -r^{gamma/2}.  The cap is the tail's third-order Taylor cubic
     at the junction, in powers of (r - junction_r2); ``value`` gives it and
-    its first two derivatives.
+    its first three derivatives.
     """
 
     def __init__(self, gamma: float, junction_r2: float, sign: float = 1.0) -> None:
@@ -150,7 +152,7 @@ class _PiecewiseG:
         return coeff, e
 
     def value(self, r: np.ndarray, order: int = 0) -> np.ndarray:
-        """g^(order), order 0, 1 or 2, at every element of ``r``; the branches
+        """g^(order), order 0 to 3, at every element of ``r``; the branches
         are taken with np.where, each on arguments where it is finite."""
         j = self.junction_r2
         a = self.cap
@@ -159,8 +161,10 @@ class _PiecewiseG:
             cap = a[0] + d * (a[1] + d * (a[2] + d * a[3]))
         elif order == 1:
             cap = a[1] + d * (2.0 * a[2] + 3.0 * d * a[3])
-        else:
+        elif order == 2:
             cap = 2.0 * a[2] + 6.0 * d * a[3]
+        else:
+            cap = 6.0 * a[3]
         coeff, e = self._tail(order)
         return np.where(r <= j, cap, coeff * np.maximum(r, j) ** e)
 
@@ -299,6 +303,13 @@ class _PartialN(Field):
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.base.breakpoints(x, xi)
 
+    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        # f(t) = 2(a + tb) g'(|x + t xi|^2), (a, b) = (x_N, xi_N), c = x.xi:
+        # f''(0) = 8bc g'' + 2a(4c^2 g''' + 2g'')
+        g, r2, c = self.base.g, _dot(x, x), _dot(x, xi)
+        a, b, g2 = x[:, -1], xi[:, -1], g.value(r2, 2)
+        return 8.0 * b * c * g2 + 2.0 * a * (4.0 * c * c * g.value(r2, 3) + 2.0 * g2)
+
 
 def make_w_gamma(gamma: float) -> RadialProfile:
     """Barrier profile: |x|^{-gamma} tail with junction at |x|^2 = 1/2."""
@@ -331,7 +342,19 @@ class PsiField(Field):
     ``decay`` and ``halfint`` take v_a = v_{gamma_lead} and ``growth`` takes
     v_a = v_{-gamma_lead}; v_b is the same profile at gamma_second.  The
     ``halfint`` variant keeps the lead term alone.  The C^2 radius and the
-    breakpoints are those of the parts.
+    breakpoints are those of the parts, and ``d2_along`` is their sum.
+
+    Every part is 2 y_N g'(|y|^2), so psi(y) = y_N phi(|y|^2) with
+    phi = -(2/gamma_lead) sum_j g_j'.  Two consequences are exact:
+
+    - *radial sections*: at x = r(cos a e_1 + sin a e_N) the section along
+      xhat and the section through r e_N along e_N are sin a (r + t)
+      phi((r + t)^2) and (r + t) phi((r + t)^2), so the first integral is
+      sin a times the second;
+    - *orthogonal sections*: along xi orthogonal to x, with |x| at least
+      ``cap_radius``, |x + t xi|^2 = |x|^2 + t^2 stays on every part's
+      power tail and the pair is 2 x_N (phi(|x|^2 + t^2) - phi(|x|^2)),
+      whose integral is a Gamma closed form (``orthogonal_section``).
     """
 
     def __init__(self, variant: str, s: float,
@@ -347,15 +370,20 @@ class PsiField(Field):
             self.parts.append(make_v_gamma(gamma_second).partial())
         elif variant == "growth":
             self.parts.append(make_v_minus_gamma(gamma_second, s).partial())
+        self.cap_radius = max(math.sqrt(p.base.junction_r2) for p in self.parts)
 
     def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        lines, factor = [p.line(x, xi) for p in self.parts], -1.0 / self.gamma_lead
+        # |x + t xi|^2 and x_N + t xi_N once for all the parts
+        pairs = _components(x, xi)
+        r2, (a, b) = _squared_norm(pairs), pairs[-1]
+        gs, factor = [p.base.g for p in self.parts], -2.0 / self.gamma_lead
 
         def at(t: np.ndarray) -> np.ndarray:
+            rr = r2(t)
             acc = 0.0
-            for f in lines:
-                acc += f(t)
-            return factor * acc
+            for g in gs:
+                acc += g.value(rr, 1)
+            return factor * (a + t * b) * acc
         return at
 
     def c2_radius(self, x: np.ndarray) -> np.ndarray:
@@ -363,6 +391,45 @@ class PsiField(Field):
 
     def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return np.concatenate([p.breakpoints(x, xi) for p in self.parts], axis=1)
+
+    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return -1.0 / self.gamma_lead * sum(p.d2_along(x, xi) for p in self.parts)
+
+    def orthogonal_section(self, x: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """(values, bars), each ``(m,)``: the directional operator of psi at
+        each point of ``x``, ``(m, N)``, along any unit direction orthogonal
+        to it, C_s included.  A closed form; no quadrature runs.
+
+        On its tail part j has g_j' = c_j rho^{e_j}, and t = |x| tau turns
+        each section integral into K(g, s) = 2 int_0^inf ((1 + tau^2)^{-g/2}
+        - 1) tau^{-1-2s} dtau, ``constants._perp_kernel``:
+
+            value = -(2 C_s / gamma_lead) x_N sum_j c_j K(-2 e_j, s) |x|^{2 e_j - 2s},
+
+        that is (C_s x_N / gamma_lead) sum_j gamma_j K(sigma gamma_j + 2, s)
+        |x|^{-sigma gamma_j - 2s - 2}, sigma = +1 for decay and -1 for growth
+        profiles.  The bar is K's rounding and that of |x| raised to its
+        power, plus a few ulps for the products and the sum.  A point inside
+        ``cap_radius`` raises ``DomainError``: its orthogonal lines cross
+        the cap.
+        """
+        x = np.asarray(x, float)
+        r = np.sqrt(_dot(x, x))
+        # |x| of a point at the cap radius may round below it by a few ulps,
+        # where the cap still matches the tail to third order
+        if not np.all(r >= self.cap_radius * (1.0 - 8.0 * _U)):
+            raise DomainError(f"orthogonal sections need |x| >= {self.cap_radius:g}: "
+                              "closer in they cross psi's cap")
+        value, bar = np.zeros(len(x)), np.zeros(len(x))
+        for p in self.parts:
+            c, e = p.base.g._tail(1)
+            power = 2.0 * e - 2.0 * s
+            term = c * _perp_kernel(-2.0 * e, s) * r**power
+            value += term
+            # |x| carries N/2 + 1 ulps, which its power multiplies by |power|
+            bar += np.abs(term) * (_PERP_REL + (abs(power) * (x.shape[1] / 2.0 + 1.0) + 8.0) * _U)
+        scale = -2.0 * normalizing_constant(s) / self.gamma_lead * x[:, -1]
+        return scale * value, np.abs(scale) * (bar + 2.0 * _U * np.abs(value))
 
 
 def make_psi(kind: str, k: int, s: float) -> PsiField:

@@ -311,10 +311,19 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
                            radii: Optional[Sequence[float]] = None) -> VerificationReport:
     """Frame lower bound for the subsolution candidate, with empirical onset radius.
 
-    The claim (frame sum >= constant * x_N / |x|^{..}) holds for all radii
-    beyond some onset; the verifier reports the smallest sampled radius from
-    which every sampled angle passes, and the verdict reflects only radii at
-    or beyond that onset.
+    At each radius r (default: 10 from 2 to 3000) and angle a in
+    {0.25, 0.85, 1.45} the claim is that the frame sum over
+    {xhat, k - 1 vectors orthogonal to xhat} at x = r(cos a e_1 + sin a e_N)
+    is at least constant * x_N / |x|^{..}.  psi = y_N phi(|y|^2) (see
+    ``profiles.PsiField``), so the frame sum is sin a F(r) + (k - 1) O(x):
+    F(r) is the e_N section through r e_N, one quadrature row per radius
+    for every angle, and O(x) the orthogonal section in closed form.  A
+    radius below psi's cap radius, 1, raises ``DomainError``, since the
+    orthogonal lines would cross the cap.
+
+    The claim holds for all radii beyond some onset; the verifier reports
+    the smallest sampled radius from which every sampled angle passes, and
+    the verdict reflects only radii at or beyond that onset.
     """
     psi = pr.make_psi(kind, k, s)
     gb, g2 = psi.gamma_lead, psi.gamma_second
@@ -326,25 +335,37 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
     N = max(k + 1, 2)
     radii = np.sort(np.geomspace(2.0, 3000.0, 10) if radii is None
                     else np.asarray(radii, float))
+    if not np.all(radii >= psi.cap_radius):  # NaN too
+        raise cn.DomainError(f"every radius must be >= {psi.cap_radius:g}, psi's cap "
+                             "radius: closer in, orthogonal sections cross the cap")
     angles = np.linspace(0.25, 1.45, 3)
+    sines, n = np.sin(angles), len(angles)
 
     # the points radius by radius, every angle at each
-    xs = np.zeros((len(radii) * len(angles), N))
+    xs = np.zeros((len(radii) * n, N))
     xs[:, 0] = np.outer(radii, np.cos(angles)).ravel()
-    xs[:, -1] = np.outer(radii, np.sin(angles)).ravel()
-    bounds = (const * xs[:, -1] * np.repeat(radii, len(angles)) ** -exponent).tolist()
-    # absolute tolerance tracks the shrinking bound at far radii
-    tols = [Tolerance(max(abs(b) * 1e-4, _PSI_TOL.abs_tol), _PSI_TOL.rel_tol) for b in bounds]
-    sums = op.frame_sums(psi, xs, op.completion_frames(xs, k), s, tols)
+    xs[:, -1] = np.outer(radii, sines).ravel()
+    bounds = const * xs[:, -1] * np.repeat(radii, n) ** -exponent
+    # absolute tolerance tracks the shrinking bound at far radii; the angle a
+    # reads sin a times the radius's row, so the row asks for the tightest
+    # of its angles' requests, each divided by sin a
+    asks = np.maximum(np.abs(bounds) * 1e-4, _PSI_TOL.abs_tol).reshape(len(radii), n) / sines
+    tols = [Tolerance(a, _PSI_TOL.rel_tol) for a in asks.min(axis=1).tolist()]
+    e_n = _on_axis(N, 1.0)[None]
+    radial = op.frame_sums(psi, [_on_axis(N, r) for r in radii], [e_n] * len(radii), s, tols)
+    orth, orth_bar = psi.orthogonal_section(xs, s)
 
-    claims = [ClaimResult(x, "frame_lower_bound", bound - fs.value, fs.abs_error_estimate, "le")
-              for x, bound, fs in zip(xs, bounds, sums)]
+    claims = []
+    for i, (x, bound) in enumerate(zip(xs, bounds.tolist())):
+        row, sin_a = radial[i // n], float(sines[i % n])
+        value = sin_a * row.value + (k - 1) * float(orth[i])
+        bar = sin_a * row.abs_error_estimate + (k - 1) * float(orth_bar[i])
+        claims.append(ClaimResult(x, "frame_lower_bound", bound - value, bar, "le"))
 
     # the onset is the first radius from which every claim (one per angle)
     # passes; the verdict and max_violation read the claims from it on.  The
     # bound constant and x_N are positive, so those passing claims also show
     # a positive frame sum at every radius from the onset on.
-    n = len(angles)
     start = next((i for i in range(len(radii)) if _verdict(claims[i * n:]) == "pass"), None)
     if start is None:
         # no sampled radius starts a passing run: the onset, if there is one,

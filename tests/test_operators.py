@@ -707,6 +707,28 @@ def test_certify_pass_makes_half_the_engine_calls(monkeypatch):
     assert len(calls) <= 53
 
 
+def test_certify_pass_nodes_stay_under_a_ceiling(monkeypatch):
+    # the integrand nodes of seed 1's first certify pass: 180,558 when psi
+    # integrated every row of its frames, 91,560 with one radial row per
+    # radius and its orthogonal rows in closed form
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import decks
+
+    nodes = []
+    engine = op.integrate_batch
+
+    def spy(*args):
+        v, e, n = engine(*args)
+        nodes.append(int(np.sum(n)))
+        return v, e, n
+
+    monkeypatch.setattr(op, "integrate_batch", spy)
+    for item in itertools.islice(decks.deck("certify", 1), decks.pass_size("certify")):
+        item.call()
+    assert sum(nodes) <= 95_000
+
+
 def _mp_tail_section(u, x, xi):
     """t -> u(x + t*xi) for a ``HalfSpacePowerTail`` in mpmath, from its float cap."""
     g = u.radial.g
@@ -819,6 +841,114 @@ def test_psi_orthogonal_rows_match_mpmath():
 
                 want = cn.normalizing_constant(s) * float(_mp_directional(f, s, []))
             assert abs(r.value - want) <= r.abs_error_estimate
+
+
+def _mp_psi_section(psi, x, xi):
+    """t -> psi(x + t*xi) in mpmath, each part's cap from its float coefficients."""
+    parts = [(mpmath.mpf(g.junction_r2), [mpmath.mpf(c) for c in g.cap],
+              mpmath.mpf(g.sign), mpmath.mpf(g.p)) for g in (p.base.g for p in psi.parts)]
+    a, b = [mpmath.mpf(float(c)) for c in x], [mpmath.mpf(float(c)) for c in xi]
+    r0, r1, r2 = mpmath.fdot(a, a), 2 * mpmath.fdot(a, b), mpmath.fdot(b, b)
+
+    def f(t):
+        r = r0 + t * (r1 + t * r2)
+        acc = 0
+        for j, cap, sign, power in parts:
+            d = r - j
+            acc += (sign * power * r ** (power - 1) if r > j
+                    else cap[1] + d * (2 * cap[2] + 3 * d * cap[3]))
+        return -2 * (a[-1] + t * b[-1]) * acc / psi.gamma_lead
+    return f
+
+
+PSI_FIELDS = {"decay": lambda s: pr.make_psi("decay", 2, s),
+              "growth": lambda s: pr.make_psi("growth", 1, s),
+              # the field is the same at every s; make_psi takes it at s = 1/2 only
+              "halfint": lambda s: pr.PsiField("halfint", s, 0.5, 0.5)}
+
+
+@pytest.mark.parametrize("kind", sorted(PSI_FIELDS))
+def test_psi_d2_along_matches_mpmath(kind):
+    # the second derivative of the section at t = 0 on the cap, at the
+    # junction |x| = 1 (from either side: the section is C^2 there, not C^3)
+    # and on the tail, against 30-digit mpmath
+    psi = PSI_FIELDS[kind](0.75)
+    xi = np.array([0.48, -0.6, 0.64]) / np.linalg.norm([0.48, -0.6, 0.64])
+    points = {0: [0.3, -0.2, 0.5], 1: [0.0, 0.0, 1.0], -1: [0.0, 0.0, 1.0],
+              2: [1.2, -0.7, 2.5], 3: [30.0, -20.0, 50.0]}
+    for direction, x in points.items():
+        x = np.array(x)
+        d2 = psi.d2_along(x[None], xi[None])[0]
+        with mpmath.workdps(30):
+            # at the junction a central difference would straddle the kink
+            want = float(mpmath.diff(_mp_psi_section(psi, x, xi), 0, 2,
+                                     direction=direction if abs(direction) == 1 else 0))
+        assert d2 == pytest.approx(want, rel=1e-12, abs=1e-14), (x, direction)
+
+
+@pytest.mark.parametrize("kind,s", [(kind, s) for kind in ("decay", "halfint")
+                                    for s in (0.05, 0.5, 0.95)]
+                         + [("growth", s) for s in (0.55, 0.75, 0.97)])
+def test_psi_orthogonal_section_matches_mpmath_and_engine(kind, s):
+    # along any xi orthogonal to x with |x| >= 1 the section stays on psi's
+    # power tails, so its integral is a closed form; it meets 30-digit
+    # mpmath within its bar, and the engine within both bars
+    psi = PSI_FIELDS[kind](s)
+    for r in (1.0, 2.0, 3000.0):
+        x = r * np.array([0.6, 0.0, 0.8])
+        value, bar = (float(a[0]) for a in psi.orthogonal_section(x[None], s))
+        frame = op.completion_frames(x[None], 3)[0]
+        with mpmath.workdps(30):
+            want = cn.normalizing_constant(s) * float(
+                _mp_directional(_mp_psi_section(psi, x, frame[1]), s, []))
+        assert abs(value - want) <= bar, (r, value, want, bar)
+        for row in op.directional_fan(psi, x, frame[1:], s, Tolerance(1e-12, 1e-11)):
+            assert abs(row.value - value) <= row.abs_error_estimate + bar, (r, row, value)
+
+
+def test_psi_orthogonal_section_refuses_points_inside_the_cap():
+    psi = pr.make_psi("decay", 2, 0.5)
+    with pytest.raises(cn.DomainError, match="orthogonal sections need"):
+        psi.orthogonal_section(np.array([[2.0, 0.0, 1.0], [0.5, 0.0, 0.5]]), 0.5)
+
+
+@pytest.mark.parametrize("kind,s", [("decay", 0.5), ("growth", 0.97), ("halfint", 0.5)])
+def test_psi_radial_rows_scale_with_the_angle(kind, s):
+    # psi = y_N phi(|y|^2): the section at r(cos a e_1 + sin a e_N) along
+    # xhat is sin a times the one through r e_N along e_N, so the engine's
+    # rows agree within both bars
+    psi, tol = PSI_FIELDS[kind](s), Tolerance(1e-12, 1e-11)
+    for r in (2.0, 50.0, 3000.0):
+        axis = op.directional(psi, vf._on_axis(3, r), vf._on_axis(3, 1.0), s, tol)
+        for a in (0.25, 0.85, 1.45):
+            x = r * np.array([math.cos(a), 0.0, math.sin(a)])
+            row = op.directional(psi, x, x / r, s, tol)
+            assert (abs(row.value - math.sin(a) * axis.value)
+                    <= row.abs_error_estimate + math.sin(a) * axis.abs_error_estimate), (r, a)
+
+
+def test_psi_decay_k3_passes_from_the_last_radius():
+    # with one radial row per radius and the orthogonal rows in closed form,
+    # the claims at r = 3000 resolve: their bars shrink with sin a, and they
+    # lie within those bars of 40-digit mpmath frame sums
+    s, k = 0.95, 3
+    r = vf.verify_psi_subsolution("decay", k, s)
+    assert r.verdict == "pass" and r.extra["empirical_R0"] == 3000.0
+    psi = pr.make_psi("decay", k, s)
+    far = [c for c in r.residuals if math.hypot(*c.point) > 2999.0]
+    assert len(far) == 3
+    for c in far:
+        x = np.array(c.point)
+        nx = float(np.linalg.norm(x))
+        frame = op.completion_frames(x[None], k)[0]
+        with mpmath.workdps(40):
+            cuts = [mpmath.mpf(nx) - 1, mpmath.mpf(nx) + 1]  # the junction crossings
+            total = _mp_directional(_mp_psi_section(psi, x, frame[0]), s, cuts)
+            # the k - 1 orthogonal sections are equal
+            total += (k - 1) * _mp_directional(_mp_psi_section(psi, x, frame[1]), s, [])
+        bound = r.params["bound_constant"] * x[-1] * nx ** -(psi.gamma_second + 2.0 * s + 2.0)
+        want = bound - cn.normalizing_constant(s) * float(total)
+        assert want < 0.0 and abs(c.residual - want) <= c.error, (c, want)
 
 
 @pytest.mark.parametrize("N,s,gamma", [(3, 0.5, 0.6), (2, 0.07, 0.05), (4, 0.3, 0.9)])

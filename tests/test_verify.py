@@ -204,6 +204,15 @@ def test_psi_max_violation_reads_the_claims_from_the_onset_on():
     assert r.max_violation <= 0.0
 
 
+@pytest.mark.parametrize("radii", [[0.5, 2.0], [0.999999], [2.0, math.nan]])
+def test_psi_radii_below_the_cap_are_refused(radii):
+    # orthogonal sections at |x| < 1 cross psi's cap, where their closed form
+    # does not hold
+    with pytest.raises(cn.DomainError, match="radius must be >= 1"):
+        vf.verify_psi_subsolution("halfint", 1, 0.5, radii=radii)
+    assert vf.verify_psi_subsolution("halfint", 1, 0.5, radii=[1.0, 2.0]).extra["radii"] == [1.0, 2.0]
+
+
 def test_psi_bound_constant_is_positive():
     # with x_N > 0 at every sampled angle, a passing claim then implies a
     # positive frame sum, so the verdict needs no separate sign check
@@ -326,7 +335,7 @@ def test_transform_passes():
     ("power-identity", lambda: vf.verify_power_identity(0.3, 0.5), [3]),
     ("bump-train", lambda: vf.verify_bump_train(0.5, 1.5, k=2, N=3), [6 + 2 * 2]),
     ("t49-2", lambda: vf.verify_T49_2(3, 0.5), [6 * 3]),
-    ("psi", lambda: vf.verify_psi_subsolution("decay", 2, 0.4), [30 * 2]),
+    ("psi", lambda: vf.verify_psi_subsolution("decay", 2, 0.4), [10]),
     ("singular ik_minus",
      lambda: vf.verify_singular_supersolution(0.5, -3.0, "ik_minus", 2), [3]),
     ("singular in_plus",
