@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quad import QuadResult, StackResult
+from .quad import QuadResult
 from .quad import integrate, integrate_pv  # stubs that raise; perfbench's tracer looks them up here
 
 __all__ = [
@@ -346,7 +346,7 @@ def _corr_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndar
                   + 8.0 * _EPS * corr + 4.0 * _TINY)
 
 
-def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> StackResult:
+def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> list[QuadResult]:
     """c_iso, or c_N^+ if ``n_plus``, at every gamma of a stack, with no quadrature.
 
     c_iso, the integral over (0, inf) of (plus + minus - 2) / t^{1+2s} with plus, minus =
@@ -371,10 +371,10 @@ def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> StackR
     results = [QuadResult(v, e, 0) for v, e in zip(
         value.tolist(), (np.abs(perp) * bound + np.abs(value) * (_PERP_REL + _EPS)).tolist())]
     if not n_plus:
-        return StackResult(results)
+        return results
     corr, corr_bar = _corr_series(gam, s, N)
-    return StackResult([r.scale(N) + QuadResult(-c, e, 0) for r, c, e in zip(
-        results, corr.tolist(), corr_bar.tolist())])
+    return [r.scale(N) + QuadResult(-c, e, 0) for r, c, e in zip(
+        results, corr.tolist(), corr_bar.tolist())]
 
 
 def c_iso(gam: float, s: float, N: int) -> float:

@@ -18,9 +18,10 @@ the line section of one field through the point along the direction.
 One engine integrates all rows through ``quad.integrate_batch``, the
 batched adaptive G10/K21 engine: field lines accept a stack of directions
 and a stack of points, so each round of bisection evaluates every open
-panel of every piece of every section in one field call, and a batch
-whose Taylor ladders stop within their first five rungs takes one engine
-call (``_integrate_fan``).  It is the only
+panel of every piece of every section in one field call.  The sections'
+Taylor ladders are one matrix of rungs: a batch whose ladders stop within
+their first five rungs takes one engine call, and each further call brings
+four rungs of every ladder still open (``_integrate_fan``).  It is the only
 path: ``directional`` along one direction is the batch of one row;
 ``directional_fan``, the ``plus`` closed form and the search's objective
 evaluate the directions through one point as one batch (a *fan*); and
@@ -132,8 +133,9 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     which then starts clear of the kink at b instead of bisecting next to
     it, and (iv) an analytic tail remainder from the growth bound.  Every
     section's first five rungs and its pieces of (ii) and (iii) go into one
-    ``integrate_batch`` call; ladders still open then run four rungs per
-    section to a call.
+    ``integrate_batch`` call; the rungs of all sections are one matrix,
+    judged whole after every call, and each ladder still open gets its next
+    four rungs in the next call.
 
     A field with ``far_part`` shows in ``line`` only the part of each
     section near its point; ``u.far_part`` of all rows adds the rest in
@@ -269,23 +271,36 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     # gap (and the next one, where it grew), every quadrature error that
     # went in and d2's error times the weight tau gives it.  The last rung
     # has no successor and keeps the plain estimate val_k, with
-    # |tau(delta_k) - val_k| in the bar.  Every row's first five rungs go
-    # into the one call with its core and far pieces; a row still open then
-    # gets four rungs a call after its last two, which the next pass judges
-    # again with their successors.
+    # |tau(delta_k) - val_k| in the bar.  Each row's rungs are one row of
+    # the matrices q and q_err, and a rung is judged only once it and the
+    # rungs its test reads are integrated (``have`` counts them).  Every
+    # row's first five rungs go into the one call with its core and far
+    # pieces; after each call the whole matrix is judged again, and each
+    # row with no stop yet gets its next four rungs in the next call.
     delta_cancel = 32.0 * np.sqrt(_EPS * (np.abs(u0) + 1.0) / (np.abs(d2) + 1e-3))
     n_rungs = 1 + np.count_nonzero(
         np.ldexp(top[:, None], -np.arange(1, 60)) > delta_cancel[:, None], axis=1)
     richardson = 2.0 ** (2.0 + expo) - 1.0
+    rung = np.arange(n_rungs.max())
+    tops = np.ldexp(top[:, None], -rung)
+    reach = (tops / 2.0) ** expo / expo
+    low = d2[:, None] * reach
+    tau = d2[:, None] * tops**expo / expo
+    q, q_err = np.zeros(tops.shape), np.zeros(tops.shape)
+    have = np.zeros(m, int)
+
+    def next_rungs(ladders: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        # the row and rung of each of the ladders' next `count` rungs, which `have` then counts
+        k = have[ladders, None] + np.arange(count)
+        new = k < n_rungs[ladders, None]
+        have[ladders] = np.minimum(have[ladders] + count, n_rungs[ladders])
+        return ladders[np.nonzero(new)[0]], k[new]
 
     def ahead(a: np.ndarray) -> np.ndarray:  # each rung's successor; the last its own
         return np.column_stack((a[:, 1:], a[:, -1:]))
 
-    ladder = all_rows  # the rows of the open ladders, one per row of `rung`
-    rung = np.broadcast_to(np.arange(5), (m, 5))
-    new = rung < n_rungs[:, None]
-    rung_rows = np.nonzero(new)[0]
-    rung_tops = np.ldexp(top[rung_rows], -rung[new])
+    rung_rows, rung_k = next_rungs(all_rows, 5)
+    rung_tops = tops[rung_rows, rung_k]
 
     # Integral g < n_core is a core piece of section rows[g] in the
     # smoothstep variable z; then come the far panels in w = log t, then
@@ -321,56 +336,38 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     core_val, core_err = v[:n_core], e[:n_core]
     far_val, far_err = np.zeros(m), np.zeros(m)
     far_val[far], far_err[far] = v[n_core:n_near], e[n_core:n_near]
-    q, q_err = np.zeros(rung.shape), np.zeros(rung.shape)
-    q[new], q_err[new] = v[n_near:], e[n_near:]
+    q[rung_rows, rung_k], q_err[rung_rows, rung_k] = v[n_near:], e[n_near:]
 
-    # each pass judges the rungs of the open ladders in order; above_val
-    # and above_err sum the quadratures and errors of the rungs before them
-    small_val, small_err = np.empty(m), np.empty(m)
-    above_val, above_err = np.zeros(m), np.zeros(m)
     while True:
-        tops = np.ldexp(top[ladder, None], -rung)
-        reach = (tops / 2.0) ** expo / expo
-        low = d2[ladder, None] * reach
-        gain = d2[ladder, None] * tops**expo / expo - (low + q)
+        gain = tau - (low + q)
         x = low + q - gain / richardson
-        val = above_val[ladder, None] + np.cumsum(q, axis=1)
-        err = above_err[ladder, None] + np.cumsum(q_err, axis=1)
         x_next, err_next = ahead(x), ahead(q_err)
-        has_next = ahead(rung < n_rungs[ladder, None]) & (ahead(rung) > rung)
+        has_next = rung + 1 < have[:, None]
         gap = np.abs(x - (x_next + q))
         gap_next = ahead(gap)
         rises = ahead(has_next) & has_next & (gap_next >= gap)
-        last = rung == n_rungs[ladder, None] - 1
-        stop = last | has_next & ((gap <= abs_tol[ladder, None] / 4.0)
+        last = (rung == n_rungs[:, None] - 1) & (rung < have[:, None])
+        stop = last | has_next & ((gap <= abs_tol[:, None] / 4.0)
                                   | (gap <= q_err + err_next)) | rises
-        done = np.flatnonzero(np.any(stop, axis=1))
-        j = np.argmax(stop[done], axis=1)
-        row, plain = ladder[done], last[done, j]
-        small_val[row] = val[done, j] + np.where(plain, low[done, j], x_next[done, j])
-        small_err[row] = err[done, j] + np.where(
-            plain, np.abs(gain[done, j]) + d2_err[row] * reach[done, j],
-            gap[done, j] + np.where(rises[done, j], gap_next[done, j], 0.0)
-            + (1.0 + 1.0 / richardson) * err_next[done, j]
-            + d2_err[row] * ahead(reach)[done, j] * 3.0 * 2.0**expo / richardson)
         still = np.flatnonzero(~np.any(stop, axis=1))
         if not still.size:
             break
-        # an open ladder's last two rungs lead its next block
-        ladder = ladder[still]
-        above_val[ladder], above_err[ladder] = val[still, -3], err[still, -3]
-        rung = rung[still, -2:-1] + np.arange(6)
-        new = rung < n_rungs[ladder, None]
-        new[:, :2] = False
-        q = np.column_stack((q[still, -2:], np.zeros((still.size, 4))))
-        q_err = np.column_stack((q_err[still, -2:], np.zeros((still.size, 4))))
-        rung_rows = ladder[np.nonzero(new)[0]]
-        rung_tops = np.ldexp(top[rung_rows], -rung[new])
+        rung_rows, rung_k = next_rungs(still, 4)
+        rung_tops = tops[rung_rows, rung_k]
         v, e, n = integrate_batch(lambda t, g: pair(t, rung_rows[g]) / t**p,
                                   rung_tops / 2.0, rung_tops,
                                   abs_tol[rung_rows] / 8.0, rel_tol[rung_rows])
         count_evals(rung_rows, n)
-        q[new], q_err[new] = v, e
+        q[rung_rows, rung_k], q_err[rung_rows, rung_k] = v, e
+
+    # every ladder's first stop
+    at = all_rows, np.argmax(stop, axis=1)
+    plain = last[at]
+    small_val = np.cumsum(q, axis=1)[at] + np.where(plain, low[at], x_next[at])
+    small_err = np.cumsum(q_err, axis=1)[at] + np.where(
+        plain, np.abs(gain[at]) + d2_err * reach[at],
+        gap[at] + np.where(rises[at], gap_next[at], 0.0) + (1.0 + 1.0 / richardson) * err_next[at]
+        + d2_err * ahead(reach)[at] * 3.0 * 2.0**expo / richardson)
 
     # bincount adds up each section's core pieces in their order
     value = (small_val + np.bincount(core_rows, core_val, m)
@@ -434,7 +431,7 @@ def frame_sum(u, x: np.ndarray, frame: Frame, s: float,
 
 def canonical_frame(N: int, k: int) -> Frame:
     """The frame {e_1, ..., e_k}."""
-    return Frame(np.eye(N)[:k])
+    return Frame(np.eye(k, N))
 
 
 def completion_frames(xhats: np.ndarray, k: int) -> np.ndarray:

@@ -185,7 +185,8 @@ class Field:
       array of t; ``x`` and ``xi`` may be of any shape ``(..., N)``, and
       their stacks broadcast against t.
     - ``c2_radius(x)``, ``(m,)``: the radius of a ball around each point on
-      which u is C^2.
+      which u is C^2, or on which each section is C^2 up to its nearest
+      breakpoint: the engine caps each row's window there.
     - ``breakpoints(x, xi)``, ``(m, B)``: the t with |t| > 1e-9 at which
       each section crosses a set where u is not C^2, unsorted, possibly
       repeated, each row padded with inf.
@@ -702,7 +703,12 @@ class PowerProfile(Field):
 
 
 class MinField(Field):
-    """Pointwise minimum of two fields (the min composition w = min{phi, z})."""
+    """Pointwise minimum of two fields (the min composition w = min{phi, z}).
+
+    Its C^2 radius is the smaller of its fields' radii.  Where the fields
+    cross, w is not C^2; each section's crossings, found by ``_crossings``,
+    are among its breakpoints, so they cap each row's window instead.
+    """
 
     def __init__(self, first: Field, second: Field, scale: float = 1.0) -> None:
         self.first = first
@@ -716,17 +722,7 @@ class MinField(Field):
         return lambda t: scale * np.minimum(first(t), second(t))
 
     def c2_radius(self, x: np.ndarray) -> np.ndarray:
-        # the rows of a fan share their point: each distinct point (bit for
-        # bit) is scanned, and its e_N crossing refined, once
-        rows = np.ascontiguousarray(x)
-        key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-        _, first, back = np.unique(key, return_index=True, return_inverse=True)
-        x = rows[first]
-        base = np.minimum(self.first.c2_radius(x), self.second.c2_radius(x))
-        e_n = np.zeros_like(x)
-        e_n[:, -1] = 1.0
-        cross = np.min(np.abs(self._crossings(x, e_n, 2.0 * base)), axis=1, initial=np.inf)
-        return np.maximum(np.minimum(base, cross), 1e-6)[back.ravel()]
+        return np.maximum(np.minimum(self.first.c2_radius(x), self.second.c2_radius(x)), 1e-6)
 
     def _crossings(self, x: np.ndarray, xi: np.ndarray, span: np.ndarray) -> np.ndarray:
         """Sign changes of first - second along each row's line within

@@ -6,8 +6,7 @@ of a vectorised integrand.  The directional operator plans the pieces of
 every field section (a Taylor ladder, core panels, a log-substituted far
 panel, an analytic tail) and hands them to it; the constants run no
 quadrature.  ``Tolerance`` is an accuracy request, ``QuadResult`` a value
-with its error estimate and evaluation count, and ``StackResult`` the
-results of a stack of integrals in member order.
+with its error estimate and evaluation count.
 
 ``integrate`` and ``integrate_pv`` are names only: stubs that raise, kept
 bound here and in ``constants`` because perfbench's tracer looks them up.
@@ -23,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "QuadResult",
-    "StackResult",
     "Tolerance",
     "integrate_batch",
 ]
@@ -63,15 +61,6 @@ class QuadResult:
             self.abs_error_estimate * abs(factor),
             self.n_evals,
         )
-
-
-class StackResult(tuple):
-    """The ``QuadResult`` of each member of a stacked integrand, in member order."""
-
-    @property
-    def n_evals(self) -> int:
-        """The evaluations of the whole call: every member's."""
-        return sum(r.n_evals for r in self)
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the 21-point Kronrod

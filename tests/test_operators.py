@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 import warnings
 
 import mpmath
@@ -103,6 +104,18 @@ def test_homogeneity_2s():
     b = op.directional(w, np.array([0.0, 6.0]), xi, s, TOL)
     assert b.value == pytest.approx(a.value * 2.0 ** (-gamma - 2.0 * s),
                                     rel=1e-7)
+
+
+def test_canonical_frame_builds_no_square_identity():
+    # {e_1} in R^2000 takes 16 kB; the N x N identity it was cut from took 32 MB
+    tracemalloc.start()
+    try:
+        frame = op.canonical_frame(2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert frame.vectors.shape == (1, 2000) and frame.vectors[0, 0] == 1.0
 
 
 def test_frame_validation():
@@ -692,6 +705,17 @@ def test_fan_of_short_ladders_makes_one_engine_call(monkeypatch, s, mu):
     calls = _count_engine_calls(monkeypatch)
     assert vf.verify_power_identity(mu, s, tol=TOL).verdict == "pass"
     assert len(calls) == 1
+
+
+def test_long_ladder_makes_three_engine_calls(monkeypatch):
+    # this ladder of x_N^0.45 along e_N is still open after nine rungs: its
+    # first five share the first call, and the next two calls bring four each
+    s, mu = 0.3, 0.45
+    calls = _count_engine_calls(monkeypatch)
+    r = op.directional(pr.PowerProfile(mu), np.array([0.0, 1.0]), np.array([0.0, 1.0]), s,
+                       Tolerance(1e-16, 1e-15))
+    assert len(calls) == 3
+    assert abs(r.value - cn.normalizing_constant(s) * cn.c_s_mu(mu, s)) <= r.abs_error_estimate
 
 
 def test_certify_pass_makes_half_the_engine_calls(monkeypatch):
