@@ -13,21 +13,14 @@ rotations, each a ring of angles, then a bracket zoom on the one angle
 (N = 2) or trust-region steps on a quadratic model of the score in all the
 rotation angles at once.
 
-The unit of work is a batch of *rows*, each a (point, direction) pair:
-the line section of one field through the point along the direction.
-One engine integrates all rows through ``quad.integrate_batch``, the
-batched adaptive G10/K21 engine: field lines accept a stack of directions
-and a stack of points, so each round of bisection evaluates every open
-panel of every piece of every section in one field call.  The sections'
-Taylor ladders are one matrix of rungs: a batch whose ladders stop within
-their first five rungs takes one engine call, and each further call brings
-four rungs of every ladder still open (``_integrate_fan``).  It is the only
-path: ``directional`` along one direction is the batch of one row;
-``directional_fan``, the ``plus`` closed form and the search's objective
-evaluate the directions through one point as one batch (a *fan*); and
-``frame_sums`` integrates every section of the frames at many points as one
-batch, which is how each verify suite calls it, one batch per field, and
-``frame_sum`` is its case of one point.
+The unit of work is a batch of *rows*, line sections of one field that it
+sees through four projections each (``profiles.Rows``).  One engine,
+``_integrate_fan``, integrates them all with ``quad.integrate_batch``, each
+round of bisection in one field call.  ``directional`` is its batch of one
+row; ``directional_fan``, the ``plus`` closed form and the search's
+objective take the directions through one point (a *fan*); ``frame_sums``
+takes every section of the frames at many points, one batch per field in
+each verify suite, and ``frame_sum`` is its case of one point.
 """
 
 from __future__ import annotations
@@ -38,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import profiles as pr
 from .constants import _check_s, normalizing_constant
 from .quad import QuadResult, Tolerance, integrate_batch
 
@@ -55,7 +49,7 @@ __all__ = [
     "canonical_frame",
     "completion_frame",
     "completion_frames",
-    "householder_frame",
+    "householder_rows",
     "random_frames",
 ]
 
@@ -108,24 +102,32 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 # the directional operator on rows of (point, direction)
 # ---------------------------------------------------------------------------
 #
-# A *field* follows the stacked protocol that ``profiles.Field`` states:
-# ``line``, ``c2_radius``, ``breakpoints``, ``growth_alpha`` and, optionally,
-# ``growth_const``, ``d2_along`` and ``far_part``, every hook on all rows at
-# once, so the quadrature evaluates a whole batch of nodes, of one section or
-# of many, in one numpy pass.
+# A *field* follows the protocol that ``profiles.Field`` states, every hook
+# on all rows at once, so one numpy pass evaluates nodes of many sections.
 
-def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
-                   abs_tol, rel_tol: float) -> list[QuadResult]:
-    """The directional operator integral of a field along each row of ``directions``.
+def _fan_rows(x: np.ndarray, directions: np.ndarray) -> pr.Rows:
+    """The ``Rows`` through ``x``, ``(N,)`` or a point per row, along each row of
+    ``directions`` made unit; zero or non-finite input raises ``ValueError``."""
+    x = np.asarray(x, float)
+    dirs = np.asarray(directions, float).reshape(-1, x.shape[-1])
+    nrm = np.linalg.norm(dirs, axis=1, keepdims=True)  # a unit row stays as given
+    # comparisons are false for NaN, so a NaN direction is refused too
+    if not (np.all((nrm > 0.0) & (nrm < np.inf)) and np.all(np.isfinite(x))):
+        raise ValueError("every direction must be finite and nonzero, and every point finite")
+    dirs = np.where(np.abs(nrm - 1.0) > 1e-12, dirs / nrm, dirs)
+    return pr.Rows.through(np.broadcast_to(x, dirs.shape), dirs)
 
-    Row i is the line section through ``x`` (shape ``(N,)``), or through its
-    own point ``x[i]`` for a stack of shape ``(m, N)``, along the unit vector
-    of ``directions[i]``; ``abs_tol`` is one absolute tolerance, or one per
-    row.  Every field evaluation is ``u.line`` on the rows' points and
-    directions at nodes ``t``, all broadcasting against each other, so one
-    call serves nodes of many sections.  Each integral splits at
-    top = min(window/2, 1) into (i) a Taylor ladder on ``(0, top)``: the
-    analytic piece of the section's second derivative on ``(0, delta)`` and
+
+def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol: float) -> list[QuadResult]:
+    """The directional operator integral of a field along each of ``rows``.
+
+    Row i is the line section x[i] + t*xi[i], seen through its four
+    projections (``profiles.Rows``); ``abs_tol`` and ``rel_tol`` are each
+    one tolerance, or one per row.  Every field evaluation is ``u.line`` on
+    the open rows' four arrays, which broadcast against the nodes ``t``, so
+    one call serves nodes of many sections.  Each integral splits at
+    top = min(window/2, 1) into (i) a Taylor ladder on ``(0, top)``: the analytic
+    piece of the section's second derivative on ``(0, delta)`` and
     quadratures of rungs ``(delta/2, delta)`` above it, judged on Richardson
     estimates that cancel the remainder's delta^{4-2s} term, (ii) panels
     between breakpoint radii, out to 2b + 1 for the largest radius b (or to
@@ -145,9 +147,9 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     breakpoint; without ``d2_along`` the second derivatives of all rows come
     from one call of finite differences inside their windows, and their
     error bound, weighted as the Taylor piece carries it, goes into the
-    bar.  The rows'
-    breakpoint radii are sorted and their repeats dropped here, for every
-    field.  ``rel_tol``, like ``abs_tol``, is one tolerance or one per row.
+    bar.  No bar is below the rounding of the kernel's pair over the nodes
+    integrated.  The rows' breakpoint radii are sorted and their repeats
+    dropped here, for every field.
 
     ``n_evals`` of each result counts the section's field evaluations: u(0),
     two per kernel node (at t and -t), the growth probes and the finite
@@ -159,39 +161,30 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     if growth_alpha >= 2.0 * s:
         raise GrowthViolation(f"growth exponent {growth_alpha} >= 2s = {2*s}")
 
-    x = np.asarray(x, float)
-    dirs = np.asarray(directions, float).reshape(-1, x.shape[-1])
-    # rows scaled to unit length; a row that already is unit stays as given
-    nrm = np.linalg.norm(dirs, axis=1, keepdims=True)
-    # comparisons are false for NaN, so a NaN direction is refused too
-    if not (np.all((nrm > 0.0) & (nrm < np.inf)) and np.all(np.isfinite(x))):
-        raise ValueError("every direction must be finite and nonzero, and every point finite")
-    dirs = np.where(np.abs(nrm - 1.0) > 1e-12, dirs / nrm, dirs)
-    m = len(dirs)
+    m = len(rows)
     all_rows = np.arange(m)
     abs_tol = np.full(m, abs_tol, float)
     rel_tol = np.full(m, rel_tol, float)
-    points = np.broadcast_to(x, dirs.shape)  # one point of shape (N,) serves every row
 
-    radii = np.abs(u.breakpoints(points, dirs))
-    window = np.minimum(u.c2_radius(points), np.min(radii, axis=1, initial=np.inf))
+    radii = np.abs(u.breakpoints(rows))
+    window = np.minimum(u.c2_radius(rows), np.min(radii, axis=1, initial=np.inf))
     if np.any(window <= 0.0):
         raise ValueError("the C^2 window of every direction must be positive")
-    closed, closed_err = u.far_part(points, dirs, s) if hasattr(u, "far_part") else (0.0, 0.0)
-    u0 = u.line(points, dirs)(0.0)
+    closed, closed_err = u.far_part(rows, s) if hasattr(u, "far_part") else (0.0, 0.0)
+    u0 = u.line(rows)(0.0)
     two_u0 = 2.0 * u0
 
-    def ev(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return u.line(points[rows], dirs[rows])(t)
+    def ev(t: np.ndarray, which: np.ndarray) -> np.ndarray:
+        return u.line(rows[which])(t)
 
-    def pair(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        both = ev(np.stack((t, -t)), rows)
-        return both[0] + both[1] - two_u0[rows]
+    def pair(t: np.ndarray, which: np.ndarray) -> np.ndarray:
+        both = ev(np.stack((t, -t)), which)
+        return both[0] + both[1] - two_u0[which]
 
     n_evals = np.ones(m, int)
     d2_fn = getattr(u, "d2_along", None)
     if d2_fn is not None:
-        d2, d2_err = d2_fn(points, dirs), np.zeros(m)
+        d2, d2_err = d2_fn(rows), np.zeros(m)
     else:
         # central differences at h = window/8, h/2 and h/4, Richardson-extrapolated
         # twice; the error of the once-extrapolated one at h/2 bounds the result's
@@ -207,9 +200,9 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     p = 1.0 + 2.0 * s
     expo = 2.0 - 2.0 * s
 
-    def count_evals(rows: np.ndarray, n: np.ndarray) -> None:
+    def count_evals(which: np.ndarray, n: np.ndarray) -> None:
         # pair makes two section evals per kernel eval
-        n_evals[:] += 2 * np.bincount(rows, n, m).astype(int)
+        n_evals[:] += 2 * np.bincount(which, n, m).astype(int)
 
     # pieces between breakpoint radii, each on a quintic smoothstep map of
     # (0, 1): algebraic kinks |t - endpoint|^kappa become C^2-or-better, so
@@ -273,10 +266,7 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     # has no successor and keeps the plain estimate val_k, with
     # |tau(delta_k) - val_k| in the bar.  Each row's rungs are one row of
     # the matrices q and q_err, and a rung is judged only once it and the
-    # rungs its test reads are integrated (``have`` counts them).  Every
-    # row's first five rungs go into the one call with its core and far
-    # pieces; after each call the whole matrix is judged again, and each
-    # row with no stop yet gets its next four rungs in the next call.
+    # rungs its test reads are integrated (``have`` counts them).
     delta_cancel = 32.0 * np.sqrt(_EPS * (np.abs(u0) + 1.0) / (np.abs(d2) + 1e-3))
     n_rungs = 1 + np.count_nonzero(
         np.ldexp(top[:, None], -np.arange(1, 60)) > delta_cancel[:, None], axis=1)
@@ -302,12 +292,12 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     rung_rows, rung_k = next_rungs(all_rows, 5)
     rung_tops = tops[rung_rows, rung_k]
 
-    # Integral g < n_core is a core piece of section rows[g] in the
+    # Integral g < n_core is a core piece of section owner[g] in the
     # smoothstep variable z; then come the far panels in w = log t, then
     # the rungs in t.
     n_core = core_rows.size
     n_near = n_core + far.size
-    rows = np.concatenate((core_rows, far, rung_rows))
+    owner = np.concatenate((core_rows, far, rung_rows))
     start = flat[firsts]
     length = flat[firsts + 1] - start
 
@@ -321,7 +311,7 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
         # far out (|t| > 1e154) squared norms overflow to inf, where the
         # sections take their limits
         with np.errstate(over="ignore"):
-            k = pair(t, rows[group])
+            k = pair(t, owner[group])
         # t**p overflows on the far panel; there each branch gets safe input
         k_p = k / np.where(log_t, 1.0, t) ** p
         return np.where(core, k_p * length[g] * dw, np.where(log_t, k * t ** (-2.0 * s), k_p))
@@ -331,24 +321,26 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
         np.concatenate((np.ones(n_core), np.log(T[far]), rung_tops)),
         np.concatenate((abs_tol[core_rows] / (4.0 * sizes[core_rows]), abs_tol[far] / 4.0,
                         abs_tol[rung_rows] / 8.0)),
-        rel_tol[rows])
-    count_evals(rows, n)
+        rel_tol[owner])
+    count_evals(owner, n)
     core_val, core_err = v[:n_core], e[:n_core]
     far_val, far_err = np.zeros(m), np.zeros(m)
     far_val[far], far_err[far] = v[n_core:n_near], e[n_core:n_near]
     q[rung_rows, rung_k], q_err[rung_rows, rung_k] = v[n_near:], e[n_near:]
 
     while True:
-        gain = tau - (low + q)
-        x = low + q - gain / richardson
-        x_next, err_next = ahead(x), ahead(q_err)
-        has_next = rung + 1 < have[:, None]
-        gap = np.abs(x - (x_next + q))
+        c = have.max()  # no rung from column c on is integrated, so none stops there
+        q_c, err_c, rung_c = q[:, :c], q_err[:, :c], rung[:c]
+        gain = tau[:, :c] - (low[:, :c] + q_c)
+        x = low[:, :c] + q_c - gain / richardson
+        x_next, err_next = ahead(x), ahead(err_c)
+        has_next = rung_c + 1 < have[:, None]
+        gap = np.abs(x - (x_next + q_c))
         gap_next = ahead(gap)
         rises = ahead(has_next) & has_next & (gap_next >= gap)
-        last = (rung == n_rungs[:, None] - 1) & (rung < have[:, None])
+        last = (rung_c == n_rungs[:, None] - 1) & (rung_c < have[:, None])
         stop = last | has_next & ((gap <= abs_tol[:, None] / 4.0)
-                                  | (gap <= q_err + err_next)) | rises
+                                  | (gap <= err_c + err_next)) | rises
         still = np.flatnonzero(~np.any(stop, axis=1))
         if not still.size:
             break
@@ -363,17 +355,22 @@ def _integrate_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     # every ladder's first stop
     at = all_rows, np.argmax(stop, axis=1)
     plain = last[at]
-    small_val = np.cumsum(q, axis=1)[at] + np.where(plain, low[at], x_next[at])
-    small_err = np.cumsum(q_err, axis=1)[at] + np.where(
+    small_val = np.cumsum(q_c, axis=1)[at] + np.where(plain, low[at], x_next[at])
+    small_err = np.cumsum(err_c, axis=1)[at] + np.where(
         plain, np.abs(gain[at]) + d2_err * reach[at],
         gap[at] + np.where(rises[at], gap_next[at], 0.0) + (1.0 + 1.0 / richardson) * err_next[at]
-        + d2_err * ahead(reach)[at] * 3.0 * 2.0**expo / richardson)
+        + d2_err * ahead(reach[:, :c])[at] * 3.0 * 2.0**expo / richardson)
 
     # bincount adds up each section's core pieces in their order
     value = (small_val + np.bincount(core_rows, core_val, m)
              + (-u0 * T ** (-2.0 * s) / s + far_val) + closed)
     err = (small_err + np.bincount(core_rows, core_err, m)
            + (coeff * T**-decay + far_err) + closed_err)
+    # f(t) + f(-t) - 2u(x) cancels to O(t^2) but rounds at ~1 ulp of |u(x)|
+    # per term, unseen by the quadratures: the bar is at least 4 eps |u(x)|
+    # int_lo^inf t^{-1-2s} dt, lo the lowest node of the rungs used.
+    lo = np.ldexp(top, -(at[1] + np.where(plain, 1, 2)))
+    err = np.maximum(err, 4.0 * _EPS * np.abs(u0) * lo ** (-2.0 * s) / (2.0 * s))
     Cs = normalizing_constant(s)
     return [QuadResult(a, b, c).scale(Cs)
             for a, b, c in zip(value.tolist(), err.tolist(), n_evals.tolist())]
@@ -387,7 +384,7 @@ def directional_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
     the point of each row.  All rows are one batched quadrature: each round
     evaluates the nodes of every section in one field call.
     """
-    return _integrate_fan(u, x, directions, s, tol.abs_tol, tol.rel_tol)
+    return _integrate_fan(u, _fan_rows(x, directions), s, tol.abs_tol, tol.rel_tol)
 
 
 def directional(u, x: np.ndarray, xi: np.ndarray, s: float,
@@ -400,19 +397,22 @@ def directional(u, x: np.ndarray, xi: np.ndarray, s: float,
 directional_at = directional
 
 
-def frame_sums(u, points: Sequence[np.ndarray], frames: Sequence[np.ndarray], s: float,
+def frame_sums(u, points: Sequence[np.ndarray], frames: Sequence, s: float,
                tol: Tolerance | Sequence[Tolerance] = Tolerance()) -> list[QuadResult]:
     """Sum of directional operators at each point over the rows of its frame.
 
     ``frames[i]``, of shape ``(k_i, N)``, holds the directions summed at
-    ``points[i]``; a frame of one row gives the directional value.  ``tol``
+    ``points[i]``; a frame of one row gives the directional value.  Or each
+    ``frames[i]`` is the ``profiles.Rows`` of those sections (as
+    ``householder_rows`` gives them), and ``points`` is not read.  ``tol``
     is one ``Tolerance``, or one per point.  Every section of every point is
     one batch of rows, so each round of bisection calls the field once.
     """
     sizes = [len(f) for f in frames]
     tols = [tol] * len(sizes) if isinstance(tol, Tolerance) else tol
-    sections = _integrate_fan(u, np.repeat(np.asarray(points, float), sizes, axis=0),
-                              np.vstack(frames), s,
+    rows = (pr.Rows.concat(frames) if isinstance(frames[0], pr.Rows) else
+            _fan_rows(np.repeat(np.asarray(points, float), sizes, axis=0), np.vstack(frames)))
+    sections = _integrate_fan(u, rows, s,
                               np.repeat([t.abs_tol for t in tols], sizes),
                               np.repeat([t.rel_tol for t in tols], sizes))
     ends = np.cumsum(sizes).tolist()
@@ -458,25 +458,25 @@ def completion_frame(xhat: np.ndarray, k: int) -> Frame:
     return Frame(completion_frames(np.asarray(xhat, float)[None], k)[0])
 
 
-def householder_frame(xhat: np.ndarray) -> Frame:
-    """Full orthonormal basis {xi_i} with <xhat, xi_i> = 1/sqrt(N) for every i.
-
-    The reflection taking the normalized all-ones vector onto ``xhat`` is
-    applied to the canonical basis; inner products with ``xhat`` then equal
-    the components of the all-ones direction, 1/sqrt(N) each.
+def householder_rows(x: np.ndarray) -> pr.Rows:
+    """The N rows through ``x`` along the basis xi_i = H e_i, H = I - 2 w w^T
+    the reflection of the all-ones direction onto xhat, by their projections
+    in O(N): x.xi_i = x_i - 2 w_i (w.x) = |x|/sqrt(N), d_i^2 = |x|^2 -
+    (x.xi_i)^2 and xi_i.e_N = delta_iN - 2 w_i w_N.  A zero or non-finite
+    ``x`` makes w NaN, which the check that w is unit refuses (ValueError).
     """
-    xhat = np.asarray(xhat, float)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero xhat: NaN, which Frame refuses
-        xhat = xhat / np.linalg.norm(xhat)
-    N = xhat.size
-    ones = np.full(N, 1.0 / math.sqrt(N))
-    w = xhat - ones
-    wn = np.linalg.norm(w)
-    if wn < 1e-14:
-        return Frame(np.eye(N))
-    w = w / wn
-    H = np.eye(N) - 2.0 * np.outer(w, w)  # maps ones -> xhat
-    return Frame(H.T)  # rows xi_i = H e_i, so <xhat, xi_i> = (H^T xhat)_i = 1/sqrt(N)
+    x = np.asarray(x, float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = x / np.linalg.norm(x) - 1.0 / math.sqrt(x.size)
+        wn = np.linalg.norm(w)
+        w = np.zeros(x.size) if wn < 1e-14 else w / wn
+    defect = 0.0 if wn < 1e-14 else abs(float(w @ w) - 1.0)
+    if not defect <= 1e-12:  # false for NaN too
+        raise ValueError(f"orthonormality defect {defect:.2e} exceeds 1e-12")
+    b = x - 2.0 * w * float(w @ x)
+    xi_n = -2.0 * w[-1] * w
+    xi_n[-1] += 1.0
+    return pr.Rows(b, np.maximum(float(x @ x) - b * b, 0.0), np.full(x.size, x[-1]), xi_n)
 
 
 def random_frames(N: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -510,17 +510,14 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
     N = x.size
     if not getattr(profile, "is_radial", False):
         raise HypothesisViolation("extremal_radial requires a radial profile")
-    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: NaN, which no frame takes
-        xhat = x / np.linalg.norm(x)
     if variant == "plus":
-        fr = completion_frame(xhat, k)
+        fr = completion_frame(x, k)
         radial, *perp = directional_fan(profile, x, fr.vectors[:2], s, tol)
         return radial + perp[0].scale(float(k - 1)) if perp else radial
     if variant == "minus_full":
         if k != N:
             raise HypothesisViolation("variant minus_full requires k = N")
-        xi_star = householder_frame(xhat).vectors[0]
-        return directional(profile, x, xi_star, s, tol).scale(float(N))
+        return frame_sums(profile, [x], [householder_rows(x)[:1]], s, tol)[0].scale(float(N))
     raise ValueError(f"unknown variant {variant!r}")
 
 

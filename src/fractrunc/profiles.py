@@ -3,23 +3,21 @@
 Every constructed function is an *evaluable field*: a ``Field``, whose
 docstring states the protocol the operator module reads (line sections,
 C^2 radius, breakpoints, growth, and optionally the second derivative along
-a line and a closed-form far part), every hook on a stack of rows at once.
-Radial profiles are cap/tail constructions: a power of |x| beyond a
-junction radius, glued C^3 to the third-order Taylor cubic of the same
-power inside.
-
-Each construction is one class: the radial profile and its derivative
-along e_N, the subsolution candidate psi, the bump train, the half-space
-power tail, the power profile and the min composition; the power transform
-of a power profile is again a power profile.  A field's crossings with the
-hyperplanes {x_N = level} and with spheres come from ``_plane_crossings``
-and ``_sphere_crossings``.
+a line and a closed-form far part), every hook on a stack of rows at once,
+each row a line seen through four numbers (``Rows``).  Radial profiles are
+cap/tail constructions: a power of |x| beyond a junction radius, glued C^3
+to the third-order Taylor cubic of the same power inside.  Each
+construction is one class: the radial profile and its derivative along
+e_N, psi, the bump train, the half-space power tail, the power profile and
+the min composition; the power transform of a power profile is again a
+power profile.  Crossings with the hyperplanes {x_N = level} and with
+spheres come from ``_plane_crossings`` and ``_sphere_crossings``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -63,28 +61,6 @@ class ExponentOutOfRange(ValueError):
 # lines, and where they cross non-smooth surfaces
 # ---------------------------------------------------------------------------
 
-def _components(x: np.ndarray, xi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The pairs (x[..., i], xi[..., i]) of the rows' points and directions.
-
-    Each is an array over the rows (0-d for one row of shape (N,)), which
-    broadcasts against t.
-    """
-    x, xi = np.asarray(x, float), np.asarray(xi, float)
-    return [(x[..., i], xi[..., i]) for i in range(xi.shape[-1])]
-
-
-def _squared_norm(
-        pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> |x + t*xi|^2 over the given component pairs, summed in order."""
-    def r2(t: np.ndarray) -> np.ndarray:
-        acc = 0.0
-        for a, b in pairs:
-            v = a + t * b
-            acc += v * v
-        return acc
-    return r2
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] . b[i] of each row of two stacks ``(m, N)``, each row by BLAS as
     ``a[i] @ b[i]`` is, whatever the stacks' layout."""
@@ -92,22 +68,61 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _plane_crossings(x: np.ndarray, xi: np.ndarray, levels=(0.0,)) -> np.ndarray:
+@dataclass(frozen=True)
+class Rows:
+    """Lines x + t*xi (unit xi) by four arrays of one shape, which index and
+    broadcast together: ``b`` = x.xi, ``d2`` = |x - b*xi|^2 formed once from
+    the vectors, so |x + t*xi|^2 = d2 + (t + b)^2 (``r2``) does not cancel
+    near the closest point, and the last components ``x_n`` and ``xi_n``.
+    """
+
+    b: np.ndarray
+    d2: np.ndarray
+    x_n: np.ndarray
+    xi_n: np.ndarray
+
+    @classmethod
+    def through(cls, x: np.ndarray, xi: np.ndarray) -> "Rows":
+        """The rows of points ``x`` along directions ``xi``, ``(..., N)`` each."""
+        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
+        shape, (flat_x, flat_xi) = x.shape[:-1], (a.reshape(-1, a.shape[-1]) for a in (x, xi))
+        b = _dot(flat_x, flat_xi)
+        foot = flat_x - b[:, None] * flat_xi
+        return cls(b.reshape(shape), _dot(foot, foot).reshape(shape), x[..., -1].copy(),
+                   xi[..., -1].copy())
+
+    @classmethod
+    def concat(cls, stacks: Sequence["Rows"]) -> "Rows":
+        """One stack of the rows of ``stacks``, in order."""
+        return cls(*(np.concatenate([getattr(r, f.name) for r in stacks]) for f in fields(cls)))
+
+    def __getitem__(self, index) -> "Rows":
+        return Rows(self.b[index], self.d2[index], self.x_n[index], self.xi_n[index])
+
+    def __len__(self) -> int:
+        return len(self.b)
+
+    def r2(self, t) -> np.ndarray:
+        """|x + t*xi|^2 at every t."""
+        u = t + self.b
+        return self.d2 + u * u
+
+
+def _plane_crossings(rows: Rows, levels=(0.0,)) -> np.ndarray:
     """``(m, L)``: the t at which each row's x_N + t*xi_N meets each level,
     inf where |t| <= 1e-9 or |xi_N| < 1e-15.  ``levels`` is ``(L,)`` or one
     row per row; an inf level meets nothing."""
-    x_n, xi_n = x[:, -1:], xi[:, -1:]
+    x_n, xi_n = rows.x_n[:, None], rows.xi_n[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (np.asarray(levels, float) - x_n) / xi_n
     return np.where((np.abs(xi_n) >= 1e-15) & np.isfinite(t) & (np.abs(t) > 1e-9), t, np.inf)
 
 
-def _sphere_crossings(x: np.ndarray, xi: np.ndarray, radius: float) -> np.ndarray:
-    """``(m, 2)``: the t at which each row's |x + t*xi| = radius, ``x`` taken
-    relative to the sphere's centre; inf where |t| <= 1e-9 or the line
-    misses or touches the sphere."""
-    b = _dot(x, xi)
-    disc = b * b - _dot(x, x) + radius**2
+def _sphere_crossings(b: np.ndarray, d2: np.ndarray, radius: float) -> np.ndarray:
+    """``(m, 2)``: the t at which each row's |x + t*xi| = radius, for rows of
+    ``b`` = x.xi and squared distance ``d2`` from the sphere's centre; inf
+    where |t| <= 1e-9 or the line misses or touches the sphere."""
+    disc = radius**2 - d2
     root = np.sqrt(np.maximum(disc, 0.0))
     t = np.stack((-b - root, -b + root), axis=1)
     return np.where((disc > 0.0)[:, None] & (np.abs(t) > 1e-9), t, np.inf)
@@ -176,26 +191,26 @@ class _PiecewiseG:
 class Field:
     """Base evaluable field, and the protocol the operator module reads.
 
-    The unit is a stack of *rows*: points ``x`` of shape ``(m, N)`` and unit
-    directions ``xi`` of the same shape, row i the line x[i] + t*xi[i].
-    Every hook answers for all rows in one call, and row i's answer depends
-    on row i alone:
+    The unit is a stack of *rows*, lines x + t*xi in R^N, which a field sees
+    only through the four numbers of a ``Rows``: b = x.xi, d2 = |x - b*xi|^2,
+    x_N and xi_N, so |x + t*xi|^2 = d2 + (t + b)^2.  Every hook answers for
+    all rows in one call, and row i's answer depends on row i alone:
 
-    - ``line(x, xi)``: the sections t -> u(x + t*xi), elementwise on an
-      array of t; ``x`` and ``xi`` may be of any shape ``(..., N)``, and
-      their stacks broadcast against t.
-    - ``c2_radius(x)``, ``(m,)``: the radius of a ball around each point on
-      which u is C^2, or on which each section is C^2 up to its nearest
+    - ``line(rows)``: the sections t -> u(x + t*xi), elementwise on an
+      array of t; the four arrays of ``rows`` may be of any shape, which
+      broadcasts against t (``rows[:, None]`` against t of shape (m, n)).
+    - ``c2_radius(rows)``, ``(m,)``: the radius of a ball around each point
+      on which u is C^2, or on which each section is C^2 up to its nearest
       breakpoint: the engine caps each row's window there.
-    - ``breakpoints(x, xi)``, ``(m, B)``: the t with |t| > 1e-9 at which
+    - ``breakpoints(rows)``, ``(m, B)``: the t with |t| > 1e-9 at which
       each section crosses a set where u is not C^2, unsorted, possibly
       repeated, each row padded with inf.
     - ``growth_alpha``: every section is bounded by
       growth_const * (1 + |t|)^growth_alpha; ``growth_const`` may be None,
       and the sections are then probed.
-    - ``d2_along(x, xi)``, ``(m,)``, optional: the sections' second
+    - ``d2_along(rows)``, ``(m,)``, optional: the sections' second
       derivative at t = 0; without it the engine takes finite differences.
-    - ``far_part(x, xi, s)``, optional: (values, errors), each ``(m,)``, of
+    - ``far_part(rows, s)``, optional: (values, errors), each ``(m,)``, of
       the part of each row's order-s section integral (before C_s) that
       ``line`` does not show, in closed form.
 
@@ -206,19 +221,19 @@ class Field:
     growth_const: Optional[float] = None
     is_radial: bool = False
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
         """The restriction t -> u(x + t*xi), elementwise on an array of t."""
         raise NotImplementedError
 
     def __call__(self, y: np.ndarray) -> float:
         y = np.asarray(y, float)
-        return float(self.line(y, np.zeros_like(y))(0.0))
+        return float(self.line(Rows.through(y, np.zeros_like(y)))(0.0))
 
-    def c2_radius(self, x: np.ndarray) -> np.ndarray:
-        return np.ones(len(x))
+    def c2_radius(self, rows: Rows) -> np.ndarray:
+        return np.ones(len(rows))
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return np.empty((len(x), 0))
+    def breakpoints(self, rows: Rows) -> np.ndarray:
+        return np.empty((len(rows), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +258,15 @@ class RadialProfile(Field):
         self._validate()
 
     # -- evaluation ---------------------------------------------------------
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        r2, value = _squared_norm(_components(x, xi)), self.g.value
-        return lambda t: value(r2(t))
+    def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
+        value = self.g.value
+        return lambda t: value(rows.r2(t))
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return _sphere_crossings(x, xi, math.sqrt(self.junction_r2))
+    def breakpoints(self, rows: Rows) -> np.ndarray:
+        return _sphere_crossings(rows.b, rows.d2, math.sqrt(self.junction_r2))
 
-    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        r2, b = _dot(x, x), _dot(x, xi)
+    def d2_along(self, rows: Rows) -> np.ndarray:
+        r2, b = rows.r2(0.0), rows.b
         return self.g.value(r2, 2) * 4.0 * b * b + self.g.value(r2, 1) * 2.0
 
     def partial(self) -> "_PartialN":
@@ -291,24 +306,22 @@ class _PartialN(Field):
     def __init__(self, base: RadialProfile) -> None:
         self.base = base
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        pairs = _components(x, xi)
-        r2, value = _squared_norm(pairs), self.base.g.value
-        a, b = pairs[-1]
-        return lambda t: 2.0 * (a + t * b) * value(r2(t), 1)
+    def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
+        value = self.base.g.value
+        return lambda t: 2.0 * (rows.x_n + t * rows.xi_n) * value(rows.r2(t), 1)
 
-    def c2_radius(self, x: np.ndarray) -> np.ndarray:
+    def c2_radius(self, rows: Rows) -> np.ndarray:
         # Dv is C^2 away from the junction sphere (v is only C^3 there)
-        return np.clip(np.abs(np.sqrt(_dot(x, x)) - math.sqrt(self.base.junction_r2)), 0.02, 1.0)
+        return np.clip(np.abs(np.sqrt(rows.r2(0.0)) - math.sqrt(self.base.junction_r2)), 0.02, 1.0)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return self.base.breakpoints(x, xi)
+    def breakpoints(self, rows: Rows) -> np.ndarray:
+        return self.base.breakpoints(rows)
 
-    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    def d2_along(self, rows: Rows) -> np.ndarray:
         # f(t) = 2(a + tb) g'(|x + t xi|^2), (a, b) = (x_N, xi_N), c = x.xi:
         # f''(0) = 8bc g'' + 2a(4c^2 g''' + 2g'')
-        g, r2, c = self.base.g, _dot(x, x), _dot(x, xi)
-        a, b, g2 = x[:, -1], xi[:, -1], g.value(r2, 2)
+        g, r2, c = self.base.g, rows.r2(0.0), rows.b
+        a, b, g2 = rows.x_n, rows.xi_n, g.value(r2, 2)
         return 8.0 * b * c * g2 + 2.0 * a * (4.0 * c * c * g.value(r2, 3) + 2.0 * g2)
 
 
@@ -373,28 +386,22 @@ class PsiField(Field):
             self.parts.append(make_v_minus_gamma(gamma_second, s).partial())
         self.cap_radius = max(math.sqrt(p.base.junction_r2) for p in self.parts)
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        # |x + t xi|^2 and x_N + t xi_N once for all the parts
-        pairs = _components(x, xi)
-        r2, (a, b) = _squared_norm(pairs), pairs[-1]
+    def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
         gs, factor = [p.base.g for p in self.parts], -2.0 / self.gamma_lead
 
         def at(t: np.ndarray) -> np.ndarray:
-            rr = r2(t)
-            acc = 0.0
-            for g in gs:
-                acc += g.value(rr, 1)
-            return factor * (a + t * b) * acc
+            rr = rows.r2(t)  # once for all the parts
+            return factor * (rows.x_n + t * rows.xi_n) * sum(g.value(rr, 1) for g in gs)
         return at
 
-    def c2_radius(self, x: np.ndarray) -> np.ndarray:
-        return np.min([p.c2_radius(x) for p in self.parts], axis=0)
+    def c2_radius(self, rows: Rows) -> np.ndarray:
+        return np.min([p.c2_radius(rows) for p in self.parts], axis=0)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return np.concatenate([p.breakpoints(x, xi) for p in self.parts], axis=1)
+    def breakpoints(self, rows: Rows) -> np.ndarray:
+        return np.concatenate([p.breakpoints(rows) for p in self.parts], axis=1)
 
-    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return -1.0 / self.gamma_lead * sum(p.d2_along(x, xi) for p in self.parts)
+    def d2_along(self, rows: Rows) -> np.ndarray:
+        return -1.0 / self.gamma_lead * sum(p.d2_along(rows) for p in self.parts)
 
     def orthogonal_section(self, x: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(values, bars), each ``(m,)``: the directional operator of psi at
@@ -570,37 +577,36 @@ class BumpTrain(Field):
         self.eps, self.s = eps, s
         self.growth_alpha, self.growth_const = 0.0, eps ** (2.0 * s)
 
-    def _near_edges(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x_N of each point ``(m,)``, and the edges n and n + 2*eps of the
-        bumps the sections through it show ``(m, 6)``, inf padded."""
-        y, eps = x[:, -1], self.eps
+    def _near_edges(self, rows: Rows) -> tuple[np.ndarray, np.ndarray]:
+        """x_N of each row's point ``(m,)``, and the edges n and n + 2*eps of
+        the bumps the sections through it show ``(m, 6)``, inf padded."""
+        y, eps = rows.x_n, self.eps
         # 3*eps < 3/2 and eps < 1/2, so only floor(y) - 1 .. floor(y) + 1 can be near
         n = np.floor(y)[:, None] + np.array([-1.0, 0.0, 1.0])
         near = (n >= 0.0) & (np.abs(n + eps - y[:, None]) < 2.0 * eps)
         return y, np.where(np.hstack((near, near)), np.hstack((n, n + 2.0 * eps)), np.inf)
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        a, b = _components(x, xi)[-1]
+    def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
         eps, s = float(self.eps), float(self.s)
 
         def at(t: np.ndarray) -> np.ndarray:
-            y = a + t * b
+            y = rows.x_n + t * rows.xi_n
             n = np.floor(y)
             arg = eps**2 - (y - n - eps) ** 2
-            inside = (n >= 0.0) & (arg > 0.0) & (np.abs(n + eps - a) < 2.0 * eps)
+            inside = (n >= 0.0) & (arg > 0.0) & (np.abs(n + eps - rows.x_n) < 2.0 * eps)
             return np.where(inside, np.maximum(arg, 0.0) ** s, 0.0)
         return at
 
-    def c2_radius(self, x: np.ndarray) -> np.ndarray:
-        y, edges = self._near_edges(x)
+    def c2_radius(self, rows: Rows) -> np.ndarray:
+        y, edges = self._near_edges(rows)
         near = np.min(np.abs(y[:, None] - edges), axis=1)
         return np.where(np.isfinite(near), np.maximum(near / 2.0, 1e-6), 1.0)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return _plane_crossings(x, xi, self._near_edges(x)[1])
+    def breakpoints(self, rows: Rows) -> np.ndarray:
+        return _plane_crossings(rows, self._near_edges(rows)[1])
 
-    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        y, b, s = x[:, -1], xi[:, -1], float(self.s)
+    def d2_along(self, rows: Rows) -> np.ndarray:
+        y, b, s = rows.x_n, rows.xi_n, float(self.s)
         z = y - np.floor(y) - self.eps  # from the centre of the bump that holds y
         g = self.eps**2 - z * z
         inside = (y >= 0.0) & (g > 0.0)
@@ -608,16 +614,14 @@ class BumpTrain(Field):
         return np.where(inside, s * g ** (s - 2.0) * ((s - 1.0) * (2.0 * z * b) ** 2
                                                       - 2.0 * g * b * b), 0.0)
 
-    def far_part(self, x: np.ndarray, xi: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    def far_part(self, rows: Rows, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(values, errors) of the part of the order-s section integrals that
-        the sections do not show, before C_s, for rows of points ``x`` and
-        unit directions ``xi``: |xi_N|^{2s} times the moment series of every
-        bump at d >= 2*eps of the row's point.  With m = floor(max x_N) + 2,
-        the bumps n < m are summed one by one (the near ones at d = inf) and
-        every bump from m on, at d > 1, as a Hurwitz sum."""
-        y, xi_n = np.broadcast_arrays(np.asarray(x, float)[..., -1],
-                                      np.asarray(xi, float)[..., -1])
-        eps = float(self.eps)
+        the sections of ``rows`` do not show, before C_s: |xi_N|^{2s} times
+        the moment series of every bump at d >= 2*eps of the row's point.
+        With m = floor(max x_N) + 2, the bumps n < m are summed one by one
+        (the near ones at d = inf) and every bump from m on, at d > 1, as a
+        Hurwitz sum."""
+        y, xi_n, eps = rows.x_n, rows.xi_n, float(self.eps)
         m = max(math.floor(np.max(y)) + 2, 0)
         middle = np.arange(m) + eps
         d = np.abs(middle - y[..., None])
@@ -636,6 +640,8 @@ class HalfSpacePowerTail(Field):
 
     ``shift`` evaluates the profile at ``x + shift*e_N`` (used by the min
     composition); the vanishing region stays {x_N <= 0} of the *argument*.
+    With c = shift, |x + t*xi + c*e_N|^2 = d2 + (t + b)^2 + 2c*y + c^2, each
+    term >= 0 where the field reads it (y = x_N + t*xi_N > 0).
     """
 
     def __init__(self, gamma: float, shift: float = 0.0) -> None:
@@ -645,30 +651,29 @@ class HalfSpacePowerTail(Field):
         self.growth_alpha = 0.0
         self.growth_const = float(self.radial.g.value(0.0))
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        pairs = _components(x, xi)
-        head, value = _squared_norm(pairs[:-1]), self.radial.g.value
-        (a, b), shift = pairs[-1], float(self.shift)
+    def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
+        value, c = self.radial.g.value, float(self.shift)
 
         def at(t: np.ndarray) -> np.ndarray:
-            y = a + t * b
-            z = y + shift
-            return np.where(y > 0.0, value(head(t) + z * z), 0.0)
+            y = rows.x_n + t * rows.xi_n
+            return np.where(y > 0.0, value(rows.r2(t) + 2.0 * c * y + c * c), 0.0)
         return at
 
-    def _shifted(self, x: np.ndarray) -> np.ndarray:
-        z = x.copy()
-        z[:, -1] += self.shift
-        return z
-
-    def c2_radius(self, x: np.ndarray) -> np.ndarray:
-        y, z = x[:, -1], self._shifted(x)
-        inside = np.clip(np.minimum(y / 2.0, np.abs(np.sqrt(_dot(z, z)) - 1.0)), 1e-6, 1.0)
+    def c2_radius(self, rows: Rows) -> np.ndarray:
+        y, c = rows.x_n, float(self.shift)
+        # |x + c e_N|, clamped at 0 where x_N <= 0 takes the other branch
+        r = np.sqrt(np.maximum(rows.r2(0.0) + 2.0 * c * y + c * c, 0.0))
+        inside = np.clip(np.minimum(y / 2.0, np.abs(r - 1.0)), 1e-6, 1.0)
         return np.where(y <= 0.0, np.maximum(-y / 2.0, 1e-6), inside)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return np.concatenate((_plane_crossings(x, xi),
-                               _sphere_crossings(self._shifted(x), xi, 1.0)), axis=1)
+    def breakpoints(self, rows: Rows) -> np.ndarray:
+        # the unit sphere about -c e_N, from whose centre a row has b + c xi_N and
+        # d2 = |(x - b xi) + c (e_N - xi_N xi)|^2: it cancels only where 1 - d2 ~ 1
+        c, b, xi_n = float(self.shift), rows.b, rows.xi_n
+        d2 = np.maximum(rows.d2 + 2.0 * c * (rows.x_n - b * xi_n)
+                        + c * c * ((1.0 - xi_n) * (1.0 + xi_n)), 0.0)
+        return np.concatenate((_plane_crossings(rows),
+                               _sphere_crossings(b + c * xi_n, d2, 1.0)), axis=1)
 
 
 class PowerProfile(Field):
@@ -681,25 +686,24 @@ class PowerProfile(Field):
         self.coefficient = coefficient
         self.growth_alpha = mu
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        a, b = _components(x, xi)[-1]
+    def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
         coefficient, mu = float(self.coefficient), float(self.mu)
 
         def at(t: np.ndarray) -> np.ndarray:
-            y = a + t * b
+            y = rows.x_n + t * rows.xi_n
             return np.where(y > 0.0, coefficient * np.maximum(y, 0.0) ** mu, 0.0)
         return at
 
-    def c2_radius(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(np.abs(x[:, -1]) / 2.0, 1e-9)
+    def c2_radius(self, rows: Rows) -> np.ndarray:
+        return np.maximum(np.abs(rows.x_n) / 2.0, 1e-9)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return _plane_crossings(x, xi)
+    def breakpoints(self, rows: Rows) -> np.ndarray:
+        return _plane_crossings(rows)
 
-    def d2_along(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        t = x[:, -1]
+    def d2_along(self, rows: Rows) -> np.ndarray:
+        t = rows.x_n
         return np.where(t > 0.0, self.coefficient * self.mu * (self.mu - 1.0)
-                        * xi[:, -1] ** 2 * np.where(t > 0.0, t, 1.0) ** (self.mu - 2.0), 0.0)
+                        * rows.xi_n ** 2 * np.where(t > 0.0, t, 1.0) ** (self.mu - 2.0), 0.0)
 
 
 class MinField(Field):
@@ -716,15 +720,16 @@ class MinField(Field):
         self.scale = scale
         self.growth_alpha = 0.0  # min of a bounded and a growing profile is bounded
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        first, second = self.first.line(x, xi), self.second.line(x, xi)
+    def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
+        first, second = self.first.line(rows), self.second.line(rows)
         scale = float(self.scale)
         return lambda t: scale * np.minimum(first(t), second(t))
 
-    def c2_radius(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(np.minimum(self.first.c2_radius(x), self.second.c2_radius(x)), 1e-6)
+    def c2_radius(self, rows: Rows) -> np.ndarray:
+        return np.maximum(np.minimum(self.first.c2_radius(rows), self.second.c2_radius(rows)),
+                          1e-6)
 
-    def _crossings(self, x: np.ndarray, xi: np.ndarray, span: np.ndarray) -> np.ndarray:
+    def _crossings(self, rows: Rows, span: np.ndarray) -> np.ndarray:
         """Sign changes of first - second along each row's line within
         |t| <= its ``span``, sampled on 801 nodes per row in one scan;
         ``(m, K)``, inf padded, inf also where |t| <= 1e-9.
@@ -734,8 +739,7 @@ class MinField(Field):
         fields vanish there) keeps the ends of the run instead.
         """
         grid = np.linspace(-span, span, 801, axis=-1)
-        rows = (x[:, None], xi[:, None])
-        vals = self.first.line(*rows)(grid) - self.second.line(*rows)(grid)
+        vals = self.first.line(rows[:, None])(grid) - self.second.line(rows[:, None])(grid)
         # each node's nearest nonzero node up to it in its row (-1 if none);
         # a change is a nonzero node whose sign differs from the one before it
         last = np.maximum.accumulate(np.where(vals != 0.0, np.arange(801), -1), axis=1)
@@ -747,20 +751,20 @@ class MinField(Field):
         ends = np.stack((grid[row, left + 1], grid[row, right - 1]), axis=1)
         for i in np.flatnonzero(right == left + 1):
             r, a, b = row[i], left[i], right[i]
-            first, second = self.first.line(x[r], xi[r]), self.second.line(x[r], xi[r])
+            first, second = self.first.line(rows[r]), self.second.line(rows[r])
             ends[i] = _bracketed_root(lambda t: float(first(t) - second(t)), float(grid[r, a]),
                                       float(grid[r, b]), float(vals[r, a]), float(vals[r, b]),
                                       xtol=2e-12, rtol=8.88e-16).root, np.inf
         # the j-th change of a row fills its columns 2j and 2j + 1
         j = np.arange(row.size) - np.searchsorted(row, row)
-        out = np.full((len(x), j.max(initial=-1) + 1, 2), np.inf)
+        out = np.full((len(rows), j.max(initial=-1) + 1, 2), np.inf)
         out[row, j] = ends
-        return np.where(np.abs(out) > 1e-9, out, np.inf).reshape(len(x), -1)
+        return np.where(np.abs(out) > 1e-9, out, np.inf).reshape(len(rows), -1)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        span = np.maximum(10.0, 2.0 * np.sqrt(_dot(x, x)) + 4.0)
-        return np.concatenate((self.first.breakpoints(x, xi), self.second.breakpoints(x, xi),
-                               self._crossings(x, xi, span)), axis=1)
+    def breakpoints(self, rows: Rows) -> np.ndarray:
+        span = np.maximum(10.0, 2.0 * np.sqrt(rows.r2(0.0)) + 4.0)
+        return np.concatenate((self.first.breakpoints(rows), self.second.breakpoints(rows),
+                               self._crossings(rows, span)), axis=1)
 
 
 def build_thIN_supersolution(N: int, s: float, p: float) -> tuple[MinField, dict]:

@@ -11,7 +11,8 @@ chosen frame, which is what the underlying constructions provide, with one
 exception: the singular ``in_plus`` verdict asserts I_N^+ u = V in closed
 form, since every frame sums fs V, with V < 0 the e_N value and
 fs = sum_i |xi_i.e_N|^{2s} >= sum_i (xi_i.e_N)^2 = 1, equal on any frame
-containing e_N (``verify_singular_supersolution``).
+containing e_N (``verify_singular_supersolution``).  t49-2 and avoidance
+claim each point's nearest line, the least d^2 of its ``householder_rows``.
 """
 
 from __future__ import annotations
@@ -146,9 +147,15 @@ def _on_axis(N: int, t: float) -> np.ndarray:
     return x
 
 
+_MAX_N = 20_000  # t49-2 and avoidance: N rows per point, ~3 MB per 1,000 rows (t49-2: ~470 MB)
+
+
 def _upper_points(N: int, radii: Sequence[float], seed: int) -> list[np.ndarray]:
     """One point of the upper half-space at each radius, in a random direction
     from ``seed`` whose last component is lifted by 0.2 before normalising."""
+    if N > _MAX_N:
+        raise cn.DomainError(f"N = {N} is too large: the t49-2 and avoidance suites take "
+                             f"N <= {_MAX_N}, whose sections fit in memory")
     rng = np.random.default_rng(seed)
     points = []
     for r in radii:
@@ -272,17 +279,15 @@ def verify_T49_2(N: int, s: float, gamma: Optional[float] = None,
     points = ([_on_axis(N, 2.0 * math.sqrt(N))]
               + _upper_points(N, np.geomspace(1.05 * R, 20.0 * R, 5), 7))
 
-    frames = [op.householder_frame(x / np.linalg.norm(x)).vectors for x in points]
+    frames = [op.householder_rows(x) for x in points]
     sums = op.frame_sums(u, points, frames, s, tol)
 
     claims: list[ClaimResult] = []
-    for x, frame, fs in zip(points, frames, sums):
+    for x, rows, fs in zip(points, frames, sums):
         nx = float(np.linalg.norm(x))
-        # avoidance bound: each section stays at radius >= |x|/sqrt(2)
-        for xi in frame:
-            min_r2 = nx * nx * (1.0 - float(x / nx @ xi) ** 2)
-            claims.append(ClaimResult(x, "avoidance_radius", nx * nx / 2.0 - min_r2,
-                                      0.0, "le", nx * nx))
+        # avoidance bound: the nearest section stays at radius >= |x|/sqrt(2)
+        claims.append(ClaimResult(x, "avoidance_radius", nx * nx / 2.0 - float(np.min(rows.d2)),
+                                  0.0, "le", nx * nx))
         rhs = rhs_const * nx ** (-gamma - 2.0 * s)
         claims.append(ClaimResult(x, "frame_bound", fs.value - rhs,
                                   fs.abs_error_estimate, "le", abs(rhs)))
@@ -431,30 +436,25 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
 
 
 class _BallBump(pr.Field):
-    """Compactly supported bump (r^2 - |x-y|^2)_+^s inside the ball B_r(y)."""
+    """Compactly supported bump (r^2 - |x|^2)_+^s inside the ball B_r(0)."""
 
-    def __init__(self, y: np.ndarray, r: float, s: float) -> None:
-        self.y = np.asarray(y, float)
-        self.r = r
-        self.s = s
-        self.growth_alpha = 0.0
-        self.growth_const = r ** (2.0 * s)
+    def __init__(self, r: float, s: float) -> None:
+        self.r, self.s = r, s
+        self.growth_alpha, self.growth_const = 0.0, r ** (2.0 * s)
 
-    def line(self, x: np.ndarray, xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        d2 = pr._squared_norm(pr._components(x - self.y, xi))
+    def line(self, rows: pr.Rows) -> Callable[[np.ndarray], np.ndarray]:
         r2, s = float(self.r) ** 2, float(self.s)
 
         def at(t: np.ndarray) -> np.ndarray:
-            arg = r2 - d2(t)
+            arg = r2 - rows.r2(t)
             return np.where(arg > 0.0, np.maximum(arg, 0.0) ** s, 0.0)
         return at
 
-    def c2_radius(self, x: np.ndarray) -> np.ndarray:
-        d = np.sqrt(pr._dot(x - self.y, x - self.y))
-        return np.maximum(np.abs(d - self.r) / 2.0, 1e-6)
+    def c2_radius(self, rows: pr.Rows) -> np.ndarray:
+        return np.maximum(np.abs(np.sqrt(rows.r2(0.0)) - self.r) / 2.0, 1e-6)
 
-    def breakpoints(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return pr._sphere_crossings(x - self.y, xi, self.r)
+    def breakpoints(self, rows: pr.Rows) -> np.ndarray:
+        return pr._sphere_crossings(rows.b, rows.d2, self.r)
 
 
 _AVOIDANCE_SIZE = 1e150  # the largest r and |y| the avoidance suite takes
@@ -467,6 +467,7 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     The frame makes each vector see the line at distance >= |x-y|/sqrt(2)
     from the ball center, which exceeds the radius whenever y_N <= -sqrt(2)r,
     so the frame sum is exactly zero and the minimal operator is nonpositive.
+    The bump sits at the origin, and the rows pass through x - y.
     """
     if N < 2:
         raise cn.DomainError("N must be >= 2")
@@ -481,18 +482,15 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
                              "or their squares overflow")
     if y[-1] > -math.sqrt(2.0) * r:
         raise GeometryViolation("ball center must satisfy y_N <= -sqrt(2) r")
-    u = _BallBump(y, r, s)
+    u = _BallBump(r, s)
     points = _upper_points(N, (1.0, 2.0, 5.0), 3)
-    frames = [op.householder_frame((x - y) / np.linalg.norm(x - y)).vectors for x in points]
+    frames = [op.householder_rows(x - y) for x in points]
     sums = op.frame_sums(u, points, frames, s, tol)
     claims: list[ClaimResult] = []
-    for x, frame, fs in zip(points, frames, sums):
-        d = x - y
-        nd = float(np.linalg.norm(d))
+    for x, rows, fs in zip(points, frames, sums):
+        nd = float(np.linalg.norm(x - y))
         claims.append(ClaimResult(x, "distance_exceeds", math.sqrt(2.0) * r - nd, 0.0, "le"))
-        for xi in frame:
-            min_r2 = nd * nd * (1.0 - float(d / nd @ xi) ** 2)
-            claims.append(ClaimResult(x, "line_avoids_ball", r * r - min_r2, 0.0, "le"))
+        claims.append(ClaimResult(x, "line_avoids_ball", r * r - float(np.min(rows.d2)), 0.0, "le"))
         # every section misses the ball, so the value is exactly 0
         claims.append(ClaimResult(x, "frame_sum_zero", fs.value, fs.abs_error_estimate, "eq"))
     return _finish("avoidance_example", {"N": N, "s": s, "r": r, "y": list(y)},

@@ -25,16 +25,16 @@ def test_01_bump_identity(s, t):
         growth_alpha = 0.0
         growth_const = 1.0
 
-        def line(self, x, xi):
-            x_n, xi_n = np.asarray(x)[..., -1], np.asarray(xi)[..., -1]
+        def line(self, rows):
+            x_n, xi_n = rows.x_n, rows.xi_n
             return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
 
-        def c2_radius(self, x):
-            return np.maximum(np.abs(1.0 - np.abs(x[:, -1])) / 2.0, 1e-6)
+        def c2_radius(self, rows):
+            return np.maximum(np.abs(1.0 - np.abs(rows.x_n)) / 2.0, 1e-6)
 
-        def breakpoints(self, x, xi):
+        def breakpoints(self, rows):
             # each section meets x_N = -1 and x_N = 1, unless xi_N ~ 0
-            x_n, xi_n = x[:, -1:], xi[:, -1:]
+            x_n, xi_n = rows.x_n[:, None], rows.xi_n[:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = (np.array([-1.0, 1.0]) - x_n) / xi_n
             return np.where(np.abs(xi_n) < 1e-14, np.inf, t)

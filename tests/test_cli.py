@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.dom.minidom
 
 import pytest
@@ -174,6 +175,12 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
      "r and |y| must be at most 1e+150, or their squares overflow"),
     (["verify", "avoidance", "--s", "0.5", "--r", "0.5", "--y-N=-1e300"],
      "r and |y| must be at most 1e+150, or their squares overflow"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "100000"],
+     "N = 100000 is too large: the t49-2 and avoidance suites take N <= 20000, "
+     "whose sections fit in memory"),
+    (["verify", "t49-2", "--N", "50000", "--s", "0.5"],
+     "N = 50000 is too large: the t49-2 and avoidance suites take N <= 20000, "
+     "whose sections fit in memory"),
     (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "nan"],
      "gamma must be finite and positive"),
     (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "inf"],
@@ -200,7 +207,7 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "avoidance-r-huge",
-        "avoidance-y-huge", "t49-2-gamma-nan",
+        "avoidance-y-huge", "avoidance-N-ceiling", "t49-2-N-ceiling", "t49-2-gamma-nan",
         "t49-2-gamma-inf", "t49-2-gamma-overflow", "transform-q1", "bump-train-p-inf",
         "bump-train-p-nan", "bump-train-eps-tiny", "sweep-k0", "sweep-k-above-N", "sweep-N1",
         "sweep-steps0", "sweep-steps-negative"])
@@ -212,6 +219,23 @@ def test_bad_input_exit_2(capsys, tmp_path, argv, message):
     assert code == 2 and out == ""
     assert err == f"error: {message.replace('DIR', str(tmp_path))}\n"
     assert not any(tmp_path.iterdir())  # no temporary file left behind
+
+
+def test_large_n_refusal_allocates_nothing_large(capsys):
+    # at N = 100,000 the suites' sections would take ~1-2 GB (a MemoryError,
+    # exit 1, before the ceiling); the refusal comes before any of them
+    # (t49-2 refuses N = 100,000 earlier still: its gamma_plus root fails)
+    tracemalloc.start()
+    try:
+        for argv in (["verify", "avoidance", "--s", "0.5", "--N", "100000"],
+                     ["verify", "t49-2", "--s", "0.5", "--N", "100000"],
+                     ["verify", "t49-2", "--s", "0.5", "--N", "50000"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and err.count("\n") == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 @pytest.mark.parametrize("gamma", ["-1", "inf", "nan"])

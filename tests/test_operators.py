@@ -32,16 +32,16 @@ class CompactBump:
         self.growth_const = 1.0
         self.is_radial = False
 
-    def line(self, x, xi):
-        x_n, xi_n, s = np.asarray(x)[..., -1], np.asarray(xi)[..., -1], self.s
+    def line(self, rows):
+        x_n, xi_n, s = rows.x_n, rows.xi_n, self.s
         return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
 
-    def c2_radius(self, x):
-        return np.maximum(np.abs(1.0 - np.abs(x[:, -1])) / 2.0, 1e-6)
+    def c2_radius(self, rows):
+        return np.maximum(np.abs(1.0 - np.abs(rows.x_n)) / 2.0, 1e-6)
 
-    def breakpoints(self, x, xi):
+    def breakpoints(self, rows):
         # where each section meets x_N = -1 and x_N = 1; a row with xi_N ~ 0 meets neither
-        x_n, xi_n = x[:, -1:], xi[:, -1:]
+        x_n, xi_n = rows.x_n[:, None], rows.xi_n[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (np.array([-1.0, 1.0]) - x_n) / xi_n
         return np.where(np.abs(xi_n) < 1e-14, np.inf, t)
@@ -138,7 +138,7 @@ def test_nan_and_zero_frames_rejected():
 def test_zero_directions_raise_no_warning():
     # a zero direction divides by its zero norm: NaN, which Frame refuses,
     # and no RuntimeWarning under warnings-as-errors
-    for bad in (lambda: op.householder_frame(np.zeros(3)),
+    for bad in (lambda: op.householder_rows(np.zeros(3)),
                 lambda: op.extremal_search(pr.RadialProfile(1.1, 1.0, "decay"), np.zeros(2),
                                            0.3, 1, "plus", budget=1, seed=0)):
         with pytest.raises(ValueError, match="orthonormality defect nan"):
@@ -164,13 +164,49 @@ def test_extremal_radial_rejects_the_origin(k, variant):
         op.extremal_radial(pr.make_w_gamma(0.5), np.zeros(2), 0.5, k, variant, TOL)
 
 
+def _householder_matrix(x):
+    """The Householder frame of x as a dense N x N matrix, one row xi_i = H e_i
+    per row: H = I - 2 w w^T reflects the normalized all-ones vector onto
+    x/|x| (the identity where they agree)."""
+    xhat = x / np.linalg.norm(x)
+    w = xhat - np.full(x.size, 1.0 / math.sqrt(x.size))
+    wn = np.linalg.norm(w)
+    if wn < 1e-14:
+        return np.eye(x.size)
+    w = w / wn
+    return (np.eye(x.size) - 2.0 * np.outer(w, w)).T
+
+
 def test_householder_frame_angles():
-    xhat = np.array([0.3, -0.5, 0.8124038404635961])
-    xhat /= np.linalg.norm(xhat)
-    f = op.householder_frame(xhat)
-    dots = f.vectors @ xhat
-    assert np.allclose(np.abs(dots), 1.0 / math.sqrt(3.0), atol=1e-12)
-    assert np.allclose(f.vectors @ f.vectors.T, np.eye(3), atol=1e-12)
+    # every row meets x at the angle arccos(1/sqrt(N)), and the rows are an
+    # orthonormal basis: their squared distances sum to (N - 1)|x|^2
+    x = 2.5 * np.array([0.3, -0.5, 0.8124038404635961])
+    rows = op.householder_rows(x)
+    nx = float(np.linalg.norm(x))
+    assert np.allclose(rows.b, nx / math.sqrt(3.0), rtol=1e-14)
+    assert np.allclose(rows.d2, nx * nx * (1.0 - 1.0 / 3.0), rtol=1e-14)
+    assert np.all(rows.x_n == x[-1])
+    assert float(np.sum(rows.xi_n**2)) == pytest.approx(1.0, rel=1e-14)
+    # x along the all-ones direction: the reflection is the identity
+    ones = op.householder_rows(np.full(4, 2.0))
+    assert ones.xi_n.tolist() == [0.0, 0.0, 0.0, 1.0] and ones.b.tolist() == [2.0] * 4
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+def test_householder_rows_match_the_dense_reflection(N):
+    # b = x.xi_i, d^2 = |x - b xi_i|^2 and xi_i.e_N from the reflection's
+    # rows, each within 4 ulps of its scale: |x| for b, |x|^2 for d^2, 1 for xi_N
+    rng = np.random.default_rng(N)
+    for x in [rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 3) for _ in range(20)]:
+        frame = _householder_matrix(x)
+        want = pr.Rows.through(np.broadcast_to(x, frame.shape), frame)
+        got = op.householder_rows(x)
+        nx = float(np.linalg.norm(x))
+        ulp = np.spacing
+        assert np.all(np.abs(got.b - want.b) <= 4.0 * ulp(nx))
+        assert np.all(np.abs(got.d2 - want.d2) <= 4.0 * ulp(nx * nx))
+        assert np.all(np.abs(got.xi_n - want.xi_n) <= 4.0 * ulp(1.0))
+        assert np.all(got.x_n == x[-1])
 
 
 def test_completion_frame_contains_radial():
@@ -419,8 +455,8 @@ def test_growth_metadata_enforced():
         op.directional(pr.PowerProfile(1.2), np.array([0.0, 2.0]), np.array([0.0, 1.0]), 0.5)
 
     class NoC2Window(CompactBump):
-        def c2_radius(self, x):
-            return np.zeros(len(x))
+        def c2_radius(self, rows):
+            return np.zeros(len(rows))
 
     with pytest.raises(ValueError, match="C\\^2 window"):
         op.directional(NoC2Window(0.5), np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.5)
@@ -435,8 +471,8 @@ class _CountingField:
     def __getattr__(self, name):
         return getattr(self.field, name)
 
-    def line(self, x, xi):
-        at = self.field.line(x, xi)
+    def line(self, rows):
+        at = self.field.line(rows)
 
         def counted(t):
             out = at(t)
@@ -476,7 +512,7 @@ def _reference_directional(u, x, xi, s, tol):
 
     It reads the field's own hooks, one direction at a time: each a stack of one row.
     """
-    line = u.line(x, xi)
+    line = u.line(pr.Rows.through(x, xi))
 
     def ev(t):
         return float(line(np.array(t)))
@@ -486,11 +522,11 @@ def _reference_directional(u, x, xi, s, tol):
     def kernel(t):
         return (ev(t) + ev(-t) - 2.0 * u0) / t ** (1.0 + 2.0 * s)
 
-    row, row_xi = x[None], xi[None]
-    discontinuities = [float(t) for t in u.breakpoints(row, row_xi)[0] if math.isfinite(t)]
+    row = pr.Rows.through(x[None], xi[None])
+    discontinuities = [float(t) for t in u.breakpoints(row)[0] if math.isfinite(t)]
     window = min([float(u.c2_radius(row)[0])] + [abs(t) for t in discontinuities])
     if hasattr(u, "d2_along"):
-        d2 = float(u.d2_along(row, row_xi)[0])
+        d2 = float(u.d2_along(row)[0])
     else:  # central differences at h, h/2 and h/4, Richardson-extrapolated twice
         h = window / 8.0
         d = [(ev(h / j) + ev(-h / j) - 2.0 * u0) / (h / j) ** 2 for j in (1.0, 2.0, 4.0)]
@@ -539,7 +575,7 @@ def _reference_directional(u, x, xi, s, tol):
                             math.log(core_end), math.log(T), tol.abs_tol / 4.0, tol.rel_tol)
         value, err = value + v, err + e
     Cs = cn.normalizing_constant(s)
-    closed, closed_err = u.far_part(row, row_xi, s) if hasattr(u, "far_part") else ([0.0], [0.0])
+    closed, closed_err = u.far_part(row, s) if hasattr(u, "far_part") else ([0.0], [0.0])
     return Cs * (value + float(closed[0])), Cs * (err + float(closed_err[0]))
 
 
@@ -556,8 +592,8 @@ class _TruncatedTrain:
         starts = np.arange(window, dtype=float)
         self.edges = np.column_stack((starts, starts + 2.0 * eps)).reshape(-1)
 
-    def line(self, x, xi):
-        a, b = np.asarray(x, float)[..., -1], np.asarray(xi, float)[..., -1]
+    def line(self, rows):
+        a, b = rows.x_n, rows.xi_n
         eps, s, window = self.eps, self.s, self.window
 
         def at(t):
@@ -568,15 +604,14 @@ class _TruncatedTrain:
             return np.where(inside, np.maximum(arg, 0.0) ** s, 0.0)
         return at
 
-    def c2_radius(self, x):
-        return np.maximum(np.min(np.abs(x[:, -1:] - self.edges), axis=1) / 2.0, 1e-6)
+    def c2_radius(self, rows):
+        return np.maximum(np.min(np.abs(rows.x_n[:, None] - self.edges), axis=1) / 2.0, 1e-6)
 
-    def breakpoints(self, x, xi):
-        return pr._plane_crossings(x, xi, self.edges)
+    def breakpoints(self, rows):
+        return pr._plane_crossings(rows, self.edges)
 
-    def far_part(self, x, xi, s):
-        y, xi_n = np.broadcast_arrays(np.asarray(x, float)[..., -1],
-                                      np.asarray(xi, float)[..., -1])
+    def far_part(self, rows, s):
+        y, xi_n = np.broadcast_arrays(rows.x_n, rows.xi_n)
         start = self.window + self.eps - y
         moments, errors = pr._hurwitz_sums(self.eps, s, start,
                                            2.0**-53 * ((self.window + self.eps) / start + 1.0))
@@ -594,7 +629,7 @@ PARITY_FIELDS = {
     "singular_power": lambda N: pr.PowerProfile(0.05, 2.0),
     "min_composition": lambda N: pr.MinField(
         pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5), 0.3),
-    "ball_bump": lambda N: vf._BallBump(np.r_[np.zeros(N - 1), -0.5], 1.5, 0.5),
+    "ball_bump": lambda N: vf._BallBump(1.5, 0.5),
 }
 
 
@@ -663,7 +698,7 @@ def test_one_point_fan_matches_stack_of_that_point(kind):
 def test_frame_sums():
     u, s = pr.HalfSpacePowerTail(0.7, shift=0.8), 0.5
     x, y = np.array([0.3, -0.2, 1.1]), np.array([-0.5, 0.4, 2.0])
-    fx = op.householder_frame(x / np.linalg.norm(x))
+    fx = op.Frame(_householder_matrix(x))
     fy = op.completion_frame(y / np.linalg.norm(y), 2)
     # frame_sum is the case of one point
     assert op.frame_sum(u, x, fx, s, TOL) == op.frame_sums(u, [x], [fx.vectors], s, TOL)[0]
@@ -675,6 +710,12 @@ def test_frame_sums():
         assert r.n_evals == one.n_evals
         assert abs(r.value - one.value) <= r.abs_error_estimate + one.abs_error_estimate
     assert sums[1].n_evals < op.frame_sum(u, y, fy, s, TOL).n_evals
+    # the same sums from the frames' rows: the Householder rows in O(N), and
+    # the completion frame's rows through y
+    rows = [op.householder_rows(x), op._fan_rows(y, fy.vectors)]
+    for r, row in zip(sums, op.frame_sums(u, None, rows, s, tols)):
+        assert r.n_evals == row.n_evals
+        assert abs(r.value - row.value) <= r.abs_error_estimate + row.abs_error_estimate
 
 
 @pytest.mark.parametrize("kind,k,s,ceiling", [("decay", 1, 0.4, 1_900),
@@ -802,7 +843,8 @@ def _mp_frame_sum(u, x, frame, s):
     with mpmath.workdps(30):
         for xi in frame:
             cuts = sorted({mpmath.mpf(abs(float(t)))
-                           for t in u.breakpoints(x[None], xi[None])[0] if math.isfinite(t)})
+                           for t in u.breakpoints(pr.Rows.through(x[None], xi[None]))[0]
+                           if math.isfinite(t)})
             total += _mp_directional(_mp_tail_section(u, x, xi), s, cuts)
     return cn.normalizing_constant(s) * float(total)
 
@@ -817,9 +859,9 @@ def test_t49_2_frame_sums_match_mpmath(s):
     u, R = pr.HalfSpacePowerTail(2.0 * s / (p - 1.0)), math.sqrt(N / (N - 1.0))
     points = ([vf._on_axis(N, 2.0 * math.sqrt(N))]
               + vf._upper_points(N, np.geomspace(1.05 * R, 20.0 * R, 5), 7))
-    frames = [op.householder_frame(x / np.linalg.norm(x)).vectors for x in points]
-    for x, frame, r in zip(points, frames, op.frame_sums(u, points, frames, s, TOL)):
-        assert abs(r.value - _mp_frame_sum(u, x, frame, s)) <= r.abs_error_estimate
+    rows = [op.householder_rows(x) for x in points]
+    for x, r in zip(points, op.frame_sums(u, points, rows, s, TOL)):
+        assert abs(r.value - _mp_frame_sum(u, x, _householder_matrix(x), s)) <= r.abs_error_estimate
 
 
 @pytest.mark.parametrize("s", [0.95, 0.99])
@@ -902,7 +944,7 @@ def test_psi_d2_along_matches_mpmath(kind):
               2: [1.2, -0.7, 2.5], 3: [30.0, -20.0, 50.0]}
     for direction, x in points.items():
         x = np.array(x)
-        d2 = psi.d2_along(x[None], xi[None])[0]
+        d2 = psi.d2_along(pr.Rows.through(x[None], xi[None]))[0]
         with mpmath.workdps(30):
             # at the junction a central difference would straddle the kink
             want = float(mpmath.diff(_mp_psi_section(psi, x, xi), 0, 2,
@@ -928,6 +970,28 @@ def test_psi_orthogonal_section_matches_mpmath_and_engine(kind, s):
         assert abs(value - want) <= bar, (r, value, want, bar)
         for row in op.directional_fan(psi, x, frame[1:], s, Tolerance(1e-12, 1e-11)):
             assert abs(row.value - value) <= row.abs_error_estimate + bar, (r, row, value)
+
+
+@pytest.mark.parametrize("kind,s", [("halfint", 0.95), ("decay", 0.95), ("growth", 0.97)])
+def test_rows_in_a_narrow_window_carry_their_pairs_rounding(kind, s):
+    # on psi's cap sphere the C^2 window is 0.02, and at s near 1 the
+    # kernel magnifies the rounding of f(t) + f(-t) - 2u(x) below t = 0.01
+    # to ~1e-12-1e-10, which the quadratures' estimates do not see: without
+    # the rounding floor these rows missed the closed form by up to 4.7x
+    # their bars, and with |x + t xi|^2 summed component by component a row
+    # at |x| = 1 + 1e-9 (growth, s = 0.97) missed by 2.3x
+    psi = PSI_FIELDS[kind](s)
+    rng = np.random.default_rng(0)
+    for r in (1.0, 1.0 + 1e-9):
+        for _ in range(6):
+            v = rng.standard_normal(3)
+            v[-1] = abs(v[-1]) + 0.2
+            x = r * v / np.linalg.norm(v)
+            x *= max(1.0, 1.0 / float(np.linalg.norm(x)))  # not inside the cap
+            value, bar = (float(a[0]) for a in psi.orthogonal_section(x[None], s))
+            frame = op.completion_frames(x[None], 3)[0]
+            for row in op.directional_fan(psi, x, frame[1:], s, Tolerance(1e-12, 1e-11)):
+                assert abs(row.value - value) <= row.abs_error_estimate + bar, (x, row, value)
 
 
 def test_psi_orthogonal_section_refuses_points_inside_the_cap():
@@ -982,11 +1046,11 @@ def test_halfspace_tail_frame_sum_scales_along_a_ray(N, s, gamma):
     # frame sum is homogeneous of degree -gamma-2s along a ray
     u, R = pr.HalfSpacePowerTail(gamma), math.sqrt(N / (N - 1.0))
     xhat = np.linspace(-0.5, 1.0, N) / np.linalg.norm(np.linspace(-0.5, 1.0, N))
-    frame = op.householder_frame(xhat)
     scaled = []
     for r in (1.05 * R, 10.0, 100.0, 1000.0):
         scale = r ** (gamma + 2.0 * s)
-        fs = op.frame_sum(u, r * xhat, frame, s, Tolerance(1e-10 / scale, 1e-10))
+        fs = op.frame_sums(u, None, [op.householder_rows(r * xhat)], s,
+                           Tolerance(1e-10 / scale, 1e-10))[0]
         scaled.append((fs.value * scale, fs.abs_error_estimate * scale))
     (first, first_bar), *rest = scaled
     assert first < 0.0
@@ -1024,7 +1088,7 @@ def test_bump_train_matches_closed_form_inside_a_bump(s):
                 x = np.array([0.3, y])
                 r = op.directional(u, x, xi, s, TOL)
                 exact = (-math.gamma(1.0 + 2.0 * s) * xi[-1] ** (2.0 * s)
-                         + Cs * float(u.far_part(x, xi, s)[0]))
+                         + Cs * float(u.far_part(pr.Rows.through(x, xi), s)[0]))
                 assert abs(r.value - exact) <= r.abs_error_estimate
 
 
@@ -1039,7 +1103,7 @@ def test_bump_train_matches_truncated_train(s):
         ref = op.directional(_TruncatedTrain(eps, s, 6), x, xi, s, TOL)
         assert abs(r.value - ref.value) <= r.abs_error_estimate + ref.abs_error_estimate
         # the far part's error is its rounding: no bump is left out
-        far, far_err = u.far_part(x, xi, s)
+        far, far_err = u.far_part(pr.Rows.through(x, xi), s)
         assert 0.0 < far_err <= 1e-13 * far
         values.append(r.value)
         bars.append(r.abs_error_estimate)

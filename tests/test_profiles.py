@@ -14,6 +14,13 @@ from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
 
+def _rows(x, xi=None):
+    """The rows through points ``x`` along ``xi``, or along the zero vector
+    for hooks that read only the point."""
+    x = np.asarray(x, float)
+    return pr.Rows.through(x, np.zeros_like(x) if xi is None else xi)
+
+
 def test_w_gamma_junction_smooth():
     w = pr.make_w_gamma(0.5)
     # profile equals the power tail beyond the junction, cap inside
@@ -62,7 +69,7 @@ def test_d2_along_matches_finite_difference():
     xi = np.array([0.6, 0.8])
     h = 1e-5
     fd = (w(x + h * xi) + w(x - h * xi) - 2.0 * w(x)) / h**2
-    assert w.d2_along(x[None], xi[None])[0] == pytest.approx(fd, rel=1e-4)
+    assert w.d2_along(_rows(x[None], xi[None]))[0] == pytest.approx(fd, rel=1e-4)
 
 
 def test_partial_derivative_field():
@@ -140,7 +147,7 @@ def test_bump_train_values():
     e_n, tilted = np.array([0.0, 1.0]), np.array([0.8, 0.6])
 
     def far_error(xi):
-        return float(u.far_part(np.array([0.0, 1.0]), xi, s)[1])
+        return float(u.far_part(_rows([0.0, 1.0], xi), s)[1])
 
     # no bump is left out: the error is the series' and the rounding
     assert 0.0 < far_error(e_n) < 1e-14
@@ -158,7 +165,7 @@ def test_bump_train_window():
     for n in (0, 2, 3, 399, 400, 7 * 10**6):
         for y in (n + eps, n + 0.3 * eps):
             assert u(np.array([0.0, y])) == (eps**2 - (y - n - eps) ** 2) ** s
-    line = u.line(np.array([[0.0, 0.0], [0.0, 400.0]]), np.array([0.0, 1.0]))
+    line = u.line(_rows([[0.0, 0.0], [0.0, 400.0]], [0.0, 1.0]))
     values = line(np.array([[-1.0 + eps, eps, 2.0 + eps]]).T)
     assert values.tolist() == [[0.0, 0.0], [eps ** (2.0 * s)] * 2, [0.0, 0.0]]
 
@@ -187,7 +194,7 @@ def test_bump_train_metadata_matches_per_edge_formula(eps, s, span):
             want = sorted(t for t in ((e - y) / xi[-1] for e in edges) if abs(t) > 1e-9)
             assert _row_breakpoints(u, x, xi) == want
             c2 = max(min(abs(y - e) for e in edges) / 2.0, 1e-6) if edges else 1.0
-            assert u.c2_radius(x[None])[0] == c2
+            assert u.c2_radius(_rows(x[None]))[0] == c2
 
 
 @pytest.mark.parametrize("s", [1e-5, 0.05, 0.5, 0.95, 0.999])
@@ -234,7 +241,7 @@ def test_bump_train_far_part():
                       (1e-6, 0.03, 0.95)):
         # through the first bump's centre and inside bump 5
         x[:2, -1], x[-1, -1] = eps, 5.0 + 1.5 * eps
-        values, errors = pr.BumpTrain(eps, a).far_part(x, xi, s)
+        values, errors = pr.BumpTrain(eps, a).far_part(_rows(x, xi), s)
         with mpmath.workdps(40):
             e, a_, s_ = mpmath.mpf(eps), mpmath.mpf(a), mpmath.mpf(s)
             c = [mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 + a_) / mpmath.gamma(1.5 + a_)]
@@ -267,7 +274,7 @@ def test_bump_train_near_shows_the_bumps_within_two_eps():
         n = math.floor(y)
         assert u(x) == (max(eps**2 - (y - n - eps) ** 2, 0.0) ** s if n >= 0 else 0.0)
         close = np.abs(centres - y) < 2.0 * eps
-        line = u.line(x, np.array([0.0, 1.0]))
+        line = u.line(_rows(x, [0.0, 1.0]))
         assert np.array_equal(line(centres - y), np.where(close, eps ** (2.0 * s), 0.0))
         edges = [e - y for c in centres[close] for e in (c - eps, c + eps) if abs(e - y) > 1e-9]
         assert _row_breakpoints(u, x, np.array([0.0, 1.0])) == pytest.approx(sorted(edges),
@@ -275,8 +282,8 @@ def test_bump_train_near_shows_the_bumps_within_two_eps():
     # with eps below 1/4 a gap point has no near bump: its section is 0
     thin = pr.BumpTrain(0.1, s)
     assert _row_breakpoints(thin, np.array([0.0, 0.7]), np.array([0.0, 1.0])) == []
-    assert thin.c2_radius(np.array([[0.0, 0.7]]))[0] == 1.0
-    assert thin.d2_along(np.array([[0.0, 0.7]]), np.array([[0.0, 1.0]]))[0] == 0.0
+    assert thin.c2_radius(_rows([[0.0, 0.7]]))[0] == 1.0
+    assert thin.d2_along(_rows([[0.0, 0.7]], [[0.0, 1.0]]))[0] == 0.0
 
 
 def test_bump_train_d2_along_matches_differences():
@@ -284,9 +291,9 @@ def test_bump_train_d2_along_matches_differences():
     u = pr.BumpTrain(0.3, 0.7)
     for x, xi in ((np.array([0.2, 2.41]), np.array([0.6, 0.8])),
                   (np.array([-1.0, 0.3]), np.array([0.0, 1.0]))):
-        line, h = u.line(x, xi), 1e-4
+        line, h = u.line(_rows(x, xi)), 1e-4
         fd = (line(h) + line(-h) - 2.0 * line(0.0)) / (h * h)
-        assert u.d2_along(x[None], xi[None])[0] == pytest.approx(fd, rel=1e-6)
+        assert u.d2_along(_rows(x[None], xi[None]))[0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_halfspace_power_tail_vanishes_below_wall():
@@ -359,7 +366,8 @@ def test_min_field_crossings_ignore_common_zeros():
 
 def _row_breakpoints(u, x, xi):
     """The breakpoints of the one row (x, xi), as a stack of one: sorted, each once."""
-    return sorted({float(t) for t in u.breakpoints(x[None], xi[None])[0] if math.isfinite(t)})
+    return sorted({float(t) for t in u.breakpoints(_rows(x[None], xi[None]))[0]
+                   if math.isfinite(t)})
 
 
 def _span_and_direction(x, xi, radius):
@@ -375,7 +383,7 @@ def _span_and_direction(x, xi, radius):
 def _row_crossings(m, x, xi, radius=0.0):
     """``m._crossings`` of the one row (x, xi), as a stack of one: sorted, each once."""
     span, xi = _span_and_direction(x, xi, radius)
-    got = m._crossings(x[None], xi[None], np.array([span]))[0]
+    got = m._crossings(_rows(x[None], xi[None]), np.array([span]))[0]
     return sorted({float(t) for t in got if math.isfinite(t)})
 
 
@@ -385,7 +393,7 @@ def _crossings_reference(m, x, xi, radius=0.0):
     from scipy.optimize import brentq
 
     span, xi = _span_and_direction(x, xi, radius)
-    first, second = m.first.line(x[None], xi[None]), m.second.line(x[None], xi[None])
+    first, second = m.first.line(_rows(x[None], xi[None])), m.second.line(_rows(x[None], xi[None]))
     grid = np.linspace(-span, span, 801)
     vals = (first(grid[:, None]) - second(grid[:, None]))[:, 0].tolist()
     grid = grid.tolist()
@@ -415,7 +423,7 @@ def _crossing_cases():
         angle = rng.uniform(0.0, 2.0 * math.pi)
         x = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.05, 3.0)])
         yield thin, x, np.array([math.cos(angle), math.sin(angle)]), 0.0
-        yield thin, x, None, thin.c2_radius(x[None])[0]
+        yield thin, x, None, thin.c2_radius(_rows(x[None]))[0]
 
 
 def test_min_field_crossings_match_scan_and_brentq():
@@ -433,7 +441,7 @@ class _Ramp:
     def __init__(self, sign):
         self.sign = sign
 
-    def line(self, x, xi):
+    def line(self, rows):
         return lambda t: np.maximum(self.sign * t - 1.0, 0.0)
 
 
@@ -455,9 +463,10 @@ def test_pointwise_values_match_closed_forms():
     m = pr.MinField(tail, pr.PowerProfile(0.25, 0.5), 0.3)
     assert m(y) == pytest.approx(0.3 * min(shifted ** -0.7, 0.5 * 1.1 ** 0.25),
                                  rel=1e-14)
-    ball = vf._BallBump(np.array([0.0, 0.0, 0.5]), 1.0, 0.5)
-    assert ball(y) == pytest.approx((1.0 - 0.61) ** 0.5, rel=1e-14)
-    assert ball(np.array([0.0, 0.0, -1.0])) == 0.0
+    # the ball bump about (0, 0, 0.5) at y
+    ball, centre = vf._BallBump(1.0, 0.5), np.array([0.0, 0.0, 0.5])
+    assert ball(y - centre) == pytest.approx((1.0 - 0.61) ** 0.5, rel=1e-14)
+    assert ball(np.array([0.0, 0.0, -1.0]) - centre) == 0.0
 
 
 def _unit(rng, N):
@@ -478,8 +487,7 @@ LINE_FIELDS = {
     "singular_power": lambda N, rng: pr.PowerProfile(0.25, 3.0),
     "min_composition": lambda N, rng: pr.MinField(
         pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5), 0.3),
-    "ball_bump": lambda N, rng: vf._BallBump(
-        np.r_[np.zeros(N - 1), -0.5], 1.5, 0.5),
+    "ball_bump": lambda N, rng: vf._BallBump(1.5, 0.5),
 }
 
 
@@ -492,6 +500,18 @@ def _section_value(u, x, y):
     return u(y)
 
 
+def _section_rel(u, x, xi, t):
+    """The relative difference a section's value at t may show from u(x + t xi):
+    1e-15, and for the ball bump the rounding of |x + t xi|^2 near its sphere,
+    a few ulps of r (|x| + |t|) either way, magnified by s/|r^2 - |x + t xi|^2|."""
+    if not isinstance(u, vf._BallBump):
+        return 1e-15
+    y = x + t * xi
+    gap = abs(u.r**2 - float(y @ y))
+    spread = 8.0 * 2.0**-52 * u.r * (float(np.linalg.norm(x)) + abs(t))
+    return 1e-15 + u.s * spread / gap if gap > 0.0 else math.inf
+
+
 @pytest.mark.parametrize("N", [2, 3, 4])
 @pytest.mark.parametrize("kind", sorted(LINE_FIELDS))
 def test_line_matches_pointwise_evaluation(kind, N):
@@ -501,15 +521,15 @@ def test_line_matches_pointwise_evaluation(kind, N):
     for _ in range(4):
         x = rng.uniform(-1.0, 3.0, N)
         xi = _unit(rng, N)
-        line = u.line(x, xi)
+        line = u.line(_rows(x, xi))
         ts = [0.0, *rng.uniform(-4.0, 4.0, 6)]
         bps = _row_breakpoints(u, x, xi)
         for b in bps:
             h = 1e-7 * max(1.0, abs(b))
             ts += [b - h, b + h]
         for t in ts:
-            assert line(t) == pytest.approx(_section_value(u, x, x + t * xi), rel=1e-15,
-                                            abs=1e-300)
+            assert line(t) == pytest.approx(_section_value(u, x, x + t * xi),
+                                            rel=_section_rel(u, x, xi, t), abs=1e-300)
         # the same nodes and every breakpoint as one 2-D array: one value per
         # node, each the node's value alone (numpy's vector pow may differ
         # from its scalar pow in the last bit)
@@ -517,27 +537,28 @@ def test_line_matches_pointwise_evaluation(kind, N):
         values = line(nodes.reshape(-1, 1))
         assert values.shape == (nodes.size, 1)
         assert np.all(np.isfinite(values))
-        assert values[:len(ts), 0] == pytest.approx(
-            [_section_value(u, x, x + t * xi) for t in ts], rel=1e-15, abs=1e-300)
+        for t, value in zip(ts, values[:, 0]):
+            assert value == pytest.approx(_section_value(u, x, x + t * xi),
+                                          rel=_section_rel(u, x, xi, t), abs=1e-300)
         assert values[:, 0] == pytest.approx([float(line(t)) for t in nodes],
                                              rel=1e-15, abs=1e-300)
         # a fan of directions through x, one row of nodes per direction:
         # each row equals that direction's own line
         fan = np.array([xi] + [_unit(fan_rng, N) for _ in range(3)])
         rows = fan_rng.uniform(-4.0, 4.0, (len(fan), 9))
-        fan_values = u.line(x, fan[:, None, :])(rows)
+        fan_values = u.line(_rows(x, fan)[:, None])(rows)
         assert fan_values.shape == rows.shape
         for xi_row, t_row, got in zip(fan, rows, fan_values):
-            assert got == pytest.approx(u.line(x, xi_row)(t_row), rel=1e-15, abs=1e-300)
+            assert got == pytest.approx(u.line(_rows(x, xi_row))(t_row), rel=1e-15, abs=1e-300)
         # a stack of points, one per row, with the fan or with xi alone:
         # each row equals the line through its own point
         points = np.r_[x[None], fan_rng.uniform(-1.0, 3.0, (len(fan) - 1, N))]
         for dirs in (fan[:, None, :], xi):
-            stack_values = u.line(points[:, None, :], dirs)(rows)
+            stack_values = u.line(_rows(points[:, None, :], dirs))(rows)
             assert stack_values.shape == rows.shape
             for y, xi_row, t_row, got in zip(points, np.broadcast_to(dirs, fan[:, None].shape),
                                              rows, stack_values):
-                assert got == pytest.approx(u.line(y, xi_row[0])(t_row), rel=1e-15,
+                assert got == pytest.approx(u.line(_rows(y, xi_row[0]))(t_row), rel=1e-15,
                                             abs=1e-300)
 
 
@@ -552,9 +573,10 @@ def test_line_at_zero_on_a_stack_of_points_is_each_points_value(kind, N):
     u = LINE_FIELDS[kind](N, rng)
     points = rng.uniform(-1.0, 3.0, (30, N)) * np.geomspace(1e-2, 1e3, 30)[:, None]
     dirs = np.array([_unit(rng, N) for _ in range(30)])
-    values = u.line(points, dirs)(0.0)
+    values = u.line(_rows(points, dirs))(0.0)
     assert values.shape == (30,)
-    assert values.tolist() == [u.line(y[None], xi[None])(0.0)[0] for y, xi in zip(points, dirs)]
+    assert values.tolist() == [u.line(_rows(y[None], xi[None]))(0.0)[0]
+                               for y, xi in zip(points, dirs)]
     assert values == pytest.approx([u(y) for y in points], rel=1e-15, abs=1e-300)
 
 
@@ -572,7 +594,7 @@ ROW_FIELDS = {
     "min_composition": pr.MinField(
         pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5), 0.3),
     "min_thin": pr.build_thIN_supersolution(2, 0.45, 4.0)[0],
-    "ball_bump": vf._BallBump(np.array([0.0, 0.0, -0.5]), 1.5, 0.5),
+    "ball_bump": vf._BallBump(1.0, 0.5),
 }
 
 
@@ -616,16 +638,21 @@ def test_hooks_on_a_stack_are_each_rows_stack_of_one(kind):
     def bits(a):
         return np.asarray(a, float).tobytes()
 
-    c2, bps = u.c2_radius(points), u.breakpoints(points, dirs)
+    rows = _rows(points, dirs)
+    c2, bps = u.c2_radius(rows), u.breakpoints(rows)
     assert c2.shape == (len(points),) and bps.shape[0] == len(points)
-    d2 = u.d2_along(points, dirs) if hasattr(u, "d2_along") else None
+    d2 = u.d2_along(rows) if hasattr(u, "d2_along") else None
     for i, (x, xi) in enumerate(zip(points[:, None], dirs[:, None])):
-        assert bits(u.c2_radius(x)) == bits(c2[i:i + 1])
-        one = u.breakpoints(x, xi)[0]
+        # the row's own projections are those of the stack's row
+        row = _rows(x, xi)
+        for name in ("b", "d2", "x_n", "xi_n"):
+            assert bits(getattr(row, name)) == bits(getattr(rows, name)[i:i + 1])
+        assert bits(u.c2_radius(row)) == bits(c2[i:i + 1])
+        one = u.breakpoints(row)[0]
         assert bits(one) == bits(bps[i, :one.size])
         assert np.all(bps[i, one.size:] == np.inf) and not np.any(bps[i] == -np.inf)
         if d2 is not None:
-            assert bits(u.d2_along(x, xi)) == bits(d2[i:i + 1])
+            assert bits(u.d2_along(row)) == bits(d2[i:i + 1])
     if kind != "base":
         # the edge rows hit what they aim at
         finite = np.isfinite(bps).sum(axis=1)
@@ -640,9 +667,9 @@ def test_min_field_rows_read_their_points_radius():
     u = ROW_FIELDS["min_thin"]
     a, b = [0.1, 1.2], [0.2, 0.8]
     points = np.array([a, a, b, a, b, a])
-    c2 = u.c2_radius(points)
+    c2 = u.c2_radius(_rows(points))
     for x, radius in zip(points, c2):
-        assert u.c2_radius(x[None]).tobytes() == radius.tobytes()
+        assert u.c2_radius(_rows(x[None])).tobytes() == radius.tobytes()
     assert c2[0] != c2[2]
 
 

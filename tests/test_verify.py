@@ -1,6 +1,7 @@
 """Verification suites: verdict mechanics and each verifier's contract."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,37 @@ def test_avoidance_passes():
     assert zeros and all(abs(c.residual) <= 1e-12 for c in zeros)
 
 
+def test_avoidance_and_t49_2_claim_each_points_nearest_line():
+    # one distance claim per point, read from the smallest d^2 of its N
+    # Householder rows: every row sits at distance |x - y| sqrt(1 - 1/N)
+    N, r, y = 5, 0.5, np.array([0.0, 0.0, 0.0, 0.0, -0.8])
+    report = vf.verify_avoidance_example(N, 0.5, r, y)
+    assert report.verdict == "pass" and len(report.residuals) == 3 * 3
+    for c in (c for c in report.residuals if c.claim == "line_avoids_ball"):
+        d2 = float(np.sum((np.array(c.point) - y) ** 2)) * (1.0 - 1.0 / N)
+        assert c.residual == pytest.approx(r * r - d2, rel=1e-14)
+    report = vf.verify_T49_2(N, 0.5)
+    assert [c.claim for c in report.residuals].count("avoidance_radius") == 6
+    for c in (c for c in report.residuals if c.claim == "avoidance_radius"):
+        nx2 = float(np.sum(np.array(c.point) ** 2))
+        assert c.residual == pytest.approx(nx2 / 2.0 - nx2 * (1.0 - 1.0 / N), rel=1e-14)
+
+
+def test_avoidance_at_n_2000_builds_no_square_frame():
+    # a dense 2000 x 2000 Householder frame takes 32 MB a point; its rows'
+    # projections are four arrays of N floats
+    y = np.zeros(2000)
+    y[-1] = -1.0
+    tracemalloc.start()
+    try:
+        report = vf.verify_avoidance_example(2000, 0.5, 0.5, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "pass"
+    assert peak < 16_000_000
+
+
 def test_transform_passes():
     r = vf.verify_transform(0.5, -3.0, -5.0)
     assert r.verdict == "pass"
@@ -349,9 +381,9 @@ def test_one_engine_call_per_field(name, call, rows, monkeypatch):
     calls = []
     engine = op._integrate_fan
 
-    def spy(u, x, directions, *args):
-        calls.append((u, len(directions)))
-        return engine(u, x, directions, *args)
+    def spy(u, rows, *args):
+        calls.append((u, len(rows)))
+        return engine(u, rows, *args)
 
     monkeypatch.setattr(op, "_integrate_fan", spy)
     assert call().verdict == "pass"
