@@ -315,11 +315,7 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
 
 def _report_exit(report: vf.VerificationReport, out: Optional[str]) -> int:
     _emit(report.to_json(), out)
-    if report.verdict == "pass":
-        return EXIT_OK
-    if report.verdict == "fail":
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    return {"pass": EXIT_OK, "fail": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)
 
 
 # parameters a construction cannot run without (dest names of the flags)
@@ -357,8 +353,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         y[-1:] = args.y_N  # a no-op for N < 1, which the verifier rejects
         report = vf.verify_avoidance_example(args.N, args.s, args.r, y, tol=tol)
     elif construction == "transform":
-        report = vf.verify_transform(args.s, args.p, args.q, seed=cfg.seed,
-                                     tol=tol)
+        report = vf.verify_transform(args.s, args.p, args.q, seed=cfg.seed, tol=tol)
     else:  # argparse choices prevent this
         raise AssertionError(construction)
     return _report_exit(report, args.report)

@@ -18,9 +18,9 @@ sees through four projections each (``profiles.Rows``).  One engine,
 ``_integrate_fan``, integrates them all with ``quad.integrate_batch``, each
 round of bisection in one field call.  ``directional`` is its batch of one
 row; ``directional_fan``, the ``plus`` closed form and the search's
-objective take the directions through one point (a *fan*); ``frame_sums``
-takes every section of the frames at many points, one batch per field in
-each verify suite, and ``frame_sum`` is its case of one point.
+objective take the directions through one point (a *fan*); ``row_sums``
+takes the sections of many points, one batch per field in each verify
+suite, and ``frame_sums`` and ``frame_sum`` give it frames of directions.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "directional_fan",
     "frame_sum",
     "frame_sums",
+    "row_sums",
     "extremal_radial",
     "extremal_search",
     "derivative_commutation_residual",
@@ -147,9 +148,9 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol: float) -> list[
     breakpoint; without ``d2_along`` the second derivatives of all rows come
     from one call of finite differences inside their windows, and their
     error bound, weighted as the Taylor piece carries it, goes into the
-    bar.  No bar is below the rounding of the kernel's pair over the nodes
-    integrated.  The rows' breakpoint radii are sorted and their repeats
-    dropped here, for every field.
+    bar, as is a heuristic floor for its pair's rounding (each value within
+    ~1 ulp of |u(x)|; no bound where u is ill conditioned in |x + t xi|^2).
+    The rows' breakpoint radii are sorted and their repeats dropped here, for every field.
 
     ``n_evals`` of each result counts the section's field evaluations: u(0),
     two per kernel node (at t and -t), the growth probes and the finite
@@ -367,8 +368,9 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol: float) -> list[
     err = (small_err + np.bincount(core_rows, core_err, m)
            + (coeff * T**-decay + far_err) + closed_err)
     # f(t) + f(-t) - 2u(x) cancels to O(t^2) but rounds at ~1 ulp of |u(x)|
-    # per term, unseen by the quadratures: the bar is at least 4 eps |u(x)|
-    # int_lo^inf t^{-1-2s} dt, lo the lowest node of the rungs used.
+    # per term where u is well conditioned, unseen by the quadratures: a
+    # heuristic floor of 4 eps |u(x)| int_lo^inf t^{-1-2s} dt on the bar, lo
+    # the lowest node of the rungs used.
     lo = np.ldexp(top, -(at[1] + np.where(plain, 1, 2)))
     err = np.maximum(err, 4.0 * _EPS * np.abs(u0) * lo ** (-2.0 * s) / (2.0 * s))
     Cs = normalizing_constant(s)
@@ -397,26 +399,27 @@ def directional(u, x: np.ndarray, xi: np.ndarray, s: float,
 directional_at = directional
 
 
-def frame_sums(u, points: Sequence[np.ndarray], frames: Sequence, s: float,
-               tol: Tolerance | Sequence[Tolerance] = Tolerance()) -> list[QuadResult]:
-    """Sum of directional operators at each point over the rows of its frame.
-
-    ``frames[i]``, of shape ``(k_i, N)``, holds the directions summed at
-    ``points[i]``; a frame of one row gives the directional value.  Or each
-    ``frames[i]`` is the ``profiles.Rows`` of those sections (as
-    ``householder_rows`` gives them), and ``points`` is not read.  ``tol``
-    is one ``Tolerance``, or one per point.  Every section of every point is
-    one batch of rows, so each round of bisection calls the field once.
-    """
-    sizes = [len(f) for f in frames]
+def row_sums(u, rows: Sequence[pr.Rows], s: float,
+             tol: Tolerance | Sequence[Tolerance] = Tolerance()) -> list[QuadResult]:
+    """Sum of directional operators at each point over its sections, the
+    ``profiles.Rows`` ``rows[i]``, all one batch: each round of bisection
+    calls the field once.  ``tol`` is one ``Tolerance``, or one per point."""
+    sizes = [len(r) for r in rows]
     tols = [tol] * len(sizes) if isinstance(tol, Tolerance) else tol
-    rows = (pr.Rows.concat(frames) if isinstance(frames[0], pr.Rows) else
-            _fan_rows(np.repeat(np.asarray(points, float), sizes, axis=0), np.vstack(frames)))
-    sections = _integrate_fan(u, rows, s,
+    sections = _integrate_fan(u, pr.Rows.concat(rows), s,
                               np.repeat([t.abs_tol for t in tols], sizes),
                               np.repeat([t.rel_tol for t in tols], sizes))
     ends = np.cumsum(sizes).tolist()
     return [sum(sections[e - k:e], QuadResult(0.0, 0.0, 0)) for e, k in zip(ends, sizes)]
+
+
+def frame_sums(u, points: Sequence[np.ndarray], frames: Sequence[np.ndarray], s: float,
+               tol: Tolerance | Sequence[Tolerance] = Tolerance()) -> list[QuadResult]:
+    """``row_sums`` of the directions ``frames[i]``, ``(k_i, N)``, through
+    ``points[i]``; a frame of one row gives the directional value."""
+    sizes = [len(f) for f in frames]
+    stack = _fan_rows(np.repeat(np.asarray(points, float), sizes, axis=0), np.vstack(frames))
+    return row_sums(u, [stack[e - k:e] for e, k in zip(np.cumsum(sizes).tolist(), sizes)], s, tol)
 
 
 def frame_sum(u, x: np.ndarray, frame: Frame, s: float,
@@ -517,7 +520,7 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
     if variant == "minus_full":
         if k != N:
             raise HypothesisViolation("variant minus_full requires k = N")
-        return frame_sums(profile, [x], [householder_rows(x)[:1]], s, tol)[0].scale(float(N))
+        return row_sums(profile, [householder_rows(x)[:1]], s, tol)[0].scale(float(N))
     raise ValueError(f"unknown variant {variant!r}")
 
 

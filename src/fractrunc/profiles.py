@@ -118,14 +118,18 @@ def _plane_crossings(rows: Rows, levels=(0.0,)) -> np.ndarray:
     return np.where((np.abs(xi_n) >= 1e-15) & np.isfinite(t) & (np.abs(t) > 1e-9), t, np.inf)
 
 
-def _sphere_crossings(b: np.ndarray, d2: np.ndarray, radius: float) -> np.ndarray:
+_GRAZE = 8.0 * np.finfo(float).eps  # the rounding of d2, relative to radius^2
+
+
+def _sphere_crossings(b: np.ndarray, d2: np.ndarray, radius: float, graze=0.0) -> np.ndarray:
     """``(m, 2)``: the t at which each row's |x + t*xi| = radius, for rows of
     ``b`` = x.xi and squared distance ``d2`` from the sphere's centre; inf
-    where |t| <= 1e-9 or the line misses or touches the sphere."""
+    where |t| <= 1e-9 or the line misses, touches or dips in by at most graze *
+    radius^2; a C^3 junction passes ``_GRAZE``: such a crossing is invisible."""
     disc = radius**2 - d2
     root = np.sqrt(np.maximum(disc, 0.0))
     t = np.stack((-b - root, -b + root), axis=1)
-    return np.where((disc > 0.0)[:, None] & (np.abs(t) > 1e-9), t, np.inf)
+    return np.where((disc > graze * radius**2)[:, None] & (np.abs(t) > 1e-9), t, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +267,7 @@ class RadialProfile(Field):
         return lambda t: value(rows.r2(t))
 
     def breakpoints(self, rows: Rows) -> np.ndarray:
-        return _sphere_crossings(rows.b, rows.d2, math.sqrt(self.junction_r2))
+        return _sphere_crossings(rows.b, rows.d2, math.sqrt(self.junction_r2), _GRAZE)
 
     def d2_along(self, rows: Rows) -> np.ndarray:
         r2, b = rows.r2(0.0), rows.b
@@ -673,7 +677,7 @@ class HalfSpacePowerTail(Field):
         d2 = np.maximum(rows.d2 + 2.0 * c * (rows.x_n - b * xi_n)
                         + c * c * ((1.0 - xi_n) * (1.0 + xi_n)), 0.0)
         return np.concatenate((_plane_crossings(rows),
-                               _sphere_crossings(b + c * xi_n, d2, 1.0)), axis=1)
+                               _sphere_crossings(b + c * xi_n, d2, 1.0, _GRAZE)), axis=1)
 
 
 class PowerProfile(Field):

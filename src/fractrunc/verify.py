@@ -147,15 +147,12 @@ def _on_axis(N: int, t: float) -> np.ndarray:
     return x
 
 
-_MAX_N = 20_000  # t49-2 and avoidance: N rows per point, ~3 MB per 1,000 rows (t49-2: ~470 MB)
+_MAX_N = 20_000  # t49-2 integrates N rows per point: ~470 MB peak at this N
 
 
 def _upper_points(N: int, radii: Sequence[float], seed: int) -> list[np.ndarray]:
     """One point of the upper half-space at each radius, in a random direction
     from ``seed`` whose last component is lifted by 0.2 before normalising."""
-    if N > _MAX_N:
-        raise cn.DomainError(f"N = {N} is too large: the t49-2 and avoidance suites take "
-                             f"N <= {_MAX_N}, whose sections fit in memory")
     rng = np.random.default_rng(seed)
     points = []
     for r in radii:
@@ -268,6 +265,9 @@ def verify_T49_2(N: int, s: float, gamma: Optional[float] = None,
     C_s c_N^+(gamma) |x|^{-gamma-2s} for the full minimal operator.  Default
     gamma: 2s/(p-1) for p = 1 + 2s/gamma_plus + 0.2.
     """
+    if N > _MAX_N:
+        raise cn.DomainError(f"N = {N} is too large: the t49-2 suite takes N <= {_MAX_N}, "
+                             "whose sections fit in memory")
     gamma_plus = cn.find_gamma_plus(N, s).root
     if gamma is None:
         p = 1.0 + 2.0 * s / gamma_plus + 0.2
@@ -280,7 +280,7 @@ def verify_T49_2(N: int, s: float, gamma: Optional[float] = None,
               + _upper_points(N, np.geomspace(1.05 * R, 20.0 * R, 5), 7))
 
     frames = [op.householder_rows(x) for x in points]
-    sums = op.frame_sums(u, points, frames, s, tol)
+    sums = op.row_sums(u, frames, s, tol)
 
     claims: list[ClaimResult] = []
     for x, rows, fs in zip(points, frames, sums):
@@ -333,10 +333,7 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
     psi = pr.make_psi(kind, k, s)
     gb, g2 = psi.gamma_lead, psi.gamma_second
     const = _psi_bound_constant(kind, k, s, psi)
-    if kind == "growth":
-        exponent = 2.0 * s + 2.0 - g2
-    else:
-        exponent = g2 + 2.0 * s + 2.0
+    exponent = 2.0 * s + 2.0 - g2 if kind == "growth" else g2 + 2.0 * s + 2.0
     N = max(k + 1, 2)
     radii = np.sort(np.geomspace(2.0, 3000.0, 10) if radii is None
                     else np.asarray(radii, float))
@@ -467,7 +464,8 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     The frame makes each vector see the line at distance >= |x-y|/sqrt(2)
     from the ball center, which exceeds the radius whenever y_N <= -sqrt(2)r,
     so the frame sum is exactly zero and the minimal operator is nonpositive.
-    The bump sits at the origin, and the rows pass through x - y.
+    The bump sits at the origin; the rows through x - y share b and d^2, so
+    the sum is N times one row's value.
     """
     if N < 2:
         raise cn.DomainError("N must be >= 2")
@@ -484,8 +482,8 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
         raise GeometryViolation("ball center must satisfy y_N <= -sqrt(2) r")
     u = _BallBump(r, s)
     points = _upper_points(N, (1.0, 2.0, 5.0), 3)
-    frames = [op.householder_rows(x - y) for x in points]
-    sums = op.frame_sums(u, points, frames, s, tol)
+    frames = [op.householder_rows(x - y)[:1] for x in points]
+    sums = [fs.scale(float(N)) for fs in op.row_sums(u, frames, s, tol)]
     claims: list[ClaimResult] = []
     for x, rows, fs in zip(points, frames, sums):
         nd = float(np.linalg.norm(x - y))

@@ -175,12 +175,8 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
      "r and |y| must be at most 1e+150, or their squares overflow"),
     (["verify", "avoidance", "--s", "0.5", "--r", "0.5", "--y-N=-1e300"],
      "r and |y| must be at most 1e+150, or their squares overflow"),
-    (["verify", "avoidance", "--s", "0.5", "--N", "100000"],
-     "N = 100000 is too large: the t49-2 and avoidance suites take N <= 20000, "
-     "whose sections fit in memory"),
     (["verify", "t49-2", "--N", "50000", "--s", "0.5"],
-     "N = 50000 is too large: the t49-2 and avoidance suites take N <= 20000, "
-     "whose sections fit in memory"),
+     "N = 50000 is too large: the t49-2 suite takes N <= 20000, whose sections fit in memory"),
     (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "nan"],
      "gamma must be finite and positive"),
     (["verify", "t49-2", "--N", "2", "--s", "0.5", "--gamma", "inf"],
@@ -207,7 +203,7 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "avoidance-r-huge",
-        "avoidance-y-huge", "avoidance-N-ceiling", "t49-2-N-ceiling", "t49-2-gamma-nan",
+        "avoidance-y-huge", "t49-2-N-ceiling", "t49-2-gamma-nan",
         "t49-2-gamma-inf", "t49-2-gamma-overflow", "transform-q1", "bump-train-p-inf",
         "bump-train-p-nan", "bump-train-eps-tiny", "sweep-k0", "sweep-k-above-N", "sweep-N1",
         "sweep-steps0", "sweep-steps-negative"])
@@ -222,13 +218,12 @@ def test_bad_input_exit_2(capsys, tmp_path, argv, message):
 
 
 def test_large_n_refusal_allocates_nothing_large(capsys):
-    # at N = 100,000 the suites' sections would take ~1-2 GB (a MemoryError,
-    # exit 1, before the ceiling); the refusal comes before any of them
-    # (t49-2 refuses N = 100,000 earlier still: its gamma_plus root fails)
+    # at N = 100,000 t49-2's N sections a point would take ~2 GB (a
+    # MemoryError, exit 1, before the ceiling); the refusal comes before any
+    # of them, and before its gamma_plus root, which fails there
     tracemalloc.start()
     try:
-        for argv in (["verify", "avoidance", "--s", "0.5", "--N", "100000"],
-                     ["verify", "t49-2", "--s", "0.5", "--N", "100000"],
+        for argv in (["verify", "t49-2", "--s", "0.5", "--N", "100000"],
                      ["verify", "t49-2", "--s", "0.5", "--N", "50000"]):
             code, out, err = run(capsys, argv)
             assert code == 2 and out == "" and err.count("\n") == 1

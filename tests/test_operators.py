@@ -713,7 +713,7 @@ def test_frame_sums():
     # the same sums from the frames' rows: the Householder rows in O(N), and
     # the completion frame's rows through y
     rows = [op.householder_rows(x), op._fan_rows(y, fy.vectors)]
-    for r, row in zip(sums, op.frame_sums(u, None, rows, s, tols)):
+    for r, row in zip(sums, op.row_sums(u, rows, s, tols)):
         assert r.n_evals == row.n_evals
         assert abs(r.value - row.value) <= r.abs_error_estimate + row.abs_error_estimate
 
@@ -860,7 +860,7 @@ def test_t49_2_frame_sums_match_mpmath(s):
     points = ([vf._on_axis(N, 2.0 * math.sqrt(N))]
               + vf._upper_points(N, np.geomspace(1.05 * R, 20.0 * R, 5), 7))
     rows = [op.householder_rows(x) for x in points]
-    for x, r in zip(points, op.frame_sums(u, points, rows, s, TOL)):
+    for x, r in zip(points, op.row_sums(u, rows, s, TOL)):
         assert abs(r.value - _mp_frame_sum(u, x, _householder_matrix(x), s)) <= r.abs_error_estimate
 
 
@@ -994,6 +994,33 @@ def test_rows_in_a_narrow_window_carry_their_pairs_rounding(kind, s):
                 assert abs(row.value - value) <= row.abs_error_estimate + bar, (x, row, value)
 
 
+def test_a_junction_sphere_grazed_by_rounding_is_touched():
+    # a row orthogonal to a point on psi's junction sphere whose d^2 rounds
+    # just below 1 crossed it at t = +-1e-8: the window shrank to those
+    # breakpoints and the row cost ~60,000 evaluations, against ~2,000 as a
+    # tangent; the ball bump, not C^2 at its sphere, keeps such a crossing
+    psi, s = PSI_FIELDS["growth"](0.7), 0.7
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        v = rng.standard_normal(3)
+        v[-1] = abs(v[-1]) + 0.2
+        x = v / np.linalg.norm(v)
+        directions = op.completion_frames(x[None], 3)[0, 1:]
+        rows = op._fan_rows(x, directions)
+        grazing = (rows.d2 < 1.0) & (rows.d2 >= 1.0 - 8.0 * 2.0**-52)
+        if np.any(grazing):
+            break
+    assert np.any(grazing), "no row of the draws grazes the sphere"
+    assert np.all(np.isinf(psi.breakpoints(rows)))
+    assert np.all(np.isinf(pr.make_v_gamma(0.4).breakpoints(rows)))
+    assert np.all(np.isfinite(vf._BallBump(1.0, 0.5).breakpoints(rows)[grazing]))
+    for row in op.directional_fan(psi, x, directions, s, Tolerance(1e-13, 1e-12)):
+        assert row.n_evals < 10_000
+    # a line that dips in by more than the rounding of d^2 crosses
+    deeper = pr.Rows(np.zeros(1), np.array([1.0 - 1e-12]), np.ones(1), np.zeros(1))
+    assert np.all(np.isfinite(pr.make_v_gamma(0.4).breakpoints(deeper)))
+
+
 def test_psi_orthogonal_section_refuses_points_inside_the_cap():
     psi = pr.make_psi("decay", 2, 0.5)
     with pytest.raises(cn.DomainError, match="orthogonal sections need"):
@@ -1049,7 +1076,7 @@ def test_halfspace_tail_frame_sum_scales_along_a_ray(N, s, gamma):
     scaled = []
     for r in (1.05 * R, 10.0, 100.0, 1000.0):
         scale = r ** (gamma + 2.0 * s)
-        fs = op.frame_sums(u, None, [op.householder_rows(r * xhat)], s,
+        fs = op.row_sums(u, [op.householder_rows(r * xhat)], s,
                            Tolerance(1e-10 / scale, 1e-10))[0]
         scaled.append((fs.value * scale, fs.abs_error_estimate * scale))
     (first, first_bar), *rest = scaled

@@ -500,10 +500,11 @@ def _section_value(u, x, y):
     return u(y)
 
 
-def _section_rel(u, x, xi, t):
-    """The relative difference a section's value at t may show from u(x + t xi):
-    1e-15, and for the ball bump the rounding of |x + t xi|^2 near its sphere,
-    a few ulps of r (|x| + |t|) either way, magnified by s/|r^2 - |x + t xi|^2|."""
+def _next_to_sphere_rel(u, x, xi, t):
+    """The relative difference a ball bump's section may show from u(x + t xi)
+    at a node next to its sphere: 1e-15 plus the rounding of |x + t xi|^2,
+    a few ulps of r (|x| + |t|) either way, magnified by s/|r^2 - |x + t xi|^2|;
+    1e-15 for every other field."""
     if not isinstance(u, vf._BallBump):
         return 1e-15
     y = x + t * xi
@@ -523,13 +524,14 @@ def test_line_matches_pointwise_evaluation(kind, N):
         xi = _unit(rng, N)
         line = u.line(_rows(x, xi))
         ts = [0.0, *rng.uniform(-4.0, 4.0, 6)]
+        rels = [1e-15] * len(ts)
         bps = _row_breakpoints(u, x, xi)
         for b in bps:
             h = 1e-7 * max(1.0, abs(b))
             ts += [b - h, b + h]
-        for t in ts:
-            assert line(t) == pytest.approx(_section_value(u, x, x + t * xi),
-                                            rel=_section_rel(u, x, xi, t), abs=1e-300)
+            rels += [_next_to_sphere_rel(u, x, xi, b - h), _next_to_sphere_rel(u, x, xi, b + h)]
+        for t, rel in zip(ts, rels):
+            assert line(t) == pytest.approx(_section_value(u, x, x + t * xi), rel=rel, abs=1e-300)
         # the same nodes and every breakpoint as one 2-D array: one value per
         # node, each the node's value alone (numpy's vector pow may differ
         # from its scalar pow in the last bit)
@@ -537,9 +539,8 @@ def test_line_matches_pointwise_evaluation(kind, N):
         values = line(nodes.reshape(-1, 1))
         assert values.shape == (nodes.size, 1)
         assert np.all(np.isfinite(values))
-        for t, value in zip(ts, values[:, 0]):
-            assert value == pytest.approx(_section_value(u, x, x + t * xi),
-                                          rel=_section_rel(u, x, xi, t), abs=1e-300)
+        for t, rel, value in zip(ts, rels, values[:, 0]):
+            assert value == pytest.approx(_section_value(u, x, x + t * xi), rel=rel, abs=1e-300)
         assert values[:, 0] == pytest.approx([float(line(t)) for t in nodes],
                                              rel=1e-15, abs=1e-300)
         # a fan of directions through x, one row of nodes per direction:

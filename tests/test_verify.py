@@ -327,7 +327,7 @@ def test_avoidance_passes():
 
 
 def test_avoidance_and_t49_2_claim_each_points_nearest_line():
-    # one distance claim per point, read from the smallest d^2 of its N
+    # one distance claim per point, read from the smallest d^2 of its
     # Householder rows: every row sits at distance |x - y| sqrt(1 - 1/N)
     N, r, y = 5, 0.5, np.array([0.0, 0.0, 0.0, 0.0, -0.8])
     report = vf.verify_avoidance_example(N, 0.5, r, y)
@@ -344,7 +344,7 @@ def test_avoidance_and_t49_2_claim_each_points_nearest_line():
 
 def test_avoidance_at_n_2000_builds_no_square_frame():
     # a dense 2000 x 2000 Householder frame takes 32 MB a point; its rows'
-    # projections are four arrays of N floats
+    # projections are four arrays of N floats, of which the suite integrates one row
     y = np.zeros(2000)
     y[-1] = -1.0
     tracemalloc.start()
@@ -373,8 +373,11 @@ def test_transform_passes():
     ("singular in_plus",
      lambda: vf.verify_singular_supersolution(0.5, -3.0, "in_plus", 3), [3]),
     ("avoidance",
-     lambda: vf.verify_avoidance_example(3, 0.5, 0.5, np.array([0.0, 0.0, -0.8])), [3 * 3]),
+     lambda: vf.verify_avoidance_example(3, 0.5, 0.5, np.array([0.0, 0.0, -0.8])), [3]),
     ("transform", lambda: vf.verify_transform(0.5, -3.0, -5.0), [3, 3]),
+    # one row a point, whatever N
+    ("avoidance N=100000",
+     lambda: vf.verify_avoidance_example(100_000, 0.5, 0.5, -vf._on_axis(100_000, 1.0)), [3]),
 ])
 def test_one_engine_call_per_field(name, call, rows, monkeypatch):
     # every section of a suite goes through the fan engine in one call per field
