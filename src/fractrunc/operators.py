@@ -7,20 +7,21 @@ The directional operator along a unit vector ``xi`` is
 and the extremal operators of order ``k`` are the inf/sup of frame sums
 ``sum_i I_{xi_i} u(x)`` over orthonormal families of ``k`` vectors.  This
 module evaluates the directional operator on one-dimensional line sections,
-assembles frame sums, provides exact closed-form frames for radial profiles,
-and runs a heuristic (explicitly one-sided) frame search: a sweep of Givens
-rotations, each a ring of angles, then a bracket zoom on the one angle
-(N = 2) or trust-region steps on a quadratic model of the score in all the
-rotation angles at once.
+sums it over each point's sections, provides exact closed-form frames for
+radial profiles, and runs a heuristic (explicitly one-sided) frame search: a
+sweep of Givens rotations, each a ring of angles, then a bracket zoom on the
+one angle (N = 2) or trust-region steps on a quadratic model of the score in
+all the rotation angles at once.
 
-The unit of work is a batch of *rows*, line sections of one field that it
-sees through four projections each (``profiles.Rows``).  One engine,
-``_integrate_fan``, integrates them all with ``quad.integrate_batch``, each
-round of bisection in one field call.  ``directional`` is its batch of one
-row; ``directional_fan``, the ``plus`` closed form and the search's
-objective take the directions through one point (a *fan*); ``row_sums``
-takes the sections of many points, one batch per field in each verify
-suite, and ``frame_sums`` and ``frame_sum`` give it frames of directions.
+The unit of work is a stack of *rows*, line sections of one field that it
+sees through four projections each (``profiles.Rows``).  ``row_sums`` is the
+one way in: it takes a ``(P, k)`` stack, the k sections of each of P points,
+hands all of them to one engine, ``_integrate_fan``, which integrates them
+with ``quad.integrate_batch``, each round of bisection in one field call,
+and sums each point's sections.  ``_fan_rows`` turns vectors into rows (a
+frame's at a point, the search's frames, ``directional``'s one row);
+``householder_rows`` and ``_radial_rows`` build the rows of the Householder
+frame and of the radial plane from their projections in O(N).
 """
 
 from __future__ import annotations
@@ -40,16 +41,11 @@ __all__ = [
     "GrowthViolation",
     "HypothesisViolation",
     "directional",
-    "directional_fan",
     "frame_sum",
-    "frame_sums",
     "row_sums",
     "extremal_radial",
     "extremal_search",
     "derivative_commutation_residual",
-    "canonical_frame",
-    "completion_frame",
-    "completion_frames",
     "householder_rows",
     "random_frames",
 ]
@@ -107,20 +103,22 @@ def _check_orthonormal(vectors: np.ndarray) -> None:
 # on all rows at once, so one numpy pass evaluates nodes of many sections.
 
 def _fan_rows(x: np.ndarray, directions: np.ndarray) -> pr.Rows:
-    """The ``Rows`` through ``x``, ``(N,)`` or a point per row, along each row of
-    ``directions`` made unit; zero or non-finite input raises ``ValueError``."""
-    x = np.asarray(x, float)
-    dirs = np.asarray(directions, float).reshape(-1, x.shape[-1])
-    nrm = np.linalg.norm(dirs, axis=1, keepdims=True)  # a unit row stays as given
+    """The ``Rows`` through ``x`` along each direction of ``directions``, ``(..., N)``,
+    made unit: their leading shape, ``x`` broadcast against it; zero or
+    non-finite input raises ``ValueError``."""
+    x, dirs = np.asarray(x, float), np.asarray(directions, float)
+    nrm = np.linalg.norm(dirs, axis=-1, keepdims=True)
     # comparisons are false for NaN, so a NaN direction is refused too
     if not (np.all((nrm > 0.0) & (nrm < np.inf)) and np.all(np.isfinite(x))):
         raise ValueError("every direction must be finite and nonzero, and every point finite")
-    dirs = np.where(np.abs(nrm - 1.0) > 1e-12, dirs / nrm, dirs)
-    return pr.Rows.through(np.broadcast_to(x, dirs.shape), dirs)
+    # a unit row stays as given: x / 1.0 is x
+    return pr.Rows.through(x, dirs / np.where(np.abs(nrm - 1.0) > 1e-12, nrm, 1.0))
 
 
-def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol: float) -> list[QuadResult]:
-    """The directional operator integral of a field along each of ``rows``.
+def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The directional operator of a field along each of ``rows``, a flat
+    stack: its values, error bars and evaluation counts, each ``(m,)``.
 
     Row i is the line section x[i] + t*xi[i], seen through its four
     projections (``profiles.Rows``); ``abs_tol`` and ``rel_tol`` are each
@@ -152,7 +150,7 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol: float) -> list[
     ~1 ulp of |u(x)|; no bound where u is ill conditioned in |x + t xi|^2).
     The rows' breakpoint radii are sorted and their repeats dropped here, for every field.
 
-    ``n_evals`` of each result counts the section's field evaluations: u(0),
+    The count of each row is the section's field evaluations: u(0),
     two per kernel node (at t and -t), the growth probes and the finite
     differences.  Field metadata (breakpoints, C^2 radius) and ``far_part``
     are not counted.
@@ -374,112 +372,93 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol: float) -> list[
     lo = np.ldexp(top, -(at[1] + np.where(plain, 1, 2)))
     err = np.maximum(err, 4.0 * _EPS * np.abs(u0) * lo ** (-2.0 * s) / (2.0 * s))
     Cs = normalizing_constant(s)
-    return [QuadResult(a, b, c).scale(Cs)
-            for a, b, c in zip(value.tolist(), err.tolist(), n_evals.tolist())]
+    return value * Cs, err * abs(Cs), n_evals
 
 
-def directional_fan(u, x: np.ndarray, directions: np.ndarray, s: float,
-                    tol: Tolerance = Tolerance()) -> list[QuadResult]:
-    """Directional operator of a field along each row of ``directions``.
-
-    ``x`` is one point of shape ``(N,)``, or a stack of shape ``(m, N)`` with
-    the point of each row.  All rows are one batched quadrature: each round
-    evaluates the nodes of every section in one field call.
-    """
-    return _integrate_fan(u, _fan_rows(x, directions), s, tol.abs_tol, tol.rel_tol)
+def row_sums(u, rows: pr.Rows, s: float,
+             tol: Tolerance | Sequence[Tolerance] = Tolerance()) -> list[QuadResult]:
+    """Sum of directional operators at each point over its sections: ``rows``
+    of shape ``(P, k)`` holds point i's k sections in row i, and all P*k are
+    one batch, so each round of bisection calls the field once.  ``tol`` is
+    one ``Tolerance``, or one per point.  Each sum adds its point's sections
+    in order, starting from 0."""
+    P, k = rows.b.shape
+    tols = [tol] * P if isinstance(tol, Tolerance) else tol
+    value, err, n_evals = _integrate_fan(
+        u, pr.Rows(*(np.ravel(a) for a in (rows.b, rows.d2, rows.x_n, rows.xi_n))), s,
+        np.repeat([t.abs_tol for t in tols], k), np.repeat([t.rel_tol for t in tols], k))
+    # cumsum adds in order; the leading zero column is Python's sum start
+    value, err, n_evals = (np.cumsum(np.column_stack((np.zeros(P, a.dtype), a.reshape(P, k))),
+                                     axis=1)[:, -1].tolist() for a in (value, err, n_evals))
+    return [QuadResult(*r) for r in zip(value, err, n_evals)]
 
 
 def directional(u, x: np.ndarray, xi: np.ndarray, s: float,
                 tol: Tolerance = Tolerance()) -> QuadResult:
-    """Directional operator of a field at a point along a unit vector: the fan of one."""
-    return directional_fan(u, x, xi, s, tol)[0]
+    """Directional operator of a field at a point along a vector, made unit: the row sum of one row."""
+    return row_sums(u, _fan_rows(x, np.reshape(xi, (1, 1, -1))), s, tol)[0]
 
 
 # the older name, still looked up by perfbench's tracer; the package calls ``directional``
 directional_at = directional
 
 
-def row_sums(u, rows: Sequence[pr.Rows], s: float,
-             tol: Tolerance | Sequence[Tolerance] = Tolerance()) -> list[QuadResult]:
-    """Sum of directional operators at each point over its sections, the
-    ``profiles.Rows`` ``rows[i]``, all one batch: each round of bisection
-    calls the field once.  ``tol`` is one ``Tolerance``, or one per point."""
-    sizes = [len(r) for r in rows]
-    tols = [tol] * len(sizes) if isinstance(tol, Tolerance) else tol
-    sections = _integrate_fan(u, pr.Rows.concat(rows), s,
-                              np.repeat([t.abs_tol for t in tols], sizes),
-                              np.repeat([t.rel_tol for t in tols], sizes))
-    ends = np.cumsum(sizes).tolist()
-    return [sum(sections[e - k:e], QuadResult(0.0, 0.0, 0)) for e, k in zip(ends, sizes)]
-
-
-def frame_sums(u, points: Sequence[np.ndarray], frames: Sequence[np.ndarray], s: float,
-               tol: Tolerance | Sequence[Tolerance] = Tolerance()) -> list[QuadResult]:
-    """``row_sums`` of the directions ``frames[i]``, ``(k_i, N)``, through
-    ``points[i]``; a frame of one row gives the directional value."""
-    sizes = [len(f) for f in frames]
-    stack = _fan_rows(np.repeat(np.asarray(points, float), sizes, axis=0), np.vstack(frames))
-    return row_sums(u, [stack[e - k:e] for e, k in zip(np.cumsum(sizes).tolist(), sizes)], s, tol)
-
-
 def frame_sum(u, x: np.ndarray, frame: Frame, s: float,
               tol: Tolerance = Tolerance()) -> QuadResult:
-    """Sum of directional operators over the vectors of a frame: ``frame_sums`` at one point."""
-    return frame_sums(u, [x], [frame.vectors], s, tol)[0]
+    """Sum of directional operators over the vectors of a frame: ``row_sums`` of its rows at x."""
+    return row_sums(u, _fan_rows(x, frame.vectors[None]), s, tol)[0]
 
 
 # ---------------------------------------------------------------------------
-# frames
+# rows of frames, by their projections
 # ---------------------------------------------------------------------------
-
-def canonical_frame(N: int, k: int) -> Frame:
-    """The frame {e_1, ..., e_k}."""
-    return Frame(np.eye(k, N))
-
-
-def completion_frames(xhats: np.ndarray, k: int) -> np.ndarray:
-    """Frames {xhat, k-1 vectors orthogonal to xhat} of a stack of directions
-    ``(m, N)`` via QR completion, as a stack of rows ``(m, k, N)``.
-
-    One QR of the whole stack, each matrix xhat followed by the identity's
-    columns, and one orthonormality check; the first row is xhat exactly.
-    """
-    xhats = np.asarray(xhats, float)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero xhat: NaN rows, refused below
-        xhats = xhats / np.linalg.norm(xhats, axis=-1, keepdims=True)
-    m, N = xhats.shape
-    q, _ = np.linalg.qr(np.concatenate((xhats[:, :, None], np.broadcast_to(np.eye(N), (m, N, N))),
-                                       axis=2))
-    frames = np.swapaxes(q[:, :, :k], 1, 2).copy()
-    frames[:, 0] = xhats
-    _check_orthonormal(frames)
-    return frames
-
-
-def completion_frame(xhat: np.ndarray, k: int) -> Frame:
-    """Frame {xhat, k-1 vectors orthogonal to xhat}: ``completion_frames`` of one direction."""
-    return Frame(completion_frames(np.asarray(xhat, float)[None], k)[0])
-
 
 def householder_rows(x: np.ndarray) -> pr.Rows:
-    """The N rows through ``x`` along the basis xi_i = H e_i, H = I - 2 w w^T
-    the reflection of the all-ones direction onto xhat, by their projections
-    in O(N): x.xi_i = x_i - 2 w_i (w.x) = |x|/sqrt(N), d_i^2 = |x|^2 -
-    (x.xi_i)^2 and xi_i.e_N = delta_iN - 2 w_i w_N.  A zero or non-finite
-    ``x`` makes w NaN, which the check that w is unit refuses (ValueError).
+    """The N rows through each point ``x``, ``(N,)`` or a stack ``(P, N)``, along
+    the basis xi_i = H e_i, H = I - 2 w w^T the reflection of the all-ones
+    direction onto xhat, by their projections in O(N): x.xi_i = x_i - 2 w_i
+    (w.x) = |x|/sqrt(N), d_i^2 = |x|^2 - (x.xi_i)^2 and xi_i.e_N = delta_iN -
+    2 w_i w_N; shape that of ``x``.  A zero or non-finite point makes its w
+    NaN, which the check that w is unit refuses (ValueError).
     """
     x = np.asarray(x, float)
+    flat = x.reshape(-1, x.shape[-1])
+    squares = pr._dot(flat, flat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = x / np.linalg.norm(x) - 1.0 / math.sqrt(x.size)
-        wn = np.linalg.norm(w)
-        w = np.zeros(x.size) if wn < 1e-14 else w / wn
-    defect = 0.0 if wn < 1e-14 else abs(float(w @ w) - 1.0)
+        w = flat / np.sqrt(squares)[:, None] - 1.0 / math.sqrt(flat.shape[1])
+        wn = np.sqrt(pr._dot(w, w))[:, None]
+        w = np.where(wn < 1e-14, 0.0, w / wn)  # x along the all-ones direction: H = I
+    defect = np.max(np.where(wn[:, 0] < 1e-14, 0.0, np.abs(pr._dot(w, w) - 1.0)))
     if not defect <= 1e-12:  # false for NaN too
         raise ValueError(f"orthonormality defect {defect:.2e} exceeds 1e-12")
-    b = x - 2.0 * w * float(w @ x)
-    xi_n = -2.0 * w[-1] * w
-    xi_n[-1] += 1.0
-    return pr.Rows(b, np.maximum(float(x @ x) - b * b, 0.0), np.full(x.size, x[-1]), xi_n)
+    b = flat - 2.0 * w * pr._dot(w, flat)[:, None]
+    xi_n = -2.0 * w[:, -1:] * w
+    xi_n[:, -1] += 1.0
+    d2 = np.maximum(squares[:, None] - b * b, 0.0)
+    return pr.Rows(*(a.reshape(x.shape) for a in (b, d2, np.repeat(flat[:, -1:], flat.shape[1], 1),
+                                                  xi_n)))
+
+
+def _radial_rows(x: np.ndarray, cosines: np.ndarray) -> pr.Rows:
+    """The rows through ``x`` along xi = c xhat + sqrt(1 - c^2) v for each
+    cosine c, by their projections: b = |x| c and d^2 = |x|^2 (1 - c^2).  v is
+    e_j - xhat_j xhat made unit for the j of least |xhat_j|, a unit vector
+    orthogonal to xhat in O(N) whose norm before scaling is at least
+    sqrt(1 - 1/N) (xhat itself when N = 1).  A zero or non-finite ``x`` makes
+    xhat NaN, which the check that xhat is unit refuses (ValueError).
+    """
+    x = np.asarray(x, float)
+    nx = float(np.linalg.norm(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xhat = x / nx
+    _check_orthonormal(xhat[None])
+    j = int(np.argmin(np.abs(xhat)))
+    v = -xhat[j] * xhat
+    v[j] += 1.0
+    v = v / np.linalg.norm(v) if x.size > 1 else xhat
+    sines = np.sqrt(1.0 - cosines**2)
+    return pr.Rows(nx * cosines, (nx * sines) ** 2, np.full(cosines.shape, x[-1]),
+                   cosines * xhat[-1] + sines * v[-1])
 
 
 def random_frames(N: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -514,13 +493,15 @@ def extremal_radial(profile, x: np.ndarray, s: float, k: int,
     if not getattr(profile, "is_radial", False):
         raise HypothesisViolation("extremal_radial requires a radial profile")
     if variant == "plus":
-        fr = completion_frame(x, k)
-        radial, *perp = directional_fan(profile, x, fr.vectors[:2], s, tol)
-        return radial + perp[0].scale(float(k - 1)) if perp else radial
+        if not 1 <= k <= N:
+            raise ValueError(f"k must lie in 1..N = {N}")
+        radial, *across = row_sums(profile, _radial_rows(x, np.array([1.0, 0.0])[:k, None]),
+                                   s, tol)
+        return radial + across[0].scale(float(k - 1)) if across else radial
     if variant == "minus_full":
         if k != N:
             raise HypothesisViolation("variant minus_full requires k = N")
-        return row_sums(profile, [householder_rows(x)[:1]], s, tol)[0].scale(float(N))
+        return row_sums(profile, householder_rows(x)[None, :1], s, tol)[0].scale(float(N))
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -568,18 +549,10 @@ def _radial_spline(u, x: np.ndarray, s: float, tol: Tolerance):
 
     For radial fields the section through x along xi depends only on |x| and
     the absolute cosine with the radial direction, so one 1-D table, built
-    from one fan of 65 directions, serves every frame during the search.
+    from the rows of 65 cosines in one ``row_sums`` call, serves every frame
+    during the search.  A zero or non-finite x raises ``ValueError``.
     """
-    x = np.asarray(x, float)
-    N = x.size
-    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: NaN, which no frame takes
-        xhat = x / np.linalg.norm(x)
-    # any unit vector orthogonal to xhat
-    perp = completion_frame(xhat, min(2, N)).vectors[-1] if N > 1 else xhat
-    thetas = np.linspace(0.0, 1.0, 65)
-    xis = thetas[:, None] * xhat + np.sqrt(np.maximum(0.0, 1.0 - thetas**2))[:, None] * perp
-    xis /= np.linalg.norm(xis, axis=1, keepdims=True)
-    table = directional_fan(u, x, xis, s, tol)
+    table = row_sums(u, _radial_rows(x, np.linspace(0.0, 1.0, 65)[:, None]), s, tol)
     return (_not_a_knot_spline(np.array([r.value for r in table])),
             max(r.abs_error_estimate for r in table))
 
@@ -590,21 +563,19 @@ def _search_objective(u, x: np.ndarray, s: float, k: int, tol: Tolerance
     and error bars, each of shape ``(m,)``.
 
     Radial fields read the sums off the ``_radial_spline`` table, each
-    vector with the table's largest bar; other fields evaluate all ``m*k``
-    directions as one fan, and a frame's bar sums its rows' bars.
+    vector with the table's largest bar; other fields integrate the ``(m, k)``
+    rows of the frames in one ``row_sums`` call, a frame's bar the sum of its
+    rows' bars.
     """
-    N = x.size
     if getattr(u, "is_radial", False):
-        with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: NaN, which no frame takes
-            xhat = x / np.linalg.norm(x)
         spline, bar = _radial_spline(u, x, s, tol)
+        xhat = x / np.linalg.norm(x)
         return lambda frames: (spline(np.minimum(np.abs(frames @ xhat), 1.0)).sum(axis=1),
                                np.full(frames.shape[0], k * bar))
 
     def objective(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fan = directional_fan(u, x, frames.reshape(-1, N), s, tol)
-        rows = np.array([(r.value, r.abs_error_estimate) for r in fan]).reshape(-1, k, 2)
-        return rows[..., 0].sum(axis=1), rows[..., 1].sum(axis=1)
+        sums = row_sums(u, _fan_rows(x, frames), s, tol)
+        return np.array([(r.value, r.abs_error_estimate) for r in sums]).T
     return objective
 
 

@@ -17,8 +17,8 @@ spheres come from ``_plane_crossings`` and ``_sphere_crossings``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -74,6 +74,8 @@ class Rows:
     broadcast together: ``b`` = x.xi, ``d2`` = |x - b*xi|^2 formed once from
     the vectors, so |x + t*xi|^2 = d2 + (t + b)^2 (``r2``) does not cancel
     near the closest point, and the last components ``x_n`` and ``xi_n``.
+    ``operators.row_sums`` reads a stack of shape ``(P, k)``, the k sections
+    of each of P points; a field's hooks see it flat, ``(P*k,)``.
     """
 
     b: np.ndarray
@@ -90,11 +92,6 @@ class Rows:
         foot = flat_x - b[:, None] * flat_xi
         return cls(b.reshape(shape), _dot(foot, foot).reshape(shape), x[..., -1].copy(),
                    xi[..., -1].copy())
-
-    @classmethod
-    def concat(cls, stacks: Sequence["Rows"]) -> "Rows":
-        """One stack of the rows of ``stacks``, in order."""
-        return cls(*(np.concatenate([getattr(r, f.name) for r in stacks]) for f in fields(cls)))
 
     def __getitem__(self, index) -> "Rows":
         return Rows(self.b[index], self.d2[index], self.x_n[index], self.xi_n[index])

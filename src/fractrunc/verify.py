@@ -147,6 +147,12 @@ def _on_axis(N: int, t: float) -> np.ndarray:
     return x
 
 
+def _axis_rows(N: int, ts: Sequence[float]) -> pr.Rows:
+    """The rows through t*e_N along e_N of R^N, one point per t: shape ``(P, 1)``."""
+    e_n = _on_axis(N, 1.0)
+    return op._fan_rows(np.multiply.outer(ts, e_n)[:, None], e_n)
+
+
 _MAX_N = 20_000  # t49-2 integrates N rows per point: ~470 MB peak at this N
 
 
@@ -168,18 +174,16 @@ def verify_power_identity(mu: float, s: float,
     """Directional operator of (x_N)_+^mu along e_N equals C_s c_{s,mu} x_N^{mu-2s}
     at x = t*e_N in R^3, t in {0.5, 1, 2}."""
     z = pr.PowerProfile(mu, 1.0)
-    e_n = _on_axis(3, 1.0)[None]
     c_val = cn.c_s_mu(mu, s)
     Cs = cn.normalizing_constant(s)
 
     ts = (0.5, 1.0, 2.0)
-    xs = [_on_axis(3, t) for t in ts]
     claims: list[ClaimResult] = []
-    for t, x, r in zip(ts, xs, op.frame_sums(z, xs, [e_n] * len(xs), s, tol)):
+    for t, r in zip(ts, op.row_sums(z, _axis_rows(3, ts), s, tol)):
         predicted = Cs * c_val * t ** (mu - 2.0 * s)
         # c_{s,mu} cancels near mu = s; the terms it sums are of size C_s t^{mu-2s}
         scale = max(abs(predicted), Cs * t ** (mu - 2.0 * s))
-        claims.append(ClaimResult(x, "identity_residual", r.value - predicted,
+        claims.append(ClaimResult(_on_axis(3, t), "identity_residual", r.value - predicted,
                                   r.abs_error_estimate, "eq", scale))
     return _finish("power_identity", {"mu": mu, "s": s}, claims)
 
@@ -214,7 +218,8 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None, k: int = 
     u^p must be nonpositive, and the directional value must respect the
     explicit cross-bump bound.  Case-2 points lie in the gaps: u vanishes
     and the frame sum over {e_1..e_k} (k < N, all orthogonal to e_N)
-    vanishes identically.
+    vanishes identically.  Through t*e_N those k rows are one line, b = 0,
+    d^2 = t^2 and xi_N = 0, all the train reads: the sum is k times its value.
     """
     if not 1 <= k < N:
         raise ValueError("the construction requires k < N")
@@ -224,17 +229,17 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None, k: int = 
         eps = epsilon_threshold(s, p)
     u = pr.BumpTrain(eps, s)
     bound = _cross_bump_bound(s)(eps)
-    e_n = _on_axis(N, 1.0)[None]
-    frame = op.canonical_frame(N, k)
+    e_n = _on_axis(N, 1.0)
 
     inside = (eps, 1.0 + eps, 3.0 + eps / 2.0, 5.0 + 1.5 * eps)
     # gap midpoints n + eps + 1/2: bump n covers [n, n + 2*eps]
     gaps = (eps + 0.5, 4.0 + eps + 0.5)
-    # e_N at every point, then the frame at each gap point
+    # e_N at every point, then e_1 at each gap point
     n_along = len(inside) + len(gaps)
-    sums = op.frame_sums(u, [_on_axis(N, t) for t in inside + gaps + gaps],
-                         [e_n] * n_along + [frame.vectors] * len(gaps), s, tol)
-    along_n, frame_sums = sums[:n_along], sums[n_along:]
+    directions = np.array([e_n] * n_along + [np.eye(1, N)[0]] * len(gaps))
+    sums = op.row_sums(u, op._fan_rows(np.multiply.outer(inside + gaps + gaps, e_n)[:, None],
+                                       directions[:, None]), s, tol)
+    along_n, gap_sums = sums[:n_along], [fs.scale(float(k)) for fs in sums[n_along:]]
 
     claims: list[ClaimResult] = []
     for t, r in zip(inside, along_n):
@@ -243,7 +248,7 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None, k: int = 
                                   r.value + uval**p, r.abs_error_estimate, "le"))
         claims.append(ClaimResult([t], "case1_cross_bump_bound",
                                   r.value - bound, r.abs_error_estimate, "le"))
-    for t, fs, rn in zip(gaps, frame_sums, along_n[len(inside):]):
+    for t, fs, rn in zip(gaps, gap_sums, along_n[len(inside):]):
         uval = u(_on_axis(N, t))
         claims.append(ClaimResult([t], "case2_u_vanishes", uval, 0.0, "eq"))
         # sections along e_1..e_k are constant, so the value is exactly 0
@@ -276,17 +281,16 @@ def verify_T49_2(N: int, s: float, gamma: Optional[float] = None,
     Cs = cn.normalizing_constant(s)
     rhs_const = Cs * cn.c_n_plus(gamma, s, N)  # first: it rejects a gamma out of range
     u = pr.HalfSpacePowerTail(gamma)
-    points = ([_on_axis(N, 2.0 * math.sqrt(N))]
-              + _upper_points(N, np.geomspace(1.05 * R, 20.0 * R, 5), 7))
-
-    frames = [op.householder_rows(x) for x in points]
-    sums = op.row_sums(u, frames, s, tol)
+    points = np.array([_on_axis(N, 2.0 * math.sqrt(N))]
+                      + _upper_points(N, np.geomspace(1.05 * R, 20.0 * R, 5), 7))
+    rows = op.householder_rows(points)
+    sums = op.row_sums(u, rows, s, tol)
 
     claims: list[ClaimResult] = []
-    for x, rows, fs in zip(points, frames, sums):
+    for x, d2, fs in zip(points, rows.d2, sums):
         nx = float(np.linalg.norm(x))
         # avoidance bound: the nearest section stays at radius >= |x|/sqrt(2)
-        claims.append(ClaimResult(x, "avoidance_radius", nx * nx / 2.0 - float(np.min(rows.d2)),
+        claims.append(ClaimResult(x, "avoidance_radius", nx * nx / 2.0 - float(np.min(d2)),
                                   0.0, "le", nx * nx))
         rhs = rhs_const * nx ** (-gamma - 2.0 * s)
         claims.append(ClaimResult(x, "frame_bound", fs.value - rhs,
@@ -353,8 +357,7 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
     # of its angles' requests, each divided by sin a
     asks = np.maximum(np.abs(bounds) * 1e-4, _PSI_TOL.abs_tol).reshape(len(radii), n) / sines
     tols = [Tolerance(a, _PSI_TOL.rel_tol) for a in asks.min(axis=1).tolist()]
-    e_n = _on_axis(N, 1.0)[None]
-    radial = op.frame_sums(psi, [_on_axis(N, r) for r in radii], [e_n] * len(radii), s, tols)
+    radial = op.row_sums(psi, _axis_rows(N, radii), s, tols)
     orth, orth_bar = psi.orthogonal_section(xs, s)
 
     claims = []
@@ -403,9 +406,7 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
         raise cn.DomainError("N must be >= 2")
     u, M, mu = pr.build_singular_supersolution(s, p, op_kind, N)
     points = (0.5, 1.0, 2.0)
-    xs = [_on_axis(N, t) for t in points]
-    e_n = _on_axis(N, 1.0)[None]
-    sums = op.frame_sums(u, xs, [e_n] * len(xs), s, tol)
+    sums = op.row_sums(u, _axis_rows(N, points), s, tol)
     # u(t e_N)^p = M^p t^{mu p} in closed form, with M^{1-p} = scale/|C_s c_{s,mu}|:
     # u(x) ** p would multiply the rounding of M t^mu by |p|
     big_c = cn.normalizing_constant(s) * cn.c_s_mu(mu, s)
@@ -481,14 +482,14 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
     if y[-1] > -math.sqrt(2.0) * r:
         raise GeometryViolation("ball center must satisfy y_N <= -sqrt(2) r")
     u = _BallBump(r, s)
-    points = _upper_points(N, (1.0, 2.0, 5.0), 3)
-    frames = [op.householder_rows(x - y)[:1] for x in points]
-    sums = [fs.scale(float(N)) for fs in op.row_sums(u, frames, s, tol)]
+    points = np.array(_upper_points(N, (1.0, 2.0, 5.0), 3))
+    rows = op.householder_rows(points - y)[:, :1]
+    sums = [fs.scale(float(N)) for fs in op.row_sums(u, rows, s, tol)]
     claims: list[ClaimResult] = []
-    for x, rows, fs in zip(points, frames, sums):
+    for x, d2, fs in zip(points, rows.d2[:, 0].tolist(), sums):
         nd = float(np.linalg.norm(x - y))
         claims.append(ClaimResult(x, "distance_exceeds", math.sqrt(2.0) * r - nd, 0.0, "le"))
-        claims.append(ClaimResult(x, "line_avoids_ball", r * r - float(np.min(rows.d2)), 0.0, "le"))
+        claims.append(ClaimResult(x, "line_avoids_ball", r * r - d2, 0.0, "le"))
         # every section misses the ball, so the value is exactly 0
         claims.append(ClaimResult(x, "frame_sum_zero", fs.value, fs.abs_error_estimate, "eq"))
     return _finish("avoidance_example", {"N": N, "s": s, "r": r, "y": list(y)},
@@ -527,11 +528,10 @@ def verify_transform(s: float, p: float, q: float, seed: int = 42,
     v = pr.power_transform(base, p, q)
     ts = (0.5, 1.0, 2.0)
     xs = [_on_axis(2, t) for t in ts]
-    e_n = [_on_axis(2, 1.0)[None]] * len(xs)
     # operator inequality: I v <= beta v^{(beta-1)/beta} I (v^{1/beta}),
     # with v^{1/beta} = alpha^{1/beta} * base
-    lhs_all = op.frame_sums(v, xs, e_n, s, tol)
-    rhs_all = op.frame_sums(base, xs, e_n, s, tol)
+    lhs_all = op.row_sums(v, _axis_rows(2, ts), s, tol)
+    rhs_all = op.row_sums(base, _axis_rows(2, ts), s, tol)
     for t, x, lhs_q, rhs_dir in zip(ts, xs, lhs_all, rhs_all):
         vx = v(x)
         factor = beta * vx ** ((beta - 1.0) / beta) * tp.alpha_coef ** (1.0 / beta)

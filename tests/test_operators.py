@@ -106,32 +106,30 @@ def test_homogeneity_2s():
                                     rel=1e-7)
 
 
-def test_canonical_frame_builds_no_square_identity():
-    # {e_1} in R^2000 takes 16 kB; the N x N identity it was cut from took 32 MB
+def test_bump_train_at_n_2000_builds_no_square_frame():
+    # the gap rows e_1..e_k through t e_N are one row, from vectors of N
+    # floats; the N x N identity the gap frame was once cut from took 32 MB
     tracemalloc.start()
     try:
-        frame = op.canonical_frame(2000, 1)
+        report = vf.verify_bump_train(0.5, 1.5, k=1999, N=2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert report.verdict == "pass"
     assert peak < 1_000_000
-    assert frame.vectors.shape == (1, 2000) and frame.vectors[0, 0] == 1.0
 
 
 def test_frame_validation():
     with pytest.raises(ValueError):
         op.Frame(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    f = op.canonical_frame(3, 2)
+    f = op.Frame(np.eye(2, 3))
     assert f.k == 2 and f.N == 3
 
 
 def test_nan_and_zero_frames_rejected():
     # the orthonormality check is false for NaN, which it must refuse too
-    for bad in (lambda: op.Frame(np.full((1, 2), np.nan)),
-                lambda: op.completion_frame(np.zeros(3), 2),
-                lambda: op.completion_frame(np.array([np.nan, 1.0, 0.0]), 2)):
-        with pytest.raises(ValueError, match="orthonormality defect nan"):
-            bad()
+    with pytest.raises(ValueError, match="orthonormality defect nan"):
+        op.Frame(np.full((1, 2), np.nan))
 
 
 @pytest.mark.filterwarnings("error")
@@ -154,14 +152,52 @@ def test_directional_rejects_zero_or_non_finite_input(x, xi):
     w = pr.make_w_gamma(0.5)
     with pytest.raises(ValueError, match="finite and nonzero"):
         op.directional(w, x, xi, 0.5, TOL)
+    # a stack of rows is refused whole, whichever row is bad
     with pytest.raises(ValueError, match="finite and nonzero"):
-        op.frame_sums(w, [np.array([2.0, 0.0]), x], [np.eye(2), xi[None]], 0.5, TOL)
+        op._fan_rows(np.stack((np.array([2.0, 0.0]), x))[:, None],
+                     np.stack((np.array([0.0, 1.0]), xi))[:, None])
 
 
 @pytest.mark.parametrize("k,variant", [(1, "plus"), (2, "minus_full")])
 def test_extremal_radial_rejects_the_origin(k, variant):
     with pytest.raises(ValueError, match="orthonormality defect nan"):
         op.extremal_radial(pr.make_w_gamma(0.5), np.zeros(2), 0.5, k, variant, TOL)
+
+
+@pytest.mark.parametrize("k", [5, 4, 0, -2])
+def test_extremal_radial_plus_rejects_k_out_of_range(k):
+    # a "frame" of more than N orthonormal vectors, or of none, does not exist
+    with pytest.raises(ValueError, match=r"k must lie in 1\.\.N = 3"):
+        op.extremal_radial(pr.make_w_gamma(0.8), np.array([1.2, 0.0, 0.9]), 0.5, k, "plus", TOL)
+
+
+@pytest.mark.filterwarnings("error")
+def test_radial_plus_and_table_build_no_square_frame():
+    # the plus closed form and the search's radial table read the rows along
+    # xhat and a unit vector orthogonal to it, built in O(N): at N = 2000
+    # their N x (N + 1) QR completion took 132 MB
+    w, s = pr.make_w_gamma(0.8), 0.5
+    small = op.extremal_radial(w, np.array([1.2, 0.0, 0.9]), s, 2, "plus", TOL)
+    x = np.zeros(2000)
+    x[0], x[-1] = 1.2, 0.9
+    for call in (lambda: op.extremal_radial(w, x, s, 2, "plus", TOL),
+                 lambda: op._radial_spline(w, x, s, Tolerance(1e-7, 1e-6))):
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+    big = op.extremal_radial(w, x, s, 2, "plus", TOL)
+    assert abs(big.value - small.value) <= big.abs_error_estimate + small.abs_error_estimate
+    assert out[1] > 0.0
+    # a zero or NaN point is refused with no RuntimeWarning
+    for bad in (np.zeros(3), np.array([np.nan, 1.0, 0.0])):
+        for call in (lambda: op.extremal_radial(w, bad, s, 2, "plus", TOL),
+                     lambda: op._radial_spline(w, bad, s, TOL)):
+            with pytest.raises(ValueError, match="orthonormality defect nan"):
+                call()
 
 
 def _householder_matrix(x):
@@ -209,26 +245,42 @@ def test_householder_rows_match_the_dense_reflection(N):
         assert np.all(got.x_n == x[-1])
 
 
-def test_completion_frame_contains_radial():
-    xhat = np.array([0.6, 0.8])
-    f = op.completion_frame(xhat, 2)
-    assert np.allclose(f.vectors[0], xhat, atol=1e-12)
+def _completion_matrix(x, k):
+    """The frame {xhat, k - 1 vectors orthogonal to xhat} of x as k rows of N,
+    from a QR of xhat followed by the identity's columns; the first row is
+    xhat exactly."""
+    xhat = x / np.linalg.norm(x)
+    q, _ = np.linalg.qr(np.column_stack((xhat, np.eye(x.size))))
+    frame = q[:, :k].T.copy()
+    frame[0] = xhat
+    return frame
 
 
-def test_completion_frames_are_the_stack_of_single_frames():
-    # one stacked QR gives each point's own frame bit for bit; the first row
-    # is xhat exactly and every frame is orthonormal to 1e-12
+def test_radial_rows_contain_the_radial_line():
+    # cosine 1 is the line along xhat, through the origin's nearest point x
+    x = np.array([0.6, 0.8]) * 2.5
+    rows = op._radial_rows(x, np.array([1.0]))
+    assert rows.b.tolist() == [2.5] and rows.d2.tolist() == [0.0]
+    assert rows.x_n.tolist() == [2.0] and rows.xi_n.tolist() == [0.8]
+
+
+def test_radial_rows_match_the_rows_of_their_vectors():
+    # the rows at cosine c with xhat, by their projections, against those
+    # through x along c xhat + sqrt(1 - c^2) v for a QR completion's v: b and
+    # d^2 within 8 ulps of their scales |x| and |x|^2, and a unit xi_N
     rng = np.random.default_rng(8)
-    for N in (2, 3, 4):
-        x = rng.standard_normal((30, N)) * np.geomspace(1e-3, 3e3, 30)[:, None]
-        xhat = x / np.linalg.norm(x, axis=-1, keepdims=True)
-        for k in range(1, N + 1):
-            frames = op.completion_frames(x, k)
-            assert frames.shape == (30, k, N)
-            assert np.array_equal(frames[:, 0], xhat)
-            assert np.max(op._orthonormality_defects(frames)) <= 1e-12
-            for frame, y in zip(frames, x):
-                assert np.array_equal(frame, op.completion_frame(y, k).vectors)
+    cosines = np.linspace(0.0, 1.0, 9)
+    for N in (2, 3, 4, 50):
+        for x in rng.standard_normal((30, N)) * np.geomspace(1e-3, 3e3, 30)[:, None]:
+            frame = _completion_matrix(x, 2)
+            want = pr.Rows.through(x, np.outer(cosines, frame[0])
+                                   + np.outer(np.sqrt(1.0 - cosines**2), frame[1]))
+            got = op._radial_rows(x, cosines)
+            nx = float(np.linalg.norm(x))
+            assert np.all(np.abs(got.b - want.b) <= 8.0 * np.spacing(nx))
+            assert np.all(np.abs(got.d2 - want.d2) <= 8.0 * np.spacing(nx * nx))
+            assert np.all(got.x_n == x[-1]) and np.all(np.abs(got.xi_n) <= 1.0)
+            assert got.xi_n[-1] == frame[0][-1]
 
 
 def test_spline_matches_scipy_cubic_spline():
@@ -266,7 +318,7 @@ def test_frame_sum_additivity():
     gamma, s = 0.5, 0.4
     w = pr.make_w_gamma(gamma)
     x = np.array([0.0, 2.0])
-    f = op.canonical_frame(2, 2)
+    f = op.Frame(np.eye(2))
     total = op.frame_sum(w, x, f, s, TOL)
     parts = sum((op.directional(w, x, xi, s, TOL) for xi in f.vectors),
                 start=op.QuadResult(0.0, 0.0, 0))
@@ -345,9 +397,14 @@ def _unit(v):
 
 
 def _count_fans(monkeypatch) -> list:
+    """A list that grows by one at every call of the search's objective."""
     fans = []
-    engine = op.directional_fan
-    monkeypatch.setattr(op, "directional_fan", lambda *a, **kw: fans.append(1) or engine(*a, **kw))
+    make = op._search_objective
+
+    def counted(*args):
+        objective = make(*args)
+        return lambda frames: fans.append(1) or objective(frames)
+    monkeypatch.setattr(op, "_search_objective", counted)
     return fans
 
 
@@ -659,7 +716,7 @@ def test_fan_matches_one_call_per_direction(kind, s, N):
     # axis directions, then directions of any length: the fan scales them
     # to unit length as directional does
     directions = np.concatenate((np.eye(N), 3.0 * rng.standard_normal((4, N))))
-    fan = op.directional_fan(u, x, directions, s, TOL)
+    fan = op.row_sums(u, op._fan_rows(x, directions[:, None]), s, TOL)
     assert len(fan) == len(directions)
     for xi, r in zip(directions, fan):
         one = op.directional(u, x, xi, s, TOL)
@@ -673,7 +730,7 @@ def test_fan_matches_one_call_per_direction(kind, s, N):
     points = np.r_[x[None], x[None], np.c_[rng.uniform(-1.0, 1.0, (N + 1, N - 1)),
                                            rng.uniform(0.2, 2.0, N + 1)]]
     points[-1] = points[-2]
-    stack = op.directional_fan(u, points, directions[1:], s, TOL)
+    stack = op.row_sums(u, op._fan_rows(points[:, None], directions[1:, None]), s, TOL)
     assert len(stack) == len(points)
     for y, xi, r in zip(points, directions[1:], stack):
         one = op.directional(u, y, xi, s, TOL)
@@ -691,29 +748,43 @@ def test_one_point_fan_matches_stack_of_that_point(kind):
     u = PARITY_FIELDS[kind](N)
     x = np.r_[rng.uniform(-1.0, 1.0, N - 1), rng.uniform(0.2, 2.0)]
     directions = rng.standard_normal((5, N))
-    fan = op.directional_fan(u, x, directions, s, TOL)
-    assert op.directional_fan(u, np.repeat(x[None], 5, axis=0), directions, s, TOL) == fan
+    fan = op.row_sums(u, op._fan_rows(x, directions[:, None]), s, TOL)
+    stack = op._fan_rows(np.repeat(x[None], 5, axis=0)[:, None], directions[:, None])
+    assert op.row_sums(u, stack, s, TOL) == fan
 
 
-def test_frame_sums():
+def test_row_sums():
     u, s = pr.HalfSpacePowerTail(0.7, shift=0.8), 0.5
     x, y = np.array([0.3, -0.2, 1.1]), np.array([-0.5, 0.4, 2.0])
-    fx = op.Frame(_householder_matrix(x))
-    fy = op.completion_frame(y / np.linalg.norm(y), 2)
-    # frame_sum is the case of one point
-    assert op.frame_sum(u, x, fx, s, TOL) == op.frame_sums(u, [x], [fx.vectors], s, TOL)[0]
-    # one tolerance per point: each sum matches its own call within the bars
+    fx, fy = op.Frame(_householder_matrix(x)), op.Frame(_completion_matrix(y, 3))
+    # frame_sum is row_sums of its frame's rows at one point
+    assert op.frame_sum(u, x, fx, s, TOL) == op.row_sums(u, op._fan_rows(x, fx.vectors[None]),
+                                                         s, TOL)[0]
+    # a (P, k) stack, one tolerance per point: each sum adds its own rows of
+    # the one batch in order from 0, bit for bit, and matches its point's own
+    # call with the same evaluations, within the bars (a row's bar rounds by
+    # its panels' place in the batch)
     tols = [TOL, Tolerance(1e-6, 1e-5)]
-    sums = op.frame_sums(u, [x, y], [fx.vectors, fy.vectors], s, tols)
+    rows = op._fan_rows(np.stack((x, y))[:, None], np.stack((fx.vectors, fy.vectors)))
+    assert rows.b.shape == (2, 3)
+    sums = op.row_sums(u, rows, s, tols)
+    value, err, n_evals = op._integrate_fan(
+        u, op._fan_rows(np.repeat(np.stack((x, y)), 3, axis=0), np.vstack((fx.vectors, fy.vectors))),
+        s, np.repeat([t.abs_tol for t in tols], 3), np.repeat([t.rel_tol for t in tols], 3))
+    for i, r in enumerate(sums):
+        ordered = sum((op.QuadResult(*a) for a in zip(value[3 * i:3 * i + 3].tolist(),
+                                                       err[3 * i:3 * i + 3].tolist(),
+                                                       n_evals[3 * i:3 * i + 3].tolist())),
+                      op.QuadResult(0.0, 0.0, 0))
+        assert r == ordered
     for r, point, frame, tol in zip(sums, (x, y), (fx, fy), tols):
         one = op.frame_sum(u, point, frame, s, tol)
         assert r.n_evals == one.n_evals
         assert abs(r.value - one.value) <= r.abs_error_estimate + one.abs_error_estimate
     assert sums[1].n_evals < op.frame_sum(u, y, fy, s, TOL).n_evals
-    # the same sums from the frames' rows: the Householder rows in O(N), and
-    # the completion frame's rows through y
-    rows = [op.householder_rows(x), op._fan_rows(y, fy.vectors)]
-    for r, row in zip(sums, op.row_sums(u, rows, s, tols)):
+    # the same sums from the Householder rows in O(N), a stack of both points
+    for r, row in zip(sums[:1], op.row_sums(u, op.householder_rows(np.stack((x, y)))[:1], s,
+                                            tols[:1])):
         assert r.n_evals == row.n_evals
         assert abs(r.value - row.value) <= r.abs_error_estimate + row.abs_error_estimate
 
@@ -727,7 +798,7 @@ def test_far_panel_starts_clear_of_the_last_breakpoint(kind, k, s, ceiling):
     # breakpoint does not (1,608 and 1,356)
     psi, phi, tol = pr.make_psi(kind, k, s), 0.85, Tolerance(1e-12, 1e-11)
     x = 3000.0 * np.array([math.cos(phi), math.sin(phi)])
-    r = op.frame_sum(psi, x, op.completion_frame(x, k), s, tol)
+    r = op.directional(psi, x, x, s, tol)
     assert r.n_evals < ceiling
     assert r.value > 0.0 and r.abs_error_estimate <= tol.abs_tol
 
@@ -859,8 +930,7 @@ def test_t49_2_frame_sums_match_mpmath(s):
     u, R = pr.HalfSpacePowerTail(2.0 * s / (p - 1.0)), math.sqrt(N / (N - 1.0))
     points = ([vf._on_axis(N, 2.0 * math.sqrt(N))]
               + vf._upper_points(N, np.geomspace(1.05 * R, 20.0 * R, 5), 7))
-    rows = [op.householder_rows(x) for x in points]
-    for x, r in zip(points, op.row_sums(u, rows, s, TOL)):
+    for x, r in zip(points, op.row_sums(u, op.householder_rows(np.array(points)), s, TOL)):
         assert abs(r.value - _mp_frame_sum(u, x, _householder_matrix(x), s)) <= r.abs_error_estimate
 
 
@@ -894,9 +964,10 @@ def test_psi_orthogonal_rows_match_mpmath():
     xs = np.zeros((len(radii) * len(angles), k + 1))
     xs[:, 0] = np.outer(radii, np.cos(angles)).ravel()
     xs[:, -1] = np.outer(radii, np.sin(angles)).ravel()
-    for x, frame in zip(xs, op.completion_frames(xs, k)):
-        for xi, r in zip(frame[1:], op.directional_fan(psi, x, frame[1:], s,
-                                                       Tolerance(1e-12, 1e-11))):
+    for x in xs:
+        frame = _completion_matrix(x, k)
+        for xi, r in zip(frame[1:], op.row_sums(psi, op._fan_rows(x, frame[1:, None]), s,
+                                                Tolerance(1e-12, 1e-11))):
             with mpmath.workdps(30):
                 a, b = [mpmath.mpf(float(c)) for c in x], [mpmath.mpf(float(c)) for c in xi]
 
@@ -963,12 +1034,12 @@ def test_psi_orthogonal_section_matches_mpmath_and_engine(kind, s):
     for r in (1.0, 2.0, 3000.0):
         x = r * np.array([0.6, 0.0, 0.8])
         value, bar = (float(a[0]) for a in psi.orthogonal_section(x[None], s))
-        frame = op.completion_frames(x[None], 3)[0]
+        frame = _completion_matrix(x, 3)
         with mpmath.workdps(30):
             want = cn.normalizing_constant(s) * float(
                 _mp_directional(_mp_psi_section(psi, x, frame[1]), s, []))
         assert abs(value - want) <= bar, (r, value, want, bar)
-        for row in op.directional_fan(psi, x, frame[1:], s, Tolerance(1e-12, 1e-11)):
+        for row in op.row_sums(psi, op._fan_rows(x, frame[1:, None]), s, Tolerance(1e-12, 1e-11)):
             assert abs(row.value - value) <= row.abs_error_estimate + bar, (r, row, value)
 
 
@@ -989,8 +1060,9 @@ def test_rows_in_a_narrow_window_carry_their_pairs_rounding(kind, s):
             x = r * v / np.linalg.norm(v)
             x *= max(1.0, 1.0 / float(np.linalg.norm(x)))  # not inside the cap
             value, bar = (float(a[0]) for a in psi.orthogonal_section(x[None], s))
-            frame = op.completion_frames(x[None], 3)[0]
-            for row in op.directional_fan(psi, x, frame[1:], s, Tolerance(1e-12, 1e-11)):
+            frame = _completion_matrix(x, 3)
+            for row in op.row_sums(psi, op._fan_rows(x, frame[1:, None]), s,
+                                   Tolerance(1e-12, 1e-11)):
                 assert abs(row.value - value) <= row.abs_error_estimate + bar, (x, row, value)
 
 
@@ -1005,7 +1077,7 @@ def test_a_junction_sphere_grazed_by_rounding_is_touched():
         v = rng.standard_normal(3)
         v[-1] = abs(v[-1]) + 0.2
         x = v / np.linalg.norm(v)
-        directions = op.completion_frames(x[None], 3)[0, 1:]
+        directions = _completion_matrix(x, 3)[1:]
         rows = op._fan_rows(x, directions)
         grazing = (rows.d2 < 1.0) & (rows.d2 >= 1.0 - 8.0 * 2.0**-52)
         if np.any(grazing):
@@ -1014,7 +1086,7 @@ def test_a_junction_sphere_grazed_by_rounding_is_touched():
     assert np.all(np.isinf(psi.breakpoints(rows)))
     assert np.all(np.isinf(pr.make_v_gamma(0.4).breakpoints(rows)))
     assert np.all(np.isfinite(vf._BallBump(1.0, 0.5).breakpoints(rows)[grazing]))
-    for row in op.directional_fan(psi, x, directions, s, Tolerance(1e-13, 1e-12)):
+    for row in op.row_sums(psi, op._fan_rows(x, directions[:, None]), s, Tolerance(1e-13, 1e-12)):
         assert row.n_evals < 10_000
     # a line that dips in by more than the rounding of d^2 crosses
     deeper = pr.Rows(np.zeros(1), np.array([1.0 - 1e-12]), np.ones(1), np.zeros(1))
@@ -1055,7 +1127,7 @@ def test_psi_decay_k3_passes_from_the_last_radius():
     for c in far:
         x = np.array(c.point)
         nx = float(np.linalg.norm(x))
-        frame = op.completion_frames(x[None], k)[0]
+        frame = _completion_matrix(x, k)
         with mpmath.workdps(40):
             cuts = [mpmath.mpf(nx) - 1, mpmath.mpf(nx) + 1]  # the junction crossings
             total = _mp_directional(_mp_psi_section(psi, x, frame[0]), s, cuts)
@@ -1076,8 +1148,8 @@ def test_halfspace_tail_frame_sum_scales_along_a_ray(N, s, gamma):
     scaled = []
     for r in (1.05 * R, 10.0, 100.0, 1000.0):
         scale = r ** (gamma + 2.0 * s)
-        fs = op.row_sums(u, [op.householder_rows(r * xhat)], s,
-                           Tolerance(1e-10 / scale, 1e-10))[0]
+        fs = op.row_sums(u, op.householder_rows(r * xhat)[None], s,
+                         Tolerance(1e-10 / scale, 1e-10))[0]
         scaled.append((fs.value * scale, fs.abs_error_estimate * scale))
     (first, first_bar), *rest = scaled
     assert first < 0.0
