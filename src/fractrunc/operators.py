@@ -83,14 +83,10 @@ class Frame:
         return self.vectors.shape[1]
 
 
-def _orthonormality_defects(vectors: np.ndarray) -> np.ndarray:
-    """max |V V^T - I| of each family V of k rows in a stack of shape (..., k, N)."""
-    g = vectors @ np.swapaxes(vectors, -1, -2)
-    return np.max(np.abs(g - np.eye(vectors.shape[-2])), axis=(-2, -1))
-
-
 def _check_orthonormal(vectors: np.ndarray) -> None:
-    worst = float(np.max(_orthonormality_defects(vectors)))
+    """Refuse a stack ``(..., k, N)`` of families V of k rows with some |V V^T - I| > 1e-12."""
+    g = vectors @ np.swapaxes(vectors, -1, -2)
+    worst = float(np.max(np.abs(g - np.eye(vectors.shape[-2]))))
     if not worst <= 1e-12:  # false for NaN too: a family with a NaN entry is no frame
         raise ValueError(f"orthonormality defect {worst:.2e} exceeds 1e-12")
 
@@ -395,7 +391,8 @@ def row_sums(u, rows: pr.Rows, s: float,
 
 def directional(u, x: np.ndarray, xi: np.ndarray, s: float,
                 tol: Tolerance = Tolerance()) -> QuadResult:
-    """Directional operator of a field at a point along a vector, made unit: the row sum of one row."""
+    """Directional operator of a field at a point along a vector, made unit:
+    ``row_sums`` of one row."""
     return row_sums(u, _fan_rows(x, np.reshape(xi, (1, 1, -1))), s, tol)[0]
 
 
@@ -410,7 +407,7 @@ def frame_sum(u, x: np.ndarray, frame: Frame, s: float,
 
 
 # ---------------------------------------------------------------------------
-# rows of frames, by their projections
+# frames, and rows of frames from their projections
 # ---------------------------------------------------------------------------
 
 def householder_rows(x: np.ndarray) -> pr.Rows:
@@ -441,11 +438,11 @@ def householder_rows(x: np.ndarray) -> pr.Rows:
 
 def _radial_rows(x: np.ndarray, cosines: np.ndarray) -> pr.Rows:
     """The rows through ``x`` along xi = c xhat + sqrt(1 - c^2) v for each
-    cosine c, by their projections: b = |x| c and d^2 = |x|^2 (1 - c^2).  v is
-    e_j - xhat_j xhat made unit for the j of least |xhat_j|, a unit vector
-    orthogonal to xhat in O(N) whose norm before scaling is at least
-    sqrt(1 - 1/N) (xhat itself when N = 1).  A zero or non-finite ``x`` makes
-    xhat NaN, which the check that xhat is unit refuses (ValueError).
+    cosine c, by their projections in O(N): b = |x| c, d^2 = |x|^2 (1 - c^2)
+    and xi_N.  v = (e_j - xhat_j xhat) / sqrt(1 - xhat_j^2) for the j of least
+    |xhat_j|, so 1 - xhat_j^2 >= 1 - 1/N (xhat itself when N = 1), is a unit
+    vector orthogonal to xhat.  A zero or non-finite ``x`` makes xhat NaN,
+    which the check that xhat is unit refuses (ValueError).
     """
     x = np.asarray(x, float)
     nx = float(np.linalg.norm(x))
@@ -453,12 +450,11 @@ def _radial_rows(x: np.ndarray, cosines: np.ndarray) -> pr.Rows:
         xhat = x / nx
     _check_orthonormal(xhat[None])
     j = int(np.argmin(np.abs(xhat)))
-    v = -xhat[j] * xhat
-    v[j] += 1.0
-    v = v / np.linalg.norm(v) if x.size > 1 else xhat
+    v_n = (((j == x.size - 1) - xhat[j] * xhat[-1]) / math.sqrt(1.0 - xhat[j] ** 2)
+           if x.size > 1 else xhat[-1])
     sines = np.sqrt(1.0 - cosines**2)
     return pr.Rows(nx * cosines, (nx * sines) ** 2, np.full(cosines.shape, x[-1]),
-                   cosines * xhat[-1] + sines * v[-1])
+                   cosines * xhat[-1] + sines * v_n)
 
 
 def random_frames(N: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -583,9 +579,9 @@ def _search_objective(u, x: np.ndarray, s: float, k: int, tol: Tolerance
 # ring: the objective is pi-periodic in the angle, since I_xi = I_{-xi}, and
 # angle 0 is the frame's current score.  The rings only scan; one method then
 # refines each search.  With one angle (N = 2) the zoom brackets it: each
-# level scores _ZOOM_POINTS angles across the two spacings around the best
-# angle so far, so each level is 8 times narrower, and a best angle on an
-# edge recentres the grid at the same width.  It stops when the best angle's
+# level's grid spans _ZOOM_POINTS angles across the two spacings around the
+# best angle so far, so each level is 8 times narrower, and a best angle on
+# an edge recentres the grid at the same width.  It stops when the best angle's
 # drop to the lower of its two neighbours is at most its score's error bar:
 # the optimum of a unimodal objective lies between those neighbours, where
 # the gain left is at most 1/4 of that drop on a smooth peak and 1/2 on a
@@ -732,26 +728,41 @@ def _polish(score, bases: np.ndarray, best: np.ndarray, live: np.ndarray, k: int
     bases[live], best[live] = centre, cur
 
 
-def _zoom(score, bases: np.ndarray, best: np.ndarray, k: int) -> None:
-    """The bracket zoom on the one angle of every restart's frame, in place."""
-    m, mid = bases.shape[0], _ZOOM_POINTS // 2
+def _zoom(score, bases: np.ndarray, best: np.ndarray, bar: np.ndarray, k: int) -> None:
+    """The bracket zoom on the one angle of every restart's frame, in place.
+
+    Each grid's centre is the best angle so far, whose score and bar are
+    ``best`` and ``bar``, and after a narrowing level its two edges are that
+    angle's neighbours on the level before: the zoom holds those scores and
+    scores only the other angles.
+    """
+    m, mid, last = bases.shape[0], _ZOOM_POINTS // 2, _ZOOM_POINTS - 1
     angle, half = np.zeros(m), np.full(m, math.pi / _ANGLE_GRID)
+    vals, bars = np.empty((m, _ZOOM_POINTS)), np.empty((m, _ZOOM_POINTS))
+    held = np.zeros((m, _ZOOM_POINTS), bool)
     todo = np.arange(m)
     for _ in range(_ZOOM_LEVELS):
+        held[todo, mid] = True
+        vals[todo, mid], bars[todo, mid] = best[todo], bar[todo]
         grid = angle[todo, None] + half[todo, None] * _ZOOM_OFFSETS
-        frames = _turned(np.repeat(bases[todo], _ZOOM_POINTS, axis=0), [(0, 1)],
-                         grid.reshape(-1, 1))
-        vals, bars = (a.reshape(todo.size, -1) for a in score(frames[:, :k]))
-        at = np.arange(todo.size)
+        r, c = np.nonzero(~held[todo])
+        frames = _turned(bases[todo[r]], [(0, 1)], grid[r, c, None])
+        vals[todo[r], c], bars[todo[r], c] = score(frames[:, :k])
+        v, e, at = vals[todo], bars[todo], np.arange(todo.size)
         # the centre is the best angle so far: it moves only on a strict gain
-        g = np.argmax(vals, axis=1)
-        g[vals[at, g] <= np.maximum(best[todo], vals[:, mid])] = mid
-        top = vals[at, g]
-        best[todo], angle[todo] = np.maximum(best[todo], top), grid[at, g]
-        edge = (g == 0) | (g == _ZOOM_POINTS - 1)
-        half[todo[~edge]] *= 2.0 / (_ZOOM_POINTS - 1)
-        drop = top - np.minimum(vals[at, g - 1], vals[at, (g + 1) % _ZOOM_POINTS])
-        todo = todo[edge | (drop > bars[at, g])]
+        g = np.argmax(v, axis=1)
+        g[v[at, g] <= best[todo]] = mid
+        best[todo], bar[todo], angle[todo] = v[at, g], e[at, g], grid[at, g]
+        edge = (g == 0) | (g == last)
+        half[todo[~edge]] *= 2.0 / last
+        drop = v[at, g] - np.minimum(v[at, g - 1], v[at, (g + 1) % _ZOOM_POINTS])
+        # a narrowed grid's edges are the neighbours of g; a recentred grid scores them
+        held[todo] = False
+        narrow, i = todo[~edge, None], at[~edge, None]
+        held[narrow, [0, last]] = True
+        vals[narrow, [0, last]] = v[i, g[i] + [-1, 1]]
+        bars[narrow, [0, last]] = e[i, g[i] + [-1, 1]]
+        todo = todo[edge | (drop > e[at, g])]
         if not todo.size:
             break
     bases[:] = _turned(bases, [(0, 1)], angle[:, None])
@@ -767,9 +778,9 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     over the d = k(N-k) + k(k-1)/2 planes within the frame's span and
     against its orthogonal complement: each rotation scores 32 equispaced
     angles over [0, pi) and keeps the best.  One method then refines each
-    search.  With d = 1 (N = 2) a bracket zoom: each level scores 17 angles
+    search.  With d = 1 (N = 2) a bracket zoom: each level spans 17 angles
     across the two spacings around the best angle so far, 8 times narrower
-    per level.  With d >= 2 a trust-region polish: a quadratic model of the
+    per level, and scores those whose scores it does not hold.  With d >= 2 a trust-region polish: a quadratic model of the
     score in all d angles, fitted from 1 + 2d + d(d-1)/2 frames around the
     current one, and a truncated-CG step, a product of Givens turns, so
     every frame stays orthonormal; a step counts only when its score, read
@@ -809,7 +820,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
         qfull, _ = np.linalg.qr(np.column_stack([vectors.T, np.eye(N)]))
         bases[r] = qfull.T
         bases[r, :k] = vectors
-    best = score(bases[:, :k])[0]
+    best, bar = score(bases[:, :k])
     planes = [(i, j) for i in range(k) for j in range(i + 1, N)]
     live = np.arange(budget)
     for _ in range(sweeps):
@@ -817,16 +828,18 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
         for plane in planes:
             ring = _turned(np.repeat(bases[live], _ANGLE_GRID - 1, axis=0), [plane],
                            np.tile(angles[1:], live.size)[:, None])
-            vals = np.column_stack([best[live], score(ring[:, :k])[0].reshape(live.size, -1)])
+            vals, bars = (np.column_stack([held[live], a.reshape(live.size, -1)])
+                          for held, a in zip((best, bar), score(ring[:, :k])))
             b = np.argmax(vals, axis=1)
             improved |= b > 0
             bases[live] = _turned(bases[live], [plane], angles[b, None])
-            best[live] = vals[np.arange(live.size), b]
+            at = np.arange(live.size)
+            best[live], bar[live] = vals[at, b], bars[at, b]
         live = live[improved]
         if not live.size:
             break
     if len(planes) == 1:
-        _zoom(score, bases, best, k)
+        _zoom(score, bases, best, bar, k)
     elif planes:
         _polish(score, bases, best, live, k)
     best_vecs = bases[int(np.argmax(best)), :k]

@@ -13,6 +13,12 @@ form, since every frame sums fs V, with V < 0 the e_N value and
 fs = sum_i |xi_i.e_N|^{2s} >= sum_i (xi_i.e_N)^2 = 1, equal on any frame
 containing e_N (``verify_singular_supersolution``).  t49-2 and avoidance
 claim each point's nearest line, the least d^2 of its ``householder_rows``.
+
+Each suite builds one ``(P, k)`` stack of rows per field, the sections of
+its P points, and calls ``operators.row_sums`` once on it: the e_N row
+through each t*e_N, t49-2's Householder rows, one Householder row per
+avoidance point, and e_1 through each bump-train gap point, whose frame
+e_1..e_k is k copies of that line.
 """
 
 from __future__ import annotations

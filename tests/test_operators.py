@@ -473,6 +473,31 @@ def test_zoom_stops_within_the_bar_of_the_peak(monkeypatch, peak, share):
     assert len(calls) < 2 + op._ZOOM_LEVELS
 
 
+def test_zoom_scores_no_angle_twice(monkeypatch):
+    # each zoom level's centre is the best angle so far, and after a narrowing
+    # level its edges are that angle's neighbours on the level before: the zoom
+    # holds their scores, so it scores 16 angles at level 1 and 14 at each
+    # narrowing level after it, none of them twice and none at the centre it
+    # starts from (17 a level at the parent, 3 of them repeats)
+    e = _unit([0.3, 0.8])
+    seen = []
+
+    def objective(frames):
+        seen.append(np.arctan2(frames[:, 0, 1], frames[:, 0, 0]) % math.pi)
+        return (-np.abs(frames[:, 0, 0] * e[1] - frames[:, 0, 1] * e[0]),
+                np.full(frames.shape[0], 1e-12))
+
+    monkeypatch.setattr(op, "_search_objective", lambda u, x, s, k, tol: objective)
+    op.extremal_search(pr.make_w_gamma(0.5), np.array([2.0, 0.0]), 0.5, 1, "plus", budget=1,
+                       seed=5)
+    start, ring, *levels = seen
+    assert [len(a) for a in levels] == [16] + [14] * (op._ZOOM_LEVELS - 1)
+    swept = np.concatenate((start, ring))
+    centre = swept[np.argmin(np.abs(np.sin(swept - math.atan2(e[1], e[0]))))]
+    angles = np.sort(np.concatenate(levels + [[centre]]))
+    assert np.min(np.diff(angles)) > 1e-14
+
+
 # (field, point, s, variant, settings) -> (value, error bar) the search
 # returned with a zoom of 4x per level (k = 1, budget 1, seed 0, SEARCH_TOL)
 FROZEN_SEARCHES = [
@@ -768,15 +793,12 @@ def test_row_sums():
     rows = op._fan_rows(np.stack((x, y))[:, None], np.stack((fx.vectors, fy.vectors)))
     assert rows.b.shape == (2, 3)
     sums = op.row_sums(u, rows, s, tols)
-    value, err, n_evals = op._integrate_fan(
-        u, op._fan_rows(np.repeat(np.stack((x, y)), 3, axis=0), np.vstack((fx.vectors, fy.vectors))),
-        s, np.repeat([t.abs_tol for t in tols], 3), np.repeat([t.rel_tol for t in tols], 3))
+    flat = pr.Rows(*(np.ravel(a) for a in (rows.b, rows.d2, rows.x_n, rows.xi_n)))
+    engine = op._integrate_fan(u, flat, s, np.repeat([t.abs_tol for t in tols], 3),
+                               np.repeat([t.rel_tol for t in tols], 3))
+    sections = [op.QuadResult(*a) for a in zip(*(a.tolist() for a in engine))]
     for i, r in enumerate(sums):
-        ordered = sum((op.QuadResult(*a) for a in zip(value[3 * i:3 * i + 3].tolist(),
-                                                       err[3 * i:3 * i + 3].tolist(),
-                                                       n_evals[3 * i:3 * i + 3].tolist())),
-                      op.QuadResult(0.0, 0.0, 0))
-        assert r == ordered
+        assert r == sum(sections[3 * i:3 * i + 3], op.QuadResult(0.0, 0.0, 0))
     for r, point, frame, tol in zip(sums, (x, y), (fx, fy), tols):
         one = op.frame_sum(u, point, frame, s, tol)
         assert r.n_evals == one.n_evals
