@@ -383,10 +383,10 @@ def row_sums(u, rows: pr.Rows, s: float,
     value, err, n_evals = _integrate_fan(
         u, pr.Rows(*(np.ravel(a) for a in (rows.b, rows.d2, rows.x_n, rows.xi_n))), s,
         np.repeat([t.abs_tol for t in tols], k), np.repeat([t.rel_tol for t in tols], k))
-    # cumsum adds in order; the leading zero column is Python's sum start
-    value, err, n_evals = (np.cumsum(np.column_stack((np.zeros(P, a.dtype), a.reshape(P, k))),
-                                     axis=1)[:, -1].tolist() for a in (value, err, n_evals))
-    return [QuadResult(*r) for r in zip(value, err, n_evals)]
+    # cumsum adds in order, from the zero column as Python's sum starts from 0
+    sums = [np.cumsum(np.column_stack((np.zeros(P, a.dtype), a.reshape(P, k))), axis=1)[:, -1]
+            for a in (value, err, n_evals)]
+    return [QuadResult(*r) for r in zip(*(a.tolist() for a in sums))]
 
 
 def directional(u, x: np.ndarray, xi: np.ndarray, s: float,
@@ -432,8 +432,8 @@ def householder_rows(x: np.ndarray) -> pr.Rows:
     xi_n = -2.0 * w[:, -1:] * w
     xi_n[:, -1] += 1.0
     d2 = np.maximum(squares[:, None] - b * b, 0.0)
-    return pr.Rows(*(a.reshape(x.shape) for a in (b, d2, np.repeat(flat[:, -1:], flat.shape[1], 1),
-                                                  xi_n)))
+    x_n = np.repeat(flat[:, -1:], flat.shape[1], axis=1)
+    return pr.Rows(*(a.reshape(x.shape) for a in (b, d2, x_n, xi_n)))
 
 
 def _radial_rows(x: np.ndarray, cosines: np.ndarray) -> pr.Rows:

@@ -243,6 +243,14 @@ def test_householder_rows_match_the_dense_reflection(N):
         assert np.all(np.abs(got.d2 - want.d2) <= 4.0 * ulp(nx * nx))
         assert np.all(np.abs(got.xi_n - want.xi_n) <= 4.0 * ulp(1.0))
         assert np.all(got.x_n == x[-1])
+    # a stack of points gives each point's own rows, bit for bit
+    points = rng.standard_normal((5, N)) * np.geomspace(1e-3, 1e3, 5)[:, None]
+    stack = op.householder_rows(points)
+    assert stack.b.shape == (5, N)
+    for x, b, d2, x_n, xi_n in zip(points, stack.b, stack.d2, stack.x_n, stack.xi_n):
+        one = op.householder_rows(x)
+        assert [a.tolist() for a in (b, d2, x_n, xi_n)] == [
+            a.tolist() for a in (one.b, one.d2, one.x_n, one.xi_n)]
 
 
 def _completion_matrix(x, k):
