@@ -780,11 +780,12 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     angles over [0, pi) and keeps the best.  One method then refines each
     search.  With d = 1 (N = 2) a bracket zoom: each level spans 17 angles
     across the two spacings around the best angle so far, 8 times narrower
-    per level, and scores those whose scores it does not hold.  With d >= 2 a trust-region polish: a quadratic model of the
-    score in all d angles, fitted from 1 + 2d + d(d-1)/2 frames around the
-    current one, and a truncated-CG step, a product of Givens turns, so
-    every frame stays orthonormal; a step counts only when its score, read
-    in the next call, is no worse.  Both stop by one rule, when the gain
+    per level, and scores those whose scores it does not hold.  With d >= 2
+    a trust-region polish: a quadratic model of the score in all d angles,
+    fitted from 1 + 2d + d(d-1)/2 frames around the current one, and a
+    truncated-CG step, a product of Givens turns, so every frame stays
+    orthonormal; a step counts only when its score, read in the next call,
+    is no worse.  Both stop by one rule, when the gain
     left is within the score's own error bar: the zoom when the best
     angle's drop to the lower of its neighbours is at most its bar, the
     polish when the model's predicted gain is.  The zoom makes at most ten
@@ -828,8 +829,8 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
         for plane in planes:
             ring = _turned(np.repeat(bases[live], _ANGLE_GRID - 1, axis=0), [plane],
                            np.tile(angles[1:], live.size)[:, None])
-            vals, bars = (np.column_stack([held[live], a.reshape(live.size, -1)])
-                          for held, a in zip((best, bar), score(ring[:, :k])))
+            vals, bars = (np.column_stack([kept[live], a.reshape(live.size, -1)])
+                          for kept, a in zip((best, bar), score(ring[:, :k])))
             b = np.argmax(vals, axis=1)
             improved |= b > 0
             bases[live] = _turned(bases[live], [plane], angles[b, None])
