@@ -17,7 +17,7 @@ The unit of work is a stack of *rows*, line sections of one field that it
 sees through four projections each (``profiles.Rows``).  ``row_sums`` is the
 one way in: it takes a ``(P, k)`` stack, the k sections of each of P points,
 hands all of them to one engine, ``_integrate_fan``, which integrates them
-with ``quad.integrate_batch``, each round of bisection in one field call,
+with ``quad.integrate_batch``, each round of subdivision in one field call,
 and sums each point's sections.  ``_fan_rows`` turns vectors into rows (a
 frame's at a point, the search's frames, ``directional``'s one row);
 ``householder_rows`` and ``_radial_rows`` build the rows of the Householder
@@ -132,7 +132,9 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
     section's first five rungs and its pieces of (ii) and (iii) go into one
     ``integrate_batch`` call; the rungs of all sections are one matrix,
     judged whole after every call, and each ladder still open gets its next
-    four rungs in the next call.
+    four rungs in the next call.  The pieces of (ii) and (iii) start as two
+    equal panels, since nearly all would be cut in their first round anyway;
+    a rung starts as one panel, on which nearly every rung closes.
 
     A field with ``far_part`` shows in ``line`` only the part of each
     section near its point; ``u.far_part`` of all rows adds the rest in
@@ -289,7 +291,7 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
 
     # Integral g < n_core is a core piece of section owner[g] in the
     # smoothstep variable z; then come the far panels in w = log t, then
-    # the rungs in t.
+    # the rungs in t.  Core and far pieces start as two panels, rungs as one.
     n_core = core_rows.size
     n_near = n_core + far.size
     owner = np.concatenate((core_rows, far, rung_rows))
@@ -316,7 +318,7 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
         np.concatenate((np.ones(n_core), np.log(T[far]), rung_tops)),
         np.concatenate((abs_tol[core_rows] / (4.0 * sizes[core_rows]), abs_tol[far] / 4.0,
                         abs_tol[rung_rows] / 8.0)),
-        rel_tol[owner])
+        rel_tol[owner], np.where(np.arange(owner.size) < n_near, 2, 1))
     count_evals(owner, n)
     core_val, core_err = v[:n_core], e[:n_core]
     far_val, far_err = np.zeros(m), np.zeros(m)
@@ -375,7 +377,7 @@ def row_sums(u, rows: pr.Rows, s: float,
              tol: Tolerance | Sequence[Tolerance] = Tolerance()) -> list[QuadResult]:
     """Sum of directional operators at each point over its sections: ``rows``
     of shape ``(P, k)`` holds point i's k sections in row i, and all P*k are
-    one batch, so each round of bisection calls the field once.  ``tol`` is
+    one batch, so each round of subdivision calls the field once.  ``tol`` is
     one ``Tolerance``, or one per point.  Each sum adds its point's sections
     in order, starting from 0."""
     P, k = rows.b.shape
@@ -728,18 +730,22 @@ def _polish(score, bases: np.ndarray, best: np.ndarray, live: np.ndarray, k: int
     bases[live], best[live] = centre, cur
 
 
-def _zoom(score, bases: np.ndarray, best: np.ndarray, bar: np.ndarray, k: int) -> None:
+def _zoom(score, bases: np.ndarray, best: np.ndarray, bar: np.ndarray,
+          sides: np.ndarray, side_bars: np.ndarray, k: int) -> None:
     """The bracket zoom on the one angle of every restart's frame, in place.
 
     Each grid's centre is the best angle so far, whose score and bar are
-    ``best`` and ``bar``, and after a narrowing level its two edges are that
-    angle's neighbours on the level before: the zoom holds those scores and
-    scores only the other angles.
+    ``best`` and ``bar``, and its two edges are that angle's neighbours on
+    the level before: at level 1 the ring's angles -+pi/_ANGLE_GRID, whose
+    scores and bars are ``sides`` and ``side_bars`` ``(m, 2)``.  The zoom
+    holds those scores and scores only the other angles.
     """
     m, mid, last = bases.shape[0], _ZOOM_POINTS // 2, _ZOOM_POINTS - 1
     angle, half = np.zeros(m), np.full(m, math.pi / _ANGLE_GRID)
     vals, bars = np.empty((m, _ZOOM_POINTS)), np.empty((m, _ZOOM_POINTS))
     held = np.zeros((m, _ZOOM_POINTS), bool)
+    held[:, [0, last]] = True
+    vals[:, [0, last]], bars[:, [0, last]] = sides, side_bars
     todo = np.arange(m)
     for _ in range(_ZOOM_LEVELS):
         held[todo, mid] = True
@@ -822,6 +828,9 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
         bases[r] = qfull.T
         bases[r, :k] = vectors
     best, bar = score(bases[:, :k])
+    # each restart's scores and bars at the angles -+pi/_ANGLE_GRID from its
+    # frame, read off its last ring: the zoom's first edges
+    sides, side_bars = np.empty((budget, 2)), np.empty((budget, 2))
     planes = [(i, j) for i in range(k) for j in range(i + 1, N)]
     live = np.arange(budget)
     for _ in range(sweeps):
@@ -836,11 +845,14 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
             bases[live] = _turned(bases[live], [plane], angles[b, None])
             at = np.arange(live.size)
             best[live], bar[live] = vals[at, b], bars[at, b]
+            # the ring is pi-periodic: column 0 is angle pi too
+            near = at[:, None], (b[:, None] + [-1, 1]) % _ANGLE_GRID
+            sides[live], side_bars[live] = vals[near], bars[near]
         live = live[improved]
         if not live.size:
             break
     if len(planes) == 1:
-        _zoom(score, bases, best, bar, k)
+        _zoom(score, bases, best, bar, sides, side_bars, k)
     elif planes:
         _polish(score, bases, best, live, k)
     best_vecs = bases[int(np.argmax(best)), :k]

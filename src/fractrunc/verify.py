@@ -319,7 +319,8 @@ def _psi_bound_constant(kind: str, k: int, s: float, psi: pr.PsiField) -> float:
     raise ValueError(f"unknown psi kind {kind!r}")
 
 
-_PSI_TOL = Tolerance(1e-12, 1e-11)  # psi's one request, whatever the CLI flags say
+_PSI_REL_TOL = 1e-11  # psi's relative request, whatever the CLI flags say
+_TINY = float(np.finfo(float).tiny)
 
 
 def verify_psi_subsolution(kind: str, k: int, s: float,
@@ -358,11 +359,12 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
     xs[:, 0] = np.outer(radii, np.cos(angles)).ravel()
     xs[:, -1] = np.outer(radii, sines).ravel()
     bounds = const * xs[:, -1] * np.repeat(radii, n) ** -exponent
-    # absolute tolerance tracks the shrinking bound at far radii; the angle a
-    # reads sin a times the radius's row, so the row asks for the tightest
-    # of its angles' requests, each divided by sin a
-    asks = np.maximum(np.abs(bounds) * 1e-4, _PSI_TOL.abs_tol).reshape(len(radii), n) / sines
-    tols = [Tolerance(a, _PSI_TOL.rel_tol) for a in asks.min(axis=1).tolist()]
+    # each claim asks for 1e-4 of its bound, with no fixed floor, so the
+    # request shrinks with the bound at far radii; the angle a reads sin a
+    # times the radius's row, so the row asks for the tightest of its angles'
+    # requests, each divided by sin a (and above 0, which a request must be)
+    asks = (np.abs(bounds) * 1e-4).reshape(len(radii), n) / sines
+    tols = [Tolerance(max(a, _TINY), _PSI_REL_TOL) for a in asks.min(axis=1).tolist()]
     radial = op.row_sums(psi, _axis_rows(N, radii), s, tols)
     orth, orth_bar = psi.orthogonal_section(xs, s)
 

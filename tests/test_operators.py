@@ -15,6 +15,7 @@ from scipy.integrate import IntegrationWarning
 from fractrunc import constants as cn
 from fractrunc import operators as op
 from fractrunc import profiles as pr
+from fractrunc import quad
 from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
@@ -482,11 +483,10 @@ def test_zoom_stops_within_the_bar_of_the_peak(monkeypatch, peak, share):
 
 
 def test_zoom_scores_no_angle_twice(monkeypatch):
-    # each zoom level's centre is the best angle so far, and after a narrowing
-    # level its edges are that angle's neighbours on the level before: the zoom
-    # holds their scores, so it scores 16 angles at level 1 and 14 at each
-    # narrowing level after it, none of them twice and none at the centre it
-    # starts from (17 a level at the parent, 3 of them repeats)
+    # each zoom level's centre is the best angle so far, and its edges are that
+    # angle's neighbours on the level before (at level 1 on the sweep's ring):
+    # the zoom holds their scores, so it scores 14 angles at every narrowing
+    # level, none of them twice and none at the centre it starts from
     e = _unit([0.3, 0.8])
     seen = []
 
@@ -499,11 +499,34 @@ def test_zoom_scores_no_angle_twice(monkeypatch):
     op.extremal_search(pr.make_w_gamma(0.5), np.array([2.0, 0.0]), 0.5, 1, "plus", budget=1,
                        seed=5)
     start, ring, *levels = seen
-    assert [len(a) for a in levels] == [16] + [14] * (op._ZOOM_LEVELS - 1)
+    assert [len(a) for a in levels] == [14] * op._ZOOM_LEVELS
     swept = np.concatenate((start, ring))
     centre = swept[np.argmin(np.abs(np.sin(swept - math.atan2(e[1], e[0]))))]
     angles = np.sort(np.concatenate(levels + [[centre]]))
     assert np.min(np.diff(angles)) > 1e-14
+
+
+def test_zoom_scores_no_angle_the_sweep_scored(monkeypatch):
+    # the ring's scores at the best angle's neighbours -+pi/32 are the zoom's
+    # first edges: no zoom frame turns a restart to an angle (mod pi) that its
+    # ring scored, which 2 of the 16 frames of each level-1 grid did
+    seen = []
+
+    def objective(frames):
+        seen.append(np.arctan2(frames[:, 0, 1], frames[:, 0, 0]))
+        a = seen[-1]
+        return np.cos(2.0 * (a - 0.4)) + 0.1 * np.cos(4.0 * a), np.full(a.size, 1e-12)
+
+    monkeypatch.setattr(op, "_search_objective", lambda u, x, s, k, tol: objective)
+    budget = 3
+    op.extremal_search(pr.make_w_gamma(0.5), np.array([2.0, 0.0]), 0.5, 1, "plus",
+                       budget=budget, seed=11)
+    start, ring, *levels = seen
+    assert ring.size == budget * (op._ANGLE_GRID - 1) and len(levels) >= 2
+    swept, zoomed = np.r_[start, ring], np.concatenate(levels)
+    # distance mod pi, since a frame turned by pi is the same frame
+    gap = np.abs((zoomed[:, None] - swept + math.pi / 2.0) % math.pi - math.pi / 2.0)
+    assert np.min(gap) > 1e-9
 
 
 # (field, point, s, variant, settings) -> (value, error bar) the search
@@ -860,39 +883,58 @@ def test_long_ladder_makes_three_engine_calls(monkeypatch):
     assert abs(r.value - cn.normalizing_constant(s) * cn.c_s_mu(mu, s)) <= r.abs_error_estimate
 
 
-def test_certify_pass_makes_half_the_engine_calls(monkeypatch):
-    # the first certify pass of seed 1 made 106 engine calls when each ladder
-    # ran four rungs a call and the core and far pieces waited for it
+def _first_pass(monkeypatch, workload: str, seed: int) -> dict:
+    """The engine calls, rounds (``quad._gk21`` calls) and integrand nodes of
+    a workload's first benchmark pass at ``seed``."""
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "perfbench"))
     import decks
 
-    calls = _count_engine_calls(monkeypatch)
-    for item in itertools.islice(decks.deck("certify", 1), decks.pass_size("certify")):
+    counts = {"calls": 0, "rounds": 0, "nodes": 0}
+    engine, round_ = op.integrate_batch, quad._gk21
+
+    def spy(*args):
+        v, e, n = engine(*args)
+        counts["calls"] += 1
+        counts["nodes"] += int(np.sum(n))
+        return v, e, n
+
+    def counted_round(*args):
+        counts["rounds"] += 1
+        return round_(*args)
+
+    monkeypatch.setattr(op, "integrate_batch", spy)
+    monkeypatch.setattr(quad, "_gk21", counted_round)
+    for item in itertools.islice(decks.deck(workload, seed), decks.pass_size(workload)):
         item.call()
-    assert len(calls) <= 53
+    return counts
+
+
+def test_certify_pass_makes_half_the_engine_calls(monkeypatch):
+    # the first certify pass of seed 1 made 106 engine calls when each ladder
+    # ran four rungs a call and the core and far pieces waited for it
+    assert _first_pass(monkeypatch, "certify", 1)["calls"] <= 53
 
 
 def test_certify_pass_nodes_stay_under_a_ceiling(monkeypatch):
     # the integrand nodes of seed 1's first certify pass: 180,558 when psi
     # integrated every row of its frames, 91,560 with one radial row per
     # radius and its orthogonal rows in closed form
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench"))
-    import decks
+    assert _first_pass(monkeypatch, "certify", 1)["nodes"] <= 95_000
 
-    nodes = []
-    engine = op.integrate_batch
 
-    def spy(*args):
-        v, e, n = engine(*args)
-        nodes.append(int(np.sum(n)))
-        return v, e, n
+def test_certify_pass_rounds_stay_under_a_ceiling(monkeypatch):
+    # seed 1's first certify pass took 144 rounds when every piece started as
+    # one panel and a failing panel was only halved; 92 with core and far
+    # pieces started as two panels and four-way cuts far above the share
+    assert _first_pass(monkeypatch, "certify", 1)["rounds"] <= 100
 
-    monkeypatch.setattr(op, "integrate_batch", spy)
-    for item in itertools.islice(decks.deck("certify", 1), decks.pass_size("certify")):
-        item.call()
-    assert sum(nodes) <= 95_000
+
+def test_frame_search_pass_counts_stay_under_ceilings(monkeypatch):
+    # seed 1's first frame-search pass: 51 calls, 221 rounds and 238,182 nodes
+    # with one-panel starts and halvings only; 55, 141 and 266,448 now
+    counts = _first_pass(monkeypatch, "frame-search", 1)
+    assert counts["calls"] <= 60 and counts["rounds"] <= 155 and counts["nodes"] <= 290_000
 
 
 def _mp_tail_section(u, x, xi):
@@ -1144,11 +1186,10 @@ def test_psi_radial_rows_scale_with_the_angle(kind, s):
                     <= row.abs_error_estimate + math.sin(a) * axis.abs_error_estimate), (r, a)
 
 
-def test_psi_decay_k3_passes_from_the_last_radius():
-    # with one radial row per radius and the orthogonal rows in closed form,
-    # the claims at r = 3000 resolve: their bars shrink with sin a, and they
-    # lie within those bars of 40-digit mpmath frame sums
-    s, k = 0.95, 3
+def _check_psi_decay_k3_far_claims(s):
+    """psi decay k = 3 passes at ``s`` from r = 3000 on, and its three claims
+    there lie within their bars of 40-digit mpmath frame sums."""
+    k = 3
     r = vf.verify_psi_subsolution("decay", k, s)
     assert r.verdict == "pass" and r.extra["empirical_R0"] == 3000.0
     psi = pr.make_psi("decay", k, s)
@@ -1166,6 +1207,19 @@ def test_psi_decay_k3_passes_from_the_last_radius():
         bound = r.params["bound_constant"] * x[-1] * nx ** -(psi.gamma_second + 2.0 * s + 2.0)
         want = bound - cn.normalizing_constant(s) * float(total)
         assert want < 0.0 and abs(c.residual - want) <= c.error, (c, want)
+
+
+def test_psi_decay_k3_passes_from_the_last_radius():
+    # with one radial row per radius and the orthogonal rows in closed form,
+    # the claims at r = 3000 resolve: their bars shrink with sin a
+    _check_psi_decay_k3_far_claims(0.95)
+
+
+def test_psi_decay_k3_passes_at_s_0_96():
+    # psi asks each radius for 1e-4 of its bound over sin a, with no fixed
+    # floor: under a 1e-12 floor the r = 3000 bars (~2e-15) stood above the
+    # residuals (~-5e-16) at s = 0.96, and the item was inconclusive
+    _check_psi_decay_k3_far_claims(0.96)
 
 
 @pytest.mark.parametrize("N,s,gamma", [(3, 0.5, 0.6), (2, 0.07, 0.05), (4, 0.3, 0.9)])

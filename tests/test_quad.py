@@ -140,8 +140,9 @@ def test_integrate_batch_matches_scipy_quad():
         alone = quad.integrate_batch(lambda x, _: fn(x), [lo], [hi], tol, 1e-9)
         assert alone[2][0] == evals[g]
         assert alone[0][0] == pytest.approx(values[g], rel=1e-14, abs=1e-300)
-    # the first three reach their tolerance; the noise-bound one cannot
-    assert np.all(errors[:3] <= np.maximum(tols, 1e-9 * np.abs(values))[:3])
+    # all reach their tolerance; the noise-bound one only through rel_tol, its
+    # error lying above its absolute tolerance
+    assert np.all(errors <= np.maximum(tols, 1e-9 * np.abs(values)))
     assert errors[3] > tols[3]
 
 
@@ -166,3 +167,81 @@ def test_integrate_batch_splits_large_rounds():
         alone = quad.integrate_batch(lambda x, _: fn(x), [lo], [hi], tol, 1e-9)
         assert np.all(evals[g::3] == alone[2][0])
         assert values[g::3] == pytest.approx(alone[0][0], rel=1e-14, abs=1e-300)
+
+
+def _rounds(monkeypatch) -> list:
+    """The panels ``(lo, hi)`` of every round of ``integrate_batch``, in order."""
+    seen = []
+    round_ = quad._gk21
+
+    def spy(f, lo, hi, group):
+        seen.append((lo.copy(), hi.copy()))
+        return round_(f, lo, hi, group)
+    monkeypatch.setattr(quad, "_gk21", spy)
+    return seen
+
+
+def test_first_panels_are_equal_and_end_at_b(monkeypatch):
+    # integral g starts as panels[g] equal panels, the last ending at b exactly
+    seen = _rounds(monkeypatch)
+    a, b = np.array([0.0, 1.0, 0.125]), np.array([1.0, 3.0, 0.875])
+    values, errors, evals = quad.integrate_batch(lambda x, _: np.exp(x), a, b, 1e-10, 1e-9,
+                                                 np.array([2, 1, 3]))
+    lo, hi = seen[0]
+    assert lo.tolist() == [0.0, 0.5, 1.0, 0.125, 0.375, 0.625]
+    assert hi.tolist() == [0.5, 1.0, 3.0, 0.375, 0.625, 0.875]
+    assert np.all(np.abs(values - (np.exp(b) - np.exp(a))) <= errors)
+    assert evals[0] >= 42 and evals[2] >= 63
+
+
+def test_four_way_cut_keeps_the_rule_exact(monkeypatch):
+    # kinks at the quarter points: the one panel fails far above its share, so
+    # it is cut in four equal panels in one round, on each of which the
+    # integrand is a polynomial of degree <= 4 that K21 integrates exactly
+    seen = _rounds(monkeypatch)
+
+    def f(x):
+        return np.abs(x - 0.25) + np.abs(x - 0.5) * x**3 + np.abs(x - 0.75) ** 3
+
+    exact = 241.0 / 512.0  # the integral on (0, 1), summed piece by piece
+    value, error, evals = _one(f, 0.0, 1.0)
+    assert len(seen) == 2 and seen[0][0].tolist() == [0.0]
+    assert sorted(zip(*(a.tolist() for a in seen[1]))) == [
+        (0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
+    assert evals == 21 * 5
+    assert abs(value - exact) <= 4.0 * np.finfo(float).eps and error <= 1e-10
+
+
+def test_cut_in_two_below_the_ratio_and_in_four_above(monkeypatch):
+    # exp on (0, 1) fails by ~20 times its share of 1e-15 (its error is the
+    # rounding floor, 50 eps |value|): halved; a kink fails by orders more: quartered
+    seen = _rounds(monkeypatch)
+    quad.integrate_batch(lambda x, g: np.where(g == 0, np.exp(x), np.abs(x - 0.3)),
+                         [0.0, 0.0], [1.0, 1.0], 1e-15, 1e-16)
+    lo, hi = seen[1]
+    assert lo.size == 6
+    assert sorted(zip(lo.tolist(), hi.tolist())) == [
+        (0.0, 0.25), (0.0, 0.5), (0.25, 0.5), (0.5, 0.75), (0.5, 1.0), (0.75, 1.0)]
+
+
+def test_noise_bound_case_closes_by_the_roundoff_rule(monkeypatch):
+    # BATCH_CASES[3] at rel_tol 1e-14: rounding-level noise keeps the
+    # tolerance out of reach, and the roundoff rule, six cuts that change
+    # neither the value nor the error, closes it long before the panel limit
+    fn, a, b, tol = BATCH_CASES[3]
+    value, error, evals = _one(fn, a, b, tol, tol)
+    assert error > max(tol, tol * abs(value)) and evals < 21 * quad._PANEL_LIMIT
+    # without the roundoff rule it runs on to the panel limit
+    monkeypatch.setattr(quad, "_ROUNDOFF_LIMIT", 10**9)
+    assert _one(fn, a, b, tol, tol)[2] > 21 * quad._PANEL_LIMIT
+
+
+def test_panel_limit_counts_children(monkeypatch):
+    # cos(1e9 x) fails on every panel far above its share, so every round cuts
+    # every panel in four: 1, 4, 16, 64, then 256 panels, past the limit of
+    # 250; counting one panel per cut (1, 2, 6, 22, 86, 342) would have run a
+    # sixth round of 1,024
+    seen = _rounds(monkeypatch)
+    _, _, evals = _one(lambda x: np.cos(1e9 * x), 0.0, 1.0, 1e-12, 1e-12)
+    assert [lo.size for lo, _ in seen] == [1, 4, 16, 64, 256]
+    assert evals == 21 * 341
