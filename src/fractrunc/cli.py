@@ -1,9 +1,13 @@
 """Command-line surface: constants, roots, exponent table, verification, sweeps.
 
-Exit codes: 0 success/pass, 1 verification fail, 2 usage/domain error,
-3 inconclusive verification.  Configuration precedence: command-line flags,
-then ``FRACTRUNC_*`` environment variables, then a ``key = value`` config
-file, then built-in defaults.
+Every command, and every ``verify`` construction, has its own parser, which
+takes exactly the flags that command reads.  Exit codes: 0 success/pass,
+1 verification fail, 2 usage/domain error, parse errors included, each one
+``error:`` line, 3 inconclusive verification.  The verify suites that run a
+quadrature (all but ``psi``) take their tolerance from ``--abs-tol`` and
+``--rel-tol``, then the ``FRACTRUNC_ABS_TOL`` and ``FRACTRUNC_REL_TOL``
+environment variables, then a ``--config`` file of ``key = value`` lines,
+then built-in defaults.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +28,7 @@ from . import constants as cn
 from . import verify as vf
 from .quad import QuadResult, Tolerance
 
-__all__ = ["main", "Config", "load_config", "write_atomic",
-           "render_csv", "render_svg"]
+__all__ = ["main", "load_config", "write_atomic", "render_csv", "render_svg"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -34,26 +36,17 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 _ENV_PREFIX = "FRACTRUNC_"
-
-_CONFIG_KEYS = {
-    "abs_tol": float,
-    "rel_tol": float,
-    "seed": int,
-}
+_CONFIG_KEYS = ("abs_tol", "rel_tol")
 
 
-@dataclass(frozen=True)
-class Config:
-    abs_tol: float = Tolerance.abs_tol
-    rel_tol: float = Tolerance.rel_tol
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        Tolerance(self.abs_tol, self.rel_tol)  # raises on non-finite or non-positive values
-
-    @property
-    def tolerance(self) -> Tolerance:
-        return Tolerance(self.abs_tol, self.rel_tol)
+def _tolerance_value(source: str, key: str, text: str) -> float:
+    """``text`` read as the tolerance ``key``; a bad value raises ``ValueError`` naming ``source``."""
+    try:
+        value = float(text)
+        Tolerance(**{key: value})  # raises on a non-finite or non-positive value
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    return value
 
 
 def _parse_config_file(path: str) -> dict:
@@ -70,23 +63,24 @@ def _parse_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_KEYS[key](val.strip().strip('"'))
+            values[key] = _tolerance_value(f"{path}:{lineno}: {key}", key,
+                                           val.strip().strip('"'))
     return values
 
 
 def load_config(path: Optional[str] = None,
-                overrides: Optional[dict] = None) -> Config:
-    """Merge defaults < config file < environment < explicit overrides."""
+                overrides: Optional[dict] = None) -> Tolerance:
+    """The verify suites' tolerance: defaults < config file < environment < ``overrides``."""
     values: dict = {}
     if path is not None:
         values.update(_parse_config_file(path))
-    for key, cast in _CONFIG_KEYS.items():
-        env = os.environ.get(_ENV_PREFIX + key.upper())
-        if env is not None:
-            values[key] = cast(env)
+    for key in _CONFIG_KEYS:
+        name = _ENV_PREFIX + key.upper()
+        if name in os.environ:
+            values[key] = _tolerance_value(name, key, os.environ[name])
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    return Config(**values)
+    return Tolerance(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +188,7 @@ def render_svg(title: str, x_label: str, y_label: str,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_constants(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_constants(args: argparse.Namespace) -> int:
     s, N, k = args.s, args.N, args.k
     params = cn.ProblemParams(N=N, k=k, s=s)  # validates ranges
     doc: dict = {
@@ -244,7 +238,7 @@ def cmd_constants(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_roots(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_roots(args: argparse.Namespace) -> int:
     which = args.which
     if which == "gamma-bar":
         result = cn.find_gamma_bar(args.k, args.s)
@@ -293,7 +287,7 @@ def _p_star_cell(row: dict) -> tuple[str, str]:
     return f">= {row['p_star_lower']:.10g}", note
 
 
-def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     table = cn.exponent_table(args.N, args.s)
     rows = []
     for row in table.rows:
@@ -318,45 +312,14 @@ def _report_exit(report: vf.VerificationReport, out: Optional[str]) -> int:
     return {"pass": EXIT_OK, "fail": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)
 
 
-# parameters a construction cannot run without (dest names of the flags)
-_VERIFY_REQUIRES = {
-    "power-identity": ("mu",),
-    "bump-train": ("p",),
-    "singular": ("p",),
-    "transform": ("p", "q"),
-}
+def _tolerance(args: argparse.Namespace) -> Tolerance:
+    return load_config(args.config, {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol})
 
 
-def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
-    tol = cfg.tolerance
-    construction = args.construction
-    missing = [f"--{name}" for name in _VERIFY_REQUIRES.get(construction, ())
-               if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"verify {construction} requires {' and '.join(missing)}")
-    if construction == "power-identity":
-        report = vf.verify_power_identity(args.mu, args.s, tol=tol)
-    elif construction == "bump-train":
-        eps = None if args.eps in (None, "auto") else float(args.eps)
-        report = vf.verify_bump_train(args.s, args.p, eps=eps, k=args.k,
-                                      N=args.N, tol=tol)
-    elif construction == "t49-2":
-        gamma = None if args.gamma in (None, "auto") else float(args.gamma)
-        report = vf.verify_T49_2(args.N, args.s, gamma=gamma, tol=tol)
-    elif construction == "psi":
-        report = vf.verify_psi_subsolution(args.kind, args.k, args.s)
-    elif construction == "singular":
-        report = vf.verify_singular_supersolution(args.s, args.p, args.op_kind,
-                                                  args.N, tol=tol)
-    elif construction == "avoidance":
-        y = np.zeros(args.N)
-        y[-1:] = args.y_N  # a no-op for N < 1, which the verifier rejects
-        report = vf.verify_avoidance_example(args.N, args.s, args.r, y, tol=tol)
-    elif construction == "transform":
-        report = vf.verify_transform(args.s, args.p, args.q, seed=cfg.seed, tol=tol)
-    else:  # argparse choices prevent this
-        raise AssertionError(construction)
-    return _report_exit(report, args.report)
+def _verify_avoidance(args: argparse.Namespace) -> vf.VerificationReport:
+    y = np.zeros(max(args.N, 0))
+    y[-1:] = args.y_N  # a no-op for N < 1, which the verifier rejects
+    return vf.verify_avoidance_example(args.N, args.s, args.r, y, tol=_tolerance(args))
 
 
 _SWEEP_TARGETS = {
@@ -383,7 +346,7 @@ def _sweep_row(target: str, N: int, k: int, s: float,
     raise AssertionError(target)
 
 
-def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = args.s_min, args.s_max
     if args.steps < 1:
         raise cn.DomainError("steps must be >= 1")
@@ -425,23 +388,43 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``ValueError``, so that ``main``
+    reports each in one line and exits 2; its sub-parsers are of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def auto_or_float(text: str) -> Optional[float]:
+    """``auto`` (None: the suite chooses the value) or a float."""
+    return None if text == "auto" else float(text)
+
+
+def _add_verify(sub, name: str, run: Callable[[argparse.Namespace], vf.VerificationReport],
+                quadrature: bool = True) -> argparse.ArgumentParser:
+    """The parser of one verify construction: ``--s`` and ``--report``, the
+    tolerance flags when its suite runs a quadrature, and ``run``, the call
+    that reads them and the flags the caller adds."""
+    p = sub.add_parser(name)
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--report", help="write the JSON report here")
+    if quadrature:
+        p.add_argument("--abs-tol", type=float, dest="abs_tol", help="absolute "
+                       f"quadrature tolerance (default {Tolerance.abs_tol:g})")
+        p.add_argument("--rel-tol", type=float, dest="rel_tol", help="relative "
+                       f"quadrature tolerance (default {Tolerance.rel_tol:g})")
+        p.add_argument("--config", help="key = value file setting abs_tol and rel_tol")
+    p.set_defaults(func=lambda args: _report_exit(run(args), args.report))
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fractrunc",
         description="Constants, critical exponents, and certified "
                     "constructions for truncated fractional Laplacians "
                     "on the half-space.")
-    parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--seed", type=int,
-                        help="RNG seed (default 42); only `verify transform` reads it")
-    ignored = ("; constants, roots, table and sweep run no quadrature, and verify psi "
-               "ignores it and runs at 1e-12 absolute, 1e-11 relative")
-    parser.add_argument("--abs-tol", type=float, dest="abs_tol",
-                        help="absolute quadrature tolerance of the verify suites (default "
-                             f"{Tolerance.abs_tol:g})" + ignored)
-    parser.add_argument("--rel-tol", type=float, dest="rel_tol",
-                        help="relative quadrature tolerance of the verify suites (default "
-                             f"{Tolerance.rel_tol:g})" + ignored)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="special constants at (s, N, k)")
@@ -471,26 +454,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("construction",
-                   choices=["power-identity", "bump-train", "t49-2", "psi",
-                            "singular", "avoidance", "transform"])
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--N", type=int, default=2)
+    verify = sub.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="construction", required=True)
+
+    p = _add_verify(verify, "power-identity",
+                    lambda a: vf.verify_power_identity(a.mu, a.s, tol=_tolerance(a)))
+    p.add_argument("--mu", type=float, required=True)
+
+    p = _add_verify(verify, "bump-train", lambda a: vf.verify_bump_train(
+        a.s, a.p, eps=a.eps, k=a.k, N=a.N, tol=_tolerance(a)))
+    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--eps", type=auto_or_float, help="bump half-width, or auto (default)")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--kind", default="decay",
-                   choices=["decay", "halfint", "growth"])
+    p.add_argument("--N", type=int, default=2)
+
+    p = _add_verify(verify, "t49-2", lambda a: vf.verify_T49_2(
+        a.N, a.s, gamma=a.gamma, tol=_tolerance(a)))
+    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--gamma", type=auto_or_float, help="decay exponent, or auto (default)")
+
+    p = _add_verify(verify, "psi", lambda a: vf.verify_psi_subsolution(a.kind, a.k, a.s),
+                    quadrature=False)
+    p.add_argument("--kind", default="decay", choices=["decay", "halfint", "growth"])
+    p.add_argument("--k", type=int, default=1)
+
+    p = _add_verify(verify, "singular", lambda a: vf.verify_singular_supersolution(
+        a.s, a.p, a.op_kind, a.N, tol=_tolerance(a)))
+    p.add_argument("--p", type=float, required=True)
     p.add_argument("--op-kind", dest="op_kind", default="ik_minus",
                    choices=["ik_minus", "in_plus"])
+    p.add_argument("--N", type=int, default=2)
+
+    p = _add_verify(verify, "avoidance", _verify_avoidance)
+    p.add_argument("--N", type=int, default=2)
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--y-N", type=float, dest="y_N", default=-1.0)
-    p.add_argument("--report", help="write the JSON report here")
-    p.set_defaults(func=cmd_verify)
+
+    p = _add_verify(verify, "transform", lambda a: vf.verify_transform(
+        a.s, a.p, a.q, tol=_tolerance(a)))
+    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--q", type=float, required=True)
 
     p = sub.add_parser("sweep", help="sweep s and emit CSV + SVG")
     p.add_argument("--s-min", type=float, default=0.1)
@@ -506,13 +509,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, {
-            "seed": args.seed, "abs_tol": args.abs_tol,
-            "rel_tol": args.rel_tol})
-        return args.func(args, cfg)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except (cn.DomainError, cn.NoRootError, cn.BracketFailure,
             vf.GeometryViolation, vf.NotFound, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

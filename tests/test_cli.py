@@ -12,6 +12,7 @@ import xml.dom.minidom
 import pytest
 
 from fractrunc import cli
+from fractrunc.quad import Tolerance
 
 
 def run(capsys, argv):
@@ -75,10 +76,9 @@ def test_roots_and_tables_past_the_second_walk_grid(capsys):
 
 
 def test_constants_report_the_series_errors_they_reach(capsys):
-    # c_iso and c_N_plus's correction are series, each with its own bound,
-    # which --abs-tol does not reach
-    code, out, _ = run(capsys, ["--abs-tol", "1e-3", "constants", "--s", "0.5", "--N", "3",
-                                "--gamma", "0.7"])
+    # c_iso and c_N_plus's correction are series, each with its own bound;
+    # constants runs no quadrature and takes no tolerance
+    code, out, _ = run(capsys, ["constants", "--s", "0.5", "--N", "3", "--gamma", "0.7"])
     doc = json.loads(out)
     iso, plus = (cli.cn.iso_stack([0.7], 0.5, 3, n_plus)[0] for n_plus in (False, True))
     assert code == 0 and doc["c_iso"] == iso.value and doc["c_N_plus"] == plus.value
@@ -140,17 +140,19 @@ def test_verify_psi_without_onset_exit_3(capsys):
 def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert err == f"error: verify {argv[1]} requires {flags}\n"
+    assert err == (f"error: fractrunc verify {argv[1]}: the following arguments are "
+                   f"required: {flags.replace(' and ', ', ')}\n")
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--abs-tol", "nan", "verify", "power-identity", "--s", "0.5", "--mu", "0.3"],
+    (["verify", "power-identity", "--s", "0.5", "--mu", "0.3", "--abs-tol", "nan"],
      "tolerances must be finite and positive"),
-    (["--abs-tol", "inf", "verify", "power-identity", "--s", "0.5", "--mu", "0.3"],
+    (["verify", "power-identity", "--s", "0.5", "--mu", "0.3", "--abs-tol", "inf"],
      "tolerances must be finite and positive"),
     (["verify", "singular", "--s", "0.5", "--p", "-3", "--N", "0"], "N must be >= 2"),
     (["verify", "avoidance", "--s", "0.5", "--N", "0"], "N must be >= 2"),
     (["verify", "avoidance", "--s", "0.5", "--N", "1"], "N must be >= 2"),
+    (["verify", "avoidance", "--s", "0.5", "--N", "-1"], "N must be >= 2"),
     (["verify", "psi", "--kind", "growth", "--k", "0", "--s", "0.75"], "k must be >= 1"),
     (["verify", "avoidance", "--s", "0.5", "--N", "2", "--r", "-1"],
      "r must be finite and positive"),
@@ -163,7 +165,8 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     (["verify", "avoidance", "--s", "0.5", "--N", "2", "--report", "DIR"],
      "Is a directory: DIR"),
     (["constants", "--s", "0.5", "--out", "DIR"], "Is a directory: DIR"),
-    (["--config", "DIR", "constants", "--s", "0.5"], "Is a directory: DIR"),
+    (["verify", "transform", "--s", "0.5", "--p", "-3", "--q", "-4", "--config", "DIR"],
+     "Is a directory: DIR"),
     (["constants", "--s", "0.5", "--out", "DIR/missing/x.json"],
      "No such file or directory: DIR/missing/x.json"),
     (["verify", "avoidance", "--s", "0.5", "--N", "2", "--report", "DIR/missing/r.json"],
@@ -199,7 +202,7 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     # no s to sweep: not an empty CSV and SVG
     (["sweep", "--steps", "0", "--out-prefix", "DIR/sw"], "steps must be >= 1"),
     (["sweep", "--steps", "-3", "--out-prefix", "DIR/sw"], "steps must be >= 1"),
-], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1",
+], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1", "avoidance-N-negative",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "avoidance-r-huge",
@@ -351,24 +354,79 @@ def test_sweep_propagates_bugs(tmp_path, capsys, monkeypatch):
 
 def test_config_precedence(tmp_path, monkeypatch):
     cfgfile = tmp_path / "fractrunc.conf"
-    cfgfile.write_text("seed = 7\nabs_tol = 1e-8\n")
-    cfg = cli.load_config(str(cfgfile))
-    assert cfg.seed == 7 and cfg.abs_tol == 1e-8
-    monkeypatch.setenv("FRACTRUNC_SEED", "9")
-    cfg = cli.load_config(str(cfgfile))
-    assert cfg.seed == 9  # env beats file
-    cfg = cli.load_config(str(cfgfile), {"seed": 11})
-    assert cfg.seed == 11  # flag beats env
-    assert cli.load_config().seed == 9  # env still applies without a file
+    cfgfile.write_text("abs_tol = 1e-8\nrel_tol = 1e-7\n")
+    assert cli.load_config(str(cfgfile)) == Tolerance(1e-8, 1e-7)
+    monkeypatch.setenv("FRACTRUNC_ABS_TOL", "1e-9")
+    assert cli.load_config(str(cfgfile)) == Tolerance(1e-9, 1e-7)  # env beats file
+    tol = cli.load_config(str(cfgfile), {"abs_tol": 1e-11, "rel_tol": None})
+    assert tol == Tolerance(1e-11, 1e-7)  # a flag beats env; an unset flag leaves it
+    assert cli.load_config() == Tolerance(1e-9)  # env still applies without a file
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    bad = tmp_path / "bad.conf"
-    bad.write_text("colour = blue\n")
+    for text in ("colour = blue\n", "seed = 7\n"):
+        bad = tmp_path / "bad.conf"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="unknown config key"):
+            cli.load_config(str(bad))
     with pytest.raises(ValueError):
-        cli.load_config(str(bad))
-    with pytest.raises(ValueError):
-        cli.Config(abs_tol=-1.0)
+        cli.load_config(overrides={"abs_tol": -1.0})
+
+
+def test_config_errors_name_their_source(capsys, tmp_path, monkeypatch):
+    conf = tmp_path / "f.conf"
+    conf.write_text("rel_tol = 1e-8\nabs_tol = -1\n")
+    code, out, err = run(capsys, ["verify", "t49-2", "--N", "2", "--s", "0.5",
+                                  "--config", str(conf)])
+    assert code == 2 and out == ""
+    assert err == f"error: {conf}:2: abs_tol: tolerances must be finite and positive\n"
+    monkeypatch.setenv("FRACTRUNC_REL_TOL", "x")
+    code, out, err = run(capsys, ["verify", "t49-2", "--N", "2", "--s", "0.5"])
+    assert code == 2 and out == ""
+    assert err == "error: FRACTRUNC_REL_TOL: could not convert string to float: 'x'\n"
+
+
+def test_bad_tolerance_spares_commands_without_quadrature(capsys, monkeypatch):
+    monkeypatch.setenv("FRACTRUNC_ABS_TOL", "-1")
+    for argv in (["table", "--N", "2", "--s", "0.5"],
+                 ["verify", "psi", "--kind", "halfint", "--s", "0.5"]):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == "" and json.loads(out)
+
+
+# first every parser given a flag it does not read, then other parse errors
+@pytest.mark.parametrize("argv", [
+    ["verify", "psi", "--s", "0.4", "--N", "3"],
+    ["verify", "psi", "--s", "0.4", "--abs-tol", "1e-12"],
+    ["verify", "power-identity", "--s", "0.5", "--mu", "0.3", "--N", "3"],
+    ["verify", "transform", "--s", "0.5", "--p", "-3", "--q", "-4", "--seed", "3"],
+    ["constants", "--s", "0.5", "--abs-tol", "1e-3"],
+    ["table", "--N", "2", "--s", "0.5", "--config", "F"],
+    ["roots", "--which", "gamma-bar", "--s", "0.3", "--rel-tol", "1e-3"],
+    ["sweep", "--steps", "1", "--abs-tol", "1e-3"],
+    ["--seed", "3", "table", "--N", "2", "--s", "0.5"],
+    ["table", "--seed", "3", "--N", "2", "--s", "0.5"],
+    ["--abs-tol", "1e-3", "verify", "power-identity", "--s", "0.5", "--mu", "0.3"],
+    # argparse reads -1e400 as a flag, not as --p's value
+    ["verify", "singular", "--s", "0.5", "--p", "-1e400"],
+    ["verify", "bump-train", "--s", "0.5", "--p", "1.5", "--eps", "x"],
+    ["verify"],
+    [],
+])
+def test_parse_errors_exit_2_in_one_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["constants"], ["roots"], ["table"], ["sweep"], ["verify"]]
+                         + [["verify", c] for c in ("power-identity", "bump-train", "t49-2",
+                                                    "psi", "singular", "avoidance", "transform")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fractrunc")
 
 
 # Run with every scipy import refused: the subcommands, a frame search on a

@@ -883,13 +883,19 @@ def test_long_ladder_makes_three_engine_calls(monkeypatch):
     assert abs(r.value - cn.normalizing_constant(s) * cn.c_s_mu(mu, s)) <= r.abs_error_estimate
 
 
-def _first_pass(monkeypatch, workload: str, seed: int) -> dict:
-    """The engine calls, rounds (``quad._gk21`` calls) and integrand nodes of
-    a workload's first benchmark pass at ``seed``."""
+def _run_first_pass(monkeypatch, workload: str, seed: int) -> None:
+    """Call every item of a workload's first benchmark pass at ``seed``."""
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "perfbench"))
     import decks
 
+    for item in itertools.islice(decks.deck(workload, seed), decks.pass_size(workload)):
+        item.call()
+
+
+def _first_pass(monkeypatch, workload: str, seed: int) -> dict:
+    """The engine calls, rounds (``quad._gk21`` calls) and integrand nodes of
+    a workload's first benchmark pass at ``seed``."""
     counts = {"calls": 0, "rounds": 0, "nodes": 0}
     engine, round_ = op.integrate_batch, quad._gk21
 
@@ -905,8 +911,7 @@ def _first_pass(monkeypatch, workload: str, seed: int) -> dict:
 
     monkeypatch.setattr(op, "integrate_batch", spy)
     monkeypatch.setattr(quad, "_gk21", counted_round)
-    for item in itertools.islice(decks.deck(workload, seed), decks.pass_size(workload)):
-        item.call()
+    _run_first_pass(monkeypatch, workload, seed)
     return counts
 
 
@@ -935,6 +940,28 @@ def test_frame_search_pass_counts_stay_under_ceilings(monkeypatch):
     # with one-panel starts and halvings only; 55, 141 and 266,448 now
     counts = _first_pass(monkeypatch, "frame-search", 1)
     assert counts["calls"] <= 60 and counts["rounds"] <= 155 and counts["nodes"] <= 290_000
+
+
+def test_constants_pass_counts_stay_under_ceilings(monkeypatch):
+    # seed 1's first constants pass: 68 iso_stack calls over 368 gammas and 122
+    # evaluations inside _bracketed_root (seeds 2 and 3: 68/368/123 and 68/368/125)
+    counts = {"calls": 0, "gammas": 0, "root_evals": 0}
+    stack, root = cn.iso_stack, cn._bracketed_root
+
+    def counted_stack(gammas, *args):
+        counts["calls"] += 1
+        counts["gammas"] += len(gammas)
+        return stack(gammas, *args)
+
+    def counted_root(*args, **kwargs):
+        result = root(*args, **kwargs)
+        counts["root_evals"] += result.iterations  # its own evaluations of fn
+        return result
+
+    monkeypatch.setattr(cn, "iso_stack", counted_stack)
+    monkeypatch.setattr(cn, "_bracketed_root", counted_root)
+    _run_first_pass(monkeypatch, "constants", 1)
+    assert counts["calls"] <= 70 and counts["gammas"] <= 380 and counts["root_evals"] <= 130
 
 
 def _mp_tail_section(u, x, xi):
@@ -1024,11 +1051,9 @@ def test_finite_difference_sections_match_mpmath(s):
 
 def test_psi_orthogonal_rows_match_mpmath():
     # far out, psi's rows orthogonal to x stay outside its cap, where its
-    # parts are D_N of power tails; the finite differences for d2 there are
-    # rounding at the finest step (the C^2 window is capped at 1 while psi
-    # varies on the scale |x|), so their rounding belongs in the bar: without
-    # it these rows missed 30-digit mpmath by up to 9.4x their bars, and with
-    # differences extrapolated once by up to 17x
+    # parts are D_N of power tails and d2 is their closed form
+    # (``PsiField.d2_along``); the C^2 window is capped at 1 while psi varies
+    # on the scale |x|, and every row must meet 30-digit mpmath within its bar
     k, s = 2, 0.97
     psi = pr.make_psi("growth", k, s)
     tails = [(mpmath.mpf(c), mpmath.mpf(e)) for c, e in (p.base.g._tail(1) for p in psi.parts)]

@@ -361,6 +361,10 @@ def test_transform_passes():
     r = vf.verify_transform(0.5, -3.0, -5.0)
     assert r.verdict == "pass"
     assert r.params["beta"] == pytest.approx(2.0 / 3.0)
+    # the scalar bound is the concavity of x^beta at the suite's own beta, not sampled
+    scalar = r.residuals[0]
+    assert (scalar.claim, scalar.residual, scalar.error) == (
+        "scalar_inequality_concavity", r.params["beta"] - 1.0, 0.0)
 
 
 @pytest.mark.parametrize("name,call,rows", [
