@@ -1,9 +1,10 @@
 """Command-line surface: constants, roots, exponent table, verification, sweeps.
 
 Every command, and every ``verify`` construction, has its own parser, which
-takes exactly the flags that command reads.  Exit codes: 0 success/pass,
-1 verification fail, 2 usage/domain error, parse errors included, each one
-``error:`` line, 3 inconclusive verification.  The verify suites that run a
+takes exactly the flags that command reads; ``roots`` and ``sweep`` refuse
+the flags their ``--which`` or ``--targets`` does not read.  Exit codes: 0
+success/pass, 1 verification fail, 2 usage/domain error, parse errors
+included, each one ``error:`` line, 3 inconclusive verification.  The verify suites that run a
 quadrature (all but ``psi``) take their tolerance from ``--abs-tol`` and
 ``--rel-tol``, then the ``FRACTRUNC_ABS_TOL`` and ``FRACTRUNC_REL_TOL``
 environment variables, then a ``--config`` file of ``key = value`` lines,
@@ -238,18 +239,24 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _refuse(args: argparse.Namespace, flag: str, reader: str) -> None:
+    """A parse error, exit 2, when ``--flag`` was given but ``reader`` does not read it."""
+    if getattr(args, flag) is not None:
+        raise ValueError(f"fractrunc {args.command}: argument --{flag}: not read by {reader}")
+
+
 def cmd_roots(args: argparse.Namespace) -> int:
     which = args.which
     if which == "gamma-bar":
-        result = cn.find_gamma_bar(args.k, args.s)
-    elif which == "gamma-tilde":
-        result = cn.find_gamma_tilde(args.N, args.s)
-    elif which == "gamma-plus":
-        result = cn.find_gamma_plus(args.N, args.s)
-    else:  # argparse choices prevent this
-        raise AssertionError(which)
-    doc: dict = {"schema": 1, "which": which,
-                 "params": {"N": args.N, "k": args.k, "s": args.s}}
+        _refuse(args, "N", f"--which {which}")
+        params = {"k": 1 if args.k is None else args.k, "s": args.s}
+        result = cn.find_gamma_bar(params["k"], args.s)
+    else:
+        _refuse(args, "k", f"--which {which}")
+        params = {"N": 3 if args.N is None else args.N, "s": args.s}
+        find = cn.find_gamma_tilde if which == "gamma-tilde" else cn.find_gamma_plus
+        result = find(params["N"], args.s)
+    doc: dict = {"schema": 1, "which": which, "params": params}
     if result is None:
         doc.update({"exists": False, "root": None,
                     "note": "no root in the admissible range"})
@@ -348,11 +355,19 @@ def _sweep_row(target: str, N: int, k: int, s: float,
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = args.s_min, args.s_max
+    # roots read N and k, bounds gamma and k
+    roots = args.targets == "roots"
+    _refuse(args, "gamma" if roots else "N", f"--targets {args.targets}")
+    N = 3 if args.N is None else args.N
+    gamma = 0.5 if args.gamma is None else args.gamma
     if args.steps < 1:
         raise cn.DomainError("steps must be >= 1")
     if not (0.0 < lo < hi < 1.0):
         raise cn.DomainError("sweep range must satisfy 0 < s_min < s_max < 1")
-    cn.ProblemParams(N=args.N, k=args.k, s=hi)  # validates N and k as constants does
+    if roots:
+        cn.ProblemParams(N=N, k=args.k, s=hi)  # validates N and k as constants does
+    elif args.k < 1:
+        raise cn.DomainError("k must be >= 1")
     grid = np.linspace(lo, hi, args.steps)
     targets = _SWEEP_TARGETS[args.targets]
     header = ["s"] + targets + ["status"]
@@ -363,7 +378,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         failed = []
         for t in targets:
             try:
-                val = _sweep_row(t, args.N, args.k, float(s), args.gamma)
+                val = _sweep_row(t, N, args.k, float(s), gamma)
             except (cn.DomainError, cn.NoRootError, cn.BracketFailure) as exc:
                 row.append("")  # record, keep sweeping; any other error is a bug
                 failed.append(f"{t}:{type(exc).__name__}")
@@ -375,7 +390,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(row)
     base = args.out_prefix
     write_atomic(base + ".csv", render_csv(header, rows))
-    svg = render_svg(f"{args.targets} vs s (N={args.N}, k={args.k})",
+    fixed = f"N={N}" if roots else f"gamma={gamma:g}"
+    svg = render_svg(f"{args.targets} vs s ({fixed}, k={args.k})",
                      "s", args.targets, series)
     write_atomic(base + ".svg", svg)
     sys.stdout.write(json.dumps({"schema": 1, "csv": base + ".csv",
@@ -441,8 +457,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="critical exponent roots")
     p.add_argument("--which", required=True,
                    choices=["gamma-bar", "gamma-tilde", "gamma-plus"])
-    p.add_argument("--N", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--N", type=int, help="dimension, read by gamma-tilde and gamma-plus "
+                   "(default 3)")
+    p.add_argument("--k", type=int, help="frame size, read by gamma-bar (default 1)")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_roots)
@@ -499,9 +516,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-min", type=float, default=0.1)
     p.add_argument("--s-max", type=float, default=0.9)
     p.add_argument("--steps", type=int, default=9)
-    p.add_argument("--N", type=int, default=3)
+    p.add_argument("--N", type=int, help="dimension, read by the roots (default 3)")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--gamma", type=float, help="exponent, read by the bounds (default 0.5)")
     p.add_argument("--targets", choices=["roots", "bounds"], default="roots")
     p.add_argument("--out-prefix", default="sweep")
     p.set_defaults(func=cmd_sweep)

@@ -12,14 +12,16 @@ exactly 0 at its poles puts their roots exactly where they vanish.
 ``c_iso`` is c_perp times a Gauss hypergeometric series, summed with a
 bound on its error (``_iso_series``), and ``c_n_plus`` is N*c_iso less
 one positive correction integral, a 3F2 series summed in 24 weighted
-terms (``_corr_series``).  ``iso_stack`` evaluates either at a whole stack
-of gamma; ``c_iso`` and ``c_n_plus`` are its stacks of one.  The alternate
-``c_s_mu`` sums two series of its first-derivative integral.  No quadrature
-here, and nothing here takes a tolerance.  The roots gamma_tilde and
-gamma_plus come from three such stacks, or a few more: a walk over a
-gamma grid, a Chebyshev proxy on the cell where the constant changes sign,
-and a closing sign test at the proxy's root +- 5e-11, which is the root's
-bracket when both signs lie beyond their error bars.
+terms (``_corr_series``).  ``_iso_arrays`` evaluates either at a whole
+stack of gamma, as two arrays, the values and their error bars; ``iso_stack``
+is its view as one ``QuadResult`` per gamma, and ``c_iso`` and ``c_n_plus``
+are its stacks of one.  The alternate ``c_s_mu`` sums two series of its
+first-derivative integral.  No quadrature here, and nothing here takes a
+tolerance.  The roots gamma_tilde and gamma_plus come from three such
+stacks, or a few more, each read straight from the two arrays: a walk over
+a gamma grid, a Chebyshev proxy on the cell where the constant changes
+sign, and a closing sign test at the proxy's root +- 5e-11, which is the
+root's bracket when both signs lie beyond their error bars.
 """
 
 from __future__ import annotations
@@ -236,6 +238,12 @@ def hat_c_gro(gam: float, s: float) -> float:
 _EPS = float(np.finfo(float).eps)
 _PERP_REL = 32.0 * _EPS
 
+# _iso_series' first block of 64 terms: its n - 1, the (n - 1/2) n of its
+# ratios' denominators, and the bound's weights 3n + 4.5 of u_2 .. u_64
+_ISO_M = np.arange(64.0)
+_ISO_DEN = (_ISO_M + 0.5) * (_ISO_M + 1.0)
+_ISO_WEIGHTS = 3.0 * np.arange(2.0, 65.0) + 4.5
+
 
 def _iso_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """G = 2F1(g/2+s, -s; 1/2; 1/N) at every g of ``gam``, and a bound on its error.
@@ -249,36 +257,41 @@ def _iso_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarr
     the sum's, the difference's and each u_n's, at most 6n + 8 (five per ratio, one per
     product and one per block).
     """
-    a = gam[:, None] / 2.0 + s
-    blocks, running, start, width = [], 0.0, 1, 64
+    half = gam / 2.0
+    a = half[:, None] + s
+    blocks = [((a + _ISO_M) * np.abs(_ISO_M - s) / (_ISO_DEN * N)).cumprod(axis=1)]
+    running, start, width = blocks[0].sum(axis=1), 65, 128
     while True:
-        m = np.arange(start - 1.0, start - 1.0 + width)  # n - 1
-        block = np.cumprod((a + m) * np.abs(m - s) / ((m + 0.5) * (m + 1.0) * N), axis=1)
-        blocks.append(block * blocks[-1][:, -1:] if blocks else block)
-        running = running + blocks[-1].sum(axis=1)
-        start, width = start + width, 2 * width
         rho = max(1.0, (a.max() + start - 1.0) / start) / N
         rest = blocks[-1][:, -1] * (rho / (1.0 - rho)) if rho < 1.0 else np.inf
-        if np.all(rest <= 0.25 * _EPS * np.maximum(running, 1.0)):
+        if (rest <= 0.25 * _EPS * np.maximum(running, 1.0)).all():
             break
-    later = np.concatenate(blocks, axis=1)[:, 1:]  # u_2 .. u_K
+        m = np.arange(start - 1.0, start - 1.0 + width)  # n - 1
+        block = ((a + m) * np.abs(m - s) / ((m + 0.5) * (m + 1.0) * N)).cumprod(axis=1)
+        blocks.append(block * blocks[-1][:, -1:])
+        running = running + blocks[-1].sum(axis=1)
+        start, width = start + width, 2 * width
+    if len(blocks) == 1:
+        later, weights = blocks[0][:, 1:], _ISO_WEIGHTS  # u_2 .. u_K
+    else:
+        later, weights = np.concatenate(blocks, axis=1)[:, 1:], 3.0 * np.arange(2.0, start) + 4.5
     # 1 - u_1 = (N - 2as)/N with g/2 + s = a_hi + a_lo and a_hi*s = prod + prod_lo held
     # exactly (Knuth's TwoSum; Dekker's TwoProduct, Veltkamp's split at 2^27 + 1)
-    half, a_hi = gam / 2.0, a[:, 0]
-    a_lo = (half - (a_hi - (a_hi - half))) + (s - (a_hi - half))
+    a_hi = a[:, 0]
+    a_part = a_hi - half
+    a_lo = (half - (a_hi - a_part)) + (s - a_part)
     prod, big, s_big = a_hi * s, 134217729.0 * a_hi, 134217729.0 * s
     a_top, s_top = big - (big - a_hi), s_big - (s_big - s)
-    prod_lo = (((a_top * s_top - prod) + a_top * (s - s_top) + (a_hi - a_top) * s_top)
-               + (a_hi - a_top) * (s - s_top))
+    a_tail, s_tail = a_hi - a_top, s - s_top
+    prod_lo = ((a_top * s_top - prod) + a_top * s_tail + a_tail * s_top) + a_tail * s_tail
     first = ((N - 2.0 * prod) - 2.0 * (prod_lo + a_lo * s)) / N
     series = first - np.array([math.fsum(row) for row in later.tolist()])
-    rounding = (later @ (3.0 * np.arange(2.0, start) + 4.5) + 2.0 * np.abs(first)
-                + 0.5 * np.abs(series) + _EPS * prod)
+    rounding = later @ weights + 2.0 * np.abs(first) + 0.5 * np.abs(series) + _EPS * prod
     return series, rest + _EPS * rounding
 
 
 def _peak_gamma(N: int) -> float:
-    """The largest gamma that ``iso_stack`` takes in dimension N, about 1381 N.
+    """The largest gamma that ``_iso_arrays`` takes in dimension N, about 1381 N.
 
     The kernel peaks at (1-1/N)^{-g/2}, at t = 1/sqrt(N), and the series' terms
     and c_iso grow with it; past 1e300 they leave the float range.
@@ -316,6 +329,12 @@ _CRVZ_NUMERATORS, _CRVZ_DENOMINATOR = _crvz_weights(_CRVZ_TERMS)
 _CRVZ_WEIGHTS = np.array([c / _CRVZ_DENOMINATOR for c in _CRVZ_NUMERATORS])
 _CRVZ_REST = 2.0 / (3.0 + math.sqrt(8.0)) ** _CRVZ_TERMS
 _TINY = math.ulp(0.0)  # the absolute rounding of a result in the subnormal range
+# _corr_series' j-only vectors: the j and j + 1/2 of its ratios, and its bound's |w_j| and
+# 13j + 25 of each term
+_CRVZ_J = np.arange(_CRVZ_TERMS - 1.0)
+_CRVZ_J_HALF = _CRVZ_J + 0.5
+_CRVZ_ABS_WEIGHTS = np.abs(_CRVZ_WEIGHTS)
+_CRVZ_ROUNDINGS = 13.0 * np.arange(_CRVZ_TERMS) + 25.0
 
 
 def _corr_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -334,62 +353,74 @@ def _corr_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndar
     eps in its product with S; and 4 subnormal units where the prefactor underflows.
     """
     half = gam[:, None] / 2.0
-    j = np.arange(_CRVZ_TERMS - 1.0)
-    ratios = (half + j) * (j + 0.5) * (1.0 / (N - 1.0)) / ((half + s + 1.0 + j)
-                                                         * (half + s + 0.5 + j))
-    terms = np.hstack((np.ones_like(half), np.cumprod(ratios, axis=1)))
+    half_s = half + s
+    terms = np.empty((gam.size, _CRVZ_TERMS))
+    terms[:, 0] = 1.0
+    ((half + _CRVZ_J) * _CRVZ_J_HALF * (1.0 / (N - 1.0))
+     / ((half_s + 1.0 + _CRVZ_J) * (half_s + 0.5 + _CRVZ_J))).cumprod(axis=1, out=terms[:, 1:])
     total = terms @ _CRVZ_WEIGHTS
-    rounding = (terms * np.abs(_CRVZ_WEIGHTS)) @ (13.0 * np.arange(_CRVZ_TERMS) + 25.0)
-    prefactor = np.array([N ** -s * (N - 1.0) ** -(g / 2.0) / (g + 2.0 * s) for g in gam.tolist()])
+    rounding = (terms * _CRVZ_ABS_WEIGHTS) @ _CRVZ_ROUNDINGS
+    n_s, two_s = N ** -s, 2.0 * s
+    prefactor = np.array([n_s * (N - 1.0) ** -(g / 2.0) / (g + two_s) for g in gam.tolist()])
     corr = prefactor * total
     return corr, (prefactor * (_CRVZ_REST * total + _EPS * rounding)
                   + 8.0 * _EPS * corr + 4.0 * _TINY)
 
 
-def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> list[QuadResult]:
-    """c_iso, or c_N^+ if ``n_plus``, at every gamma of a stack, with no quadrature.
+def _iso_arrays(gammas: Sequence[float], s: float, N: int,
+                n_plus: bool) -> tuple[np.ndarray, np.ndarray]:
+    """c_iso, or c_N^+ if ``n_plus``, at every gamma of a stack, and a bound on each one's
+    error: two arrays, with no quadrature.
 
     c_iso, the integral over (0, inf) of (plus + minus - 2) / t^{1+2s} with plus, minus =
     (1+t^2 +- 2t/sqrt(N))^{-g/2}, is the 1-D fractional Laplacian of ((t-a)^2 + b^2)^{-g/2}
     at 0 (a = 1/sqrt(N), b^2 = 1 - a^2), whose Fourier transform is a Bessel K; Gradshteyn &
     Ryzhik 6.699.12 and Pfaff's transformation (DLMF 15.8.1) give c_iso = c_perp(g) G, G from
-    :func:`_iso_series`.  Its ``QuadResult`` has no evaluations and bounds the series' error
-    and c_perp's rounding.  c_N^+ = N c_iso - corr, corr the integral of minus / t^{1+2s}
-    over (sqrt(N), inf), a 3F2 series from :func:`_corr_series`.
+    :func:`_iso_series`.  Its bound covers the series' error and c_perp's rounding.  c_N^+ =
+    N c_iso - corr, corr the integral of minus / t^{1+2s} over (sqrt(N), inf), a 3F2 series
+    from :func:`_corr_series`, and its bound is N times c_iso's plus corr's.
     """
     if N < 2:
         raise DomainError("N must be >= 2")
-    for gam in gammas:
-        _check_positive(gam, s)
-        if gam > _peak_gamma(N):
-            raise DomainError(f"gamma = {gam} is too large: the kernel's peak "
-                              "(1-1/N)^(-gamma/2) exceeds 1e300")
     gam = np.array(gammas, float)
-    perp = np.array([_perp_kernel(g, s) for g in gammas])
+    glist, peak = gam.tolist(), _peak_gamma(N)
+    if not all(0.0 < g <= peak for g in glist):  # false for NaN too
+        for g in gammas:  # the first gamma refused, named as it was given
+            _check_positive(g, s)
+            if g > peak:
+                raise DomainError(f"gamma = {g} is too large: the kernel's peak "
+                                  "(1-1/N)^(-gamma/2) exceeds 1e300")
+    _check_s(s)
+    perp = np.array([_perp_kernel(g, s) for g in glist])
     series, bound = _iso_series(gam, s, N)
     value = perp * series
-    results = [QuadResult(v, e, 0) for v, e in zip(
-        value.tolist(), (np.abs(perp) * bound + np.abs(value) * (_PERP_REL + _EPS)).tolist())]
+    bar = np.abs(perp) * bound + np.abs(value) * (_PERP_REL + _EPS)
     if not n_plus:
-        return results
+        return value, bar
     corr, corr_bar = _corr_series(gam, s, N)
-    return [r.scale(N) + QuadResult(-c, e, 0) for r, c, e in zip(
-        results, corr.tolist(), corr_bar.tolist())]
+    return value * N - corr, bar * N + corr_bar
+
+
+def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> list[QuadResult]:
+    """c_iso, or c_N^+ if ``n_plus``, at every gamma of a stack, with no quadrature: one
+    ``QuadResult`` per gamma, with no evaluations, from :func:`_iso_arrays`' values and bars."""
+    values, bars = _iso_arrays(gammas, s, N, n_plus)
+    return [QuadResult(v, e, 0) for v, e in zip(values.tolist(), bars.tolist())]
 
 
 def c_iso(gam: float, s: float, N: int) -> float:
     """Isotropic half-space kernel constant.
 
     integral_0^inf ((1+t^2+2t/sqrt(N))^{-g/2} + (1+t^2-2t/sqrt(N))^{-g/2} - 2)
-    / t^{1+2s} dt, a series: the stack of one of :func:`iso_stack`.
+    / t^{1+2s} dt, a series: the stack of one of :func:`_iso_arrays`.
     """
-    return iso_stack([gam], s, N, False)[0].value
+    return float(_iso_arrays([gam], s, N, False)[0][0])
 
 
 def c_n_plus(gam: float, s: float, N: int) -> float:
     """N*c_iso(gamma) minus the integral of (1+t^2-2t/sqrt(N))^{-gamma/2} / t^{1+2s}
-    over (sqrt(N), inf): the stack of one of :func:`iso_stack`."""
-    return iso_stack([gam], s, N, True)[0].value
+    over (sqrt(N), inf): the stack of one of :func:`_iso_arrays`."""
+    return float(_iso_arrays([gam], s, N, True)[0][0])
 
 
 _K = np.arange(64.0)  # the terms k of the alternate c_s_mu's two series
@@ -536,12 +567,12 @@ def _proxy_root(x: np.ndarray, fx: np.ndarray, j: int) -> float:
     return float(a - fa * (b - a) / (fb - fa))
 
 
-def _root_passes(evaluate: Callable[[list[float]], Sequence[QuadResult]],
+def _root_passes(evaluate: Callable[[Sequence[float]], tuple[np.ndarray, np.ndarray]],
                  f0: float, top: float) -> RootResult:
     """The first root in (0, ``top``] of a constant c with c(0) = ``f0`` and c < 0 just above 0.
 
-    ``evaluate(gammas)``, a pass, returns a ``QuadResult`` (c and its error
-    bar) per gamma up to ``top``.
+    ``evaluate(gammas)``, a pass, returns two arrays: c and its error bar at
+    every gamma up to ``top``.
     1. Walk: c at 2, 4, ..., 32, then at 64, ..., 1024, and so on, five
        doublings a pass, while c is positive at none of them and the
        doublings stay within ``top``, with 0 as the lowest point: the first
@@ -560,8 +591,8 @@ def _root_passes(evaluate: Callable[[list[float]], Sequence[QuadResult]],
        values lie beyond their bars, and ``BracketFailure`` otherwise.
     ``residual`` is c(r) and ``iterations`` counts the passes.
     """
-    def read(gammas: list[float]) -> np.ndarray:  # rows (c, its bar)
-        return np.array([(r.value, r.abs_error_estimate) for r in evaluate(gammas)])
+    def read(gammas: Sequence[float]) -> np.ndarray:  # rows (c, its bar)
+        return np.array(evaluate(gammas)).T
 
     def beyond(rows: np.ndarray) -> bool:
         return bool(np.all(np.abs(rows[:, 0]) > rows[:, 1]))
@@ -586,11 +617,11 @@ def _root_passes(evaluate: Callable[[list[float]], Sequence[QuadResult]],
     while passes < _PASS_LIMIT:
         x = lo + (hi - lo) * (_LOBATTO + 1.0) / 2.0
         x[0], x[-1] = lo, hi
-        fx = np.vstack((low, read(x[1:-1].tolist()), high))
+        fx = np.vstack((low, read(x[1:-1]), high))
         j = int(np.flatnonzero(fx[:, 0] > 0.0)[0])
         r = _proxy_root(x, fx[:, 0], j)
         probe = np.array([r - 0.5 * _XTOL, r, r + 0.5 * _XTOL])
-        fp = read(probe.tolist())
+        fp = read(probe)
         passes += 2
         if (fp[0, 0] > 0.0) != (fp[2, 0] > 0.0) and beyond(fp[::2]):
             return RootResult(r, float(fp[1, 0]), (float(probe[0]), float(probe[2])), passes)
@@ -614,11 +645,11 @@ def find_gamma_tilde(N: int, s: float) -> RootResult:
     """Unique positive root of c_iso, from stacked passes (:func:`_root_passes`).
 
     c_iso(0) = 0, and c_iso < 0 just above 0.  Every pass is one series
-    :func:`iso_stack` call, with no quadrature.
+    :func:`_iso_arrays` call, with no quadrature.
     """
     if N < 2:
         raise DomainError("N must be >= 2")
-    return _root_passes(lambda gammas: iso_stack(gammas, s, N, False), 0.0, _peak_gamma(N))
+    return _root_passes(lambda gammas: _iso_arrays(gammas, s, N, False), 0.0, _peak_gamma(N))
 
 
 def find_gamma_plus(N: int, s: float) -> RootResult:
@@ -626,18 +657,19 @@ def find_gamma_plus(N: int, s: float) -> RootResult:
 
     c_N^+ = N c_iso - corr with corr > 0, so c_N^+ < 0 on (0, gamma_tilde]
     where c_iso <= 0; c_N^+(0) = -N^{-s}/(2s) in closed form.  The root is
-    found by :func:`_root_passes` on c_n_plus alone, each pass a series with
-    no quadrature.  That it exceeds gamma_tilde, c_iso's unique positive root,
-    is then one series call: c_iso(r + _XTOL) > 0 beyond its bar (at the
-    root itself c_iso can read as rounding of either sign).
+    found by :func:`_root_passes` on c_n_plus alone, each pass one series
+    :func:`_iso_arrays` call with no quadrature.  That it exceeds gamma_tilde,
+    c_iso's unique positive root, is then one more: c_iso(r + _XTOL) > 0
+    beyond its bar (at the root itself c_iso can read as rounding of either
+    sign).
     """
     _check_s(s)
     if N < 2:
         raise DomainError("N must be >= 2")
-    result = _root_passes(lambda gammas: iso_stack(gammas, s, N, True), -N ** -s / (2.0 * s),
+    result = _root_passes(lambda gammas: _iso_arrays(gammas, s, N, True), -N ** -s / (2.0 * s),
                           _peak_gamma(N))
-    above = iso_stack([result.root + _XTOL], s, N, False)[0]
-    if not above.value - above.abs_error_estimate > 0.0:
+    above, bar = _iso_arrays([result.root + _XTOL], s, N, False)
+    if not above[0] - bar[0] > 0.0:
         raise BracketFailure("gamma_plus did not exceed gamma_tilde beyond c_iso's bar")
     return result
 

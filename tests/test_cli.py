@@ -45,7 +45,8 @@ def test_roots_noroot_is_answer(capsys):
     code, out, _ = run(capsys, ["roots", "--which", "gamma-bar",
                                 "--k", "1", "--s", "0.75"])
     assert code == 0
-    assert json.loads(out)["exists"] is False
+    doc = json.loads(out)
+    assert doc["exists"] is False and doc["params"] == {"k": 1, "s": 0.75}
 
 
 def test_roots_gamma_tilde_above_one(capsys):
@@ -53,6 +54,7 @@ def test_roots_gamma_tilde_above_one(capsys):
                                 "--N", "3", "--s", "0.9"])
     doc = json.loads(out)
     assert code == 0 and doc["root"] > 1.0 and abs(doc["residual"]) <= 1e-9
+    assert doc["params"] == {"N": 3, "s": 0.9}  # the flags it read, and no k
 
 
 @pytest.mark.parametrize("which,N,s", [("gamma-plus", 3, 0.5), ("gamma-tilde", 20, 0.02),
@@ -193,11 +195,14 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     # a bump narrower than the quadrature's breakpoint resolution read as ~0
     (["verify", "bump-train", "--s", "0.5", "--p", "1.5", "--eps", "1e-20"],
      "eps must lie in [1e-06, 1/2)"),
-    # sweep checks N and k as constants does, before it writes a row
+    # sweep checks N and k as constants does, before it writes a row; the
+    # bounds read no N, so their k need only be >= 1
+    (["sweep", "--targets", "roots", "--k", "0", "--out-prefix", "DIR/sw"],
+     "k must lie in 1..N"),
+    (["sweep", "--targets", "roots", "--k", "5", "--N", "3", "--out-prefix", "DIR/sw"],
+     "k must lie in 1..N"),
     (["sweep", "--targets", "bounds", "--k", "0", "--out-prefix", "DIR/sw"],
-     "k must lie in 1..N"),
-    (["sweep", "--targets", "bounds", "--k", "5", "--N", "3", "--out-prefix", "DIR/sw"],
-     "k must lie in 1..N"),
+     "k must be >= 1"),
     (["sweep", "--targets", "roots", "--N", "1", "--out-prefix", "DIR/sw"], "N must be >= 2"),
     # no s to sweep: not an empty CSV and SVG
     (["sweep", "--steps", "0", "--out-prefix", "DIR/sw"], "steps must be >= 1"),
@@ -208,7 +213,8 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "avoidance-r-huge",
         "avoidance-y-huge", "t49-2-N-ceiling", "t49-2-gamma-nan",
         "t49-2-gamma-inf", "t49-2-gamma-overflow", "transform-q1", "bump-train-p-inf",
-        "bump-train-p-nan", "bump-train-eps-tiny", "sweep-k0", "sweep-k-above-N", "sweep-N1",
+        "bump-train-p-nan", "bump-train-eps-tiny", "sweep-k0", "sweep-k-above-N",
+        "sweep-bounds-k0", "sweep-N1",
         "sweep-steps0", "sweep-steps-negative"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, message):
     # DIR stands for an existing directory: given where a file belongs, or as
@@ -404,6 +410,12 @@ def test_bad_tolerance_spares_commands_without_quadrature(capsys, monkeypatch):
     ["table", "--N", "2", "--s", "0.5", "--config", "F"],
     ["roots", "--which", "gamma-bar", "--s", "0.3", "--rel-tol", "1e-3"],
     ["sweep", "--steps", "1", "--abs-tol", "1e-3"],
+    # a target given a flag it does not read
+    ["roots", "--which", "gamma-tilde", "--N", "3", "--k", "7", "--s", "0.5"],
+    ["roots", "--which", "gamma-plus", "--N", "3", "--k", "2", "--s", "0.5"],
+    ["roots", "--which", "gamma-bar", "--N", "999", "--k", "2", "--s", "0.3"],
+    ["sweep", "--targets", "roots", "--gamma", "0.3", "--steps", "1", "--out-prefix", "DIR/sw"],
+    ["sweep", "--targets", "bounds", "--N", "3", "--steps", "1", "--out-prefix", "DIR/sw"],
     ["--seed", "3", "table", "--N", "2", "--s", "0.5"],
     ["table", "--seed", "3", "--N", "2", "--s", "0.5"],
     ["--abs-tol", "1e-3", "verify", "power-identity", "--s", "0.5", "--mu", "0.3"],
@@ -413,10 +425,12 @@ def test_bad_tolerance_spares_commands_without_quadrature(capsys, monkeypatch):
     ["verify"],
     [],
 ])
-def test_parse_errors_exit_2_in_one_line(capsys, argv):
-    code, out, err = run(capsys, argv)
+def test_parse_errors_exit_2_in_one_line(capsys, tmp_path, argv):
+    # DIR stands for an existing directory, where nothing may be written
+    code, out, err = run(capsys, [a.replace("DIR", str(tmp_path)) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [[], ["constants"], ["roots"], ["table"], ["sweep"], ["verify"]]

@@ -523,8 +523,9 @@ def test_walk_ends_at_the_peak_guard():
 
 
 def _stub_pass(values, bar=0.0):
-    """A pass of a stub constant: one ``QuadResult`` per value, each with the error bar ``bar``."""
-    return [quad.QuadResult(float(v), bar, 0) for v in values]
+    """A pass of a stub constant: its values, and the error bar ``bar`` at each."""
+    values = np.asarray(values, float)
+    return values, np.full(values.shape, bar)
 
 
 def test_root_passes_shrink_where_the_proxy_is_poor():
@@ -535,7 +536,7 @@ def test_root_passes_shrink_where_the_proxy_is_poor():
     r = cn._root_passes(steep, -1.0, 1024.0)
     lo, hi = r.bracket
     assert lo < r.root < hi and hi - lo <= 1e-10 + 8.9e-16 * r.root
-    assert steep([lo])[0].value < 0.0 < steep([hi])[0].value
+    assert steep([lo])[0][0] < 0.0 < steep([hi])[0][0]
     assert 3 < r.iterations < cn._PASS_LIMIT
     with pytest.raises(cn.BracketFailure):
         cn._root_passes(lambda gammas: _stub_pass(-np.ones(len(gammas))), -1.0, 1024.0)
@@ -553,18 +554,31 @@ def test_root_passes_read_signs_beyond_their_bars(monkeypatch):
     with pytest.raises(cn.BracketFailure, match="bars"):
         cn._root_passes(line(1e-3), -1.0, 1024.0)
     # gamma_plus's check that c_iso(r + 1e-10) > 0 reads beyond c_iso's bar too
-    real = cn.iso_stack
+    real = cn._iso_arrays
 
     def wide_iso_bars(gammas, s, N, n_plus):
-        results = real(gammas, s, N, n_plus)
-        return results if n_plus else [quad.QuadResult(r.value, abs(r.value) + 1.0, 0)
-                                       for r in results]
+        values, bars = real(gammas, s, N, n_plus)
+        return (values, bars) if n_plus else (values, np.abs(values) + 1.0)
 
-    monkeypatch.setattr(cn, "iso_stack", wide_iso_bars)
+    monkeypatch.setattr(cn, "_iso_arrays", wide_iso_bars)
     with pytest.raises(cn.BracketFailure, match="c_iso's bar"):
         cn.find_gamma_plus(3, 0.5)
     with pytest.raises(cn.BracketFailure, match="bars"):
         cn.find_gamma_tilde(3, 0.5)
+
+
+@pytest.mark.parametrize("n_plus", [False, True], ids=["c_iso", "c_n_plus"])
+@pytest.mark.parametrize("gammas,s,N", [([0.5, 2.0, 30.0], 0.5, 3),
+                                        ([262.41047680416006], 0.3356145841839309, 2)],
+                         ids=["one-block", "three-blocks"])
+def test_iso_stack_is_the_array_function_bit_for_bit(gammas, s, N, n_plus):
+    # iso_stack is the QuadResult view of _iso_arrays; at gamma ~ 262, N = 2 the
+    # series takes three blocks (64, 128 and 256 terms), below 30 one
+    values, bars = cn._iso_arrays(gammas, s, N, n_plus)
+    results = cn.iso_stack(gammas, s, N, n_plus)
+    assert np.array([r.value for r in results]).tobytes() == values.tobytes()
+    assert np.array([r.abs_error_estimate for r in results]).tobytes() == bars.tobytes()
+    assert all(r.n_evals == 0 for r in results)
 
 
 def test_stacked_members_are_their_one_gamma_calls():

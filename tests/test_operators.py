@@ -943,10 +943,11 @@ def test_frame_search_pass_counts_stay_under_ceilings(monkeypatch):
 
 
 def test_constants_pass_counts_stay_under_ceilings(monkeypatch):
-    # seed 1's first constants pass: 68 iso_stack calls over 368 gammas and 122
-    # evaluations inside _bracketed_root (seeds 2 and 3: 68/368/123 and 68/368/125)
+    # seed 1's first constants pass: 68 _iso_arrays calls (every c_iso and c_N^+
+    # pass, iso_stack's too) over 368 gammas and 122 evaluations inside
+    # _bracketed_root (seeds 2 and 3: 68/368/123 and 68/368/125)
     counts = {"calls": 0, "gammas": 0, "root_evals": 0}
-    stack, root = cn.iso_stack, cn._bracketed_root
+    stack, root = cn._iso_arrays, cn._bracketed_root
 
     def counted_stack(gammas, *args):
         counts["calls"] += 1
@@ -958,7 +959,7 @@ def test_constants_pass_counts_stay_under_ceilings(monkeypatch):
         counts["root_evals"] += result.iterations  # its own evaluations of fn
         return result
 
-    monkeypatch.setattr(cn, "iso_stack", counted_stack)
+    monkeypatch.setattr(cn, "_iso_arrays", counted_stack)
     monkeypatch.setattr(cn, "_bracketed_root", counted_root)
     _run_first_pass(monkeypatch, "constants", 1)
     assert counts["calls"] <= 70 and counts["gammas"] <= 380 and counts["root_evals"] <= 130
