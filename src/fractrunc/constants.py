@@ -391,6 +391,8 @@ def _iso_arrays(gammas: Sequence[float], s: float, N: int,
                 raise DomainError(f"gamma = {g} is too large: the kernel's peak "
                                   "(1-1/N)^(-gamma/2) exceeds 1e300")
     _check_s(s)
+    if not glist:
+        return np.empty(0), np.empty(0)
     perp = np.array([_perp_kernel(g, s) for g in glist])
     series, bound = _iso_series(gam, s, N)
     value = perp * series

@@ -16,9 +16,11 @@ all the rotation angles at once.
 The unit of work is a stack of *rows*, line sections of one field that it
 sees through four projections each (``profiles.Rows``).  ``row_sums`` is the
 one way in: it takes a ``(P, k)`` stack, the k sections of each of P points,
-hands all of them to one engine, ``_integrate_fan``, which integrates them
-with ``quad.integrate_batch``, each round of subdivision in one field call,
-and sums each point's sections.  ``_fan_rows`` turns vectors into rows (a
+hands all of them to one engine, ``_integrate_fan``, and sums each point's
+sections.  The engine takes every section's near piece, where the kernel is
+singular, by a fixed Gauss-Jacobi rule on its Taylor remainder
+(``_jacobi_rule``), and the rest in one ``quad.integrate_batch`` call, each
+round of subdivision in one field call.  ``_fan_rows`` turns vectors into rows (a
 frame's at a point, the search's frames, ``directional``'s one row);
 ``householder_rows`` and ``_radial_rows`` build the rows of the Householder
 frame and of the radial plane from their projections in O(N).
@@ -26,6 +28,7 @@ frame and of the radial plane from their projections in O(N).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,6 +57,10 @@ _EPS = np.finfo(float).eps
 _LOG8 = math.log(8.0)
 # finite-difference nodes 0, +-h, +-h/2, +-h/4 with h = window/8, in units of the C^2 window
 _FD_NODES = np.array([0.0, 0.125, -0.125, 0.0625, -0.0625, 0.03125, -0.03125])
+# the near piece's two Gauss-Jacobi rules, value and check, and how many
+# times a row may cut its near piece to a quarter before its bar stands
+_NEAR_NODES, _CHECK_NODES = 10, 6
+_NEAR_SHRINKS = 6
 
 
 class GrowthViolation(ValueError):
@@ -111,6 +118,25 @@ def _fan_rows(x: np.ndarray, directions: np.ndarray) -> pr.Rows:
     return pr.Rows.through(x, dirs / np.where(np.abs(nrm - 1.0) > 1e-12, nrm, 1.0))
 
 
+@functools.lru_cache(maxsize=256)
+def _jacobi_rule(n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss rule for the weight u^{1-s} on (0, 1), after Golub
+    and Welsch (Math. Comp. 23, 1969): its nodes are the eigenvalues of the
+    Jacobi matrix of the weight's monic orthogonal polynomials (Jacobi's
+    with alpha = 0 and beta = 1 - s, moved to (0, 1)), its weights the
+    squares of the eigenvectors' first components times the weight's mass
+    1/(2 - s).  Cached per (n, s), so the arrays are read-only."""
+    b = 1.0 - s
+    k = np.arange(n, dtype=float)
+    c = 2.0 * k + b
+    diag = 0.5 + 0.5 * b * b / (c * (c + 2.0))
+    off = k[1:] * (k[1:] + b) / (c[1:] * np.sqrt(c[1:] * c[1:] - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0] ** 2 / (2.0 - s)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The directional operator of a field along each of ``rows``, a flat
@@ -119,22 +145,18 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
     Row i is the line section x[i] + t*xi[i], seen through its four
     projections (``profiles.Rows``); ``abs_tol`` and ``rel_tol`` are each
     one tolerance, or one per row.  Every field evaluation is ``u.line`` on
-    the open rows' four arrays, which broadcast against the nodes ``t``, so
-    one call serves nodes of many sections.  Each integral splits at
-    top = min(window/2, 1) into (i) a Taylor ladder on ``(0, top)``: the analytic
-    piece of the section's second derivative on ``(0, delta)`` and
-    quadratures of rungs ``(delta/2, delta)`` above it, judged on Richardson
-    estimates that cancel the remainder's delta^{4-2s} term, (ii) panels
-    between breakpoint radii, out to 2b + 1 for the largest radius b (or to
-    1 or 2*top, if larger), (iii) a log-substituted far panel from there,
-    which then starts clear of the kink at b instead of bisecting next to
-    it, and (iv) an analytic tail remainder from the growth bound.  Every
-    section's first five rungs and its pieces of (ii) and (iii) go into one
-    ``integrate_batch`` call; the rungs of all sections are one matrix,
-    judged whole after every call, and each ladder still open gets its next
-    four rungs in the next call.  The pieces of (ii) and (iii) start as two
-    equal panels, since nearly all would be cut in their first round anyway;
-    a rung starts as one panel, on which nearly every rung closes.
+    the rows' four arrays, which broadcast against the nodes ``t``, so one
+    call serves nodes of many sections.  Each integral splits into (i) a
+    near piece on ``(0, h)``, h = top = min(window/2, 1) or a quarter of it
+    or less: the analytic piece of the section's second derivative, and a
+    fixed Gauss-Jacobi rule on the Taylor remainder, (ii) panels between h,
+    the breakpoint radii beyond top and the core's end 2b + 1 for the
+    largest radius b (or 1 or 2*top, if larger), (iii) a log-substituted far
+    panel from there, which then starts clear of the kink at b instead of
+    bisecting next to it, and (iv) an analytic tail remainder from the
+    growth bound.  The pieces of (ii) and (iii) of every section are one
+    ``integrate_batch`` call, the fan's only one; each starts as two equal
+    panels, since nearly all would be cut in their first round anyway.
 
     A field with ``far_part`` shows in ``line`` only the part of each
     section near its point; ``u.far_part`` of all rows adds the rest in
@@ -143,15 +165,15 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
     row's C^2 window is its point's C^2 radius capped at its nearest
     breakpoint; without ``d2_along`` the second derivatives of all rows come
     from one call of finite differences inside their windows, and their
-    error bound, weighted as the Taylor piece carries it, goes into the
-    bar, as is a heuristic floor for its pair's rounding (each value within
-    ~1 ulp of |u(x)|; no bound where u is ill conditioned in |x + t xi|^2).
+    error bound, weighted as the near piece carries it, goes into the bar,
+    as is a heuristic floor for its pair's rounding (each value within ~1
+    ulp of |u(x)|; no bound where u is ill conditioned in |x + t xi|^2).
     The rows' breakpoint radii are sorted and their repeats dropped here, for every field.
 
     The count of each row is the section's field evaluations: u(0),
-    two per kernel node (at t and -t), the growth probes and the finite
-    differences.  Field metadata (breakpoints, C^2 radius) and ``far_part``
-    are not counted.
+    two per node (at t and -t) of each pass of the near rules and of the
+    engine, the growth probes and the finite differences.  Field metadata
+    (breakpoints, C^2 radius) and ``far_part`` are not counted.
     """
     _check_s(s)
     growth_alpha = float(u.growth_alpha)
@@ -194,27 +216,65 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
         noise = 4.0 * _EPS * np.sum(np.abs(v[:, [0, 0, 5, 6]]), axis=1) / nodes[:, 5] ** 2
         d2_err = np.abs(once[:, 1] - once[:, 0]) / 15.0 + 64.0 / 45.0 * noise
         n_evals += _FD_NODES.size
-    p = 1.0 + 2.0 * s
-    expo = 2.0 - 2.0 * s
 
-    def count_evals(which: np.ndarray, n: np.ndarray) -> None:
-        # pair makes two section evals per kernel eval
-        n_evals[:] += 2 * np.bincount(which, n, m).astype(int)
+    # The near piece on (0, h).  With u = (t/h)^2 and G(u) = pair(h sqrt(u))/u,
+    # so G(0) = h^2 d2,
+    #   int_0^h pair(t) t^{-1-2s} dt
+    #     = h^{-2s}/2 [G(0)/(1-s) + int_0^1 (G(u) - G(0))/u u^{1-s} du],
+    # and the last integral takes the Gauss-Jacobi rules for the weight
+    # u^{1-s} with _NEAR_NODES and _CHECK_NODES nodes.  The value is the
+    # first sum; the bar adds the two sums' gap, the pair's rounding (4 eps
+    # |u(x)| a node, weighted by sum w_i/u_i^2) and d2's error times
+    # h^2 |1/(1-s) - sum w_i/u_i|: the head and the sum's G(0)/u terms cancel
+    # only up to the rule's defect on 1/u, so that is all of d2 the value keeps.
+    top = np.minimum(window / 2.0, 1.0)
+    fine_u, fine_w = _jacobi_rule(_NEAR_NODES, s)
+    check_u, check_w = _jacobi_rule(_CHECK_NODES, s)
+    rule_u = np.concatenate((fine_u, check_u))
+    head = 1.0 / (1.0 - s)
+    d2_weight = abs(head - np.sum(fine_w / fine_u))
+    rounding = 4.0 * _EPS * np.abs(u0) * np.sum(fine_w / (fine_u * fine_u))
+    h = top.copy()
+
+    def near(which: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the near piece of rows ``which`` at their h: value, bar and the bar's rounding term
+        hw = h[which]
+        g0 = hw * hw * d2[which]
+        g = (pair(hw[:, None] * np.sqrt(rule_u), which[:, None]) / rule_u - g0[:, None]) / rule_u
+        n_evals[which] += 2 * rule_u.size
+        fine = np.sum(g[:, :_NEAR_NODES] * fine_w, axis=1)
+        check = np.sum(g[:, _NEAR_NODES:] * check_w, axis=1)
+        half = hw ** (-2.0 * s) / 2.0
+        noise = half * rounding[which]
+        return (half * (g0 * head + fine),
+                half * (np.abs(fine - check) + d2_err[which] * hw * hw * d2_weight) + noise,
+                noise)
+
+    # A row whose bar exceeds its share, unless its rounding alone does, takes
+    # h/4 and the rules again, all such rows in one field call; its first core
+    # piece then starts at h.
+    near_val, near_err, near_noise = near(all_rows)
+    for _ in range(_NEAR_SHRINKS):
+        share = np.maximum(abs_tol / 4.0, rel_tol * np.abs(near_val))
+        redo = np.flatnonzero((near_err > share) & (near_noise <= share))
+        if not redo.size:
+            break
+        h[redo] /= 4.0
+        near_val[redo], near_err[redo], near_noise[redo] = near(redo)
 
     # pieces between breakpoint radii, each on a quintic smoothstep map of
     # (0, 1): algebraic kinks |t - endpoint|^kappa become C^2-or-better, so
     # the rule converges at full rate even for Hoelder-rough sections.  A
-    # row's cuts are top = min(window/2, 1), where its Taylor ladder ends,
-    # its breakpoint radii, sorted and without repeats (all lie beyond the
-    # window), and the core's end.
-    top = np.minimum(window / 2.0, 1.0)
+    # row's cuts are h, where its near piece ends, its breakpoint radii beyond
+    # top, sorted and without repeats (all lie beyond the window), and the
+    # core's end.
     above = np.sort(np.where(radii > top[:, None], radii, np.inf), axis=1)
     keep = np.isfinite(above)
     keep[:, 1:] &= above[:, 1:] != above[:, :-1]
     largest = np.max(above, axis=1, where=keep, initial=-np.inf)
     core_end = np.maximum(np.maximum(1.0, 2.0 * top), 2.0 * largest + 1.0)
     keep = np.column_stack((np.ones(m, bool), keep, np.ones(m, bool)))
-    flat = np.column_stack((top, above, core_end))[keep]
+    flat = np.column_stack((h, above, core_end))[keep]
     sizes = np.count_nonzero(keep, axis=1)
     firsts = np.delete(np.arange(flat.size), np.cumsum(sizes) - 1)
     core_rows = np.repeat(all_rows, sizes - 1)
@@ -245,130 +305,47 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
     T = core_end * 8.0 ** np.maximum(np.ceil(np.minimum(n_budget, n_range)), 0.0)
     far = np.flatnonzero(T > core_end)
 
-    # The Taylor ladder on (0, top).  Rung k integrates the pair over
-    # (delta_k/2, delta_k), delta_k = top/2^k, for delta_k/2 above
-    # delta_cancel, below which the pair loses all significant digits to
-    # rounding.  The analytic piece tau(d) = d2 d^{2-2s}/(2-2s) leaves a
-    # remainder c d^{4-2s} + O(d^{6-2s}) on (0, d), so with the rung's
-    # value val_k = tau(delta_k/2) + q_k on (0, delta_k), Richardson's step
-    # x_k = val_k - (tau(delta_k) - val_k)/(2^{4-2s} - 1) cancels the
-    # d^{4-2s} term.  Rung k stops when x_k and x_{k+1} + q_k, two
-    # estimates of the piece on (0, delta_k), agree within budget or within
-    # their quadratures' errors, or when their gap grows at rung k+1: the
-    # remainder only shrinks down the ladder, so a growing gap is rounding
-    # noise, which deeper rungs would only add to.  The piece on (0, top)
-    # is then x_{k+1} plus the quadratures of rungs 0..k, and its bar the
-    # gap (and the next one, where it grew), every quadrature error that
-    # went in and d2's error times the weight tau gives it.  The last rung
-    # has no successor and keeps the plain estimate val_k, with
-    # |tau(delta_k) - val_k| in the bar.  Each row's rungs are one row of
-    # the matrices q and q_err, and a rung is judged only once it and the
-    # rungs its test reads are integrated (``have`` counts them).
-    delta_cancel = 32.0 * np.sqrt(_EPS * (np.abs(u0) + 1.0) / (np.abs(d2) + 1e-3))
-    n_rungs = 1 + np.count_nonzero(
-        np.ldexp(top[:, None], -np.arange(1, 60)) > delta_cancel[:, None], axis=1)
-    richardson = 2.0 ** (2.0 + expo) - 1.0
-    rung = np.arange(n_rungs.max())
-    tops = np.ldexp(top[:, None], -rung)
-    reach = (tops / 2.0) ** expo / expo
-    low = d2[:, None] * reach
-    tau = d2[:, None] * tops**expo / expo
-    q, q_err = np.zeros(tops.shape), np.zeros(tops.shape)
-    have = np.zeros(m, int)
-
-    def next_rungs(ladders: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-        # the row and rung of each of the ladders' next `count` rungs, which `have` then counts
-        k = have[ladders, None] + np.arange(count)
-        new = k < n_rungs[ladders, None]
-        have[ladders] = np.minimum(have[ladders] + count, n_rungs[ladders])
-        return ladders[np.nonzero(new)[0]], k[new]
-
-    def ahead(a: np.ndarray) -> np.ndarray:  # each rung's successor; the last its own
-        return np.column_stack((a[:, 1:], a[:, -1:]))
-
-    rung_rows, rung_k = next_rungs(all_rows, 5)
-    rung_tops = tops[rung_rows, rung_k]
-
     # Integral g < n_core is a core piece of section owner[g] in the
-    # smoothstep variable z; then come the far panels in w = log t, then
-    # the rungs in t.  Core and far pieces start as two panels, rungs as one.
+    # smoothstep variable z; then come the far panels in w = log t.
     n_core = core_rows.size
-    n_near = n_core + far.size
-    owner = np.concatenate((core_rows, far, rung_rows))
+    owner = np.concatenate((core_rows, far))
+    p = 1.0 + 2.0 * s
     start = flat[firsts]
     length = flat[firsts + 1] - start
 
     def pieces(z: np.ndarray, group: np.ndarray) -> np.ndarray:
         core = group < n_core
-        log_t = ~core & (group < n_near)
         g = np.minimum(group, n_core - 1)
         w = z * z * z * (10.0 + z * (-15.0 + 6.0 * z))
         dw = 30.0 * z * z * (1.0 - z) * (1.0 - z)
-        t = np.where(core, start[g] + length[g] * w, np.where(log_t, np.exp(z), z))
+        t = np.where(core, start[g] + length[g] * w, np.exp(z))
         # far out (|t| > 1e154) squared norms overflow to inf, where the
         # sections take their limits
         with np.errstate(over="ignore"):
             k = pair(t, owner[group])
         # t**p overflows on the far panel; there each branch gets safe input
-        k_p = k / np.where(log_t, 1.0, t) ** p
-        return np.where(core, k_p * length[g] * dw, np.where(log_t, k * t ** (-2.0 * s), k_p))
+        k_p = k / np.where(core, t, 1.0) ** p
+        return np.where(core, k_p * length[g] * dw, k * t ** (-2.0 * s))
 
     v, e, n = integrate_batch(
-        pieces, np.concatenate((np.zeros(n_core), np.log(core_end[far]), rung_tops / 2.0)),
-        np.concatenate((np.ones(n_core), np.log(T[far]), rung_tops)),
-        np.concatenate((abs_tol[core_rows] / (4.0 * sizes[core_rows]), abs_tol[far] / 4.0,
-                        abs_tol[rung_rows] / 8.0)),
-        rel_tol[owner], np.where(np.arange(owner.size) < n_near, 2, 1))
-    count_evals(owner, n)
-    core_val, core_err = v[:n_core], e[:n_core]
+        pieces, np.concatenate((np.zeros(n_core), np.log(core_end[far]))),
+        np.concatenate((np.ones(n_core), np.log(T[far]))),
+        np.concatenate((abs_tol[core_rows] / (4.0 * sizes[core_rows]), abs_tol[far] / 4.0)),
+        rel_tol[owner], 2)
+    n_evals += 2 * np.bincount(owner, n, m).astype(int)  # pair: two evals a node
     far_val, far_err = np.zeros(m), np.zeros(m)
-    far_val[far], far_err[far] = v[n_core:n_near], e[n_core:n_near]
-    q[rung_rows, rung_k], q_err[rung_rows, rung_k] = v[n_near:], e[n_near:]
-
-    while True:
-        c = have.max()  # no rung from column c on is integrated, so none stops there
-        q_c, err_c, rung_c = q[:, :c], q_err[:, :c], rung[:c]
-        gain = tau[:, :c] - (low[:, :c] + q_c)
-        x = low[:, :c] + q_c - gain / richardson
-        x_next, err_next = ahead(x), ahead(err_c)
-        has_next = rung_c + 1 < have[:, None]
-        gap = np.abs(x - (x_next + q_c))
-        gap_next = ahead(gap)
-        rises = ahead(has_next) & has_next & (gap_next >= gap)
-        last = (rung_c == n_rungs[:, None] - 1) & (rung_c < have[:, None])
-        stop = last | has_next & ((gap <= abs_tol[:, None] / 4.0)
-                                  | (gap <= err_c + err_next)) | rises
-        still = np.flatnonzero(~np.any(stop, axis=1))
-        if not still.size:
-            break
-        rung_rows, rung_k = next_rungs(still, 4)
-        rung_tops = tops[rung_rows, rung_k]
-        v, e, n = integrate_batch(lambda t, g: pair(t, rung_rows[g]) / t**p,
-                                  rung_tops / 2.0, rung_tops,
-                                  abs_tol[rung_rows] / 8.0, rel_tol[rung_rows])
-        count_evals(rung_rows, n)
-        q[rung_rows, rung_k], q_err[rung_rows, rung_k] = v, e
-
-    # every ladder's first stop
-    at = all_rows, np.argmax(stop, axis=1)
-    plain = last[at]
-    small_val = np.cumsum(q_c, axis=1)[at] + np.where(plain, low[at], x_next[at])
-    small_err = np.cumsum(err_c, axis=1)[at] + np.where(
-        plain, np.abs(gain[at]) + d2_err * reach[at],
-        gap[at] + np.where(rises[at], gap_next[at], 0.0) + (1.0 + 1.0 / richardson) * err_next[at]
-        + d2_err * ahead(reach[:, :c])[at] * 3.0 * 2.0**expo / richardson)
+    far_val[far], far_err[far] = v[n_core:], e[n_core:]
 
     # bincount adds up each section's core pieces in their order
-    value = (small_val + np.bincount(core_rows, core_val, m)
+    value = (near_val + np.bincount(core_rows, v[:n_core], m)
              + (-u0 * T ** (-2.0 * s) / s + far_val) + closed)
-    err = (small_err + np.bincount(core_rows, core_err, m)
+    err = (near_err + np.bincount(core_rows, e[:n_core], m)
            + (coeff * T**-decay + far_err) + closed_err)
     # f(t) + f(-t) - 2u(x) cancels to O(t^2) but rounds at ~1 ulp of |u(x)|
     # per term where u is well conditioned, unseen by the quadratures: a
-    # heuristic floor of 4 eps |u(x)| int_lo^inf t^{-1-2s} dt on the bar, lo
-    # the lowest node of the rungs used.
-    lo = np.ldexp(top, -(at[1] + np.where(plain, 1, 2)))
-    err = np.maximum(err, 4.0 * _EPS * np.abs(u0) * lo ** (-2.0 * s) / (2.0 * s))
+    # heuristic floor of 4 eps |u(x)| int_h^inf t^{-1-2s} dt on the bar for
+    # the pieces above h.
+    err = np.maximum(err, 4.0 * _EPS * np.abs(u0) * h ** (-2.0 * s) / (2.0 * s))
     Cs = normalizing_constant(s)
     return value * Cs, err * abs(Cs), n_evals
 

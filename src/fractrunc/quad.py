@@ -7,9 +7,10 @@ holds 2 panels or 80, so the engine saves rounds: each integral starts from
 the equal panels its caller plans, and a failing panel whose error exceeds
 its share of the tolerance 2^8-fold is cut in four in one round, any other
 failing panel in two.  The directional operator plans the pieces of every
-field section (a Taylor ladder, core panels, a log-substituted far panel,
-an analytic tail) and hands them to it, core and far pieces as two panels
-each; the constants run no quadrature.  ``Tolerance`` is an accuracy
+field section (a near piece by a fixed Gauss-Jacobi rule, core panels, a
+log-substituted far panel, an analytic tail) and hands the core and far
+pieces to it in one call, as two panels each; the constants run no
+quadrature.  ``Tolerance`` is an accuracy
 request, ``QuadResult`` a value with its error estimate and evaluation
 count.
 

@@ -522,6 +522,16 @@ def test_walk_ends_at_the_peak_guard():
         cn.find_gamma_tilde(4000, 1e-5)
 
 
+@pytest.mark.parametrize("n_plus", [False, True])
+def test_empty_gamma_stack_is_empty(n_plus):
+    # an empty stack has no series to sum: two empty arrays, no numpy reduction error
+    values, bars = cn._iso_arrays([], 0.5, 3, n_plus)
+    assert values.shape == bars.shape == (0,)
+    assert cn.iso_stack([], 0.5, 3, n_plus) == []
+    with pytest.raises(cn.DomainError):
+        cn.iso_stack([], 1.5, 3, n_plus)
+
+
 def _stub_pass(values, bar=0.0):
     """A pass of a stub constant: its values, and the error bar ``bar`` at each."""
     values = np.asarray(values, float)
