@@ -15,7 +15,12 @@ one positive correction integral, a 3F2 series summed in 24 weighted
 terms (``_corr_series``).  ``_iso_arrays`` evaluates either at a whole
 stack of gamma, as two arrays, the values and their error bars; ``iso_stack``
 is its view as one ``QuadResult`` per gamma, and ``c_iso`` and ``c_n_plus``
-are its stacks of one.  The alternate ``c_s_mu`` sums two series of its
+are its stacks of one.  A stack holds 1 to 15 gamma.  numpy takes the long
+parts over all of them at once: the series' terms, their stop test and their
+weighted sums (matrix-vector products, whose summation order a loop would
+change).  The rest, a few dozen float operations per gamma, runs in one loop
+over the stack, where a numpy call costs more to dispatch than to compute;
+each step is the IEEE operation numpy would take.  The alternate ``c_s_mu`` sums two series of its
 first-derivative integral.  No quadrature here, and nothing here takes a
 tolerance.  The roots gamma_tilde and gamma_plus come from three such
 stacks, or a few more, each read straight from the two arrays: a walk over
@@ -245,8 +250,8 @@ _ISO_DEN = (_ISO_M + 0.5) * (_ISO_M + 1.0)
 _ISO_WEIGHTS = 3.0 * np.arange(2.0, 65.0) + 4.5
 
 
-def _iso_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """G = 2F1(g/2+s, -s; 1/2; 1/N) at every g of ``gam``, and a bound on its error.
+def _iso_series(gam: np.ndarray, s: float, N: int) -> tuple[list[float], list[float]]:
+    """G = 2F1(g/2+s, -s; 1/2; 1/N) at every g of ``gam``, and a bound on its error: two lists.
 
     G = 1 - u_1 - u_2 - ..., u_1 = 2as/N (a = g/2+s) and u_n = u_{n-1} (a+n-1)(n-1-s)
     / ((n-1/2) n N) > 0, in blocks that double from 64 until every ratio past the last
@@ -255,17 +260,18 @@ def _iso_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarr
     n = 2 on carry a factor 1 - s and 1 - u_1 cancels alone, so it is taken to 2 eps and
     the others' math.fsum subtracted.  The bound is the rest plus each rounding: 1 - u_1's,
     the sum's, the difference's and each u_n's, at most 6n + 8 (five per ratio, one per
-    product and one per block).
+    product and one per block).  The blocks, their stop test and the weighted sum of the
+    u_n run in numpy over all g; 1 - u_1, the fsum and the bound run per g in floats.
     """
-    half = gam / 2.0
-    a = half[:, None] + s
+    a = (gam / 2.0)[:, None] + s
     blocks = [((a + _ISO_M) * np.abs(_ISO_M - s) / (_ISO_DEN * N)).cumprod(axis=1)]
     running, start, width = blocks[0].sum(axis=1), 65, 128
     while True:
         rho = max(1.0, (a.max() + start - 1.0) / start) / N
-        rest = blocks[-1][:, -1] * (rho / (1.0 - rho)) if rho < 1.0 else np.inf
-        if (rest <= 0.25 * _EPS * np.maximum(running, 1.0)).all():
-            break
+        if rho < 1.0:
+            rest = blocks[-1][:, -1] * (rho / (1.0 - rho))
+            if (rest <= 0.25 * _EPS * np.maximum(running, 1.0)).all():
+                break
         m = np.arange(start - 1.0, start - 1.0 + width)  # n - 1
         block = ((a + m) * np.abs(m - s) / ((m + 0.5) * (m + 1.0) * N)).cumprod(axis=1)
         blocks.append(block * blocks[-1][:, -1:])
@@ -277,17 +283,25 @@ def _iso_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarr
         later, weights = np.concatenate(blocks, axis=1)[:, 1:], 3.0 * np.arange(2.0, start) + 4.5
     # 1 - u_1 = (N - 2as)/N with g/2 + s = a_hi + a_lo and a_hi*s = prod + prod_lo held
     # exactly (Knuth's TwoSum; Dekker's TwoProduct, Veltkamp's split at 2^27 + 1)
-    a_hi = a[:, 0]
-    a_part = a_hi - half
-    a_lo = (half - (a_hi - a_part)) + (s - a_part)
-    prod, big, s_big = a_hi * s, 134217729.0 * a_hi, 134217729.0 * s
-    a_top, s_top = big - (big - a_hi), s_big - (s_big - s)
-    a_tail, s_tail = a_hi - a_top, s - s_top
-    prod_lo = ((a_top * s_top - prod) + a_top * s_tail + a_tail * s_top) + a_tail * s_tail
-    first = ((N - 2.0 * prod) - 2.0 * (prod_lo + a_lo * s)) / N
-    series = first - np.array([math.fsum(row) for row in later.tolist()])
-    rounding = later @ weights + 2.0 * np.abs(first) + 0.5 * np.abs(series) + _EPS * prod
-    return series, rest + _EPS * rounding
+    s_big = 134217729.0 * s
+    s_top = s_big - (s_big - s)
+    s_tail = s - s_top
+    series, bound = [], []
+    for g, row, weighted, tail in zip(gam.tolist(), later.tolist(), (later @ weights).tolist(),
+                                      rest.tolist()):
+        g_half = g / 2.0
+        a_hi = g_half + s
+        a_part = a_hi - g_half
+        a_lo = (g_half - (a_hi - a_part)) + (s - a_part)
+        prod, big = a_hi * s, 134217729.0 * a_hi
+        a_top = big - (big - a_hi)
+        a_tail = a_hi - a_top
+        prod_lo = ((a_top * s_top - prod) + a_top * s_tail + a_tail * s_top) + a_tail * s_tail
+        first = ((N - 2.0 * prod) - 2.0 * (prod_lo + a_lo * s)) / N
+        value = first - math.fsum(row)
+        series.append(value)
+        bound.append(tail + _EPS * (weighted + 2.0 * abs(first) + 0.5 * abs(value) + _EPS * prod))
+    return series, bound
 
 
 def _peak_gamma(N: int) -> float:
@@ -337,7 +351,7 @@ _CRVZ_ABS_WEIGHTS = np.abs(_CRVZ_WEIGHTS)
 _CRVZ_ROUNDINGS = 13.0 * np.arange(_CRVZ_TERMS) + 25.0
 
 
-def _corr_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+def _corr_series(gam: np.ndarray, s: float, N: int) -> tuple[list[float], list[float]]:
     """corr = integral of (1+t^2-2t/sqrt(N))^{-g/2} / t^{1+2s} over (sqrt(N), inf) at every g
     of ``gam``, and a bound on its error.
 
@@ -350,7 +364,9 @@ def _corr_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndar
     The bound is that plus twice the rounding: at most 13 roundings of eps/2 in each ratio
     and its product, so 6.5 j eps in a_j, and 12.5 eps in each weighted term and the sum;
     3.5 eps in the prefactor, an ulp in each power, whose exponents are exact, and half an
-    eps in its product with S; and 4 subnormal units where the prefactor underflows.
+    eps in its product with S; and 4 subnormal units where the prefactor underflows.  The
+    terms and their two weighted sums run in numpy over all g; the prefactor, corr and its
+    bound per g in floats.  Two lists, corr and its bound.
     """
     half = gam[:, None] / 2.0
     half_s = half + s
@@ -358,13 +374,15 @@ def _corr_series(gam: np.ndarray, s: float, N: int) -> tuple[np.ndarray, np.ndar
     terms[:, 0] = 1.0
     ((half + _CRVZ_J) * _CRVZ_J_HALF * (1.0 / (N - 1.0))
      / ((half_s + 1.0 + _CRVZ_J) * (half_s + 0.5 + _CRVZ_J))).cumprod(axis=1, out=terms[:, 1:])
-    total = terms @ _CRVZ_WEIGHTS
-    rounding = (terms * _CRVZ_ABS_WEIGHTS) @ _CRVZ_ROUNDINGS
     n_s, two_s = N ** -s, 2.0 * s
-    prefactor = np.array([n_s * (N - 1.0) ** -(g / 2.0) / (g + two_s) for g in gam.tolist()])
-    corr = prefactor * total
-    return corr, (prefactor * (_CRVZ_REST * total + _EPS * rounding)
-                  + 8.0 * _EPS * corr + 4.0 * _TINY)
+    corr, bar = [], []
+    for g, total, rounding in zip(gam.tolist(), (terms @ _CRVZ_WEIGHTS).tolist(),
+                                  ((terms * _CRVZ_ABS_WEIGHTS) @ _CRVZ_ROUNDINGS).tolist()):
+        prefactor = n_s * (N - 1.0) ** -(g / 2.0) / (g + two_s)
+        corr.append(prefactor * total)
+        bar.append(prefactor * (_CRVZ_REST * total + _EPS * rounding)
+                   + 8.0 * _EPS * corr[-1] + 4.0 * _TINY)
+    return corr, bar
 
 
 def _iso_arrays(gammas: Sequence[float], s: float, N: int,
@@ -378,7 +396,8 @@ def _iso_arrays(gammas: Sequence[float], s: float, N: int,
     Ryzhik 6.699.12 and Pfaff's transformation (DLMF 15.8.1) give c_iso = c_perp(g) G, G from
     :func:`_iso_series`.  Its bound covers the series' error and c_perp's rounding.  c_N^+ =
     N c_iso - corr, corr the integral of minus / t^{1+2s} over (sqrt(N), inf), a 3F2 series
-    from :func:`_corr_series`, and its bound is N times c_iso's plus corr's.
+    from :func:`_corr_series`, and its bound is N times c_iso's plus corr's.  Both series
+    return lists; c_perp, the products and the bars are taken per gamma in floats.
     """
     if N < 2:
         raise DomainError("N must be >= 2")
@@ -393,14 +412,16 @@ def _iso_arrays(gammas: Sequence[float], s: float, N: int,
     _check_s(s)
     if not glist:
         return np.empty(0), np.empty(0)
-    perp = np.array([_perp_kernel(g, s) for g in glist])
-    series, bound = _iso_series(gam, s, N)
-    value = perp * series
-    bar = np.abs(perp) * bound + np.abs(value) * (_PERP_REL + _EPS)
-    if not n_plus:
-        return value, bar
-    corr, corr_bar = _corr_series(gam, s, N)
-    return value * N - corr, bar * N + corr_bar
+    values, bars = [], []
+    for g, series, bound in zip(glist, *_iso_series(gam, s, N)):
+        perp = _perp_kernel(g, s)
+        values.append(perp * series)
+        bars.append(abs(perp) * bound + abs(values[-1]) * (_PERP_REL + _EPS))
+    if n_plus:
+        corr, corr_bar = _corr_series(gam, s, N)
+        values = [v * N - c for v, c in zip(values, corr)]
+        bars = [e * N + c for e, c in zip(bars, corr_bar)]
+    return np.array(values), np.array(bars)
 
 
 def iso_stack(gammas: Sequence[float], s: float, N: int, n_plus: bool) -> list[QuadResult]:
@@ -483,12 +504,13 @@ def _bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
     bisection otherwise.  The step stays half the tolerance away from either
     end.  It stops once the bracket is narrower than ``xtol + rtol*|root|``
     (scipy ``brentq``'s criterion) and returns the end with the smaller |fn|,
-    with that value as the residual; ``iterations`` counts its own
-    evaluations of ``fn``.
+    with that value as the residual and the bracket, ordered, as ``bracket``:
+    a cell whose ends' values have opposite signs, or (root, root) where
+    fn(root) is exactly 0.  ``iterations`` counts its own evaluations of ``fn``.
     """
-    bracket = (lo, hi)
     if flo == 0.0 or fhi == 0.0:
-        return RootResult(lo if flo == 0.0 else hi, 0.0, bracket, 0)
+        root = lo if flo == 0.0 else hi
+        return RootResult(root, 0.0, (root, root), 0)
     # x1 is the newest point, [x1, x2] the bracket, x3 the point it dropped
     x1, f1, x2, f2 = hi, fhi, lo, flo
     t = 0.5
@@ -504,7 +526,8 @@ def _bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
         dx = abs(x2 - x1)
         tol = xtol + rtol * abs(xm)
         if fm == 0.0 or dx < tol:
-            return RootResult(xm, fm, bracket, iterations)
+            cell = (xm, xm) if fm == 0.0 else (min(x1, x2), max(x1, x2))
+            return RootResult(xm, fm, cell, iterations)
         xi = (x1 - x2) / (x3 - x2)
         phi = (f1 - f2) / (f3 - f2)
         if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:

@@ -58,14 +58,22 @@ def test_roots_gamma_tilde_above_one(capsys):
 
 
 @pytest.mark.parametrize("which,N,s", [("gamma-plus", 3, 0.5), ("gamma-tilde", 20, 0.02),
-                                       ("gamma-plus", 2, 0.98)])
+                                       ("gamma-plus", 2, 0.98), ("gamma-bar", 2, 0.5),
+                                       ("gamma-bar", 5, 0.5)])
 def test_roots_bracket_is_the_verified_cell(capsys, which, N, s):
-    code, out, _ = run(capsys, ["roots", "--which", which, "--N", str(N), "--s", str(s)])
+    # for gamma-bar, N stands for k; its root is the end of the cell with the smaller |c_k|
+    size = "--k" if which == "gamma-bar" else "--N"
+    code, out, _ = run(capsys, ["roots", "--which", which, size, str(N), "--s", str(s)])
     doc = json.loads(out)
     lo, hi = doc["bracket"]
-    assert code == 0 and lo < doc["root"] < hi and hi - lo <= 1e-9
-    constant = cli.cn.c_iso if which == "gamma-tilde" else cli.cn.c_n_plus
-    assert constant(lo, s, N) < 0.0 < constant(hi, s, N)
+    assert code == 0 and lo <= doc["root"] <= hi and 0.0 < hi - lo <= 1e-9
+    if which == "gamma-bar":
+        assert doc["root"] in (lo, hi)
+        assert cli.cn.c_k_fn(lo, s, N) * cli.cn.c_k_fn(hi, s, N) < 0.0
+    else:
+        assert lo < doc["root"] < hi
+        constant =cli.cn.c_iso if which == "gamma-tilde" else cli.cn.c_n_plus
+        assert constant(lo, s, N) < 0.0 < constant(hi, s, N)
 
 
 def test_roots_and_tables_past_the_second_walk_grid(capsys):

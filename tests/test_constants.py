@@ -591,6 +591,50 @@ def test_iso_stack_is_the_array_function_bit_for_bit(gammas, s, N, n_plus):
     assert all(r.n_evals == 0 for r in results)
 
 
+# float.hex of _iso_arrays' values and bars, c_iso then c_N^+, per (gammas, s, N): one
+# block; three blocks (64, 128 and 256 terms); 1 - u_1 cancelling near s = 1; and
+# corr underflowing to 0 at gamma = 5000, N = 9
+FROZEN_ISO_BITS = {
+    ((0.5, 2.0, 30.0), 0.5, 3): (
+        (("-0x1.b9a0a54aa26c9p-1", "-0x1.48552f88091a9p+0", "0x1.5c493038d23b6p+9"),
+         ("0x1.f19375ce91a9cp-48", "0x1.8b66a4b3110d5p-47", "0x1.29c622ec8f42bp-37")),
+        (("-0x1.739cc9b736710p+1", "-0x1.f845fca72ec33p+1", "0x1.0536e42970b47p+11"),
+         ("0x1.a1787324c9d15p-46", "0x1.2f4c120560d03p-45", "0x1.bea9346416026p-36"))),
+    ((262.41047680416006,), 0.3356145841839309, 2): (
+        (("0x1.d269cd5b4cc29p+128",), ("0x1.857ce1bf977c3p+85",)),
+        (("0x1.d269cd5b4cc29p+129",), ("0x1.857ce1bf977c3p+86",))),
+    ((1.00002365148,), 0.99999, 3): (
+        (("-0x1.170629c8da2a4p-2",), ("0x1.7bac412d8624ep-49",)),
+        (("-0x1.c9d970cce511dp-1",), ("0x1.3217fb29b7a0fp-47",))),
+    ((1e-3, 5000.0), 1e-5, 9): (
+        (("-0x1.7ef7376587428p+16", "0x1.6946fb8feda33p+421"),
+         ("0x1.a8da4174bf34dp-31", "0x1.5791964f26946p+379")),
+        (("-0x1.af5087bcaecf8p+19", "0x1.966fdb01eb579p+424"),
+         ("0x1.de73ce1016b2ep-28", "0x1.8283c9190b66fp+382"))),
+}
+
+
+def test_iso_arrays_bits_are_frozen():
+    """The series' values, bars and two roots, bit for bit.
+
+    The per-row float arithmetic of ``_iso_series``, ``_corr_series`` and
+    ``_iso_arrays`` repeats the array arithmetic it replaced step for step,
+    so these bits were kept through that change.  A later change to the
+    series' arithmetic re-freezes them and says so in CHANGES.md.
+    """
+    for (gammas, s, N), modes in FROZEN_ISO_BITS.items():
+        for n_plus, (values, bars) in zip((False, True), modes):
+            got = cn._iso_arrays(list(gammas), s, N, n_plus)
+            assert tuple(v.hex() for v in got[0].tolist()) == values, (gammas, s, N, n_plus)
+            assert tuple(e.hex() for e in got[1].tolist()) == bars, (gammas, s, N, n_plus)
+    assert repr(cn.find_gamma_tilde(3, 0.5)) == (
+        "RootResult(root=3.7335906162537933, residual=-8.807322997812532e-16, "
+        "bracket=(3.7335906162037933, 3.7335906163037933), iterations=3)")
+    assert repr(cn.find_gamma_plus(2, 0.02581)) == (
+        "RootResult(root=10.983382728583889, residual=-3.18328696735648e-13, "
+        "bracket=(10.98338272853389, 10.983382728633888), iterations=3)")
+
+
 def test_stacked_members_are_their_one_gamma_calls():
     gammas = [0.3, 2.0, 7.5, 40.0]
     for n_plus, one in ((False, cn.c_iso), (True, cn.c_n_plus)):
@@ -682,8 +726,9 @@ def test_root_at_an_exact_zero():
     def never(t):
         raise AssertionError("no evaluation needed")
 
-    assert cn._bracketed_root(never, 1.0, 2.0, 0.0, 1.0) == cn.RootResult(1.0, 0.0, (1.0, 2.0), 0)
-    assert cn._bracketed_root(never, 1.0, 2.0, -1.0, 0.0) == cn.RootResult(2.0, 0.0, (1.0, 2.0), 0)
+    # an exact zero is its own cell
+    assert cn._bracketed_root(never, 1.0, 2.0, 0.0, 1.0) == cn.RootResult(1.0, 0.0, (1.0, 1.0), 0)
+    assert cn._bracketed_root(never, 1.0, 2.0, -1.0, 0.0) == cn.RootResult(2.0, 0.0, (2.0, 2.0), 0)
     # the first bisection lands on the root
     assert cn._bracketed_root(lambda t: t - 1.5, 1.0, 2.0, -0.5, 0.5) == cn.RootResult(
-        1.5, 0.0, (1.0, 2.0), 1)
+        1.5, 0.0, (1.5, 1.5), 1)
