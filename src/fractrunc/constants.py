@@ -20,13 +20,13 @@ parts over all of them at once: the series' terms, their stop test and their
 weighted sums (matrix-vector products, whose summation order a loop would
 change).  The rest, a few dozen float operations per gamma, runs in one loop
 over the stack, where a numpy call costs more to dispatch than to compute;
-each step is the IEEE operation numpy would take.  The alternate ``c_s_mu`` sums two series of its
-first-derivative integral.  No quadrature here, and nothing here takes a
-tolerance.  The roots gamma_tilde and gamma_plus come from three such
-stacks, or a few more, each read straight from the two arrays: a walk over
-a gamma grid, a Chebyshev proxy on the cell where the constant changes
-sign, and a closing sign test at the proxy's root +- 5e-11, which is the
-root's bracket when both signs lie beyond their error bars.
+each step is the IEEE operation numpy would take.  The alternate ``c_s_mu``
+sums two series of its first-derivative integral.  No quadrature here, and
+nothing here takes a tolerance.  The roots gamma_tilde and gamma_plus come
+from three such stacks, or a few more, each read straight from the two
+arrays: a walk over a gamma grid, a Chebyshev proxy on the cell where the
+constant changes sign, and a closing sign test at the proxy's root +- 5e-11,
+which is the root's bracket when both signs lie beyond their error bars.
 """
 
 from __future__ import annotations
