@@ -4,11 +4,10 @@ Every command, and every ``verify`` construction, has its own parser, which
 takes exactly the flags that command reads; ``roots`` and ``sweep`` refuse
 the flags their ``--which`` or ``--targets`` does not read.  Exit codes: 0
 success/pass, 1 verification fail, 2 usage/domain error, parse errors
-included, each one ``error:`` line, 3 inconclusive verification.  The verify suites that run a
-quadrature (all but ``psi``) take their tolerance from ``--abs-tol`` and
-``--rel-tol``, then the ``FRACTRUNC_ABS_TOL`` and ``FRACTRUNC_REL_TOL``
-environment variables, then a ``--config`` file of ``key = value`` lines,
-then built-in defaults.
+included, each one ``error:`` line, 3 inconclusive verification.  The verify
+suites that run a quadrature (all but ``psi`` and ``avoidance``) take their
+tolerance from ``--abs-tol`` and ``--rel-tol`` only, with the defaults
+1e-10 and 1e-9.
 """
 
 from __future__ import annotations
@@ -29,59 +28,12 @@ from . import constants as cn
 from . import verify as vf
 from .quad import QuadResult, Tolerance
 
-__all__ = ["main", "load_config", "write_atomic", "render_csv", "render_svg"]
+__all__ = ["main", "write_atomic", "render_csv", "render_svg"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
-
-_ENV_PREFIX = "FRACTRUNC_"
-_CONFIG_KEYS = ("abs_tol", "rel_tol")
-
-
-def _tolerance_value(source: str, key: str, text: str) -> float:
-    """``text`` read as the tolerance ``key``; a bad value raises ``ValueError`` naming ``source``."""
-    try:
-        value = float(text)
-        Tolerance(**{key: value})  # raises on a non-finite or non-positive value
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-    return value
-
-
-def _parse_config_file(path: str) -> dict:
-    """Read a minimal ``key = value`` file (comments with '#')."""
-    values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _tolerance_value(f"{path}:{lineno}: {key}", key,
-                                           val.strip().strip('"'))
-    return values
-
-
-def load_config(path: Optional[str] = None,
-                overrides: Optional[dict] = None) -> Tolerance:
-    """The verify suites' tolerance: defaults < config file < environment < ``overrides``."""
-    values: dict = {}
-    if path is not None:
-        values.update(_parse_config_file(path))
-    for key in _CONFIG_KEYS:
-        name = _ENV_PREFIX + key.upper()
-        if name in os.environ:
-            values[key] = _tolerance_value(name, key, os.environ[name])
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    return Tolerance(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +272,13 @@ def _report_exit(report: vf.VerificationReport, out: Optional[str]) -> int:
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
-    return load_config(args.config, {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol})
+    return Tolerance(args.abs_tol, args.rel_tol)  # a bad value raises ValueError, exit 2
 
 
 def _verify_avoidance(args: argparse.Namespace) -> vf.VerificationReport:
     y = np.zeros(max(args.N, 0))
     y[-1:] = args.y_N  # a no-op for N < 1, which the verifier rejects
-    return vf.verify_avoidance_example(args.N, args.s, args.r, y, tol=_tolerance(args))
+    return vf.verify_avoidance_example(args.N, args.s, args.r, y)
 
 
 _SWEEP_TARGETS = {
@@ -426,11 +378,10 @@ def _add_verify(sub, name: str, run: Callable[[argparse.Namespace], vf.Verificat
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--report", help="write the JSON report here")
     if quadrature:
-        p.add_argument("--abs-tol", type=float, dest="abs_tol", help="absolute "
-                       f"quadrature tolerance (default {Tolerance.abs_tol:g})")
-        p.add_argument("--rel-tol", type=float, dest="rel_tol", help="relative "
-                       f"quadrature tolerance (default {Tolerance.rel_tol:g})")
-        p.add_argument("--config", help="key = value file setting abs_tol and rel_tol")
+        p.add_argument("--abs-tol", type=float, dest="abs_tol", default=Tolerance.abs_tol,
+                       help="absolute quadrature tolerance (default %(default)g)")
+        p.add_argument("--rel-tol", type=float, dest="rel_tol", default=Tolerance.rel_tol,
+                       help="relative quadrature tolerance (default %(default)g)")
     p.set_defaults(func=lambda args: _report_exit(run(args), args.report))
     return p
 
@@ -502,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["ik_minus", "in_plus"])
     p.add_argument("--N", type=int, default=2)
 
-    p = _add_verify(verify, "avoidance", _verify_avoidance)
+    p = _add_verify(verify, "avoidance", _verify_avoidance, quadrature=False)
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--y-N", type=float, dest="y_N", default=-1.0)
@@ -534,7 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:
-        # a --config, --out or --report path that cannot be used; a failed
+        # an --out or --report path that cannot be used; a failed
         # rename names its target second, after write_atomic's temporary file
         path = exc.filename2 or exc.filename
         sys.stderr.write(f"error: {exc.strerror}: {path}\n" if path else f"error: {exc}\n")

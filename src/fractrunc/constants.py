@@ -545,7 +545,12 @@ def find_gamma_bar(k: int, s: float) -> Optional[RootResult]:
     The absence of a root is a meaningful outcome: it encodes the existence
     dichotomy (a root exists iff k=1 with s < 1/2, or k >= 2).  For k = 1
     the root is exact: c_1 = hat_c_dec vanishes at gamma = 1-2s, so that
-    root comes with residual 0 and no search.
+    root comes with residual 0 and no search.  For k >= 2 the search starts
+    on (1e-6, 1 - 1e-6).  Where c_k has one sign at both ends, the root lies
+    beyond one of them (near 4.9 (1-s)^2 for k = 2 as s -> 1, near 1 for
+    large k), and the bracket steps past that end a decade at a time, to
+    gamma/10 or 1 - (1 - gamma)/10, until c_k changes sign.  A root below
+    1e-4 is closed again on a cell at most 1e-9 of itself wide.
     """
     if k == 1:
         _check_s(s)
@@ -554,9 +559,19 @@ def find_gamma_bar(k: int, s: float) -> Optional[RootResult]:
     lo, hi = _EPS_GAMMA, 1.0 - _EPS_GAMMA
     fn = lambda g: c_k_fn(g, s, k)
     flo, fhi = fn(lo), fn(hi)
+    while flo > 0.0 and fhi > 0.0 and lo / 10.0 > 0.0:
+        hi, fhi, lo = lo, flo, lo / 10.0
+        flo = fn(lo)
+    while flo < 0.0 and fhi < 0.0 and 1.0 - (1.0 - hi) / 10.0 < 1.0:
+        lo, flo, hi = hi, fhi, 1.0 - (1.0 - hi) / 10.0
+        fhi = fn(hi)
     if flo * fhi > 0.0:
         return None
-    return _bracketed_root(fn, lo, hi, flo, fhi)
+    result = _bracketed_root(fn, lo, hi, flo, fhi)
+    if result.root < 1e-4:
+        # 0.5e-9 lo plus the relative 8.9e-16 of the root stays below 1e-9 of it
+        result = _bracketed_root(fn, lo, hi, flo, fhi, xtol=0.5e-9 * lo)
+    return result
 
 
 # the walk's grids of five doublings, and the Chebyshev-Lobatto points of the proxy on [-1, 1]

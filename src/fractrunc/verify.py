@@ -14,11 +14,12 @@ fs = sum_i |xi_i.e_N|^{2s} >= sum_i (xi_i.e_N)^2 = 1, equal on any frame
 containing e_N (``verify_singular_supersolution``).  t49-2 and avoidance
 claim each point's nearest line, the least d^2 of its ``householder_rows``.
 
-Each suite builds one ``(P, k)`` stack of rows per field, the sections of
-its P points, and calls ``operators.row_sums`` once on it: the e_N row
-through each t*e_N, t49-2's Householder rows, one Householder row per
-avoidance point, and e_1 through each bump-train gap point, whose frame
-e_1..e_k is k copies of that line.
+A suite integrates only the sections that decide its claims, in one
+``operators.row_sums`` call per field on a ``(P, k)`` stack of rows, the
+sections of its P points: the e_N row through each t*e_N, and t49-2's
+Householder rows.  The bump train reads x_N alone, so its gap sections
+along e_1..e_k are constant, and every avoidance line misses the bump's
+support: both frame sums are exactly 0, with no quadrature.
 """
 
 from __future__ import annotations
@@ -153,10 +154,11 @@ def _on_axis(N: int, t: float) -> np.ndarray:
     return x
 
 
-def _axis_rows(N: int, ts: Sequence[float]) -> pr.Rows:
-    """The rows through t*e_N along e_N of R^N, one point per t: shape ``(P, 1)``."""
-    e_n = _on_axis(N, 1.0)
-    return op._fan_rows(np.multiply.outer(ts, e_n)[:, None], e_n)
+def _axis_rows(ts: Sequence[float]) -> pr.Rows:
+    """The rows through t*e_N along e_N, one point per t: shape ``(P, 1)``, by
+    their projections b = x_N = t, d^2 = 0 and xi_N = 1, whatever N."""
+    t = np.array(ts, float).reshape(-1, 1)
+    return pr.Rows(t, np.zeros_like(t), t.copy(), np.ones_like(t))
 
 
 _MAX_N = 20_000  # t49-2 integrates N rows per point: ~470 MB peak at this N
@@ -185,7 +187,7 @@ def verify_power_identity(mu: float, s: float,
 
     ts = (0.5, 1.0, 2.0)
     claims: list[ClaimResult] = []
-    for t, r in zip(ts, op.row_sums(z, _axis_rows(3, ts), s, tol)):
+    for t, r in zip(ts, op.row_sums(z, _axis_rows(ts), s, tol)):
         predicted = Cs * c_val * t ** (mu - 2.0 * s)
         # c_{s,mu} cancels near mu = s; the terms it sums are of size C_s t^{mu-2s}
         scale = max(abs(predicted), Cs * t ** (mu - 2.0 * s))
@@ -222,10 +224,11 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None, k: int = 
 
     Case-1 points lie inside bump supports: the e_N directional value plus
     u^p must be nonpositive, and the directional value must respect the
-    explicit cross-bump bound.  Case-2 points lie in the gaps: u vanishes
-    and the frame sum over {e_1..e_k} (k < N, all orthogonal to e_N)
-    vanishes identically.  Through t*e_N those k rows are one line, b = 0,
-    d^2 = t^2 and xi_N = 0, all the train reads: the sum is k times its value.
+    explicit cross-bump bound.  Case-2 points lie in the gaps: u vanishes,
+    the e_N directional value is nonnegative, and the frame sum over
+    {e_1..e_k} (k < N, all orthogonal to e_N) is exactly 0 with no
+    quadrature: the train reads x_N alone, so every section orthogonal to
+    e_N is constant.  The e_N rows of all six points are one engine call.
     """
     if not 1 <= k < N:
         raise ValueError("the construction requires k < N")
@@ -235,17 +238,11 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None, k: int = 
         eps = epsilon_threshold(s, p)
     u = pr.BumpTrain(eps, s)
     bound = _cross_bump_bound(s)(eps)
-    e_n = _on_axis(N, 1.0)
 
     inside = (eps, 1.0 + eps, 3.0 + eps / 2.0, 5.0 + 1.5 * eps)
     # gap midpoints n + eps + 1/2: bump n covers [n, n + 2*eps]
     gaps = (eps + 0.5, 4.0 + eps + 0.5)
-    # e_N at every point, then e_1 at each gap point
-    n_along = len(inside) + len(gaps)
-    directions = np.array([e_n] * n_along + [np.eye(1, N)[0]] * len(gaps))
-    sums = op.row_sums(u, op._fan_rows(np.multiply.outer(inside + gaps + gaps, e_n)[:, None],
-                                       directions[:, None]), s, tol)
-    along_n, gap_sums = sums[:n_along], [fs.scale(float(k)) for fs in sums[n_along:]]
+    along_n = op.row_sums(u, _axis_rows(inside + gaps), s, tol)
 
     claims: list[ClaimResult] = []
     for t, r in zip(inside, along_n):
@@ -254,12 +251,11 @@ def verify_bump_train(s: float, p: float, eps: Optional[float] = None, k: int = 
                                   r.value + uval**p, r.abs_error_estimate, "le"))
         claims.append(ClaimResult([t], "case1_cross_bump_bound",
                                   r.value - bound, r.abs_error_estimate, "le"))
-    for t, fs, rn in zip(gaps, gap_sums, along_n[len(inside):]):
+    for t, rn in zip(gaps, along_n[len(inside):]):
         uval = u(_on_axis(N, t))
         claims.append(ClaimResult([t], "case2_u_vanishes", uval, 0.0, "eq"))
         # sections along e_1..e_k are constant, so the value is exactly 0
-        claims.append(ClaimResult([t], "case2_frame_sum_zero",
-                                  fs.value, fs.abs_error_estimate, "eq"))
+        claims.append(ClaimResult([t], "case2_frame_sum_zero", 0.0, 0.0, "eq"))
         # along e_N the second difference of a zero-valued center is >= 0
         claims.append(ClaimResult([t], "case2_directional_nonnegative",
                                   -rn.value, rn.abs_error_estimate, "le"))
@@ -365,7 +361,7 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
     # requests, each divided by sin a (and above 0, which a request must be)
     asks = (np.abs(bounds) * 1e-4).reshape(len(radii), n) / sines
     tols = [Tolerance(max(a, _TINY), _PSI_REL_TOL) for a in asks.min(axis=1).tolist()]
-    radial = op.row_sums(psi, _axis_rows(N, radii), s, tols)
+    radial = op.row_sums(psi, _axis_rows(radii), s, tols)
     orth, orth_bar = psi.orthogonal_section(xs, s)
 
     claims = []
@@ -414,7 +410,7 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
         raise cn.DomainError("N must be >= 2")
     u, M, mu = pr.build_singular_supersolution(s, p, op_kind, N)
     points = (0.5, 1.0, 2.0)
-    sums = op.row_sums(u, _axis_rows(N, points), s, tol)
+    sums = op.row_sums(u, _axis_rows(points), s, tol)
     # u(t e_N)^p = M^p t^{mu p} in closed form, with M^{1-p} = scale/|C_s c_{s,mu}|:
     # u(x) ** p would multiply the rounding of M t^mu by |p|
     big_c = cn.normalizing_constant(s) * cn.c_s_mu(mu, s)
@@ -441,28 +437,6 @@ def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
     return _finish("singular_supersolution", params, claims, extra={"covers": covers})
 
 
-class _BallBump(pr.Field):
-    """Compactly supported bump (r^2 - |x|^2)_+^s inside the ball B_r(0)."""
-
-    def __init__(self, r: float, s: float) -> None:
-        self.r, self.s = r, s
-        self.growth_alpha, self.growth_const = 0.0, r ** (2.0 * s)
-
-    def line(self, rows: pr.Rows) -> Callable[[np.ndarray], np.ndarray]:
-        r2, s = float(self.r) ** 2, float(self.s)
-
-        def at(t: np.ndarray) -> np.ndarray:
-            arg = r2 - rows.r2(t)
-            return np.where(arg > 0.0, np.maximum(arg, 0.0) ** s, 0.0)
-        return at
-
-    def c2_radius(self, rows: pr.Rows) -> np.ndarray:
-        return np.maximum(np.abs(np.sqrt(rows.r2(0.0)) - self.r) / 2.0, 1e-6)
-
-    def breakpoints(self, rows: pr.Rows) -> np.ndarray:
-        return pr._sphere_crossings(rows.b, rows.d2, self.r)
-
-
 _AVOIDANCE_SIZE = 1e150  # the largest r and |y| the avoidance suite takes
 
 
@@ -470,11 +444,15 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
                              tol: Tolerance = Tolerance()) -> VerificationReport:
     """Ball-avoiding frame: every section of the ball bump vanishes identically.
 
-    The frame makes each vector see the line at distance >= |x-y|/sqrt(2)
-    from the ball center, which exceeds the radius whenever y_N <= -sqrt(2)r,
-    so the frame sum is exactly zero and the minimal operator is nonpositive.
-    The bump sits at the origin; the rows through x - y share b and d^2, so
-    the sum is N times one row's value.
+    The bump (r^2 - |x - y|^2)_+^s is supported in the ball B_r(y).  The
+    frame makes each vector see the line at distance >= |x-y|/sqrt(2) from
+    the ball center, which exceeds the radius whenever y_N <= -sqrt(2)r, so
+    the frame sum is exactly zero and the minimal operator is nonpositive.
+    The Householder rows through x - y share b and d^2, so one row a point
+    decides every claim, and none is integrated: ``frame_sum_zero`` is 0
+    wherever that line misses the ball and fails wherever it meets it.
+    ``tol`` is not read, as no claim runs a quadrature; callers passing it
+    keep working.
     """
     if N < 2:
         raise cn.DomainError("N must be >= 2")
@@ -489,17 +467,16 @@ def verify_avoidance_example(N: int, s: float, r: float, y: np.ndarray,
                              "or their squares overflow")
     if y[-1] > -math.sqrt(2.0) * r:
         raise GeometryViolation("ball center must satisfy y_N <= -sqrt(2) r")
-    u = _BallBump(r, s)
+    cn._check_s(s)
     points = np.array(_upper_points(N, (1.0, 2.0, 5.0), 3))
-    rows = op.householder_rows(points - y)[:, :1]
-    sums = [fs.scale(float(N)) for fs in op.row_sums(u, rows, s, tol)]
+    d2s = op.householder_rows(points - y).d2[:, 0].tolist()
     claims: list[ClaimResult] = []
-    for x, d2, fs in zip(points, rows.d2[:, 0].tolist(), sums):
+    for x, d2 in zip(points, d2s):
         nd = float(np.linalg.norm(x - y))
         claims.append(ClaimResult(x, "distance_exceeds", math.sqrt(2.0) * r - nd, 0.0, "le"))
         claims.append(ClaimResult(x, "line_avoids_ball", r * r - d2, 0.0, "le"))
-        # every section misses the ball, so the value is exactly 0
-        claims.append(ClaimResult(x, "frame_sum_zero", fs.value, fs.abs_error_estimate, "eq"))
+        # a line that misses the ball sees the bump as 0, so the sum is exactly 0
+        claims.append(ClaimResult(x, "frame_sum_zero", max(r * r - d2, 0.0), 0.0, "eq"))
     return _finish("avoidance_example", {"N": N, "s": s, "r": r, "y": list(y)},
                    claims)
 
@@ -530,8 +507,8 @@ def verify_transform(s: float, p: float, q: float, seed: int = 42,
     xs = [_on_axis(2, t) for t in ts]
     # operator inequality: I v <= beta v^{(beta-1)/beta} I (v^{1/beta}),
     # with v^{1/beta} = alpha^{1/beta} * base
-    lhs_all = op.row_sums(v, _axis_rows(2, ts), s, tol)
-    rhs_all = op.row_sums(base, _axis_rows(2, ts), s, tol)
+    rows = _axis_rows(ts)
+    lhs_all, rhs_all = op.row_sums(v, rows, s, tol), op.row_sums(base, rows, s, tol)
     for t, x, lhs_q, rhs_dir in zip(ts, xs, lhs_all, rhs_all):
         vx = v(x)
         factor = beta * vx ** ((beta - 1.0) / beta) * tp.alpha_coef ** (1.0 / beta)

@@ -1,0 +1,29 @@
+"""Fields the tests integrate that no suite of the package uses."""
+
+from typing import Callable
+
+import numpy as np
+
+from fractrunc import profiles as pr
+
+
+class BallBump(pr.Field):
+    """Compactly supported bump (r^2 - |x|^2)_+^s inside the ball B_r(0)."""
+
+    def __init__(self, r: float, s: float) -> None:
+        self.r, self.s = r, s
+        self.growth_alpha, self.growth_const = 0.0, r ** (2.0 * s)
+
+    def line(self, rows: pr.Rows) -> Callable[[np.ndarray], np.ndarray]:
+        r2, s = float(self.r) ** 2, float(self.s)
+
+        def at(t: np.ndarray) -> np.ndarray:
+            arg = r2 - rows.r2(t)
+            return np.where(arg > 0.0, np.maximum(arg, 0.0) ** s, 0.0)
+        return at
+
+    def c2_radius(self, rows: pr.Rows) -> np.ndarray:
+        return np.maximum(np.abs(np.sqrt(rows.r2(0.0)) - self.r) / 2.0, 1e-6)
+
+    def breakpoints(self, rows: pr.Rows) -> np.ndarray:
+        return pr._sphere_crossings(rows.b, rows.d2, self.r)

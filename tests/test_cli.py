@@ -1,4 +1,4 @@
-"""CLI surface: exit codes, schemas, config precedence, emitted artifacts."""
+"""CLI surface: exit codes, schemas, tolerance flags, emitted artifacts."""
 
 import csv
 import io
@@ -12,7 +12,6 @@ import xml.dom.minidom
 import pytest
 
 from fractrunc import cli
-from fractrunc.quad import Tolerance
 
 
 def run(capsys, argv):
@@ -110,6 +109,15 @@ def test_table_csv_four_columns(capsys):
     assert rows[1][1] == "1" and rows[1][2] == "1"
 
 
+def test_table_reads_gamma_bar_below_the_first_bracket(capsys):
+    # gamma_bar(2, 0.9999) ~ 4.93e-8 lies below 1e-6: I_2^+ reads its bound
+    # near 3, not the k = 1 bound 1/(1-s) = 10000
+    code, out, _ = run(capsys, ["table", "--N", "2", "--s", "0.9999", "--format", "csv"])
+    rows = {row[0]: row for row in csv.reader(io.StringIO(out))}
+    assert code == 0 and rows["I_2^+"][1].startswith(">= 2.99")
+    assert rows["I_2^+"][3].endswith(" conjectured")
+
+
 def test_table_where_gamma_plus_meets_gamma_tilde(capsys):
     code, out, _ = run(capsys, ["table", "--N", "6", "--s", "0.05"])
     assert code == 0
@@ -175,8 +183,6 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     (["verify", "avoidance", "--s", "0.5", "--N", "2", "--report", "DIR"],
      "Is a directory: DIR"),
     (["constants", "--s", "0.5", "--out", "DIR"], "Is a directory: DIR"),
-    (["verify", "transform", "--s", "0.5", "--p", "-3", "--q", "-4", "--config", "DIR"],
-     "Is a directory: DIR"),
     (["constants", "--s", "0.5", "--out", "DIR/missing/x.json"],
      "No such file or directory: DIR/missing/x.json"),
     (["verify", "avoidance", "--s", "0.5", "--N", "2", "--report", "DIR/missing/r.json"],
@@ -217,7 +223,7 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     (["sweep", "--steps", "-3", "--out-prefix", "DIR/sw"], "steps must be >= 1"),
 ], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1", "avoidance-N-negative",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
-        "avoidance-r-nan", "report-dir", "out-dir", "config-dir", "out-missing-dir",
+        "avoidance-r-nan", "report-dir", "out-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "avoidance-r-huge",
         "avoidance-y-huge", "t49-2-N-ceiling", "t49-2-gamma-nan",
         "t49-2-gamma-inf", "t49-2-gamma-overflow", "transform-q1", "bump-train-p-inf",
@@ -366,46 +372,30 @@ def test_sweep_propagates_bugs(tmp_path, capsys, monkeypatch):
                   "--out-prefix", str(tmp_path / "sw")])
 
 
-def test_config_precedence(tmp_path, monkeypatch):
-    cfgfile = tmp_path / "fractrunc.conf"
-    cfgfile.write_text("abs_tol = 1e-8\nrel_tol = 1e-7\n")
-    assert cli.load_config(str(cfgfile)) == Tolerance(1e-8, 1e-7)
-    monkeypatch.setenv("FRACTRUNC_ABS_TOL", "1e-9")
-    assert cli.load_config(str(cfgfile)) == Tolerance(1e-9, 1e-7)  # env beats file
-    tol = cli.load_config(str(cfgfile), {"abs_tol": 1e-11, "rel_tol": None})
-    assert tol == Tolerance(1e-11, 1e-7)  # a flag beats env; an unset flag leaves it
-    assert cli.load_config() == Tolerance(1e-9)  # env still applies without a file
-
-
-def test_config_rejects_unknown_key(tmp_path):
-    for text in ("colour = blue\n", "seed = 7\n"):
-        bad = tmp_path / "bad.conf"
-        bad.write_text(text)
-        with pytest.raises(ValueError, match="unknown config key"):
-            cli.load_config(str(bad))
-    with pytest.raises(ValueError):
-        cli.load_config(overrides={"abs_tol": -1.0})
-
-
-def test_config_errors_name_their_source(capsys, tmp_path, monkeypatch):
-    conf = tmp_path / "f.conf"
-    conf.write_text("rel_tol = 1e-8\nabs_tol = -1\n")
-    code, out, err = run(capsys, ["verify", "t49-2", "--N", "2", "--s", "0.5",
-                                  "--config", str(conf)])
-    assert code == 2 and out == ""
-    assert err == f"error: {conf}:2: abs_tol: tolerances must be finite and positive\n"
-    monkeypatch.setenv("FRACTRUNC_REL_TOL", "x")
-    code, out, err = run(capsys, ["verify", "t49-2", "--N", "2", "--s", "0.5"])
-    assert code == 2 and out == ""
-    assert err == "error: FRACTRUNC_REL_TOL: could not convert string to float: 'x'\n"
-
-
-def test_bad_tolerance_spares_commands_without_quadrature(capsys, monkeypatch):
+def test_tolerance_environment_is_not_read(capsys, monkeypatch):
+    # a tolerance comes from its two flags or their defaults, never the environment
+    argvs = (["verify", "t49-2", "--N", "2", "--s", "0.5"], ["table", "--N", "2", "--s", "0.5"],
+             ["verify", "psi", "--kind", "halfint", "--s", "0.5"])
+    plain = [run(capsys, argv) for argv in argvs]
     monkeypatch.setenv("FRACTRUNC_ABS_TOL", "-1")
-    for argv in (["table", "--N", "2", "--s", "0.5"],
-                 ["verify", "psi", "--kind", "halfint", "--s", "0.5"]):
-        code, out, err = run(capsys, argv)
-        assert code == 0 and err == "" and json.loads(out)
+    monkeypatch.setenv("FRACTRUNC_REL_TOL", "x")
+    for argv, before in zip(argvs, plain):
+        assert before[0] == 0 and before[2] == "" and json.loads(before[1])
+        assert run(capsys, argv) == before
+
+
+# no verify parser takes a config file, and avoidance, which integrates
+# nothing, takes no tolerance flag
+@pytest.mark.parametrize("argv", [
+    _S_COMMANDS[c] + ["--s", "0.5", "--config", "F"] for c in sorted(_S_COMMANDS)
+    if c.startswith("verify-")] + [
+    ["verify", "avoidance", "--s", "0.5", "--abs-tol", "1e-9"],
+    ["verify", "avoidance", "--s", "0.5", "--rel-tol", "1e-9"],
+], ids=lambda argv: argv[1] + argv[-2])
+def test_verify_refuses_tolerance_sources_it_does_not_read(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: fractrunc: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
 
 # first every parser given a flag it does not read, then other parse errors

@@ -156,6 +156,29 @@ def test_gamma_bar_k1_is_exact_near_one_half(s):
     assert i1_plus["p_star_upper_ref"] == 1.0 + 2.0 * s / (1.0 - 2.0 * s)
 
 
+@pytest.mark.parametrize("k,s", [(2, 0.9996), (2, 0.9999), (2, 0.99999),
+                                 (3_000_000, 0.5), (10**9, 0.5)])
+def test_gamma_bar_exists_outside_the_first_bracket(k, s):
+    # the root lies near 4.9 (1-s)^2 for k = 2 as s -> 1, and near 1 for
+    # large k: both leave (1e-6, 1 - 1e-6), and a root exists for every k >= 2
+    r = cn.find_gamma_bar(k, s)
+    assert r is not None
+    lo, hi = r.bracket
+    assert lo <= r.root <= hi and hi - lo <= 1e-9 * r.root
+    assert cn.c_k_fn(lo, s, k) * cn.c_k_fn(hi, s, k) <= 0.0
+    with mpmath.workdps(40):
+        sm = mpmath.mpf(s)
+
+        def ratio(h):  # c_k / c_perp at gamma = 1 - h
+            return (mpmath.sqrt(mpmath.pi) * mpmath.gamma(h / 2) * mpmath.rgamma(h / 2 - sm)
+                    / mpmath.gamma(0.5 + sm) + k - 1)
+        g = mpmath.mpf(r.root)
+        ends = (1 - 2 * g, 1 - g / 2) if r.root < 0.5 else ((1 - g) / 2, 2 * (1 - g))
+        assert ratio(ends[0]) * ratio(ends[1]) < 0
+        exact = 1 - mpmath.findroot(ratio, ends, solver="anderson")
+        assert abs(r.root - exact) <= 1e-6 * exact
+
+
 @pytest.mark.parametrize("key", sorted(oc.FROZEN_ROOTS))
 def test_frozen_roots(key):
     which, nk, s = key

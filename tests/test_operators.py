@@ -20,6 +20,7 @@ from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
 import oracles as oc
+from fields import BallBump
 
 TOL = Tolerance(1e-10, 1e-9)
 
@@ -744,7 +745,7 @@ PARITY_FIELDS = {
     "singular_power": lambda N: pr.PowerProfile(0.05, 2.0),
     "min_composition": lambda N: pr.MinField(
         pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5), 0.3),
-    "ball_bump": lambda N: vf._BallBump(1.5, 0.5),
+    "ball_bump": lambda N: BallBump(1.5, 0.5),
 }
 
 
@@ -1218,7 +1219,7 @@ def test_a_junction_sphere_grazed_by_rounding_is_touched():
     assert np.any(grazing), "no row of the draws grazes the sphere"
     assert np.all(np.isinf(psi.breakpoints(rows)))
     assert np.all(np.isinf(pr.make_v_gamma(0.4).breakpoints(rows)))
-    assert np.all(np.isfinite(vf._BallBump(1.0, 0.5).breakpoints(rows)[grazing]))
+    assert np.all(np.isfinite(BallBump(1.0, 0.5).breakpoints(rows)[grazing]))
     for row in op.row_sums(psi, op._fan_rows(x, directions[:, None]), s, Tolerance(1e-13, 1e-12)):
         assert row.n_evals < 10_000
     # a line that dips in by more than the rounding of d^2 crosses
