@@ -17,10 +17,11 @@ The unit of work is a stack of *rows*, line sections of one field that it
 sees through four projections each (``profiles.Rows``).  ``row_sums`` is the
 one way in: it takes a ``(P, k)`` stack, the k sections of each of P points,
 hands all of them to one engine, ``_integrate_fan``, and sums each point's
-sections.  The engine takes every section's near piece, where the kernel is
-singular, by a fixed Gauss-Jacobi rule on its Taylor remainder
-(``_jacobi_rule``), and the rest in one ``quad.integrate_batch`` call, each
-round of subdivision in one field call.  ``_fan_rows`` turns vectors into rows (a
+sections.  The kernel is singular at both ends of a section; the engine
+takes the near end by fixed Gauss-Jacobi rules on its Taylor remainder
+(``_jacobi_rule``), the far end by the same rules on the field's far law,
+and the core between them in one ``quad.integrate_batch`` call, each round
+of subdivision in one field call.  ``_fan_rows`` turns vectors into rows (a
 frame's at a point, the search's frames, ``directional``'s one row);
 ``householder_rows`` and ``_radial_rows`` build the rows of the Householder
 frame and of the radial plane from their projections in O(N).
@@ -54,17 +55,17 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-_LOG8 = math.log(8.0)
 # finite-difference nodes 0, +-h, +-h/2, +-h/4 with h = window/8, in units of the C^2 window
 _FD_NODES = np.array([0.0, 0.125, -0.125, 0.0625, -0.0625, 0.03125, -0.03125])
-# the near piece's two Gauss-Jacobi rules, value and check, and how many
-# times a row may cut its near piece to a quarter before its bar stands
-_NEAR_NODES, _CHECK_NODES = 10, 6
-_NEAR_SHRINKS = 6
+# the two Gauss-Jacobi rules of both ends, value and check, and how many
+# times a row may cut its near piece to a quarter, or move its far piece's
+# start out fourfold, before its bar stands
+_RULE_NODES, _CHECK_NODES = 10, 6
+_MOVES = 6
 
 
 class GrowthViolation(ValueError):
-    """Field growth exponent >= 2s; the defining integral diverges."""
+    """A far-law exponent >= 2s: the defining integral diverges."""
 
 
 class HypothesisViolation(ValueError):
@@ -119,22 +120,85 @@ def _fan_rows(x: np.ndarray, directions: np.ndarray) -> pr.Rows:
 
 
 @functools.lru_cache(maxsize=256)
-def _jacobi_rule(n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss rule for the weight u^{1-s} on (0, 1), after Golub
-    and Welsch (Math. Comp. 23, 1969): its nodes are the eigenvalues of the
-    Jacobi matrix of the weight's monic orthogonal polynomials (Jacobi's
-    with alpha = 0 and beta = 1 - s, moved to (0, 1)), its weights the
-    squares of the eigenvectors' first components times the weight's mass
-    1/(2 - s).  Cached per (n, s), so the arrays are read-only."""
-    b = 1.0 - s
-    k = np.arange(n, dtype=float)
-    c = 2.0 * k + b
-    diag = 0.5 + 0.5 * b * b / (c * (c + 2.0))
-    off = k[1:] * (k[1:] + b) / (c[1:] * np.sqrt(c[1:] * c[1:] - 1.0))
-    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    weights = vectors[0] ** 2 / (2.0 - s)
+def _jacobi_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss rule for the weight u^{a-1}, a > 0, on (0, 1) (Golub
+    and Welsch, Math. Comp. 23, 1969): nodes the eigenvalues of the Jacobi
+    matrix of Jacobi's polynomials with alpha = 0, beta = a - 1 moved to (0, 1),
+    weights the squares of the eigenvectors' first components times the mass
+    1/a.  Every coefficient is formed from a, not a rounded a - 1, so the rule
+    stays accurate as a -> 0.  Cached per (n, a): the arrays are read-only."""
+    k = np.arange(1.0, n)
+    c = 2.0 * k - 1.0 + a
+    jacobi = np.zeros((n, n))  # eigh reads its lower triangle
+    jacobi.flat[::n + 1] = np.concatenate(([a / (a + 1.0)],
+                                           0.5 + 0.5 * (1.0 - a) ** 2 / (c * (c + 2.0))))
+    jacobi.flat[n::n + 1] = k * (k - 1.0 + a) / (c * np.sqrt((2.0 * k - 2.0 + a) * (2.0 * k + a)))
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2 / a
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=256)
+def _rules(a: float, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The value and check rules for the weight u^{a-1}, their nodes and their
+    weights times u^alpha each side by side, ``(_RULE_NODES + _CHECK_NODES,)``.
+    Cached per (a, alpha), so the arrays are read-only."""
+    fine, check = _jacobi_rule(_RULE_NODES, a), _jacobi_rule(_CHECK_NODES, a)
+    nodes = np.concatenate((fine[0], check[0]))
+    weights = np.concatenate((fine[1], check[1])) * nodes**alpha
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _settle(piece, where: np.ndarray, factor: float, abs_tol: np.ndarray,
+            rel_tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A piece's values and bars on every row by ``piece(rows)`` (values, bars
+    and rounding at ``where``): a row over max(abs_tol/4, rel_tol |value|), not
+    by rounding alone, scales its ``where`` by ``factor`` and takes the piece
+    again, all such rows in one call, up to ``_MOVES`` times."""
+    value, err, noise = piece(np.arange(where.size))
+    for _ in range(_MOVES):
+        share = np.maximum(abs_tol / 4.0, rel_tol * np.abs(value))
+        redo = np.flatnonzero((err > share) & (noise <= share))
+        if not redo.size:
+            break
+        where[redo] *= factor
+        value[redo], err[redo], noise[redo] = piece(redo)
+    return value, err
+
+
+def _far_piece(u, rows: pr.Rows, s: float, c: np.ndarray, terms: list
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """int_c^inf (f(t) + f(-t)) t^{-1-2s} dt of each section f of ``rows``, a
+    flat stack, by the ``terms`` of its far law on ``rows[:, None]``: values,
+    bars and the bars' rounding, each ``(m,)``, and the field evaluations a
+    row.  With v = c/t a term f_j of exponent alpha_j gives c^{-2s} int_0^1
+    v^{alpha_j} (f_j(c/v) + f_j(-c/v)) v^{a-1} dv, a = 2s - alpha_j, whose
+    integrand is analytic on [0, 1] (singular at |v| >= 2 for c >= 2R + 1):
+    the value and check rules for the weight u^{a-1} take it.  The bar adds
+    each term's gap and 8 eps of the value sum's absolute terms, which at
+    small s, with a weight ~1/a at the node nearest 0, nearly cancel -u(x)
+    c^{-2s}/s."""
+    total, gap, size = np.zeros((3, len(rows)))
+    rule_size = _RULE_NODES + _CHECK_NODES
+    for alpha, line in terms:
+        # one rule per distinct exponent, gathered to its rows
+        alpha = np.broadcast_to(alpha, (len(rows), 1))[:, 0]
+        exponents = np.unique(alpha) if np.any(alpha != alpha[:1]) else alpha[:1]
+        table = np.reshape([_rules(2.0 * s - e, e) for e in exponents], (-1, 2, rule_size))
+        nodes, weights = np.moveaxis(table[np.searchsorted(exponents, alpha)], 1, 0)
+        at = u.line(rows[:, None]) if line is None else line
+        t = c[:, None] / nodes
+        both = at(np.stack((t, -t)))
+        wf = weights * (both[0] + both[1])
+        fine = np.sum(wf[:, :_RULE_NODES], axis=1)
+        total += fine
+        gap += np.abs(fine - np.sum(wf[:, _RULE_NODES:], axis=1))
+        size += np.sum(np.abs(wf[:, :_RULE_NODES]), axis=1)
+    scale = c ** (-2.0 * s)
+    noise = 8.0 * _EPS * scale * size
+    return scale * total, scale * gap + noise, noise, 2 * len(terms) * rule_size
 
 
 def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
@@ -144,25 +208,25 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
 
     Row i is the line section x[i] + t*xi[i], seen through its four
     projections (``profiles.Rows``); ``abs_tol`` and ``rel_tol`` are each
-    one tolerance, or one per row.  Every field evaluation is ``u.line`` on
-    the rows' four arrays, which broadcast against the nodes ``t``, so one
-    call serves nodes of many sections.  Each integral splits into (i) a
-    near piece on ``(0, h)``, h = top = min(window/2, 1) or a quarter of it
-    or less: the analytic piece of the section's second derivative, and a
-    fixed Gauss-Jacobi rule on the Taylor remainder, (ii) panels between h,
-    the breakpoint radii beyond top and the core's end 2b + 1 for the
-    largest radius b (or 1 or 2*top, if larger), (iii) a log-substituted far
-    panel from there, which then starts clear of the kink at b instead of
-    bisecting next to it, and (iv) an analytic tail remainder from the
-    growth bound.  The pieces of (ii) and (iii) of every section are one
-    ``integrate_batch`` call, the fan's only one; each starts as two equal
-    panels, since nearly all would be cut in their first round anyway.
+    one tolerance, or one per row.  Every field evaluation is ``u.line`` or
+    a far-law term on the rows' arrays, which broadcast against the nodes
+    ``t``, so one call serves nodes of many sections.  Each integral splits
+    into (i) a near piece on ``(0, h)``, h = top = min(window/2, 1) or a
+    quarter of it or less: the analytic piece of the section's second
+    derivative and a fixed Gauss-Jacobi rule on the Taylor remainder, (ii)
+    core panels between h, the breakpoint radii beyond top and c, and (iii)
+    a far piece on ``(c, inf)``, a fixed Gauss-Jacobi rule on the far law
+    (``_far_piece``).  c is the larger of 2b + 1 for the largest radius b
+    (or 1 or 2*top), clear of the kink at b, and 2R + 1 for the law's
+    radius R, or four times that or more.  The pieces (ii) of every section
+    are one ``integrate_batch`` call, the fan's only one, each from two
+    equal panels, since nearly all would be cut in their first round anyway.
 
     A field with ``far_part`` shows in ``line`` only the part of each
     section near its point; ``u.far_part`` of all rows adds the rest in
     closed form, value to value and error to bar.  u(x), the C^2 radius, the
-    breakpoints and ``d2_along`` each come from one call on all rows.  A
-    row's C^2 window is its point's C^2 radius capped at its nearest
+    breakpoints, the far law and ``d2_along`` each come from one call on all
+    rows.  A row's C^2 window is its point's C^2 radius capped at its nearest
     breakpoint; without ``d2_along`` the second derivatives of all rows come
     from one call of finite differences inside their windows, and their
     error bound, weighted as the near piece carries it, goes into the bar,
@@ -170,16 +234,14 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
     ulp of |u(x)|; no bound where u is ill conditioned in |x + t xi|^2).
     The rows' breakpoint radii are sorted and their repeats dropped here, for every field.
 
-    The count of each row is the section's field evaluations: u(0),
-    two per node (at t and -t) of each pass of the near rules and of the
-    engine, the growth probes and the finite differences.  Field metadata
-    (breakpoints, C^2 radius) and ``far_part`` are not counted.
+    A row's count is its field evaluations: u(0), the finite differences,
+    and two per node (at t and -t) of each pass of the near rules, of each
+    term's far rules and of the engine.  Metadata (breakpoints, C^2 radius,
+    the far law's radii and exponents) and ``far_part`` are not counted.
     """
     _check_s(s)
-    growth_alpha = float(u.growth_alpha)
-    if growth_alpha >= 2.0 * s:
-        raise GrowthViolation(f"growth exponent {growth_alpha} >= 2s = {2*s}")
-
+    if not hasattr(u, "far_law"):
+        raise TypeError(f"{type(u).__name__} declares no far law")
     m = len(rows)
     all_rows = np.arange(m)
     abs_tol = np.full(m, abs_tol, float)
@@ -189,6 +251,20 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
     window = np.minimum(u.c2_radius(rows), np.min(radii, axis=1, initial=np.inf))
     if np.any(window <= 0.0):
         raise ValueError("the C^2 window of every direction must be positive")
+    top = np.minimum(window / 2.0, 1.0)
+    # a row's core cuts: h, its breakpoint radii beyond top, sorted and without
+    # repeats (all lie beyond the window), and c
+    above = np.sort(np.where(radii > top[:, None], radii, np.inf), axis=1)
+    keep = np.isfinite(above)
+    keep[:, 1:] &= above[:, 1:] != above[:, :-1]
+    largest = np.max(above, axis=1, where=keep, initial=-np.inf)
+    core_end = np.maximum(np.maximum(1.0, 2.0 * top), 2.0 * largest + 1.0)
+    radius, terms = u.far_law(rows[:, None], core_end[:, None])
+    alpha = max(float(np.max(a, initial=-np.inf)) for a, _ in terms)
+    if not alpha < 2.0 * s:  # false for NaN too
+        raise GrowthViolation(f"far exponent {alpha} >= 2s = {2*s}")
+    c = np.maximum(core_end, 2.0 * np.ravel(radius) + 1.0)
+
     closed, closed_err = u.far_part(rows, s) if hasattr(u, "far_part") else (0.0, 0.0)
     u0 = u.line(rows)(0.0)
     two_u0 = 2.0 * u0
@@ -218,133 +294,75 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
         n_evals += _FD_NODES.size
 
     # The near piece on (0, h).  With u = (t/h)^2 and G(u) = pair(h sqrt(u))/u,
-    # so G(0) = h^2 d2,
-    #   int_0^h pair(t) t^{-1-2s} dt
-    #     = h^{-2s}/2 [G(0)/(1-s) + int_0^1 (G(u) - G(0))/u u^{1-s} du],
-    # and the last integral takes the Gauss-Jacobi rules for the weight
-    # u^{1-s} with _NEAR_NODES and _CHECK_NODES nodes.  The value is the
-    # first sum; the bar adds the two sums' gap, the pair's rounding (4 eps
-    # |u(x)| a node, weighted by sum w_i/u_i^2) and d2's error times
-    # h^2 |1/(1-s) - sum w_i/u_i|: the head and the sum's G(0)/u terms cancel
-    # only up to the rule's defect on 1/u, so that is all of d2 the value keeps.
-    top = np.minimum(window / 2.0, 1.0)
-    fine_u, fine_w = _jacobi_rule(_NEAR_NODES, s)
-    check_u, check_w = _jacobi_rule(_CHECK_NODES, s)
-    rule_u = np.concatenate((fine_u, check_u))
+    # so G(0) = h^2 d2, int_0^h pair(t) t^{-1-2s} dt is
+    #   h^{-2s}/2 [G(0)/(1-s) + int_0^1 (G(u) - G(0))/u u^{1-s} du],
+    # the integral by the rules for the weight u^{1-s}.  The bar adds their
+    # gap, the pair's rounding (4 eps |u(x)| a node, weighted by sum
+    # w_i/u_i^2) and d2's error times h^2 |1/(1-s) - sum w_i/u_i|, the rule's
+    # defect on 1/u, all of d2 the value keeps.  A row over its share takes h/4.
+    rule_u, rule_w = _rules(2.0 - s)
+    fine_u, fine_w = rule_u[:_RULE_NODES], rule_w[:_RULE_NODES]
     head = 1.0 / (1.0 - s)
     d2_weight = abs(head - np.sum(fine_w / fine_u))
     rounding = 4.0 * _EPS * np.abs(u0) * np.sum(fine_w / (fine_u * fine_u))
     h = top.copy()
 
     def near(which: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the near piece of rows ``which`` at their h: value, bar and the bar's rounding term
         hw = h[which]
         g0 = hw * hw * d2[which]
         g = (pair(hw[:, None] * np.sqrt(rule_u), which[:, None]) / rule_u - g0[:, None]) / rule_u
         n_evals[which] += 2 * rule_u.size
-        fine = np.sum(g[:, :_NEAR_NODES] * fine_w, axis=1)
-        check = np.sum(g[:, _NEAR_NODES:] * check_w, axis=1)
+        fine = np.sum(g[:, :_RULE_NODES] * fine_w, axis=1)
+        check = np.sum(g[:, _RULE_NODES:] * rule_w[_RULE_NODES:], axis=1)
         half = hw ** (-2.0 * s) / 2.0
         noise = half * rounding[which]
         return (half * (g0 * head + fine),
                 half * (np.abs(fine - check) + d2_err[which] * hw * hw * d2_weight) + noise,
                 noise)
 
-    # A row whose bar exceeds its share, unless its rounding alone does, takes
-    # h/4 and the rules again, all such rows in one field call; its first core
-    # piece then starts at h.
-    near_val, near_err, near_noise = near(all_rows)
-    for _ in range(_NEAR_SHRINKS):
-        share = np.maximum(abs_tol / 4.0, rel_tol * np.abs(near_val))
-        redo = np.flatnonzero((near_err > share) & (near_noise <= share))
-        if not redo.size:
-            break
-        h[redo] /= 4.0
-        near_val[redo], near_err[redo], near_noise[redo] = near(redo)
+    near_val, near_err = _settle(near, h, 0.25, abs_tol, rel_tol)
+
+    # the far piece: -u(x) c^{-2s}/s exactly, and _far_piece; a row over its
+    # share moves c out fourfold
+    def far(which: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        law = terms if which.size == m else u.far_law(rows[which, None], core_end[which, None])[1]
+        value, bar, noise, count = _far_piece(u, rows[which], s, c[which], law)
+        n_evals[which] += count
+        tail = u0[which] * c[which] ** (-2.0 * s) / s
+        tail_noise = 8.0 * _EPS * np.abs(tail)
+        return value - tail, bar + tail_noise, noise + tail_noise
+
+    far_val, far_err = _settle(far, c, 4.0, abs_tol, rel_tol)
 
     # pieces between breakpoint radii, each on a quintic smoothstep map of
     # (0, 1): algebraic kinks |t - endpoint|^kappa become C^2-or-better, so
-    # the rule converges at full rate even for Hoelder-rough sections.  A
-    # row's cuts are h, where its near piece ends, its breakpoint radii beyond
-    # top, sorted and without repeats (all lie beyond the window), and the
-    # core's end.
-    above = np.sort(np.where(radii > top[:, None], radii, np.inf), axis=1)
-    keep = np.isfinite(above)
-    keep[:, 1:] &= above[:, 1:] != above[:, :-1]
-    largest = np.max(above, axis=1, where=keep, initial=-np.inf)
-    core_end = np.maximum(np.maximum(1.0, 2.0 * top), 2.0 * largest + 1.0)
+    # the rule converges at full rate even for Hoelder-rough sections
     keep = np.column_stack((np.ones(m, bool), keep, np.ones(m, bool)))
-    flat = np.column_stack((h, above, core_end))[keep]
+    flat = np.column_stack((h, above, c))[keep]
     sizes = np.count_nonzero(keep, axis=1)
     firsts = np.delete(np.arange(flat.size), np.cumsum(sizes) - 1)
     core_rows = np.repeat(all_rows, sizes - 1)
-
-    # growth coefficients for tail truncation: declared, or probed in one call.
-    # The exponent stays an array: numpy's power takes a different path for a
-    # scalar exponent, which can move the last bit of the tail bound.
-    alpha = np.full(m, growth_alpha)
-    growth_const = getattr(u, "growth_const", None)
-    if growth_const is None:
-        probes = core_end[:, None] * np.array([1.0, 3.0, 9.0])
-        vals = np.abs(ev(np.stack((probes, -probes)), all_rows[:, None]))
-        c_grow = np.max(np.max(vals, axis=0) / (1.0 + probes) ** alpha[:, None], axis=1)
-        n_evals += 6
-    else:
-        c_grow = np.full(m, float(growth_const))
-
-    # Beyond T the -2*u0 part of the pair integrates exactly to
-    # -u0 * T^{-2s} / s; only the growth-bounded part of the sections
-    # remains unknown and lands in the error estimate: at most
-    # coeff * T^-decay.  T = core_end * 8^n for the least n that brings it
-    # within budget, or that reaches log T >= 550.
-    decay = 2.0 * s - alpha
-    coeff = np.where(c_grow > 0.0, 2.0 ** (1.0 + alpha) * c_grow / decay, 0.0)
-    with np.errstate(divide="ignore"):
-        n_budget = np.log(coeff * core_end**-decay / (abs_tol / 4.0)) / (decay * _LOG8)
-    n_range = (550.0 - np.log(core_end)) / _LOG8
-    T = core_end * 8.0 ** np.maximum(np.ceil(np.minimum(n_budget, n_range)), 0.0)
-    far = np.flatnonzero(T > core_end)
-
-    # Integral g < n_core is a core piece of section owner[g] in the
-    # smoothstep variable z; then come the far panels in w = log t.
-    n_core = core_rows.size
-    owner = np.concatenate((core_rows, far))
     p = 1.0 + 2.0 * s
     start = flat[firsts]
     length = flat[firsts + 1] - start
 
     def pieces(z: np.ndarray, group: np.ndarray) -> np.ndarray:
-        core = group < n_core
-        g = np.minimum(group, n_core - 1)
         w = z * z * z * (10.0 + z * (-15.0 + 6.0 * z))
         dw = 30.0 * z * z * (1.0 - z) * (1.0 - z)
-        t = np.where(core, start[g] + length[g] * w, np.exp(z))
-        # far out (|t| > 1e154) squared norms overflow to inf, where the
-        # sections take their limits
-        with np.errstate(over="ignore"):
-            k = pair(t, owner[group])
-        # t**p overflows on the far panel; there each branch gets safe input
-        k_p = k / np.where(core, t, 1.0) ** p
-        return np.where(core, k_p * length[g] * dw, k * t ** (-2.0 * s))
+        t = start[group] + length[group] * w
+        return pair(t, core_rows[group]) / t**p * length[group] * dw
 
-    v, e, n = integrate_batch(
-        pieces, np.concatenate((np.zeros(n_core), np.log(core_end[far]))),
-        np.concatenate((np.ones(n_core), np.log(T[far]))),
-        np.concatenate((abs_tol[core_rows] / (4.0 * sizes[core_rows]), abs_tol[far] / 4.0)),
-        rel_tol[owner], 2)
-    n_evals += 2 * np.bincount(owner, n, m).astype(int)  # pair: two evals a node
-    far_val, far_err = np.zeros(m), np.zeros(m)
-    far_val[far], far_err[far] = v[n_core:], e[n_core:]
+    n_core = core_rows.size
+    v, e, n = integrate_batch(pieces, np.zeros(n_core), np.ones(n_core),
+                              abs_tol[core_rows] / (4.0 * sizes[core_rows]), rel_tol[core_rows], 2)
+    n_evals += 2 * np.bincount(core_rows, n, m).astype(int)  # pair: two evals a node
 
     # bincount adds up each section's core pieces in their order
-    value = (near_val + np.bincount(core_rows, v[:n_core], m)
-             + (-u0 * T ** (-2.0 * s) / s + far_val) + closed)
-    err = (near_err + np.bincount(core_rows, e[:n_core], m)
-           + (coeff * T**-decay + far_err) + closed_err)
+    value = near_val + np.bincount(core_rows, v, m) + far_val + closed
+    err = near_err + np.bincount(core_rows, e, m) + far_err + closed_err
     # f(t) + f(-t) - 2u(x) cancels to O(t^2) but rounds at ~1 ulp of |u(x)|
-    # per term where u is well conditioned, unseen by the quadratures: a
-    # heuristic floor of 4 eps |u(x)| int_h^inf t^{-1-2s} dt on the bar for
-    # the pieces above h.
+    # a term where u is well conditioned: a heuristic floor of 4 eps |u(x)|
+    # int_h^inf t^{-1-2s} dt on the bar for the pieces above h
     err = np.maximum(err, 4.0 * _EPS * np.abs(u0) * h ** (-2.0 * s) / (2.0 * s))
     Cs = normalizing_constant(s)
     return value * Cs, err * abs(Cs), n_evals
@@ -564,10 +582,13 @@ def _search_objective(u, x: np.ndarray, s: float, k: int, tol: Tolerance
 # drop to the lower of its two neighbours is at most its score's error bar:
 # the optimum of a unimodal objective lies between those neighbours, where
 # the gain left is at most 1/4 of that drop on a smooth peak and 1/2 on a
-# cusp.  Flat stretches end after _ZOOM_LEVELS.
+# Lipschitz cusp.  Other stretches end after _ZOOM_LEVELS, at spacings of
+# 1.4e-12 rad: a min field's peak at xi_N = 0 falls as |angle|^{gamma+2s}
+# (its sections lose their far half-space tails), and under bars of ~1e-13
+# ten levels stopped 4.3e-10 below such a peak.
 _ANGLE_GRID = 32
 _ZOOM_POINTS = 17
-_ZOOM_LEVELS = 10
+_ZOOM_LEVELS = 12
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
 
 
@@ -771,7 +792,7 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     is no worse.  Both stop by one rule, when the gain
     left is within the score's own error bar: the zoom when the best
     angle's drop to the lower of its neighbours is at most its bar, the
-    polish when the model's predicted gain is.  The zoom makes at most ten
+    polish when the model's predicted gain is.  The zoom makes at most twelve
     levels, the polish sixteen calls.  The restarts run in lockstep, so each
     ring, grid or model of all of them is one batched objective call over a
     stack of frames.  The result is one-sided by construction: an upper

@@ -2,8 +2,8 @@
 
 Every constructed function is an *evaluable field*: a ``Field``, whose
 docstring states the protocol the operator module reads (line sections,
-C^2 radius, breakpoints, growth, and optionally the second derivative along
-a line and a closed-form far part), every hook on a stack of rows at once,
+C^2 radius, breakpoints, the far law, and optionally the second derivative
+along a line and a closed-form far part), every hook on a stack of rows at once,
 each row a line seen through four numbers (``Rows``).  Radial profiles are
 cap/tail constructions: a power of |x| beyond a junction radius, glued C^3
 to the third-order Taylor cubic of the same power inside.  Each
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -206,9 +206,12 @@ class Field:
     - ``breakpoints(rows)``, ``(m, B)``: the t with |t| > 1e-9 at which
       each section crosses a set where u is not C^2, unsorted, possibly
       repeated, each row padded with inf.
-    - ``growth_alpha``: every section is bounded by
-      growth_const * (1 + |t|)^growth_alpha; ``growth_const`` may be None,
-      and the sections are then probed.
+    - ``far_law(rows, beyond)``: (R, terms).  Beyond the radius R each
+      section is the sum of the terms (alpha, line), each |t|^alpha g(1/|t|)
+      with g analytic for |t| > R but at breakpoints, alpha < 2s; R and
+      alpha are one number or one per row, and a line of None is the
+      section itself.  ``beyond`` lies past every breakpoint of its row.  A
+      field without a far law is refused.
     - ``d2_along(rows)``, ``(m,)``, optional: the sections' second
       derivative at t = 0; without it the engine takes finite differences.
     - ``far_part(rows, s)``, optional: (values, errors), each ``(m,)``, of
@@ -218,8 +221,6 @@ class Field:
     The base field is C^2 within 1 of every point and has no breakpoints.
     """
 
-    growth_alpha: float = 0.0
-    growth_const: Optional[float] = None
     is_radial: bool = False
 
     def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
@@ -235,6 +236,11 @@ class Field:
 
     def breakpoints(self, rows: Rows) -> np.ndarray:
         return np.empty((len(rows), 0))
+
+
+def _settled_law(rows: Rows, beyond) -> tuple[float, list]:
+    """The far law of sections that vanish or are constant past their breakpoints."""
+    return 0.0, [(0.0, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +261,6 @@ class RadialProfile(Field):
         self.junction_r2 = junction_r2
         self.orientation = orientation
         self.g = _PiecewiseG(gamma, junction_r2, sign)
-        self.growth_alpha = 0.0 if orientation == "decay" else max(0.0, gamma)
         self._validate()
 
     # -- evaluation ---------------------------------------------------------
@@ -269,6 +274,10 @@ class RadialProfile(Field):
     def d2_along(self, rows: Rows) -> np.ndarray:
         r2, b = rows.r2(0.0), rows.b
         return self.g.value(r2, 2) * 4.0 * b * b + self.g.value(r2, 1) * 2.0
+
+    def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
+        # |x + t xi|^{2p} is |t|^{2p} g(1/t), singular at t = -b +- i d, of modulus |x|
+        return np.sqrt(rows.r2(0.0)), [(2.0 * self.g.p, None)]
 
     def partial(self) -> "_PartialN":
         return _PartialN(self)
@@ -300,8 +309,9 @@ class _PartialN(Field):
     """D_{x_N} v = 2 y_N g'(|y|^2) of a radial profile v = g(|y|^2).
 
     It is dimension-free: the derivative is along the last axis of whatever
-    point it is given.  Decay: the derivative decays; growth (gamma <= 2s-1
-    < 1): |Dv| ~ |y|^{gamma-1} is bounded.  So growth_alpha stays 0.
+    point it is given.  On the tail g' = c r^{p-1}, so each section is
+    |t|^{2p-1} g(1/|t|) beyond |x|: it decays for growth profiles too, whose
+    gamma <= 2s-1 < 1.
     """
 
     def __init__(self, base: RadialProfile) -> None:
@@ -324,6 +334,9 @@ class _PartialN(Field):
         g, r2, c = self.base.g, rows.r2(0.0), rows.b
         a, b, g2 = rows.x_n, rows.xi_n, g.value(r2, 2)
         return 8.0 * b * c * g2 + 2.0 * a * (4.0 * c * c * g.value(r2, 3) + 2.0 * g2)
+
+    def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
+        return np.sqrt(rows.r2(0.0)), [(2.0 * self.base.g.p - 1.0, None)]
 
 
 def make_w_gamma(gamma: float) -> RadialProfile:
@@ -403,6 +416,12 @@ class PsiField(Field):
 
     def d2_along(self, rows: Rows) -> np.ndarray:
         return -1.0 / self.gamma_lead * sum(p.d2_along(rows) for p in self.parts)
+
+    def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
+        # a term a part: -(1/gamma_lead) times the part, at the part's exponent
+        return np.sqrt(rows.r2(0.0)), [(2.0 * p.base.g.p - 1.0,
+                                        _term(p.line(rows), -1.0 / self.gamma_lead))
+                                       for p in self.parts]
 
     def orthogonal_section(self, x: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(values, bars), each ``(m,)``: the directional operator of psi at
@@ -576,7 +595,6 @@ class BumpTrain(Field):
         if not _EPS_MIN <= eps < 0.5:
             raise ExponentOutOfRange(f"eps must lie in [{_EPS_MIN:g}, 1/2)")
         self.eps, self.s = eps, s
-        self.growth_alpha, self.growth_const = 0.0, eps ** (2.0 * s)
 
     def _near_edges(self, rows: Rows) -> tuple[np.ndarray, np.ndarray]:
         """x_N of each row's point ``(m,)``, and the edges n and n + 2*eps of
@@ -605,6 +623,8 @@ class BumpTrain(Field):
 
     def breakpoints(self, rows: Rows) -> np.ndarray:
         return _plane_crossings(rows, self._near_edges(rows)[1])
+
+    far_law = staticmethod(_settled_law)
 
     def d2_along(self, rows: Rows) -> np.ndarray:
         y, b, s = rows.x_n, rows.xi_n, float(self.s)
@@ -649,8 +669,6 @@ class HalfSpacePowerTail(Field):
         self.gamma = gamma
         self.shift = shift
         self.radial = RadialProfile(gamma, 1.0, "decay")
-        self.growth_alpha = 0.0
-        self.growth_const = float(self.radial.g.value(0.0))
 
     def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
         value, c = self.radial.g.value, float(self.shift)
@@ -676,6 +694,12 @@ class HalfSpacePowerTail(Field):
         return np.concatenate((_plane_crossings(rows),
                                _sphere_crossings(b + c * xi_n, d2, 1.0, _GRAZE)), axis=1)
 
+    def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
+        # |x + t xi + c e_N|^-gamma where x_N + t xi_N > 0, beyond |x + c e_N|
+        c = float(self.shift)
+        return np.sqrt(np.maximum(rows.r2(0.0) + 2.0 * c * rows.x_n + c * c, 0.0)), [
+            (-self.gamma, None)]
+
 
 class PowerProfile(Field):
     """z(x) = coefficient * (x_N)_+^mu."""
@@ -685,7 +709,6 @@ class PowerProfile(Field):
             raise ExponentOutOfRange("mu must be positive")
         self.mu = mu
         self.coefficient = coefficient
-        self.growth_alpha = mu
 
     def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
         coefficient, mu = float(self.coefficient), float(self.mu)
@@ -706,6 +729,10 @@ class PowerProfile(Field):
         return np.where(t > 0.0, self.coefficient * self.mu * (self.mu - 1.0)
                         * rows.xi_n ** 2 * np.where(t > 0.0, t, 1.0) ** (self.mu - 2.0), 0.0)
 
+    def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[float, list]:
+        # |t|^mu g(1/|t|) past the plane crossing; constant on a row that crosses none
+        return 0.0, [(np.where(np.abs(rows.xi_n) < 1e-15, 0.0, float(self.mu)), None)]
+
 
 class MinField(Field):
     """Pointwise minimum of two fields (the min composition w = min{phi, z}).
@@ -719,7 +746,6 @@ class MinField(Field):
         self.first = first
         self.second = second
         self.scale = scale
-        self.growth_alpha = 0.0  # min of a bounded and a growing profile is bounded
 
     def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
         first, second = self.first.line(rows), self.second.line(rows)
@@ -766,6 +792,25 @@ class MinField(Field):
         span = np.maximum(10.0, 2.0 * np.sqrt(rows.r2(0.0)) + 4.0)
         return np.concatenate((self.first.breakpoints(rows), self.second.breakpoints(rows),
                                self._crossings(rows, span)), axis=1)
+
+    def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
+        """Each field's terms, scaled, on the sides where it is the lower one at
+        +-``beyond`` (neither where both are equal there, so 0 beyond): the
+        fields' crossings are breakpoints, so the order holds beyond it."""
+        fields = (self.first, self.second)
+        laws = [f.far_law(rows, beyond) for f in fields]
+        (p1, m1), (p2, m2) = (f.line(rows)(np.stack((beyond, -beyond))) for f in fields)
+        return np.maximum(laws[0][0], laws[1][0]), [
+            (np.where(plus | minus, a, 0.0), _term(line or f.line(rows), self.scale, plus, minus))
+            for f, (_, law), plus, minus in zip(fields, laws, (p1 < p2, p1 > p2),
+                                                (m1 < m2, m1 > m2))
+            for a, line in law]
+
+
+def _term(line: Callable[[np.ndarray], np.ndarray], scale: float, plus=True, minus=True
+          ) -> Callable[[np.ndarray], np.ndarray]:
+    """``scale`` times ``line`` where t > 0 on rows ``plus`` and t < 0 on rows ``minus``, else 0."""
+    return lambda t: np.where(np.where(t > 0.0, plus, minus), float(scale) * line(t), 0.0)
 
 
 def build_thIN_supersolution(N: int, s: float, p: float) -> tuple[MinField, dict]:

@@ -6,13 +6,11 @@ call of a vectorised integrand.  A round costs about the same whether it
 holds 2 panels or 80, so the engine saves rounds: each integral starts from
 the equal panels its caller plans, and a failing panel whose error exceeds
 its share of the tolerance 2^8-fold is cut in four in one round, any other
-failing panel in two.  The directional operator plans the pieces of every
-field section (a near piece by a fixed Gauss-Jacobi rule, core panels, a
-log-substituted far panel, an analytic tail) and hands the core and far
-pieces to it in one call, as two panels each; the constants run no
-quadrature.  ``Tolerance`` is an accuracy
-request, ``QuadResult`` a value with its error estimate and evaluation
-count.
+failing panel in two.  The directional operator takes each field section's
+two ends by fixed Gauss-Jacobi rules and hands the core panels between them
+to it in one call, as two panels each; the constants run no quadrature.
+``Tolerance`` is an accuracy request, ``QuadResult`` a value with its error
+estimate and evaluation count.
 
 ``integrate`` and ``integrate_pv`` are names only: stubs that raise, kept
 bound here and in ``constants`` because perfbench's tracer looks them up.

@@ -12,7 +12,6 @@ class BallBump(pr.Field):
 
     def __init__(self, r: float, s: float) -> None:
         self.r, self.s = r, s
-        self.growth_alpha, self.growth_const = 0.0, r ** (2.0 * s)
 
     def line(self, rows: pr.Rows) -> Callable[[np.ndarray], np.ndarray]:
         r2, s = float(self.r) ** 2, float(self.s)
@@ -27,3 +26,5 @@ class BallBump(pr.Field):
 
     def breakpoints(self, rows: pr.Rows) -> np.ndarray:
         return pr._sphere_crossings(rows.b, rows.d2, self.r)
+
+    far_law = staticmethod(pr._settled_law)  # each section vanishes past the sphere

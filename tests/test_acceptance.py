@@ -22,8 +22,7 @@ TOL = Tolerance(1e-10, 1e-9)
 @pytest.mark.parametrize("t", [0.0, 0.5])
 def test_01_bump_identity(s, t):
     class Bump:
-        growth_alpha = 0.0
-        growth_const = 1.0
+        far_law = staticmethod(pr._settled_law)  # each section vanishes past x_N = +-1
 
         def line(self, rows):
             x_n, xi_n = rows.x_n, rows.xi_n

@@ -256,11 +256,11 @@ def test_singular_ik_minus_cancellation():
         assert c.residual <= 0.0
 
 
-@pytest.mark.xfail(strict=True, reason="the far panel stops at log T = 550, and the power section "
-                   "t^{mu-2s} = t^-0.015 leaves ~2.3e-4 of its integral beyond T: residuals "
-                   "~2.2e-4 against bars ~4.5e-4 make the claims inconclusive")
 def test_singular_ik_minus_passes_at_small_s():
-    # `fractrunc verify singular --s 0.01 --p -3 --N 2`
+    # `fractrunc verify singular --s 0.01 --p -3 --N 2`: a far panel that
+    # stopped at log T = 550 left ~2.3e-4 of the section t^{mu-2s} = t^-0.015
+    # beyond T in the bars, and the claims were inconclusive; the far rule
+    # integrates the whole tail
     assert vf.verify_singular_supersolution(0.01, -3.0, "ik_minus", 2).verdict == "pass"
 
 
