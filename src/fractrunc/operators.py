@@ -19,7 +19,7 @@ one way in: it takes a ``(P, k)`` stack, the k sections of each of P points,
 hands all of them to one engine, ``_integrate_fan``, and sums each point's
 sections.  The kernel is singular at both ends of a section; the engine
 takes the near end by fixed Gauss-Jacobi rules on its Taylor remainder
-(``_jacobi_rule``), the far end by the same rules on the field's far law,
+(``_rules``), the far end by the same rules on the field's far law,
 and the core between them in one ``quad.integrate_batch`` call, each round
 of subdivision in one field call.  ``_fan_rows`` turns vectors into rows (a
 frame's at a point, the search's frames, ``directional``'s one row);
@@ -120,33 +120,30 @@ def _fan_rows(x: np.ndarray, directions: np.ndarray) -> pr.Rows:
 
 
 @functools.lru_cache(maxsize=256)
-def _jacobi_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss rule for the weight u^{a-1}, a > 0, on (0, 1) (Golub
-    and Welsch, Math. Comp. 23, 1969): nodes the eigenvalues of the Jacobi
-    matrix of Jacobi's polynomials with alpha = 0, beta = a - 1 moved to (0, 1),
-    weights the squares of the eigenvectors' first components times the mass
-    1/a.  Every coefficient is formed from a, not a rounded a - 1, so the rule
-    stays accurate as a -> 0.  Cached per (n, a): the arrays are read-only."""
+def _rules(a: float, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The value and check rules, the Gauss rules of _RULE_NODES and
+    _CHECK_NODES nodes for the weight u^{a-1}, a > 0, on (0, 1): their nodes
+    side by side, and their weights times u^alpha.  Each is Golub and
+    Welsch's (Math. Comp. 23, 1969): nodes the eigenvalues of the Jacobi
+    matrix of Jacobi's polynomials with alpha = 0, beta = a - 1 moved to
+    (0, 1), weights the squares of the eigenvectors' first components times
+    the mass 1/a.  The check rule's matrix is the value rule's leading block:
+    cut off from the rest, whose diagonal is set to 2, past every node, it
+    shares one eigh with the value rule's.  Every coefficient is formed from
+    a, not a rounded a - 1, so the rules stay accurate as a -> 0.  Cached per
+    (a, alpha): the arrays are read-only."""
+    n, m = _RULE_NODES, _CHECK_NODES
     k = np.arange(1.0, n)
     c = 2.0 * k - 1.0 + a
-    jacobi = np.zeros((n, n))  # eigh reads its lower triangle
-    jacobi.flat[::n + 1] = np.concatenate(([a / (a + 1.0)],
-                                           0.5 + 0.5 * (1.0 - a) ** 2 / (c * (c + 2.0))))
-    jacobi.flat[n::n + 1] = k * (k - 1.0 + a) / (c * np.sqrt((2.0 * k - 2.0 + a) * (2.0 * k + a)))
-    nodes, vectors = np.linalg.eigh(jacobi)
-    weights = vectors[0] ** 2 / a
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-@functools.lru_cache(maxsize=256)
-def _rules(a: float, alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """The value and check rules for the weight u^{a-1}, their nodes and their
-    weights times u^alpha each side by side, ``(_RULE_NODES + _CHECK_NODES,)``.
-    Cached per (a, alpha), so the arrays are read-only."""
-    fine, check = _jacobi_rule(_RULE_NODES, a), _jacobi_rule(_CHECK_NODES, a)
-    nodes = np.concatenate((fine[0], check[0]))
-    weights = np.concatenate((fine[1], check[1])) * nodes**alpha
+    jacobi = np.zeros((2, n * n))  # two flat n x n matrices; eigh reads their lower triangles
+    jacobi[:, ::n + 1] = np.concatenate(([a / (a + 1.0)],
+                                         0.5 + 0.5 * (1.0 - a) ** 2 / (c * (c + 2.0))))
+    jacobi[:, n::n + 1] = k * (k - 1.0 + a) / (c * np.sqrt((2.0 * k - 2.0 + a) * (2.0 * k + a)))
+    jacobi[1, m * n:] = 0.0
+    jacobi[1, m * (n + 1)::n + 1] = 2.0
+    values, vectors = np.linalg.eigh(jacobi.reshape(2, n, n))
+    nodes = np.concatenate((values[0], values[1, :m]))
+    weights = np.concatenate((vectors[0, 0], vectors[1, 0, :m])) ** 2 / a * nodes**alpha
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

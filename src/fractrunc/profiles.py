@@ -738,8 +738,9 @@ class MinField(Field):
     """Pointwise minimum of two fields (the min composition w = min{phi, z}).
 
     Its C^2 radius is the smaller of its fields' radii.  Where the fields
-    cross, w is not C^2; each section's crossings, found by ``_crossings``,
-    are among its breakpoints, so they cap each row's window instead.
+    cross, w is not C^2; each section's crossings, found by ``_crossings``
+    out to 4^80 times its scan's span, are among its breakpoints, so they
+    cap each row's window instead and the far law starts past them.
     """
 
     def __init__(self, first: Field, second: Field, scale: float = 1.0) -> None:
@@ -756,20 +757,25 @@ class MinField(Field):
         return np.maximum(np.minimum(self.first.c2_radius(rows), self.second.c2_radius(rows)),
                           1e-6)
 
-    def _crossings(self, rows: Rows, span: np.ndarray) -> np.ndarray:
+    def _crossings(self, rows: Rows, span: np.ndarray, far: bool = False) -> np.ndarray:
         """Sign changes of first - second along each row's line within
-        |t| <= its ``span``, sampled on 801 nodes per row in one scan;
-        ``(m, K)``, inf padded, inf also where |t| <= 1e-9.
+        |t| <= its ``span``, sampled on 801 nodes per row in one scan, and
+        with ``far`` also at +-4^j span, j = 1..80; ``(m, K)``, inf padded,
+        inf also where |t| <= 1e-9.
 
         Adjacent nodes of opposite sign bracket a root, refined to within
         2e-12 + 8.88e-16*|t|.  A sign change across a run of exact zeros (both
         fields vanish there) keeps the ends of the run instead.
         """
         grid = np.linspace(-span, span, 801, axis=-1)
+        if far:
+            out = np.multiply.outer(span, 4.0 ** np.arange(1, 81))
+            grid = np.concatenate((-out[:, ::-1], grid, out), axis=1)
         vals = self.first.line(rows[:, None])(grid) - self.second.line(rows[:, None])(grid)
         # each node's nearest nonzero node up to it in its row (-1 if none);
         # a change is a nonzero node whose sign differs from the one before it
-        last = np.maximum.accumulate(np.where(vals != 0.0, np.arange(801), -1), axis=1)
+        nodes = np.arange(grid.shape[1])
+        last = np.maximum.accumulate(np.where(vals != 0.0, nodes, -1), axis=1)
         row, right = np.nonzero((vals[:, 1:] != 0.0) & (last[:, :-1] >= 0))
         right += 1
         left = last[row, right - 1]
@@ -789,14 +795,17 @@ class MinField(Field):
         return np.where(np.abs(out) > 1e-9, out, np.inf).reshape(len(rows), -1)
 
     def breakpoints(self, rows: Rows) -> np.ndarray:
+        # the far scan finds crossings out to 4^80 span, ~1e49, far past the
+        # section's own scale: the far law takes its order as final beyond them
         span = np.maximum(10.0, 2.0 * np.sqrt(rows.r2(0.0)) + 4.0)
         return np.concatenate((self.first.breakpoints(rows), self.second.breakpoints(rows),
-                               self._crossings(rows, span)), axis=1)
+                               self._crossings(rows, span, far=True)), axis=1)
 
     def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
         """Each field's terms, scaled, on the sides where it is the lower one at
         +-``beyond`` (neither where both are equal there, so 0 beyond): the
-        fields' crossings are breakpoints, so the order holds beyond it."""
+        fields' crossings out to the far scan's end are breakpoints, so the
+        order holds from beyond to there."""
         fields = (self.first, self.second)
         laws = [f.far_law(rows, beyond) for f in fields]
         (p1, m1), (p2, m2) = (f.line(rows)(np.stack((beyond, -beyond))) for f in fields)

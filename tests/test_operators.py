@@ -420,12 +420,13 @@ def _count_fans(monkeypatch) -> list:
 
 def test_search_rotation_costs_few_fans(monkeypatch):
     # at the package defaults (budget 1, seed 0), on the three half-space tails
-    # of FROZEN_SEARCHES: three Givens sweeps made 27, 37 and 9 objective fans
-    # there; one sweep and the polish must take at most 60% of that (16, 22
-    # and 5 fans).  The N = 2 tail's zoom stops once its best angle's drop is
-    # within the score's bar, and with the far rule in place of the log panel
-    # and its growth bound those bars fell from ~5e-8 to ~2e-11: two more
-    # levels, 7 fans, which end 3.3e-10 lower
+    # of FROZEN_SEARCHES: the search of the time, three Givens sweeps each
+    # with a zoom that stopped at a fixed angle width, whatever the bars,
+    # made 27, 37 and 9 objective fans there; one sweep and the refinement
+    # must take at most 60% of that on N = 3 and 4 (16 and 22 fans).  The
+    # N = 2 tail's zoom stops once its best angle's drop is within the
+    # score's bar, and the far rule took those bars from ~5e-8 to ~2e-11: two
+    # more levels, 7 fans (78% of 9, was 5), which end 3.3e-10 lower
     fans = _count_fans(monkeypatch)
     for (make, x, s, variant, _, _), ceiling in zip(FROZEN_SEARCHES, (16, 22, 7)):
         fans.clear()
@@ -781,6 +782,24 @@ def test_directional_matches_scipy_reference(kind, s, N):
     assert abs(r.value - ref_value) <= r.abs_error_estimate + ref_err
 
 
+# a min field whose sections cross far out when they are near xi_N = 0
+_THIN_FAR = pr.build_thIN_supersolution(2, 0.3016, 4.2949)[0]
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3016])
+@pytest.mark.parametrize("x,xi", [([0.0, 0.005], [math.cos(0.005), math.sin(0.005)]),
+                                  ([0.0, 1e-6], [1.0, 1e-5])], ids=["t10", "t180"])
+def test_min_field_far_crossing_matches_scipy_reference(x, xi, s):
+    # phi drops below z at t ~ 10.4 and ~ 181 along these rows, past the near
+    # scan's span of 10: a far law that took z, the lower field at the core's
+    # end, read -0.0797 at the first row and s = 0.3016, where the reference's
+    # log panel reads -0.1020
+    x, xi = np.array(x), _unit(xi)
+    r = op.directional(_THIN_FAR, x, xi, s, TOL)
+    ref_value, ref_err = _reference_directional(_THIN_FAR, x, xi, s, TOL)
+    assert abs(r.value - ref_value) <= r.abs_error_estimate + ref_err
+
+
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("kind", sorted(PARITY_FIELDS))
@@ -929,7 +948,7 @@ def test_jacobi_rule_moments_match_mpmath(n, s, alpha):
     # exactly, 1/(k + a), for every k < 2n: a = 2 - s at the near end, and
     # a = 1 + beta = 2s - alpha at the far end, where the mass 1/a reaches 6e4
     a = 2.0 - s if alpha is None else 2.0 * s - alpha
-    nodes, weights = op._jacobi_rule(n, a)
+    nodes, weights = (r[:n] if n == op._RULE_NODES else r[op._RULE_NODES:] for r in op._rules(a))
     assert nodes.size == weights.size == n and np.all((nodes > 0.0) & (nodes < 1.0))
     with mpmath.workdps(40):
         sm = mpmath.mpf(s)
@@ -1049,6 +1068,11 @@ FAR_LAWS = {
     # 4 y_N is the lower one beyond y_N = 4, so the second field, at exponent 1 < 2s
     "min-powers": (lambda s: pr.MinField(pr.PowerProfile(2.0), pr.PowerProfile(1.0, 4.0)),
                    [0.3, 1.2], [0.6, 0.8], 0.5),
+    # z = y_N^0.151 is the lower one out to t ~ 10.4 and phi beyond: a crossing
+    # past the near scan's span of 10; nearer the plane, at 1e-5 rad, at t ~ 180
+    "min-far-crossing": (lambda s: _THIN_FAR, [0.0, 0.005], [math.cos(0.005), math.sin(0.005)],
+                         0.0),
+    "min-farther-crossing": (lambda s: _THIN_FAR, [0.0, 1e-6], [1.0, 1e-5], 0.0),
 }
 
 
@@ -1068,7 +1092,9 @@ def test_far_law_matches_line_and_mpmath(kind, s):
     assert total == pytest.approx(u.line(row)(t), rel=1e-14, abs=1e-300)
     value, bar, _, count = op._far_piece(u, row, s, c, u.far_law(row[:, None], beyond[:, None])[1])
     assert count == 2 * len(terms) * (op._RULE_NODES + op._CHECK_NODES)
-    alpha = max(float(np.max(a)) for a, _ in terms)
+    # the reference needs the leading exponent: that of a term that is not 0 there
+    alpha = max(float(np.max(a)) for a, line in terms
+                if np.any((u.line(row) if line is None else line)(t) != 0.0))
     with mpmath.workdps(40):
         want = float(_mp_far_integral(_mp_far_section(u, row), s, c[0], alpha))
     assert abs(value[0] - want) <= bar[0], (value[0], want, bar[0])
