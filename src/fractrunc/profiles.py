@@ -760,8 +760,8 @@ class MinField(Field):
     def _crossings(self, rows: Rows, span: np.ndarray, far: bool = False) -> np.ndarray:
         """Sign changes of first - second along each row's line within
         |t| <= its ``span``, sampled on 801 nodes per row in one scan, and
-        with ``far`` also at +-4^j span, j = 1..80; ``(m, K)``, inf padded,
-        inf also where |t| <= 1e-9.
+        with ``far`` also at +-4^j span, j = 1..80, up to 1e150; ``(m, K)``,
+        inf padded, inf also where |t| <= 1e-9.
 
         Adjacent nodes of opposite sign bracket a root, refined to within
         2e-12 + 8.88e-16*|t|.  A sign change across a run of exact zeros (both
@@ -769,7 +769,9 @@ class MinField(Field):
         """
         grid = np.linspace(-span, span, 801, axis=-1)
         if far:
-            out = np.multiply.outer(span, 4.0 ** np.arange(1, 81))
+            # out to |t| = 1e150 at most (the span, if larger): |x + t xi|^2 still fits a float
+            out = np.minimum(np.multiply.outer(span, 4.0 ** np.arange(1, 81)),
+                             np.maximum(span, 1e150)[:, None])
             grid = np.concatenate((-out[:, ::-1], grid, out), axis=1)
         vals = self.first.line(rows[:, None])(grid) - self.second.line(rows[:, None])(grid)
         # each node's nearest nonzero node up to it in its row (-1 if none);

@@ -800,6 +800,15 @@ def test_min_field_far_crossing_matches_scipy_reference(x, xi, s):
     assert abs(r.value - ref_value) <= r.abs_error_estimate + ref_err
 
 
+def test_min_field_far_scan_stays_in_float_range():
+    # the far crossing scan stops at |t| = 1e150: a first version ran 4^80
+    # times the span out, and at |x| = 1e140 overflowed |x + t xi|^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = op.directional(_THIN_FAR, np.array([0.3, 1e140]), _unit([0.6, 0.8]), 0.3016)
+    assert math.isfinite(r.value) and math.isfinite(r.abs_error_estimate)
+
+
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("kind", sorted(PARITY_FIELDS))
