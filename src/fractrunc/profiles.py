@@ -757,22 +757,20 @@ class MinField(Field):
         return np.maximum(np.minimum(self.first.c2_radius(rows), self.second.c2_radius(rows)),
                           1e-6)
 
-    def _crossings(self, rows: Rows, span: np.ndarray, far: bool = False) -> np.ndarray:
-        """Sign changes of first - second along each row's line within
-        |t| <= its ``span``, sampled on 801 nodes per row in one scan, and
-        with ``far`` also at +-4^j span, j = 1..80, up to 1e150; ``(m, K)``,
-        inf padded, inf also where |t| <= 1e-9.
+    def _crossings(self, rows: Rows, span: np.ndarray) -> np.ndarray:
+        """Sign changes of first - second along each row's line, sampled in
+        one scan on 801 nodes per row within |t| <= its ``span`` and at
+        +-4^j span, j = 1..80, up to 1e150; ``(m, K)``, inf padded, inf also
+        where |t| <= 1e-9.
 
         Adjacent nodes of opposite sign bracket a root, refined to within
         2e-12 + 8.88e-16*|t|.  A sign change across a run of exact zeros (both
         fields vanish there) keeps the ends of the run instead.
         """
-        grid = np.linspace(-span, span, 801, axis=-1)
-        if far:
-            # out to |t| = 1e150 at most (the span, if larger): |x + t xi|^2 still fits a float
-            out = np.minimum(np.multiply.outer(span, 4.0 ** np.arange(1, 81)),
-                             np.maximum(span, 1e150)[:, None])
-            grid = np.concatenate((-out[:, ::-1], grid, out), axis=1)
+        # out to |t| = 1e150 at most (the span, if larger): |x + t xi|^2 still fits a float
+        out = np.minimum(np.multiply.outer(span, 4.0 ** np.arange(1, 81)),
+                         np.maximum(span, 1e150)[:, None])
+        grid = np.concatenate((-out[:, ::-1], np.linspace(-span, span, 801, axis=-1), out), axis=1)
         vals = self.first.line(rows[:, None])(grid) - self.second.line(rows[:, None])(grid)
         # each node's nearest nonzero node up to it in its row (-1 if none);
         # a change is a nonzero node whose sign differs from the one before it
@@ -801,7 +799,7 @@ class MinField(Field):
         # section's own scale: the far law takes its order as final beyond them
         span = np.maximum(10.0, 2.0 * np.sqrt(rows.r2(0.0)) + 4.0)
         return np.concatenate((self.first.breakpoints(rows), self.second.breakpoints(rows),
-                               self._crossings(rows, span, far=True)), axis=1)
+                               self._crossings(rows, span)), axis=1)
 
     def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
         """Each field's terms, scaled, on the sides where it is the lower one at

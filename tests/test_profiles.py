@@ -389,13 +389,15 @@ def _row_crossings(m, x, xi, radius=0.0):
 
 
 def _crossings_reference(m, x, xi, radius=0.0):
-    """The scan of earlier versions: a loop over the 801 nodes, scipy's brentq
-    per sign change, on the fields' lines through the row as a stack of one."""
+    """The scan as a loop over its nodes, 801 within the span and 80 each side
+    at 4^j span up to 1e150, scipy's brentq per sign change, on the fields'
+    lines through the row as a stack of one."""
     from scipy.optimize import brentq
 
     span, xi = _span_and_direction(x, xi, radius)
     first, second = m.first.line(_rows(x[None], xi[None])), m.second.line(_rows(x[None], xi[None]))
-    grid = np.linspace(-span, span, 801)
+    out = np.minimum(span * 4.0 ** np.arange(1, 81), max(span, 1e150))
+    grid = np.concatenate((-out[::-1], np.linspace(-span, span, 801), out))
     vals = (first(grid[:, None]) - second(grid[:, None]))[:, 0].tolist()
     grid = grid.tolist()
     out, last = [], None
