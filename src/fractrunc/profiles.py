@@ -768,14 +768,13 @@ class MinField(Field):
         fields vanish there) keeps the ends of the run instead.
         """
         # out to |t| = 1e150 at most (the span, if larger): |x + t xi|^2 still fits a float
-        out = np.minimum(np.multiply.outer(span, 4.0 ** np.arange(1, 81)),
+        far = np.minimum(np.multiply.outer(span, 4.0 ** np.arange(1, 81)),
                          np.maximum(span, 1e150)[:, None])
-        grid = np.concatenate((-out[:, ::-1], np.linspace(-span, span, 801, axis=-1), out), axis=1)
+        grid = np.concatenate((-far[:, ::-1], np.linspace(-span, span, 801, axis=-1), far), axis=1)
         vals = self.first.line(rows[:, None])(grid) - self.second.line(rows[:, None])(grid)
         # each node's nearest nonzero node up to it in its row (-1 if none);
         # a change is a nonzero node whose sign differs from the one before it
-        nodes = np.arange(grid.shape[1])
-        last = np.maximum.accumulate(np.where(vals != 0.0, nodes, -1), axis=1)
+        last = np.maximum.accumulate(np.where(vals != 0.0, np.arange(grid.shape[1]), -1), axis=1)
         row, right = np.nonzero((vals[:, 1:] != 0.0) & (last[:, :-1] >= 0))
         right += 1
         left = last[row, right - 1]
@@ -795,7 +794,7 @@ class MinField(Field):
         return np.where(np.abs(out) > 1e-9, out, np.inf).reshape(len(rows), -1)
 
     def breakpoints(self, rows: Rows) -> np.ndarray:
-        # the far scan finds crossings out to 4^80 span, ~1e49, far past the
+        # the scan finds crossings out to 4^80 span, ~1e49 or more, far past the
         # section's own scale: the far law takes its order as final beyond them
         span = np.maximum(10.0, 2.0 * np.sqrt(rows.r2(0.0)) + 4.0)
         return np.concatenate((self.first.breakpoints(rows), self.second.breakpoints(rows),

@@ -426,7 +426,7 @@ def test_search_rotation_costs_few_fans(monkeypatch):
     # must take at most 60% of that on N = 3 and 4 (16 and 22 fans).  The
     # N = 2 tail's zoom stops once its best angle's drop is within the
     # score's bar, and the far rule took those bars from ~5e-8 to ~2e-11: two
-    # more levels, 7 fans (78% of 9, was 5), which end 3.3e-10 lower
+    # more levels, 7 fans (78% of 9), which end 3.3e-10 lower
     fans = _count_fans(monkeypatch)
     for (make, x, s, variant, _, _), ceiling in zip(FROZEN_SEARCHES, (16, 22, 7)):
         fans.clear()
@@ -801,8 +801,8 @@ def test_min_field_far_crossing_matches_scipy_reference(x, xi, s):
 
 
 def test_min_field_far_scan_stays_in_float_range():
-    # the far crossing scan stops at |t| = 1e150: a first version ran 4^80
-    # times the span out, and at |x| = 1e140 overflowed |x + t xi|^2
+    # the far crossing scan stops at |t| = 1e150, so at |x| = 1e140 the squared
+    # norms |x + t xi|^2 it reads stay finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r = op.directional(_THIN_FAR, np.array([0.3, 1e140]), _unit([0.6, 0.8]), 0.3016)

@@ -396,8 +396,8 @@ def _crossings_reference(m, x, xi, radius=0.0):
 
     span, xi = _span_and_direction(x, xi, radius)
     first, second = m.first.line(_rows(x[None], xi[None])), m.second.line(_rows(x[None], xi[None]))
-    out = np.minimum(span * 4.0 ** np.arange(1, 81), max(span, 1e150))
-    grid = np.concatenate((-out[::-1], np.linspace(-span, span, 801), out))
+    far = np.minimum(span * 4.0 ** np.arange(1, 81), max(span, 1e150))
+    grid = np.concatenate((-far[::-1], np.linspace(-span, span, 801), far))
     vals = (first(grid[:, None]) - second(grid[:, None]))[:, 0].tolist()
     grid = grid.tolist()
     out, last = [], None
