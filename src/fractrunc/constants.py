@@ -70,11 +70,12 @@ class DomainError(ValueError):
     """A parameter lies outside the admissible range."""
 
 
-# The smallest s resolved.  The verify suites' directional quadrature takes
-# the tail exponent 1 + 2s, whose rounding (eps/4 in s) moves a value of size
-# ~1/s by ~eps/(4 s^2), which exceeds psi's relative tolerance 1e-11 below
-# s ~ 5.6e-6; below ~1.1e-16, 1 + 2s rounds to 1 and the tail diverges.  The
-# constants run no quadrature, but every entry point keeps this one floor.
+# The smallest s resolved, one floor for every entry point.  It is the
+# smallest s at which the tests check each layer (the quadrature rules, the
+# constants, the roots and the table), kept until each layer's own floor is
+# derived against mpmath.  No rounded 1 + 2s bounds it: the directional far
+# piece takes -u(x) c^{-2s}/s exactly and forms its rule weight from 2s - alpha,
+# and the constants run no quadrature.
 _S_MIN = 1e-5
 
 

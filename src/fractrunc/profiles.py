@@ -506,8 +506,8 @@ _EM_WEIGHTS = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 
 
 
 def _power_sums(eps: float, s: float, d: np.ndarray, d_rel) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, errors) over the last axis of ``d`` (inf adds 0, ``d_rel`` bounds
-    its relative error beyond rounding) of (eps/d)^{1+2s+2i}, i = 0.._MOMENT_TERMS.
+    """(sums, errors) over the last axis of ``d`` > 0 (``d_rel`` bounds its
+    relative error beyond rounding) of (eps/d)^{1+2s+2i}, i = 0.._MOMENT_TERMS.
     The offset 2s + 2i enters as such, not through a rounded 1 + 2s: 2s is exact,
     and the rounding of 2s + 2i <= 4i moves r^sigma by up to 4i |log r| 2^-53,
     that of r by sigma (2^-52 + d_rel)."""
@@ -516,15 +516,15 @@ def _power_sums(eps: float, s: float, d: np.ndarray, d_rel) -> tuple[np.ndarray,
     powers = r * r ** (2.0 * s + 2.0 * i)
     shift = np.broadcast_to(d_rel, d.shape)[..., None, :] / _U
     weight = ((2.0 * s + 2.0 * i + 1.0) * (2.0 + shift)
-              + 4.0 * i * np.abs(np.log(np.maximum(r, 1e-300))) + 2.0 + d.shape[-1])
+              + 4.0 * i * np.abs(np.log(r)) + 2.0 + d.shape[-1])
     return powers.sum(-1), _U * (powers * weight).sum(-1)
 
 
 def _hurwitz_sums(eps: float, s: float, start: np.ndarray,
                   start_rel) -> tuple[np.ndarray, np.ndarray]:
     """(sums, errors) of sum_{n >= 0} (eps/(start + n))^{1+2s+2i}, the scaled
-    Hurwitz zeta eps^sigma zeta(sigma, start), one column per i and one row
-    per ``start`` > 0 of relative error up to ``start_rel``.
+    Hurwitz zeta eps^sigma zeta(sigma, start), a last axis over i for each
+    ``start`` > 0 of relative error up to ``start_rel``.
 
     ``_EM_SHIFT`` terms are summed directly, the rest by Euler-Maclaurin at
     x = start + _EM_SHIFT (Johansson, Numer. Algorithms 69, 2015): with
@@ -572,11 +572,12 @@ def _moment_series(eps: float, a: float, s: float, moments: np.ndarray,
          * np.concatenate(([1.0], np.cumprod(ratios))))
     # eps^{2(a-s)} is exactly 1 for a train seen by its own order
     scale = eps ** (2.0 * a - 2.0 * s)
-    value = scale * (moments[..., :-1] @ c[:-1])
+    # sums over a row's own terms, not BLAS products, whose rounding moves with the batch
+    value = scale * (moments[..., :-1] * c[:-1]).sum(-1)
     tail = scale * c[-1] * moments[..., -1] / (1.0 - (1.0 + s / (_MOMENT_TERMS + 1.0)) / 4.0)
     # the rounding of 2a - 2s moves eps^{2(a-s)} by up to |2(a-s) log eps| 2^-53
     rounding = _BUMP_ROUNDING + abs(2.0 * (a - s) * math.log(eps)) * _U
-    return value, tail + scale * (errors @ c) + rounding * value
+    return value, tail + scale * (errors * c).sum(-1) + rounding * value
 
 
 class BumpTrain(Field):
@@ -584,11 +585,11 @@ class BumpTrain(Field):
 
     The train depends on x_N alone, so the section along a unit xi is the
     e_N section scaled by |xi_N| in t, and its integral is |xi_N|^{2s} times
-    the e_N one.  A section through a point shows only the bumps centred
-    within 2*eps of it (eps/d > 1/2 at d = |x_N - n - eps|), and so do
-    ``breakpoints``, ``c2_radius`` and ``d2_along``; the bump that holds x_N
-    is among them, so u(x) is exact.  ``far_part`` adds every other bump by
-    its moment series, so a section costs a few quadrature pieces.
+    the e_N one.  A section through a point shows only the bumps of its
+    ``_span``, centred within 2*eps of it (eps/d > 1/2 at d = |x_N - n - eps|),
+    and so do ``breakpoints``, ``c2_radius`` and ``d2_along``; the bump that
+    holds x_N is among them, so u(x) is exact.  ``far_part`` adds every other
+    bump by its moment series, so a section costs a few quadrature pieces.
     """
 
     def __init__(self, eps: float, s: float) -> None:
@@ -596,33 +597,36 @@ class BumpTrain(Field):
             raise ExponentOutOfRange(f"eps must lie in [{_EPS_MIN:g}, 1/2)")
         self.eps, self.s = eps, s
 
-    def _near_edges(self, rows: Rows) -> tuple[np.ndarray, np.ndarray]:
-        """x_N of each row's point ``(m,)``, and the edges n and n + 2*eps of
-        the bumps the sections through it show ``(m, 6)``, inf padded."""
-        y, eps = rows.x_n, self.eps
-        # 3*eps < 3/2 and eps < 1/2, so only floor(y) - 1 .. floor(y) + 1 can be near
-        n = np.floor(y)[:, None] + np.array([-1.0, 0.0, 1.0])
-        near = (n >= 0.0) & (np.abs(n + eps - y[:, None]) < 2.0 * eps)
-        return y, np.where(np.hstack((near, near)), np.hstack((n, n + 2.0 * eps)), np.inf)
+    def _span(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first and last bump ``(m,)`` shown through x_N = ``y``: the n >= 0
+        with y - 3*eps < n < y + eps, at most two; if none, last = first - 1."""
+        first = np.maximum(np.floor(y - 3.0 * self.eps) + 1.0, 0.0)
+        return first, np.maximum(np.ceil(y + self.eps) - 1.0, first - 1.0)
+
+    def _near_edges(self, rows: Rows) -> np.ndarray:
+        """The edges n and n + 2*eps of each row's span ``(m, 4)``, inf padded."""
+        first, last = self._span(rows.x_n)
+        n = first[:, None] + np.array([0.0, 1.0, 0.0, 1.0])
+        return np.where(n <= last[:, None], n + np.repeat([0.0, 2.0 * self.eps], 2), np.inf)
 
     def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
         eps, s = float(self.eps), float(self.s)
+        first, last = self._span(rows.x_n)
 
         def at(t: np.ndarray) -> np.ndarray:
             y = rows.x_n + t * rows.xi_n
             n = np.floor(y)
             arg = eps**2 - (y - n - eps) ** 2
-            inside = (n >= 0.0) & (arg > 0.0) & (np.abs(n + eps - rows.x_n) < 2.0 * eps)
+            inside = (n >= first) & (n <= last) & (arg > 0.0)
             return np.where(inside, np.maximum(arg, 0.0) ** s, 0.0)
         return at
 
     def c2_radius(self, rows: Rows) -> np.ndarray:
-        y, edges = self._near_edges(rows)
-        near = np.min(np.abs(y[:, None] - edges), axis=1)
+        near = np.min(np.abs(rows.x_n[:, None] - self._near_edges(rows)), axis=1)
         return np.where(np.isfinite(near), np.maximum(near / 2.0, 1e-6), 1.0)
 
     def breakpoints(self, rows: Rows) -> np.ndarray:
-        return _plane_crossings(rows, self._near_edges(rows)[1])
+        return _plane_crossings(rows, self._near_edges(rows))
 
     far_law = staticmethod(_settled_law)
 
@@ -636,23 +640,19 @@ class BumpTrain(Field):
                                                       - 2.0 * g * b * b), 0.0)
 
     def far_part(self, rows: Rows, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """(values, errors) of the part of the order-s section integrals that
-        the sections of ``rows`` do not show, before C_s: |xi_N|^{2s} times
-        the moment series of every bump at d >= 2*eps of the row's point.
-        With m = floor(max x_N) + 2, the bumps n < m are summed one by one
-        (the near ones at d = inf) and every bump from m on, at d > 1, as a
-        Hurwitz sum."""
-        y, xi_n, eps = rows.x_n, rows.xi_n, float(self.eps)
-        m = max(math.floor(np.max(y)) + 2, 0)
-        middle = np.arange(m) + eps
-        d = np.abs(middle - y[..., None])
-        d[d < 2.0 * eps] = np.inf
-        # d = |fl(n + eps) - y| is off by up to 2^-53 (n + eps + d)
-        moments, errors = _power_sums(eps, s, d, _U * (middle / d + 1.0))
-        start = m + eps - y
-        far, far_err = _hurwitz_sums(eps, s, start, _U * ((m + eps) / start + 1.0))
-        value, error = _moment_series(eps, float(self.s), s, moments + far, errors + far_err)
-        scale = np.abs(xi_n) ** (2.0 * s)
+        """(values, errors), before C_s, of the order-s section integrals that
+        ``rows`` leave out: |xi_N|^{2s} times the moment series of the bumps off
+        each row's span, by Hurwitz sums from last + 1 up and from first - 1
+        down, less the sum from bump -1 down."""
+        y, eps = rows.x_n, float(self.eps)
+        first, last = self._span(y)
+        low = np.maximum(y, 3.0 * eps)  # first = 0 below 3 eps: the lower sums cancel
+        gap = np.stack((last + 1.0 - y, first - 1.0 - low, -1.0 - low), -1)  # n - y
+        start = np.abs(gap + eps)  # off by up to 2^-53 (|n - y| + start)
+        sums, errors = _hurwitz_sums(eps, s, start, _U * (np.abs(gap) / start + 1.0))
+        moments = sums[..., 0, :] + (sums[..., 1, :] - sums[..., 2, :])
+        value, error = _moment_series(eps, float(self.s), s, moments, errors.sum(-2))
+        scale = np.abs(rows.xi_n) ** (2.0 * s)
         return scale * value, scale * error
 
 

@@ -161,7 +161,7 @@ def _axis_rows(ts: Sequence[float]) -> pr.Rows:
     return pr.Rows(t, np.zeros_like(t), t.copy(), np.ones_like(t))
 
 
-_MAX_N = 20_000  # t49-2 integrates N rows per point: ~470 MB peak at this N
+_MAX_N = 20_000  # t49-2 integrates N rows per point: ~370 MB peak at this N (x86_64)
 
 
 def _upper_points(N: int, radii: Sequence[float], seed: int) -> list[np.ndarray]:

@@ -28,3 +28,27 @@ class BallBump(pr.Field):
         return pr._sphere_crossings(rows.b, rows.d2, self.r)
 
     far_law = staticmethod(pr._settled_law)  # each section vanishes past the sphere
+
+
+class CompactBump:
+    """(1 - |t|^2)_+^s along the last axis; zero metadata elsewhere."""
+
+    far_law = staticmethod(pr._settled_law)  # each section vanishes past x_N = +-1
+
+    def __init__(self, s):
+        self.s = s
+        self.is_radial = False
+
+    def line(self, rows):
+        x_n, xi_n, s = rows.x_n, rows.xi_n, self.s
+        return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
+
+    def c2_radius(self, rows):
+        return np.maximum(np.abs(1.0 - np.abs(rows.x_n)) / 2.0, 1e-6)
+
+    def breakpoints(self, rows):
+        # where each section meets x_N = -1 and x_N = 1; a row with xi_N ~ 0 meets neither
+        x_n, xi_n = rows.x_n[:, None], rows.xi_n[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (np.array([-1.0, 1.0]) - x_n) / xi_n
+        return np.where(np.abs(xi_n) < 1e-14, np.inf, t)

@@ -12,6 +12,7 @@ from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
 import oracles as oc
+from fields import CompactBump
 
 TOL = Tolerance(1e-10, 1e-9)
 
@@ -21,24 +22,7 @@ TOL = Tolerance(1e-10, 1e-9)
 @pytest.mark.parametrize("s", [0.25, 0.5])
 @pytest.mark.parametrize("t", [0.0, 0.5])
 def test_01_bump_identity(s, t):
-    class Bump:
-        far_law = staticmethod(pr._settled_law)  # each section vanishes past x_N = +-1
-
-        def line(self, rows):
-            x_n, xi_n = rows.x_n, rows.xi_n
-            return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
-
-        def c2_radius(self, rows):
-            return np.maximum(np.abs(1.0 - np.abs(rows.x_n)) / 2.0, 1e-6)
-
-        def breakpoints(self, rows):
-            # each section meets x_N = -1 and x_N = 1, unless xi_N ~ 0
-            x_n, xi_n = rows.x_n[:, None], rows.xi_n[:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (np.array([-1.0, 1.0]) - x_n) / xi_n
-            return np.where(np.abs(xi_n) < 1e-14, np.inf, t)
-
-    r = op.directional(Bump(), np.array([0.0, t]), np.array([0.0, 1.0]),
+    r = op.directional(CompactBump(s), np.array([0.0, t]), np.array([0.0, 1.0]),
                        s, TOL)
     expected = cn.normalizing_constant(s) * oc.BUMP_IDENTITY[s]
     assert r.value == pytest.approx(expected, rel=1e-6)

@@ -302,9 +302,9 @@ def test_bad_s_exits_2(capsys, command, s):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
-# Below 1e-5 the rounding of the tail exponent 1 + 2s outweighs the
-# quadratures' tolerance; at 1e-17 it rounds to 1 and the tail diverges, and
-# at 1e-310 Gamma(-s) overflows.  Each exits 2 and names the floor.
+# Every entry point refuses s below the one floor 1e-5: just below it, where
+# 1 + 2s rounds to 1 (1e-17) and where Gamma(-s) overflows (1e-310).  Each
+# exits 2 and names the floor.
 @pytest.mark.parametrize("s", ["1e-17", "1e-310", "9e-06"])
 @pytest.mark.parametrize("command", sorted(_S_COMMANDS))
 def test_s_below_floor_exits_2(capsys, command, s):

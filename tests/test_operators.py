@@ -20,33 +20,9 @@ from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
 import oracles as oc
-from fields import BallBump
+from fields import BallBump, CompactBump
 
 TOL = Tolerance(1e-10, 1e-9)
-
-
-class CompactBump:
-    """(1 - |t|^2)_+^s along the last axis; zero metadata elsewhere."""
-
-    far_law = staticmethod(pr._settled_law)  # each section vanishes past x_N = +-1
-
-    def __init__(self, s):
-        self.s = s
-        self.is_radial = False
-
-    def line(self, rows):
-        x_n, xi_n, s = rows.x_n, rows.xi_n, self.s
-        return lambda t: np.maximum(1.0 - (x_n + t * xi_n) ** 2, 0.0) ** s
-
-    def c2_radius(self, rows):
-        return np.maximum(np.abs(1.0 - np.abs(rows.x_n)) / 2.0, 1e-6)
-
-    def breakpoints(self, rows):
-        # where each section meets x_N = -1 and x_N = 1; a row with xi_N ~ 0 meets neither
-        x_n, xi_n = rows.x_n[:, None], rows.xi_n[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (np.array([-1.0, 1.0]) - x_n) / xi_n
-        return np.where(np.abs(xi_n) < 1e-14, np.inf, t)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5])
@@ -714,9 +690,9 @@ def _reference_directional(u, x, xi, s, tol):
 class _TruncatedTrain:
     """The bumps n < ``window`` of a ``BumpTrain``, each on the whole line of
     every section, and the bumps from ``window`` on as ``far_part``, the
-    moment series of their Hurwitz sums.  A quadrature of its sections is an
-    independent check of the train's split into near bumps, bumps summed one
-    by one and the Hurwitz sum; rows need x_N <= window - eps."""
+    moment series of their Hurwitz sum.  A quadrature of its sections is an
+    independent check of the train's split into the bumps of a section's
+    span and the Hurwitz sums above and below it; rows need x_N <= window - eps."""
 
     def __init__(self, eps, s, window):
         self.eps, self.s, self.window = eps, s, window
@@ -910,6 +886,28 @@ def test_far_panel_starts_clear_of_the_last_breakpoint(kind, k, s, ceiling):
     r = op.directional(psi, x, x, s, tol)
     assert r.n_evals < ceiling
     assert r.value > 0.0 and r.abs_error_estimate <= tol.abs_tol
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.9])
+def test_far_start_moves_past_a_far_radius_declared_too_small(monkeypatch, s):
+    # w_gamma's law with R = 0, at |x| = 50 along a line that misses the cap:
+    # c starts near 1 while the section is singular at t = -30 +- 40i, so the
+    # far rules' gap moves c out fourfold until it meets the honest field
+    class ShortLaw(pr.RadialProfile):
+        def far_law(self, rows, beyond):
+            return 0.0, super().far_law(rows, beyond)[1]
+
+    starts, far_piece = [], op._far_piece
+    monkeypatch.setattr(op, "_far_piece", lambda u, rows, s, c, terms: (
+        starts.append(float(c[0])) or far_piece(u, rows, s, c, terms)))
+    x, xi = np.array([50.0, 0.0]), np.array([0.6, 0.8])
+    r = op.directional(ShortLaw(0.5, 0.5, "decay"), x, xi, s, TOL)
+    assert starts[0] <= 2.0 and len(starts) > 1
+    assert starts[1:] == [4.0 * c for c in starts[:-1]]
+    starts.clear()
+    honest = op.directional(pr.make_w_gamma(0.5), x, xi, s, TOL)
+    assert starts == [101.0]  # 2|x| + 1, taken once
+    assert abs(r.value - honest.value) <= r.abs_error_estimate + honest.abs_error_estimate
 
 
 def _count_engine_calls(monkeypatch):

@@ -233,15 +233,17 @@ def test_hurwitz_sums_match_mpmath():
 
 def test_bump_train_far_part():
     # the moment series of every bump at d >= 2 eps of the row's point,
-    # summed in mpmath: the bumps n < 10 one by one, the rest as Hurwitz zeta
-    # (at d > 4, so 16 terms of its series leave < 1e-30); the kernel's order
-    # s may differ from the train's a
-    x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 3.5], [1.0, 3.5], [0.0, -0.3], [0.0, 5.0]])
-    xi = np.array([[0.0, 1.0], [0.8, 0.6], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    # summed in mpmath: the bumps within 10 of the point one by one, the rest
+    # as Hurwitz zeta on both sides (at d > 9, so 16 terms of its series leave
+    # < 1e-30); the kernel's order s may differ from the train's a
+    x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 3.5], [1.0, 3.5], [0.0, -0.3], [0.0, 5.0],
+                  [0.0, 1e3], [0.0, 1e5]])
+    xi = np.array([[0.0, 1.0], [0.8, 0.6], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0],
+                   [0.0, 1.0], [0.6, 0.8]])
     for eps, a, s in ((0.2, 0.5, 0.5), (0.2, 0.5, 0.05), (0.0191653, 0.0731, 0.0731),
                       (1e-6, 0.03, 0.95)):
         # through the first bump's centre and inside bump 5
-        x[:2, -1], x[-1, -1] = eps, 5.0 + 1.5 * eps
+        x[:2, -1], x[5, -1] = eps, 5.0 + 1.5 * eps
         values, errors = pr.BumpTrain(eps, a).far_part(_rows(x, xi), s)
         with mpmath.workdps(40):
             e, a_, s_ = mpmath.mpf(eps), mpmath.mpf(a), mpmath.mpf(s)
@@ -249,19 +251,35 @@ def test_bump_train_far_part():
             for i in range(59):
                 c.append(c[-1] * (2 * s_ + 2 * i + 1) * (2 * s_ + 2 * i + 2)
                          / ((2 * i + 2) * (2 * i + 2 * a_ + 3)))
-            for row in (0, 2, 4, 5):
+            for row in (0, 2, 4, 5, 6, 7):
                 y = mpmath.mpf(x[row, -1])
-                ds = [abs(n + e - y) for n in range(10) if abs(n + e - y) >= 2 * e]
-                want = e ** (2 * (a_ - s_)) * mpmath.fsum(
-                    c[i] * mpmath.fsum((e / d) ** (1 + 2 * s_ + 2 * i) for d in ds)
-                    for i in range(60))
-                want += e ** (2 * (a_ - s_)) * mpmath.fsum(
-                    c[i] * e ** (1 + 2 * s_ + 2 * i) * mpmath.zeta(1 + 2 * s_ + 2 * i, 10 + e - y)
-                    for i in range(16))
+                lo, hi = max(math.floor(x[row, -1]) - 10, 0), math.floor(x[row, -1]) + 11
+                ds = [abs(n + e - y) for n in range(lo, hi) if abs(n + e - y) >= 2 * e]
+                want = mpmath.fsum(c[i] * mpmath.fsum((e / d) ** (1 + 2 * s_ + 2 * i) for d in ds)
+                                   for i in range(60))
+                for i in range(16):
+                    sigma = 1 + 2 * s_ + 2 * i
+                    zeta = mpmath.zeta(sigma, hi + e - y)
+                    if lo > 0:  # the bumps n < lo: from lo - 1 down, less from -1 down
+                        zeta += mpmath.zeta(sigma, y - lo + 1 - e) - mpmath.zeta(sigma, y + 1 - e)
+                    want += c[i] * e**sigma * zeta
+                want *= e ** (2 * (a_ - s_)) * abs(mpmath.mpf(xi[row, -1])) ** (2 * s_)
                 assert abs(values[row] - want) <= errors[row]
                 assert errors[row] <= 1e-9 * values[row]
         assert values[1] == pytest.approx(0.6 ** (2.0 * s) * values[0], rel=1e-14)
         assert values[3] == 0.0 and errors[3] == 0.0
+
+
+@pytest.mark.parametrize("eps,a,s", [(0.2, 0.5, 0.5), (1e-6, 0.03, 0.95), (0.4614, 0.97, 0.05)])
+def test_bump_train_far_part_reads_only_its_row(eps, a, s):
+    # a row's far part, value and bar, is the same bits alone as batched with
+    # rows far along the train; below 3 eps no bump lies below a row, and
+    # -1 + eps is the centre of bump -1, where the sums below it end
+    u, e_n = pr.BumpTrain(eps, a), np.array([0.0, 1.0])
+    for y in (5.5, eps, 2.0 + 0.5 * eps, -0.3, -1.0 + eps, 1e3):
+        alone = u.far_part(_rows([[0.0, y]], e_n), s)
+        batched = u.far_part(_rows([[0.0, y], [0.0, 1e5], [0.0, 7.0 + eps]], e_n), s)
+        assert [float(v[0]) for v in alone] == [float(v[0]) for v in batched]
 
 
 def test_bump_train_near_shows_the_bumps_within_two_eps():
