@@ -70,12 +70,11 @@ class DomainError(ValueError):
     """A parameter lies outside the admissible range."""
 
 
-# The smallest s resolved, one floor for every entry point.  It is the
-# smallest s at which the tests check each layer (the quadrature rules, the
-# constants, the roots and the table), kept until each layer's own floor is
-# derived against mpmath.  No rounded 1 + 2s bounds it: the directional far
-# piece takes -u(x) c^{-2s}/s exactly and forms its rule weight from 2s - alpha,
-# and the constants run no quadrature.
+# The smallest s resolved, one floor for every entry point: the smallest s
+# at which the tests check each layer (the quadrature rules, the constants,
+# the roots and the table), kept until each layer's own floor is derived
+# against mpmath.  No rounded 1 + 2s bounds it: the directional far piece
+# takes -u(x) c^{-2s}/s exactly and its rule weight from 2s - alpha.
 _S_MIN = 1e-5
 
 
