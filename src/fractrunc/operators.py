@@ -49,7 +49,6 @@ __all__ = [
     "row_sums",
     "extremal_radial",
     "extremal_search",
-    "derivative_commutation_residual",
     "householder_rows",
     "random_frames",
 ]
@@ -858,27 +857,3 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     best_frame = Frame(q.T)
     final = frame_sum(u, x, best_frame, s, tol)
     return final, best_frame
-
-
-# ---------------------------------------------------------------------------
-# derivative commutation check
-# ---------------------------------------------------------------------------
-
-def derivative_commutation_residual(profile, x: np.ndarray, xi: np.ndarray,
-                                    s: float,
-                                    tol: Tolerance = Tolerance()) -> float:
-    """|central difference of y -> I_xi profile(y) minus I_xi (D_N profile)(x)|.
-
-    The difference is taken along e_N with step h = 1e-4.  The derivative
-    field comes from the profile's analytic ``partial`` method.
-    """
-    x = np.asarray(x, float)
-    h = 1e-4
-    e = np.zeros(x.size)
-    e[-1] = 1.0
-    plus = directional(profile, x + h * e, xi, s, tol).value
-    minus = directional(profile, x - h * e, xi, s, tol).value
-    fd = (plus - minus) / (2.0 * h)
-    dprofile = profile.partial()
-    direct = directional(dprofile, x, xi, s, tol).value
-    return abs(fd - direct)

@@ -7,11 +7,12 @@ along a line and a closed-form far part), every hook on a stack of rows at once,
 each row a line seen through four numbers (``Rows``).  Radial profiles are
 cap/tail constructions: a power of |x| beyond a junction radius, glued C^3
 to the third-order Taylor cubic of the same power inside.  Each
-construction is one class: the radial profile and its derivative along
-e_N, psi, the bump train, the half-space power tail, the power profile and
-the min composition; the power transform of a power profile is again a
-power profile.  Crossings with the hyperplanes {x_N = level} and with
-spheres come from ``_plane_crossings`` and ``_sphere_crossings``.
+construction is one class: the radial profile, psi (a sum of radial
+profiles' derivatives along e_N), the bump train, the half-space power
+tail, the power profile and the min composition; the power transform of a
+power profile is again a power profile.  Crossings with the hyperplanes
+{x_N = level} and with spheres come from ``_plane_crossings`` and
+``_sphere_crossings``.
 """
 
 from __future__ import annotations
@@ -130,62 +131,6 @@ def _sphere_crossings(b: np.ndarray, d2: np.ndarray, radius: float, graze=0.0) -
 
 
 # ---------------------------------------------------------------------------
-# cap/tail machinery
-# ---------------------------------------------------------------------------
-
-class _PiecewiseG:
-    """g(r) in the squared-radius variable: cubic cap for r <= junction, power tail.
-
-    The tail is sign * r^{-sign*gamma/2}: ``sign=+1`` decays, ``sign=-1``
-    grows like -r^{gamma/2}.  The cap is the tail's third-order Taylor cubic
-    at the junction, in powers of (r - junction_r2); ``value`` gives it and
-    its first three derivatives.
-    """
-
-    def __init__(self, gamma: float, junction_r2: float, sign: float = 1.0) -> None:
-        if not 0.0 < gamma < math.inf:
-            raise ExponentOutOfRange("gamma must be finite and positive")
-        self.gamma = gamma
-        self.junction_r2 = junction_r2
-        self.sign = sign
-        self.p = -sign * gamma / 2.0
-        try:
-            h = [coeff * junction_r2**e for coeff, e in map(self._tail, range(4))]
-        except OverflowError:  # junction_r2**e leaves the float range
-            h = [math.inf]
-        if not all(map(math.isfinite, h)):
-            raise ExponentOutOfRange(f"gamma = {gamma} is too large: the cap "
-                                     "coefficients leave the float range")
-        self.cap = (h[0], h[1], h[2] / 2.0, h[3] / 6.0)
-
-    def _tail(self, order: int) -> tuple[float, float]:
-        """(c, e) such that the tail's derivative of this order is c * r^e."""
-        coeff = self.sign
-        e = self.p
-        for _ in range(order):
-            coeff *= e
-            e -= 1.0
-        return coeff, e
-
-    def value(self, r: np.ndarray, order: int = 0) -> np.ndarray:
-        """g^(order), order 0 to 3, at every element of ``r``; the branches
-        are taken with np.where, each on arguments where it is finite."""
-        j = self.junction_r2
-        a = self.cap
-        d = np.minimum(r, j) - j
-        if order == 0:
-            cap = a[0] + d * (a[1] + d * (a[2] + d * a[3]))
-        elif order == 1:
-            cap = a[1] + d * (2.0 * a[2] + 3.0 * d * a[3])
-        elif order == 2:
-            cap = 2.0 * a[2] + 6.0 * d * a[3]
-        else:
-            cap = 6.0 * a[3]
-        coeff, e = self._tail(order)
-        return np.where(r <= j, cap, coeff * np.maximum(r, j) ** e)
-
-
-# ---------------------------------------------------------------------------
 # evaluable field base
 # ---------------------------------------------------------------------------
 
@@ -248,7 +193,14 @@ def _settled_law(rows: Rows, beyond) -> tuple[float, list]:
 # ---------------------------------------------------------------------------
 
 class RadialProfile(Field):
-    """Cap/tail radial profile v(x) = g(|x|^2) with C^3 junction."""
+    """Cap/tail radial profile v(x) = g(|x|^2) with C^3 junction.
+
+    In the squared-radius variable r the tail is sign * r^p with
+    p = -sign*gamma/2: ``decay`` (sign +1) decays and ``growth`` (sign -1)
+    grows like -r^{gamma/2}.  The cap, for r <= junction_r2, is the tail's
+    third-order Taylor cubic at the junction, in powers of (r - junction_r2);
+    ``value`` gives g and its first three derivatives.
+    """
 
     is_radial = True
 
@@ -256,16 +208,52 @@ class RadialProfile(Field):
                  orientation: str = "decay") -> None:
         if orientation not in ("decay", "growth"):
             raise ValueError("orientation must be 'decay' or 'growth'")
-        sign = 1.0 if orientation == "decay" else -1.0
+        if not 0.0 < gamma < math.inf:
+            raise ExponentOutOfRange("gamma must be finite and positive")
         self.gamma = gamma
         self.junction_r2 = junction_r2
         self.orientation = orientation
-        self.g = _PiecewiseG(gamma, junction_r2, sign)
+        self.sign = 1.0 if orientation == "decay" else -1.0
+        self.p = -self.sign * gamma / 2.0
+        try:
+            h = [coeff * junction_r2**e for coeff, e in map(self._tail, range(4))]
+        except OverflowError:  # junction_r2**e leaves the float range
+            h = [math.inf]
+        if not all(map(math.isfinite, h)):
+            raise ExponentOutOfRange(f"gamma = {gamma} is too large: the cap "
+                                     "coefficients leave the float range")
+        self.cap = (h[0], h[1], h[2] / 2.0, h[3] / 6.0)
         self._validate()
 
+    def _tail(self, order: int) -> tuple[float, float]:
+        """(c, e) such that the tail's derivative of this order is c * r^e."""
+        coeff = self.sign
+        e = self.p
+        for _ in range(order):
+            coeff *= e
+            e -= 1.0
+        return coeff, e
+
     # -- evaluation ---------------------------------------------------------
+    def value(self, r: np.ndarray, order: int = 0) -> np.ndarray:
+        """g^(order), order 0 to 3, at every element of ``r``; the branches
+        are taken with np.where, each on arguments where it is finite."""
+        j = self.junction_r2
+        a = self.cap
+        d = np.minimum(r, j) - j
+        if order == 0:
+            cap = a[0] + d * (a[1] + d * (a[2] + d * a[3]))
+        elif order == 1:
+            cap = a[1] + d * (2.0 * a[2] + 3.0 * d * a[3])
+        elif order == 2:
+            cap = 2.0 * a[2] + 6.0 * d * a[3]
+        else:
+            cap = 6.0 * a[3]
+        coeff, e = self._tail(order)
+        return np.where(r <= j, cap, coeff * np.maximum(r, j) ** e)
+
     def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
-        value = self.g.value
+        value = self.value
         return lambda t: value(rows.r2(t))
 
     def breakpoints(self, rows: Rows) -> np.ndarray:
@@ -273,70 +261,33 @@ class RadialProfile(Field):
 
     def d2_along(self, rows: Rows) -> np.ndarray:
         r2, b = rows.r2(0.0), rows.b
-        return self.g.value(r2, 2) * 4.0 * b * b + self.g.value(r2, 1) * 2.0
+        return self.value(r2, 2) * 4.0 * b * b + self.value(r2, 1) * 2.0
 
     def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
         # |x + t xi|^{2p} is |t|^{2p} g(1/t), singular at t = -b +- i d, of modulus |x|
-        return np.sqrt(rows.r2(0.0)), [(2.0 * self.g.p, None)]
-
-    def partial(self) -> "_PartialN":
-        return _PartialN(self)
+        return np.sqrt(rows.r2(0.0)), [(2.0 * self.p, None)]
 
     # -- invariants ---------------------------------------------------------
     def _validate(self) -> None:
         j = self.junction_r2
         for order in range(3):
-            cap = self.g.value(j, order)
-            tail = self.g.value(j * (1.0 + 1e-14) + 1e-300, order)
+            cap = self.value(j, order)
+            tail = self.value(j * (1.0 + 1e-14) + 1e-300, order)
             if abs(cap - tail) > 1e-10 * max(1.0, abs(cap)):
                 raise InvariantViolation(
                     f"C3 junction mismatch at order {order}: {cap} vs {tail}")
         grid = np.linspace(1e-6, 4.0 * j, 1000)
         for order in (0, 2):
-            vals = self.g.value(grid, order)
+            vals = self.value(grid, order)
             second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
             if np.min(second) < -1e-9 * max(1.0, float(np.max(np.abs(vals)))):
                 raise InvariantViolation(
                     f"g^{(order)} fails grid convexity (min 2nd diff {np.min(second):.2e})")
         if self.orientation == "growth":
             r = np.linspace(0.0, 1.0, 101)
-            above = np.flatnonzero(self.g.value(r) > -r ** (self.gamma / 2.0) + 1e-12)
+            above = np.flatnonzero(self.value(r) > -r ** (self.gamma / 2.0) + 1e-12)
             if above.size:
                 raise InvariantViolation(f"growth cap fails dominance at r={r[above[0]]}")
-
-
-class _PartialN(Field):
-    """D_{x_N} v = 2 y_N g'(|y|^2) of a radial profile v = g(|y|^2).
-
-    It is dimension-free: the derivative is along the last axis of whatever
-    point it is given.  On the tail g' = c r^{p-1}, so each section is
-    |t|^{2p-1} g(1/|t|) beyond |x|: it decays for growth profiles too, whose
-    gamma <= 2s-1 < 1.
-    """
-
-    def __init__(self, base: RadialProfile) -> None:
-        self.base = base
-
-    def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
-        value = self.base.g.value
-        return lambda t: 2.0 * (rows.x_n + t * rows.xi_n) * value(rows.r2(t), 1)
-
-    def c2_radius(self, rows: Rows) -> np.ndarray:
-        # Dv is C^2 away from the junction sphere (v is only C^3 there)
-        return np.clip(np.abs(np.sqrt(rows.r2(0.0)) - math.sqrt(self.base.junction_r2)), 0.02, 1.0)
-
-    def breakpoints(self, rows: Rows) -> np.ndarray:
-        return self.base.breakpoints(rows)
-
-    def d2_along(self, rows: Rows) -> np.ndarray:
-        # f(t) = 2(a + tb) g'(|x + t xi|^2), (a, b) = (x_N, xi_N), c = x.xi:
-        # f''(0) = 8bc g'' + 2a(4c^2 g''' + 2g'')
-        g, r2, c = self.base.g, rows.r2(0.0), rows.b
-        a, b, g2 = rows.x_n, rows.xi_n, g.value(r2, 2)
-        return 8.0 * b * c * g2 + 2.0 * a * (4.0 * c * c * g.value(r2, 3) + 2.0 * g2)
-
-    def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
-        return np.sqrt(rows.r2(0.0)), [(2.0 * self.base.g.p - 1.0, None)]
 
 
 def make_w_gamma(gamma: float) -> RadialProfile:
@@ -369,11 +320,15 @@ class PsiField(Field):
 
     ``decay`` and ``halfint`` take v_a = v_{gamma_lead} and ``growth`` takes
     v_a = v_{-gamma_lead}; v_b is the same profile at gamma_second.  The
-    ``halfint`` variant keeps the lead term alone.  The C^2 radius and the
-    breakpoints are those of the parts, and ``d2_along`` is their sum.
+    ``halfint`` variant keeps the lead term alone.  ``profiles`` holds the
+    v's.  The breakpoints are their junction spheres' crossings; psi is C^2
+    everywhere (the v's are C^3), so a row's window is its nearest crossing
+    capped at 1, as for any field that declares no C^2 radius.
 
-    Every part is 2 y_N g'(|y|^2), so psi(y) = y_N phi(|y|^2) with
-    phi = -(2/gamma_lead) sum_j g_j'.  Two consequences are exact:
+    Every part D_N v = 2 y_N g'(|y|^2), so psi(y) = y_N phi(|y|^2) with
+    phi = -(2/gamma_lead) sum_j g_j'.  On the tail g' = c r^{p-1}, so each
+    part's section is |t|^{2p-1} g(1/|t|) beyond |x|: it decays for growth
+    profiles too, whose gamma <= 2s-1 < 1.  Two consequences are exact:
 
     - *radial sections*: at x = r(cos a e_1 + sin a e_N) the section along
       xhat and the section through r e_N along e_N are sin a (r + t)
@@ -387,41 +342,43 @@ class PsiField(Field):
 
     def __init__(self, variant: str, s: float,
                  gamma_lead: float, gamma_second: float) -> None:
+        if variant not in ("decay", "halfint", "growth"):
+            raise ValueError(f"unknown psi variant {variant!r}: "
+                             "expected 'decay', 'halfint' or 'growth'")
         self.gamma_lead = gamma_lead
         self.gamma_second = gamma_second
-        if variant in ("decay", "halfint"):
-            lead = make_v_gamma(gamma_lead)
-        else:
-            lead = make_v_minus_gamma(gamma_lead, s)
-        self.parts = [lead.partial()]
-        if variant == "decay":
-            self.parts.append(make_v_gamma(gamma_second).partial())
-        elif variant == "growth":
-            self.parts.append(make_v_minus_gamma(gamma_second, s).partial())
-        self.cap_radius = max(math.sqrt(p.base.junction_r2) for p in self.parts)
+        gammas = (gamma_lead,) if variant == "halfint" else (gamma_lead, gamma_second)
+        self.profiles = [make_v_minus_gamma(g, s) if variant == "growth" else make_v_gamma(g)
+                         for g in gammas]
+        self.cap_radius = max(math.sqrt(v.junction_r2) for v in self.profiles)
 
     def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
-        gs, factor = [p.base.g for p in self.parts], -2.0 / self.gamma_lead
+        vs, factor = self.profiles, -2.0 / self.gamma_lead
 
         def at(t: np.ndarray) -> np.ndarray:
             rr = rows.r2(t)  # once for all the parts
-            return factor * (rows.x_n + t * rows.xi_n) * sum(g.value(rr, 1) for g in gs)
+            return factor * (rows.x_n + t * rows.xi_n) * sum(v.value(rr, 1) for v in vs)
         return at
 
-    def c2_radius(self, rows: Rows) -> np.ndarray:
-        return np.min([p.c2_radius(rows) for p in self.parts], axis=0)
-
     def breakpoints(self, rows: Rows) -> np.ndarray:
-        return np.concatenate([p.breakpoints(rows) for p in self.parts], axis=1)
+        return np.concatenate([v.breakpoints(rows) for v in self.profiles], axis=1)
 
     def d2_along(self, rows: Rows) -> np.ndarray:
-        return -1.0 / self.gamma_lead * sum(p.d2_along(rows) for p in self.parts)
+        # a part f(t) = 2(a + tb) g'(|x + t xi|^2), (a, b) = (x_N, xi_N), c = x.xi:
+        # f''(0) = 8bc g'' + 2a(4c^2 g''' + 2g'')
+        r2, a, b, c = rows.r2(0.0), rows.x_n, rows.xi_n, rows.b
+
+        def part(v: RadialProfile) -> np.ndarray:
+            g2 = v.value(r2, 2)
+            return 8.0 * b * c * g2 + 2.0 * a * (4.0 * c * c * v.value(r2, 3) + 2.0 * g2)
+        return -1.0 / self.gamma_lead * sum(part(v) for v in self.profiles)
 
     def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
-        # a term a part: -(1/gamma_lead) times the part, at the part's exponent
-        return np.sqrt(rows.r2(0.0)), [(2.0 * p.base.g.p - 1.0,
-                                        _term(p.line(rows), -1.0 / self.gamma_lead))
-                                       for p in self.parts]
+        # a term a part: -(1/gamma_lead) times D_N v, at the exponent 2p - 1
+        return np.sqrt(rows.r2(0.0)), [
+            (2.0 * v.p - 1.0, _term(lambda t, g=v.value: 2.0 * (rows.x_n + t * rows.xi_n)
+                                    * g(rows.r2(t), 1), -1.0 / self.gamma_lead))
+            for v in self.profiles]
 
     def orthogonal_section(self, x: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(values, bars), each ``(m,)``: the directional operator of psi at
@@ -449,8 +406,8 @@ class PsiField(Field):
             raise DomainError(f"orthogonal sections need |x| >= {self.cap_radius:g}: "
                               "closer in they cross psi's cap")
         value, bar = np.zeros(len(x)), np.zeros(len(x))
-        for p in self.parts:
-            c, e = p.base.g._tail(1)
+        for v in self.profiles:
+            c, e = v._tail(1)
             power = 2.0 * e - 2.0 * s
             term = c * _perp_kernel(-2.0 * e, s) * r**power
             value += term
@@ -671,7 +628,7 @@ class HalfSpacePowerTail(Field):
         self.radial = RadialProfile(gamma, 1.0, "decay")
 
     def line(self, rows: Rows) -> Callable[[np.ndarray], np.ndarray]:
-        value, c = self.radial.g.value, float(self.shift)
+        value, c = self.radial.value, float(self.shift)
 
         def at(t: np.ndarray) -> np.ndarray:
             y = rows.x_n + t * rows.xi_n

@@ -1,10 +1,13 @@
-"""Fields the tests integrate that no suite of the package uses."""
+"""Fields the tests integrate that no suite of the package uses, and the
+derivative-commutation check that the tests run on psi."""
 
 from typing import Callable
 
 import numpy as np
 
+from fractrunc import operators as op
 from fractrunc import profiles as pr
+from fractrunc.quad import Tolerance
 
 
 class BallBump(pr.Field):
@@ -52,3 +55,12 @@ class CompactBump:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (np.array([-1.0, 1.0]) - x_n) / xi_n
         return np.where(np.abs(xi_n) < 1e-14, np.inf, t)
+
+
+def commutation_residual(v, dv, scale, x, xi, s, tol=Tolerance()):
+    """|d/dx_N I_xi v(x) - scale * I_xi dv(x)|, the derivative a central
+    difference along e_N of step 1e-4: about 0 where scale * dv = D_N v, since
+    D_N and I_xi commute."""
+    h, e = 1e-4, np.eye(len(x))[-1]
+    plus, minus = (op.directional(v, x + d * h * e, xi, s, tol).value for d in (1.0, -1.0))
+    return abs((plus - minus) / (2.0 * h) - scale * op.directional(dv, x, xi, s, tol).value)

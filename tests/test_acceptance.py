@@ -12,7 +12,7 @@ from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
 import oracles as oc
-from fields import CompactBump
+from fields import CompactBump, commutation_residual
 
 TOL = Tolerance(1e-10, 1e-9)
 
@@ -181,20 +181,23 @@ def test_10_psi_subsolution(kind, k, s):
 
 # -- 11. derivative commutation ----------------------------------------------------
 
+# D_N v is a PsiField whose one profile or two equal profiles are v:
+# halfint at gamma 0.5 is -2 D_N v_{0.5}, and growth at 0.25 twice is -8 D_N v_{-0.25}
+
 @pytest.mark.parametrize("s", [0.25, 0.75])
 def test_11a_commutation_v_gamma(s):
-    v = pr.make_v_gamma(0.5)
+    v, psi = pr.make_v_gamma(0.5), pr.PsiField("halfint", s, 0.5, 0.5)
     x = np.array([0.0, 2.0])
     for xi in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
-        assert abs(op.derivative_commutation_residual(v, x, xi, s)) <= 1e-4
+        assert commutation_residual(v, psi, -0.5, x, xi, s) <= 1e-4
 
 
 def test_11b_commutation_v_minus_gamma():
     s = 0.75
-    v = pr.make_v_minus_gamma(0.25, s)
+    v, psi = pr.make_v_minus_gamma(0.25, s), pr.PsiField("growth", s, 0.25, 0.25)
     x = np.array([0.0, 2.0])
     for xi in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
-        assert abs(op.derivative_commutation_residual(v, x, xi, s)) <= 1e-4
+        assert commutation_residual(v, psi, -1.0 / 8.0, x, xi, s) <= 1e-4
 
 
 # -- 12. transform closure ------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
 import oracles as oc
-from fields import BallBump, CompactBump
+from fields import BallBump, CompactBump, commutation_residual
 
 TOL = Tolerance(1e-10, 1e-9)
 
@@ -538,10 +538,10 @@ def test_search_no_worse_than_frozen(make, x, s, variant, settings, frozen):
 
 
 def test_commutation_residual_small():
-    v = pr.make_v_gamma(0.5)
-    res = op.derivative_commutation_residual(v, np.array([0.0, 2.0]),
-                                             np.array([1.0, 0.0]), 0.25)
-    assert abs(res) <= 1e-4
+    # D_N v_{0.5} = -psi/2 for the one-profile psi at gamma 0.5
+    v, psi = pr.make_v_gamma(0.5), pr.PsiField("halfint", 0.25, 0.5, 0.5)
+    assert commutation_residual(v, psi, -0.5, np.array([0.0, 2.0]), np.array([1.0, 0.0]),
+                                0.25) <= 1e-4
 
 
 def test_growth_metadata_enforced():
@@ -1032,7 +1032,7 @@ def _mp_far_section(u, row):
             return (r2(t) + 2 * c * y + c * c) ** p if y > 0 else zero
         return tail
     # psi = -(2/gamma_lead) y_N sum_j g_j'(|y|^2), g_j' = c_j r^{e_j} on the tails
-    tails = [tuple(mpmath.mpf(a) for a in p.base.g._tail(1)) for p in u.parts]
+    tails = [tuple(mpmath.mpf(a) for a in v._tail(1)) for v in u.profiles]
     lead = mpmath.mpf(u.gamma_lead)
     return lambda t: -2 * (x_n + t * xi_n) * sum(cj * r2(t) ** ej for cj, ej in tails) / lead
 
@@ -1199,7 +1199,7 @@ def test_constants_pass_counts_stay_under_ceilings(monkeypatch):
 
 def _mp_tail_section(u, x, xi):
     """t -> u(x + t*xi) for a ``HalfSpacePowerTail`` in mpmath, from its float cap."""
-    g = u.radial.g
+    g = u.radial
     j, power, cap = mpmath.mpf(g.junction_r2), mpmath.mpf(g.p), [mpmath.mpf(c) for c in g.cap]
     a, b = [mpmath.mpf(float(c)) for c in x], [mpmath.mpf(float(c)) for c in xi]
     z = a[:-1] + [a[-1] + mpmath.mpf(u.shift)]
@@ -1289,7 +1289,7 @@ def test_psi_orthogonal_rows_match_mpmath():
     # on the scale |x|, and every row must meet 30-digit mpmath within its bar
     k, s = 2, 0.97
     psi = pr.make_psi("growth", k, s)
-    tails = [(mpmath.mpf(c), mpmath.mpf(e)) for c, e in (p.base.g._tail(1) for p in psi.parts)]
+    tails = [(mpmath.mpf(c), mpmath.mpf(e)) for c, e in (v._tail(1) for v in psi.profiles)]
     radii, angles = np.geomspace(2.0, 3000.0, 10)[6:], np.linspace(0.25, 1.45, 3)
     xs = np.zeros((len(radii) * len(angles), k + 1))
     xs[:, 0] = np.outer(radii, np.cos(angles)).ravel()
@@ -1313,7 +1313,7 @@ def test_psi_orthogonal_rows_match_mpmath():
 def _mp_psi_section(psi, x, xi):
     """t -> psi(x + t*xi) in mpmath, each part's cap from its float coefficients."""
     parts = [(mpmath.mpf(g.junction_r2), [mpmath.mpf(c) for c in g.cap],
-              mpmath.mpf(g.sign), mpmath.mpf(g.p)) for g in (p.base.g for p in psi.parts)]
+              mpmath.mpf(g.sign), mpmath.mpf(g.p)) for g in psi.profiles]
     a, b = [mpmath.mpf(float(c)) for c in x], [mpmath.mpf(float(c)) for c in xi]
     r0, r1, r2 = mpmath.fdot(a, a), 2 * mpmath.fdot(a, b), mpmath.fdot(b, b)
 
@@ -1375,12 +1375,12 @@ def test_psi_orthogonal_section_matches_mpmath_and_engine(kind, s):
 
 @pytest.mark.parametrize("kind,s", [("halfint", 0.95), ("decay", 0.95), ("growth", 0.97)])
 def test_rows_in_a_narrow_window_carry_their_pairs_rounding(kind, s):
-    # on psi's cap sphere the C^2 window is 0.02, and at s near 1 the
-    # kernel magnifies the rounding of f(t) + f(-t) - 2u(x) below t = 0.01
-    # to ~1e-12-1e-10, which the quadratures' estimates do not see: without
-    # the rounding floor these rows missed the closed form by up to 4.7x
-    # their bars, and with |x + t xi|^2 summed component by component a row
-    # at |x| = 1 + 1e-9 (growth, s = 0.97) missed by 2.3x
+    # rows orthogonal to a point on psi's cap sphere: at s near 1 the kernel
+    # magnifies the rounding of f(t) + f(-t) - 2u(x) near t = 0, which the
+    # quadratures' estimates do not see; when psi's window was clipped to
+    # 0.02 there, without the rounding floor these rows missed the closed
+    # form by up to 4.7x their bars, and with |x + t xi|^2 summed component
+    # by component a row at |x| = 1 + 1e-9 (growth, s = 0.97) missed by 2.3x
     psi = PSI_FIELDS[kind](s)
     rng = np.random.default_rng(0)
     for r in (1.0, 1.0 + 1e-9):
@@ -1421,6 +1421,22 @@ def test_a_junction_sphere_grazed_by_rounding_is_touched():
     # a line that dips in by more than the rounding of d^2 crosses
     deeper = pr.Rows(np.zeros(1), np.array([1.0 - 1e-12]), np.ones(1), np.zeros(1))
     assert np.all(np.isfinite(pr.make_v_gamma(0.4).breakpoints(deeper)))
+
+
+@pytest.mark.parametrize("kind,s", [("decay", 0.5), ("halfint", 0.5), ("growth", 0.7),
+                                    ("growth", 0.97)])
+def test_psi_rows_tangent_to_the_junction_sphere_meet_mpmath(kind, s):
+    # the section along a tangent to |x| = 1 is 1 + t^2 in |y|^2, on the power
+    # tails and analytic for |t| < 1: psi is C^2 everywhere and the row crosses
+    # no junction, so its window is 1 and its near piece's bar can shrink far
+    # below the request; a window clipped to 0.02 there left bars of up to 5.7e-11
+    psi = PSI_FIELDS[kind](s)
+    x, xi = np.array([0.6, 0.0, 0.8]), np.array([0.8, 0.0, -0.6])
+    r = op.directional(psi, x, xi, s, Tolerance(1e-13, 1e-12))
+    with mpmath.workdps(30):
+        want = cn.normalizing_constant(s) * float(_mp_directional(_mp_psi_section(psi, x, xi),
+                                                                  s, []))
+    assert abs(r.value - want) <= r.abs_error_estimate <= 1e-13, (r, want)
 
 
 def test_psi_orthogonal_section_refuses_points_inside_the_cap():

@@ -54,11 +54,11 @@ def test_growth_dominance_names_the_first_failing_radius(monkeypatch):
     # a cap lifted by 0.2 r leaves -r^{gamma/2} from some r on; the check
     # names the first r of its grid where it does
     prof = pr.make_v_minus_gamma(0.3, 0.75)
-    value = prof.g.value
-    monkeypatch.setattr(prof.g, "value",
+    value = prof.value
+    monkeypatch.setattr(prof, "value",
                         lambda r, order=0: value(r, order) + (0.2 * r if order == 0 else 0.0))
     first = next(r for r in np.linspace(0.0, 1.0, 101)
-                 if prof.g.value(r) > -(r ** 0.15) + 1e-12)
+                 if prof.value(r) > -(r ** 0.15) + 1e-12)
     assert 0.0 < first < 1.0
     with pytest.raises(pr.InvariantViolation, match=re.escape(f"dominance at r={first}") + "$"):
         prof._validate()
@@ -74,12 +74,13 @@ def test_d2_along_matches_finite_difference():
 
 
 def test_partial_derivative_field():
+    # D_N v_{0.5} is -1/2 times the one-profile psi at gamma 0.5
     v = pr.make_v_gamma(0.5)
-    d = v.partial()
+    d = pr.PsiField("halfint", 0.5, 0.5, 0.5)
     x = np.array([0.3, 2.0])
     h = 1e-6
     fd = (v(x + np.array([0.0, h])) - v(x - np.array([0.0, h]))) / (2.0 * h)
-    assert d(x) == pytest.approx(fd, rel=1e-6)
+    assert -0.5 * d(x) == pytest.approx(fd, rel=1e-6)
 
 
 @pytest.mark.parametrize("kind,k,s", [("decay", 2, 0.5), ("halfint", 1, 0.5),
@@ -89,6 +90,12 @@ def test_make_psi_defaults(kind, k, s):
     assert psi.gamma_lead > 0.0
     x = np.array([0.0] * max(k, 2) + [5.0])
     assert np.isfinite(psi(x))
+
+
+def test_psi_field_refuses_an_unknown_variant():
+    # an unknown variant once built a one-part growth field
+    with pytest.raises(ValueError, match="'bogus'.*'decay', 'halfint' or 'growth'"):
+        pr.PsiField("bogus", 0.75, 0.25, 0.1)
 
 
 @pytest.mark.parametrize("kind,k,s", [("decay", 2, 0.5), ("halfint", 1, 0.5),
@@ -499,7 +506,8 @@ def _unit(rng, N):
 LINE_FIELDS = {
     "radial_decay": lambda N, rng: pr.make_w_gamma(0.5),
     "radial_growth": lambda N, rng: pr.make_v_minus_gamma(0.3, 0.75),
-    "partial_n": lambda N, rng: pr.make_v_gamma(0.4).partial(),
+    # -(1/0.4) D_N v_{0.4}: psi of one profile
+    "partial_n": lambda N, rng: pr.PsiField("halfint", 0.5, 0.4, 0.4),
     "psi_decay": lambda N, rng: pr.make_psi("decay", 2, 0.5),
     "psi_halfint": lambda N, rng: pr.make_psi("halfint", 1, 0.5),
     "psi_growth": lambda N, rng: pr.make_psi("growth", 1, 0.75),
@@ -607,7 +615,7 @@ def test_line_at_zero_on_a_stack_of_points_is_each_points_value(kind, N):
 ROW_FIELDS = {
     "radial_decay": pr.make_w_gamma(0.5),
     "radial_growth": pr.make_v_minus_gamma(0.3, 0.75),
-    "partial_n": pr.make_v_gamma(0.4).partial(),
+    "partial_n": pr.PsiField("halfint", 0.5, 0.4, 0.4),
     "psi_decay": pr.make_psi("decay", 2, 0.5),
     "bump_train": pr.BumpTrain(0.2, 0.5),
     "bump_train_thin": pr.BumpTrain(0.1, 0.5),
