@@ -54,8 +54,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-# finite-difference nodes 0, +-h, +-h/2, +-h/4 with h = window/8, in units of the C^2 window
-_FD_NODES = np.array([0.0, 0.125, -0.125, 0.0625, -0.0625, 0.03125, -0.03125])
 # the two Gauss-Jacobi rules of both ends, value and check, and how many
 # times a row may cut its near piece to a quarter, or move its far piece's
 # start out fourfold, before its bar stands
@@ -222,24 +220,24 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
     section near its point; ``u.far_part`` of all rows adds the rest in
     closed form, value to value and error to bar.  u(x), the C^2 radius, the
     breakpoints, the far law and ``d2_along`` each come from one call on all
-    rows.  A row's C^2 window is its point's C^2 radius capped at its nearest
-    breakpoint; without ``d2_along`` the second derivatives of all rows come
-    from one call of finite differences inside their windows, and their
-    error bound, weighted as the near piece carries it, goes into the bar,
-    as is a heuristic floor for its pair's rounding (each value within ~1
-    ulp of |u(x)|; no bound where u is ill conditioned in |x + t xi|^2).
-    The rows' breakpoint radii are sorted and their repeats dropped here, for every field.
+    rows; a field without a far law or ``d2_along`` is refused
+    (``TypeError``).  A row's C^2 window is its point's C^2 radius capped at
+    its nearest breakpoint.  Each near piece's bar is its rules' gap plus
+    its pair's rounding, and the row's bar has a heuristic floor for that
+    rounding on the pieces above h (each value within ~1 ulp of |u(x)|; no
+    bound where u is ill conditioned in |x + t xi|^2).  The rows'
+    breakpoint radii are sorted and their repeats dropped here, for every field.
 
-    A row's count is its field evaluations: u(0), the finite differences,
-    and two per node (at t and -t) of each pass of the near rules, of each
-    term's far rules and of the engine.  Metadata (breakpoints, C^2 radius,
-    the far law's radii and exponents) and ``far_part`` are not counted.
+    A row's count is its field evaluations: u(0), and two per node (at t
+    and -t) of each pass of the near rules, of each term's far rules and of
+    the engine.  Metadata (breakpoints, C^2 radius, the far law's radii and
+    exponents, ``d2_along``) and ``far_part`` are not counted.
     """
     _check_s(s)
-    if not hasattr(u, "far_law"):
-        raise TypeError(f"{type(u).__name__} declares no far law")
+    for hook, what in (("far_law", "far law"), ("d2_along", "d2_along")):
+        if not hasattr(u, hook):
+            raise TypeError(f"{type(u).__name__} declares no {what}")
     m = len(rows)
-    all_rows = np.arange(m)
     abs_tol = np.full(m, abs_tol, float)
     rel_tol = np.full(m, rel_tol, float)
 
@@ -265,41 +263,22 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
     u0 = u.line(rows)(0.0)
     two_u0 = 2.0 * u0
 
-    def ev(t: np.ndarray, which: np.ndarray) -> np.ndarray:
-        return u.line(rows[which])(t)
-
     def pair(t: np.ndarray, which: np.ndarray) -> np.ndarray:
-        both = ev(np.stack((t, -t)), which)
+        both = u.line(rows[which])(np.stack((t, -t)))
         return both[0] + both[1] - two_u0[which]
 
     n_evals = np.ones(m, int)
-    d2_fn = getattr(u, "d2_along", None)
-    if d2_fn is not None:
-        d2, d2_err = d2_fn(rows), np.zeros(m)
-    else:
-        # central differences at h = window/8, h/2 and h/4, Richardson-extrapolated
-        # twice; the error of the once-extrapolated one at h/2 bounds the result's
-        nodes = np.multiply.outer(window, _FD_NODES)
-        v = ev(nodes, all_rows[:, None])
-        central = (v[:, 1::2] + v[:, 2::2] - 2.0 * v[:, :1]) / (nodes[:, 1::2] * nodes[:, 1::2])
-        once = (4.0 * central[:, 1:] - central[:, :-1]) / 3.0
-        d2 = (16.0 * once[:, 1] - once[:, 0]) / 15.0
-        # the finest differences' rounding enters d2 with weight 64/45
-        noise = 4.0 * _EPS * np.sum(np.abs(v[:, [0, 0, 5, 6]]), axis=1) / nodes[:, 5] ** 2
-        d2_err = np.abs(once[:, 1] - once[:, 0]) / 15.0 + 64.0 / 45.0 * noise
-        n_evals += _FD_NODES.size
+    d2 = u.d2_along(rows)
 
     # The near piece on (0, h).  With u = (t/h)^2 and G(u) = pair(h sqrt(u))/u,
     # so G(0) = h^2 d2, int_0^h pair(t) t^{-1-2s} dt is
     #   h^{-2s}/2 [G(0)/(1-s) + int_0^1 (G(u) - G(0))/u u^{1-s} du],
     # the integral by the rules for the weight u^{1-s}.  The bar adds their
-    # gap, the pair's rounding (4 eps |u(x)| a node, weighted by sum
-    # w_i/u_i^2) and d2's error times h^2 |1/(1-s) - sum w_i/u_i|, the rule's
-    # defect on 1/u, all of d2 the value keeps.  A row over its share takes h/4.
+    # gap and the pair's rounding (4 eps |u(x)| a node, weighted by sum
+    # w_i/u_i^2).  A row over its share takes h/4.
     rule_u, rule_w = _rules(2.0 - s)
     fine_u, fine_w = rule_u[:_RULE_NODES], rule_w[:_RULE_NODES]
     head = 1.0 / (1.0 - s)
-    d2_weight = abs(head - np.sum(fine_w / fine_u))
     rounding = 4.0 * _EPS * np.abs(u0) * np.sum(fine_w / (fine_u * fine_u))
     h = top.copy()
 
@@ -312,9 +291,7 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
         check = np.sum(g[:, _RULE_NODES:] * rule_w[_RULE_NODES:], axis=1)
         half = hw ** (-2.0 * s) / 2.0
         noise = half * rounding[which]
-        return (half * (g0 * head + fine),
-                half * (np.abs(fine - check) + d2_err[which] * hw * hw * d2_weight) + noise,
-                noise)
+        return half * (g0 * head + fine), half * np.abs(fine - check) + noise, noise
 
     near_val, near_err = _settle(near, h, 0.25, abs_tol, rel_tol)
 
@@ -337,7 +314,7 @@ def _integrate_fan(u, rows: pr.Rows, s: float, abs_tol, rel_tol
     flat = np.column_stack((h, above, c))[keep]
     sizes = np.count_nonzero(keep, axis=1)
     firsts = np.delete(np.arange(flat.size), np.cumsum(sizes) - 1)
-    core_rows = np.repeat(all_rows, sizes - 1)
+    core_rows = np.repeat(np.arange(m), sizes - 1)
     p = 1.0 + 2.0 * s
     start = flat[firsts]
     length = flat[firsts + 1] - start
@@ -570,18 +547,19 @@ def _search_objective(u, x: np.ndarray, s: float, k: int, tol: Tolerance
 
 # Each Givens rotation scores _ANGLE_GRID equispaced angles over [0, pi), a
 # ring: the objective is pi-periodic in the angle, since I_xi = I_{-xi}, and
-# angle 0 is the frame's current score.  The rings only scan; one method then
-# refines each search.  With one angle (N = 2) the zoom brackets it: each
-# level's grid spans _ZOOM_POINTS angles across the two spacings around the
-# best angle so far, so each level is 8 times narrower, and a best angle on
-# an edge recentres the grid at the same width.  It stops when the best angle's
-# drop to the lower of its two neighbours is at most its score's error bar:
-# the optimum of a unimodal objective lies between those neighbours, where
-# the gain left is at most 1/4 of that drop on a smooth peak and 1/2 on a
-# Lipschitz cusp.  Other stretches end after _ZOOM_LEVELS, at spacings of
-# 1.4e-12 rad: a min field's peak at xi_N = 0 falls as |angle|^{gamma+2s}
-# (its sections lose their far half-space tails), and under bars of ~1e-13
-# ten levels stopped 4.3e-10 below such a peak.
+# angle 0 is the frame itself, which the ring scores too.  The rings only
+# scan; one method then refines each search.  With one angle (N = 2) the
+# zoom brackets it: each level's grid spans _ZOOM_POINTS angles across the
+# two spacings around the best angle so far, so each level is 8 times
+# narrower, and a best angle on an edge recentres the grid at the same
+# width.  It stops when the best angle's drop to the lower of its two
+# neighbours is at most its score's error bar: the optimum of a unimodal
+# objective lies between those neighbours, where the gain left is at most
+# 1/4 of that drop on a smooth peak and 1/2 on a Lipschitz cusp.  Other
+# stretches end after _ZOOM_LEVELS, at spacings of 1.4e-12 rad: a min
+# field's peak at xi_N = 0 falls as |angle|^{gamma+2s} (its sections lose
+# their far half-space tails), and under bars of ~1e-13 ten levels stopped
+# 4.3e-10 below such a peak.
 _ANGLE_GRID = 32
 _ZOOM_POINTS = 17
 _ZOOM_LEVELS = 12
@@ -777,15 +755,15 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     Random orthonormal restarts, then ``sweeps`` sweeps of Givens rotations
     over the d = k(N-k) + k(k-1)/2 planes within the frame's span and
     against its orthogonal complement: each rotation scores 32 equispaced
-    angles over [0, pi) and keeps the best.  One method then refines each
-    search.  With d = 1 (N = 2) a bracket zoom: each level spans 17 angles
-    across the two spacings around the best angle so far, 8 times narrower
-    per level, and scores those whose scores it does not hold.  With d >= 2
-    a trust-region polish: a quadratic model of the score in all d angles,
-    fitted from 1 + 2d + d(d-1)/2 frames around the current one, and a
-    truncated-CG step, a product of Givens turns, so every frame stays
-    orthonormal; a step counts only when its score, read in the next call,
-    is no worse.  Both stop by one rule, when the gain
+    angles over [0, pi), its centre 0 among them, and keeps the best.  One
+    method then refines each search.  With d = 1 (N = 2) a bracket zoom:
+    each level spans 17 angles across the two spacings around the best angle
+    so far, 8 times narrower per level, and scores those whose scores it
+    does not hold.  With d >= 2 a trust-region polish: a quadratic model of
+    the score in all d angles, fitted from 1 + 2d + d(d-1)/2 frames around
+    the current one, and a truncated-CG step, a product of Givens turns, so
+    every frame stays orthonormal; a step counts only when its score, read
+    in the next call, is no worse.  Both stop by one rule, when the gain
     left is within the score's own error bar: the zoom when the best
     angle's drop to the lower of its neighbours is at most its bar, the
     polish when the model's predicted gain is.  The zoom makes at most twelve
@@ -821,7 +799,8 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
         qfull, _ = np.linalg.qr(np.column_stack([vectors.T, np.eye(N)]))
         bases[r] = qfull.T
         bases[r, :k] = vectors
-    best, bar = score(bases[:, :k])
+    # each ring scores its own centre, angle 0, so no restart is scored before its first ring
+    best, bar = np.full(budget, -np.inf), np.zeros(budget)
     # each restart's scores and bars at the angles -+pi/_ANGLE_GRID from its
     # frame, read off its last ring: the zoom's first edges
     sides, side_bars = np.empty((budget, 2)), np.empty((budget, 2))
@@ -830,10 +809,9 @@ def extremal_search(u, x: np.ndarray, s: float, k: int, variant: str,
     for _ in range(sweeps):
         improved = np.zeros(live.size, bool)
         for plane in planes:
-            ring = _turned(np.repeat(bases[live], _ANGLE_GRID - 1, axis=0), [plane],
-                           np.tile(angles[1:], live.size)[:, None])
-            vals, bars = (np.column_stack([kept[live], a.reshape(live.size, -1)])
-                          for kept, a in zip((best, bar), score(ring[:, :k])))
+            ring = _turned(np.repeat(bases[live], _ANGLE_GRID, axis=0), [plane],
+                           np.tile(angles, live.size)[:, None])
+            vals, bars = (a.reshape(live.size, -1) for a in score(ring[:, :k]))
             b = np.argmax(vals, axis=1)
             improved |= b > 0
             bases[live] = _turned(bases[live], [plane], angles[b, None])

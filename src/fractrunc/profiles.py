@@ -2,8 +2,8 @@
 
 Every constructed function is an *evaluable field*: a ``Field``, whose
 docstring states the protocol the operator module reads (line sections,
-C^2 radius, breakpoints, the far law, and optionally the second derivative
-along a line and a closed-form far part), every hook on a stack of rows at once,
+C^2 radius, breakpoints, the far law, the second derivative along a line,
+and optionally a closed-form far part), every hook on a stack of rows at once,
 each row a line seen through four numbers (``Rows``).  Radial profiles are
 cap/tail constructions: a power of |x| beyond a junction radius, glued C^3
 to the third-order Taylor cubic of the same power inside.  Each
@@ -157,8 +157,8 @@ class Field:
       alpha are one number or one per row, and a line of None is the
       section itself.  ``beyond`` lies past every breakpoint of its row.  A
       field without a far law is refused.
-    - ``d2_along(rows)``, ``(m,)``, optional: the sections' second
-      derivative at t = 0; without it the engine takes finite differences.
+    - ``d2_along(rows)``, ``(m,)``: the sections' second derivative at
+      t = 0, in closed form.  A field without it is refused.
     - ``far_part(rows, s)``, optional: (values, errors), each ``(m,)``, of
       the part of each row's order-s section integral (before C_s) that
       ``line`` does not show, in closed form.
@@ -651,6 +651,14 @@ class HalfSpacePowerTail(Field):
         return np.concatenate((_plane_crossings(rows),
                                _sphere_crossings(b + c * xi_n, d2, 1.0, _GRAZE)), axis=1)
 
+    def d2_along(self, rows: Rows) -> np.ndarray:
+        # g(R(t)), R = |x + t xi + c e_N|^2 with R' = 2(b + c xi_N) and R'' = 2
+        # at t = 0; 0 where x_N <= 0, whose section vanishes on its window
+        c, g = float(self.shift), self.radial.value
+        r2 = rows.r2(0.0) + 2.0 * c * rows.x_n + c * c
+        slope = rows.b + c * rows.xi_n
+        return np.where(rows.x_n > 0.0, 4.0 * slope * slope * g(r2, 2) + 2.0 * g(r2, 1), 0.0)
+
     def far_law(self, rows: Rows, beyond: np.ndarray) -> tuple[np.ndarray, list]:
         # |x + t xi + c e_N|^-gamma where x_N + t xi_N > 0, beyond |x + c e_N|
         c = float(self.shift)
@@ -694,7 +702,8 @@ class PowerProfile(Field):
 class MinField(Field):
     """Pointwise minimum of two fields (the min composition w = min{phi, z}).
 
-    Its C^2 radius is the smaller of its fields' radii.  Where the fields
+    Its C^2 radius is the smaller of its fields' radii, and its d2 the
+    scaled d2 of the field that is lower at t = 0.  Where the fields
     cross, w is not C^2; each section's crossings, found by ``_crossings``
     out to 4^80 times its scan's span, are among its breakpoints, so they
     cap each row's window instead and the far law starts past them.
@@ -713,6 +722,12 @@ class MinField(Field):
     def c2_radius(self, rows: Rows) -> np.ndarray:
         return np.maximum(np.minimum(self.first.c2_radius(rows), self.second.c2_radius(rows)),
                           1e-6)
+
+    def d2_along(self, rows: Rows) -> np.ndarray:
+        # a crossing is a breakpoint, so the lower field stays lower on the window
+        lower = self.first.line(rows)(0.0) <= self.second.line(rows)(0.0)
+        return float(self.scale) * np.where(lower, self.first.d2_along(rows),
+                                            self.second.d2_along(rows))
 
     def _crossings(self, rows: Rows, span: np.ndarray) -> np.ndarray:
         """Sign changes of first - second along each row's line, sampled in

@@ -20,7 +20,7 @@ from fractrunc import verify as vf
 from fractrunc.quad import Tolerance
 
 import oracles as oc
-from fields import BallBump, CompactBump, commutation_residual
+from fields import BallBump, CompactBump, commutation_residual, mp_section
 
 TOL = Tolerance(1e-10, 1e-9)
 
@@ -402,7 +402,9 @@ def test_search_rotation_costs_few_fans(monkeypatch):
     # must take at most 60% of that on N = 3 and 4 (16 and 22 fans).  The
     # N = 2 tail's zoom stops once its best angle's drop is within the
     # score's bar, and the far rule took those bars from ~5e-8 to ~2e-11: two
-    # more levels, 7 fans (78% of 9), which end 3.3e-10 lower
+    # more levels, 7 fans (78% of 9), which end 3.3e-10 lower.  Every d2 in
+    # closed form took them to ~3e-13, one more level, and the first ring
+    # scoring its own centre saved the search's first call: 7 fans still
     fans = _count_fans(monkeypatch)
     for (make, x, s, variant, _, _), ceiling in zip(FROZEN_SEARCHES, (16, 22, 7)):
         fans.clear()
@@ -433,13 +435,13 @@ def test_search_on_flat_objective_ends_within_level_cap(monkeypatch):
                                                   np.zeros(frames.shape[0]))
     monkeypatch.setattr(op, "_search_objective", flat)
     w = pr.make_w_gamma(0.5)
-    # every restart ties at every angle, so no ring gains: the first score and
-    # one ring per plane, and no polish (N = 3); with one angle (N = 2) one
-    # zoom level too, whose drop 0 is within its bar 0
+    # every restart ties at every angle, so no ring gains: one ring per plane
+    # (two), each scoring its centre too, and no polish (N = 3); with one
+    # angle (N = 2) one ring and one zoom level, whose drop 0 is within its bar 0
     for x in (np.array([2.0, 0.0, 0.0]), np.array([2.0, 0.0])):
         calls.clear()
         found, frame = op.extremal_search(w, x, 0.5, 1, "plus", budget=2, seed=3)
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert frame.k == 1 and math.isfinite(found.value)
 
 
@@ -461,14 +463,16 @@ def test_zoom_stops_within_the_bar_of_the_peak(monkeypatch, peak, share):
     w = pr.make_w_gamma(0.5)
     _, frame = op.extremal_search(w, np.array([2.0, 0.0]), 0.5, 1, "plus", budget=2, seed=5)
     assert objective(frame.vectors[None])[0] >= -share * bar
-    assert len(calls) < 2 + op._ZOOM_LEVELS
+    # one ring, then fewer zoom levels than the cap
+    assert len(calls) < 1 + op._ZOOM_LEVELS
 
 
 def test_zoom_scores_no_angle_twice(monkeypatch):
     # each zoom level's centre is the best angle so far, and its edges are that
-    # angle's neighbours on the level before (at level 1 on the sweep's ring):
-    # the zoom holds their scores, so it scores 14 angles at every narrowing
-    # level, none of them twice and none at the centre it starts from
+    # angle's neighbours on the level before (at level 1 on the sweep's ring,
+    # the first call, which scores its centre too): the zoom holds their
+    # scores, so it scores 14 angles at every narrowing level, none of them
+    # twice and none at the centre it starts from
     e = _unit([0.3, 0.8])
     seen = []
 
@@ -480,10 +484,10 @@ def test_zoom_scores_no_angle_twice(monkeypatch):
     monkeypatch.setattr(op, "_search_objective", lambda u, x, s, k, tol: objective)
     op.extremal_search(pr.make_w_gamma(0.5), np.array([2.0, 0.0]), 0.5, 1, "plus", budget=1,
                        seed=5)
-    start, ring, *levels = seen
+    ring, *levels = seen
+    assert ring.size == op._ANGLE_GRID
     assert [len(a) for a in levels] == [14] * op._ZOOM_LEVELS
-    swept = np.concatenate((start, ring))
-    centre = swept[np.argmin(np.abs(np.sin(swept - math.atan2(e[1], e[0]))))]
+    centre = ring[np.argmin(np.abs(np.sin(ring - math.atan2(e[1], e[0]))))]
     angles = np.sort(np.concatenate(levels + [[centre]]))
     assert np.min(np.diff(angles)) > 1e-14
 
@@ -491,7 +495,8 @@ def test_zoom_scores_no_angle_twice(monkeypatch):
 def test_zoom_scores_no_angle_the_sweep_scored(monkeypatch):
     # the ring's scores at the best angle's neighbours -+pi/32 are the zoom's
     # first edges: no zoom frame turns a restart to an angle (mod pi) that its
-    # ring scored, which 2 of the 16 frames of each level-1 grid did
+    # ring scored, which 2 of the 16 frames of each level-1 grid did.  The
+    # ring is the first call, each restart's 32 angles with its centre
     seen = []
 
     def objective(frames):
@@ -503,11 +508,11 @@ def test_zoom_scores_no_angle_the_sweep_scored(monkeypatch):
     budget = 3
     op.extremal_search(pr.make_w_gamma(0.5), np.array([2.0, 0.0]), 0.5, 1, "plus",
                        budget=budget, seed=11)
-    start, ring, *levels = seen
-    assert ring.size == budget * (op._ANGLE_GRID - 1) and len(levels) >= 2
-    swept, zoomed = np.r_[start, ring], np.concatenate(levels)
+    ring, *levels = seen
+    assert ring.size == budget * op._ANGLE_GRID and len(levels) >= 2
+    zoomed = np.concatenate(levels)
     # distance mod pi, since a frame turned by pi is the same frame
-    gap = np.abs((zoomed[:, None] - swept + math.pi / 2.0) % math.pi - math.pi / 2.0)
+    gap = np.abs((zoomed[:, None] - ring + math.pi / 2.0) % math.pi - math.pi / 2.0)
     assert np.min(gap) > 1e-9
 
 
@@ -559,6 +564,12 @@ def test_growth_metadata_enforced():
     with pytest.raises(TypeError, match="NoLaw declares no far law"):
         op.directional(NoLaw(), np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.5)
 
+    class NoD2(NoLaw):  # and so is one with a far law but no d2_along
+        far_law = staticmethod(pr._settled_law)
+
+    with pytest.raises(TypeError, match="NoD2 declares no d2_along"):
+        op.directional(NoD2(), np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.5)
+
     class NoC2Window(CompactBump):
         def c2_radius(self, rows):
             return np.zeros(len(rows))
@@ -586,10 +597,10 @@ class _CountingField:
         return counted
 
 
-# metadata (breakpoints, C^2 radius, far law) of these fields is analytic, so
-# every evaluation the proxy sees belongs to the operator; the half-space tail
-# has no d2_along (finite differences).  Each far law is one term, the field's
-# own line, so the proxy sees the far rules' nodes too, two a node
+# metadata (breakpoints, C^2 radius, far law, d2_along) of these fields is
+# analytic, so every evaluation the proxy sees belongs to the operator.  Each
+# far law is one term, the field's own line, so the proxy sees the far rules'
+# nodes too, two a node
 COUNTED_FIELDS = {
     "halfspace_tail": lambda: pr.HalfSpacePowerTail(0.7),
     "power_profile": lambda: pr.PowerProfile(0.05, 2.0),
@@ -634,13 +645,7 @@ def _reference_directional(u, x, xi, s, tol):
     row = pr.Rows.through(x[None], xi[None])
     discontinuities = [float(t) for t in u.breakpoints(row)[0] if math.isfinite(t)]
     window = min([float(u.c2_radius(row)[0])] + [abs(t) for t in discontinuities])
-    if hasattr(u, "d2_along"):
-        d2 = float(u.d2_along(row)[0])
-    else:  # central differences at h, h/2 and h/4, Richardson-extrapolated twice
-        h = window / 8.0
-        d = [(ev(h / j) + ev(-h / j) - 2.0 * u0) / (h / j) ** 2 for j in (1.0, 2.0, 4.0)]
-        once = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(d, d[1:])]
-        d2 = (16.0 * once[1] - once[0]) / 15.0
+    d2 = float(u.d2_along(row)[0])
     m = 2.0 - 2.0 * s
     eps = np.finfo(float).eps
     delta_cancel = 32.0 * math.sqrt(eps * (abs(u0) + 1.0) / (abs(d2) + 1e-3))
@@ -718,6 +723,7 @@ class _TruncatedTrain:
         return pr._plane_crossings(rows, self.edges)
 
     far_law = staticmethod(pr._settled_law)  # each section vanishes past its last bump
+    d2_along = pr.BumpTrain.d2_along  # the bump that holds the point, as in the train
 
     def far_part(self, rows, s):
         y, xi_n = np.broadcast_arrays(rows.x_n, rows.xi_n)
@@ -1008,35 +1014,6 @@ def test_power_identity_matches_mpmath_across_s(s, ratio):
     assert abs(r.value - float(_mp_power_identity(mu, s))) <= r.abs_error_estimate
 
 
-def _mp_far_section(u, row):
-    """t -> the section of ``u`` along the one row of ``row`` in mpmath, from its
-    four projections, beyond the caps and crossings: the power, the tails of
-    the half-space tail and of psi's parts, and the min of two of them."""
-    if isinstance(u, pr.MinField):
-        first, second = (_mp_far_section(f, row) for f in (u.first, u.second))
-        return lambda t: mpmath.mpf(u.scale) * min(first(t), second(t))
-    b, d2, x_n, xi_n = (mpmath.mpf(float(a[0])) for a in (row.b, row.d2, row.x_n, row.xi_n))
-    zero = mpmath.mpf(0)
-
-    def r2(t):
-        return d2 + (t + b) ** 2
-
-    if isinstance(u, pr.PowerProfile):
-        coef, mu = mpmath.mpf(u.coefficient), mpmath.mpf(u.mu)
-        return lambda t: coef * (x_n + t * xi_n) ** mu if x_n + t * xi_n > 0 else zero
-    if isinstance(u, pr.HalfSpacePowerTail):
-        c, p = mpmath.mpf(u.shift), -mpmath.mpf(u.gamma) / 2
-
-        def tail(t):
-            y = x_n + t * xi_n
-            return (r2(t) + 2 * c * y + c * c) ** p if y > 0 else zero
-        return tail
-    # psi = -(2/gamma_lead) y_N sum_j g_j'(|y|^2), g_j' = c_j r^{e_j} on the tails
-    tails = [tuple(mpmath.mpf(a) for a in v._tail(1)) for v in u.profiles]
-    lead = mpmath.mpf(u.gamma_lead)
-    return lambda t: -2 * (x_n + t * xi_n) * sum(cj * r2(t) ** ej for cj, ej in tails) / lead
-
-
 def _mp_far_integral(f, s, c, alpha):
     """int_c^inf (f(t) + f(-t)) t^{-1-2s} dt in mpmath: c^{-2s} int_0^1 h(v)
     v^{2s-1} dv with h(v) = f(c/v) + f(-c/v), and for a = 2s - alpha < 1, alpha
@@ -1103,7 +1080,7 @@ def test_far_law_matches_line_and_mpmath(kind, s):
     alpha = max(float(np.max(a)) for a, line in terms
                 if np.any((u.line(row) if line is None else line)(t) != 0.0))
     with mpmath.workdps(40):
-        want = float(_mp_far_integral(_mp_far_section(u, row), s, c[0], alpha))
+        want = float(_mp_far_integral(mp_section(u, row), s, c[0], alpha))
     assert abs(value[0] - want) <= bar[0], (value[0], want, bar[0])
     assert bar[0] <= 1e-12 * max(1.0, abs(want))
 
@@ -1169,9 +1146,12 @@ def test_frame_search_pass_counts_stay_under_ceilings(monkeypatch):
     # with one-panel starts and halvings only; 55, 141 and 266,448 with a
     # Taylor ladder near 0; 51, 137 and 180,054 with a log panel and a growth
     # bound at the far end; 54, 133 and 128,562 with the far rule, whose
-    # tighter bars take two N = 2 zooms three levels further (one call each)
+    # tighter bars take two N = 2 zooms three levels further (one call each);
+    # 51, 130 and 130,158 with every d2 in closed form and no first scoring
+    # call: each search saves that call, and each ring scores its centre, one
+    # more frame per restart a ring, which raises the nodes
     counts = _first_pass(monkeypatch, "frame-search", 1)
-    assert counts["calls"] <= 54 and counts["rounds"] <= 135 and counts["nodes"] <= 135_000
+    assert counts["calls"] <= 51 and counts["rounds"] <= 130 and counts["nodes"] <= 135_000
 
 
 def test_constants_pass_counts_stay_under_ceilings(monkeypatch):
@@ -1268,10 +1248,12 @@ def test_t49_2_frame_sums_match_mpmath(s):
 
 @pytest.mark.parametrize("s", [0.95, 0.99])
 def test_finite_difference_sections_match_mpmath(s):
-    # the half-space tail has no d2_along: its second derivatives come from
-    # finite differences, whose error the near piece carries with a weight of
-    # order h^{2-2s}/(2-2s), 7-50 at these s; with the differences extrapolated
-    # once, these rows missed 30-digit mpmath by 5-7x their bars at s = 0.95
+    # the half-space tail's second derivatives came from finite differences,
+    # whose error the near piece carried with a weight of order
+    # h^{2-2s}/(2-2s), 7-50 at these s; extrapolated once, these rows missed
+    # 30-digit mpmath by 5-7x their bars at s = 0.95.  Its d2_along is now
+    # the radial formula at its shifted centre, and the rows must still meet
+    # 30-digit mpmath within their bars
     u = pr.HalfSpacePowerTail(0.7, shift=0.8)
     for N in (2, 3):
         rng = np.random.default_rng(round(1000 * s) + N)
@@ -1280,6 +1262,15 @@ def test_finite_difference_sections_match_mpmath(s):
         xi /= np.linalg.norm(xi)
         r = op.directional(u, x, xi, s, TOL)
         assert abs(r.value - _mp_frame_sum(u, x, xi[None], s)) <= r.abs_error_estimate
+
+
+def test_tail_row_at_s_095_meets_mpmath_under_a_tight_bar():
+    # the CI line's row: with finite differences for d2 its bar was 8.3e-10 in
+    # 756 evaluations, 42x its error of 2.0e-11 against 30-digit mpmath; with
+    # the closed-form d2_along, 1.0e-11 in 401 and an error of 7.0e-15
+    u, x, xi = pr.HalfSpacePowerTail(0.7, shift=0.8), np.array([0.3, 1.2]), np.array([0.6, 0.8])
+    r = op.directional(u, x, xi, 0.95)
+    assert abs(r.value - _mp_frame_sum(u, x, xi[None], 0.95)) <= r.abs_error_estimate < 1e-10
 
 
 def test_psi_orthogonal_rows_match_mpmath():
@@ -1394,6 +1385,53 @@ def test_rows_in_a_narrow_window_carry_their_pairs_rounding(kind, s):
             for row in op.row_sums(psi, op._fan_rows(x, frame[1:, None]), s,
                                    Tolerance(1e-12, 1e-11)):
                 assert abs(row.value - value) <= row.abs_error_estimate + bar, (x, row, value)
+
+
+class _HalfUlpStep(pr.Field):
+    """1 + A(|y|^2), A(r) = 2^-52 (1/2 + eta (1 - 2 sigma^2/(sigma^2 + r))): a
+    section through 0 varies by 2 eta = 2e-9 of an ulp of 1, but its point
+    value 1 + A(0) rounds down to 1 and every node beyond |t| ~ sigma rounds
+    up to 1 + 2^-52, so each pair there is 2 ulps of rounding, all of one
+    sign.  Beyond any radius past sigma its sections are analytic in 1/|t|,
+    so its far law may start far out: here at 5e19."""
+
+    sigma, eta = 1e-3, 1e-9
+
+    def _a(self, r, order=0):
+        q = self.sigma**2 / (self.sigma**2 + r)
+        if order == 0:
+            return 2.0**-52 * (0.5 + self.eta * (1.0 - 2.0 * q))
+        if order == 1:
+            return 2.0**-51 * self.eta * q * q / self.sigma**2
+        return -(2.0**-50) * self.eta * q**3 / self.sigma**4
+
+    def line(self, rows):
+        return lambda t: 1.0 + self._a(rows.r2(t))
+
+    def d2_along(self, rows):
+        r2 = rows.r2(0.0)
+        return 4.0 * rows.b**2 * self._a(r2, 2) + 2.0 * self._a(r2, 1)
+
+    def far_law(self, rows, beyond):
+        return 5e19, [(0.0, None)]
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1])
+def test_one_signed_rounding_above_the_near_piece_is_under_the_floor(s):
+    # along a row through 0 every pair above h = 1/2 is 2 ulps of rounding, so
+    # the pieces above h carry ~2 eps int_h^c t^{-1-2s} dt of it, c = 1e20.
+    # The core piece's estimate cannot see it, the near piece's bar counts
+    # only its own nodes and the far piece's only c^{-2s}: without the floor
+    # 4 eps |u(x)| h^{-2s}/(2s) these rows missed the 30-digit closed form by
+    # 1.7x (s = 0.05) and 1.2x (s = 0.1) their bars
+    u = _HalfUlpStep()
+    r = op.directional(u, np.zeros(2), _unit([0.6, 0.8]), s, Tolerance(1e-17, 1e-17))
+    with mpmath.workdps(30):
+        # the pair is 4 eta 2^-52 t^2/(sigma^2 + t^2)
+        sm = mpmath.mpf(s)
+        want = (4 * u.eta * mpmath.mpf(2) ** -52 * mpmath.mpf(u.sigma) ** (-2 * sm)
+                * mpmath.pi / (2 * mpmath.sin(mpmath.pi * sm)))
+    assert abs(r.value - cn.normalizing_constant(s) * float(want)) <= r.abs_error_estimate
 
 
 def test_a_junction_sphere_grazed_by_rounding_is_touched():

@@ -12,7 +12,7 @@ from fractrunc import operators as op
 from fractrunc import profiles as pr
 from fractrunc.quad import Tolerance
 
-from fields import BallBump
+from fields import BallBump, CompactBump, mp_section
 
 
 def _rows(x, xi=None):
@@ -326,6 +326,42 @@ def test_halfspace_power_tail_vanishes_below_wall():
     u = pr.HalfSpacePowerTail(0.7)
     assert u(np.array([1.0, -0.5])) == 0.0
     assert u(np.array([0.0, 2.0])) > 0.0
+
+
+def _mp_d2(u, rows):
+    """Each row's section's second derivative at t = 0, by 40-digit mpmath."""
+    with mpmath.workdps(40):
+        return [float(mpmath.diff(mp_section(u, rows[i:i + 1]), 0, 2)) for i in range(len(rows))]
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.8])
+def test_halfspace_power_tail_d2_along_matches_mpmath(shift):
+    # the radial formula at the shifted centre -shift e_N: rows through points
+    # inside the cap |x + shift e_N| < 1, on the tail, and below the wall,
+    # where the section vanishes on its window
+    u = pr.HalfSpacePowerTail(0.7, shift=shift)
+    points = np.array([[0.1, -0.2, 0.15], [0.3, 0.1, 0.5], [0.5, -0.4, 1.5],
+                       [2.0, 1.0, 0.3], [0.4, 0.1, -0.3], [0.2, 0.0, -1e-3]])
+    inside = np.linalg.norm(points + [0.0, 0.0, shift], axis=1) < 1.0
+    assert np.any(inside & (points[:, -1] > 0.0)) and np.any(~inside)
+    dirs = np.array([_unit(np.random.default_rng(i), 3) for i in range(len(points))])
+    rows = _rows(points, dirs)
+    d2 = u.d2_along(rows)
+    assert np.all(d2[points[:, -1] <= 0.0] == 0.0)
+    assert d2 == pytest.approx(_mp_d2(u, rows), rel=1e-12, abs=1e-15)
+
+
+def test_min_field_d2_along_matches_mpmath():
+    # scale times the d2 of the field that is lower at t = 0: the power
+    # profile near the wall, the half-space tail far above it
+    tail, z = pr.HalfSpacePowerTail(0.7, shift=0.8), pr.PowerProfile(0.25, 0.5)
+    points = np.array([[0.3, 0.1, 1.2], [0.2, -0.3, 0.4], [0.3, 0.2, 5.0], [1.0, 2.0, 8.0]])
+    dirs = np.array([_unit(np.random.default_rng(10 + i), 3) for i in range(len(points))])
+    rows = _rows(points, dirs)
+    lower_tail = tail.line(rows)(0.0) < z.line(rows)(0.0)
+    assert lower_tail.tolist() == [False, False, True, True]
+    for u in (pr.MinField(tail, z, 0.3), pr.MinField(z, tail, 0.3)):
+        assert u.d2_along(rows) == pytest.approx(_mp_d2(u, rows), rel=1e-12, abs=1e-15)
 
 
 def test_singular_supersolution_scaling():
@@ -658,6 +694,22 @@ def test_row_fields_cover_every_field_class():
     assert package - {pr.Field} == {type(u) for u in ROW_FIELDS.values()} - {BallBump}
 
 
+def test_every_field_declares_d2_along_and_meets_mpmath():
+    # every field class of the package and of tests/fields.py declares
+    # d2_along, the engine's one way to a section's second derivative, and
+    # on random rows it meets a 40-digit mpmath second derivative
+    fields = list(ROW_FIELDS.values()) + [CompactBump(0.5)]
+    classes = {c for c in _field_classes()
+               if c.__module__ == "fields" or c.__module__.startswith("fractrunc.")}
+    assert classes - {pr.Field} == {type(u) for u in fields}
+    assert not hasattr(pr.Field(), "d2_along")
+    rng = np.random.default_rng(18)
+    points = rng.uniform(-1.0, 3.0, (8, 3)) * np.geomspace(0.3, 30.0, 8)[:, None]
+    rows = _rows(points, np.array([_unit(rng, 3) for _ in points]))
+    for u in fields:
+        assert u.d2_along(rows) == pytest.approx(_mp_d2(u, rows), rel=1e-12, abs=1e-15), u
+
+
 @pytest.mark.parametrize("kind", sorted(ROW_FIELDS) + ["base"])
 def test_hooks_on_a_stack_are_each_rows_stack_of_one(kind):
     # every hook answers row i from row i alone: the stack of all rows gives,
@@ -672,7 +724,7 @@ def test_hooks_on_a_stack_are_each_rows_stack_of_one(kind):
     rows = _rows(points, dirs)
     c2, bps = u.c2_radius(rows), u.breakpoints(rows)
     assert c2.shape == (len(points),) and bps.shape[0] == len(points)
-    d2 = u.d2_along(rows) if hasattr(u, "d2_along") else None
+    d2 = u.d2_along(rows) if kind != "base" else None
     for i, (x, xi) in enumerate(zip(points[:, None], dirs[:, None])):
         # the row's own projections are those of the stack's row
         row = _rows(x, xi)
