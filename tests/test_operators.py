@@ -1198,9 +1198,13 @@ def _mp_tail_section(u, x, xi):
 
 def _mp_directional(f, s, cuts):
     """integral_0^inf (f(t) + f(-t) - 2f(0)) t^{-1-2s} dt in mpmath, ``cuts`` the
-    section's breakpoint radii: below t0 = 1e-4 the pair's t^2 and t^4 Taylor
+    section's breakpoint radii: below t0 = 1e-4 the pair's t^2 to t^4 Taylor
     terms, up to the first cut in w = log t, between the cuts in t, and beyond
-    twice the last cut in w again, with -2f(0) integrated in closed form."""
+    twice the last cut in w again, out to infinity, with -2f(0) integrated in
+    closed form.  The Taylor terms come from differences on t >= 0: a junction
+    through t = 0 leaves the pair a |t|^3 term (the float cap's mismatch) that
+    a central 4th difference turns into ~1e3 on a tail row across its sphere;
+    the far piece cut at 40 past log(end) left out up to 6e-13 at s ~ 0.05."""
     sm = mpmath.mpf(s)
     e = 2 - 2 * sm
     f0 = f(mpmath.mpf(0))
@@ -1209,15 +1213,15 @@ def _mp_directional(f, s, cuts):
         return f(t) + f(-t) - 2 * f0
 
     t0 = mpmath.mpf("1e-4")
-    near = (mpmath.diff(pair, 0, 2) / 2 * t0**e / e
-            + mpmath.diff(pair, 0, 4) / 24 * t0 ** (e + 2) / (e + 2))
+    coeffs = mpmath.taylor(pair, 0, 4, direction=1)
+    near = sum(coeffs[k] * t0 ** (e + k - 2) / (e + k - 2) for k in (2, 3, 4))
     h = min(cuts[0] / 2, mpmath.mpf(0.5)) if cuts else mpmath.mpf(0.5)
     near += mpmath.quad(lambda w: pair(mpmath.exp(w)) * mpmath.exp(-2 * sm * w),
                         [mpmath.log(t0), mpmath.log(h)])
     end = 2 * cuts[-1] + 1 if cuts else mpmath.mpf(2)
     core = mpmath.quad(lambda t: pair(t) / t ** (1 + 2 * sm), [h] + cuts + [end])
     far = mpmath.quad(lambda w: (f(mpmath.exp(w)) + f(-mpmath.exp(w))) * mpmath.exp(-2 * sm * w),
-                      mpmath.linspace(mpmath.log(end), mpmath.log(end) + 40, 5))
+                      mpmath.linspace(mpmath.log(end), mpmath.log(end) + 40, 5) + [mpmath.inf])
     return near + core + far - f0 * end ** (-2 * sm) / sm
 
 
@@ -1271,6 +1275,22 @@ def test_tail_row_at_s_095_meets_mpmath_under_a_tight_bar():
     u, x, xi = pr.HalfSpacePowerTail(0.7, shift=0.8), np.array([0.3, 1.2]), np.array([0.6, 0.8])
     r = op.directional(u, x, xi, 0.95)
     assert abs(r.value - _mp_frame_sum(u, x, xi[None], 0.95)) <= r.abs_error_estimate < 1e-10
+
+
+@pytest.mark.parametrize("shift,x,xi,s", [
+    (0.0, [0.0, 1.0], [1.0, 0.0], 0.5), (0.0, [0.0, 1.0], [1.0, 0.0], 0.9),
+    (0.0, [0.0, 1.0], [0.6, 0.8], 0.5), (0.0, [0.0, 1.0], [0.6, 0.8], 0.9),
+    (0.8, [0.0, 0.2], [1.0, 0.0], 0.9)])
+def test_tail_rows_through_its_junction_sphere_meet_mpmath(shift, x, xi, s):
+    # rows through a point on the unit sphere about -shift e_N, tangent to it
+    # (an analytic section) or across it (C^3 at t = 0): the junction is C^3,
+    # so a row's window is its nearest plane or sphere crossing, capped at 1.
+    # With a C^2 radius of |r - 1| the window was 1e-6 and the bars 5.9e-9
+    # (s = 0.5) to 2.4e-3 (s = 0.9); the 30-digit reference is split at the
+    # crossings t = -1.25 and -1.6 of the oblique row
+    u, x, xi = pr.HalfSpacePowerTail(0.7, shift=shift), np.array(x), np.array(xi)
+    r = op.directional(u, x, xi, s)
+    assert abs(r.value - _mp_frame_sum(u, x, xi[None], s)) <= r.abs_error_estimate <= 1e-9
 
 
 def test_psi_orthogonal_rows_match_mpmath():
