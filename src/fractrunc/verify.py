@@ -16,10 +16,18 @@ claim each point's nearest line, the least d^2 of its ``householder_rows``.
 
 A suite integrates only the sections that decide its claims, in one
 ``operators.row_sums`` call per field on a ``(P, k)`` stack of rows, the
-sections of its P points: the e_N row through each t*e_N, and t49-2's
-Householder rows.  The bump train reads x_N alone, so its gap sections
-along e_1..e_k are constant, and every avoidance line misses the bump's
-support: both frame sums are exactly 0, with no quadrature.
+sections of its P points: the e_N row through e_N, through each r*e_N for
+psi or through the bump train's points, and t49-2's Householder rows.  The
+bump train reads x_N alone, so its gap sections along e_1..e_k are
+constant, and every avoidance line misses the bump's support: both frame
+sums are exactly 0, with no quadrature.
+
+Where an exact rescaling carries a claim, a suite makes it once and its
+report's ``extra["covers"]`` names the region covered.  The power profiles
+M (x_N)_+^mu of the power-identity, singular and transform suites are
+homogeneous along e_N: each term of their claims at t*e_N is t^{mu-2s}
+times its value at e_N, so they claim at e_N and cover the ray t e_N,
+t > 0.  psi claims once per radius r, at r*e_N (``verify_psi_subsolution``).
 """
 
 from __future__ import annotations
@@ -161,6 +169,8 @@ def _axis_rows(ts: Sequence[float]) -> pr.Rows:
     return pr.Rows(t, np.zeros_like(t), t.copy(), np.ones_like(t))
 
 
+_RAY = "the ray t e_N, t > 0"  # what an on-axis suite's one point covers
+
 _MAX_N = 20_000  # t49-2 integrates N rows per point: ~370 MB peak at this N (x86_64)
 
 
@@ -180,20 +190,17 @@ def _upper_points(N: int, radii: Sequence[float], seed: int) -> list[np.ndarray]
 def verify_power_identity(mu: float, s: float,
                           tol: Tolerance = Tolerance()) -> VerificationReport:
     """Directional operator of (x_N)_+^mu along e_N equals C_s c_{s,mu} x_N^{mu-2s}
-    at x = t*e_N in R^3, t in {0.5, 1, 2}."""
+    at x = e_N in R^3; both sides scale as t^{mu-2s} along the ray t e_N."""
     z = pr.PowerProfile(mu, 1.0)
     c_val = cn.c_s_mu(mu, s)
     Cs = cn.normalizing_constant(s)
 
-    ts = (0.5, 1.0, 2.0)
-    claims: list[ClaimResult] = []
-    for t, r in zip(ts, op.row_sums(z, _axis_rows(ts), s, tol)):
-        predicted = Cs * c_val * t ** (mu - 2.0 * s)
-        # c_{s,mu} cancels near mu = s; the terms it sums are of size C_s t^{mu-2s}
-        scale = max(abs(predicted), Cs * t ** (mu - 2.0 * s))
-        claims.append(ClaimResult(_on_axis(3, t), "identity_residual", r.value - predicted,
-                                  r.abs_error_estimate, "eq", scale))
-    return _finish("power_identity", {"mu": mu, "s": s}, claims)
+    (r,) = op.row_sums(z, _axis_rows((1.0,)), s, tol)
+    predicted = Cs * c_val
+    # c_{s,mu} cancels near mu = s; the terms it sums are of size C_s
+    claim = ClaimResult(_on_axis(3, 1.0), "identity_residual", r.value - predicted,
+                        r.abs_error_estimate, "eq", max(abs(predicted), Cs))
+    return _finish("power_identity", {"mu": mu, "s": s}, [claim], extra={"covers": _RAY})
 
 
 def _cross_bump_bound(s: float) -> Callable[[float], float]:
@@ -323,19 +330,18 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
                            radii: Optional[Sequence[float]] = None) -> VerificationReport:
     """Frame lower bound for the subsolution candidate, with empirical onset radius.
 
-    At each radius r (default: 10 from 2 to 3000) and angle a in
-    {0.25, 0.85, 1.45} the claim is that the frame sum over
-    {xhat, k - 1 vectors orthogonal to xhat} at x = r(cos a e_1 + sin a e_N)
-    is at least constant * x_N / |x|^{..}.  psi = y_N phi(|y|^2) (see
-    ``profiles.PsiField``), so the frame sum is sin a F(r) + (k - 1) O(x):
-    F(r) is the e_N section through r e_N, one quadrature row per radius
-    for every angle, and O(x) the orthogonal section in closed form.  A
-    radius below psi's cap radius, 1, raises ``DomainError``, since the
-    orthogonal lines would cross the cap.
+    At each radius r (default: 10 from 2 to 3000) the claim is that the
+    frame sum over {xhat, k - 1 vectors orthogonal to xhat} at x = r e_N is
+    at least constant * x_N / |x|^{..}.  The frame sum is F(r) + (k - 1) O(x):
+    F(r) is the e_N section through r e_N, one quadrature row per radius,
+    and O(x) the orthogonal section in closed form.  The claim at any x of
+    the same radius with x_N > 0 is x_N / r times this one
+    (``extra["covers"]``).  A radius below psi's cap radius, 1, raises
+    ``DomainError``, since the orthogonal lines would cross the cap.
 
     The claim holds for all radii beyond some onset; the verifier reports
-    the smallest sampled radius from which every sampled angle passes, and
-    the verdict reflects only radii at or beyond that onset.
+    the smallest sampled radius from which every claim passes, and the
+    verdict reflects only radii at or beyond that onset.
     """
     psi = pr.make_psi(kind, k, s)
     gb, g2 = psi.gamma_lead, psi.gamma_second
@@ -347,94 +353,84 @@ def verify_psi_subsolution(kind: str, k: int, s: float,
     if not np.all(radii >= psi.cap_radius):  # NaN too
         raise cn.DomainError(f"every radius must be >= {psi.cap_radius:g}, psi's cap "
                              "radius: closer in, orthogonal sections cross the cap")
-    angles = np.linspace(0.25, 1.45, 3)
-    sines, n = np.sin(angles), len(angles)
 
-    # the points radius by radius, every angle at each
-    xs = np.zeros((len(radii) * n, N))
-    xs[:, 0] = np.outer(radii, np.cos(angles)).ravel()
-    xs[:, -1] = np.outer(radii, sines).ravel()
-    bounds = const * xs[:, -1] * np.repeat(radii, n) ** -exponent
+    xs = np.zeros((len(radii), N))
+    xs[:, -1] = radii
+    bounds = const * radii * radii ** -exponent
     # each claim asks for 1e-4 of its bound, with no fixed floor, so the
-    # request shrinks with the bound at far radii; the angle a reads sin a
-    # times the radius's row, so the row asks for the tightest of its angles'
-    # requests, each divided by sin a (and above 0, which a request must be)
-    asks = (np.abs(bounds) * 1e-4).reshape(len(radii), n) / sines
-    tols = [Tolerance(max(a, _TINY), _PSI_REL_TOL) for a in asks.min(axis=1).tolist()]
+    # request shrinks with the bound at far radii (and stays above 0, which
+    # a request must)
+    tols = [Tolerance(max(a, _TINY), _PSI_REL_TOL) for a in (np.abs(bounds) * 1e-4).tolist()]
     radial = op.row_sums(psi, _axis_rows(radii), s, tols)
     orth, orth_bar = psi.orthogonal_section(xs, s)
+    claims = [ClaimResult(x, "frame_lower_bound",
+                          bound - (row.value + (k - 1) * float(o)),
+                          row.abs_error_estimate + (k - 1) * float(ob), "le")
+              for x, bound, row, o, ob in zip(xs, bounds.tolist(), radial, orth, orth_bar)]
 
-    claims = []
-    for i, (x, bound) in enumerate(zip(xs, bounds.tolist())):
-        row, sin_a = radial[i // n], float(sines[i % n])
-        value = sin_a * row.value + (k - 1) * float(orth[i])
-        bar = sin_a * row.abs_error_estimate + (k - 1) * float(orth_bar[i])
-        claims.append(ClaimResult(x, "frame_lower_bound", bound - value, bar, "le"))
-
-    # the onset is the first radius from which every claim (one per angle)
-    # passes; the verdict and max_violation read the claims from it on.  The
-    # bound constant and x_N are positive, so those passing claims also show
-    # a positive frame sum at every radius from the onset on.
-    start = next((i for i in range(len(radii)) if _verdict(claims[i * n:]) == "pass"), None)
+    # the onset is the first radius from which every claim passes; the
+    # verdict and max_violation read the claims from it on.  The bound
+    # constant and x_N are positive, so those passing claims also show a
+    # positive frame sum at every radius from the onset on.
+    start = next((i for i in range(len(radii)) if _verdict(claims[i:]) == "pass"), None)
     if start is None:
         # no sampled radius starts a passing run: the onset, if there is one,
         # lies beyond the samples, where nothing was checked, so the claim is
         # undecided, not violated
         onset, counted, verdict = None, claims, "inconclusive"
     else:
-        onset, counted, verdict = float(radii[start]), claims[start * n:], "pass"
+        onset, counted, verdict = float(radii[start]), claims[start:], "pass"
+    covers = ("every x with |x| a sampled radius and x_N > 0: psi is invariant under "
+              "rotations of x', and its radial row, its orthogonal sections and the bound "
+              "all carry x_N, so the claim at x is x_N/|x| times the claim at |x| e_N")
     return _finish("psi_subsolution",
                    {"kind": kind, "k": k, "s": s, "gamma_lead": gb,
                     "gamma_second": g2, "bound_constant": const},
                    claims, extra={"empirical_R0": onset,
-                                  "radii": [float(r) for r in radii]},
+                                  "radii": [float(r) for r in radii], "covers": covers},
                    verdict=verdict, counted=counted)
 
 
 def verify_singular_supersolution(s: float, p: float, op_kind: str, N: int,
                                   seed: int = 42,
                                   tol: Tolerance = Tolerance()) -> VerificationReport:
-    """Supersolution M (x_N)_+^mu for p < -1, at x = t*e_N for t in {0.5, 1, 2}.
+    """Supersolution M (x_N)_+^mu for p < -1, at x = e_N.
 
-    A direction xi sees |xi.e_N|^{2s} V(t), V(t) = M C_s c_{s,mu} t^{mu-2s} < 0
-    the e_N value, so a frame sums fs V(t) with fs = sum_i |xi_i.e_N|^{2s}.
-    Both kinds read one quadrature of the e_N row per point.  ``ik_minus``
-    (V + u^p = 0): |I_{e_N} u + u^p| below 1e-6; as fs <= k^{1-s} on a
-    k-frame, I_k^- u + u^p = V (k^{1-s} - 1) <= 0 for every k.  ``in_plus``
+    A direction xi sees |xi.e_N|^{2s} V, V = M C_s c_{s,mu} < 0 the e_N
+    value, so a frame sums fs V with fs = sum_i |xi_i.e_N|^{2s}.  Both kinds
+    read one quadrature of the e_N row.  ``ik_minus`` (V + u^p = 0):
+    |I_{e_N} u + u^p| below 1e-6; as fs <= k^{1-s} on a k-frame,
+    I_k^- u + u^p = V (k^{1-s} - 1) <= 0 for every k.  ``in_plus``
     (N^{-s} V + u^p = 0): fs >= sum_i (xi_i.e_N)^2 = 1, with equality on any
     frame containing e_N, so I_N^+ u = V; claims V + u^p <= 0, the pigeonhole
-    fs = N^{-s} cancelling, and the e_N quadrature plus u^p <= 0.  ``seed``
-    is not read, as no claim is sampled; callers passing it keep working.
+    fs = N^{-s} cancelling, and the e_N quadrature plus u^p <= 0.  At t e_N
+    both V and u^p carry t^{mu-2s} = t^{mu p}, so the claims cover the ray.
+    ``seed`` is not read, as no claim is sampled; callers passing it keep
+    working.
     """
     if N < 2:
         raise cn.DomainError("N must be >= 2")
     u, M, mu = pr.build_singular_supersolution(s, p, op_kind, N)
-    points = (0.5, 1.0, 2.0)
-    sums = op.row_sums(u, _axis_rows(points), s, tol)
-    # u(t e_N)^p = M^p t^{mu p} in closed form, with M^{1-p} = scale/|C_s c_{s,mu}|:
-    # u(x) ** p would multiply the rounding of M t^mu by |p|
+    (r,) = op.row_sums(u, _axis_rows((1.0,)), s, tol)
+    # u(e_N)^p = M^p in closed form, with M^{1-p} = scale/|C_s c_{s,mu}|:
+    # u(x) ** p would multiply the rounding of M by |p|
     big_c = cn.normalizing_constant(s) * cn.c_s_mu(mu, s)
-    m_p = M * abs(big_c) / (1.0 if op_kind == "ik_minus" else N ** s)
-    u_p = [m_p * t ** (2.0 * s * p / (1.0 - p)) for t in points]
-    claims: list[ClaimResult] = []
+    up = M * abs(big_c) / (1.0 if op_kind == "ik_minus" else N ** s)
     if op_kind == "ik_minus":
         covers = f"I_k^- for every k = 1..{N}"
-        for t, r, up in zip(points, sums, u_p):
-            raw = r.value + up
-            claims.append(ClaimResult(t, "exact_cancellation", abs(raw) - 1e-6,
-                                      r.abs_error_estimate, "le"))
+        claims = [ClaimResult(1.0, "exact_cancellation", abs(r.value + up) - 1e-6,
+                              r.abs_error_estimate, "le")]
     else:
         covers = "I_N^+ over every orthonormal frame"
-        c_val = M * big_c
-        for t, r, up in zip(points, sums, u_p):
-            v = c_val * t ** (mu - 2.0 * s)  # V(t), the e_N value in closed form
-            claims += [
-                ClaimResult(t, "sup_frame_supersolution", v + up, 0.0, "le", abs(v)),
-                ClaimResult(t, "pigeonhole_cancellation", N ** -s * v + up, 0.0, "eq", abs(v)),
-                ClaimResult(t, "frame_supersolution_quadrature", r.value + up,
-                            r.abs_error_estimate, "le")]
+        v = M * big_c  # V, the e_N value in closed form
+        claims = [
+            ClaimResult(1.0, "sup_frame_supersolution", v + up, 0.0, "le", abs(v)),
+            ClaimResult(1.0, "pigeonhole_cancellation", N ** -s * v + up, 0.0, "eq", abs(v)),
+            ClaimResult(1.0, "frame_supersolution_quadrature", r.value + up,
+                        r.abs_error_estimate, "le")]
     params = {"s": s, "p": p, "op_kind": op_kind, "N": N, "M": M, "mu": mu}
-    return _finish("singular_supersolution", params, claims, extra={"covers": covers})
+    return _finish("singular_supersolution", params, claims,
+                   extra={"covers": f"{covers}, on {_RAY}"})
 
 
 _AVOIDANCE_SIZE = 1e150  # the largest r and |y| the avoidance suite takes
@@ -492,7 +488,10 @@ def verify_transform(s: float, p: float, q: float, seed: int = 42,
     directional-operator inequality for the transformed ``ik_minus``
     singular supersolution, and that the transformed family is again a
     supersolution of the target exponent: one-sided, since the transform
-    degrades the cancellation to an inequality.  ``seed`` is not read, as no
+    degrades the cancellation to an inequality.  Both families are power
+    profiles, v of exponent mu beta, and every term of these claims at
+    t e_N carries t^{mu beta - 2s} = t^{mu beta q} (beta - 1 + p = beta q),
+    so the claims, made at e_N, cover the ray.  ``seed`` is not read, as no
     claim is sampled; callers passing it keep working.
     """
     tp = pr.TransformParams(p, q)
@@ -503,28 +502,25 @@ def verify_transform(s: float, p: float, q: float, seed: int = 42,
 
     base, _, _ = pr.build_singular_supersolution(s, p, "ik_minus", 2)
     v = pr.power_transform(base, p, q)
-    ts = (0.5, 1.0, 2.0)
-    xs = [_on_axis(2, t) for t in ts]
+    x = _on_axis(2, 1.0)
     # operator inequality: I v <= beta v^{(beta-1)/beta} I (v^{1/beta}),
     # with v^{1/beta} = alpha^{1/beta} * base
-    rows = _axis_rows(ts)
-    lhs_all, rhs_all = op.row_sums(v, rows, s, tol), op.row_sums(base, rows, s, tol)
-    for t, x, lhs_q, rhs_dir in zip(ts, xs, lhs_all, rhs_all):
-        vx = v(x)
-        factor = beta * vx ** ((beta - 1.0) / beta) * tp.alpha_coef ** (1.0 / beta)
-        rhs_q = factor * rhs_dir.value
-        claims.append(ClaimResult(t, "operator_inequality",
-                                  lhs_q.value - rhs_q,
-                                  lhs_q.abs_error_estimate
-                                  + abs(factor) * rhs_dir.abs_error_estimate,
-                                  "le"))
-        # closure: alpha * base^beta, pointwise, matches the closed-form power family
-        pointwise = float(tp.alpha_coef * np.asarray(base(x)) ** beta)
-        claims.append(ClaimResult(t, "family_closure_pointwise", pointwise - vx, 0.0, "eq",
-                                  abs(vx)))
-        # transformed family stays a supersolution of the target exponent
-        res = lhs_q.value + v(x) ** q
-        claims.append(ClaimResult(t, "target_supersolution",
-                                  res, lhs_q.abs_error_estimate, "le"))
+    rows = _axis_rows((1.0,))
+    (lhs_q,), (rhs_dir,) = op.row_sums(v, rows, s, tol), op.row_sums(base, rows, s, tol)
+    vx = v(x)
+    factor = beta * vx ** ((beta - 1.0) / beta) * tp.alpha_coef ** (1.0 / beta)
+    rhs_q = factor * rhs_dir.value
+    claims.append(ClaimResult(1.0, "operator_inequality",
+                              lhs_q.value - rhs_q,
+                              lhs_q.abs_error_estimate
+                              + abs(factor) * rhs_dir.abs_error_estimate,
+                              "le"))
+    # closure: alpha * base^beta, pointwise, matches the closed-form power family
+    pointwise = float(tp.alpha_coef * np.asarray(base(x)) ** beta)
+    claims.append(ClaimResult(1.0, "family_closure_pointwise", pointwise - vx, 0.0, "eq",
+                              abs(vx)))
+    # transformed family stays a supersolution of the target exponent
+    claims.append(ClaimResult(1.0, "target_supersolution", lhs_q.value + vx ** q,
+                              lhs_q.abs_error_estimate, "le"))
     params = {"s": s, "p": p, "q": q, "beta": beta, "alpha": tp.alpha_coef}
-    return _finish("transform", params, claims)
+    return _finish("transform", params, claims, extra={"covers": _RAY})

@@ -167,6 +167,9 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
      "tolerances must be finite and positive"),
     (["verify", "power-identity", "--s", "0.5", "--mu", "0.3", "--abs-tol", "inf"],
      "tolerances must be finite and positive"),
+    # the constant is formed before the quadrature, whose far rule would
+    # refuse mu >= 2s with a message about its exponent instead
+    (["verify", "power-identity", "--s", "0.5", "--mu", "1.5"], "mu must lie in (0, 2s)"),
     (["verify", "singular", "--s", "0.5", "--p", "-3", "--N", "0"], "N must be >= 2"),
     (["verify", "avoidance", "--s", "0.5", "--N", "0"], "N must be >= 2"),
     (["verify", "avoidance", "--s", "0.5", "--N", "1"], "N must be >= 2"),
@@ -221,7 +224,8 @@ def test_verify_missing_parameters_exit_2(capsys, argv, flags):
     # no s to sweep: not an empty CSV and SVG
     (["sweep", "--steps", "0", "--out-prefix", "DIR/sw"], "steps must be >= 1"),
     (["sweep", "--steps", "-3", "--out-prefix", "DIR/sw"], "steps must be >= 1"),
-], ids=["abs-tol-nan", "abs-tol-inf", "singular-N0", "avoidance-N0", "avoidance-N1", "avoidance-N-negative",
+], ids=["abs-tol-nan", "abs-tol-inf", "power-identity-mu-above-2s",
+        "singular-N0", "avoidance-N0", "avoidance-N1", "avoidance-N-negative",
         "psi-growth-k0", "avoidance-r-negative", "avoidance-r-zero", "avoidance-r-inf",
         "avoidance-r-nan", "report-dir", "out-dir", "out-missing-dir",
         "report-missing-dir", "avoidance-y-nan", "avoidance-y-neg-inf", "avoidance-r-huge",

@@ -1518,15 +1518,49 @@ def test_psi_radial_rows_scale_with_the_angle(kind, s):
                     <= row.abs_error_estimate + math.sin(a) * axis.abs_error_estimate), (r, a)
 
 
+@pytest.mark.parametrize("kind,k,s", [("decay", 2, 0.4), ("growth", 1, 0.7), ("halfint", 1, 0.5)])
+def test_psi_frame_sums_scale_around_each_circle(kind, k, s):
+    # the lemma behind psi's one claim per radius: at r(cos a e_1 + sin a e_N)
+    # the frame sum over xhat and k - 1 vectors orthogonal to it, every row
+    # through the engine, is sin a times the suite's frame sum at r e_N, its
+    # e_N row plus k - 1 closed-form orthogonal sections
+    psi, tol = pr.make_psi(kind, k, s), Tolerance(1e-12, 1e-11)
+    for r in (2.0, 50.0):
+        (row,) = op.row_sums(psi, vf._axis_rows([r]), s, tol)
+        orth, orth_bar = psi.orthogonal_section(vf._on_axis(k + 1, r)[None], s)
+        axis = row.value + (k - 1) * float(orth[0])
+        axis_bar = row.abs_error_estimate + (k - 1) * float(orth_bar[0])
+        for a in (0.25, 0.85, 1.45):
+            x = np.zeros(k + 1)
+            x[0], x[-1] = r * math.cos(a), r * math.sin(a)
+            (fs,) = op.row_sums(psi, pr.Rows.through(x, _completion_matrix(x, k))[None], s, tol)
+            assert (abs(fs.value - math.sin(a) * axis)
+                    <= fs.abs_error_estimate + math.sin(a) * axis_bar), (r, a, fs, axis)
+
+
+@pytest.mark.parametrize("s,mu", [(0.05, 0.04), (0.5, 0.3), (0.95, 1.2)])
+def test_power_rows_scale_along_e_n(s, mu):
+    # the lemma behind the on-axis suites' one point: the e_N row of a power
+    # profile M (x_N)_+^mu through t e_N is t^{mu-2s} times the row through
+    # e_N, for the power identity's profile and the singular supersolution's
+    fields = [pr.PowerProfile(mu, 1.0), pr.build_singular_supersolution(s, -3.0, "ik_minus", 2)[0]]
+    for u in fields:
+        half, one, two = op.row_sums(u, vf._axis_rows((0.5, 1.0, 2.0)), s, Tolerance())
+        for lam, row in ((0.5, half), (2.0, two)):
+            scale = lam ** (u.mu - 2.0 * s)
+            assert (abs(row.value - scale * one.value)
+                    <= row.abs_error_estimate + scale * one.abs_error_estimate), (u.mu, lam)
+
+
 def _check_psi_decay_k3_far_claims(s):
-    """psi decay k = 3 passes at ``s`` from r = 3000 on, and its three claims
-    there lie within their bars of 40-digit mpmath frame sums."""
+    """psi decay k = 3 passes at ``s`` from r = 3000 on, and its claim there
+    lies within its bar of the 40-digit mpmath frame sum."""
     k = 3
     r = vf.verify_psi_subsolution("decay", k, s)
     assert r.verdict == "pass" and r.extra["empirical_R0"] == 3000.0
     psi = pr.make_psi("decay", k, s)
     far = [c for c in r.residuals if math.hypot(*c.point) > 2999.0]
-    assert len(far) == 3
+    assert len(far) == 1
     for c in far:
         x = np.array(c.point)
         nx = float(np.linalg.norm(x))
@@ -1543,14 +1577,14 @@ def _check_psi_decay_k3_far_claims(s):
 
 def test_psi_decay_k3_passes_from_the_last_radius():
     # with one radial row per radius and the orthogonal rows in closed form,
-    # the claims at r = 3000 resolve: their bars shrink with sin a
+    # the claim at r = 3000 resolves
     _check_psi_decay_k3_far_claims(0.95)
 
 
 def test_psi_decay_k3_passes_at_s_0_96():
-    # psi asks each radius for 1e-4 of its bound over sin a, with no fixed
-    # floor: under a 1e-12 floor the r = 3000 bars (~2e-15) stood above the
-    # residuals (~-5e-16) at s = 0.96, and the item was inconclusive
+    # psi asks each radius for 1e-4 of its bound, with no fixed floor: under
+    # a 1e-12 floor the r = 3000 bars (~2e-15) stood above the residuals
+    # (~-5e-16) at s = 0.96, and the item was inconclusive
     _check_psi_decay_k3_far_claims(0.96)
 
 
